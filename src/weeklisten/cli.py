@@ -11,7 +11,9 @@ standalone with the base seed reproduces exactly what ``pipeline`` did.
 Every successful run writes a ``manifest_<command>.json`` next to its outputs
 with the resolved configuration, paths, seed, version and wall-clock duration
 (the manifest is the only artifact carrying timing, hence the only one that
-differs between byte-identical runs).
+differs between byte-identical runs).  ``learn`` and ``embed`` also record the
+codes' worst KKT residual (``kkt_max``) and the number of users above the
+certificate tolerance (``users_uncertified``), and warn when that is not 0.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ def stage_seed(base_seed: int, stage: str) -> int:
 
 
 def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
-                    inputs: dict, outputs: dict, started: float) -> None:
+                    inputs: dict, outputs: dict, started: float, diagnostics: dict | None = None) -> None:
     config = {k: v for k, v in sorted(vars(args).items()) if k != "command"}
     manifest = {
         "command": command,
@@ -47,6 +49,7 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
         "inputs": {k: str(v) for k, v in inputs.items()},
         "outputs": {k: str(v) for k, v in outputs.items()},
         "duration_secs": round(time.monotonic() - started, 3),
+        **(diagnostics or {}),
     }
     path = out_dir / f"manifest_{command.replace('-', '_')}.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -56,6 +59,18 @@ def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _certify_codes(matrix, dct, codes, lam, lasso_tol) -> dict:
+    """Worst KKT residual of the codes and how many exceed the certificate; warns if any do."""
+    residuals = dictionary.kkt_residuals(matrix, dct, codes, lam)
+    bound = dictionary.KKT_TOL_FACTOR * lasso_tol
+    uncertified = int(np.count_nonzero(residuals > bound))
+    worst = float(residuals.max()) if residuals.size else 0.0
+    if uncertified:
+        print(f"warning: {uncertified} of {residuals.size} codes miss the KKT certificate "
+              f"{bound:g} (worst {worst:.3g}); raise --lasso-max-sweeps")
+    return {"kkt_max": worst, "users_uncertified": uncertified}
 
 
 def _resolve_period(args, valid_log) -> ingest.StudyPeriod:
@@ -143,12 +158,15 @@ def cmd_learn(args) -> int:
     sset = signals.load_signal_set(args.signal_users, args.signals)
     train_users, test_users = evaluate.split_users(
         sset.user_ids, args.test_frac, stage_seed(args.seed, "split"))
-    train_rows = np.array([u in set(train_users) for u in sset.user_ids])
+    train = set(train_users)
+    train_rows = np.array([u in train for u in sset.user_ids])
     config = dictionary.LearnConfig(
         n_atoms=args.atoms, lam=args.lam, outer_iters=args.outer_iters,
         lasso_tol=args.lasso_tol, lasso_max_sweeps=args.lasso_max_sweeps,
         seed=stage_seed(args.seed, "learn"))
-    result = dictionary.learn(sset.matrix[train_rows], config)
+    train_matrix = sset.matrix[train_rows]
+    result = dictionary.learn(train_matrix, config)
+    certificate = _certify_codes(train_matrix, result.dictionary, result.codes, args.lam, args.lasso_tol)
 
     csv_path = out / "dictionary.csv"
     bin_path = out / "dictionary.bin"
@@ -166,7 +184,7 @@ def cmd_learn(args) -> int:
                     {"signal_users": args.signal_users, "signals": args.signals},
                     {"dictionary_csv": csv_path, "dictionary_bin": bin_path,
                      "train_users": out / "train_users.txt", "test_users": out / "test_users.txt",
-                     "objective_trace": trace_path}, started)
+                     "objective_trace": trace_path}, started, certificate)
     return 0
 
 
@@ -178,6 +196,7 @@ def cmd_embed(args) -> int:
     lam = args.lam if args.lam is not None else dct.lam
     embeddings = dictionary.embed(sset, dct, lam, args.lasso_tol, args.lasso_max_sweeps)
     users, codes = dictionary.embeddings_matrix(embeddings)
+    certificate = _certify_codes(sset.matrix, dct, codes, lam, args.lasso_tol)
     index_path = out / "code_users.txt"
     matrix_path = out / storage.matrix_filename("codes", args.matrix_format)
     dictionary.save_codes(users, codes, index_path, matrix_path, args.matrix_format)
@@ -186,7 +205,7 @@ def cmd_embed(args) -> int:
     _write_manifest(out, "embed", args,
                     {"signal_users": args.signal_users, "signals": args.signals,
                      "dictionary": args.dictionary},
-                    {"code_users": index_path, "codes": matrix_path}, started)
+                    {"code_users": index_path, "codes": matrix_path}, started, certificate)
     return 0
 
 

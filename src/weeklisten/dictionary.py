@@ -10,9 +10,13 @@ matrices, so everything below runs on plain ``(dim, K)`` dictionaries and
 ``(n, dim)`` signal rows (``dim`` is 672 in production, anything in tests).
 
 Sparse coding is cyclic coordinate descent with closed-form soft-threshold
-updates, vectorized across users; the dictionary half-step is block coordinate
-descent over atoms with unit-L2-ball projection.  Both half-steps never
-increase the objective, which the learner records after every half-step.
+updates, vectorized across users, which finds each user's support and signs;
+after every sweep each unsettled user takes one exact step on that support
+(the reduced least-squares system solved in stacked blocks, stopped at the
+first sign change, kept only if the objective does not rise).  The dictionary
+half-step is block coordinate descent over atoms with unit-L2-ball projection.
+Both half-steps never increase the objective, which the learner records after
+every half-step from Gram statistics.  :func:`kkt_residuals` certifies codes.
 """
 
 from __future__ import annotations
@@ -30,6 +34,9 @@ STACKED_DIM = N_CHANNELS * SLOTS_PER_WEEK
 
 #: Factor mapping the coordinate-change tolerance to the KKT certificate tolerance.
 KKT_TOL_FACTOR = 10.0
+
+#: Users per stacked exact-step solve, so the (block, K, K) systems stay a few MB.
+SOLVE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -112,26 +119,9 @@ def objective(signals: np.ndarray, dictionary, codes: np.ndarray, lam: float) ->
     return float(np.sum(residual * residual) + lam * np.sum(np.abs(C)))
 
 
-def kkt_violation(signal: np.ndarray, dictionary, code: np.ndarray, lam: float) -> float:
-    """Worst subgradient-optimality violation of a lasso code.
-
-    The smooth-term gradient is ``g = -2 D^T (s - D c)``; optimality needs
-    ``|g_k| <= lam`` where ``c_k == 0`` and ``g_k == -lam * sign(c_k)``
-    elsewhere.  Returns the largest excess over those conditions.
-    """
-    D = _stacked(dictionary)
-    s = np.asarray(signal, dtype=np.float64)
-    c = np.asarray(code, dtype=np.float64)
-    g = -2.0 * D.T @ (s - D @ c)
-    at_zero = c == 0.0
-    viol_zero = np.maximum(np.abs(g[at_zero]) - lam, 0.0)
-    viol_active = np.abs(g[~at_zero] + lam * np.sign(c[~at_zero]))
-    worst = 0.0
-    if viol_zero.size:
-        worst = max(worst, float(viol_zero.max()))
-    if viol_active.size:
-        worst = max(worst, float(viol_active.max()))
-    return worst
+def _gram_objective(x_sq: float, XD: np.ndarray, DtD: np.ndarray, C: np.ndarray, lam: float) -> float:
+    """:func:`objective` from ``||X||^2``, ``X D`` and ``D^T D``, without the (n, dim) residual."""
+    return float(x_sq - 2.0 * np.sum(C * XD) + np.sum(C * (C @ DtD)) + lam * np.sum(np.abs(C)))
 
 
 def _kkt_from_half_gradient(g: np.ndarray, C: np.ndarray, lam: float) -> np.ndarray:
@@ -142,16 +132,92 @@ def _kkt_from_half_gradient(g: np.ndarray, C: np.ndarray, lam: float) -> np.ndar
     return viol.max(axis=0) if viol.size else np.zeros(g.shape[1])
 
 
+def kkt_residuals(signals: np.ndarray, dictionary, codes: np.ndarray, lam: float) -> np.ndarray:
+    """Worst subgradient-optimality violation of each row's lasso code.
+
+    The smooth-term gradient is ``grad = -2 D^T (s - D c)``; optimality needs
+    ``|grad_k| <= lam`` where ``c_k == 0`` and ``grad_k == -lam * sign(c_k)``
+    elsewhere.  Returns the largest excess over those conditions per row.
+    """
+    X = np.asarray(signals, dtype=np.float64)
+    D = _stacked(dictionary)
+    C = np.asarray(codes, dtype=np.float64)
+    if X.ndim != 2 or C.shape != (X.shape[0], D.shape[1]):
+        raise DictionaryError(f"shape mismatch: signals {X.shape}, dictionary {D.shape}, codes {C.shape}")
+    g = D.T @ X.T - (D.T @ D) @ C.T
+    return _kkt_from_half_gradient(g, C.T, lam)
+
+
+def _exact_support_step(C: np.ndarray, g: np.ndarray, H: np.ndarray, D: np.ndarray,
+                        G: np.ndarray, lam: float) -> None:
+    """Move each user (column) toward the exact lasso solution on its current support.
+
+    With support ``S`` and signs fixed, the optimum solves
+    ``G_SS c_S = H_S - (lam / 2) sign(c_S)``.  The step stops at the first
+    support coordinate whose sign would flip (that coordinate becomes exactly
+    0) and is kept only where the user's objective does not increase, so a
+    singular or ill-conditioned ``G_SS`` cannot undo coordinate descent.
+    ``C``, ``g = H - G C`` and ``H`` are ``(K, n)`` with one column per user;
+    ``C`` and ``g`` are updated in place, ``g`` recomputed for users that moved.
+    """
+    for start in range(0, C.shape[1], SOLVE_BLOCK):
+        cols = np.arange(start, min(start + SOLVE_BLOCK, C.shape[1]))
+        c = C[:, cols].T                                   # (b, K)
+        support = c != 0.0
+        size = support.sum(axis=1)
+        m = int(size.max())
+        if m == 0:
+            continue
+        # Each user's support atoms first; rows past its support size are padding.
+        idx = np.argsort(~support, axis=1, kind="stable")[:, :m]
+        pad = np.arange(m) >= size[:, None]
+        M = G[idx[:, :, None], idx[:, None, :]]
+        M[pad[:, :, None] | pad[:, None, :]] = 0.0
+        M[:, np.arange(m), np.arange(m)] += pad           # identity rows, rhs 0
+        h = H[:, cols].T
+        rhs = np.take_along_axis(h - (lam / 2.0) * np.sign(c), idx, axis=1)
+        rhs[pad] = 0.0
+        with np.errstate(all="ignore"):
+            try:
+                sol = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:  # exactly singular G_SS, e.g. duplicate atoms
+                sol = (np.linalg.pinv(M) @ rhs[:, :, None])[:, :, 0]
+            sol[pad] = 0.0
+            z = np.zeros_like(c)
+            np.put_along_axis(z, idx, sol, axis=1)
+            # A support coordinate of c + t (z - c) changes sign at t = c / (c - z).
+            cross = np.where(support & (c * z <= 0.0), c / (c - z), np.inf)
+            t = np.minimum(cross.min(axis=1), 1.0)[:, None]
+            new = c + t * (z - c)
+            new[cross <= t] = 0.0
+            step = new - c
+            # Objective change ||D step||^2 - 2 step.g + lam (|new|_1 - |c|_1).  The
+            # quadratic term is summed in signal space: step.G.step can round negative
+            # when G is near singular.
+            fit = step @ D.T
+            change = (np.einsum("ij,ij->i", fit, fit) - 2.0 * np.einsum("ij,ij->i", step, g[:, cols].T)
+                      + lam * (np.abs(new).sum(axis=1) - np.abs(c).sum(axis=1)))
+        moved = (change <= 0.0) & np.any(step != 0.0, axis=1)
+        if np.any(moved):
+            C[:, cols[moved]] = new[moved].T
+            g[:, cols[moved]] = h[moved].T - G @ new[moved].T
+
+
 def sparse_code_batch(signals: np.ndarray, dictionary, lam: float,
                       tol: float = 1e-8, max_sweeps: int = 1000,
                       warm_codes: np.ndarray | None = None) -> np.ndarray:
-    """Cyclic coordinate-descent lasso codes for every signal row.
+    """Lasso codes for every signal row: coordinate descent plus exact support steps.
 
     Runs in covariance form: with ``G = D^T D`` and ``H = D^T S`` precomputed,
     a coordinate update touches K-vectors instead of dim-vectors.  Each user's
-    problem is independent; they are swept together for speed and a user drops
+    problem is independent; they are swept together for speed.  A cyclic
+    coordinate-descent sweep finds each user's support and signs; a user drops
     out once its sweep-to-sweep coordinate change is below ``tol`` and its KKT
-    violation is within ``KKT_TOL_FACTOR * tol``.
+    violation is within ``KKT_TOL_FACTOR * tol``.  Every user still active
+    after a sweep then takes one exact step on its support (see
+    :func:`_exact_support_step`), so a pass usually settles within a few
+    sweeps.  ``max_sweeps`` caps the coordinate-descent sweeps.  Codes of
+    zero-norm atoms are 0.
     """
     X = np.asarray(signals, dtype=np.float64)
     if X.ndim != 2:
@@ -164,43 +230,49 @@ def sparse_code_batch(signals: np.ndarray, dictionary, lam: float,
         raise DictionaryError(f"dictionary dim {D.shape[0]} does not match signals dim {dim}")
     K = D.shape[1]
 
-    C = np.zeros((K, n)) if warm_codes is None else \
+    codes = np.zeros((K, n)) if warm_codes is None else \
         np.ascontiguousarray(warm_codes.T, dtype=np.float64).copy()
     G = D.T @ D                               # (K, K)
     atom_sq = np.diagonal(G).copy()           # ||d_j||^2
-    g = D.T @ X.T - G @ C                     # half-gradient: d_j . residual per user
+    codes[atom_sq == 0.0] = 0.0               # the penalty alone decides a zero atom's code
     threshold = lam / 2.0
 
+    # Active users' columns, compacted as users settle; codes[:, active] is stale until then.
     active = np.arange(n)
+    C = codes.copy()
+    H = D.T @ X.T                             # (K, n)
+    g = H - G @ C                             # half-gradient: d_j . residual per user
     for _ in range(max_sweeps):
         if active.size == 0:
             break
         max_delta = np.zeros(active.size)
         for j in range(K):
             if atom_sq[j] == 0.0:
-                continue  # degenerate atom: code stays as-is, gradient is zero
-            c_j = C[j, active]
+                continue  # degenerate atom: code stays 0, gradient is zero
+            c_j = C[j]
             rho = g[j] + atom_sq[j] * c_j
-            new = np.sign(rho) * np.maximum(np.abs(rho) - threshold, 0.0) / atom_sq[j]
+            new = (rho - np.clip(rho, -threshold, threshold)) / atom_sq[j]  # soft threshold
             delta = new - c_j
             changed = delta != 0.0
             if np.any(changed):
-                g -= np.outer(G[:, j], delta * changed)
-                C[j, active[changed]] = new[changed]
+                g -= np.outer(G[:, j], delta)
+                c_j[changed] = new[changed]
             np.maximum(max_delta, np.abs(delta), out=max_delta)
 
         settled = max_delta < tol
         if np.any(settled):
             # Promote settled users only once their KKT certificate holds.
-            viol = _kkt_from_half_gradient(g[:, settled], C[:, active[settled]], lam)
+            viol = _kkt_from_half_gradient(g[:, settled], C[:, settled], lam)
             done = settled.copy()
             done[settled] = viol <= KKT_TOL_FACTOR * tol
             if np.any(done):
+                codes[:, active[done]] = C[:, done]
                 keep = ~done
-                active = active[keep]
-                g = np.ascontiguousarray(g[:, keep])
+                active, C, g, H = active[keep], C[:, keep], g[:, keep], H[:, keep]
+        _exact_support_step(C, g, H, D, G, lam)
 
-    return C.T.copy()
+    codes[:, active] = C
+    return codes.T.copy()
 
 
 def sparse_code(signal: np.ndarray, dictionary, lam: float,
@@ -262,14 +334,17 @@ def learn(signals: np.ndarray, config: LearnConfig) -> LearnResult:
     norms = np.linalg.norm(D, axis=0)
     D /= np.maximum(norms, 1.0)
 
+    x_sq = float(np.sum(X * X))
+    XD, DtD = X @ D, D.T @ D
     codes = sparse_code_batch(X, D, config.lam, config.lasso_tol, config.lasso_max_sweeps)
-    trace = [objective(X, D, codes, config.lam)]
+    trace = [_gram_objective(x_sq, XD, DtD, codes, config.lam)]
     for _ in range(config.outer_iters):
         D = update_dictionary(X, D, codes)
-        trace.append(objective(X, D, codes, config.lam))
+        XD, DtD = X @ D, D.T @ D
+        trace.append(_gram_objective(x_sq, XD, DtD, codes, config.lam))
         codes = sparse_code_batch(X, D, config.lam, config.lasso_tol,
                                   config.lasso_max_sweeps, warm_codes=codes)
-        trace.append(objective(X, D, codes, config.lam))
+        trace.append(_gram_objective(x_sq, XD, DtD, codes, config.lam))
 
     dictionary = Dictionary(stacked=D, lam=config.lam, seed=config.seed)
     return LearnResult(dictionary=dictionary, codes=codes, objective_trace=tuple(trace))

@@ -1,8 +1,9 @@
 """Independent reference implementations used to check the solvers.
 
 Nothing here shares code with the package's optimization paths: the lasso
-oracle is an exhaustive box-refinement search, the orthonormal form is the
-textbook closed form, and recovery matching enumerates permutations.
+oracle is an exhaustive box-refinement search, the KKT check walks the
+coordinates one by one, the orthonormal form is the textbook closed form, and
+recovery matching enumerates permutations.
 """
 
 import itertools
@@ -13,6 +14,20 @@ import numpy as np
 def lasso_objective(s, D, code, lam):
     r = s - D @ code
     return float(r @ r + lam * np.abs(code).sum())
+
+
+def kkt_violation(s, D, code, lam):
+    """Worst subgradient-optimality violation of one lasso code, coordinate by coordinate.
+
+    The smooth-term gradient is ``g = -2 D^T (s - D c)``; optimality needs
+    ``|g_k| <= lam`` where ``c_k == 0`` and ``g_k == -lam * sign(c_k)`` elsewhere.
+    """
+    g = -2.0 * D.T @ (s - D @ code)
+    worst = 0.0
+    for g_k, c_k in zip(g, code):
+        excess = abs(g_k) - lam if c_k == 0.0 else abs(g_k + lam * np.sign(c_k))
+        worst = max(worst, float(excess))
+    return worst
 
 
 def orthonormal_lasso(s, D, lam):

@@ -115,6 +115,25 @@ def test_staged_run_matches_pipeline_bytes(pipeline_dir, tmp_path):
         assert (staged / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
 
 
+def test_sweep_cap_is_reported(pipeline_dir, tmp_path, capsys):
+    for name in ("learn", "embed"):
+        manifest = json.loads((pipeline_dir / f"manifest_{name}.json").read_text())
+        assert manifest["users_uncertified"] == 0
+        assert manifest["kkt_max"] <= dictionary.KKT_TOL_FACTOR * 1e-8
+
+    out = tmp_path / "capped"
+    signals = ["--signal-users", str(pipeline_dir / "signal_users.txt"),
+               "--signals", str(pipeline_dir / "signals.npy")]
+    capped = ["--out", str(out), "--seed", "7", "--lasso-max-sweeps", "1"]
+    assert run(["learn", *capped, *signals, "--atoms", "8", "--outer-iters", "2"]) == 0
+    assert run(["embed", *capped, *signals, "--dictionary", str(out / "dictionary.csv")]) == 0
+    assert capsys.readouterr().out.count("miss the KKT certificate") == 2
+    for name in ("learn", "embed"):
+        manifest = json.loads((out / f"manifest_{name}.json").read_text())
+        assert manifest["users_uncertified"] > 0
+        assert manifest["kkt_max"] > dictionary.KKT_TOL_FACTOR * 1e-8
+
+
 def test_learn_atoms_flag_sets_dictionary_header(pipeline_dir, tmp_path):
     out = tmp_path / "k32"
     rc = run(["learn", "--out", str(out), "--seed", "7",

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from weeklisten import dictionary
 from weeklisten.errors import DictionaryError
 
-from oracles import (best_permutation_correlations, grid_refine_lasso,
+from oracles import (best_permutation_correlations, grid_refine_lasso, kkt_violation,
                      lasso_objective, orthonormal_lasso, planted_instance)
 
 
@@ -101,7 +101,76 @@ def test_sparse_code_kkt_certificate(seed, lam):
     s = rng.normal(size=12) * rng.uniform(0.5, 3.0)
     tol = 1e-8
     code = dictionary.sparse_code(s, D, lam, tol=tol)
-    assert dictionary.kkt_violation(s, D, code, lam) <= dictionary.KKT_TOL_FACTOR * tol
+    assert kkt_violation(s, D, code, lam) <= dictionary.KKT_TOL_FACTOR * tol
+
+
+def correlated_atoms(rng, dim=8, K=3, spread=0.3):
+    """Unit atoms with pairwise correlations near 0.9, where cyclic CD crawls."""
+    base = rng.normal(size=dim)
+    D = np.column_stack([base + spread * rng.normal(size=dim) for _ in range(K)])
+    return D / np.linalg.norm(D, axis=0)
+
+
+def assert_coded_against_oracles(X, D, lam, codes):
+    """KKT certificate and grid-oracle objective for every row."""
+    for s, code in zip(X, codes):
+        assert kkt_violation(s, D, code, lam) <= dictionary.KKT_TOL_FACTOR * 1e-8
+        _, oracle_obj = grid_refine_lasso(s, D, lam)
+        assert lasso_objective(s, D, code, lam) <= oracle_obj + 1e-7
+
+
+def test_sparse_code_wrong_sign_warm_start_is_clipped(rng):
+    # Warm codes with every sign flipped and zeros filled in: the exact support
+    # step has to stop where a sign changes, and still finishes in a few sweeps
+    # (cyclic CD alone needs hundreds on atoms this correlated).
+    D = correlated_atoms(np.random.default_rng(12))
+    X = np.random.default_rng(13).normal(size=(6, 8)) * 2
+    lam = 0.5
+    optimum = np.vstack([dictionary.sparse_code(s, D, lam) for s in X])
+    warm = -2.0 * optimum + np.where(optimum == 0.0, 1.5, 0.0)
+    codes = dictionary.sparse_code_batch(X, D, lam, max_sweeps=8, warm_codes=warm)
+    assert_coded_against_oracles(X, D, lam, codes)
+    assert np.allclose(codes, optimum, atol=1e-7)
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-10])
+def test_sparse_code_duplicate_atoms_singular_support(gap):
+    # Both copies of an atom in the warm support make G_SS singular (or, a
+    # hair apart, singular to rounding; with this seed some rows' solves then
+    # overshoot by ~1e10).  No sweep may raise the objective.  The optimum's
+    # split between the copies is not unique, its objective and reconstruction are.
+    rng = np.random.default_rng(17)
+    D = correlated_atoms(rng, K=2, spread=1.0)
+    D = np.column_stack([D[:, 0], D[:, 0] + gap * rng.normal(size=8), D[:, 1]])
+    X = rng.normal(size=(40, 8)) * 2
+    lam = 0.3
+    warm = rng.uniform(0.1, 3.0, size=X.shape[:1] + (3,)) * rng.choice([-1.0, 1.0], size=(40, 3))
+    before = [lasso_objective(s, D, c, lam) for s, c in zip(X, warm)]
+    for sweeps in range(1, 6):
+        codes = dictionary.sparse_code_batch(X, D, lam, max_sweeps=sweeps, warm_codes=warm)
+        after = [lasso_objective(s, D, c, lam) for s, c in zip(X, codes)]
+        assert np.all(np.array(after) <= np.array(before) + 1e-9)
+        before = after
+    codes = dictionary.sparse_code_batch(X, D, lam, warm_codes=warm)
+    assert_coded_against_oracles(X, D, lam, codes)
+    for s, code in zip(X, codes):
+        cold = dictionary.sparse_code(s, D, lam)
+        assert lasso_objective(s, D, code, lam) == pytest.approx(lasso_objective(s, D, cold, lam),
+                                                                 abs=1e-7)
+        assert np.allclose(D @ code, D @ cold, atol=1e-7)
+
+
+def test_sparse_code_zero_atom_drops_warm_code(rng):
+    D = correlated_atoms(rng, K=2, spread=1.0)
+    D = np.column_stack([D[:, 0], np.zeros(8), D[:, 1]])
+    X = rng.normal(size=(5, 8)) * 2
+    lam = 0.3
+    warm = np.tile([0.2, 3.0, -0.4], (5, 1))
+    codes = dictionary.sparse_code_batch(X, D, lam, warm_codes=warm)
+    assert np.all(codes[:, 1] == 0.0)
+    assert_coded_against_oracles(X, D, lam, codes)
+    for s, code in zip(X, codes):
+        assert np.allclose(code, dictionary.sparse_code(s, D, lam), atol=1e-7)
 
 
 def test_sparsity_monotone_in_lambda(rng):
@@ -179,6 +248,14 @@ def test_learn_objective_trace_monotone():
     trace = np.array(result.objective_trace)
     assert len(trace) == 1 + 2 * 12
     assert np.all(np.diff(trace) <= 1e-7 * trace[:-1])
+
+
+def test_learn_trace_agrees_with_objective(rng):
+    # learn records the objective from ||X||^2, X D and D^T D instead of the residual.
+    X = rng.normal(size=(60, 20))
+    result = dictionary.learn(X, dictionary.LearnConfig(n_atoms=5, lam=0.5, outer_iters=3, seed=4))
+    direct = dictionary.objective(X, result.dictionary, result.codes, 0.5)
+    assert result.objective_trace[-1] == pytest.approx(direct, rel=1e-10)
 
 
 def test_learn_zero_outer_iters_returns_initialization():
