@@ -3,7 +3,10 @@
 Subcommands mirror the stages: ``synth``, ``ingest``, ``signals``, ``learn``,
 ``embed``, ``eval``, ``export-atoms`` and ``pipeline`` (all stages in order,
 through the same file-based handoffs a staged run would use, so both produce
-byte-identical artifacts).
+byte-identical artifacts).  Stages hand off a user-index file plus a matrix
+file (signals, codes) or ``dictionary.csv``; in memory they pass the same
+``(user_ids, matrix)`` arrays.  A missing or malformed handoff file is an
+``error: ...`` line and exit status 1.
 
 All randomness flows from one ``--seed``: each stage derives its own seed as
 ``SeedSequence(entropy=seed, spawn_key=(STAGE_ID,))``, so running a stage
@@ -125,12 +128,11 @@ def cmd_ingest(args) -> int:
     if profiles.unknown_user_warnings:
         print(f"warning: {profiles.unknown_user_warnings} favorites referenced unknown users")
     summary_path = out / "user_summary.csv"
+    users, columns = profiles.summary_columns()
     with open(summary_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("user_id,total_valid_streams,active_days,distinct_tracks,liked_tracks\n")
-        for user in active:
-            p = profiles[user]
-            fh.write(f"{user},{p.total_valid_streams},{p.active_days},"
-                     f"{len(p.play_count_per_track)},{len(p.liked_tracks)}\n")
+        fh.writelines(f"{user},{total},{days},{distinct},{liked}\n"
+                      for user, (total, days, distinct, liked) in zip(users, columns.tolist()))
     _write_manifest(out, "ingest", args,
                     {"events": args.events, "favorites": args.favorites or ""},
                     {"user_summary": summary_path}, started)
@@ -169,9 +171,7 @@ def cmd_learn(args) -> int:
     certificate = _certify_codes(train_matrix, result.dictionary, result.codes, args.lam, args.lasso_tol)
 
     csv_path = out / "dictionary.csv"
-    bin_path = out / "dictionary.bin"
     dictionary.save_dictionary_csv(result.dictionary, csv_path)
-    dictionary.save_dictionary_binary(result.dictionary, bin_path)
     storage.save_index(train_users, out / "train_users.txt")
     storage.save_index(test_users, out / "test_users.txt")
     trace_path = out / "objective_trace.csv"
@@ -182,7 +182,7 @@ def cmd_learn(args) -> int:
           f"objective {result.objective_trace[0]:.4f} -> {result.objective_trace[-1]:.4f}")
     _write_manifest(out, "learn", args,
                     {"signal_users": args.signal_users, "signals": args.signals},
-                    {"dictionary_csv": csv_path, "dictionary_bin": bin_path,
+                    {"dictionary_csv": csv_path,
                      "train_users": out / "train_users.txt", "test_users": out / "test_users.txt",
                      "objective_trace": trace_path}, started, certificate)
     return 0
@@ -194,14 +194,13 @@ def cmd_embed(args) -> int:
     sset = signals.load_signal_set(args.signal_users, args.signals)
     dct = dictionary.load_dictionary_csv(args.dictionary)
     lam = args.lam if args.lam is not None else dct.lam
-    embeddings = dictionary.embed(sset, dct, lam, args.lasso_tol, args.lasso_max_sweeps)
-    users, codes = dictionary.embeddings_matrix(embeddings)
+    codes = dictionary.embed(sset, dct, lam, args.lasso_tol, args.lasso_max_sweeps)
     certificate = _certify_codes(sset.matrix, dct, codes, lam, args.lasso_tol)
     index_path = out / "code_users.txt"
     matrix_path = out / storage.matrix_filename("codes", args.matrix_format)
-    dictionary.save_codes(users, codes, index_path, matrix_path, args.matrix_format)
+    dictionary.save_codes(sset.user_ids, codes, index_path, matrix_path, args.matrix_format)
     nonzero = float(np.mean(np.sum(codes != 0, axis=1)))
-    print(f"embedded {len(users)} users; mean active atoms per code {nonzero:.2f}")
+    print(f"embedded {len(sset.user_ids)} users; mean active atoms per code {nonzero:.2f}")
     _write_manifest(out, "embed", args,
                     {"signal_users": args.signal_users, "signals": args.signals,
                      "dictionary": args.dictionary},
@@ -210,18 +209,26 @@ def cmd_embed(args) -> int:
 
 
 def _read_summary_totals(path) -> dict[str, int]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PipelineError(f"cannot read user summary {path}: {exc}") from exc
+    try:
+        u_col = header.index("user_id")
+        t_col = header.index("total_valid_streams")
+    except ValueError:
+        raise PipelineError(f"{path} is not a user summary (header {header})") from None
     totals = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        try:
-            u_col = header.index("user_id")
-            t_col = header.index("total_valid_streams")
-        except ValueError:
-            raise PipelineError(f"{path} is not a user summary (header {header})") from None
-        for line in fh:
-            if line.strip():
-                row = line.rstrip("\n").split(",")
+    for line_no, line in enumerate(lines, start=2):
+        if line.strip():
+            row = line.rstrip("\n").split(",")
+            try:
                 totals[row[u_col]] = int(row[t_col])
+            except (IndexError, ValueError):
+                raise PipelineError(f"{path} line {line_no}: no integer total_valid_streams "
+                                    f"in {line.strip()!r}") from None
     return totals
 
 
@@ -231,11 +238,10 @@ def cmd_eval(args) -> int:
     users, codes = dictionary.load_codes(args.code_users, args.codes)
     labels = evaluate.parse_labels(args.labels)
     totals = _read_summary_totals(args.summary)
-    embeddings = [dictionary.Embedding(u, codes[i]) for i, u in enumerate(users)]
     split = evaluate.split_users(users, args.test_frac, stage_seed(args.seed, "split"))
     config = evaluate.EvalConfig(l2_grid=tuple(args.l2_grid), cv_folds=args.cv_folds,
                                  seed=stage_seed(args.seed, "eval"))
-    report = evaluate.evaluate_all(embeddings, labels, totals, split, config)
+    report = evaluate.evaluate_all(users, codes, labels, totals, split, config)
 
     report_path = out / "eval_report.csv"
     table_path = out / "eval_table.txt"

@@ -22,7 +22,6 @@ every half-step from Gram statistics.  :func:`kkt_residuals` certifies codes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -87,14 +86,6 @@ class Dictionary:
 
 
 @dataclass(frozen=True)
-class Embedding:
-    """One user's sparse code over the atoms."""
-
-    user_id: str
-    code: np.ndarray
-
-
-@dataclass(frozen=True)
 class LearnResult:
     dictionary: Dictionary
     codes: np.ndarray                 # (n_rows, K), aligned with the training rows
@@ -135,7 +126,7 @@ def _kkt_from_half_gradient(g: np.ndarray, C: np.ndarray, lam: float) -> np.ndar
 def kkt_residuals(signals: np.ndarray, dictionary, codes: np.ndarray, lam: float) -> np.ndarray:
     """Worst subgradient-optimality violation of each row's lasso code.
 
-    The smooth-term gradient is ``grad = -2 D^T (s - D c)``; optimality needs
+    The least-squares gradient is ``grad = -2 D^T (s - D c)``; optimality needs
     ``|grad_k| <= lam`` where ``c_k == 0`` and ``grad_k == -lam * sign(c_k)``
     elsewhere.  Returns the largest excess over those conditions per row.
     """
@@ -351,38 +342,26 @@ def learn(signals: np.ndarray, config: LearnConfig) -> LearnResult:
 
 
 def embed(signal_set: SignalSet, dictionary: Dictionary, lam: float | None = None,
-          tol: float = 1e-8, max_sweeps: int = 1000) -> list[Embedding]:
+          tol: float = 1e-8, max_sweeps: int = 1000) -> np.ndarray:
     """Sparse codes of arbitrary users against a fixed dictionary.
 
-    ``lam`` defaults to the value the dictionary was trained with, so held-out
-    users are coded under the same sparsity pressure as training users.
+    Returns the ``(n_users, K)`` code matrix; row ``i`` is the code of
+    ``signal_set.user_ids[i]``.  ``lam`` defaults to the value the dictionary
+    was trained with, so held-out users are coded under the same sparsity
+    pressure as training users.
     """
     if lam is None:
         lam = dictionary.lam
     if lam is None:
         raise DictionaryError("lam not given and the dictionary records none")
-    codes = sparse_code_batch(signal_set.matrix, dictionary, lam, tol, max_sweeps)
-    return [Embedding(user_id=u, code=codes[i]) for i, u in enumerate(signal_set.user_ids)]
-
-
-def embeddings_matrix(embeddings: Sequence[Embedding]) -> tuple[tuple[str, ...], np.ndarray]:
-    """Split a list of embeddings into (user ids, (n, K) code matrix)."""
-    users = tuple(e.user_id for e in embeddings)
-    return users, np.vstack([e.code for e in embeddings])
+    return sparse_code_batch(signal_set.matrix, dictionary, lam, tol, max_sweeps)
 
 
 # ---------------------------------------------------------------------------
-# Persistence: documented CSV and flat binary forms, plus the plotting export.
+# Persistence: the documented CSV form, plus the plotting export.
 # ---------------------------------------------------------------------------
 
-_BINARY_MAGIC = b"WKLDICT1"
-
-
-def _shape_fields(dictionary: Dictionary) -> tuple[int, int]:
-    """(channels, slots) for the header; generic dims persist as one channel."""
-    if dictionary.dim == STACKED_DIM:
-        return N_CHANNELS, SLOTS_PER_WEEK
-    return 1, dictionary.dim
+_CSV_FIELDS = ["n_atoms", "channels", "slots", "lambda", "seed"]
 
 
 def save_dictionary_csv(dictionary: Dictionary, path) -> None:
@@ -392,9 +371,10 @@ def save_dictionary_csv(dictionary: Dictionary, path) -> None:
     (lossless float64 round-trip).
     """
     D = dictionary.stacked
-    channels, slots = _shape_fields(dictionary)
+    # Generic dims persist as one channel of ``dim`` slots.
+    channels, slots = (N_CHANNELS, SLOTS_PER_WEEK) if dictionary.dim == STACKED_DIM else (1, dictionary.dim)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("n_atoms,channels,slots,lambda,seed\n")
+        fh.write(",".join(_CSV_FIELDS) + "\n")
         lam = "" if dictionary.lam is None else repr(float(dictionary.lam))
         seed = "" if dictionary.seed is None else str(dictionary.seed)
         fh.write(f"{dictionary.n_atoms},{channels},{slots},{lam},{seed}\n")
@@ -403,50 +383,30 @@ def save_dictionary_csv(dictionary: Dictionary, path) -> None:
 
 
 def load_dictionary_csv(path) -> Dictionary:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        values = fh.readline().strip().split(",")
-        meta = dict(zip(header, values))
-        rows = [np.array(line.split(","), dtype=np.float64) for line in fh if line.strip()]
-    n_atoms = int(meta["n_atoms"])
-    dim = int(meta["channels"]) * int(meta["slots"])
-    D = np.vstack(rows).T
+    """Read :func:`save_dictionary_csv` output; any other content is a :class:`DictionaryError`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            values = fh.readline().strip().split(",")
+            lines = [line for line in fh if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DictionaryError(f"cannot read dictionary {path}: {exc}") from exc
+    if header != _CSV_FIELDS or len(values) != len(header):
+        raise DictionaryError(f"{path} is not a dictionary CSV (header {header}, values {values})")
+    meta = dict(zip(header, values))
+    try:
+        n_atoms = int(meta["n_atoms"])
+        dim = int(meta["channels"]) * int(meta["slots"])
+        lam = float(meta["lambda"]) if meta["lambda"] else None
+        seed = int(meta["seed"]) if meta["seed"] else None
+        if len(lines) != n_atoms:
+            raise DictionaryError(f"dictionary file {path} has {len(lines)} atom rows, header says {n_atoms}")
+        D = np.vstack([np.array(line.split(","), dtype=np.float64) for line in lines]).T
+    except ValueError as exc:
+        raise DictionaryError(f"dictionary file {path} is malformed: {exc}") from exc
     if D.shape != (dim, n_atoms):
         raise DictionaryError(f"dictionary file {path} has shape {D.shape}, header says ({dim}, {n_atoms})")
-    lam = float(meta["lambda"]) if meta.get("lambda") else None
-    seed = int(meta["seed"]) if meta.get("seed") else None
     return Dictionary(stacked=D, lam=lam, seed=seed)
-
-
-def save_dictionary_binary(dictionary: Dictionary, path) -> None:
-    """Flat binary form: magic, u32 JSON-header length, header, float64 LE data."""
-    import json
-
-    channels, slots = _shape_fields(dictionary)
-    header = {"n_atoms": dictionary.n_atoms, "channels": channels, "slots": slots,
-              "lambda": dictionary.lam, "seed": dictionary.seed}
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    data = np.ascontiguousarray(dictionary.stacked.T, dtype="<f8")  # row per atom
-    with open(path, "wb") as fh:
-        fh.write(_BINARY_MAGIC)
-        fh.write(np.uint32(len(blob)).tobytes())
-        fh.write(blob)
-        fh.write(data.tobytes())
-
-
-def load_dictionary_binary(path) -> Dictionary:
-    import json
-
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_BINARY_MAGIC))
-        if magic != _BINARY_MAGIC:
-            raise DictionaryError(f"{path} is not a dictionary binary (bad magic {magic!r})")
-        (blob_len,) = np.frombuffer(fh.read(4), dtype=np.uint32)
-        meta = json.loads(fh.read(int(blob_len)).decode("utf-8"))
-        dim = meta["channels"] * meta["slots"]
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(meta["n_atoms"], dim)
-    return Dictionary(stacked=data.T.copy(),
-                      lam=meta.get("lambda"), seed=meta.get("seed"))
 
 
 def export_atoms_csv(dictionary: Dictionary, path) -> None:

@@ -22,7 +22,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dictionary import Embedding
 from .errors import EvaluationError
 
 ACTIVITIES = ("wake_up", "transport", "work", "sports", "friends", "asleep")
@@ -189,23 +188,29 @@ def standardize(values: np.ndarray, train_mask: np.ndarray) -> tuple[np.ndarray,
 class EvalInputs:
     """User-aligned raw inputs for feature building.
 
-    The evaluation universe is the embedded users (labels may cover more,
-    e.g. users dropped by the activity filter; those rows are ignored).
-    Every embedded user must come with labels and a stream total.
+    ``codes`` row ``i`` is the code of ``user_ids[i]``; rows are reordered by
+    user id.  The evaluation universe is the coded users (labels may cover
+    more, e.g. users dropped by the activity filter; those rows are ignored).
+    Every coded user must come with labels and a stream total.
     """
 
-    def __init__(self, embeddings: Sequence[Embedding], labels: LabelSet,
+    def __init__(self, user_ids: Sequence[str], codes: np.ndarray, labels: LabelSet,
                  total_streams: Mapping[str, int]):
-        by_user = {e.user_id: e.code for e in embeddings}
-        users = sorted(by_user)
+        codes = np.asarray(codes, dtype=np.float64)
+        if codes.ndim != 2 or codes.shape[0] != len(user_ids):
+            raise EvaluationError(f"codes shape {codes.shape} does not match {len(user_ids)} users")
+        order = sorted(range(len(user_ids)), key=user_ids.__getitem__)
+        users = [user_ids[i] for i in order]
+        if len(set(users)) != len(users):
+            raise EvaluationError("duplicate user ids among the coded users")
         missing = [u for u in users if u not in labels]
         if missing:
-            raise EvaluationError(f"{len(missing)} embedded users have no labels, e.g. {missing[:3]}")
+            raise EvaluationError(f"{len(missing)} coded users have no labels, e.g. {missing[:3]}")
         missing = [u for u in users if u not in total_streams]
         if missing:
-            raise EvaluationError(f"{len(missing)} embedded users have no stream total, e.g. {missing[:3]}")
+            raise EvaluationError(f"{len(missing)} coded users have no stream total, e.g. {missing[:3]}")
         self.user_ids = tuple(users)
-        self.codes = np.vstack([by_user[u] for u in users]).astype(np.float64)
+        self.codes = codes[order]
         rows = [labels.row(u) for u in users]
         self.answers = labels.answers[rows].astype(np.float64)
         self.age_group = labels.age_group[rows].astype(np.float64)
@@ -474,12 +479,15 @@ def write_coefficients_csv(coefficients: np.ndarray, path) -> None:
                 fh.write(f"{k},{activity},{float(coefficients[k, ai])!r}\n")
 
 
-def evaluate_all(embeddings: Sequence[Embedding], labels: LabelSet,
+def evaluate_all(user_ids: Sequence[str], codes: np.ndarray, labels: LabelSet,
                  total_streams: Mapping[str, int],
                  split: tuple[Sequence[str], Sequence[str]],
                  config: EvalConfig = EvalConfig()) -> EvalReport:
-    """Run every (variant, activity) job: grid-search on train, refit, score test."""
-    inputs = EvalInputs(embeddings, labels, total_streams)
+    """Run every (variant, activity) job: grid-search on train, refit, score test.
+
+    ``codes`` row ``i`` is the code of ``user_ids[i]``.
+    """
+    inputs = EvalInputs(user_ids, codes, labels, total_streams)
     train_users, test_users = split
     train_set, test_set = set(train_users), set(test_users)
     if train_set & test_set:

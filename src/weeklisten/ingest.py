@@ -10,6 +10,10 @@ Events are stored columnar (:class:`EventLog`): string identifiers are interned
 into lookup tables and each event carries int32 indexes, which keeps multi-million
 row logs small and makes the downstream grouping operations plain numpy.  Record
 access (``log[i]``) materializes a :class:`StreamEvent` on demand.
+
+Profiles (:class:`ProfileSet`) stay columnar too: the signal builder reads
+per-event flags from them and ``user_summary.csv`` reads whole columns, so no
+per-user record is ever built.
 """
 
 from __future__ import annotations
@@ -232,13 +236,19 @@ class _LogBuilder:
         )
 
 
-def _open_lines(source) -> Iterable[str]:
+def _csv_rows(source, kind: str) -> tuple[Iterator[list[str]], list[str]]:
+    """CSV row reader over a path or an iterable of lines, plus its stripped header."""
     if isinstance(source, (str, Path)):
         try:
-            return io.StringIO(Path(source).read_text(encoding="utf-8"))
+            source = io.StringIO(Path(source).read_text(encoding="utf-8"))
         except OSError as exc:
-            raise IngestError(f"cannot read events source {source}: {exc}") from exc
-    return source
+            raise IngestError(f"cannot read {kind} source {source}: {exc}") from exc
+    reader = csv.reader(source)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise IngestError(f"{kind} source is empty (missing header)") from None
+    return reader, [h.strip() for h in header]
 
 
 def parse_events(source, max_malformed_fraction: float = 0.01,
@@ -257,12 +267,7 @@ def parse_events(source, max_malformed_fraction: float = 0.01,
     schema = dict(schema or {})
     column_of = {field: schema.get(field, field) for field in EVENT_COLUMNS + (TZ_COLUMN,)}
 
-    reader = csv.reader(_open_lines(source))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise IngestError("events source is empty (missing header)") from None
-    header = [h.strip() for h in header]
+    reader, header = _csv_rows(source, "events")
 
     positions = {}
     for col in EVENT_COLUMNS:
@@ -355,11 +360,7 @@ def write_events_csv(log: EventLog, path) -> None:
 
 def parse_favorites(source) -> list[FavoritesRecord]:
     """Parse the favorites CSV (header ``user_id,kind,item_id``); strict."""
-    reader = csv.reader(_open_lines(source))
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise IngestError("favorites source is empty (missing header)") from None
+    reader, header = _csv_rows(source, "favorites")
     expected = ["user_id", "kind", "item_id"]
     if header != expected:
         raise IngestError(f"favorites header must be {expected}, got {header}")
@@ -401,39 +402,30 @@ def restrict_to_users(log: EventLog, user_ids: Iterable[str]) -> EventLog:
     return log.select(mask[log.user_idx])
 
 
-@dataclass(frozen=True)
-class UserProfile:
-    """Per-user derived lookups over valid streams."""
+class ProfileSet:
+    """Per-user lookups over one filtered log, held columnar as sorted pair keys.
 
-    user_id: str
-    play_count_per_track: Mapping[str, int]
-    liked_tracks: frozenset[str]
-    total_valid_streams: int
-    active_days: int
-
-
-class ProfileSet(Mapping):
-    """Mapping ``user_id -> UserProfile`` built once, columnar inside.
-
-    Also exposes the two per-event flags the signal builder needs
-    (:meth:`event_flags`): whether the event's track is repeat listening for
-    that user, and whether it is liked content.
+    A (user, track) pair key is ``user_idx * n_tracks + track_idx``.  The
+    signal builder reads two per-event flags (:meth:`event_flags`): whether
+    the event's track is repeat listening for that user, and whether it is
+    liked content (its track or its album was favorited by that user).
+    ``user_summary.csv`` reads :meth:`summary_columns`.
     """
 
     def __init__(self, log: EventLog, favorites: Iterable[FavoritesRecord] = ()):
         self._log = log
         n_users = len(log.users)
         n_tracks = len(log.tracks)
+        self._n_tracks = n_tracks
 
         # Lifetime (user, track) play counts over the whole log.
         pair_key = log.user_idx.astype(np.int64) * n_tracks + log.track_idx
-        self._pair_keys, self._pair_counts = np.unique(pair_key, return_counts=True)
-        self._n_tracks = n_tracks
+        self._pair_keys, pair_counts = np.unique(pair_key, return_counts=True)
 
         self._totals = np.bincount(log.user_idx, minlength=n_users)
 
-        # Only users with at least one event belong to the mapping; the shared
-        # string table may hold more (filtered-out users of a select view).
+        # Only users with at least one event are profiled; the shared string
+        # table may hold more (filtered-out users of a select view).
         user_pos = {str(log.users[i]): int(i) for i in np.unique(log.user_idx)}
         track_pos = {str(t): i for i, t in enumerate(log.tracks)}
         album_pos = {str(a): i for i, a in enumerate(log.albums)}
@@ -455,22 +447,17 @@ class ProfileSet(Mapping):
                 if ai is not None:
                     fav_album_keys.append(ui * len(log.albums) + ai)
 
-        self._fav_track_keys = np.unique(np.asarray(fav_track_keys, dtype=np.int64))
-        fav_album_arr = np.unique(np.asarray(fav_album_keys, dtype=np.int64))
-
         # Expand album favorites through the user's own events: an event is
         # album-liked when its (user, album) pair was favorited.
         album_key = log.user_idx.astype(np.int64) * len(log.albums) + log.album_idx
-        album_liked = np.isin(album_key, fav_album_arr)
-        track_liked = np.isin(pair_key, self._fav_track_keys)
+        album_liked = np.isin(album_key, np.asarray(fav_album_keys, dtype=np.int64))
+        track_liked = np.isin(pair_key, np.asarray(fav_track_keys, dtype=np.int64))
         self._event_liked = album_liked | track_liked
 
-        # A track is liked for the user if any of their events with it is liked;
-        # fold album expansion back into per-(user, track) liked pairs.
-        liked_pairs = np.unique(pair_key[self._event_liked])
-        self._liked_pair_keys = liked_pairs
+        # A track is liked for the user if any of their events with it is liked.
+        self._liked_pair_keys = np.unique(pair_key[self._event_liked])
 
-        repeated_pairs = self._pair_keys[self._pair_counts > REPEAT_PLAY_THRESHOLD]
+        repeated_pairs = self._pair_keys[pair_counts > REPEAT_PLAY_THRESHOLD]
         self._event_repeated = np.isin(pair_key, repeated_pairs)
 
         # Offset keeps pre-1970 days from bleeding into the previous user's block.
@@ -479,56 +466,26 @@ class ProfileSet(Mapping):
         active_day_users = np.unique(day_key) >> 32
         self._active_days = np.bincount(active_day_users, minlength=n_users)
 
-        self._user_pos = user_pos
-
-    # -- Mapping protocol -------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._user_pos)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self._user_pos))
-
-    def __getitem__(self, user_id: str) -> UserProfile:
-        ui = self._user_pos.get(user_id)
-        if ui is None:
-            raise KeyError(user_id)
-        n_tracks = self._n_tracks
-        lo = np.searchsorted(self._pair_keys, ui * n_tracks)
-        hi = np.searchsorted(self._pair_keys, (ui + 1) * n_tracks)
-        tracks = self._log.tracks
-        plays = {str(tracks[int(k % n_tracks)]): int(c)
-                 for k, c in zip(self._pair_keys[lo:hi], self._pair_counts[lo:hi])}
-        llo = np.searchsorted(self._liked_pair_keys, ui * n_tracks)
-        lhi = np.searchsorted(self._liked_pair_keys, (ui + 1) * n_tracks)
-        liked = frozenset(str(tracks[int(k % n_tracks)]) for k in self._liked_pair_keys[llo:lhi])
-        return UserProfile(
-            user_id=user_id,
-            play_count_per_track=plays,
-            liked_tracks=liked,
-            total_valid_streams=int(self._totals[ui]),
-            active_days=int(self._active_days[ui]),
-        )
-
-    # -- Bulk access for the signal builder --------------------------------
     def event_flags(self, log: EventLog) -> tuple[np.ndarray, np.ndarray]:
-        """Per-event (repeated, liked) booleans for ``log``.
+        """Per-event (repeated, liked) booleans of the profiled ``log``."""
+        if log is not self._log:
+            raise IngestError("event_flags requires the log the profiles were built from")
+        return self._event_repeated, self._event_liked
 
-        ``log`` must share string tables with the log the profiles were built
-        from (i.e. be the same log or a :meth:`EventLog.select` view of it).
+    def summary_columns(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """Profiled user ids (sorted) and their ``user_summary.csv`` columns.
+
+        The ``(n_users, 4)`` int64 matrix holds ``total_valid_streams``,
+        ``active_days``, ``distinct_tracks`` and ``liked_tracks`` per user.
         """
-        if log.users is not self._log.users or log.tracks is not self._log.tracks:
-            raise IngestError("event_flags requires a log sharing tables with the profiled log")
-        if log is self._log:
-            return self._event_repeated, self._event_liked
-        pair_key = log.user_idx.astype(np.int64) * self._n_tracks + log.track_idx
-        repeated_pairs = self._pair_keys[self._pair_counts > REPEAT_PLAY_THRESHOLD]
-        repeated = np.isin(pair_key, repeated_pairs)
-        liked = np.isin(pair_key, self._liked_pair_keys)
-        return repeated, liked
-
-    def total_streams(self) -> dict[str, int]:
-        """Total valid stream count per user (feeds the volume baseline)."""
-        return {u: int(self._totals[self._user_pos[u]]) for u in sorted(self._user_pos)}
+        n_users = len(self._log.users)
+        distinct = np.bincount(self._pair_keys // self._n_tracks, minlength=n_users)
+        liked = np.bincount(self._liked_pair_keys // self._n_tracks, minlength=n_users)
+        columns = np.column_stack([self._totals, self._active_days, distinct, liked])
+        present = np.flatnonzero(self._totals)
+        names = [str(u) for u in self._log.users[present]]
+        order = sorted(range(len(names)), key=names.__getitem__)
+        return tuple(names[i] for i in order), columns[present[order]]
 
 
 def build_profiles(log: EventLog, favorites: Iterable[FavoritesRecord] = ()) -> ProfileSet:

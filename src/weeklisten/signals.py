@@ -16,6 +16,10 @@ normalized per channel to mean 0 and maximum absolute value 1.  Slots are
 computed in local time: each event's explicit minute offset wins, otherwise a
 configurable default applies.  Only 1-hour windows fully inside the study
 period are aggregated, so ragged period edges never skew the per-slot divisor.
+
+:func:`build_signal_set` runs all three steps for every user at once and
+returns the ``(user_ids, matrix)`` pair that :func:`save_signal_set` hands to
+the learning stage; there is no per-user signal object.
 """
 
 from __future__ import annotations
@@ -27,16 +31,11 @@ import numpy as np
 
 from . import storage
 from .errors import SignalError
-from .ingest import (EventLog, ProfileSet, StreamEvent, StudyPeriod, UserProfile,
-                     ORGANIC, REPEAT_PLAY_THRESHOLD)
+from .ingest import EventLog, ProfileSet, StudyPeriod
 
 CHANNELS = ("volume", "repetition", "organicity", "liked")
 N_CHANNELS = len(CHANNELS)
 SLOTS_PER_WEEK = 168
-
-RAW = "raw"
-SMOOTHED = "smoothed"
-NORMALIZED = "normalized"
 
 # 1970-01-01 was a Thursday; Monday = 0.
 _EPOCH_WEEKDAY = 3
@@ -46,23 +45,6 @@ def slot_of_hour_index(hour_index):
     """Weekly slot of an absolute local hour index (hours since epoch)."""
     day_of_week = (hour_index // 24 + _EPOCH_WEEKDAY) % 7
     return day_of_week * 24 + hour_index % 24
-
-
-def weekly_slot(timestamp: int, tz_offset_min: int = 0) -> int:
-    """Slot of the local 1-hour window containing ``timestamp``."""
-    return int(slot_of_hour_index((timestamp + tz_offset_min * 60) // 3600))
-
-
-@dataclass(frozen=True)
-class UserSignal:
-    """One user's 4x168 series at a given processing stage."""
-
-    user_id: str
-    values: np.ndarray  # (N_CHANNELS, SLOTS_PER_WEEK), float64
-    stage: str
-
-    def channel(self, name: str) -> np.ndarray:
-        return self.values[CHANNELS.index(name)]
 
 
 @dataclass(frozen=True)
@@ -81,27 +63,9 @@ class SignalSet:
             raise SignalError(f"signal matrix shape {self.matrix.shape} does not match "
                               f"{len(self.user_ids)} users x {N_CHANNELS * SLOTS_PER_WEEK}")
 
-    def row(self, user_id: str) -> np.ndarray:
-        return self.matrix[self.user_ids.index(user_id)]
-
     def as_channels(self) -> np.ndarray:
         """View shaped (n_users, N_CHANNELS, SLOTS_PER_WEEK)."""
         return self.matrix.reshape(len(self.user_ids), N_CHANNELS, SLOTS_PER_WEEK)
-
-
-def window_features(profile: UserProfile, events: Sequence[StreamEvent]):
-    """The four channel values for one user's events inside one 1-hour window.
-
-    Empty windows contribute (0, 0, 0, 0).
-    """
-    n = len(events)
-    if n == 0:
-        return (0.0, 0.0, 0.0, 0.0)
-    repeated = sum(1 for e in events
-                   if profile.play_count_per_track.get(e.track_id, 0) > REPEAT_PLAY_THRESHOLD)
-    organic = sum(1 for e in events if e.origin == ORGANIC)
-    liked = sum(1 for e in events if e.track_id in profile.liked_tracks)
-    return (float(n), repeated / n, organic / n, liked / n)
 
 
 def _window_range(period: StudyPeriod, default_tz_offset_min: int) -> tuple[int, int]:
@@ -121,56 +85,6 @@ def _slot_divisors(k_first: int, k_excl: int) -> np.ndarray:
     """How many in-period windows map to each weekly slot."""
     slots = slot_of_hour_index(np.arange(k_first, k_excl, dtype=np.int64))
     return np.bincount(slots, minlength=SLOTS_PER_WEEK).astype(np.float64)
-
-
-def _aggregate_rows(log: EventLog, row_of_user: np.ndarray, n_rows: int,
-                    profiles: ProfileSet, period: StudyPeriod,
-                    default_tz_offset_min: int) -> np.ndarray:
-    """Raw (n_rows, 4, 168) aggregation shared by single-user and bulk paths."""
-    k_first, k_excl = _window_range(period, default_tz_offset_min)
-    n_windows = k_excl - k_first
-    divisor = _slot_divisors(k_first, k_excl)
-
-    repeated, liked = profiles.event_flags(log)
-    k = log.local_timestamps(default_tz_offset_min) // 3600
-    rows = row_of_user[log.user_idx]
-    in_scope = (k >= k_first) & (k < k_excl) & (rows >= 0)
-
-    k = k[in_scope]
-    rows = rows[in_scope].astype(np.int64)
-    repeated = repeated[in_scope]
-    liked = liked[in_scope]
-    organic = log.organic[in_scope]
-
-    # Group events by (row, window) to get per-window counts and fractions.
-    key = rows * n_windows + (k - k_first)
-    uw_key, inverse, volume = np.unique(key, return_inverse=True, return_counts=True)
-    frac_rep = np.bincount(inverse, weights=repeated) / volume
-    frac_org = np.bincount(inverse, weights=organic) / volume
-    frac_lik = np.bincount(inverse, weights=liked) / volume
-
-    uw_row = uw_key // n_windows
-    uw_slot = slot_of_hour_index(k_first + uw_key % n_windows)
-    cell = uw_row * SLOTS_PER_WEEK + uw_slot
-    size = n_rows * SLOTS_PER_WEEK
-
-    raw = np.empty((n_rows, N_CHANNELS, SLOTS_PER_WEEK))
-    for ci, values in enumerate((volume.astype(np.float64), frac_rep, frac_org, frac_lik)):
-        raw[:, ci, :] = np.bincount(cell, weights=values, minlength=size).reshape(n_rows, SLOTS_PER_WEEK)
-    raw /= divisor
-    return raw
-
-
-def aggregate(user_log: EventLog, profiles: ProfileSet, period: StudyPeriod,
-              default_tz_offset_min: int = 0) -> UserSignal:
-    """Raw weekly signal for the single user present in ``user_log``."""
-    present = np.unique(user_log.user_idx)
-    if len(present) != 1:
-        raise SignalError(f"aggregate expects events of exactly one user, found {len(present)}")
-    row_of_user = np.full(len(user_log.users), -1, dtype=np.int64)
-    row_of_user[present[0]] = 0
-    raw = _aggregate_rows(user_log, row_of_user, 1, profiles, period, default_tz_offset_min)
-    return UserSignal(user_id=str(user_log.users[present[0]]), values=raw[0], stage=RAW)
 
 
 def _smooth_values(values: np.ndarray) -> np.ndarray:
@@ -200,30 +114,17 @@ def _normalize_values(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def smooth(signal: UserSignal) -> UserSignal:
-    """Length-3 circular smoothing of a raw signal."""
-    if signal.stage != RAW:
-        raise SignalError(f"smooth expects a raw signal, got stage {signal.stage!r}")
-    return UserSignal(signal.user_id, _smooth_values(signal.values), SMOOTHED)
-
-
-def normalize(signal: UserSignal) -> UserSignal:
-    """Mean-0 / maxabs-1 normalization of a smoothed signal."""
-    if signal.stage != SMOOTHED:
-        raise SignalError(f"normalize expects a smoothed signal, got stage {signal.stage!r}")
-    if not np.isfinite(signal.values).all():
-        raise SignalError(f"non-finite values in signal of user {signal.user_id}")
-    return UserSignal(signal.user_id, _normalize_values(signal.values), NORMALIZED)
-
-
 def build_signal_set(profiles: ProfileSet, log: EventLog, period: StudyPeriod,
                      default_tz_offset_min: int = 0, user_ids: Sequence[str] | None = None) -> SignalSet:
-    """Aggregate, smooth and normalize every user, stacked channel-major.
+    """Aggregated, smoothed and normalized weekly signals of every user, stacked channel-major.
 
-    Users default to those present in ``log``; rows are ordered
-    lexicographically by user id regardless of input order.
+    ``log`` must be the log ``profiles`` was built from.  Users default to
+    those present in ``log``; rows are ordered lexicographically by user id
+    regardless of input order, and a listed user without in-period events
+    gets an all-zero row.
     """
     users = sorted(user_ids) if user_ids is not None else log.user_ids_present()
+    n_rows = len(users)
     row_of_user = np.full(len(log.users), -1, dtype=np.int64)
     pos = {u: i for i, u in enumerate(users)}
     for idx, name in enumerate(log.users):
@@ -231,11 +132,41 @@ def build_signal_set(profiles: ProfileSet, log: EventLog, period: StudyPeriod,
         if row is not None:
             row_of_user[idx] = row
 
-    raw = _aggregate_rows(log, row_of_user, len(users), profiles, period, default_tz_offset_min)
+    k_first, k_excl = _window_range(period, default_tz_offset_min)
+    n_windows = k_excl - k_first
+    divisor = _slot_divisors(k_first, k_excl)
+
+    repeated, liked = profiles.event_flags(log)
+    k = log.local_timestamps(default_tz_offset_min) // 3600
+    rows = row_of_user[log.user_idx]
+    in_scope = (k >= k_first) & (k < k_excl) & (rows >= 0)
+
+    k = k[in_scope]
+    rows = rows[in_scope]
+    repeated = repeated[in_scope]
+    liked = liked[in_scope]
+    organic = log.organic[in_scope]
+
+    # Group events by (row, window) to get per-window counts and fractions.
+    key = rows * n_windows + (k - k_first)
+    uw_key, inverse, volume = np.unique(key, return_inverse=True, return_counts=True)
+    frac_rep = np.bincount(inverse, weights=repeated) / volume
+    frac_org = np.bincount(inverse, weights=organic) / volume
+    frac_lik = np.bincount(inverse, weights=liked) / volume
+
+    uw_row = uw_key // n_windows
+    uw_slot = slot_of_hour_index(k_first + uw_key % n_windows)
+    cell = uw_row * SLOTS_PER_WEEK + uw_slot
+    size = n_rows * SLOTS_PER_WEEK
+
+    raw = np.empty((n_rows, N_CHANNELS, SLOTS_PER_WEEK))
+    for ci, values in enumerate((volume.astype(np.float64), frac_rep, frac_org, frac_lik)):
+        raw[:, ci, :] = np.bincount(cell, weights=values, minlength=size).reshape(n_rows, SLOTS_PER_WEEK)
+    raw /= divisor
     if not np.isfinite(raw).all():
         raise SignalError("non-finite values in aggregated signals")
     norm = _normalize_values(_smooth_values(raw))
-    return SignalSet(user_ids=tuple(users), matrix=norm.reshape(len(users), -1))
+    return SignalSet(user_ids=tuple(users), matrix=norm.reshape(n_rows, -1))
 
 
 def save_signal_set(sset: SignalSet, index_path, matrix_path, fmt: str = "npy") -> None:

@@ -23,8 +23,11 @@ def save_index(user_ids, path) -> None:
 
 
 def load_index(path) -> tuple[str, ...]:
-    with open(path, encoding="utf-8") as fh:
-        return tuple(line.rstrip("\n") for line in fh if line.strip())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return tuple(line.rstrip("\n") for line in fh if line.strip())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PipelineError(f"cannot read user index {path}: {exc}") from exc
 
 
 def save_matrix(matrix: np.ndarray, path, fmt: str = "npy") -> None:
@@ -37,9 +40,12 @@ def save_matrix(matrix: np.ndarray, path, fmt: str = "npy") -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    if str(path).endswith(".npy"):
-        return np.load(path, allow_pickle=False)
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+    try:
+        if str(path).endswith(".npy"):
+            return np.load(path, allow_pickle=False)
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise PipelineError(f"cannot read matrix {path}: {exc}") from exc
 
 
 def matrix_filename(stem: str, fmt: str) -> str:

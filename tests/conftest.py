@@ -9,6 +9,15 @@ HOUR = 3600
 DAY = 86400
 WEEK = 7 * DAY
 
+#: Every data artifact a pipeline run writes; manifests carry timing and are left out.
+DATA_ARTIFACTS = (
+    "events.csv", "favorites.csv", "labels.csv", "user_summary.csv",
+    "signal_users.txt", "signals.npy", "dictionary.csv",
+    "train_users.txt", "test_users.txt", "objective_trace.csv",
+    "code_users.txt", "codes.npy", "eval_report.csv", "eval_table.txt",
+    "coefficients.csv", "atoms.csv",
+)
+
 
 def make_event(user="u1", timestamp=MONDAY, track="t1", album="a1",
                origin="organic", duration=120, tz=None):

@@ -1,14 +1,26 @@
-"""Independent reference implementations used to check the solvers.
+"""Independent reference implementations used to check the package.
 
-Nothing here shares code with the package's optimization paths: the lasso
+Nothing here shares code with the package's vectorized paths: the lasso
 oracle is an exhaustive box-refinement search, the KKT check walks the
 coordinates one by one, the orthonormal form is the textbook closed form, and
-recovery matching enumerates permutations.
+recovery matching enumerates permutations.  The profile and signal oracles
+walk an event log record by record (``iter(log)``), find weekly slots with the
+calendar, and smooth and normalize slot by slot.
 """
 
 import itertools
+import math
+from collections import Counter, defaultdict
+from dataclasses import dataclass
+from datetime import datetime, timezone
 
 import numpy as np
+
+from weeklisten.errors import SignalError
+from weeklisten.ingest import ORGANIC, REPEAT_PLAY_THRESHOLD
+
+SIGNAL_CHANNELS = ("volume", "repetition", "organicity", "liked")
+SLOTS = 168
 
 
 def lasso_objective(s, D, code, lam):
@@ -112,3 +124,155 @@ def pair_counting_auc(scores, labels):
             elif p == q:
                 ties += 1
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
+
+
+# -- profiles and weekly signals, record by record ------------------------------
+
+def weekly_slot(timestamp, tz_offset_min=0):
+    """Slot (weekday * 24 + hour, Monday 00:00 = 0) of the local hour containing ``timestamp``."""
+    local = datetime.fromtimestamp(timestamp + 60 * tz_offset_min, tz=timezone.utc)
+    return local.weekday() * 24 + local.hour
+
+
+@dataclass(frozen=True)
+class Profile:
+    """One user's lookups over their events.
+
+    An event is liked when its track or its album is among the user's
+    favorites; ``liked_tracks`` holds the tracks of the liked events.
+    """
+
+    user_id: str
+    play_count_per_track: dict
+    favorite_tracks: frozenset
+    favorite_albums: frozenset
+    liked_tracks: frozenset
+    total_valid_streams: int
+    active_days: int
+
+    def is_liked(self, event):
+        return event.track_id in self.favorite_tracks or event.album_id in self.favorite_albums
+
+
+def profiles(log, favorites=()):
+    """``{user_id: Profile}`` for every user with an event in ``log`` (an event log or a record list)."""
+    events_of = defaultdict(list)
+    for event in log:
+        events_of[event.user_id].append(event)
+    favorite = {"track": defaultdict(set), "album": defaultdict(set)}
+    for rec in favorites:
+        favorite[rec.kind][rec.user_id].add(rec.item_id)
+    out = {}
+    for user, events in events_of.items():
+        tracks = frozenset(favorite["track"][user])
+        albums = frozenset(favorite["album"][user])
+        liked = frozenset(e.track_id for e in events if e.track_id in tracks or e.album_id in albums)
+        # Days in each event's own clock; events without an offset count as UTC.
+        days = {(e.timestamp + 60 * (e.tz_offset_min or 0)) // 86400 for e in events}
+        out[user] = Profile(user, dict(Counter(e.track_id for e in events)), tracks, albums,
+                            liked, len(events), len(days))
+    return out
+
+
+def summary_rows(profile_of):
+    """``user_summary.csv`` rows: (user, streams, active days, distinct tracks, liked tracks)."""
+    return [(user, p.total_valid_streams, p.active_days, len(p.play_count_per_track), len(p.liked_tracks))
+            for user, p in sorted(profile_of.items())]
+
+
+def window_features(profile, events):
+    """(volume, repetition, organicity, liked) of one user's events in one 1-hour window."""
+    n = len(events)
+    if n == 0:
+        return (0.0, 0.0, 0.0, 0.0)
+    repeated = sum(1 for e in events
+                   if profile.play_count_per_track.get(e.track_id, 0) > REPEAT_PLAY_THRESHOLD)
+    organic = sum(1 for e in events if e.origin == ORGANIC)
+    liked = sum(1 for e in events if profile.is_liked(e))
+    return (float(n), repeated / n, organic / n, liked / n)
+
+
+def raw_signals(log, profile_of, period, default_tz_offset_min=0):
+    """``{user_id: (4, 168) array}``: per slot, the mean window features over whole in-period windows.
+
+    ``log`` is an event log or a list of its records.  Windows are local
+    1-hour windows (each event's own offset, else the default); only those
+    lying fully inside the period count, and empty ones count as zero.  Users
+    of ``profile_of`` without such windows get zeros.
+    """
+    shift = 60 * default_tz_offset_min
+    first = -(-(period.start + shift) // 3600)
+    end = (period.end + shift) // 3600
+    if end - first < SLOTS:
+        raise SignalError(f"study period covers {max(end - first, 0)} whole hours; "
+                          f"at least one week ({SLOTS}) is required")
+    windows_per_slot = Counter(weekly_slot(3600 * k) for k in range(first, end))
+
+    window_events = defaultdict(list)
+    for event in log:
+        offset = default_tz_offset_min if event.tz_offset_min is None else event.tz_offset_min
+        k = (event.timestamp + 60 * offset) // 3600
+        if first <= k < end:
+            window_events[(event.user_id, k)].append(event)
+
+    sums = {user: np.zeros((len(SIGNAL_CHANNELS), SLOTS)) for user in profile_of}
+    for (user, k), events in sorted(window_events.items()):
+        if user in sums:
+            slot = weekly_slot(3600 * k)
+            for c, value in enumerate(window_features(profile_of[user], events)):
+                sums[user][c, slot] += value
+    for signal in sums.values():
+        for slot in range(SLOTS):
+            signal[:, slot] /= windows_per_slot[slot]
+    return sums
+
+
+def aggregate(user_log, profile, period, default_tz_offset_min=0):
+    """Raw (4, 168) signal of the single user whose events make up ``user_log``."""
+    users = {event.user_id for event in user_log}
+    if len(users) != 1:
+        raise SignalError(f"aggregate expects events of exactly one user, found {len(users)}")
+    return raw_signals(user_log, {profile.user_id: profile}, period, default_tz_offset_min)[profile.user_id]
+
+
+def smooth(values):
+    """Circular length-3 moving average of each channel (rows of ``values``), slot by slot."""
+    out = []
+    for channel in np.atleast_2d(values):
+        n = len(channel)
+        out.append([(channel[t - 1] + channel[t] + channel[(t + 1) % n]) / 3.0 for t in range(n)])
+    return np.array(out)
+
+
+def normalize(values):
+    """Each channel minus its mean, divided by its largest magnitude.
+
+    A channel whose values agree to 1e-12 relative is constant and becomes
+    all zeros.
+    """
+    out = []
+    for channel in np.atleast_2d(values):
+        if not all(math.isfinite(v) for v in channel):
+            raise SignalError("non-finite values in signal")
+        mean = math.fsum(channel) / len(channel)
+        centered = [v - mean for v in channel]
+        spread = max(abs(v) for v in centered)
+        if max(channel) - min(channel) <= 1e-12 * max(abs(v) for v in channel):
+            out.append([0.0] * len(channel))
+        else:
+            out.append([v / spread for v in centered])
+    return np.array(out)
+
+
+def signal_rows(log, favorites, period, default_tz_offset_min=0):
+    """What ``build_signal_set`` returns for ``log``: sorted user ids and the (n, 672) matrix."""
+    profile_of = profiles(log, favorites)
+    raw = raw_signals(log, profile_of, period, default_tz_offset_min)
+    users = sorted(raw)
+    rows = [normalize(smooth(raw[user])).ravel() for user in users]
+    return tuple(users), np.array(rows).reshape(len(users), len(SIGNAL_CHANNELS) * SLOTS)
+
+
+def signal_row(sset, user_id):
+    """The matrix row of ``user_id`` in a signal set."""
+    return sset.matrix[sset.user_ids.index(user_id)]

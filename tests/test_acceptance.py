@@ -15,22 +15,15 @@ import pytest
 
 from weeklisten import cli, dictionary, evaluate, ingest, signals, synth
 
+from conftest import DATA_ARTIFACTS
 from oracles import (best_permutation_correlations, grid_refine_lasso,
                      lasso_objective, orthonormal_lasso, pair_counting_auc,
-                     planted_instance)
+                     planted_instance, profiles, raw_signals)
 
 pytestmark = pytest.mark.acceptance
 
 RUNTIME_BUDGET_SECS = 600.0
 PRIMARY_ACTIVITIES = ("transport", "work", "friends", "asleep")
-
-DATA_ARTIFACTS = [
-    "events.csv", "favorites.csv", "labels.csv", "user_summary.csv",
-    "signal_users.txt", "signals.npy", "dictionary.csv", "dictionary.bin",
-    "train_users.txt", "test_users.txt", "objective_trace.csv",
-    "code_users.txt", "codes.npy", "eval_report.csv", "eval_table.txt",
-    "coefficients.csv", "atoms.csv",
-]
 
 
 def _report(name, ok, detail=""):
@@ -203,7 +196,8 @@ def test_criterion_08_signal_invariants(run_a):
     maxabs = np.abs(channels).max(axis=2)
     maxabs_ok = bool(np.all((maxabs == 0.0) | (np.abs(maxabs - 1.0) < 1e-9)))
 
-    # Rebuild the raw signals to check mean preservation through smoothing.
+    # Rebuild the raw signals record by record (a block of users at a time, to
+    # bound memory) to check mean preservation through smoothing.
     log, _ = ingest.parse_events(out / "events.csv")
     favorites = ingest.parse_favorites(out / "favorites.csv")
     config = synth.SynthConfig()
@@ -211,14 +205,12 @@ def test_criterion_08_signal_invariants(run_a):
     valid = ingest.filter_valid_streams(log)
     active = ingest.filter_active_users(valid, period)
     restricted = ingest.restrict_to_users(valid, active)
-    profiles = ingest.build_profiles(restricted, favorites)
-    row_of_user = np.full(len(restricted.users), -1, dtype=np.int64)
-    pos = {u: i for i, u in enumerate(sset.user_ids)}
-    for idx, name in enumerate(restricted.users):
-        if str(name) in pos:
-            row_of_user[idx] = pos[str(name)]
-    raw = signals._aggregate_rows(restricted, row_of_user, len(sset.user_ids),
-                                  profiles, period, 0)
+    raw = []
+    for block in np.array_split(np.array(sset.user_ids), 20):
+        events = list(ingest.restrict_to_users(restricted, block.tolist()))
+        by_user = raw_signals(events, profiles(events, favorites), period)
+        raw.extend(by_user[user] for user in block.tolist())
+    raw = np.array(raw)
     smoothed = signals._smooth_values(raw)
     drift = float(np.abs(raw.mean(axis=2) - smoothed.mean(axis=2)).max())
     smooth_ok = drift < 1e-12

@@ -5,6 +5,8 @@ import pytest
 
 from weeklisten import cli, dictionary, synth
 
+from conftest import DATA_ARTIFACTS
+
 SMALL = ["--users", "120", "--weeks", "2", "--atoms", "8", "--outer-iters", "6"]
 
 
@@ -57,14 +59,74 @@ def test_module_error_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _bad_summary(tmp_path, pipe):
+    path = tmp_path / "summary.csv"
+    lines = (pipe / "user_summary.csv").read_text().splitlines()
+    lines[2] = lines[2].split(",")[0] + ",many,1,1,1"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _empty_file(tmp_path, pipe):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    return path
+
+
+def _short_dictionary(tmp_path, pipe):
+    path = tmp_path / "dictionary.csv"
+    path.write_text("\n".join((pipe / "dictionary.csv").read_text().splitlines()[:-1]) + "\n")
+    return path
+
+
+def _garbage_npy(tmp_path, pipe):
+    path = tmp_path / "garbage.npy"
+    path.write_text("not an array\n")
+    return path
+
+
+def _missing(tmp_path, pipe):
+    return tmp_path / "nope.npy"
+
+
+# (argv builder over the pipeline dir and the damaged file, damage, expected message)
+BAD_HANDOFFS = {
+    "export-atoms-empty-dictionary": (
+        lambda p, bad: ["export-atoms", "--dictionary", bad], _empty_file, "not a dictionary CSV"),
+    "embed-short-dictionary": (
+        lambda p, bad: ["embed", "--signal-users", p / "signal_users.txt", "--signals", p / "signals.npy",
+                        "--dictionary", bad], _short_dictionary, "7 atom rows, header says 8"),
+    "learn-missing-signals": (
+        lambda p, bad: ["learn", "--signal-users", p / "signal_users.txt", "--signals", bad],
+        _missing, "cannot read matrix"),
+    "learn-garbage-signals": (
+        lambda p, bad: ["learn", "--signal-users", p / "signal_users.txt", "--signals", bad],
+        _garbage_npy, "cannot read matrix"),
+    "embed-missing-index": (
+        lambda p, bad: ["embed", "--signal-users", bad, "--signals", p / "signals.npy",
+                        "--dictionary", p / "dictionary.csv"], _missing, "cannot read user index"),
+    "eval-non-integer-total": (
+        lambda p, bad: ["eval", "--code-users", p / "code_users.txt", "--codes", p / "codes.npy",
+                        "--labels", p / "labels.csv", "--summary", bad], _bad_summary, "line 3"),
+    "ingest-missing-favorites": (
+        lambda p, bad: ["ingest", "--events", p / "events.csv", "--favorites", bad],
+        _missing, "cannot read favorites source"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HANDOFFS))
+def test_bad_handoff_file_is_an_error_line(pipeline_dir, tmp_path, capsys, case):
+    argv, damage, message = BAD_HANDOFFS[case]
+    args = [str(a) for a in argv(pipeline_dir, damage(tmp_path, pipeline_dir))]
+    assert run(args + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+
+
 def test_pipeline_outputs_exist(pipeline_dir):
-    expected = ["events.csv", "favorites.csv", "labels.csv", "user_summary.csv",
-                "signal_users.txt", "signals.npy", "dictionary.csv", "dictionary.bin",
-                "train_users.txt", "test_users.txt", "objective_trace.csv",
-                "code_users.txt", "codes.npy", "eval_report.csv", "eval_table.txt",
-                "coefficients.csv", "atoms.csv", "manifest_pipeline.json"]
-    for name in expected:
+    for name in DATA_ARTIFACTS + ("manifest_pipeline.json",):
         assert (pipeline_dir / name).exists(), name
+    assert not (pipeline_dir / "dictionary.bin").exists()
 
 
 def test_manifest_contents(pipeline_dir):
@@ -106,12 +168,7 @@ def test_staged_run_matches_pipeline_bytes(pipeline_dir, tmp_path):
                 "--summary", str(staged / "user_summary.csv")]) == 0
     assert run(["export-atoms", *out, *seed, "--dictionary", str(staged / "dictionary.csv")]) == 0
 
-    artifacts = ["events.csv", "favorites.csv", "labels.csv", "user_summary.csv",
-                 "signal_users.txt", "signals.npy", "dictionary.csv", "dictionary.bin",
-                 "train_users.txt", "test_users.txt", "objective_trace.csv",
-                 "code_users.txt", "codes.npy", "eval_report.csv", "eval_table.txt",
-                 "coefficients.csv", "atoms.csv"]
-    for name in artifacts:
+    for name in DATA_ARTIFACTS:
         assert (staged / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
 
 

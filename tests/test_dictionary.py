@@ -323,10 +323,9 @@ def test_embed_uses_dictionary_lambda(rng):
     matrix = rng.normal(size=(4, 672))
     dct = dictionary.Dictionary(stacked=rng.normal(size=(672, 6)), lam=0.7, seed=0)
     sset = make_signal_set(matrix)
-    embs = dictionary.embed(sset, dct)
-    assert [e.user_id for e in embs] == list(sset.user_ids)
+    codes = dictionary.embed(sset, dct)
+    assert codes.shape == (len(sset.user_ids), 6)  # row i codes sset.user_ids[i]
     explicit = dictionary.sparse_code_batch(matrix, dct, 0.7)
-    users, codes = dictionary.embeddings_matrix(embs)
     assert np.array_equal(codes, explicit)
 
     bare = dictionary.Dictionary(stacked=dct.stacked)
@@ -344,14 +343,27 @@ def test_dictionary_csv_round_trip(tmp_path, rng):
     assert np.array_equal(loaded.stacked, dct.stacked)
     assert loaded.lam == 1.5 and loaded.seed == 42
 
-
-def test_dictionary_binary_round_trip(tmp_path, rng):
-    dct = dictionary.Dictionary(stacked=rng.normal(size=(30, 5)), lam=None, seed=None)
-    path = tmp_path / "dict.bin"
-    dictionary.save_dictionary_binary(dct, path)
-    loaded = dictionary.load_dictionary_binary(path)
-    assert np.array_equal(loaded.stacked, dct.stacked)
+    generic = dictionary.Dictionary(stacked=rng.normal(size=(30, 5)), lam=None, seed=None)
+    dictionary.save_dictionary_csv(generic, path)
+    loaded = dictionary.load_dictionary_csv(path)
+    assert np.array_equal(loaded.stacked, generic.stacked)
     assert loaded.lam is None and loaded.seed is None
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda text: "", "not a dictionary CSV"),
+    (lambda text: text.replace("n_atoms", "atoms", 1), "not a dictionary CSV"),
+    (lambda text: text.rsplit("\n", 2)[0] + "\n", "2 atom rows, header says 3"),
+    (lambda text: text + "1,2\n", "4 atom rows, header says 3"),
+    (lambda text: text.replace("\n3,", "\nthree,", 1), "malformed"),
+    (lambda text: text.rsplit("\n", 2)[0] + "\n1,2\n", "malformed"),
+])
+def test_load_dictionary_csv_rejects_damaged_file(tmp_path, rng, damage, message):
+    path = tmp_path / "dict.csv"
+    dictionary.save_dictionary_csv(dictionary.Dictionary(stacked=rng.normal(size=(10, 3)), lam=1.0), path)
+    path.write_text(damage(path.read_text()))
+    with pytest.raises(DictionaryError, match=message):
+        dictionary.load_dictionary_csv(path)
 
 
 def test_export_atoms_long_csv(tmp_path, rng):

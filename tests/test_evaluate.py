@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weeklisten import evaluate
-from weeklisten.dictionary import Embedding
 from weeklisten.errors import EvaluationError
 
 from oracles import pair_counting_auc
@@ -53,9 +52,23 @@ def inputs_fixture():
     n = 40
     labels = make_labels(n, rng)
     codes = rng.normal(size=(n, 8))
-    embeddings = [Embedding(u, codes[i]) for i, u in enumerate(labels.user_ids)]
     totals = {u: int(rng.integers(100, 5000)) for u in labels.user_ids}
-    return evaluate.EvalInputs(embeddings, labels, totals)
+    return evaluate.EvalInputs(labels.user_ids, codes, labels, totals)
+
+
+def test_eval_inputs_align_codes_with_sorted_users():
+    labels = make_labels(12, np.random.default_rng(4))
+    users = labels.user_ids[::-1]
+    codes = np.arange(12.0)[:, None] * np.ones((1, 3))  # row i is all i
+    totals = {u: i for i, u in enumerate(labels.user_ids)}
+    inputs = evaluate.EvalInputs(users, codes, labels, totals)
+    assert inputs.user_ids == labels.user_ids
+    assert inputs.codes[:, 0].tolist() == list(range(11, -1, -1))
+    assert inputs.totals.tolist() == list(range(12))
+    with pytest.raises(EvaluationError, match="duplicate"):
+        evaluate.EvalInputs(users[:1] * 12, codes, labels, totals)
+    with pytest.raises(EvaluationError, match="does not match"):
+        evaluate.EvalInputs(users[:5], codes, labels, totals)
 
 
 def test_features_other_activities_excludes_target(inputs_fixture):
@@ -257,17 +270,16 @@ def random_eval_setup(n_users, k=8, seed=0, planted_activity=None):
         ai = evaluate.ACTIVITIES.index(planted_activity)
         answers[:, ai] = (codes[:, 0] + 0.3 * rng.normal(size=n_users) > 0).astype(int)
     labels = make_labels(n_users, rng, answers=[tuple(int(v) for v in row) for row in answers])
-    embeddings = [Embedding(u, codes[i]) for i, u in enumerate(labels.user_ids)]
     totals = {u: int(rng.integers(200, 8000)) for u in labels.user_ids}
-    return embeddings, labels, totals
+    return labels.user_ids, codes, labels, totals
 
 
 def test_evaluate_all_report_shape_and_determinism():
-    embeddings, labels, totals = random_eval_setup(120, seed=5, planted_activity="work")
-    split = evaluate.split_users([e.user_id for e in embeddings], 0.33, seed=1)
+    users, codes, labels, totals = random_eval_setup(120, seed=5, planted_activity="work")
+    split = evaluate.split_users(users, 0.33, seed=1)
     config = evaluate.EvalConfig(seed=3)
-    rep1 = evaluate.evaluate_all(embeddings, labels, totals, split, config)
-    rep2 = evaluate.evaluate_all(embeddings, labels, totals, split, config)
+    rep1 = evaluate.evaluate_all(users, codes, labels, totals, split, config)
+    rep2 = evaluate.evaluate_all(users, codes, labels, totals, split, config)
     assert rep1.auc.shape == (5, 6)
     assert rep1.auc.size == 30
     assert np.array_equal(rep1.auc, rep2.auc)
@@ -277,18 +289,18 @@ def test_evaluate_all_report_shape_and_determinism():
 
 
 def test_evaluate_all_planted_signal_beats_volume():
-    embeddings, labels, totals = random_eval_setup(400, seed=7, planted_activity="friends")
-    split = evaluate.split_users([e.user_id for e in embeddings], 0.33, seed=2)
-    rep = evaluate.evaluate_all(embeddings, labels, totals, split, evaluate.EvalConfig(seed=0))
+    users, codes, labels, totals = random_eval_setup(400, seed=7, planted_activity="friends")
+    split = evaluate.split_users(users, 0.33, seed=2)
+    rep = evaluate.evaluate_all(users, codes, labels, totals, split, evaluate.EvalConfig(seed=0))
     assert rep.auc_of("codes", "friends") > rep.auc_of("volume", "friends") + 0.15
 
 
 def test_evaluate_all_random_labels_near_half():
     # Null oracle: with no signal anywhere, test AUC concentrates around 0.5.
-    embeddings, labels, totals = random_eval_setup(3030, seed=9)
-    split = evaluate.split_users([e.user_id for e in embeddings], 0.33, seed=4)
+    users, codes, labels, totals = random_eval_setup(3030, seed=9)
+    split = evaluate.split_users(users, 0.33, seed=4)
     assert len(split[1]) == 1000
-    rep = evaluate.evaluate_all(embeddings, labels, totals, split, evaluate.EvalConfig(seed=1))
+    rep = evaluate.evaluate_all(users, codes, labels, totals, split, evaluate.EvalConfig(seed=1))
     others = [v for v in evaluate.VARIANTS if v != "other_activities"]
     for variant in others:
         for activity in evaluate.ACTIVITIES:
@@ -309,9 +321,9 @@ def test_coefficient_report_shape_and_csv(tmp_path):
 
 
 def test_coefficient_report_planted_atom_dominates():
-    embeddings, labels, totals = random_eval_setup(500, seed=3, planted_activity="asleep")
-    split = evaluate.split_users([e.user_id for e in embeddings], 0.33, seed=5)
-    rep = evaluate.evaluate_all(embeddings, labels, totals, split, evaluate.EvalConfig(seed=2))
+    users, codes, labels, totals = random_eval_setup(500, seed=3, planted_activity="asleep")
+    split = evaluate.split_users(users, 0.33, seed=5)
+    rep = evaluate.evaluate_all(users, codes, labels, totals, split, evaluate.EvalConfig(seed=2))
     ai = evaluate.ACTIVITIES.index("asleep")
     # The planted generator ties atom 0 to the label, so its coefficient tops the column.
     assert np.argmax(rep.coefficients[:, ai]) == 0

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from weeklisten import ingest
 from weeklisten.errors import IngestError
 
@@ -113,9 +115,14 @@ def test_filter_active_users_empty():
 
 def test_build_profiles_play_counts():
     events = [make_event(track="t7", album="a7", timestamp=MONDAY + i) for i in range(4)]
-    profiles = ingest.build_profiles(log_of(*events))
-    assert profiles["u1"].play_count_per_track["t7"] == 4
-    assert profiles["u1"].total_valid_streams == 4
+    log = log_of(*events)
+    profiles = ingest.build_profiles(log)
+    assert oracles.profiles(log)["u1"].play_count_per_track["t7"] == 4
+    users, columns = profiles.summary_columns()
+    assert users == ("u1",)
+    assert columns.tolist() == [[4, 1, 1, 0]]  # streams, active days, distinct tracks, liked tracks
+    repeated, _ = profiles.event_flags(log)
+    assert repeated.all()  # 4 plays is above the repeat threshold
 
 
 def test_build_profiles_album_expansion():
@@ -125,14 +132,22 @@ def test_build_profiles_album_expansion():
         make_event(track="t3", album="other", timestamp=MONDAY + 2),
     ]
     favorites = [ingest.FavoritesRecord("u1", "album", "alb")]
-    profiles = ingest.build_profiles(log_of(*events), favorites)
-    assert profiles["u1"].liked_tracks >= {"t1", "t2"}
-    assert "t3" not in profiles["u1"].liked_tracks
+    log = log_of(*events)
+    profiles = ingest.build_profiles(log, favorites)
+    _, liked = profiles.event_flags(log)
+    assert liked.tolist() == [True, True, False]
+    assert profiles.summary_columns()[1][0, 3] == 2
+    oracle = oracles.profiles(log, favorites)["u1"]
+    assert oracle.liked_tracks >= {"t1", "t2"}
+    assert "t3" not in oracle.liked_tracks
 
 
 def test_build_profiles_no_favorites():
-    profiles = ingest.build_profiles(log_of(make_event()))
-    assert profiles["u1"].liked_tracks == frozenset()
+    log = log_of(make_event())
+    profiles = ingest.build_profiles(log)
+    assert not profiles.event_flags(log)[1].any()
+    assert profiles.summary_columns()[1][0, 3] == 0
+    assert oracles.profiles(log)["u1"].liked_tracks == frozenset()
 
 
 def test_build_profiles_unknown_user_warning():
@@ -144,11 +159,19 @@ def test_build_profiles_unknown_user_warning():
 def test_profiles_total_equals_sum_of_play_counts():
     events = [make_event(track=f"t{i % 3}", timestamp=MONDAY + i) for i in range(10)]
     events += [make_event(user="u2", track="t0", timestamp=MONDAY + i) for i in range(3)]
-    profiles = ingest.build_profiles(log_of(*events))
-    for user in profiles:
-        p = profiles[user]
-        assert p.total_valid_streams == sum(p.play_count_per_track.values())
-    assert sum(p.total_valid_streams for p in (profiles[u] for u in profiles)) == 13
+    log = log_of(*events)
+    users, columns = ingest.build_profiles(log).summary_columns()
+    profile_of = oracles.profiles(log)
+    for user, total in zip(users, columns[:, 0]):
+        assert total == sum(profile_of[user].play_count_per_track.values())
+    assert columns[:, 0].sum() == 13
+
+
+def test_event_flags_needs_the_profiled_log():
+    log = log_of(make_event(), make_event(timestamp=MONDAY + 5))
+    profiles = ingest.build_profiles(log)
+    with pytest.raises(IngestError, match="profiles were built from"):
+        profiles.event_flags(log.select(np.array([True, False])))
 
 
 def test_parse_favorites():
@@ -220,3 +243,39 @@ def test_restrict_to_users():
     only_a = ingest.restrict_to_users(log, ["a"])
     assert len(only_a) == 2
     assert {e.user_id for e in only_a} == {"a"}
+
+
+summary_event = st.builds(
+    make_event,
+    user=st.sampled_from(["u1", "u2", "u3"]),
+    timestamp=st.integers(min_value=MONDAY - DAY, max_value=MONDAY + 13 * DAY),
+    track=st.sampled_from(["t1", "t2", "t3", "t4"]),
+    album=st.sampled_from(["a1", "a2"]),
+    tz=st.one_of(st.none(), st.integers(min_value=-720, max_value=840)),
+)
+
+summary_favorite = st.builds(
+    ingest.FavoritesRecord,
+    user_id=st.sampled_from(["u1", "u2", "u3", "ghost"]),
+    kind=st.sampled_from(["track", "album"]),
+    item_id=st.sampled_from(["t1", "t2", "t3", "t4", "a1", "a2"]),
+)
+
+
+def night_events():
+    """Two streams of one user on one local day that straddle UTC midnight."""
+    return [make_event(user="night", timestamp=MONDAY + DAY - 1800, tz=60),
+            make_event(user="night", timestamp=MONDAY + DAY + 1800)]
+
+
+@given(events=st.lists(summary_event, max_size=60), favorites=st.lists(summary_favorite, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_summary_columns_match_oracle(events, favorites):
+    events = events + night_events()
+    log = log_of(*events)
+    profiles = ingest.build_profiles(log, favorites)
+    users, columns = profiles.summary_columns()
+    rows = oracles.summary_rows(oracles.profiles(log, favorites))
+    assert [(u, *c) for u, c in zip(users, columns.tolist())] == rows
+    listeners = {e.user_id for e in events}
+    assert profiles.unknown_user_warnings == sum(rec.user_id not in listeners for rec in favorites)

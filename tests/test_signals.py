@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import oracles
 from weeklisten import ingest, signals
 from weeklisten.errors import SignalError
 
@@ -14,38 +15,56 @@ def profiles_for(log, favorites=()):
     return ingest.build_profiles(log, favorites)
 
 
+def raw_of(log, period, favorites=()):
+    """Oracle raw signal of the log's one user; the package's row must be its smoothed, normalized form."""
+    (profile,) = oracles.profiles(log, favorites).values()
+    raw = oracles.aggregate(log, profile, period)
+    sset = signals.build_signal_set(profiles_for(log, favorites), log, period)
+    assert np.allclose(sset.matrix[0], oracles.normalize(oracles.smooth(raw)).ravel(), rtol=0, atol=1e-12)
+    return raw
+
+
+def channel(values, name):
+    return values[oracles.SIGNAL_CHANNELS.index(name)]
+
+
 # -- weekly_slot -------------------------------------------------------------
 
 def test_weekly_slot_monday_origin():
-    assert signals.weekly_slot(MONDAY + 30 * 60) == 0
+    assert oracles.weekly_slot(MONDAY + 30 * 60) == 0
 
 
 def test_weekly_slot_tuesday_morning():
     # Tuesday 10:15 local = day 1, hour 10
-    assert signals.weekly_slot(MONDAY + DAY + 10 * HOUR + 15 * 60) == 34
+    assert oracles.weekly_slot(MONDAY + DAY + 10 * HOUR + 15 * 60) == 34
 
 
 def test_weekly_slot_sunday_last_hour():
-    assert signals.weekly_slot(MONDAY + 6 * DAY + 23 * HOUR + 59 * 60) == 167
+    assert oracles.weekly_slot(MONDAY + 6 * DAY + 23 * HOUR + 59 * 60) == 167
 
 
 def test_weekly_slot_uses_local_offset():
     # Monday 00:30 UTC seen from UTC-1 is still Sunday 23:30.
-    assert signals.weekly_slot(MONDAY + 30 * 60, tz_offset_min=-60) == 167
-    assert signals.weekly_slot(MONDAY + 30 * 60, tz_offset_min=+60) == 1
+    assert oracles.weekly_slot(MONDAY + 30 * 60, tz_offset_min=-60) == 167
+    assert oracles.weekly_slot(MONDAY + 30 * 60, tz_offset_min=+60) == 1
+
+
+def test_slot_of_hour_index_matches_calendar():
+    hours = np.arange(-200_000, 200_000, 97, dtype=np.int64)
+    assert signals.slot_of_hour_index(hours).tolist() == [oracles.weekly_slot(3600 * int(k)) for k in hours]
 
 
 # -- window_features ----------------------------------------------------------
 
 def window_profile(events, favorites=()):
-    return profiles_for(log_of(*events), favorites)
+    return oracles.profiles(log_of(*events), favorites)
 
 
 def test_window_features_organicity_ratio():
     events = [make_event(track=f"t{i}", origin="organic", timestamp=MONDAY + i) for i in range(3)]
     events.append(make_event(track="t9", origin="algorithmic", timestamp=MONDAY + 9))
     profile = window_profile(events)["u1"]
-    volume, repetition, organicity, liked = signals.window_features(profile, events)
+    volume, repetition, organicity, liked = oracles.window_features(profile, events)
     assert volume == 4.0
     assert organicity == 0.75
 
@@ -55,23 +74,23 @@ def test_window_features_repetition_threshold():
     all_events = [make_event(track="t1", timestamp=MONDAY + i) for i in range(4)]
     profile = window_profile(all_events)["u1"]
     window = all_events[:2]
-    _, repetition, _, _ = signals.window_features(profile, window)
+    _, repetition, _, _ = oracles.window_features(profile, window)
     assert repetition == 1.0
 
     three = [make_event(track="t2", timestamp=MONDAY + i) for i in range(3)]
     profile3 = window_profile(three)["u1"]
-    assert signals.window_features(profile3, three)[1] == 0.0
+    assert oracles.window_features(profile3, three)[1] == 0.0
 
 
 def test_window_features_empty_window():
     profile = window_profile([make_event()])["u1"]
-    assert signals.window_features(profile, []) == (0.0, 0.0, 0.0, 0.0)
+    assert oracles.window_features(profile, []) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_window_features_liked():
     events = [make_event(track="fav", timestamp=MONDAY), make_event(track="other", timestamp=MONDAY + 1)]
     profile = window_profile(events, [ingest.FavoritesRecord("u1", "track", "fav")])["u1"]
-    assert signals.window_features(profile, events)[3] == 0.5
+    assert oracles.window_features(profile, events)[3] == 0.5
 
 
 # -- aggregate ----------------------------------------------------------------
@@ -80,27 +99,26 @@ def test_aggregate_two_week_mean():
     period = ingest.StudyPeriod(MONDAY, MONDAY + 2 * WEEK)
     slot34 = MONDAY + DAY + 10 * HOUR
     events = [make_event(track=f"t{i}", timestamp=slot34 + 60 * i) for i in range(4)]
-    log = log_of(*events)
-    sig = signals.aggregate(log, profiles_for(log), period)
-    assert sig.stage == signals.RAW
-    assert sig.channel("volume")[34] == pytest.approx(2.0)
-    assert sig.channel("volume")[35] == 0.0
+    raw = raw_of(log_of(*events), period)
+    assert channel(raw, "volume")[34] == pytest.approx(2.0)
+    assert channel(raw, "volume")[35] == 0.0
 
 
 def test_aggregate_no_events_is_zero():
-    log = log_of(make_event())
+    # The user's only event lies before the period: a listed user with an all-zero row.
+    log = log_of(make_event(timestamp=MONDAY - HOUR))
     period = ingest.StudyPeriod(MONDAY, MONDAY + WEEK)
-    empty = log.select(np.zeros(1, dtype=bool))
-    row_sig = signals.build_signal_set(profiles_for(log), empty, period, user_ids=["u1"])
+    row_sig = signals.build_signal_set(profiles_for(log), log, period, user_ids=["u1"])
+    assert row_sig.user_ids == ("u1",)
     assert np.all(row_sig.matrix == 0.0)
+    assert np.all(raw_of(log, period) == 0.0)
 
 
 def test_aggregate_constant_slot_mean_one():
     period = ingest.StudyPeriod(MONDAY, MONDAY + 3 * WEEK)
     events = [make_event(track=f"t{w}", timestamp=MONDAY + w * WEEK + 8 * HOUR) for w in range(3)]
-    log = log_of(*events)
-    sig = signals.aggregate(log, profiles_for(log), period)
-    assert sig.channel("volume")[8] == pytest.approx(1.0)
+    raw = raw_of(log_of(*events), period)
+    assert channel(raw, "volume")[8] == pytest.approx(1.0)
 
 
 def test_aggregate_partial_week_divisor():
@@ -110,46 +128,55 @@ def test_aggregate_partial_week_divisor():
     monday_noon = MONDAY + 12 * HOUR
     events = [make_event(track="a", timestamp=thursday_noon),
               make_event(track="b", timestamp=monday_noon)]
-    log = log_of(*events)
-    sig = signals.aggregate(log, profiles_for(log), period)
-    assert sig.channel("volume")[3 * 24 + 12] == pytest.approx(1.0)   # 1 event / 1 window
-    assert sig.channel("volume")[12] == pytest.approx(0.5)            # 1 event / 2 windows
+    raw = raw_of(log_of(*events), period)
+    assert channel(raw, "volume")[3 * 24 + 12] == pytest.approx(1.0)   # 1 event / 1 window
+    assert channel(raw, "volume")[12] == pytest.approx(0.5)            # 1 event / 2 windows
 
 
 def test_aggregate_rejects_short_period():
     log = log_of(make_event())
+    short = ingest.StudyPeriod(MONDAY, MONDAY + 3 * DAY)
     with pytest.raises(SignalError, match="at least one week"):
-        signals.aggregate(log, profiles_for(log), ingest.StudyPeriod(MONDAY, MONDAY + 3 * DAY))
+        signals.build_signal_set(profiles_for(log), log, short)
+    with pytest.raises(SignalError, match="at least one week"):
+        oracles.aggregate(log, oracles.profiles(log)["u1"], short)
 
 
 def test_aggregate_rejects_multi_user_log():
     log = log_of(make_event(user="a"), make_event(user="b"))
     with pytest.raises(SignalError, match="exactly one user"):
-        signals.aggregate(log, profiles_for(log), ingest.StudyPeriod(MONDAY, MONDAY + WEEK))
+        oracles.aggregate(log, oracles.profiles(log)["a"], ingest.StudyPeriod(MONDAY, MONDAY + WEEK))
 
 
 def test_aggregate_volume_linearity():
     period = ingest.StudyPeriod(MONDAY, MONDAY + 2 * WEEK)
     events = [make_event(track=f"t{i}", timestamp=MONDAY + i * 7000) for i in range(40)]
-    log1 = log_of(*events)
-    log2 = log_of(*(events + events))  # duplicate every event
-    sig1 = signals.aggregate(log1, profiles_for(log1), period)
-    sig2 = signals.aggregate(log2, profiles_for(log2), period)
-    assert np.allclose(sig2.channel("volume"), 2 * sig1.channel("volume"))
-    assert np.allclose(sig2.channel("organicity"), sig1.channel("organicity"))
+    raw1 = raw_of(log_of(*events), period)
+    raw2 = raw_of(log_of(*(events + events)), period)  # duplicate every event
+    assert np.allclose(channel(raw2, "volume"), 2 * channel(raw1, "volume"))
+    assert np.allclose(channel(raw2, "organicity"), channel(raw1, "organicity"))
 
 
 # -- smooth / normalize --------------------------------------------------------
 
-def raw_signal(values):
-    return signals.UserSignal("u", np.asarray(values, dtype=float), signals.RAW)
+def smoothed(values):
+    """Oracle smoothing, checked against the package's."""
+    out = oracles.smooth(values)
+    assert np.allclose(signals._smooth_values(np.asarray(values, dtype=float)), out, rtol=0, atol=1e-12)
+    return out
+
+
+def normalized(values):
+    """Oracle normalization, checked against the package's."""
+    out = oracles.normalize(values)
+    assert np.allclose(signals._normalize_values(np.asarray(values, dtype=float)), out, rtol=0, atol=1e-12)
+    return out
 
 
 def test_smooth_impulse():
     values = np.zeros((4, 168))
     values[0, 0] = 1.0
-    sm = signals.smooth(raw_signal(values))
-    vol = sm.channel("volume")
+    vol = channel(smoothed(values), "volume")
     assert vol[167] == pytest.approx(1 / 3)
     assert vol[0] == pytest.approx(1 / 3)
     assert vol[1] == pytest.approx(1 / 3)
@@ -157,15 +184,9 @@ def test_smooth_impulse():
 
 
 def test_smooth_zeros_and_constant():
-    assert np.all(signals.smooth(raw_signal(np.zeros((4, 168)))).values == 0)
-    const = signals.smooth(raw_signal(np.full((4, 168), 3.7)))
-    assert np.allclose(const.values, 3.7)
-
-
-def test_smooth_requires_raw_stage():
-    sm = signals.smooth(raw_signal(np.zeros((4, 168))))
-    with pytest.raises(SignalError):
-        signals.smooth(sm)
+    assert np.all(smoothed(np.zeros((4, 168))) == 0)
+    const = smoothed(np.full((4, 168), 3.7))
+    assert np.allclose(const, 3.7)
 
 
 def test_normalize_three_point_toy():
@@ -175,23 +196,22 @@ def test_normalize_three_point_toy():
 
 def test_normalize_constant_channel_goes_to_zero():
     values = np.full((4, 168), 0.1)
-    sig = signals.normalize(signals.UserSignal("u", values, signals.SMOOTHED))
-    assert np.all(sig.values == 0.0)
+    assert np.all(normalized(values) == 0.0)
 
 
 def test_normalize_mean_and_maxabs():
     rng = np.random.default_rng(3)
     values = rng.normal(0, 1, (4, 168))
-    sig = signals.normalize(signals.UserSignal("u", values, signals.SMOOTHED))
-    assert np.abs(sig.values.mean(axis=1)).max() < 1e-9
-    assert np.allclose(np.abs(sig.values).max(axis=1), 1.0, atol=1e-9)
+    out = normalized(values)
+    assert np.abs(out.mean(axis=1)).max() < 1e-9
+    assert np.allclose(np.abs(out).max(axis=1), 1.0, atol=1e-9)
 
 
 def test_normalize_rejects_non_finite():
     values = np.zeros((4, 168))
     values[1, 5] = np.nan
     with pytest.raises(SignalError, match="non-finite"):
-        signals.normalize(signals.UserSignal("u", values, signals.SMOOTHED))
+        oracles.normalize(values)
 
 
 finite_channel = hnp.arrays(np.float64, (168,),
@@ -217,12 +237,31 @@ def test_normalize_invariants_and_idempotence(channel):
     assert np.allclose(again, out, atol=1e-9)
 
 
-@given(channel=finite_channel, alpha=st.floats(1e-6, 1e6))
+normal_channel = hnp.arrays(np.float64, (168,),
+                            elements=st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False, width=64))
+
+
+@given(channel=normal_channel, alpha=st.floats(1e-6, 1e6))
 @settings(max_examples=100, deadline=None)
 def test_normalize_scale_invariance(channel, alpha):
+    # Scaling is only exact while no element underflows into the subnormal range.
+    scaled = alpha * channel
+    assume(np.all(np.abs(scaled[channel != 0]) >= np.finfo(float).tiny))
     a = signals._normalize_values(channel)
-    b = signals._normalize_values(alpha * channel)
+    b = signals._normalize_values(scaled)
     assert np.allclose(a, b, atol=1e-7)
+
+
+def test_normalize_underflowed_channel_goes_to_zero():
+    # Half of the smallest subnormal rounds to 0, so the scaled channel is all zeros.
+    channel = np.zeros(168)
+    channel[0] = 5e-324
+    spike = np.zeros(168)
+    spike[0] = 1.0
+    assert np.allclose(signals._normalize_values(channel), signals._normalize_values(spike), rtol=0, atol=1e-12)
+    assert signals._normalize_values(channel)[0] == 1.0
+    assert np.all(0.5 * channel == 0.0)
+    assert np.all(signals._normalize_values(0.5 * channel) == 0.0)
 
 
 def test_normalize_near_constant_channel_is_safe():
@@ -257,11 +296,11 @@ def test_build_signal_set_row_layout():
     sset = signals.build_signal_set(profiles, log, period)
 
     zeta = ingest.restrict_to_users(log, ["zeta"])
-    sig = signals.normalize(signals.smooth(signals.aggregate(zeta, profiles, period)))
-    row = sset.row("zeta")
-    assert np.array_equal(row[0:168], sig.channel("volume"))
-    assert np.array_equal(row[168:336], sig.channel("repetition"))
-    assert np.array_equal(row.reshape(4, 168), sig.values)
+    sig = oracles.normalize(oracles.smooth(oracles.aggregate(zeta, oracles.profiles(log)["zeta"], period)))
+    row = oracles.signal_row(sset, "zeta")
+    assert np.allclose(row[0:168], channel(sig, "volume"), rtol=0, atol=1e-12)
+    assert np.allclose(row[168:336], channel(sig, "repetition"), rtol=0, atol=1e-12)
+    assert np.allclose(row.reshape(4, 168), sig, rtol=0, atol=1e-12)
 
 
 def test_signal_set_round_trip(tmp_path):
@@ -275,3 +314,51 @@ def test_signal_set_round_trip(tmp_path):
         loaded = signals.load_signal_set(index, matrix)
         assert loaded.user_ids == sset.user_ids
         assert np.array_equal(loaded.matrix, sset.matrix)
+
+
+TRACKS = ("t0", "t1", "t2", "t3", "t4")
+ALBUMS = ("a0", "a1", "a2")
+
+signal_event = st.builds(
+    make_event,
+    user=st.sampled_from(["u1", "u2", "u3"]),
+    timestamp=st.integers(min_value=MONDAY - DAY, max_value=MONDAY + 2 * WEEK + DAY),
+    track=st.sampled_from(TRACKS),
+    album=st.sampled_from(ALBUMS),
+    origin=st.sampled_from(["organic", "algorithmic"]),
+    tz=st.one_of(st.none(), st.integers(min_value=-720, max_value=840)),
+)
+
+favorite = st.builds(
+    ingest.FavoritesRecord,
+    user_id=st.sampled_from(["u1", "u2", "u3", "ghost"]),
+    kind=st.just("track"),
+    item_id=st.sampled_from(TRACKS),
+) | st.builds(
+    ingest.FavoritesRecord,
+    user_id=st.sampled_from(["u1", "u2", "u3"]),
+    kind=st.just("album"),
+    item_id=st.sampled_from(ALBUMS),
+)
+
+
+def fixed_events():
+    """A track on each side of the repeat threshold, and a user with no in-period events."""
+    noon = MONDAY + 12 * HOUR
+    events = [make_event(user="u1", track="t_four", timestamp=noon + i * DAY) for i in range(4)]
+    events += [make_event(user="u1", track="t_three", timestamp=noon + i * DAY + HOUR) for i in range(3)]
+    events.append(make_event(user="idle", timestamp=MONDAY - 2 * DAY))
+    return events
+
+
+@given(events=st.lists(signal_event, max_size=80), favorites=st.lists(favorite, max_size=8),
+       default_tz=st.sampled_from([-90, 0, 60]))
+@settings(max_examples=60, deadline=None)
+def test_build_signal_set_matches_oracle(events, favorites, default_tz):
+    log = log_of(*(events + fixed_events()))
+    period = ingest.StudyPeriod(MONDAY, MONDAY + 2 * WEEK)
+    sset = signals.build_signal_set(profiles_for(log, favorites), log, period, default_tz)
+    users, matrix = oracles.signal_rows(log, favorites, period, default_tz)
+    assert sset.user_ids == users
+    assert np.allclose(sset.matrix, matrix, rtol=0, atol=1e-12)
+    assert np.all(oracles.signal_row(sset, "idle") == 0.0)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from weeklisten import dictionary, evaluate, ingest, signals, synth
 from weeklisten.errors import SynthesisError
 
@@ -60,7 +61,7 @@ def test_pure_commuter_concentrates_on_commute_slots(tmp_path):
     result = synth.generate(config, tmp_path)
     log, _ = ingest.parse_events(result.events_path)
     valid = ingest.filter_valid_streams(log)
-    slots = np.array([signals.weekly_slot(int(ts)) for ts in valid.timestamps])
+    slots = np.array([oracles.weekly_slot(int(ts)) for ts in valid.timestamps])
     commute_hours = {d * 24 + h for d in range(5) for h in (7, 8, 9, 17, 18, 19)}
     frac = np.mean([s in commute_hours for s in slots])
     assert frac >= 0.60
@@ -137,9 +138,11 @@ def _downstream_auc(noise, seed, tmp_path):
     train_mask = np.array([u in set(split[0]) for u in sset.user_ids])
     learned = dictionary.learn(sset.matrix[train_mask],
                                dictionary.LearnConfig(n_atoms=6, lam=1.0, outer_iters=12, seed=seed))
-    embeddings = dictionary.embed(sset, learned.dictionary)
+    codes = dictionary.embed(sset, learned.dictionary)
     labels = evaluate.parse_labels(result.labels_path)
-    report = evaluate.evaluate_all(embeddings, labels, profiles.total_streams(), split,
+    users, columns = profiles.summary_columns()
+    totals = dict(zip(users, columns[:, 0].tolist()))
+    report = evaluate.evaluate_all(sset.user_ids, codes, labels, totals, split,
                                    evaluate.EvalConfig(seed=seed))
     primaries = synth.planted_truth(config).primary_activities()
     return float(np.mean([report.auc_of("codes", a) for a in primaries]))
