@@ -100,7 +100,8 @@ def _synth_config(args) -> synth.SynthConfig:
     return synth.SynthConfig(
         n_users=args.users, weeks=args.weeks, seed=stage_seed(args.seed, "synth"),
         noise=args.noise, organic_rate=args.organic_rate,
-        archetypes=synth.load_archetypes(args.archetypes) if args.archetypes else None,
+        archetypes=(synth.load_archetypes(args.archetypes, organic_target=args.organic_rate)
+                    if args.archetypes else None),
     )
 
 

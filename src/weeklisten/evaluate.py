@@ -12,6 +12,11 @@ on a held-out user split.  Feature variants:
 * ``codes_demographics`` - codes plus age-group and gender.
 
 All variants are standardized with train-row statistics only.
+
+The data stay columnar from ``labels.csv`` to the report: :class:`LabelSet`
+holds the label columns (no per-user record), :func:`build_features` returns
+a plain matrix, and :func:`evaluate_all` fills the AUC, l2 and codes-model
+coefficient arrays of :class:`EvalReport` job by job.
 """
 
 from __future__ import annotations
@@ -43,36 +48,34 @@ LABELS_HEADER = ("user_id",) + ACTIVITIES + ("age_group", "gender")
 DEFAULT_L2_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 
 
-@dataclass(frozen=True)
-class ActivityLabels:
-    """One user's six binary survey answers plus demographic codes."""
-
-    user_id: str
-    answers: tuple[int, ...]
-    age_group: int
-    gender: int
-
-    def __post_init__(self):
-        if len(self.answers) != N_ACTIVITIES or any(a not in (0, 1) for a in self.answers):
-            raise EvaluationError(f"answers must be six 0/1 flags, got {self.answers}")
-        if not 0 <= self.age_group < AGE_GROUPS:
-            raise EvaluationError(f"age_group {self.age_group} outside [0, {AGE_GROUPS})")
-        if not 0 <= self.gender < GENDER_CODES:
-            raise EvaluationError(f"gender {self.gender} outside [0, {GENDER_CODES})")
-
-
 class LabelSet:
-    """Columnar label table keyed by user id."""
+    """Label table as columns: row ``i`` holds the labels of ``user_ids[i]``.
 
-    def __init__(self, records: Iterable[ActivityLabels]):
-        records = list(records)
-        self.user_ids = tuple(r.user_id for r in records)
-        self._row = {r.user_id: i for i, r in enumerate(records)}
-        if len(self._row) != len(records):
-            raise EvaluationError("duplicate user ids in labels")
-        self.answers = np.array([r.answers for r in records], dtype=np.int8).reshape(len(records), N_ACTIVITIES)
-        self.age_group = np.array([r.age_group for r in records], dtype=np.int8)
-        self.gender = np.array([r.gender for r in records], dtype=np.int8)
+    ``answers`` is ``(n, 6)`` with 0/1 flags in :data:`ACTIVITIES` order;
+    ``age_group`` and ``gender`` are ``(n,)`` integer codes.
+    """
+
+    def __init__(self, user_ids: Sequence[str], answers, age_group, gender):
+        self.user_ids = tuple(user_ids)
+        n = len(self.user_ids)
+        answers, age_group, gender = np.asarray(answers), np.asarray(age_group), np.asarray(gender)
+        if answers.shape != (n, N_ACTIVITIES) or age_group.shape != (n,) or gender.shape != (n,):
+            raise EvaluationError(f"label columns of shapes {answers.shape}, {age_group.shape}, "
+                                  f"{gender.shape} do not fit {n} users")
+        for bad, rule in (((~np.isin(answers, (0, 1))).any(axis=1), "answers must be six 0/1 flags"),
+                          ((age_group < 0) | (age_group >= AGE_GROUPS), f"age_group must lie in [0, {AGE_GROUPS})"),
+                          ((gender < 0) | (gender >= GENDER_CODES), f"gender must lie in [0, {GENDER_CODES})")):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise EvaluationError(f"labels of user {self.user_ids[i]}: {rule}, got answers "
+                                      f"{answers[i].tolist()}, age_group {age_group[i]}, gender {gender[i]}")
+        self._row = {u: i for i, u in enumerate(self.user_ids)}
+        if len(self._row) != n:
+            dup = next(u for i, u in enumerate(self.user_ids) if self._row[u] != i)
+            raise EvaluationError(f"duplicate user id {dup} in labels")
+        self.answers = answers.astype(np.int8)
+        self.age_group = age_group.astype(np.int8)
+        self.gender = gender.astype(np.int8)
 
     def __len__(self) -> int:
         return len(self.user_ids)
@@ -86,14 +89,9 @@ class LabelSet:
         except KeyError:
             raise EvaluationError(f"no labels for user {user_id}") from None
 
-    def record(self, user_id: str) -> ActivityLabels:
-        i = self.row(user_id)
-        return ActivityLabels(user_id, tuple(int(v) for v in self.answers[i]),
-                              int(self.age_group[i]), int(self.gender[i]))
-
 
 def parse_labels(source) -> LabelSet:
-    """Parse the labels CSV; strict (any malformed line is fatal)."""
+    """Parse the labels CSV into columns; strict (any malformed line is fatal)."""
     import io
     from pathlib import Path
 
@@ -109,30 +107,33 @@ def parse_labels(source) -> LabelSet:
         raise EvaluationError("labels source is empty (missing header)") from None
     if header != LABELS_HEADER:
         raise EvaluationError(f"labels header must be {','.join(LABELS_HEADER)}, got {','.join(header)}")
-    records = []
+    user_ids, fields, line_nos = [], [], []
     for line_no, rowv in enumerate(reader, start=2):
         if not rowv:
             continue
         if len(rowv) != len(LABELS_HEADER):
             raise EvaluationError(f"labels line {line_no} has {len(rowv)} fields, expected {len(LABELS_HEADER)}")
-        try:
-            records.append(ActivityLabels(
-                user_id=rowv[0],
-                answers=tuple(int(v) for v in rowv[1:1 + N_ACTIVITIES]),
-                age_group=int(rowv[1 + N_ACTIVITIES]),
-                gender=int(rowv[2 + N_ACTIVITIES]),
-            ))
-        except ValueError as exc:
-            raise EvaluationError(f"labels line {line_no} is malformed: {exc}") from exc
-    return LabelSet(records)
+        user_ids.append(rowv[0])
+        fields.append(rowv[1:])
+        line_nos.append(line_no)
+    try:
+        values = np.array(fields, dtype=np.int64).reshape(len(fields), len(LABELS_HEADER) - 1)
+    except (ValueError, OverflowError):
+        for line_no, row in zip(line_nos, fields):  # name the first line that fails
+            try:
+                np.array(row, dtype=np.int64)
+            except (ValueError, OverflowError) as exc:
+                raise EvaluationError(f"labels line {line_no} is malformed: {exc}") from exc
+        raise
+    return LabelSet(user_ids, values[:, :N_ACTIVITIES], values[:, N_ACTIVITIES], values[:, N_ACTIVITIES + 1])
 
 
-def write_labels(records: Iterable[ActivityLabels], path) -> None:
+def write_labels(labels: LabelSet, path) -> None:
+    columns = np.column_stack([labels.answers, labels.age_group, labels.gender]).tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(LABELS_HEADER) + "\n")
-        for r in records:
-            fh.write(f"{r.user_id}," + ",".join(str(a) for a in r.answers)
-                     + f",{r.age_group},{r.gender}\n")
+        fh.writelines(f"{user}," + ",".join(map(str, row)) + "\n"
+                      for user, row in zip(labels.user_ids, columns))
 
 
 # ---------------------------------------------------------------------------
@@ -160,18 +161,7 @@ def split_users(user_ids: Sequence[str], test_fraction: float = 0.33,
             tuple(u for u in users if u in test))
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Feature rows for an ordered user list, standardized with train stats."""
-
-    user_ids: tuple[str, ...]
-    values: np.ndarray
-    feature_names: tuple[str, ...]
-    train_mean: np.ndarray
-    train_std: np.ndarray
-
-
-def standardize(values: np.ndarray, train_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def standardize(values: np.ndarray, train_mask: np.ndarray) -> np.ndarray:
     """Center/scale all rows by train-row mean and population std.
 
     Columns constant on train rows are left identically zero.
@@ -182,7 +172,7 @@ def standardize(values: np.ndarray, train_mask: np.ndarray) -> tuple[np.ndarray,
     out = values - mean
     np.divide(out, std, out=out, where=std > 0)
     out[:, std == 0] = 0.0
-    return out, mean, std
+    return out
 
 
 class EvalInputs:
@@ -223,8 +213,11 @@ class EvalInputs:
 
 
 def build_features(variant: str, target_activity: str, inputs: EvalInputs,
-                   train_users: Iterable[str]) -> FeatureMatrix:
-    """Assemble one variant's feature matrix, standardized on train rows."""
+                   train_users: Iterable[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """One variant's feature matrix, standardized on train rows, and its column names.
+
+    Rows follow ``inputs.user_ids``.
+    """
     if target_activity not in ACTIVITIES:
         raise EvaluationError(f"unknown activity {target_activity!r}")
     atom_names = tuple(f"atom_{k}" for k in range(inputs.n_atoms))
@@ -250,9 +243,7 @@ def build_features(variant: str, target_activity: str, inputs: EvalInputs,
                              count=len(inputs.user_ids), dtype=bool)
     if not train_mask.any():
         raise EvaluationError("no train users present in the feature inputs")
-    standardized, mean, std = standardize(np.asarray(values, dtype=np.float64), train_mask)
-    return FeatureMatrix(user_ids=inputs.user_ids, values=standardized,
-                         feature_names=names, train_mean=mean, train_std=std)
+    return standardize(np.asarray(values, dtype=np.float64), train_mask), names
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +258,6 @@ class LogRegModel:
 
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
         return X @ self.weights + self.intercept
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.decision_scores(X))
 
 
 def _sigmoid(m: np.ndarray) -> np.ndarray:
@@ -440,9 +428,6 @@ class EvalReport:
     def auc_of(self, variant: str, activity: str) -> float:
         return float(self.auc[self.variants.index(variant), self.activities.index(activity)])
 
-    def mean_auc(self, variant: str) -> float:
-        return float(self.auc[self.variants.index(variant)].mean())
-
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("variant,activity,auc,l2\n")
@@ -458,16 +443,6 @@ class EvalReport:
             cells = "".join(f"{self.auc[vi, ai]:11.3f}" for ai in range(len(self.activities)))
             lines.append(v.ljust(width) + cells)
         return "\n".join(lines) + "\n"
-
-
-def coefficient_report(models_by_activity: Mapping[str, LogRegModel]) -> np.ndarray:
-    """Stack the codes-variant coefficient vectors into an (n_atoms, 6) matrix."""
-    columns = []
-    for activity in ACTIVITIES:
-        if activity not in models_by_activity:
-            raise EvaluationError(f"missing codes-variant model for {activity}")
-        columns.append(models_by_activity[activity].weights)
-    return np.column_stack(columns)
 
 
 def write_coefficients_csv(coefficients: np.ndarray, path) -> None:
@@ -500,23 +475,23 @@ def evaluate_all(user_ids: Sequence[str], codes: np.ndarray, labels: LabelSet,
 
     auc = np.zeros((len(VARIANTS), N_ACTIVITIES))
     chosen = np.zeros_like(auc)
-    codes_models: dict[str, LogRegModel] = {}
+    coefficients = np.zeros((inputs.n_atoms, N_ACTIVITIES))
     for ai, activity in enumerate(ACTIVITIES):
         y = inputs.answers[:, ai].astype(np.int8)
         for vi, variant in enumerate(VARIANTS):
-            features = build_features(variant, activity, inputs, train_users)
-            X_train, y_train = features.values[train_mask], y[train_mask]
+            X, _ = build_features(variant, activity, inputs, train_users)
+            X_train, y_train = X[train_mask], y[train_mask]
             job_seed = (config.seed, ai, vi)
             l2 = grid_search_cv(X_train, y_train, config.l2_grid, config.cv_folds, job_seed)
             model = train_logreg(X_train, y_train, l2)
-            scores = model.decision_scores(features.values[test_mask])
+            scores = model.decision_scores(X[test_mask])
             auc[vi, ai] = roc_auc(scores, y[test_mask])
             chosen[vi, ai] = l2
             if variant == VARIANT_CODES:
-                codes_models[activity] = model
+                coefficients[:, ai] = model.weights
 
     return EvalReport(
         variants=VARIANTS, activities=ACTIVITIES, auc=auc, chosen_l2=chosen,
-        coefficients=coefficient_report(codes_models),
+        coefficients=coefficients,
         n_train=int(train_mask.sum()), n_test=int(test_mask.sum()),
     )

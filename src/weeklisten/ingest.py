@@ -4,16 +4,22 @@ The events file is line-delimited CSV with header
 ``user_id,timestamp,track_id,album_id,origin,listen_duration[,tz_offset_min]``.
 Timestamps are integer epoch seconds (UTC); ``origin`` is ``organic`` or
 ``algorithmic``; ``tz_offset_min`` is an optional signed minute offset used to
-move an event into the user's local clock.
+move an event into the user's local clock.  Columns are found by their header
+names.  Malformed lines are counted and reported; more than
+:data:`MAX_MALFORMED_FRACTION` (1%) of them fails the parse.
 
 Events are stored columnar (:class:`EventLog`): string identifiers are interned
 into lookup tables and each event carries int32 indexes, which keeps multi-million
 row logs small and makes the downstream grouping operations plain numpy.  Record
 access (``log[i]``) materializes a :class:`StreamEvent` on demand.
 
-Profiles (:class:`ProfileSet`) stay columnar too: the signal builder reads
-per-event flags from them and ``user_summary.csv`` reads whole columns, so no
-per-user record is ever built.
+The activity filter keeps users with at least one valid stream whose daily
+average meets the threshold, so every active user gets a profile.  Profiles
+(:class:`ProfileSet`) stay columnar too: the signal builder reads per-event
+flags from them and ``user_summary.csv`` reads whole columns, so no per-user
+record is ever built.  One liked-track set per user (favorited tracks plus
+tracks streamed under a favorited album) drives both the ``liked`` flag of an
+event and the ``liked_tracks`` count.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import io
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -50,6 +56,9 @@ TZ_COLUMN = "tz_offset_min"
 
 #: How many malformed-line details are kept verbatim (all are still counted).
 MAX_REPORTED_DETAILS = 50
+
+#: A parse fails when more than this fraction of its data lines is malformed.
+MAX_MALFORMED_FRACTION = 0.01
 
 
 @dataclass(frozen=True, slots=True)
@@ -251,32 +260,24 @@ def _csv_rows(source, kind: str) -> tuple[Iterator[list[str]], list[str]]:
     return reader, [h.strip() for h in header]
 
 
-def parse_events(source, max_malformed_fraction: float = 0.01,
-                 schema: Mapping[str, str] | None = None) -> tuple[EventLog, ParseReport]:
+def parse_events(source) -> tuple[EventLog, ParseReport]:
     """Parse an events stream into an :class:`EventLog`.
 
-    ``source`` is a path or an iterable of CSV lines (header required).
-    ``schema`` optionally maps canonical field names to the column names the
-    source actually uses, e.g. ``{"user_id": "uid"}``; unmapped fields keep
-    their canonical names.  Malformed lines are counted and reported per
-    line, never silently dropped; if they exceed ``max_malformed_fraction``
+    ``source`` is a path or an iterable of CSV lines (header required; the
+    columns are found by name).  Malformed lines are counted and reported per
+    line, never silently dropped; if they exceed :data:`MAX_MALFORMED_FRACTION`
     of the data lines the whole parse fails.
 
     Returns the log plus a :class:`ParseReport`.
     """
-    schema = dict(schema or {})
-    column_of = {field: schema.get(field, field) for field in EVENT_COLUMNS + (TZ_COLUMN,)}
-
     reader, header = _csv_rows(source, "events")
 
     positions = {}
     for col in EVENT_COLUMNS:
-        name = column_of[col]
-        if name not in header:
-            raise IngestError(f"events header is missing required column {name!r}; got {header}")
-        positions[col] = header.index(name)
-    tz_name = column_of[TZ_COLUMN]
-    tz_pos = header.index(tz_name) if tz_name in header else None
+        if col not in header:
+            raise IngestError(f"events header is missing required column {col!r}; got {header}")
+        positions[col] = header.index(col)
+    tz_pos = header.index(TZ_COLUMN) if TZ_COLUMN in header else None
     n_cols = len(header)
 
     u_pos, ts_pos, tr_pos, al_pos, or_pos, du_pos = (positions[c] for c in EVENT_COLUMNS)
@@ -330,7 +331,7 @@ def parse_events(source, max_malformed_fraction: float = 0.01,
 
     report = ParseReport(total_lines=total, parsed=total - malformed,
                          malformed_count=malformed, details=tuple(details))
-    if total > 0 and malformed > max_malformed_fraction * total:
+    if total > 0 and malformed > MAX_MALFORMED_FRACTION * total:
         raise IngestError(f"too many malformed lines: {report.summary()}")
     return builder.finish(), report
 
@@ -383,15 +384,17 @@ def filter_valid_streams(log: EventLog, min_listen_secs: int = MIN_LISTEN_SECS) 
 
 def filter_active_users(log: EventLog, period: StudyPeriod,
                         min_daily_streams: float = MIN_DAILY_STREAMS) -> list[str]:
-    """Users whose valid-stream count averages at least ``min_daily_streams`` per day.
+    """Users averaging at least ``min_daily_streams`` valid streams per day.
 
-    ``log`` must already be duration-filtered.  Returns sorted user ids.
+    ``log`` must already be duration-filtered.  Only users with an event in
+    ``log`` count, so a threshold of 0 keeps exactly the users with a valid
+    stream.  Returns sorted user ids.
     """
     days = period.days
     if days <= 0:
         raise IngestError("study period has zero length")
     counts = np.bincount(log.user_idx, minlength=len(log.users))
-    keep = counts / days >= min_daily_streams
+    keep = (counts > 0) & (counts / days >= min_daily_streams)
     return sorted(str(u) for u in log.users[keep])
 
 
@@ -408,7 +411,8 @@ class ProfileSet:
     A (user, track) pair key is ``user_idx * n_tracks + track_idx``.  The
     signal builder reads two per-event flags (:meth:`event_flags`): whether
     the event's track is repeat listening for that user, and whether it is
-    liked content (its track or its album was favorited by that user).
+    liked content (its track is in the user's liked-track set: favorited
+    tracks plus tracks the user streamed under a favorited album).
     ``user_summary.csv`` reads :meth:`summary_columns`.
     """
 
@@ -447,15 +451,14 @@ class ProfileSet:
                 if ai is not None:
                     fav_album_keys.append(ui * len(log.albums) + ai)
 
-        # Expand album favorites through the user's own events: an event is
-        # album-liked when its (user, album) pair was favorited.
+        # The liked-track set: the user's favorited tracks plus every track
+        # they streamed under a favorited album.  An event is liked when its
+        # (user, track) pair is in that set, whatever album it came under.
         album_key = log.user_idx.astype(np.int64) * len(log.albums) + log.album_idx
         album_liked = np.isin(album_key, np.asarray(fav_album_keys, dtype=np.int64))
         track_liked = np.isin(pair_key, np.asarray(fav_track_keys, dtype=np.int64))
-        self._event_liked = album_liked | track_liked
-
-        # A track is liked for the user if any of their events with it is liked.
-        self._liked_pair_keys = np.unique(pair_key[self._event_liked])
+        self._liked_pair_keys = np.unique(pair_key[album_liked | track_liked])
+        self._event_liked = np.isin(pair_key, self._liked_pair_keys)
 
         repeated_pairs = self._pair_keys[pair_counts > REPEAT_PLAY_THRESHOLD]
         self._event_repeated = np.isin(pair_key, repeated_pairs)

@@ -23,7 +23,10 @@ weekly volume and each user gets an independent volume multiplier, keeping
 total volume uninformative about activities.  Activity labels are assigned
 by thresholding a noisy archetype-link score at the population quantile of
 the configured base rate, which pins realized rates to the base rates while
-the noise level tunes task difficulty.
+the noise level tunes task difficulty; the answer and demographic columns go
+to ``labels.csv`` as one :class:`~weeklisten.evaluate.LabelSet`.  Archetypes
+from a JSON file are recentered to the configured organic rate like the
+built-in ones.
 
 All randomness flows from one seed through per-user ``SeedSequence`` spawn
 keys, so generation is byte-reproducible and order-independent.
@@ -38,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SynthesisError
-from .evaluate import ACTIVITIES, AGE_GROUPS, GENDER_CODES, ActivityLabels, write_labels
+from .evaluate import ACTIVITIES, AGE_GROUPS, GENDER_CODES, LabelSet, write_labels
 from .signals import SLOTS_PER_WEEK, _normalize_values, _smooth_values
 
 #: Monday 2022-01-03 00:00:00 UTC; keeps week boundaries aligned with slot 0.
@@ -399,12 +402,8 @@ def generate(config: SynthConfig, out_dir) -> GenerateResult:
         threshold = np.quantile(col, 1.0 - rate)
         answers[:, ai] = (col > threshold).astype(np.int8)
 
-    records = [
-        ActivityLabels(user_id=f"u{uidx:0{width}d}", answers=tuple(int(v) for v in answers[uidx]),
-                       age_group=int(demographics[uidx, 0]), gender=int(demographics[uidx, 1]))
-        for uidx in range(config.n_users)
-    ]
-    write_labels(records, labels_path)
+    user_ids = [f"u{uidx:0{width}d}" for uidx in range(config.n_users)]
+    write_labels(LabelSet(user_ids, answers, demographics[:, 0], demographics[:, 1]), labels_path)
 
     return GenerateResult(
         events_path=events_path, favorites_path=favorites_path, labels_path=labels_path,

@@ -138,8 +138,9 @@ def weekly_slot(timestamp, tz_offset_min=0):
 class Profile:
     """One user's lookups over their events.
 
-    An event is liked when its track or its album is among the user's
-    favorites; ``liked_tracks`` holds the tracks of the liked events.
+    ``liked_tracks`` holds the user's favorited tracks that they streamed
+    plus every track they streamed under a favorited album; an event is
+    liked when its track is in that set.
     """
 
     user_id: str
@@ -151,7 +152,7 @@ class Profile:
     active_days: int
 
     def is_liked(self, event):
-        return event.track_id in self.favorite_tracks or event.album_id in self.favorite_albums
+        return event.track_id in self.liked_tracks
 
 
 def profiles(log, favorites=()):

@@ -52,6 +52,37 @@ def test_eval_without_labels_exits_2(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+def test_synth_archetype_file_follows_organic_rate(tmp_path, capsys):
+    spec = {"archetypes": [
+        {"name": f"a{i}", "base_rate": 0.1,
+         "volume_peaks": [{"days": [i], "hours": [8, 9, 10], "level": 2.0}],
+         "organicity": {"base": 0.9, "peaks": [{"days": [i], "hours": [9], "level": -0.5}]},
+         "activity_links": {"work": 1.0}} for i in range(4)]}
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps(spec))
+    args = cli.build_parser().parse_args(["synth", "--archetypes", str(path), "--organic-rate", "0.6"])
+    for arch in cli._synth_config(args).resolved_archetypes():
+        assert (arch.rate_profile * arch.organicity).sum() / arch.rate_profile.sum() == pytest.approx(0.6)
+    assert run(["synth", "--seed", "3", "--out", str(tmp_path), "--users", "100", "--weeks", "2",
+                "--archetypes", str(path), "--organic-rate", "0.6"]) == 0
+    fraction = float(capsys.readouterr().out.split("organic fraction ")[1].split(")")[0])
+    assert fraction == pytest.approx(0.6, abs=0.03)
+
+
+def test_zero_activity_threshold_counts_only_users_with_valid_streams(tmp_path, capsys):
+    assert run(["synth", "--seed", "5", "--out", str(tmp_path), "--users", "30", "--weeks", "2"]) == 0
+    config = synth.SynthConfig(weeks=2)
+    with open(tmp_path / "events.csv", "a", encoding="utf-8") as fh:
+        fh.write(f"skipper,{config.period_start + 60},t_skip,al_skip,organic,5\n")
+    capsys.readouterr()
+    assert run(["ingest", "--out", str(tmp_path), "--events", str(tmp_path / "events.csv"),
+                "--period-start", str(config.period_start), "--period-end", str(config.period_end),
+                "--min-daily-streams", "0"]) == 0
+    assert "30 active users" in capsys.readouterr().out
+    rows = (tmp_path / "user_summary.csv").read_text().splitlines()[1:]
+    assert len(rows) == 30 and not any(r.startswith("skipper,") for r in rows)
+
+
 def test_module_error_exits_1(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     rc = run(["ingest", "--events", str(missing), "--out", str(tmp_path)])

@@ -12,13 +12,10 @@ from oracles import pair_counting_auc
 
 def make_labels(n, rng=None, answers=None):
     rng = rng or np.random.default_rng(0)
-    records = []
-    for i in range(n):
-        a = answers[i] if answers is not None else tuple(int(v) for v in rng.integers(0, 2, 6))
-        records.append(evaluate.ActivityLabels(
-            user_id=f"u{i:04d}", answers=tuple(a),
-            age_group=int(rng.integers(0, 5)), gender=int(rng.integers(0, 3))))
-    return evaluate.LabelSet(records)
+    if answers is None:
+        answers = rng.integers(0, 2, (n, 6))
+    return evaluate.LabelSet([f"u{i:04d}" for i in range(n)], answers,
+                             rng.integers(0, 5, n), rng.integers(0, 3, n))
 
 
 # -- split_users -----------------------------------------------------------------
@@ -73,22 +70,22 @@ def test_eval_inputs_align_codes_with_sorted_users():
 
 def test_features_other_activities_excludes_target(inputs_fixture):
     train = inputs_fixture.user_ids[:30]
-    fm = evaluate.build_features("other_activities", "work", inputs_fixture, train)
-    assert fm.feature_names == ("wake_up", "transport", "sports", "friends", "asleep")
-    assert fm.values.shape == (40, 5)
+    values, names = evaluate.build_features("other_activities", "work", inputs_fixture, train)
+    assert names == ("wake_up", "transport", "sports", "friends", "asleep")
+    assert values.shape == (40, 5)
 
 
 def test_features_volume_is_single_column(inputs_fixture):
-    fm = evaluate.build_features("volume", "work", inputs_fixture, inputs_fixture.user_ids[:30])
-    assert fm.feature_names == ("total_streams",)
-    assert fm.values.shape == (40, 1)
+    values, names = evaluate.build_features("volume", "work", inputs_fixture, inputs_fixture.user_ids[:30])
+    assert names == ("total_streams",)
+    assert values.shape == (40, 1)
 
 
 def test_features_codes_demographics_is_k_plus_2(inputs_fixture):
-    fm = evaluate.build_features("codes_demographics", "work", inputs_fixture,
-                                 inputs_fixture.user_ids[:30])
-    assert fm.values.shape == (40, 10)
-    assert fm.feature_names[-2:] == ("age_group", "gender")
+    values, names = evaluate.build_features("codes_demographics", "work", inputs_fixture,
+                                            inputs_fixture.user_ids[:30])
+    assert values.shape == (40, 10)
+    assert names[-2:] == ("age_group", "gender")
 
 
 def test_features_unknown_variant(inputs_fixture):
@@ -98,20 +95,21 @@ def test_features_unknown_variant(inputs_fixture):
 
 def test_standardization_uses_train_stats_only(inputs_fixture):
     train = inputs_fixture.user_ids[:30]
-    fm = evaluate.build_features("codes", "work", inputs_fixture, train)
-    train_mask = np.array([u in set(train) for u in fm.user_ids])
-    train_rows = fm.values[train_mask]
+    values, _ = evaluate.build_features("codes", "work", inputs_fixture, train)
+    train_mask = np.array([u in set(train) for u in inputs_fixture.user_ids])
+    train_rows = values[train_mask]
     assert np.abs(train_rows.mean(axis=0)).max() < 1e-9
     assert np.allclose(train_rows.std(axis=0), 1.0, atol=1e-9)
     # Test rows are generally not centered: no leakage of their statistics.
-    assert np.abs(fm.values[~train_mask].mean(axis=0)).max() > 1e-6
+    assert np.abs(values[~train_mask].mean(axis=0)).max() > 1e-6
 
 
 def test_standardization_constant_column_left_zero():
     values = np.column_stack([np.full(10, 3.0), np.arange(10, dtype=float)])
-    out, mean, std = evaluate.standardize(values, np.arange(10) < 6)
+    train = np.arange(10) < 6
+    out = evaluate.standardize(values, train)
     assert np.all(out[:, 0] == 0.0)
-    assert std[0] == 0.0
+    assert np.allclose(out[train, 1], (np.arange(6) - 2.5) / np.arange(6).std())
 
 
 # -- logistic regression -------------------------------------------------------------
@@ -121,7 +119,7 @@ def test_logreg_separable_training_accuracy():
     X = np.vstack([rng.normal(-2, 0.3, (30, 2)), rng.normal(2, 0.3, (30, 2))])
     y = np.r_[np.zeros(30), np.ones(30)]
     model = evaluate.train_logreg(X, y, l2_strength=1e-4)
-    assert np.mean((model.predict_proba(X) > 0.5) == y) == 1.0
+    assert np.mean((model.decision_scores(X) > 0) == y) == 1.0
 
 
 def test_logreg_single_class_is_fatal():
@@ -157,7 +155,7 @@ def test_logreg_strong_l2_shrinks_to_base_rate():
     y = (rng.random(200) < 0.3).astype(int)
     model = evaluate.train_logreg(X, y, l2_strength=1e6)
     assert np.abs(model.weights).max() < 1e-4
-    assert np.allclose(model.predict_proba(X), y.mean(), atol=1e-3)
+    assert np.allclose(1.0 / (1.0 + np.exp(-model.decision_scores(X))), y.mean(), atol=1e-3)
 
 
 def test_logreg_loss_nonincreasing_over_refits():
@@ -269,7 +267,7 @@ def random_eval_setup(n_users, k=8, seed=0, planted_activity=None):
     if planted_activity is not None:
         ai = evaluate.ACTIVITIES.index(planted_activity)
         answers[:, ai] = (codes[:, 0] + 0.3 * rng.normal(size=n_users) > 0).astype(int)
-    labels = make_labels(n_users, rng, answers=[tuple(int(v) for v in row) for row in answers])
+    labels = make_labels(n_users, rng, answers=answers)
     totals = {u: int(rng.integers(200, 8000)) for u in labels.user_ids}
     return labels.user_ids, codes, labels, totals
 
@@ -308,16 +306,25 @@ def test_evaluate_all_random_labels_near_half():
 
 
 def test_coefficient_report_shape_and_csv(tmp_path):
-    rng = np.random.default_rng(2)
-    models = {a: evaluate.LogRegModel(weights=rng.normal(size=32), intercept=0.0, l2_strength=1.0)
-              for a in evaluate.ACTIVITIES}
-    coefs = evaluate.coefficient_report(models)
-    assert coefs.shape == (32, 6)
+    # Each coefficient column is the weight vector of the codes-variant model
+    # refit on the train split with the chosen l2.
+    users, codes, labels, totals = random_eval_setup(90, k=4, seed=12, planted_activity="work")
+    split = evaluate.split_users(users, 0.33, seed=6)
+    rep = evaluate.evaluate_all(users, codes, labels, totals, split, evaluate.EvalConfig(seed=1))
+    assert rep.coefficients.shape == (4, 6)
+    inputs = evaluate.EvalInputs(users, codes, labels, totals)
+    train_mask = np.isin(inputs.user_ids, split[0])
+    X, _ = evaluate.build_features("codes", "work", inputs, split[0])
+    ai = evaluate.ACTIVITIES.index("work")
+    l2 = rep.chosen_l2[evaluate.VARIANTS.index("codes"), ai]
+    model = evaluate.train_logreg(X[train_mask], inputs.answers[train_mask, ai], l2)
+    assert np.array_equal(rep.coefficients[:, ai], model.weights)
     path = tmp_path / "coef.csv"
-    evaluate.write_coefficients_csv(coefs, path)
+    evaluate.write_coefficients_csv(rep.coefficients, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "atom,activity,coefficient"
-    assert len(lines) == 1 + 32 * 6
+    assert len(lines) == 1 + 4 * 6
+    assert lines[1 + ai] == f"0,work,{float(rep.coefficients[0, ai])!r}"
 
 
 def test_coefficient_report_planted_atom_dominates():
@@ -332,17 +339,42 @@ def test_coefficient_report_planted_atom_dominates():
 def test_labels_round_trip(tmp_path):
     labels = make_labels(25, np.random.default_rng(6))
     path = tmp_path / "labels.csv"
-    evaluate.write_labels([labels.record(u) for u in labels.user_ids], path)
+    evaluate.write_labels(labels, path)
+    text = path.read_text()
+    assert text.splitlines()[1] == "u0000," + ",".join(
+        str(v) for v in [*labels.answers[0], labels.age_group[0], labels.gender[0]])
     loaded = evaluate.parse_labels(path)
     assert loaded.user_ids == labels.user_ids
     assert np.array_equal(loaded.answers, labels.answers)
     assert np.array_equal(loaded.age_group, labels.age_group)
+    assert np.array_equal(loaded.gender, labels.gender)
+    assert evaluate.parse_labels(text.replace("\n", "\n\n").splitlines(True)).user_ids == labels.user_ids
 
 
 def test_labels_validation():
-    with pytest.raises(EvaluationError):
-        evaluate.ActivityLabels("u", (0, 1, 2, 0, 0, 0), 0, 0)
-    with pytest.raises(EvaluationError):
-        evaluate.ActivityLabels("u", (0,) * 6, 5, 0)
+    def one_user(answers=(0,) * 6, age_group=0, gender=0, users=("u",)):
+        n = len(users)
+        return evaluate.LabelSet(users, [answers] * n, [age_group] * n, [gender] * n)
+
+    one_user()
+    with pytest.raises(EvaluationError, match="0/1 flags"):
+        one_user(answers=(0, 1, 2, 0, 0, 0))
+    with pytest.raises(EvaluationError, match="age_group"):
+        one_user(age_group=5)
+    with pytest.raises(EvaluationError, match="age_group"):
+        one_user(age_group=-1)
+    with pytest.raises(EvaluationError, match="gender"):
+        one_user(gender=3)
+    with pytest.raises(EvaluationError, match="duplicate user id w"):
+        one_user(users=("u", "w", "v", "w"))
+    with pytest.raises(EvaluationError, match="do not fit"):
+        one_user(answers=(0,) * 5)
     with pytest.raises(EvaluationError, match="header"):
         evaluate.parse_labels(["user_id,foo\n"])
+    header = ",".join(evaluate.LABELS_HEADER) + "\n"
+    with pytest.raises(EvaluationError, match="line 3 is malformed"):
+        evaluate.parse_labels([header, "u1,0,0,0,0,0,0,1,1\n", "u2,0,x,0,0,0,0,1,1\n"])
+    with pytest.raises(EvaluationError, match="line 2 has 8 fields"):
+        evaluate.parse_labels([header, "u1,0,0,0,0,0,1,1\n"])
+    with pytest.raises(EvaluationError, match="user u2: gender"):
+        evaluate.parse_labels([header, "u1,0,0,0,0,0,0,1,1\n", "u2,0,0,0,0,0,0,1,7\n"])

@@ -68,14 +68,6 @@ def test_parse_missing_header_column_is_fatal():
         ingest.parse_events(lines)
 
 
-def test_parse_with_schema_mapping():
-    lines = ["uid,when,track_id,album_id,origin,listen_duration\n",
-             f"u9,{MONDAY},t,a,organic,60\n"]
-    log, report = ingest.parse_events(lines, schema={"user_id": "uid", "timestamp": "when"})
-    assert report.malformed_count == 0
-    assert log[0].user_id == "u9" and log[0].timestamp == MONDAY
-
-
 def test_parse_tz_offset_column():
     header = "user_id,timestamp,track_id,album_id,origin,listen_duration,tz_offset_min"
     lines = events_csv_lines(
@@ -140,6 +132,21 @@ def test_build_profiles_album_expansion():
     oracle = oracles.profiles(log, favorites)["u1"]
     assert oracle.liked_tracks >= {"t1", "t2"}
     assert "t3" not in oracle.liked_tracks
+
+
+def test_liked_flags_follow_the_liked_track_set():
+    # t1 is streamed under a1 (a favorited album) and under a2: both events
+    # are of a liked track, which liked_tracks counts once.
+    events = [make_event(track="t1", album="a1", timestamp=MONDAY),
+              make_event(track="t1", album="a2", timestamp=MONDAY + 1)]
+    favorites = [ingest.FavoritesRecord("u1", "album", "a1")]
+    log = log_of(*events)
+    profiles = ingest.build_profiles(log, favorites)
+    assert profiles.event_flags(log)[1].tolist() == [True, True]
+    assert profiles.summary_columns()[1][0, 3] == 1
+    oracle = oracles.profiles(log, favorites)["u1"]
+    assert [oracle.is_liked(e) for e in events] == [True, True]
+    assert oracle.liked_tracks == {"t1"}
 
 
 def test_build_profiles_no_favorites():
