@@ -3,9 +3,10 @@
 Subcommands mirror the stages: ``synth``, ``ingest``, ``signals``, ``learn``,
 ``embed``, ``eval``, ``export-atoms`` and ``pipeline`` (all stages in order,
 through the same file-based handoffs a staged run would use, so both produce
-byte-identical artifacts).  Stages hand off a user-index file plus a matrix
-file (signals, codes) or ``dictionary.csv``; in memory they pass the same
-``(user_ids, matrix)`` arrays.  A missing or malformed handoff file is an
+byte-identical artifacts).  Stages hand off a user-index file plus a ``.npy``
+matrix file (signals, codes; there is no other matrix format) or
+``dictionary.csv``; in memory they pass the same ``(user_ids, matrix)``
+arrays.  A missing, malformed or non-UTF-8 input or handoff file is an
 ``error: ...`` line and exit status 1.
 
 All randomness flows from one ``--seed``: each stage derives its own seed as
@@ -146,8 +147,8 @@ def cmd_signals(args) -> int:
     restricted, profiles, period, active, _ = _load_filtered(args)
     sset = signals.build_signal_set(profiles, restricted, period, args.tz_offset_min)
     index_path = out / "signal_users.txt"
-    matrix_path = out / storage.matrix_filename("signals", args.matrix_format)
-    signals.save_signal_set(sset, index_path, matrix_path, args.matrix_format)
+    matrix_path = out / "signals.npy"
+    storage.save_indexed_matrix(sset.user_ids, sset.matrix, index_path, matrix_path)
     print(f"built {len(sset.user_ids)} signals of {sset.matrix.shape[1]} columns")
     _write_manifest(out, "signals", args,
                     {"events": args.events, "favorites": args.favorites or ""},
@@ -158,7 +159,7 @@ def cmd_signals(args) -> int:
 def cmd_learn(args) -> int:
     started = time.monotonic()
     out = _out_dir(args)
-    sset = signals.load_signal_set(args.signal_users, args.signals)
+    sset = signals.SignalSet(*storage.load_indexed_matrix(args.signal_users, args.signals))
     train_users, test_users = evaluate.split_users(
         sset.user_ids, args.test_frac, stage_seed(args.seed, "split"))
     train = set(train_users)
@@ -192,14 +193,14 @@ def cmd_learn(args) -> int:
 def cmd_embed(args) -> int:
     started = time.monotonic()
     out = _out_dir(args)
-    sset = signals.load_signal_set(args.signal_users, args.signals)
+    sset = signals.SignalSet(*storage.load_indexed_matrix(args.signal_users, args.signals))
     dct = dictionary.load_dictionary_csv(args.dictionary)
     lam = args.lam if args.lam is not None else dct.lam
     codes = dictionary.embed(sset, dct, lam, args.lasso_tol, args.lasso_max_sweeps)
     certificate = _certify_codes(sset.matrix, dct, codes, lam, args.lasso_tol)
     index_path = out / "code_users.txt"
-    matrix_path = out / storage.matrix_filename("codes", args.matrix_format)
-    dictionary.save_codes(sset.user_ids, codes, index_path, matrix_path, args.matrix_format)
+    matrix_path = out / "codes.npy"
+    storage.save_indexed_matrix(sset.user_ids, codes, index_path, matrix_path)
     nonzero = float(np.mean(np.sum(codes != 0, axis=1)))
     print(f"embedded {len(sset.user_ids)} users; mean active atoms per code {nonzero:.2f}")
     _write_manifest(out, "embed", args,
@@ -210,33 +211,27 @@ def cmd_embed(args) -> int:
 
 
 def _read_summary_totals(path) -> dict[str, int]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise PipelineError(f"cannot read user summary {path}: {exc}") from exc
-    try:
-        u_col = header.index("user_id")
-        t_col = header.index("total_valid_streams")
-    except ValueError:
-        raise PipelineError(f"{path} is not a user summary (header {header})") from None
-    totals = {}
-    for line_no, line in enumerate(lines, start=2):
-        if line.strip():
-            row = line.rstrip("\n").split(",")
-            try:
-                totals[row[u_col]] = int(row[t_col])
-            except (IndexError, ValueError):
-                raise PipelineError(f"{path} line {line_no}: no integer total_valid_streams "
-                                    f"in {line.strip()!r}") from None
+    with storage.csv_rows(path, "user summary") as (header, rows):
+        try:
+            u_col = header.index("user_id")
+            t_col = header.index("total_valid_streams")
+        except ValueError:
+            raise PipelineError(f"{path} is not a user summary (header {header})") from None
+        totals = {}
+        for line_no, row in enumerate(rows, start=2):
+            if row:
+                try:
+                    totals[row[u_col]] = int(row[t_col])
+                except (IndexError, ValueError):
+                    raise PipelineError(f"{path} line {line_no}: no integer total_valid_streams "
+                                        f"in {','.join(row)!r}") from None
     return totals
 
 
 def cmd_eval(args) -> int:
     started = time.monotonic()
     out = _out_dir(args)
-    users, codes = dictionary.load_codes(args.code_users, args.codes)
+    users, codes = storage.load_indexed_matrix(args.code_users, args.codes)
     labels = evaluate.parse_labels(args.labels)
     totals = _read_summary_totals(args.summary)
     split = evaluate.split_users(users, args.test_frac, stage_seed(args.seed, "split"))
@@ -287,7 +282,7 @@ def cmd_pipeline(args) -> int:
         if rc:
             return rc
     learn_args = _ns(stage_args, signal_users=out / "signal_users.txt",
-                     signals=out / storage.matrix_filename("signals", args.matrix_format))
+                     signals=out / "signals.npy")
     rc = cmd_learn(learn_args)
     if rc:
         return rc
@@ -296,7 +291,7 @@ def cmd_pipeline(args) -> int:
     if rc:
         return rc
     eval_args = _ns(embed_args, code_users=out / "code_users.txt",
-                    codes=out / storage.matrix_filename("codes", args.matrix_format),
+                    codes=out / "codes.npy",
                     labels=out / "labels.csv", summary=out / "user_summary.csv")
     rc = cmd_eval(eval_args)
     if rc:
@@ -320,7 +315,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=".", help="output directory (default: current)")
     p.add_argument("--seed", type=int, default=0, help="base seed; stages derive their own")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads; stage outputs are identical for any value")
+                   help="accepted so existing command lines stay valid; it has no effect yet, "
+                        "and stage outputs are identical for any value")
 
 
 def _add_filter_flags(p: argparse.ArgumentParser) -> None:
@@ -381,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_filter_flags(p)
     p.add_argument("--tz-offset-min", type=int, default=0,
                    help="default local-time offset for events without one")
-    p.add_argument("--matrix-format", choices=("npy", "csv"), default="npy")
 
     p = sub.add_parser("learn", help="learn the atom dictionary on the train split")
     _add_common(p)
@@ -400,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the dictionary's training lambda")
     p.add_argument("--lasso-tol", type=float, default=1e-8)
     p.add_argument("--lasso-max-sweeps", type=int, default=1000)
-    p.add_argument("--matrix-format", choices=("npy", "csv"), default="npy")
 
     p = sub.add_parser("eval", help="activity-prediction evaluation report")
     _add_common(p)
@@ -420,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-listen-secs", type=int, default=ingest.MIN_LISTEN_SECS)
     p.add_argument("--min-daily-streams", type=float, default=ingest.MIN_DAILY_STREAMS)
     p.add_argument("--tz-offset-min", type=int, default=0)
-    p.add_argument("--matrix-format", choices=("npy", "csv"), default="npy")
     _add_learn_flags(p, lam_default=1.0)
     _add_eval_flags(p)
 

@@ -17,6 +17,10 @@ first sign change, kept only if the objective does not rise).  The dictionary
 half-step is block coordinate descent over atoms with unit-L2-ball projection.
 Both half-steps never increase the objective, which the learner records after
 every half-step from Gram statistics.  :func:`kkt_residuals` certifies codes.
+
+The dictionary persists as ``dictionary.csv``.  :func:`embed` returns the
+``(n, K)`` code matrix, which hands off like signals: a user-index file plus a
+``.npy`` matrix (:func:`weeklisten.storage.save_indexed_matrix`).
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import storage
 from .errors import DictionaryError
 from .signals import CHANNELS, N_CHANNELS, SLOTS_PER_WEEK, SignalSet
 
@@ -419,16 +422,3 @@ def export_atoms_csv(dictionary: Dictionary, path) -> None:
                 for t in range(SLOTS_PER_WEEK):
                     fh.write(f"{k},{channel},{t},{float(atoms[k, ci, t])!r}\n")
 
-
-def save_codes(user_ids, codes: np.ndarray, index_path, matrix_path, fmt: str = "npy") -> None:
-    """Codes persist like signal sets: index file plus (n, K) matrix file."""
-    storage.save_index(user_ids, index_path)
-    storage.save_matrix(codes, matrix_path, fmt)
-
-
-def load_codes(index_path, matrix_path) -> tuple[tuple[str, ...], np.ndarray]:
-    users = storage.load_index(index_path)
-    codes = storage.load_matrix(matrix_path)
-    if codes.shape[0] != len(users):
-        raise DictionaryError(f"codes rows {codes.shape[0]} do not match index ({len(users)} users)")
-    return users, codes

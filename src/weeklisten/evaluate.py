@@ -21,12 +21,12 @@ coefficient arrays of :class:`EvalReport` job by job.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import storage
 from .errors import EvaluationError
 
 ACTIVITIES = ("wake_up", "transport", "work", "sports", "friends", "asleep")
@@ -92,30 +92,18 @@ class LabelSet:
 
 def parse_labels(source) -> LabelSet:
     """Parse the labels CSV into columns; strict (any malformed line is fatal)."""
-    import io
-    from pathlib import Path
-
-    if isinstance(source, (str, Path)):
-        try:
-            source = io.StringIO(Path(source).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise EvaluationError(f"cannot read labels source {source}: {exc}") from exc
-    reader = csv.reader(source)
-    try:
-        header = tuple(h.strip() for h in next(reader))
-    except StopIteration:
-        raise EvaluationError("labels source is empty (missing header)") from None
-    if header != LABELS_HEADER:
-        raise EvaluationError(f"labels header must be {','.join(LABELS_HEADER)}, got {','.join(header)}")
-    user_ids, fields, line_nos = [], [], []
-    for line_no, rowv in enumerate(reader, start=2):
-        if not rowv:
-            continue
-        if len(rowv) != len(LABELS_HEADER):
-            raise EvaluationError(f"labels line {line_no} has {len(rowv)} fields, expected {len(LABELS_HEADER)}")
-        user_ids.append(rowv[0])
-        fields.append(rowv[1:])
-        line_nos.append(line_no)
+    with storage.csv_rows(source, "labels", EvaluationError) as (header, reader):
+        if tuple(header) != LABELS_HEADER:
+            raise EvaluationError(f"labels header must be {','.join(LABELS_HEADER)}, got {','.join(header)}")
+        user_ids, fields, line_nos = [], [], []
+        for line_no, rowv in enumerate(reader, start=2):
+            if not rowv:
+                continue
+            if len(rowv) != len(LABELS_HEADER):
+                raise EvaluationError(f"labels line {line_no} has {len(rowv)} fields, expected {len(LABELS_HEADER)}")
+            user_ids.append(rowv[0])
+            fields.append(rowv[1:])
+            line_nos.append(line_no)
     try:
         values = np.array(fields, dtype=np.int64).reshape(len(fields), len(LABELS_HEADER) - 1)
     except (ValueError, OverflowError):

@@ -24,15 +24,13 @@ event and the ``liked_tracks`` count.
 
 from __future__ import annotations
 
-import csv
-import io
 from array import array
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import storage
 from .errors import IngestError
 
 ORGANIC = "organic"
@@ -245,21 +243,6 @@ class _LogBuilder:
         )
 
 
-def _csv_rows(source, kind: str) -> tuple[Iterator[list[str]], list[str]]:
-    """CSV row reader over a path or an iterable of lines, plus its stripped header."""
-    if isinstance(source, (str, Path)):
-        try:
-            source = io.StringIO(Path(source).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise IngestError(f"cannot read {kind} source {source}: {exc}") from exc
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise IngestError(f"{kind} source is empty (missing header)") from None
-    return reader, [h.strip() for h in header]
-
-
 def parse_events(source) -> tuple[EventLog, ParseReport]:
     """Parse an events stream into an :class:`EventLog`.
 
@@ -270,64 +253,63 @@ def parse_events(source) -> tuple[EventLog, ParseReport]:
 
     Returns the log plus a :class:`ParseReport`.
     """
-    reader, header = _csv_rows(source, "events")
+    with storage.csv_rows(source, "events", IngestError) as (header, reader):
+        positions = {}
+        for col in EVENT_COLUMNS:
+            if col not in header:
+                raise IngestError(f"events header is missing required column {col!r}; got {header}")
+            positions[col] = header.index(col)
+        tz_pos = header.index(TZ_COLUMN) if TZ_COLUMN in header else None
+        n_cols = len(header)
 
-    positions = {}
-    for col in EVENT_COLUMNS:
-        if col not in header:
-            raise IngestError(f"events header is missing required column {col!r}; got {header}")
-        positions[col] = header.index(col)
-    tz_pos = header.index(TZ_COLUMN) if TZ_COLUMN in header else None
-    n_cols = len(header)
+        u_pos, ts_pos, tr_pos, al_pos, or_pos, du_pos = (positions[c] for c in EVENT_COLUMNS)
+        builder = _LogBuilder()
+        total = 0
+        malformed = 0
+        details: list[tuple[int, str]] = []
 
-    u_pos, ts_pos, tr_pos, al_pos, or_pos, du_pos = (positions[c] for c in EVENT_COLUMNS)
-    builder = _LogBuilder()
-    total = 0
-    malformed = 0
-    details: list[tuple[int, str]] = []
+        def reject(line_no: int, why: str) -> None:
+            nonlocal malformed
+            malformed += 1
+            if len(details) < MAX_REPORTED_DETAILS:
+                details.append((line_no, why))
 
-    def reject(line_no: int, why: str) -> None:
-        nonlocal malformed
-        malformed += 1
-        if len(details) < MAX_REPORTED_DETAILS:
-            details.append((line_no, why))
-
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue  # blank line, not a record
-        total += 1
-        if len(row) != n_cols:
-            reject(line_no, f"expected {n_cols} fields, got {len(row)}")
-            continue
-        user, track, album = row[u_pos], row[tr_pos], row[al_pos]
-        if not user or not track or not album:
-            reject(line_no, "empty identifier field")
-            continue
-        origin = row[or_pos]
-        if origin not in ORIGIN_TOKENS:
-            reject(line_no, f"unknown origin token {origin!r}")
-            continue
-        try:
-            ts = int(row[ts_pos])
-        except ValueError:
-            reject(line_no, f"timestamp {row[ts_pos]!r} is not an integer")
-            continue
-        try:
-            duration = int(row[du_pos])
-        except ValueError:
-            reject(line_no, f"listen_duration {row[du_pos]!r} is not an integer")
-            continue
-        if duration < 0:
-            reject(line_no, f"listen_duration {duration} is negative")
-            continue
-        tz = TZ_UNSET
-        if tz_pos is not None and row[tz_pos] != "":
-            try:
-                tz = int(row[tz_pos])
-            except ValueError:
-                reject(line_no, f"tz_offset_min {row[tz_pos]!r} is not an integer")
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue  # blank line, not a record
+            total += 1
+            if len(row) != n_cols:
+                reject(line_no, f"expected {n_cols} fields, got {len(row)}")
                 continue
-        builder.add(user, ts, track, album, origin == ORGANIC, duration, tz)
+            user, track, album = row[u_pos], row[tr_pos], row[al_pos]
+            if not user or not track or not album:
+                reject(line_no, "empty identifier field")
+                continue
+            origin = row[or_pos]
+            if origin not in ORIGIN_TOKENS:
+                reject(line_no, f"unknown origin token {origin!r}")
+                continue
+            try:
+                ts = int(row[ts_pos])
+            except ValueError:
+                reject(line_no, f"timestamp {row[ts_pos]!r} is not an integer")
+                continue
+            try:
+                duration = int(row[du_pos])
+            except ValueError:
+                reject(line_no, f"listen_duration {row[du_pos]!r} is not an integer")
+                continue
+            if duration < 0:
+                reject(line_no, f"listen_duration {duration} is negative")
+                continue
+            tz = TZ_UNSET
+            if tz_pos is not None and row[tz_pos] != "":
+                try:
+                    tz = int(row[tz_pos])
+                except ValueError:
+                    reject(line_no, f"tz_offset_min {row[tz_pos]!r} is not an integer")
+                    continue
+            builder.add(user, ts, track, album, origin == ORGANIC, duration, tz)
 
     report = ParseReport(total_lines=total, parsed=total - malformed,
                          malformed_count=malformed, details=tuple(details))
@@ -361,19 +343,19 @@ def write_events_csv(log: EventLog, path) -> None:
 
 def parse_favorites(source) -> list[FavoritesRecord]:
     """Parse the favorites CSV (header ``user_id,kind,item_id``); strict."""
-    reader, header = _csv_rows(source, "favorites")
-    expected = ["user_id", "kind", "item_id"]
-    if header != expected:
-        raise IngestError(f"favorites header must be {expected}, got {header}")
-    records = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3 or not row[0] or not row[2]:
-            raise IngestError(f"favorites line {line_no} is malformed: {row}")
-        if row[1] not in ("track", "album"):
-            raise IngestError(f"favorites line {line_no} has unknown kind {row[1]!r}")
-        records.append(FavoritesRecord(user_id=row[0], kind=row[1], item_id=row[2]))
+    with storage.csv_rows(source, "favorites", IngestError) as (header, reader):
+        expected = ["user_id", "kind", "item_id"]
+        if header != expected:
+            raise IngestError(f"favorites header must be {expected}, got {header}")
+        records = []
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3 or not row[0] or not row[2]:
+                raise IngestError(f"favorites line {line_no} is malformed: {row}")
+            if row[1] not in ("track", "album"):
+                raise IngestError(f"favorites line {line_no} has unknown kind {row[1]!r}")
+            records.append(FavoritesRecord(user_id=row[0], kind=row[1], item_id=row[2]))
     return records
 
 

@@ -18,8 +18,10 @@ configurable default applies.  Only 1-hour windows fully inside the study
 period are aggregated, so ragged period edges never skew the per-slot divisor.
 
 :func:`build_signal_set` runs all three steps for every user at once and
-returns the ``(user_ids, matrix)`` pair that :func:`save_signal_set` hands to
-the learning stage; there is no per-user signal object.
+returns a :class:`SignalSet`, the ``(user_ids, matrix)`` pair that enforces the
+``(n, 672)`` shape; there is no per-user signal object.  The pair hands off to
+the learning stage as a user-index file plus a ``.npy`` matrix
+(:func:`weeklisten.storage.save_indexed_matrix`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import storage
 from .errors import SignalError
 from .ingest import EventLog, ProfileSet, StudyPeriod
 
@@ -168,16 +169,3 @@ def build_signal_set(profiles: ProfileSet, log: EventLog, period: StudyPeriod,
     norm = _normalize_values(_smooth_values(raw))
     return SignalSet(user_ids=tuple(users), matrix=norm.reshape(n_rows, -1))
 
-
-def save_signal_set(sset: SignalSet, index_path, matrix_path, fmt: str = "npy") -> None:
-    """Persist as a user-index text file plus a matrix file (``npy`` or ``csv``)."""
-    storage.save_index(sset.user_ids, index_path)
-    storage.save_matrix(sset.matrix, matrix_path, fmt)
-
-
-def load_signal_set(index_path, matrix_path) -> SignalSet:
-    users = storage.load_index(index_path)
-    matrix = storage.load_matrix(matrix_path)
-    if matrix.shape[0] != len(users):
-        raise SignalError(f"matrix rows {matrix.shape[0]} do not match index ({len(users)} users)")
-    return SignalSet(user_ids=users, matrix=matrix)

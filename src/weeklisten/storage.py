@@ -1,20 +1,48 @@
-"""Shared on-disk formats: user-index files and float matrix files.
+"""Shared on-disk formats: CSV sources, user-index files and ``.npy`` matrix files.
 
-Matrix files come in two interchangeable forms, selected by extension or an
-explicit ``fmt``:
+Every CSV input (events, favorites, labels, the user summary) is read through
+:func:`csv_rows`, which streams the open file rather than loading it whole.
+A source that cannot be opened, is not UTF-8 text, is not valid CSV or has
+no header line is the calling stage's error naming the file.
 
-* ``npy`` - numpy's binary format, float64, no pickling;
-* ``csv`` - one row per line, ``%.17g`` fields (lossless float64 round-trip).
-
-Index files hold one user id per line, UTF-8, in row order.  Every writer
-here is byte-deterministic for identical inputs.
+Signals and codes hand off as a user-index file (one user id per line,
+UTF-8, in row order) plus a matrix file in numpy's ``.npy`` format (float64,
+no pickling); :func:`save_indexed_matrix` and :func:`load_indexed_matrix`
+write and read the pair.  Every writer here is byte-deterministic for
+identical inputs.
 """
 
 from __future__ import annotations
 
+import csv
+from contextlib import contextmanager, nullcontext
+from pathlib import Path
+
 import numpy as np
 
 from .errors import PipelineError
+
+
+@contextmanager
+def csv_rows(source, kind: str, error: type[PipelineError] = PipelineError):
+    """Stripped header and row reader of a CSV source: a path, or an iterable of lines.
+
+    A path is opened as UTF-8 with ``newline=""``, streamed while the block
+    runs and closed when it exits.  A source that cannot be opened, decoded
+    or split into CSV fields (also partway through the block) or that has no
+    header raises ``error`` naming ``kind``.
+    """
+    is_path = isinstance(source, (str, Path))
+    name = f" {source}" if is_path else ""
+    try:
+        with open(source, encoding="utf-8", newline="") if is_path else nullcontext(source) as lines:
+            reader = csv.reader(lines)
+            header = next(reader, None)
+            if header is None:
+                raise error(f"{kind} source{name} is empty (missing header)")
+            yield [h.strip() for h in header], reader
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise error(f"cannot read {kind} source{name}: {exc}") from exc
 
 
 def save_index(user_ids, path) -> None:
@@ -22,31 +50,25 @@ def save_index(user_ids, path) -> None:
         fh.writelines(str(u) + "\n" for u in user_ids)
 
 
-def load_index(path) -> tuple[str, ...]:
+def save_indexed_matrix(user_ids, matrix: np.ndarray, index_path, matrix_path) -> None:
+    """Persist a matrix whose row ``i`` belongs to ``user_ids[i]``: index file plus float64 ``.npy``."""
+    save_index(user_ids, index_path)
+    np.save(matrix_path, np.ascontiguousarray(matrix, dtype=np.float64), allow_pickle=False)
+
+
+def load_indexed_matrix(index_path, matrix_path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Read a :func:`save_indexed_matrix` pair; the matrix must be ``.npy`` with one row per user."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return tuple(line.rstrip("\n") for line in fh if line.strip())
+        with open(index_path, encoding="utf-8") as fh:
+            users = tuple(line.rstrip("\n") for line in fh if line.strip())
     except (OSError, UnicodeDecodeError) as exc:
-        raise PipelineError(f"cannot read user index {path}: {exc}") from exc
-
-
-def save_matrix(matrix: np.ndarray, path, fmt: str = "npy") -> None:
-    if fmt == "npy":
-        np.save(path, np.ascontiguousarray(matrix, dtype=np.float64), allow_pickle=False)
-    elif fmt == "csv":
-        np.savetxt(path, np.atleast_2d(matrix), fmt="%.17g", delimiter=",")
-    else:
-        raise PipelineError(f"unknown matrix format {fmt!r} (expected npy or csv)")
-
-
-def load_matrix(path) -> np.ndarray:
+        raise PipelineError(f"cannot read user index {index_path}: {exc}") from exc
     try:
-        if str(path).endswith(".npy"):
-            return np.load(path, allow_pickle=False)
-        return np.loadtxt(path, delimiter=",", ndmin=2)
+        with open(matrix_path, "rb") as fh:
+            matrix = np.lib.format.read_array(fh, allow_pickle=False)
     except (OSError, ValueError) as exc:
-        raise PipelineError(f"cannot read matrix {path}: {exc}") from exc
-
-
-def matrix_filename(stem: str, fmt: str) -> str:
-    return f"{stem}.{'npy' if fmt == 'npy' else 'csv'}"
+        raise PipelineError(f"cannot read matrix {matrix_path}: {exc}") from exc
+    if matrix.ndim != 2 or matrix.shape[0] != len(users):
+        raise PipelineError(f"matrix {matrix_path} of shape {matrix.shape} does not match "
+                            f"the {len(users)} users of {index_path}")
+    return users, matrix

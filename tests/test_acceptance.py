@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from weeklisten import cli, dictionary, evaluate, ingest, signals, synth
+from weeklisten import cli, dictionary, evaluate, ingest, signals, storage, synth
 
 from conftest import DATA_ARTIFACTS
 from oracles import (best_permutation_correlations, grid_refine_lasso,
@@ -190,7 +190,7 @@ def test_criterion_07_logreg_gradient():
 
 def test_criterion_08_signal_invariants(run_a):
     out, _ = run_a
-    sset = signals.load_signal_set(out / "signal_users.txt", out / "signals.npy")
+    sset = signals.SignalSet(*storage.load_indexed_matrix(out / "signal_users.txt", out / "signals.npy"))
     channels = sset.as_channels()
     mean_ok = float(np.abs(channels.mean(axis=2)).max()) < 1e-9
     maxabs = np.abs(channels).max(axis=2)

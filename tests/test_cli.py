@@ -120,6 +120,31 @@ def _missing(tmp_path, pipe):
     return tmp_path / "nope.npy"
 
 
+def _short_index(tmp_path, pipe):
+    path = tmp_path / "signal_users.txt"
+    path.write_text("".join((pipe / "signal_users.txt").read_text().splitlines(True)[:-1]))
+    return path
+
+
+def _csv_signals(tmp_path, pipe):
+    path = tmp_path / "signals.csv"
+    np.savetxt(path, np.load(pipe / "signals.npy"), fmt="%.17g", delimiter=",")
+    return path
+
+
+def _non_utf8(name, col):
+    """``name`` with byte 0xff in column ``col`` of its middle line (mid-stream for events.csv)."""
+    def damage(tmp_path, pipe):
+        lines = (pipe / name).read_bytes().splitlines(True)
+        fields = lines[len(lines) // 2].split(b",")
+        fields[col] += b"\xff"
+        lines[len(lines) // 2] = b",".join(fields)
+        path = tmp_path / name
+        path.write_bytes(b"".join(lines))
+        return path
+    return damage
+
+
 # (argv builder over the pipeline dir and the damaged file, damage, expected message)
 BAD_HANDOFFS = {
     "export-atoms-empty-dictionary": (
@@ -133,6 +158,12 @@ BAD_HANDOFFS = {
     "learn-garbage-signals": (
         lambda p, bad: ["learn", "--signal-users", p / "signal_users.txt", "--signals", bad],
         _garbage_npy, "cannot read matrix"),
+    "learn-csv-signals": (
+        lambda p, bad: ["learn", "--signal-users", p / "signal_users.txt", "--signals", bad],
+        _csv_signals, "cannot read matrix"),
+    "learn-short-index": (
+        lambda p, bad: ["learn", "--signal-users", bad, "--signals", p / "signals.npy"],
+        _short_index, "of shape (120, 672) does not match the 119 users"),
     "embed-missing-index": (
         lambda p, bad: ["embed", "--signal-users", bad, "--signals", p / "signals.npy",
                         "--dictionary", p / "dictionary.csv"], _missing, "cannot read user index"),
@@ -142,6 +173,13 @@ BAD_HANDOFFS = {
     "ingest-missing-favorites": (
         lambda p, bad: ["ingest", "--events", p / "events.csv", "--favorites", bad],
         _missing, "cannot read favorites source"),
+    "ingest-non-utf8-events": (
+        lambda p, bad: ["ingest", "--events", bad, "--favorites", p / "favorites.csv"],
+        _non_utf8("events.csv", 2), "cannot read events source"),
+    "eval-non-utf8-labels": (
+        lambda p, bad: ["eval", "--code-users", p / "code_users.txt", "--codes", p / "codes.npy",
+                        "--labels", bad, "--summary", p / "user_summary.csv"],
+        _non_utf8("labels.csv", 0), "cannot read labels source"),
 }
 
 
@@ -245,22 +283,6 @@ def test_threads_flag_does_not_change_outputs(pipeline_dir, tmp_path):
     rc = run(["signals", "--out", str(out), "--seed", "7", "--threads", "4", *src, *period])
     assert rc == 0
     assert (out / "signals.npy").read_bytes() == (pipeline_dir / "signals.npy").read_bytes()
-
-
-def test_csv_matrix_format_feeds_learn(pipeline_dir, tmp_path):
-    out = tmp_path / "csvfmt"
-    src = ["--events", str(pipeline_dir / "events.csv"),
-           "--favorites", str(pipeline_dir / "favorites.csv")]
-    config = synth.SynthConfig(n_users=120, weeks=2)
-    period = ["--period-start", str(config.period_start), "--period-end", str(config.period_end)]
-    assert run(["signals", "--out", str(out), "--seed", "7", "--matrix-format", "csv",
-                *src, *period]) == 0
-    assert run(["learn", "--out", str(out), "--seed", "7",
-                "--signal-users", str(out / "signal_users.txt"),
-                "--signals", str(out / "signals.csv"),
-                "--atoms", "8", "--outer-iters", "6"]) == 0
-    # %.17g round-trips float64 exactly, so the dictionary matches the npy route.
-    assert (out / "dictionary.csv").read_bytes() == (pipeline_dir / "dictionary.csv").read_bytes()
 
 
 def test_split_files_partition_users(pipeline_dir):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weeklisten import dictionary
+from weeklisten import dictionary, storage
 from weeklisten.errors import DictionaryError
 
 from oracles import (best_permutation_correlations, grid_refine_lasso, kkt_violation,
@@ -381,10 +381,8 @@ def test_export_atoms_long_csv(tmp_path, rng):
 def test_codes_round_trip(tmp_path, rng):
     users = ("a", "b", "c")
     codes = rng.normal(size=(3, 8))
-    for fmt in ("npy", "csv"):
-        idx = tmp_path / "users.txt"
-        mat = tmp_path / ("c.npy" if fmt == "npy" else "c.csv")
-        dictionary.save_codes(users, codes, idx, mat, fmt)
-        got_users, got_codes = dictionary.load_codes(idx, mat)
-        assert got_users == users
-        assert np.array_equal(got_codes, codes)
+    idx, mat = tmp_path / "users.txt", tmp_path / "c.npy"
+    storage.save_indexed_matrix(users, codes, idx, mat)
+    got_users, got_codes = storage.load_indexed_matrix(idx, mat)
+    assert got_users == users
+    assert np.array_equal(got_codes, codes)

@@ -47,25 +47,35 @@ def test_parse_unknown_origin_reports_line_number():
     assert "paid" in reason
 
 
-def test_parse_too_many_malformed_is_fatal():
+def test_parse_too_many_malformed_is_fatal(tmp_path):
     lines = events_csv_lines([
         f"u1,{MONDAY},t,a,organic,60",
         "garbage",
         "more,garbage",
     ])
-    with pytest.raises(IngestError, match="too many malformed"):
-        ingest.parse_events(lines)
+    path = tmp_path / "events.csv"
+    path.write_text("".join(lines))
+    for source in (lines, path):
+        with pytest.raises(IngestError, match="too many malformed"):
+            ingest.parse_events(source)
 
 
 def test_parse_unreadable_source_is_fatal(tmp_path):
     with pytest.raises(IngestError, match="cannot read"):
         ingest.parse_events(tmp_path / "missing.csv")
+    oversized = tmp_path / "oversized.csv"  # a field past the csv module's size limit
+    oversized.write_text("".join(events_csv_lines([f"u1,{MONDAY},{'t' * 200_000},a,organic,60"])))
+    with pytest.raises(IngestError, match="cannot read events source .*field larger than field limit"):
+        ingest.parse_events(oversized)
 
 
-def test_parse_missing_header_column_is_fatal():
+def test_parse_missing_header_column_is_fatal(tmp_path):
     lines = ["user_id,timestamp,track_id,album_id,origin\n", f"u1,{MONDAY},t,a,organic\n"]
-    with pytest.raises(IngestError, match="listen_duration"):
-        ingest.parse_events(lines)
+    path = tmp_path / "events.csv"
+    path.write_text("".join(lines))
+    for source in (lines, path):
+        with pytest.raises(IngestError, match="listen_duration"):
+            ingest.parse_events(source)
 
 
 def test_parse_tz_offset_column():

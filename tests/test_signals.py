@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from weeklisten import ingest, signals
+from weeklisten import ingest, signals, storage
 from weeklisten.errors import SignalError
 
 from conftest import DAY, HOUR, MONDAY, WEEK, log_of, make_event
@@ -307,13 +307,11 @@ def test_signal_set_round_trip(tmp_path):
     log = two_user_log()
     period = ingest.StudyPeriod(MONDAY, MONDAY + WEEK)
     sset = signals.build_signal_set(profiles_for(log), log, period)
-    for fmt in ("npy", "csv"):
-        index = tmp_path / "users.txt"
-        matrix = tmp_path / ("m.npy" if fmt == "npy" else "m.csv")
-        signals.save_signal_set(sset, index, matrix, fmt)
-        loaded = signals.load_signal_set(index, matrix)
-        assert loaded.user_ids == sset.user_ids
-        assert np.array_equal(loaded.matrix, sset.matrix)
+    index, matrix = tmp_path / "users.txt", tmp_path / "m.npy"
+    storage.save_indexed_matrix(sset.user_ids, sset.matrix, index, matrix)
+    loaded = signals.SignalSet(*storage.load_indexed_matrix(index, matrix))
+    assert loaded.user_ids == sset.user_ids
+    assert np.array_equal(loaded.matrix, sset.matrix)
 
 
 TRACKS = ("t0", "t1", "t2", "t3", "t4")
