@@ -88,7 +88,7 @@ def _resolve_period(args, valid_log) -> ingest.StudyPeriod:
 def _load_filtered(args):
     """Shared ingest front end: parse, duration-filter, activity-filter, profile."""
     log, report = ingest.parse_events(args.events)
-    favorites = ingest.parse_favorites(args.favorites) if args.favorites else []
+    favorites = ingest.parse_favorites(args.favorites) if args.favorites else ()
     valid = ingest.filter_valid_streams(log, args.min_listen_secs)
     period = _resolve_period(args, valid)
     active = ingest.filter_active_users(valid, period, args.min_daily_streams)
@@ -218,12 +218,12 @@ def _read_summary_totals(path) -> dict[str, int]:
         except ValueError:
             raise PipelineError(f"{path} is not a user summary (header {header})") from None
         totals = {}
-        for line_no, row in enumerate(rows, start=2):
+        for row in rows:
             if row:
                 try:
                     totals[row[u_col]] = int(row[t_col])
                 except (IndexError, ValueError):
-                    raise PipelineError(f"{path} line {line_no}: no integer total_valid_streams "
+                    raise PipelineError(f"{path} line {rows.line_num}: no integer total_valid_streams "
                                         f"in {','.join(row)!r}") from None
     return totals
 

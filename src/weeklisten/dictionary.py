@@ -16,7 +16,9 @@ after every sweep each unsettled user takes one exact step on that support
 first sign change, kept only if the objective does not rise).  The dictionary
 half-step is block coordinate descent over atoms with unit-L2-ball projection.
 Both half-steps never increase the objective, which the learner records after
-every half-step from Gram statistics.  :func:`kkt_residuals` certifies codes.
+every half-step from Gram statistics.  :func:`sparse_code_batch` is the one
+coder (a single signal is a batch of one row) and :func:`kkt_residuals`
+certifies its codes.
 
 The dictionary persists as ``dictionary.csv``.  :func:`embed` returns the
 ``(n, K)`` code matrix, which hands off like signals: a user-index file plus a
@@ -102,19 +104,8 @@ def _stacked(dictionary) -> np.ndarray:
     return mat
 
 
-def objective(signals: np.ndarray, dictionary, codes: np.ndarray, lam: float) -> float:
-    """``||S - D @ G||_F^2 + lam * ||G||_1`` on stacked matrices."""
-    X = np.asarray(signals, dtype=np.float64)
-    D = _stacked(dictionary)
-    C = np.asarray(codes, dtype=np.float64)
-    if X.ndim != 2 or C.shape != (X.shape[0], D.shape[1]):
-        raise DictionaryError(f"shape mismatch: signals {X.shape}, dictionary {D.shape}, codes {C.shape}")
-    residual = X - C @ D.T
-    return float(np.sum(residual * residual) + lam * np.sum(np.abs(C)))
-
-
 def _gram_objective(x_sq: float, XD: np.ndarray, DtD: np.ndarray, C: np.ndarray, lam: float) -> float:
-    """:func:`objective` from ``||X||^2``, ``X D`` and ``D^T D``, without the (n, dim) residual."""
+    """The learning objective from ``||X||^2``, ``X D`` and ``D^T D``, without the (n, dim) residual."""
     return float(x_sq - 2.0 * np.sum(C * XD) + np.sum(C * (C @ DtD)) + lam * np.sum(np.abs(C)))
 
 
@@ -267,15 +258,6 @@ def sparse_code_batch(signals: np.ndarray, dictionary, lam: float,
 
     codes[:, active] = C
     return codes.T.copy()
-
-
-def sparse_code(signal: np.ndarray, dictionary, lam: float,
-                tol: float = 1e-8, max_sweeps: int = 1000) -> np.ndarray:
-    """Lasso code of a single signal; see :func:`sparse_code_batch`."""
-    s = np.asarray(signal, dtype=np.float64)
-    if s.ndim != 1:
-        raise DictionaryError(f"signal must be 1-D, got shape {s.shape}")
-    return sparse_code_batch(s[None, :], dictionary, lam, tol, max_sweeps)[0]
 
 
 def update_dictionary(signals: np.ndarray, dictionary, codes: np.ndarray):

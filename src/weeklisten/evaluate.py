@@ -96,14 +96,15 @@ def parse_labels(source) -> LabelSet:
         if tuple(header) != LABELS_HEADER:
             raise EvaluationError(f"labels header must be {','.join(LABELS_HEADER)}, got {','.join(header)}")
         user_ids, fields, line_nos = [], [], []
-        for line_no, rowv in enumerate(reader, start=2):
+        for rowv in reader:
             if not rowv:
                 continue
             if len(rowv) != len(LABELS_HEADER):
-                raise EvaluationError(f"labels line {line_no} has {len(rowv)} fields, expected {len(LABELS_HEADER)}")
+                raise EvaluationError(f"labels line {reader.line_num} has {len(rowv)} fields, "
+                                      f"expected {len(LABELS_HEADER)}")
             user_ids.append(rowv[0])
             fields.append(rowv[1:])
-            line_nos.append(line_no)
+            line_nos.append(reader.line_num)
     try:
         values = np.array(fields, dtype=np.int64).reshape(len(fields), len(LABELS_HEADER) - 1)
     except (ValueError, OverflowError):

@@ -1,17 +1,19 @@
-"""Event-log ingestion: parsing, validity filters, and per-user profiles.
+"""Event-log ingestion: the events format, parsing, validity filters, and per-user profiles.
 
-The events file is line-delimited CSV with header
+This module owns the ``events.csv`` format: line-delimited CSV with header
 ``user_id,timestamp,track_id,album_id,origin,listen_duration[,tz_offset_min]``.
 Timestamps are integer epoch seconds (UTC); ``origin`` is ``organic`` or
 ``algorithmic``; ``tz_offset_min`` is an optional signed minute offset used to
 move an event into the user's local clock.  Columns are found by their header
-names.  Malformed lines are counted and reported; more than
-:data:`MAX_MALFORMED_FRACTION` (1%) of them fails the parse.
+names.  Malformed lines are counted and reported by physical line number;
+more than :data:`MAX_MALFORMED_FRACTION` (1%) of them fails the parse.
+:func:`write_events` is the one writer of the format: it takes blocks of
+columns and writes the six required columns.
 
 Events are stored columnar (:class:`EventLog`): string identifiers are interned
 into lookup tables and each event carries int32 indexes, which keeps multi-million
-row logs small and makes the downstream grouping operations plain numpy.  Record
-access (``log[i]``) materializes a :class:`StreamEvent` on demand.
+row logs small and makes the downstream grouping operations plain numpy.
+Favorites parse to columns as well (:func:`parse_favorites`).
 
 The activity filter keeps users with at least one valid stream whose daily
 average meets the threshold, so every active user gets a profile.  Profiles
@@ -25,8 +27,8 @@ event and the ``liked_tracks`` count.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -57,28 +59,6 @@ MAX_REPORTED_DETAILS = 50
 
 #: A parse fails when more than this fraction of its data lines is malformed.
 MAX_MALFORMED_FRACTION = 0.01
-
-
-@dataclass(frozen=True, slots=True)
-class StreamEvent:
-    """One listening log record."""
-
-    user_id: str
-    timestamp: int
-    track_id: str
-    album_id: str
-    origin: str
-    listen_duration: int
-    tz_offset_min: int | None = None
-
-
-@dataclass(frozen=True, slots=True)
-class FavoritesRecord:
-    """One favorited item; ``kind`` selects the namespace of ``item_id``."""
-
-    user_id: str
-    kind: str  # "track" or "album"
-    item_id: str
 
 
 @dataclass(frozen=True)
@@ -126,7 +106,7 @@ class ParseReport:
 
 
 class EventLog:
-    """Columnar sequence of :class:`StreamEvent`.
+    """Columnar event log: one array per field, one entry per event.
 
     ``users``, ``tracks`` and ``albums`` are interning tables (numpy object
     arrays of str); the per-event columns hold indexes into them.  Filtered
@@ -153,22 +133,6 @@ class EventLog:
     def __len__(self) -> int:
         return int(self.timestamps.shape[0])
 
-    def __getitem__(self, i: int) -> StreamEvent:
-        tz = int(self.tz_offset_min[i])
-        return StreamEvent(
-            user_id=str(self.users[self.user_idx[i]]),
-            timestamp=int(self.timestamps[i]),
-            track_id=str(self.tracks[self.track_idx[i]]),
-            album_id=str(self.albums[self.album_idx[i]]),
-            origin=ORGANIC if self.organic[i] else ALGORITHMIC,
-            listen_duration=int(self.durations[i]),
-            tz_offset_min=None if tz == TZ_UNSET else tz,
-        )
-
-    def __iter__(self) -> Iterator[StreamEvent]:
-        for i in range(len(self)):
-            yield self[i]
-
     def select(self, mask: np.ndarray) -> "EventLog":
         """Row-filtered view sharing the string tables; order preserved."""
         return EventLog(
@@ -188,68 +152,15 @@ class EventLog:
         present = np.unique(self.user_idx)
         return sorted(str(self.users[i]) for i in present)
 
-    @classmethod
-    def from_events(cls, events: Iterable[StreamEvent]) -> "EventLog":
-        """Build a log from record objects (test/convenience path)."""
-        builder = _LogBuilder()
-        for ev in events:
-            builder.add(ev.user_id, ev.timestamp, ev.track_id, ev.album_id,
-                        ev.origin == ORGANIC, ev.listen_duration,
-                        TZ_UNSET if ev.tz_offset_min is None else ev.tz_offset_min)
-        return builder.finish()
-
-
-class _LogBuilder:
-    """Append-only accumulator backing a parse; columns use compact array('i'/'q')."""
-
-    def __init__(self) -> None:
-        self._users: dict[str, int] = {}
-        self._tracks: dict[str, int] = {}
-        self._albums: dict[str, int] = {}
-        self.user_idx = array("i")
-        self.track_idx = array("i")
-        self.album_idx = array("i")
-        self.timestamps = array("q")
-        self.durations = array("i")
-        self.organic = array("b")
-        self.tz = array("i")
-
-    def add(self, user, ts, track, album, is_organic, duration, tz) -> None:
-        users, tracks, albums = self._users, self._tracks, self._albums
-        self.user_idx.append(users.setdefault(user, len(users)))
-        self.track_idx.append(tracks.setdefault(track, len(tracks)))
-        self.album_idx.append(albums.setdefault(album, len(albums)))
-        self.timestamps.append(ts)
-        self.durations.append(duration)
-        self.organic.append(1 if is_organic else 0)
-        self.tz.append(tz)
-
-    def finish(self) -> EventLog:
-        def table(d: dict[str, int]) -> np.ndarray:
-            out = np.empty(len(d), dtype=object)
-            for name, idx in d.items():
-                out[idx] = name
-            return out
-
-        return EventLog(
-            table(self._users), table(self._tracks), table(self._albums),
-            np.asarray(self.user_idx, dtype=np.int32),
-            np.asarray(self.track_idx, dtype=np.int32),
-            np.asarray(self.album_idx, dtype=np.int32),
-            np.asarray(self.timestamps, dtype=np.int64),
-            np.asarray(self.durations, dtype=np.int32),
-            np.asarray(self.organic, dtype=bool),
-            np.asarray(self.tz, dtype=np.int32),
-        )
-
 
 def parse_events(source) -> tuple[EventLog, ParseReport]:
     """Parse an events stream into an :class:`EventLog`.
 
     ``source`` is a path or an iterable of CSV lines (header required; the
-    columns are found by name).  Malformed lines are counted and reported per
-    line, never silently dropped; if they exceed :data:`MAX_MALFORMED_FRACTION`
-    of the data lines the whole parse fails.
+    columns are found by name).  Malformed lines are counted and reported by
+    the physical line on which their record ends, never silently dropped; if
+    they exceed :data:`MAX_MALFORMED_FRACTION` of the data lines the whole
+    parse fails.  Identifiers are interned in order of first appearance.
 
     Returns the log plus a :class:`ParseReport`.
     """
@@ -263,100 +174,120 @@ def parse_events(source) -> tuple[EventLog, ParseReport]:
         n_cols = len(header)
 
         u_pos, ts_pos, tr_pos, al_pos, or_pos, du_pos = (positions[c] for c in EVENT_COLUMNS)
-        builder = _LogBuilder()
+        users: dict[str, int] = {}
+        tracks: dict[str, int] = {}
+        albums: dict[str, int] = {}
+        user_idx, track_idx, album_idx = array("i"), array("i"), array("i")
+        timestamps, durations, organic, tz_offsets = array("q"), array("i"), array("b"), array("i")
         total = 0
         malformed = 0
         details: list[tuple[int, str]] = []
 
-        def reject(line_no: int, why: str) -> None:
+        def reject(why: str) -> None:
             nonlocal malformed
             malformed += 1
             if len(details) < MAX_REPORTED_DETAILS:
-                details.append((line_no, why))
+                details.append((reader.line_num, why))
 
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue  # blank line, not a record
             total += 1
             if len(row) != n_cols:
-                reject(line_no, f"expected {n_cols} fields, got {len(row)}")
+                reject(f"expected {n_cols} fields, got {len(row)}")
                 continue
             user, track, album = row[u_pos], row[tr_pos], row[al_pos]
             if not user or not track or not album:
-                reject(line_no, "empty identifier field")
+                reject("empty identifier field")
                 continue
             origin = row[or_pos]
             if origin not in ORIGIN_TOKENS:
-                reject(line_no, f"unknown origin token {origin!r}")
+                reject(f"unknown origin token {origin!r}")
                 continue
             try:
                 ts = int(row[ts_pos])
             except ValueError:
-                reject(line_no, f"timestamp {row[ts_pos]!r} is not an integer")
+                reject(f"timestamp {row[ts_pos]!r} is not an integer")
                 continue
             try:
                 duration = int(row[du_pos])
             except ValueError:
-                reject(line_no, f"listen_duration {row[du_pos]!r} is not an integer")
+                reject(f"listen_duration {row[du_pos]!r} is not an integer")
                 continue
             if duration < 0:
-                reject(line_no, f"listen_duration {duration} is negative")
+                reject(f"listen_duration {duration} is negative")
                 continue
             tz = TZ_UNSET
             if tz_pos is not None and row[tz_pos] != "":
                 try:
                     tz = int(row[tz_pos])
                 except ValueError:
-                    reject(line_no, f"tz_offset_min {row[tz_pos]!r} is not an integer")
+                    reject(f"tz_offset_min {row[tz_pos]!r} is not an integer")
                     continue
-            builder.add(user, ts, track, album, origin == ORGANIC, duration, tz)
+            user_idx.append(users.setdefault(user, len(users)))
+            track_idx.append(tracks.setdefault(track, len(tracks)))
+            album_idx.append(albums.setdefault(album, len(albums)))
+            timestamps.append(ts)
+            durations.append(duration)
+            organic.append(origin == ORGANIC)
+            tz_offsets.append(tz)
 
     report = ParseReport(total_lines=total, parsed=total - malformed,
                          malformed_count=malformed, details=tuple(details))
     if total > 0 and malformed > MAX_MALFORMED_FRACTION * total:
         raise IngestError(f"too many malformed lines: {report.summary()}")
-    return builder.finish(), report
+    # Interning numbers ids in insertion order, so each table lists its dict's keys.
+    log = EventLog(
+        np.array(list(users), dtype=object), np.array(list(tracks), dtype=object),
+        np.array(list(albums), dtype=object),
+        np.asarray(user_idx, dtype=np.int32), np.asarray(track_idx, dtype=np.int32),
+        np.asarray(album_idx, dtype=np.int32), np.asarray(timestamps, dtype=np.int64),
+        np.asarray(durations, dtype=np.int32), np.asarray(organic, dtype=bool),
+        np.asarray(tz_offsets, dtype=np.int32),
+    )
+    return log, report
 
 
-def write_events_csv(log: EventLog, path) -> None:
-    """Serialize a log back to the events CSV format (lossless round-trip)."""
-    include_tz = bool(np.any(log.tz_offset_min != TZ_UNSET))
-    header = ",".join(EVENT_COLUMNS + ((TZ_COLUMN,) if include_tz else ()))
-    users, tracks, albums = log.users, log.tracks, log.albums
+def write_events(path, blocks: Iterable[tuple[np.ndarray, ...]]) -> int:
+    """Write ``events.csv`` from blocks of columns; returns the number of event lines.
+
+    Each block holds the :data:`EVENT_COLUMNS` as equal-length numpy arrays:
+    user ids, epoch-second timestamps, track ids, album ids, an ``organic``
+    boolean and listen durations.  Each column goes through ``.tolist()``
+    once and each block is written as one string.  No tz column is written.
+    Identifiers are written unquoted, so they must not hold a comma, a quote
+    or a line break.
+    """
+    tokens = (ALGORITHMIC, ORGANIC)
+    lines = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        chunk: list[str] = []
-        for i in range(len(log)):
-            origin = ORGANIC if log.organic[i] else ALGORITHMIC
-            line = (f"{users[log.user_idx[i]]},{log.timestamps[i]},{tracks[log.track_idx[i]]},"
-                    f"{albums[log.album_idx[i]]},{origin},{log.durations[i]}")
-            if include_tz:
-                tz = log.tz_offset_min[i]
-                line += "," if tz == TZ_UNSET else f",{tz}"
-            chunk.append(line)
-            if len(chunk) == 65536:
-                fh.write("\n".join(chunk) + "\n")
-                chunk.clear()
-        if chunk:
-            fh.write("\n".join(chunk) + "\n")
+        fh.write(",".join(EVENT_COLUMNS) + "\n")
+        for block in blocks:
+            users, timestamps, tracks, albums, organic, durations = (col.tolist() for col in block)
+            fh.write("".join([f"{u},{t},{tr},{al},{tokens[o]},{d}\n" for u, t, tr, al, o, d
+                              in zip(users, timestamps, tracks, albums, organic, durations)]))
+            lines += len(timestamps)
+    return lines
 
 
-def parse_favorites(source) -> list[FavoritesRecord]:
-    """Parse the favorites CSV (header ``user_id,kind,item_id``); strict."""
+def parse_favorites(source) -> tuple[list[str], list[str], list[str]]:
+    """Parse the favorites CSV (header ``user_id,kind,item_id``) into those three columns; strict."""
     with storage.csv_rows(source, "favorites", IngestError) as (header, reader):
         expected = ["user_id", "kind", "item_id"]
         if header != expected:
             raise IngestError(f"favorites header must be {expected}, got {header}")
-        records = []
-        for line_no, row in enumerate(reader, start=2):
+        users, kinds, items = [], [], []
+        for row in reader:
             if not row:
                 continue
             if len(row) != 3 or not row[0] or not row[2]:
-                raise IngestError(f"favorites line {line_no} is malformed: {row}")
+                raise IngestError(f"favorites line {reader.line_num} is malformed: {row}")
             if row[1] not in ("track", "album"):
-                raise IngestError(f"favorites line {line_no} has unknown kind {row[1]!r}")
-            records.append(FavoritesRecord(user_id=row[0], kind=row[1], item_id=row[2]))
-    return records
+                raise IngestError(f"favorites line {reader.line_num} has unknown kind {row[1]!r}")
+            users.append(row[0])
+            kinds.append(row[1])
+            items.append(row[2])
+    return users, kinds, items
 
 
 def filter_valid_streams(log: EventLog, min_listen_secs: int = MIN_LISTEN_SECS) -> EventLog:
@@ -395,10 +326,12 @@ class ProfileSet:
     the event's track is repeat listening for that user, and whether it is
     liked content (its track is in the user's liked-track set: favorited
     tracks plus tracks the user streamed under a favorited album).
-    ``user_summary.csv`` reads :meth:`summary_columns`.
+    ``user_summary.csv`` reads :meth:`summary_columns`.  ``favorites`` holds
+    the ``(user_ids, kinds, item_ids)`` columns of :func:`parse_favorites`
+    (``()`` for none).
     """
 
-    def __init__(self, log: EventLog, favorites: Iterable[FavoritesRecord] = ()):
+    def __init__(self, log: EventLog, favorites=()):
         self._log = log
         n_users = len(log.users)
         n_tracks = len(log.tracks)
@@ -419,17 +352,17 @@ class ProfileSet:
         fav_track_keys: list[int] = []
         fav_album_keys: list[int] = []
         self.unknown_user_warnings = 0
-        for rec in favorites:
-            ui = user_pos.get(rec.user_id)
+        for user, kind, item in zip(*favorites):
+            ui = user_pos.get(user)
             if ui is None:
                 self.unknown_user_warnings += 1
                 continue
-            if rec.kind == "track":
-                ti = track_pos.get(rec.item_id)
+            if kind == "track":
+                ti = track_pos.get(item)
                 if ti is not None:
                     fav_track_keys.append(ui * n_tracks + ti)
             else:
-                ai = album_pos.get(rec.item_id)
+                ai = album_pos.get(item)
                 if ai is not None:
                     fav_album_keys.append(ui * len(log.albums) + ai)
 
@@ -473,6 +406,6 @@ class ProfileSet:
         return tuple(names[i] for i in order), columns[present[order]]
 
 
-def build_profiles(log: EventLog, favorites: Iterable[FavoritesRecord] = ()) -> ProfileSet:
-    """Build per-user profiles from a duration-filtered, user-restricted log."""
+def build_profiles(log: EventLog, favorites=()) -> ProfileSet:
+    """Build per-user profiles from a duration-filtered, user-restricted log and favorites columns."""
     return ProfileSet(log, favorites)

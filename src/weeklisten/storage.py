@@ -30,7 +30,8 @@ def csv_rows(source, kind: str, error: type[PipelineError] = PipelineError):
     A path is opened as UTF-8 with ``newline=""``, streamed while the block
     runs and closed when it exits.  A source that cannot be opened, decoded
     or split into CSV fields (also partway through the block) or that has no
-    header raises ``error`` naming ``kind``.
+    header raises ``error`` naming ``kind``; for a path that is not UTF-8 the
+    message names the line and byte column of the first bad byte.
     """
     is_path = isinstance(source, (str, Path))
     name = f" {source}" if is_path else ""
@@ -41,8 +42,31 @@ def csv_rows(source, kind: str, error: type[PipelineError] = PipelineError):
             if header is None:
                 raise error(f"{kind} source{name} is empty (missing header)")
             yield [h.strip() for h in header], reader
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+    except UnicodeDecodeError as exc:
+        where = _undecodable_line(source) if is_path else None
+        raise error(f"cannot read {kind} source{name}: {where or exc}") from exc
+    except (OSError, csv.Error) as exc:
         raise error(f"cannot read {kind} source{name}: {exc}") from exc
+
+
+def _undecodable_line(path) -> str | None:
+    """Where the first non-UTF-8 byte of ``path`` is, as ``line N, byte column C: reason``.
+
+    The text decoder reports a position inside its current chunk, so the file
+    is scanned again in binary.  No UTF-8 multibyte sequence contains a
+    newline byte, so decoding line by line finds the same byte.
+    """
+    try:
+        with open(path, "rb") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    return (f"line {line_no}, byte column {exc.start + 1}: not UTF-8 "
+                            f"(byte 0x{line[exc.start]:02x}, {exc.reason})")
+    except OSError:
+        pass
+    return None
 
 
 def save_index(user_ids, path) -> None:

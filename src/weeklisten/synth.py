@@ -28,6 +28,9 @@ to ``labels.csv`` as one :class:`~weeklisten.evaluate.LabelSet`.  Archetypes
 from a JSON file are recentered to the configured organic rate like the
 built-in ones.
 
+Events are written through :func:`weeklisten.ingest.write_events`, one block
+of columns per user, so the events format is known only to ``ingest``.
+
 All randomness flows from one seed through per-user ``SeedSequence`` spawn
 keys, so generation is byte-reproducible and order-independent.
 """
@@ -40,6 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import ingest
 from .errors import SynthesisError
 from .evaluate import ACTIVITIES, AGE_GROUPS, GENDER_CODES, LabelSet, write_labels
 from .signals import SLOTS_PER_WEEK, _normalize_values, _smooth_values
@@ -250,8 +254,8 @@ def _smooth_random_profile(rng: np.random.Generator, weekly_volume: float) -> np
 
 def _user_events(rng, config: SynthConfig, uid: str, rate: np.ndarray,
                  rep_p: np.ndarray, org_p: np.ndarray, liked_p: np.ndarray,
-                 has_favorites: bool) -> tuple[list[str], int, int]:
-    """Emit one user's CSV lines (chronological); returns (lines, n_valid, n_organic_valid)."""
+                 has_favorites: bool) -> tuple[tuple[np.ndarray, ...], int, int]:
+    """One user's events as :func:`ingest.write_events` columns in time order, plus (n_valid, n_organic_valid)."""
     weeks = config.weeks
     counts = rng.poisson(lam=rate, size=(weeks, SLOTS_PER_WEEK))
     cells = np.repeat(np.arange(weeks * SLOTS_PER_WEEK), counts.ravel())
@@ -293,20 +297,16 @@ def _user_events(rng, config: SynthConfig, uid: str, rate: np.ndarray,
     s_timestamps = config.period_start + s_cells * 3600 + rng.integers(0, 3600, size=m)
     s_durations = rng.integers(1, 30, size=m)
     s_organic = rng.random(m) < org_p[s_cells % SLOTS_PER_WEEK]
-    s_tracks = [f"{uid}_t_s{i}" for i in range(m)]
+    s_tracks = np.array([f"{uid}_t_s{i}" for i in range(m)], dtype=object)
 
     all_ts = np.concatenate([timestamps, s_timestamps])
     order = np.argsort(all_ts, kind="stable")
-    rows = []
-    for idx in order:
-        if idx < n:
-            rows.append(f"{uid},{all_ts[idx]},{tracks[idx]},{albums[idx]},"
-                        f"{'organic' if organic[idx] else 'algorithmic'},{durations[idx]}")
-        else:
-            j = idx - n
-            rows.append(f"{uid},{all_ts[idx]},{s_tracks[j]},al_{s_tracks[j]},"
-                        f"{'organic' if s_organic[j] else 'algorithmic'},{s_durations[j]}")
-    return rows, n, int(organic.sum())
+    columns = (np.full(n + m, uid, dtype=object), all_ts[order],
+               np.concatenate([tracks, s_tracks])[order],
+               np.concatenate([albums, "al_" + s_tracks])[order],
+               np.concatenate([organic, s_organic])[order],
+               np.concatenate([durations, s_durations])[order])
+    return columns, n, int(organic.sum())
 
 
 def generate(config: SynthConfig, out_dir) -> GenerateResult:
@@ -332,20 +332,15 @@ def generate(config: SynthConfig, out_dir) -> GenerateResult:
     favorites_path = out_dir / "favorites.csv"
     labels_path = out_dir / "labels.csv"
 
+    user_ids = [f"u{uidx:0{width}d}" for uidx in range(config.n_users)]
+    has_favorites = [uidx % 50 != 49 for uidx in range(config.n_users)]
     link_scores = np.zeros((config.n_users, len(ACTIVITIES)))
     label_noise = np.zeros_like(link_scores)
     demographics = np.zeros((config.n_users, 2), dtype=np.int64)
-    n_events = 0
-    n_valid = 0
-    n_organic_valid = 0
+    valid_counts = np.zeros((config.n_users, 2), dtype=np.int64)  # valid, organic valid
 
-    with open(events_path, "w", encoding="utf-8", newline="") as ev_fh, \
-         open(favorites_path, "w", encoding="utf-8", newline="") as fav_fh:
-        ev_fh.write("user_id,timestamp,track_id,album_id,origin,listen_duration\n")
-        fav_fh.write("user_id,kind,item_id\n")
-        buffer: list[str] = []
-        for uidx in range(config.n_users):
-            uid = f"u{uidx:0{width}d}"
+    def user_blocks():
+        for uidx, uid in enumerate(user_ids):
             rng = _user_rng(config.seed, uidx)
 
             w = rng.dirichlet(alpha)
@@ -364,27 +359,22 @@ def generate(config: SynthConfig, out_dir) -> GenerateResult:
             liked_p = (np.einsum("as,as->s", blend_w, likes) + noise * idio * 0.32) / denom
             liked_p = np.minimum(liked_p, rep_p)
 
-            has_favorites = uidx % 50 != 49
-            rows, valid, organic_valid = _user_events(
-                rng, config, uid, rate, rep_p, org_p, liked_p, has_favorites)
-            buffer.extend(rows)
-            if len(buffer) >= 65536:
-                ev_fh.write("\n".join(buffer) + "\n")
-                buffer.clear()
-            n_events += len(rows)
-            n_valid += valid
-            n_organic_valid += organic_valid
-
-            if has_favorites:
-                for i in range(6):
-                    fav_fh.write(f"{uid},track,{uid}_t_fav{i}\n")
-                fav_fh.write(f"{uid},album,{uid}_alb\n")
-
+            columns, valid, organic_valid = _user_events(
+                rng, config, uid, rate, rep_p, org_p, liked_p, has_favorites[uidx])
+            valid_counts[uidx] = valid, organic_valid
             link_scores[uidx] = w @ link_matrix
             label_noise[uidx] = rng.normal(size=len(ACTIVITIES))
             demographics[uidx] = (rng.integers(0, AGE_GROUPS), rng.integers(0, GENDER_CODES))
-        if buffer:
-            ev_fh.write("\n".join(buffer) + "\n")
+            yield columns
+
+    n_events = ingest.write_events(events_path, user_blocks())
+    n_valid, n_organic_valid = valid_counts.sum(axis=0).tolist()
+    with open(favorites_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("user_id,kind,item_id\n")
+        for uid, favors in zip(user_ids, has_favorites):
+            if favors:
+                fh.writelines(f"{uid},track,{uid}_t_fav{i}\n" for i in range(6))
+                fh.write(f"{uid},album,{uid}_alb\n")
 
     # Labels: noisy link score thresholded at the base-rate population quantile.
     # Noise is scaled by the spread of the strongest link column, so strong
@@ -402,7 +392,6 @@ def generate(config: SynthConfig, out_dir) -> GenerateResult:
         threshold = np.quantile(col, 1.0 - rate)
         answers[:, ai] = (col > threshold).astype(np.int8)
 
-    user_ids = [f"u{uidx:0{width}d}" for uidx in range(config.n_users)]
     write_labels(LabelSet(user_ids, answers, demographics[:, 0], demographics[:, 1]), labels_path)
 
     return GenerateResult(

@@ -3,9 +3,12 @@
 Nothing here shares code with the package's vectorized paths: the lasso
 oracle is an exhaustive box-refinement search, the KKT check walks the
 coordinates one by one, the orthonormal form is the textbook closed form, and
-recovery matching enumerates permutations.  The profile and signal oracles
-walk an event log record by record (``iter(log)``), find weekly slots with the
-calendar, and smooth and normalize slot by slot.
+recovery matching enumerates permutations, and the dictionary objective sums
+per-row lasso objectives.  The profile and signal oracles walk a list of event
+records (``conftest.records(log)``) one by one, find weekly slots with the
+calendar, and smooth and normalize slot by slot.  Favorites are the
+``(user_ids, kinds, item_ids)`` columns that ``ingest.parse_favorites``
+returns.
 """
 
 import itertools
@@ -26,6 +29,11 @@ SLOTS = 168
 def lasso_objective(s, D, code, lam):
     r = s - D @ code
     return float(r @ r + lam * np.abs(code).sum())
+
+
+def dictionary_objective(X, D, C, lam):
+    """``||X - C D^T||_F^2 + lam * ||C||_1`` as the sum of each row's lasso objective."""
+    return math.fsum(lasso_objective(s, D, code, lam) for s, code in zip(X, C))
 
 
 def kkt_violation(s, D, code, lam):
@@ -155,14 +163,14 @@ class Profile:
         return event.track_id in self.liked_tracks
 
 
-def profiles(log, favorites=()):
-    """``{user_id: Profile}`` for every user with an event in ``log`` (an event log or a record list)."""
+def profiles(events, favorites=()):
+    """``{user_id: Profile}`` for every user with one of the ``events`` (a record list)."""
     events_of = defaultdict(list)
-    for event in log:
+    for event in events:
         events_of[event.user_id].append(event)
     favorite = {"track": defaultdict(set), "album": defaultdict(set)}
-    for rec in favorites:
-        favorite[rec.kind][rec.user_id].add(rec.item_id)
+    for user, kind, item in zip(*favorites):
+        favorite[kind][user].add(item)
     out = {}
     for user, events in events_of.items():
         tracks = frozenset(favorite["track"][user])
@@ -193,10 +201,10 @@ def window_features(profile, events):
     return (float(n), repeated / n, organic / n, liked / n)
 
 
-def raw_signals(log, profile_of, period, default_tz_offset_min=0):
+def raw_signals(events, profile_of, period, default_tz_offset_min=0):
     """``{user_id: (4, 168) array}``: per slot, the mean window features over whole in-period windows.
 
-    ``log`` is an event log or a list of its records.  Windows are local
+    ``events`` is a list of event records.  Windows are local
     1-hour windows (each event's own offset, else the default); only those
     lying fully inside the period count, and empty ones count as zero.  Users
     of ``profile_of`` without such windows get zeros.
@@ -210,7 +218,7 @@ def raw_signals(log, profile_of, period, default_tz_offset_min=0):
     windows_per_slot = Counter(weekly_slot(3600 * k) for k in range(first, end))
 
     window_events = defaultdict(list)
-    for event in log:
+    for event in events:
         offset = default_tz_offset_min if event.tz_offset_min is None else event.tz_offset_min
         k = (event.timestamp + 60 * offset) // 3600
         if first <= k < end:
@@ -228,12 +236,12 @@ def raw_signals(log, profile_of, period, default_tz_offset_min=0):
     return sums
 
 
-def aggregate(user_log, profile, period, default_tz_offset_min=0):
-    """Raw (4, 168) signal of the single user whose events make up ``user_log``."""
-    users = {event.user_id for event in user_log}
+def aggregate(user_events, profile, period, default_tz_offset_min=0):
+    """Raw (4, 168) signal of the single user whose records make up ``user_events``."""
+    users = {event.user_id for event in user_events}
     if len(users) != 1:
         raise SignalError(f"aggregate expects events of exactly one user, found {len(users)}")
-    return raw_signals(user_log, {profile.user_id: profile}, period, default_tz_offset_min)[profile.user_id]
+    return raw_signals(user_events, {profile.user_id: profile}, period, default_tz_offset_min)[profile.user_id]
 
 
 def smooth(values):
@@ -265,10 +273,10 @@ def normalize(values):
     return np.array(out)
 
 
-def signal_rows(log, favorites, period, default_tz_offset_min=0):
-    """What ``build_signal_set`` returns for ``log``: sorted user ids and the (n, 672) matrix."""
-    profile_of = profiles(log, favorites)
-    raw = raw_signals(log, profile_of, period, default_tz_offset_min)
+def signal_rows(events, favorites, period, default_tz_offset_min=0):
+    """What ``build_signal_set`` returns for the log of ``events``: sorted user ids and the (n, 672) matrix."""
+    profile_of = profiles(events, favorites)
+    raw = raw_signals(events, profile_of, period, default_tz_offset_min)
     users = sorted(raw)
     rows = [normalize(smooth(raw[user])).ravel() for user in users]
     return tuple(users), np.array(rows).reshape(len(users), len(SIGNAL_CHANNELS) * SLOTS)

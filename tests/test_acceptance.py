@@ -15,7 +15,7 @@ import pytest
 
 from weeklisten import cli, dictionary, evaluate, ingest, signals, storage, synth
 
-from conftest import DATA_ARTIFACTS
+from conftest import DATA_ARTIFACTS, records, sparse_code
 from oracles import (best_permutation_correlations, grid_refine_lasso,
                      lasso_objective, orthonormal_lasso, pair_counting_auc,
                      planted_instance, profiles, raw_signals)
@@ -107,7 +107,7 @@ def test_criterion_03_sparse_coding_oracle():
         else:
             D = rng.normal(size=(8, K))
             _, oracle_obj = grid_refine_lasso(s, D, lam)
-        code = dictionary.sparse_code(s, D, lam)
+        code = sparse_code(s, D, lam)
         worst = max(worst, abs(lasso_objective(s, D, code, lam) - oracle_obj))
     elapsed = time.monotonic() - started
     ok = worst <= 1e-5 and elapsed <= 30.0
@@ -207,7 +207,7 @@ def test_criterion_08_signal_invariants(run_a):
     restricted = ingest.restrict_to_users(valid, active)
     raw = []
     for block in np.array_split(np.array(sset.user_ids), 20):
-        events = list(ingest.restrict_to_users(restricted, block.tolist()))
+        events = records(ingest.restrict_to_users(restricted, block.tolist()))
         by_user = raw_signals(events, profiles(events, favorites), period)
         raw.extend(by_user[user] for user in block.tolist())
     raw = np.array(raw)

@@ -132,20 +132,20 @@ def _csv_signals(tmp_path, pipe):
     return path
 
 
-def _non_utf8(name, col):
-    """``name`` with byte 0xff in column ``col`` of its middle line (mid-stream for events.csv)."""
+def _non_utf8(name, line, col):
+    """``name`` with byte 0xff after field ``col`` of line ``line`` (mid-stream for events.csv)."""
     def damage(tmp_path, pipe):
         lines = (pipe / name).read_bytes().splitlines(True)
-        fields = lines[len(lines) // 2].split(b",")
+        fields = lines[line - 1].split(b",")
         fields[col] += b"\xff"
-        lines[len(lines) // 2] = b",".join(fields)
+        lines[line - 1] = b",".join(fields)
         path = tmp_path / name
         path.write_bytes(b"".join(lines))
         return path
     return damage
 
 
-# (argv builder over the pipeline dir and the damaged file, damage, expected message)
+# (argv builder over the pipeline dir and the damaged file, damage, expected message or messages)
 BAD_HANDOFFS = {
     "export-atoms-empty-dictionary": (
         lambda p, bad: ["export-atoms", "--dictionary", bad], _empty_file, "not a dictionary CSV"),
@@ -175,21 +175,23 @@ BAD_HANDOFFS = {
         _missing, "cannot read favorites source"),
     "ingest-non-utf8-events": (
         lambda p, bad: ["ingest", "--events", bad, "--favorites", p / "favorites.csv"],
-        _non_utf8("events.csv", 2), "cannot read events source"),
+        _non_utf8("events.csv", 5001, 2), ("cannot read events source", ": line 5001, byte column ")),
     "eval-non-utf8-labels": (
         lambda p, bad: ["eval", "--code-users", p / "code_users.txt", "--codes", p / "codes.npy",
                         "--labels", bad, "--summary", p / "user_summary.csv"],
-        _non_utf8("labels.csv", 0), "cannot read labels source"),
+        _non_utf8("labels.csv", 61, 0), ("cannot read labels source", ": line 61, byte column 7: ")),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_HANDOFFS))
 def test_bad_handoff_file_is_an_error_line(pipeline_dir, tmp_path, capsys, case):
-    argv, damage, message = BAD_HANDOFFS[case]
+    argv, damage, messages = BAD_HANDOFFS[case]
     args = [str(a) for a in argv(pipeline_dir, damage(tmp_path, pipeline_dir))]
     assert run(args + ["--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err, err
+    assert err.startswith("error: "), err
+    for message in (messages,) if isinstance(messages, str) else messages:
+        assert message in err, err
 
 
 def test_pipeline_outputs_exist(pipeline_dir):

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from weeklisten import dictionary, storage
 from weeklisten.errors import DictionaryError
 
-from oracles import (best_permutation_correlations, grid_refine_lasso, kkt_violation,
-                     lasso_objective, orthonormal_lasso, planted_instance)
+from conftest import sparse_code
+from oracles import (best_permutation_correlations, dictionary_objective, grid_refine_lasso,
+                     kkt_violation, lasso_objective, orthonormal_lasso, planted_instance)
 
 
 def unit_vector(dim, seed=0):
@@ -17,18 +18,26 @@ def unit_vector(dim, seed=0):
 
 # -- objective -----------------------------------------------------------------
 
+def gram_objective(X, D, C, lam):
+    """The objective as ``learn`` records it, from ``||X||^2``, ``X D`` and ``D^T D``."""
+    return dictionary._gram_objective(float(np.sum(X * X)), X @ D, D.T @ D, C, lam)
+
+
 def test_objective_zero_codes_is_signal_energy(rng):
     X = rng.normal(size=(5, 12))
     D = rng.normal(size=(12, 3))
     C = np.zeros((5, 3))
-    assert dictionary.objective(X, D, C, 1.0) == pytest.approx(np.sum(X * X))
+    assert dictionary_objective(X, D, C, 1.0) == pytest.approx(np.sum(X * X))
+    assert gram_objective(X, D, C, 1.0) == pytest.approx(np.sum(X * X))
 
 
 def test_objective_exact_reconstruction(rng):
     d = unit_vector(10)
     gamma = rng.normal(size=6)
     X = np.outer(gamma, d)
-    assert dictionary.objective(X, d[:, None], gamma[:, None], 0.0) == pytest.approx(0.0, abs=1e-22)
+    assert dictionary_objective(X, d[:, None], gamma[:, None], 0.0) == pytest.approx(0.0, abs=1e-22)
+    # The Gram form cancels ||X||^2 against 2 tr(C^T X D), so it is exact only up to rounding of ||X||^2.
+    assert gram_objective(X, d[:, None], gamma[:, None], 0.0) == pytest.approx(0.0, abs=1e-12 * np.sum(X * X))
 
 
 def test_objective_linear_in_lambda(rng):
@@ -36,35 +45,37 @@ def test_objective_linear_in_lambda(rng):
     D = rng.normal(size=(8, 2))
     C = rng.normal(size=(4, 2))
     lam = 0.7
-    delta = dictionary.objective(X, D, C, 2 * lam) - dictionary.objective(X, D, C, lam)
-    assert delta == pytest.approx(lam * np.abs(C).sum())
+    for objective in (dictionary_objective, gram_objective):
+        delta = objective(X, D, C, 2 * lam) - objective(X, D, C, lam)
+        assert delta == pytest.approx(lam * np.abs(C).sum())
+    assert gram_objective(X, D, C, lam) == pytest.approx(dictionary_objective(X, D, C, lam), rel=1e-12)
 
 
-def test_objective_shape_mismatch_is_fatal(rng):
+def test_kkt_residuals_shape_mismatch_is_fatal(rng):
     with pytest.raises(DictionaryError, match="shape"):
-        dictionary.objective(rng.normal(size=(4, 8)), rng.normal(size=(8, 2)),
-                             rng.normal(size=(4, 3)), 1.0)
+        dictionary.kkt_residuals(rng.normal(size=(4, 8)), rng.normal(size=(8, 2)),
+                                 rng.normal(size=(4, 3)), 1.0)
 
 
 # -- sparse_code ----------------------------------------------------------------
 
 def test_sparse_code_single_unit_atom_closed_form():
     d = unit_vector(16, seed=1)
-    code = dictionary.sparse_code(2.0 * d, d[:, None], lam=1.0)
+    code = sparse_code(2.0 * d, d[:, None], lam=1.0)
     assert code.shape == (1,)
     assert code[0] == pytest.approx(1.5, abs=1e-9)
 
 
 def test_sparse_code_zero_signal():
     D = np.random.default_rng(2).normal(size=(16, 3))
-    assert np.all(dictionary.sparse_code(np.zeros(16), D, lam=0.5) == 0.0)
+    assert np.all(sparse_code(np.zeros(16), D, lam=0.5) == 0.0)
 
 
 def test_sparse_code_orthonormal_matches_closed_form(rng):
     D, _ = np.linalg.qr(rng.normal(size=(12, 4)))
     s = rng.normal(size=12)
     for lam in (0.0, 0.5, 2.0):
-        code = dictionary.sparse_code(s, D, lam)
+        code = sparse_code(s, D, lam)
         assert np.allclose(code, orthonormal_lasso(s, D, lam), atol=1e-8)
 
 
@@ -74,14 +85,14 @@ def test_sparse_code_matches_grid_oracle(rng):
         D = rng.normal(size=(8, K))
         s = rng.normal(size=8)
         lam = float(rng.choice([0.0, 0.5, 2.0]))
-        code = dictionary.sparse_code(s, D, lam)
+        code = sparse_code(s, D, lam)
         _, oracle_obj = grid_refine_lasso(s, D, lam)
         assert lasso_objective(s, D, code, lam) <= oracle_obj + 1e-5
 
 
 def test_sparse_code_rejects_non_finite():
     with pytest.raises(DictionaryError, match="non-finite"):
-        dictionary.sparse_code(np.array([1.0, np.nan]), np.eye(2), 0.1)
+        sparse_code(np.array([1.0, np.nan]), np.eye(2), 0.1)
 
 
 def test_sparse_code_batch_equals_row_wise(rng):
@@ -89,7 +100,7 @@ def test_sparse_code_batch_equals_row_wise(rng):
     X = rng.normal(size=(7, 10))
     batch = dictionary.sparse_code_batch(X, D, 0.8)
     for i in range(7):
-        assert np.allclose(batch[i], dictionary.sparse_code(X[i], D, 0.8), atol=1e-7)
+        assert np.allclose(batch[i], sparse_code(X[i], D, 0.8), atol=1e-7)
 
 
 @given(seed=st.integers(0, 10_000), lam=st.sampled_from([0.0, 0.3, 1.0, 4.0]))
@@ -100,7 +111,7 @@ def test_sparse_code_kkt_certificate(seed, lam):
     D = rng.normal(size=(12, K))
     s = rng.normal(size=12) * rng.uniform(0.5, 3.0)
     tol = 1e-8
-    code = dictionary.sparse_code(s, D, lam, tol=tol)
+    code = sparse_code(s, D, lam, tol=tol)
     assert kkt_violation(s, D, code, lam) <= dictionary.KKT_TOL_FACTOR * tol
 
 
@@ -126,7 +137,7 @@ def test_sparse_code_wrong_sign_warm_start_is_clipped(rng):
     D = correlated_atoms(np.random.default_rng(12))
     X = np.random.default_rng(13).normal(size=(6, 8)) * 2
     lam = 0.5
-    optimum = np.vstack([dictionary.sparse_code(s, D, lam) for s in X])
+    optimum = np.vstack([sparse_code(s, D, lam) for s in X])
     warm = -2.0 * optimum + np.where(optimum == 0.0, 1.5, 0.0)
     codes = dictionary.sparse_code_batch(X, D, lam, max_sweeps=8, warm_codes=warm)
     assert_coded_against_oracles(X, D, lam, codes)
@@ -154,7 +165,7 @@ def test_sparse_code_duplicate_atoms_singular_support(gap):
     codes = dictionary.sparse_code_batch(X, D, lam, warm_codes=warm)
     assert_coded_against_oracles(X, D, lam, codes)
     for s, code in zip(X, codes):
-        cold = dictionary.sparse_code(s, D, lam)
+        cold = sparse_code(s, D, lam)
         assert lasso_objective(s, D, code, lam) == pytest.approx(lasso_objective(s, D, cold, lam),
                                                                  abs=1e-7)
         assert np.allclose(D @ code, D @ cold, atol=1e-7)
@@ -170,13 +181,13 @@ def test_sparse_code_zero_atom_drops_warm_code(rng):
     assert np.all(codes[:, 1] == 0.0)
     assert_coded_against_oracles(X, D, lam, codes)
     for s, code in zip(X, codes):
-        assert np.allclose(code, dictionary.sparse_code(s, D, lam), atol=1e-7)
+        assert np.allclose(code, sparse_code(s, D, lam), atol=1e-7)
 
 
 def test_sparsity_monotone_in_lambda(rng):
     D = rng.normal(size=(24, 6))
     s = rng.normal(size=24) * 2
-    nnz = [np.count_nonzero(dictionary.sparse_code(s, D, lam))
+    nnz = [np.count_nonzero(sparse_code(s, D, lam))
            for lam in (0.0, 0.3, 1.0, 3.0, 10.0, 40.0)]
     assert all(a >= b for a, b in zip(nnz, nnz[1:]))
     assert nnz[-1] == 0 or nnz[0] > nnz[-1]  # strong enough penalty empties the code
@@ -212,8 +223,8 @@ def test_update_dictionary_never_increases_reconstruction(rng):
         D = rng.normal(size=(12, 4))
         D /= np.maximum(np.linalg.norm(D, axis=0), 1.0)
         C = dictionary.sparse_code_batch(X, D, 0.5)
-        before = dictionary.objective(X, D, C, 0.0)
-        after = dictionary.objective(X, dictionary.update_dictionary(X, D, C), C, 0.0)
+        before = dictionary_objective(X, D, C, 0.0)
+        after = dictionary_objective(X, dictionary.update_dictionary(X, D, C), C, 0.0)
         assert after <= before + 1e-9 * max(1.0, before)
 
 
@@ -254,7 +265,7 @@ def test_learn_trace_agrees_with_objective(rng):
     # learn records the objective from ||X||^2, X D and D^T D instead of the residual.
     X = rng.normal(size=(60, 20))
     result = dictionary.learn(X, dictionary.LearnConfig(n_atoms=5, lam=0.5, outer_iters=3, seed=4))
-    direct = dictionary.objective(X, result.dictionary, result.codes, 0.5)
+    direct = dictionary_objective(X, result.dictionary.stacked, result.codes, 0.5)
     assert result.objective_trace[-1] == pytest.approx(direct, rel=1e-10)
 
 

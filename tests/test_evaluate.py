@@ -374,6 +374,8 @@ def test_labels_validation():
     header = ",".join(evaluate.LABELS_HEADER) + "\n"
     with pytest.raises(EvaluationError, match="line 3 is malformed"):
         evaluate.parse_labels([header, "u1,0,0,0,0,0,0,1,1\n", "u2,0,x,0,0,0,0,1,1\n"])
+    with pytest.raises(EvaluationError, match="line 4 is malformed"):  # a quoted id spans lines 2-3
+        evaluate.parse_labels([header, '"u\n', '1",0,0,0,0,0,0,1,1\n', "u2,0,x,0,0,0,0,1,1\n"])
     with pytest.raises(EvaluationError, match="line 2 has 8 fields"):
         evaluate.parse_labels([header, "u1,0,0,0,0,0,1,1\n"])
     with pytest.raises(EvaluationError, match="user u2: gender"):

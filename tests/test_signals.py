@@ -8,7 +8,7 @@ import oracles
 from weeklisten import ingest, signals, storage
 from weeklisten.errors import SignalError
 
-from conftest import DAY, HOUR, MONDAY, WEEK, log_of, make_event
+from conftest import DAY, HOUR, MONDAY, WEEK, favorites_of, log_of, make_event, records
 
 
 def profiles_for(log, favorites=()):
@@ -17,8 +17,8 @@ def profiles_for(log, favorites=()):
 
 def raw_of(log, period, favorites=()):
     """Oracle raw signal of the log's one user; the package's row must be its smoothed, normalized form."""
-    (profile,) = oracles.profiles(log, favorites).values()
-    raw = oracles.aggregate(log, profile, period)
+    (profile,) = oracles.profiles(records(log), favorites).values()
+    raw = oracles.aggregate(records(log), profile, period)
     sset = signals.build_signal_set(profiles_for(log, favorites), log, period)
     assert np.allclose(sset.matrix[0], oracles.normalize(oracles.smooth(raw)).ravel(), rtol=0, atol=1e-12)
     return raw
@@ -57,7 +57,7 @@ def test_slot_of_hour_index_matches_calendar():
 # -- window_features ----------------------------------------------------------
 
 def window_profile(events, favorites=()):
-    return oracles.profiles(log_of(*events), favorites)
+    return oracles.profiles(records(log_of(*events)), favorites)
 
 
 def test_window_features_organicity_ratio():
@@ -89,7 +89,7 @@ def test_window_features_empty_window():
 
 def test_window_features_liked():
     events = [make_event(track="fav", timestamp=MONDAY), make_event(track="other", timestamp=MONDAY + 1)]
-    profile = window_profile(events, [ingest.FavoritesRecord("u1", "track", "fav")])["u1"]
+    profile = window_profile(events, favorites_of(("u1", "track", "fav")))["u1"]
     assert oracles.window_features(profile, events)[3] == 0.5
 
 
@@ -139,13 +139,14 @@ def test_aggregate_rejects_short_period():
     with pytest.raises(SignalError, match="at least one week"):
         signals.build_signal_set(profiles_for(log), log, short)
     with pytest.raises(SignalError, match="at least one week"):
-        oracles.aggregate(log, oracles.profiles(log)["u1"], short)
+        oracles.aggregate(records(log), oracles.profiles(records(log))["u1"], short)
 
 
 def test_aggregate_rejects_multi_user_log():
     log = log_of(make_event(user="a"), make_event(user="b"))
     with pytest.raises(SignalError, match="exactly one user"):
-        oracles.aggregate(log, oracles.profiles(log)["a"], ingest.StudyPeriod(MONDAY, MONDAY + WEEK))
+        oracles.aggregate(records(log), oracles.profiles(records(log))["a"],
+                          ingest.StudyPeriod(MONDAY, MONDAY + WEEK))
 
 
 def test_aggregate_volume_linearity():
@@ -295,8 +296,9 @@ def test_build_signal_set_row_layout():
     profiles = profiles_for(log)
     sset = signals.build_signal_set(profiles, log, period)
 
-    zeta = ingest.restrict_to_users(log, ["zeta"])
-    sig = oracles.normalize(oracles.smooth(oracles.aggregate(zeta, oracles.profiles(log)["zeta"], period)))
+    zeta = records(ingest.restrict_to_users(log, ["zeta"]))
+    raw = oracles.aggregate(zeta, oracles.profiles(records(log))["zeta"], period)
+    sig = oracles.normalize(oracles.smooth(raw))
     row = oracles.signal_row(sset, "zeta")
     assert np.allclose(row[0:168], channel(sig, "volume"), rtol=0, atol=1e-12)
     assert np.allclose(row[168:336], channel(sig, "repetition"), rtol=0, atol=1e-12)
@@ -327,16 +329,10 @@ signal_event = st.builds(
     tz=st.one_of(st.none(), st.integers(min_value=-720, max_value=840)),
 )
 
-favorite = st.builds(
-    ingest.FavoritesRecord,
-    user_id=st.sampled_from(["u1", "u2", "u3", "ghost"]),
-    kind=st.just("track"),
-    item_id=st.sampled_from(TRACKS),
-) | st.builds(
-    ingest.FavoritesRecord,
-    user_id=st.sampled_from(["u1", "u2", "u3"]),
-    kind=st.just("album"),
-    item_id=st.sampled_from(ALBUMS),
+favorite = st.tuples(
+    st.sampled_from(["u1", "u2", "u3", "ghost"]), st.just("track"), st.sampled_from(TRACKS),
+) | st.tuples(
+    st.sampled_from(["u1", "u2", "u3"]), st.just("album"), st.sampled_from(ALBUMS),
 )
 
 
@@ -354,9 +350,10 @@ def fixed_events():
 @settings(max_examples=60, deadline=None)
 def test_build_signal_set_matches_oracle(events, favorites, default_tz):
     log = log_of(*(events + fixed_events()))
+    favorites = favorites_of(*favorites)
     period = ingest.StudyPeriod(MONDAY, MONDAY + 2 * WEEK)
     sset = signals.build_signal_set(profiles_for(log, favorites), log, period, default_tz)
-    users, matrix = oracles.signal_rows(log, favorites, period, default_tz)
+    users, matrix = oracles.signal_rows(records(log), favorites, period, default_tz)
     assert sset.user_ids == users
     assert np.allclose(sset.matrix, matrix, rtol=0, atol=1e-12)
     assert np.all(oracles.signal_row(sset, "idle") == 0.0)

@@ -45,7 +45,7 @@ def test_generated_files_round_trip_ingest(thousand_users):
     assert report.malformed_count == 0
     assert len(log) == result.n_events
     favorites = ingest.parse_favorites(result.favorites_path)
-    assert favorites  # non-empty
+    assert favorites[0]  # non-empty
     labels = evaluate.parse_labels(result.labels_path)
     assert len(labels) == 1000
     valid = ingest.filter_valid_streams(log)
