@@ -104,8 +104,24 @@ def _stacked(dictionary) -> np.ndarray:
     return mat
 
 
+def objective(signals: np.ndarray, dictionary, codes: np.ndarray, lam: float) -> float:
+    """``||S - D @ G||_F^2 + lam * ||G||_1`` on stacked matrices.
+
+    :func:`learn` records the same value through :func:`_gram_objective`; this
+    residual form stays public because the benchmark's per-layer metrics
+    (``dictionary.objective.*``) look it up by name.
+    """
+    X = np.asarray(signals, dtype=np.float64)
+    D = _stacked(dictionary)
+    C = np.asarray(codes, dtype=np.float64)
+    if X.ndim != 2 or C.shape != (X.shape[0], D.shape[1]):
+        raise DictionaryError(f"shape mismatch: signals {X.shape}, dictionary {D.shape}, codes {C.shape}")
+    residual = X - C @ D.T
+    return float(np.sum(residual * residual) + lam * np.sum(np.abs(C)))
+
+
 def _gram_objective(x_sq: float, XD: np.ndarray, DtD: np.ndarray, C: np.ndarray, lam: float) -> float:
-    """The learning objective from ``||X||^2``, ``X D`` and ``D^T D``, without the (n, dim) residual."""
+    """:func:`objective` from ``||X||^2``, ``X D`` and ``D^T D``, without the (n, dim) residual."""
     return float(x_sq - 2.0 * np.sum(C * XD) + np.sum(C * (C @ DtD)) + lam * np.sum(np.abs(C)))
 
 

@@ -8,7 +8,9 @@ move an event into the user's local clock.  Columns are found by their header
 names.  Malformed lines are counted and reported by physical line number;
 more than :data:`MAX_MALFORMED_FRACTION` (1%) of them fails the parse.
 :func:`write_events` is the one writer of the format: it takes blocks of
-columns and writes the six required columns.
+columns and writes the six required columns.  The favorites format
+(``user_id,kind,item_id``, kind ``track`` or ``album``) lives here too, with
+its writer :func:`write_favorites`.
 
 Events are stored columnar (:class:`EventLog`): string identifiers are interned
 into lookup tables and each event carries int32 indexes, which keeps multi-million
@@ -53,6 +55,11 @@ MIN_DAILY_STREAMS = 6.0
 
 EVENT_COLUMNS = ("user_id", "timestamp", "track_id", "album_id", "origin", "listen_duration")
 TZ_COLUMN = "tz_offset_min"
+
+FAVORITES_COLUMNS = ("user_id", "kind", "item_id")
+#: The favorites ``kind`` tokens.
+TRACK = "track"
+ALBUM = "album"
 
 #: How many malformed-line details are kept verbatim (all are still counted).
 MAX_REPORTED_DETAILS = 50
@@ -251,29 +258,41 @@ def parse_events(source) -> tuple[EventLog, ParseReport]:
 def write_events(path, blocks: Iterable[tuple[np.ndarray, ...]]) -> int:
     """Write ``events.csv`` from blocks of columns; returns the number of event lines.
 
-    Each block holds the :data:`EVENT_COLUMNS` as equal-length numpy arrays:
-    user ids, epoch-second timestamps, track ids, album ids, an ``organic``
-    boolean and listen durations.  Each column goes through ``.tolist()``
-    once and each block is written as one string.  No tz column is written.
-    Identifiers are written unquoted, so they must not hold a comma, a quote
-    or a line break.
+    Each block holds one equal-length numpy array per :data:`EVENT_COLUMNS`
+    entry, in that order: user ids, epoch-second timestamps, track ids, album
+    ids, an ``organic`` boolean and listen durations.  Each column goes
+    through ``.tolist()`` once and each block is written as one string.  No
+    tz column is written.  Identifiers are written unquoted, so they must not
+    hold a comma, a quote or a line break.
     """
     tokens = (ALGORITHMIC, ORGANIC)
+    origin = EVENT_COLUMNS.index("origin")
+    row = ",".join(["%s"] * len(EVENT_COLUMNS)) + "\n"
     lines = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(EVENT_COLUMNS) + "\n")
         for block in blocks:
-            users, timestamps, tracks, albums, organic, durations = (col.tolist() for col in block)
-            fh.write("".join([f"{u},{t},{tr},{al},{tokens[o]},{d}\n" for u, t, tr, al, o, d
-                              in zip(users, timestamps, tracks, albums, organic, durations)]))
-            lines += len(timestamps)
+            columns = [col.tolist() for col in block]
+            columns[origin] = [tokens[o] for o in columns[origin]]
+            fh.write("".join([row % fields for fields in zip(*columns)]))
+            lines += len(columns[0])
     return lines
+
+
+def write_favorites(path, user_ids: list[str], kinds: list[str], item_ids: list[str]) -> None:
+    """Write the favorites CSV from the three columns :func:`parse_favorites` returns.
+
+    Identifiers are written unquoted, as in :func:`write_events`.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(FAVORITES_COLUMNS) + "\n")
+        fh.writelines(",".join(fields) + "\n" for fields in zip(user_ids, kinds, item_ids))
 
 
 def parse_favorites(source) -> tuple[list[str], list[str], list[str]]:
     """Parse the favorites CSV (header ``user_id,kind,item_id``) into those three columns; strict."""
     with storage.csv_rows(source, "favorites", IngestError) as (header, reader):
-        expected = ["user_id", "kind", "item_id"]
+        expected = list(FAVORITES_COLUMNS)
         if header != expected:
             raise IngestError(f"favorites header must be {expected}, got {header}")
         users, kinds, items = [], [], []
@@ -282,7 +301,7 @@ def parse_favorites(source) -> tuple[list[str], list[str], list[str]]:
                 continue
             if len(row) != 3 or not row[0] or not row[2]:
                 raise IngestError(f"favorites line {reader.line_num} is malformed: {row}")
-            if row[1] not in ("track", "album"):
+            if row[1] not in (TRACK, ALBUM):
                 raise IngestError(f"favorites line {reader.line_num} has unknown kind {row[1]!r}")
             users.append(row[0])
             kinds.append(row[1])
@@ -357,7 +376,7 @@ class ProfileSet:
             if ui is None:
                 self.unknown_user_warnings += 1
                 continue
-            if kind == "track":
+            if kind == TRACK:
                 ti = track_pos.get(item)
                 if ti is not None:
                     fav_track_keys.append(ui * n_tracks + ti)

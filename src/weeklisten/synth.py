@@ -369,12 +369,13 @@ def generate(config: SynthConfig, out_dir) -> GenerateResult:
 
     n_events = ingest.write_events(events_path, user_blocks())
     n_valid, n_organic_valid = valid_counts.sum(axis=0).tolist()
-    with open(favorites_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("user_id,kind,item_id\n")
-        for uid, favors in zip(user_ids, has_favorites):
-            if favors:
-                fh.writelines(f"{uid},track,{uid}_t_fav{i}\n" for i in range(6))
-                fh.write(f"{uid},album,{uid}_alb\n")
+    fav_users, fav_kinds, fav_items = [], [], []
+    for uid, favors in zip(user_ids, has_favorites):
+        if favors:
+            fav_users += [uid] * 7
+            fav_kinds += [ingest.TRACK] * 6 + [ingest.ALBUM]
+            fav_items += [f"{uid}_t_fav{i}" for i in range(6)] + [f"{uid}_alb"]
+    ingest.write_favorites(favorites_path, fav_users, fav_kinds, fav_items)
 
     # Labels: noisy link score thresholded at the base-rate population quantile.
     # Noise is scaled by the spread of the strongest link column, so strong

@@ -45,10 +45,17 @@ def test_objective_linear_in_lambda(rng):
     D = rng.normal(size=(8, 2))
     C = rng.normal(size=(4, 2))
     lam = 0.7
-    for objective in (dictionary_objective, gram_objective):
+    for objective in (dictionary_objective, gram_objective, dictionary.objective):
         delta = objective(X, D, C, 2 * lam) - objective(X, D, C, lam)
         assert delta == pytest.approx(lam * np.abs(C).sum())
     assert gram_objective(X, D, C, lam) == pytest.approx(dictionary_objective(X, D, C, lam), rel=1e-12)
+    assert dictionary.objective(X, D, C, lam) == pytest.approx(dictionary_objective(X, D, C, lam), rel=1e-12)
+
+
+def test_objective_shape_mismatch_is_fatal(rng):
+    with pytest.raises(DictionaryError, match="shape"):
+        dictionary.objective(rng.normal(size=(4, 8)), rng.normal(size=(8, 2)),
+                             rng.normal(size=(4, 3)), 1.0)
 
 
 def test_kkt_residuals_shape_mismatch_is_fatal(rng):

@@ -285,6 +285,17 @@ def test_events_round_trip(tmp_path_factory, blocks):
     assert path.read_text(encoding="utf-8").splitlines()[0] == EVENTS_HEADER
 
 
+@given(triples=st.lists(st.tuples(identifier, st.sampled_from([ingest.TRACK, ingest.ALBUM]), identifier),
+                        min_size=1, max_size=12))
+@settings(max_examples=50, deadline=None)
+def test_favorites_round_trip(tmp_path_factory, triples):
+    # Columns -> write_favorites -> parse_favorites -> the same columns.
+    path = tmp_path_factory.mktemp("fav") / "favorites.csv"
+    ingest.write_favorites(path, *favorites_of(*triples))
+    assert ingest.parse_favorites(path) == favorites_of(*triples)
+    assert path.read_text(encoding="utf-8").splitlines()[0] == "user_id,kind,item_id"
+
+
 def test_round_trip_preserves_tz():
     events = [make_event(tz=90), make_event(tz=None, timestamp=MONDAY + 5)]
     assert records(log_of(*events)) == events
