@@ -2,12 +2,18 @@
 
 Subcommands mirror the stages: ``synth``, ``ingest``, ``signals``, ``learn``,
 ``embed``, ``eval``, ``export-atoms`` and ``pipeline`` (all stages in order,
-through the same file-based handoffs a staged run would use, so both produce
-byte-identical artifacts).  Stages hand off a user-index file plus a ``.npy``
-matrix file (signals, codes; there is no other matrix format) or
+byte-identical to a staged run).  Stages hand off a user-index file plus a
+``.npy`` matrix file (signals, codes; there is no other matrix format) or
 ``dictionary.csv``; in memory they pass the same ``(user_ids, matrix)``
-arrays.  A missing, malformed or non-UTF-8 input or handoff file is an
-``error: ...`` line and exit status 1.
+arrays.  ``pipeline`` uses those file handoffs too, with one exception: it
+parses ``events.csv`` and ``favorites.csv`` once, in ``ingest``, and hands the
+ingest front end (filtered log, profiles, study period) to ``signals`` in
+memory; a staged ``signals`` parses the files itself.
+
+Stage commands signal failure only by raising :class:`PipelineError`, which
+:func:`main` turns into an ``error: ...`` line and exit status 1 (a missing,
+malformed or non-UTF-8 input or handoff file among them); a usage error exits
+with status 2 and a finished command with 0.
 
 All randomness flows from one ``--seed``: each stage derives its own seed as
 ``SeedSequence(entropy=seed, spawn_key=(STAGE_ID,))``, so running a stage
@@ -106,7 +112,7 @@ def _synth_config(args) -> synth.SynthConfig:
     )
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     started = time.monotonic()
     out = _out_dir(args)
     config = _synth_config(args)
@@ -118,13 +124,14 @@ def cmd_synth(args) -> int:
         "events": result.events_path, "favorites": result.favorites_path,
         "labels": result.labels_path,
     }, started)
-    return 0
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> tuple:
+    """Write ``user_summary.csv``; returns the front end so ``pipeline`` can hand it to signals."""
     started = time.monotonic()
     out = _out_dir(args)
-    restricted, profiles, period, active, report = _load_filtered(args)
+    front = _load_filtered(args)
+    _, profiles, period, active, report = front
     print(report.summary())
     print(f"{len(active)} active users over {period.days:g} days")
     if profiles.unknown_user_warnings:
@@ -138,13 +145,14 @@ def cmd_ingest(args) -> int:
     _write_manifest(out, "ingest", args,
                     {"events": args.events, "favorites": args.favorites or ""},
                     {"user_summary": summary_path}, started)
-    return 0
+    return front
 
 
-def cmd_signals(args) -> int:
+def cmd_signals(args, front=None) -> None:
+    """Write the signal matrix, from ``front`` (see :func:`cmd_ingest`) or a parse of its own."""
     started = time.monotonic()
     out = _out_dir(args)
-    restricted, profiles, period, active, _ = _load_filtered(args)
+    restricted, profiles, period, _, _ = front or _load_filtered(args)
     sset = signals.build_signal_set(profiles, restricted, period, args.tz_offset_min)
     index_path = out / "signal_users.txt"
     matrix_path = out / "signals.npy"
@@ -153,10 +161,9 @@ def cmd_signals(args) -> int:
     _write_manifest(out, "signals", args,
                     {"events": args.events, "favorites": args.favorites or ""},
                     {"signal_users": index_path, "signals": matrix_path}, started)
-    return 0
 
 
-def cmd_learn(args) -> int:
+def cmd_learn(args) -> None:
     started = time.monotonic()
     out = _out_dir(args)
     sset = signals.SignalSet(*storage.load_indexed_matrix(args.signal_users, args.signals))
@@ -187,10 +194,9 @@ def cmd_learn(args) -> int:
                     {"dictionary_csv": csv_path,
                      "train_users": out / "train_users.txt", "test_users": out / "test_users.txt",
                      "objective_trace": trace_path}, started, certificate)
-    return 0
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args) -> None:
     started = time.monotonic()
     out = _out_dir(args)
     sset = signals.SignalSet(*storage.load_indexed_matrix(args.signal_users, args.signals))
@@ -207,7 +213,6 @@ def cmd_embed(args) -> int:
                     {"signal_users": args.signal_users, "signals": args.signals,
                      "dictionary": args.dictionary},
                     {"code_users": index_path, "codes": matrix_path}, started, certificate)
-    return 0
 
 
 def _read_summary_totals(path) -> dict[str, int]:
@@ -228,7 +233,7 @@ def _read_summary_totals(path) -> dict[str, int]:
     return totals
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     started = time.monotonic()
     out = _out_dir(args)
     users, codes = storage.load_indexed_matrix(args.code_users, args.codes)
@@ -251,10 +256,9 @@ def cmd_eval(args) -> int:
                      "labels": args.labels, "summary": args.summary},
                     {"report": report_path, "table": table_path, "coefficients": coef_path},
                     started)
-    return 0
 
 
-def cmd_export_atoms(args) -> int:
+def cmd_export_atoms(args) -> None:
     started = time.monotonic()
     out = _out_dir(args)
     dct = dictionary.load_dictionary_csv(args.dictionary)
@@ -263,52 +267,58 @@ def cmd_export_atoms(args) -> int:
     print(f"exported {dct.n_atoms} atoms to {atoms_path}")
     _write_manifest(out, "export-atoms", args, {"dictionary": args.dictionary},
                     {"atoms": atoms_path}, started)
-    return 0
 
 
-def cmd_pipeline(args) -> int:
+def cmd_pipeline(args) -> None:
     started = time.monotonic()
     out = _out_dir(args)
     config = _synth_config(args)
 
-    rc = cmd_synth(_ns(args, out=out))
-    if rc:
-        return rc
+    cmd_synth(_ns(args, out=out))
     stage_args = _ns(
         args, out=out, events=out / "events.csv", favorites=out / "favorites.csv",
         period_start=config.period_start, period_end=config.period_end)
-    for cmd in (cmd_ingest, cmd_signals):
-        rc = cmd(stage_args)
-        if rc:
-            return rc
+    # The ingest front end lives only as this argument, so it is freed before learn.
+    cmd_signals(stage_args, cmd_ingest(stage_args))
     learn_args = _ns(stage_args, signal_users=out / "signal_users.txt",
                      signals=out / "signals.npy")
-    rc = cmd_learn(learn_args)
-    if rc:
-        return rc
+    cmd_learn(learn_args)
     embed_args = _ns(learn_args, dictionary=out / "dictionary.csv", lam=None)
-    rc = cmd_embed(embed_args)
-    if rc:
-        return rc
+    cmd_embed(embed_args)
     eval_args = _ns(embed_args, code_users=out / "code_users.txt",
                     codes=out / "codes.npy",
                     labels=out / "labels.csv", summary=out / "user_summary.csv")
-    rc = cmd_eval(eval_args)
-    if rc:
-        return rc
-    rc = cmd_export_atoms(_ns(eval_args, dictionary=out / "dictionary.csv"))
-    if rc:
-        return rc
+    cmd_eval(eval_args)
+    cmd_export_atoms(_ns(eval_args, dictionary=out / "dictionary.csv"))
     _write_manifest(out, "pipeline", args, {}, {"directory": out}, started)
     print(f"pipeline finished in {time.monotonic() - started:.1f}s")
-    return 0
 
 
 def _ns(base: argparse.Namespace, **overrides) -> argparse.Namespace:
-    ns = argparse.Namespace(**vars(base))
-    for key, value in overrides.items():
-        setattr(ns, key, value)
-    return ns
+    return argparse.Namespace(**{**vars(base), **overrides})
+
+
+#: Flags that several subcommands take, each declared once; :func:`_add` adds them by name.
+SHARED_FLAGS = {
+    "--min-listen-secs": dict(type=int, default=ingest.MIN_LISTEN_SECS,
+                              help="validity cutoff in seconds (default 30)"),
+    "--min-daily-streams": dict(type=float, default=ingest.MIN_DAILY_STREAMS,
+                                help="activity cutoff in valid streams per day (default 6)"),
+    "--tz-offset-min": dict(type=int, default=0,
+                            help="default local-time offset for events without one"),
+    "--signal-users": dict(required=True, help="signal user index file"),
+    "--signals": dict(required=True, help="signal matrix file"),
+    "--dictionary": dict(required=True, help="dictionary CSV"),
+    "--lasso-tol": dict(type=float, default=1e-8, help="coordinate-change tolerance"),
+    "--lasso-max-sweeps": dict(type=int, default=1000, help="sweep cap per coding pass"),
+    "--test-frac": dict(type=float, default=0.33,
+                        help="held-out user fraction, excluded from learning (default 0.33)"),
+}
+
+
+def _add(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(name, **SHARED_FLAGS[name])
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -322,10 +332,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_filter_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--events", required=True, help="events CSV")
     p.add_argument("--favorites", default=None, help="favorites CSV")
-    p.add_argument("--min-listen-secs", type=int, default=ingest.MIN_LISTEN_SECS,
-                   help="validity cutoff in seconds (default 30)")
-    p.add_argument("--min-daily-streams", type=float, default=ingest.MIN_DAILY_STREAMS,
-                   help="activity cutoff in valid streams per day (default 6)")
+    _add(p, "--min-listen-secs", "--min-daily-streams")
     p.add_argument("--period-start", type=int, default=None, help="study period start (epoch secs)")
     p.add_argument("--period-end", type=int, default=None, help="study period end (epoch secs)")
 
@@ -339,18 +346,15 @@ def _add_synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--archetypes", default=None, help="archetype JSON config (default: built-ins)")
 
 
-def _add_learn_flags(p: argparse.ArgumentParser, lam_default) -> None:
+def _add_learn_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--atoms", type=int, default=32, help="number of atoms K (default 32)")
-    p.add_argument("--lambda", dest="lam", type=float, default=lam_default,
+    p.add_argument("--lambda", dest="lam", type=float, default=1.0,
                    help="L1 sparsity weight (default 1.0)")
     p.add_argument("--outer-iters", type=int, default=100, help="alternation rounds (default 100)")
-    p.add_argument("--lasso-tol", type=float, default=1e-8, help="coordinate-change tolerance")
-    p.add_argument("--lasso-max-sweeps", type=int, default=1000, help="sweep cap per coding pass")
+    _add(p, "--lasso-tol", "--lasso-max-sweeps", "--test-frac")
 
 
 def _add_eval_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--test-frac", type=float, default=0.33,
-                   help="held-out user fraction (default 0.33)")
     p.add_argument("--l2-grid", type=float, nargs="+", default=list(evaluate.DEFAULT_L2_GRID),
                    help="l2 strengths searched by CV")
     p.add_argument("--cv-folds", type=int, default=5, help="grid-search folds (default 5)")
@@ -375,26 +379,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("signals", help="build the normalized weekly signal matrix")
     _add_common(p)
     _add_filter_flags(p)
-    p.add_argument("--tz-offset-min", type=int, default=0,
-                   help="default local-time offset for events without one")
+    _add(p, "--tz-offset-min")
 
     p = sub.add_parser("learn", help="learn the atom dictionary on the train split")
     _add_common(p)
-    p.add_argument("--signal-users", required=True, help="signal user index file")
-    p.add_argument("--signals", required=True, help="signal matrix file")
-    _add_learn_flags(p, lam_default=1.0)
-    p.add_argument("--test-frac", type=float, default=0.33,
-                   help="held-out user fraction excluded from learning")
+    _add(p, "--signal-users", "--signals")
+    _add_learn_flags(p)
 
     p = sub.add_parser("embed", help="code users against a fixed dictionary")
     _add_common(p)
-    p.add_argument("--signal-users", required=True)
-    p.add_argument("--signals", required=True)
-    p.add_argument("--dictionary", required=True, help="dictionary CSV")
+    _add(p, "--signal-users", "--signals", "--dictionary")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="override the dictionary's training lambda")
-    p.add_argument("--lasso-tol", type=float, default=1e-8)
-    p.add_argument("--lasso-max-sweeps", type=int, default=1000)
+    _add(p, "--lasso-tol", "--lasso-max-sweeps")
 
     p = sub.add_parser("eval", help="activity-prediction evaluation report")
     _add_common(p)
@@ -402,19 +399,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--codes", required=True, help="code matrix file")
     p.add_argument("--labels", required=True, help="labels CSV")
     p.add_argument("--summary", required=True, help="user summary CSV from ingest")
+    _add(p, "--test-frac")
     _add_eval_flags(p)
 
     p = sub.add_parser("export-atoms", help="dictionary to long-format plotting CSV")
     _add_common(p)
-    p.add_argument("--dictionary", required=True, help="dictionary CSV")
+    _add(p, "--dictionary")
 
     p = sub.add_parser("pipeline", help="run every stage with one seed")
     _add_common(p)
     _add_synth_flags(p)
-    p.add_argument("--min-listen-secs", type=int, default=ingest.MIN_LISTEN_SECS)
-    p.add_argument("--min-daily-streams", type=float, default=ingest.MIN_DAILY_STREAMS)
-    p.add_argument("--tz-offset-min", type=int, default=0)
-    _add_learn_flags(p, lam_default=1.0)
+    _add(p, "--min-listen-secs", "--min-daily-streams", "--tz-offset-min")
+    _add_learn_flags(p)
     _add_eval_flags(p)
 
     return parser
@@ -441,10 +437,11 @@ def main(argv=None) -> int:
     if getattr(args, "threads", 1) < 1:
         parser.error("--threads must be >= 1")
     try:
-        return COMMANDS[args.command](args)
+        COMMANDS[args.command](args)
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

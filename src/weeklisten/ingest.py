@@ -5,8 +5,11 @@ This module owns the ``events.csv`` format: line-delimited CSV with header
 Timestamps are integer epoch seconds (UTC); ``origin`` is ``organic`` or
 ``algorithmic``; ``tz_offset_min`` is an optional signed minute offset used to
 move an event into the user's local clock.  Columns are found by their header
-names.  Malformed lines are counted and reported by physical line number;
-more than :data:`MAX_MALFORMED_FRACTION` (1%) of them fails the parse.
+names.  A timestamp must fit in int64, a duration or offset in int32 (an
+offset above the int32 minimum, the no-offset sentinel); an integer out of
+its range makes the line malformed.  Malformed lines are counted and
+reported by physical line number; more than :data:`MAX_MALFORMED_FRACTION`
+(1%) of them fails the parse.
 :func:`write_events` is the one writer of the format: it takes blocks of
 columns and writes the six required columns.  The favorites format
 (``user_id,kind,item_id``, kind ``track`` or ``album``) lives here too, with
@@ -43,6 +46,9 @@ ORIGIN_TOKENS = (ORGANIC, ALGORITHMIC)
 
 #: Sentinel stored in the tz column for events without an explicit offset.
 TZ_UNSET = np.iinfo(np.int32).min
+#: Bounds of the integer columns; a value outside them makes its line malformed.
+_INT32_MAX = np.iinfo(np.int32).max
+_INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
 
 #: Lifetime play count above which a track counts as repeat listening.
 REPEAT_PLAY_THRESHOLD = 3
@@ -112,6 +118,7 @@ class ParseReport:
         return f"{head} ({shown}{', ...' if self.malformed_count > 5 else ''})"
 
 
+@dataclass(eq=False, slots=True)
 class EventLog:
     """Columnar event log: one array per field, one entry per event.
 
@@ -121,21 +128,16 @@ class EventLog:
     comparable across a filter chain.
     """
 
-    __slots__ = ("users", "tracks", "albums", "user_idx", "track_idx",
-                 "album_idx", "timestamps", "durations", "organic", "tz_offset_min")
-
-    def __init__(self, users, tracks, albums, user_idx, track_idx, album_idx,
-                 timestamps, durations, organic, tz_offset_min):
-        self.users = users
-        self.tracks = tracks
-        self.albums = albums
-        self.user_idx = user_idx
-        self.track_idx = track_idx
-        self.album_idx = album_idx
-        self.timestamps = timestamps
-        self.durations = durations
-        self.organic = organic
-        self.tz_offset_min = tz_offset_min
+    users: np.ndarray
+    tracks: np.ndarray
+    albums: np.ndarray
+    user_idx: np.ndarray
+    track_idx: np.ndarray
+    album_idx: np.ndarray
+    timestamps: np.ndarray
+    durations: np.ndarray
+    organic: np.ndarray
+    tz_offset_min: np.ndarray
 
     def __len__(self) -> int:
         return int(self.timestamps.shape[0])
@@ -216,13 +218,17 @@ def parse_events(source) -> tuple[EventLog, ParseReport]:
             except ValueError:
                 reject(f"timestamp {row[ts_pos]!r} is not an integer")
                 continue
+            if not _INT64_MIN <= ts <= _INT64_MAX:
+                reject(f"timestamp {ts} does not fit in 64 bits")
+                continue
             try:
                 duration = int(row[du_pos])
             except ValueError:
                 reject(f"listen_duration {row[du_pos]!r} is not an integer")
                 continue
-            if duration < 0:
-                reject(f"listen_duration {duration} is negative")
+            if not 0 <= duration <= _INT32_MAX:
+                reject(f"listen_duration {duration} "
+                       + ("is negative" if duration < 0 else "does not fit in 32 bits"))
                 continue
             tz = TZ_UNSET
             if tz_pos is not None and row[tz_pos] != "":
@@ -230,6 +236,9 @@ def parse_events(source) -> tuple[EventLog, ParseReport]:
                     tz = int(row[tz_pos])
                 except ValueError:
                     reject(f"tz_offset_min {row[tz_pos]!r} is not an integer")
+                    continue
+                if not TZ_UNSET < tz <= _INT32_MAX:  # TZ_UNSET itself is the no-offset sentinel
+                    reject(f"tz_offset_min {tz} does not fit in 32 bits")
                     continue
             user_idx.append(users.setdefault(user, len(users)))
             track_idx.append(tracks.setdefault(track, len(tracks)))
@@ -332,9 +341,12 @@ def filter_active_users(log: EventLog, period: StudyPeriod,
 
 def restrict_to_users(log: EventLog, user_ids: Iterable[str]) -> EventLog:
     """View of ``log`` containing only events of the given users."""
-    wanted = set(user_ids)
-    mask = np.fromiter((str(u) in wanted for u in log.users), count=len(log.users), dtype=bool)
-    return log.select(mask[log.user_idx])
+    return log.select(_members(log.users, set(user_ids))[log.user_idx])
+
+
+def _members(table: np.ndarray, wanted: set[str]) -> np.ndarray:
+    """Boolean mask of the ids of an interning ``table`` that are in ``wanted``; one scan."""
+    return np.fromiter((t in wanted for t in table), count=len(table), dtype=bool)
 
 
 class ProfileSet:
@@ -365,32 +377,22 @@ class ProfileSet:
         # Only users with at least one event are profiled; the shared string
         # table may hold more (filtered-out users of a select view).
         user_pos = {str(log.users[i]): int(i) for i in np.unique(log.user_idx)}
-        track_pos = {str(t): i for i, t in enumerate(log.tracks)}
-        album_pos = {str(a): i for i, a in enumerate(log.albums)}
-
-        fav_track_keys: list[int] = []
-        fav_album_keys: list[int] = []
-        self.unknown_user_warnings = 0
-        for user, kind, item in zip(*favorites):
-            ui = user_pos.get(user)
-            if ui is None:
-                self.unknown_user_warnings += 1
-                continue
-            if kind == TRACK:
-                ti = track_pos.get(item)
-                if ti is not None:
-                    fav_track_keys.append(ui * n_tracks + ti)
-            else:
-                ai = album_pos.get(item)
-                if ai is not None:
-                    fav_album_keys.append(ui * len(log.albums) + ai)
+        # Favorites are looked up only among the favorited ids, each kind in its own table.
+        rows = list(zip(*favorites))
+        self.unknown_user_warnings = sum(user not in user_pos for user, _, _ in rows)
+        fav_keys = {}
+        for kind, table in ((TRACK, log.tracks), (ALBUM, log.albums)):
+            hits = np.flatnonzero(_members(table, {item for _, k, item in rows if k == kind}))
+            pos = dict(zip(table[hits].tolist(), hits.tolist()))
+            fav_keys[kind] = np.array([user_pos[user] * len(table) + pos[item] for user, k, item in rows
+                                       if k == kind and user in user_pos and item in pos], dtype=np.int64)
 
         # The liked-track set: the user's favorited tracks plus every track
         # they streamed under a favorited album.  An event is liked when its
         # (user, track) pair is in that set, whatever album it came under.
         album_key = log.user_idx.astype(np.int64) * len(log.albums) + log.album_idx
-        album_liked = np.isin(album_key, np.asarray(fav_album_keys, dtype=np.int64))
-        track_liked = np.isin(pair_key, np.asarray(fav_track_keys, dtype=np.int64))
+        album_liked = np.isin(album_key, fav_keys[ALBUM])
+        track_liked = np.isin(pair_key, fav_keys[TRACK])
         self._liked_pair_keys = np.unique(pair_key[album_liked | track_liked])
         self._event_liked = np.isin(pair_key, self._liked_pair_keys)
 

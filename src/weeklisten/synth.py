@@ -84,9 +84,6 @@ class Archetype:
             if not 0 <= p <= 1:
                 raise SynthesisError(f"{self.name} link probability {p} outside [0, 1]")
 
-    def primary_activity(self) -> str:
-        return max(self.activity_links, key=self.activity_links.get)
-
 
 def hour_block(days, hours, level: float) -> np.ndarray:
     """(168,) array with ``level`` on the given day/hour crossings, 0 elsewhere."""

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from weeklisten import cli, dictionary, synth
+from weeklisten import cli, dictionary, ingest, synth
 
 from conftest import DATA_ARTIFACTS
 
@@ -145,6 +146,13 @@ def _non_utf8(name, line, col):
     return damage
 
 
+def _overflowing_duration(tmp_path, pipe):
+    """A one-line events file whose listen_duration does not fit in 32 bits."""
+    path = tmp_path / "events.csv"
+    path.write_text(",".join(ingest.EVENT_COLUMNS) + "\nu1,1641168000,t1,a1,organic,99999999999\n")
+    return path
+
+
 # (argv builder over the pipeline dir and the damaged file, damage, expected message or messages)
 BAD_HANDOFFS = {
     "export-atoms-empty-dictionary": (
@@ -180,6 +188,9 @@ BAD_HANDOFFS = {
         lambda p, bad: ["eval", "--code-users", p / "code_users.txt", "--codes", p / "codes.npy",
                         "--labels", bad, "--summary", p / "user_summary.csv"],
         _non_utf8("labels.csv", 61, 0), ("cannot read labels source", ": line 61, byte column 7: ")),
+    "ingest-overflowing-duration": (
+        lambda p, bad: ["ingest", "--events", bad], _overflowing_duration,
+        ("too many malformed lines", "line 2: listen_duration 99999999999 does not fit in 32 bits")),
 }
 
 
@@ -195,9 +206,31 @@ def test_bad_handoff_file_is_an_error_line(pipeline_dir, tmp_path, capsys, case)
 
 
 def test_pipeline_outputs_exist(pipeline_dir):
-    for name in DATA_ARTIFACTS + ("manifest_pipeline.json",):
+    for name in DATA_ARTIFACTS + ("manifest_pipeline.json", "manifest_ingest.json", "manifest_signals.json"):
         assert (pipeline_dir / name).exists(), name
     assert not (pipeline_dir / "dictionary.bin").exists()
+
+
+def test_pipeline_parses_each_input_once(tmp_path, monkeypatch):
+    calls = {"parse_events": 0, "parse_favorites": 0}
+    for name in calls:
+        def counted(source, _parse=getattr(ingest, name), _name=name):
+            calls[_name] += 1
+            return _parse(source)
+        monkeypatch.setattr(ingest, name, counted)
+    assert run(["pipeline", "--seed", "7", "--out", str(tmp_path)] + SMALL) == 0
+    assert calls == {"parse_events": 1, "parse_favorites": 1}
+
+
+def test_pipeline_help_shows_the_shared_flag_help(capsys):
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {flag: action.help for stage in ("ingest", "signals")
+             for action in subparsers.choices[stage]._actions for flag in action.option_strings}
+    with pytest.raises(SystemExit):
+        run(["pipeline", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for flag in ("--min-listen-secs", "--min-daily-streams", "--tz-offset-min"):
+        assert helps[flag] and " ".join(helps[flag].split()) in text, flag
 
 
 def test_manifest_contents(pipeline_dir):

@@ -86,6 +86,33 @@ def test_parse_too_many_malformed_is_fatal(tmp_path):
             ingest.parse_events(source)
 
 
+@pytest.mark.parametrize("row, reason", [
+    (f"ux,{MONDAY},t,a,organic,{2**31},", f"listen_duration {2**31} does not fit in 32 bits"),
+    (f"ux,{MONDAY},t,a,organic,60,{-2**31 - 1}", f"tz_offset_min {-2**31 - 1} does not fit in 32 bits"),
+    (f"ux,{MONDAY},t,a,organic,60,{-2**31}", f"tz_offset_min {-2**31} does not fit in 32 bits"),
+    (f"ux,{2**63},t,a,organic,60,", f"timestamp {2**63} does not fit in 64 bits"),
+], ids=["listen_duration", "tz_offset_min", "tz_offset_min-sentinel", "timestamp"])
+def test_out_of_range_integer_is_a_malformed_line(row, reason):
+    # The int32 minimum is the no-offset sentinel of the tz column, so it is out of range too.
+    good = [f"u{i},{MONDAY + i},t,a,organic,60,{i}" for i in range(150)]
+    header = EVENTS_HEADER + ",tz_offset_min"
+    log, report = ingest.parse_events(events_csv_lines(good[:70] + [row] + good[70:], header=header))
+    assert report.details == ((72, reason),)
+    assert len(log) == 150 and "ux" not in log.users
+    with pytest.raises(IngestError, match=f"too many malformed lines: .*line 2: {reason}"):
+        ingest.parse_events(events_csv_lines([row], header=header))
+
+
+def test_in_range_integer_extremes_parse():
+    header = EVENTS_HEADER + ",tz_offset_min"
+    rows = [f"u1,{-2**63},t,a,organic,{2**31 - 1},{-2**31 + 1}", f"u2,{2**63 - 1},t,a,organic,0,{2**31 - 1}"]
+    log, report = ingest.parse_events(events_csv_lines(rows, header=header))
+    assert report.malformed_count == 0
+    assert log.timestamps.tolist() == [-2**63, 2**63 - 1]
+    assert log.durations.tolist() == [2**31 - 1, 0]
+    assert log.tz_offset_min.tolist() == [-2**31 + 1, 2**31 - 1]
+
+
 def test_parse_unreadable_source_is_fatal(tmp_path):
     with pytest.raises(IngestError, match="cannot read"):
         ingest.parse_events(tmp_path / "missing.csv")
@@ -313,7 +340,7 @@ summary_event = st.builds(
     user=st.sampled_from(["u1", "u2", "u3"]),
     timestamp=st.integers(min_value=MONDAY - DAY, max_value=MONDAY + 13 * DAY),
     track=st.sampled_from(["t1", "t2", "t3", "t4"]),
-    album=st.sampled_from(["a1", "a2"]),
+    album=st.sampled_from(["t1", "a1", "a2"]),  # "t1" names a track and an album
     tz=st.one_of(st.none(), st.integers(min_value=-720, max_value=840)),
 )
 
