@@ -7,8 +7,8 @@ byte-identical to a staged run).  Stages hand off a user-index file plus a
 ``dictionary.csv``; in memory they pass the same ``(user_ids, matrix)``
 arrays.  ``pipeline`` uses those file handoffs too, with one exception: it
 parses ``events.csv`` and ``favorites.csv`` once, in ``ingest``, and hands the
-ingest front end (filtered log, profiles, study period) to ``signals`` in
-memory; a staged ``signals`` parses the files itself.
+ingest front end (the profiles, which carry the filtered log, and the study
+period) to ``signals`` in memory; a staged ``signals`` parses the files itself.
 
 Stage commands signal failure only by raising :class:`PipelineError`, which
 :func:`main` turns into an ``error: ...`` line and exit status 1 (a missing,
@@ -73,7 +73,7 @@ def _out_dir(args) -> Path:
 
 def _certify_codes(matrix, dct, codes, lam, lasso_tol) -> dict:
     """Worst KKT residual of the codes and how many exceed the certificate; warns if any do."""
-    residuals = dictionary.kkt_residuals(matrix, dct, codes, lam)
+    residuals = dictionary.kkt_residuals(matrix, dct.stacked, codes, lam)
     bound = dictionary.KKT_TOL_FACTOR * lasso_tol
     uncertified = int(np.count_nonzero(residuals > bound))
     worst = float(residuals.max()) if residuals.size else 0.0
@@ -92,15 +92,14 @@ def _resolve_period(args, valid_log) -> ingest.StudyPeriod:
 
 
 def _load_filtered(args):
-    """Shared ingest front end: parse, duration-filter, activity-filter, profile."""
+    """Shared ingest front end: parse, filter and profile; ``(profiles, period, report)``."""
     log, report = ingest.parse_events(args.events)
     favorites = ingest.parse_favorites(args.favorites) if args.favorites else ()
     valid = ingest.filter_valid_streams(log, args.min_listen_secs)
     period = _resolve_period(args, valid)
     active = ingest.filter_active_users(valid, period, args.min_daily_streams)
-    restricted = ingest.restrict_to_users(valid, active)
-    profiles = ingest.build_profiles(restricted, favorites)
-    return restricted, profiles, period, active, report
+    profiles = ingest.build_profiles(ingest.restrict_to_users(valid, active), favorites)
+    return profiles, period, report
 
 
 def _synth_config(args) -> synth.SynthConfig:
@@ -131,17 +130,16 @@ def cmd_ingest(args) -> tuple:
     started = time.monotonic()
     out = _out_dir(args)
     front = _load_filtered(args)
-    _, profiles, period, active, report = front
+    profiles, period, report = front
     print(report.summary())
-    print(f"{len(active)} active users over {period.days:g} days")
+    print(f"{len(profiles.user_ids)} active users over {period.days:g} days")
     if profiles.unknown_user_warnings:
         print(f"warning: {profiles.unknown_user_warnings} favorites referenced unknown users")
     summary_path = out / "user_summary.csv"
-    users, columns = profiles.summary_columns()
     with open(summary_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("user_id,total_valid_streams,active_days,distinct_tracks,liked_tracks\n")
-        fh.writelines(f"{user},{total},{days},{distinct},{liked}\n"
-                      for user, (total, days, distinct, liked) in zip(users, columns.tolist()))
+        fh.writelines(f"{user},{total},{days},{distinct},{liked}\n" for user, (total, days, distinct, liked)
+                      in zip(profiles.user_ids, profiles.summary.tolist()))
     _write_manifest(out, "ingest", args,
                     {"events": args.events, "favorites": args.favorites or ""},
                     {"user_summary": summary_path}, started)
@@ -152,8 +150,8 @@ def cmd_signals(args, front=None) -> None:
     """Write the signal matrix, from ``front`` (see :func:`cmd_ingest`) or a parse of its own."""
     started = time.monotonic()
     out = _out_dir(args)
-    restricted, profiles, period, _, _ = front or _load_filtered(args)
-    sset = signals.build_signal_set(profiles, restricted, period, args.tz_offset_min)
+    profiles, period, _ = front or _load_filtered(args)
+    sset = signals.build_signal_set(profiles, period, args.tz_offset_min)
     index_path = out / "signal_users.txt"
     matrix_path = out / "signals.npy"
     storage.save_indexed_matrix(sset.user_ids, sset.matrix, index_path, matrix_path)
@@ -301,18 +299,21 @@ def _ns(base: argparse.Namespace, **overrides) -> argparse.Namespace:
 #: Flags that several subcommands take, each declared once; :func:`_add` adds them by name.
 SHARED_FLAGS = {
     "--min-listen-secs": dict(type=int, default=ingest.MIN_LISTEN_SECS,
-                              help="validity cutoff in seconds (default 30)"),
+                              help=f"validity cutoff in seconds (default {ingest.MIN_LISTEN_SECS})"),
     "--min-daily-streams": dict(type=float, default=ingest.MIN_DAILY_STREAMS,
-                                help="activity cutoff in valid streams per day (default 6)"),
+                                help=f"activity cutoff in valid streams per day "
+                                     f"(default {ingest.MIN_DAILY_STREAMS:g})"),
     "--tz-offset-min": dict(type=int, default=0,
                             help="default local-time offset for events without one"),
     "--signal-users": dict(required=True, help="signal user index file"),
     "--signals": dict(required=True, help="signal matrix file"),
     "--dictionary": dict(required=True, help="dictionary CSV"),
-    "--lasso-tol": dict(type=float, default=1e-8, help="coordinate-change tolerance"),
-    "--lasso-max-sweeps": dict(type=int, default=1000, help="sweep cap per coding pass"),
+    "--lasso-tol": dict(type=float, default=dictionary.LearnConfig.lasso_tol,
+                        help="coordinate-change tolerance (default %(default)s)"),
+    "--lasso-max-sweeps": dict(type=int, default=dictionary.LearnConfig.lasso_max_sweeps,
+                               help="sweep cap per coding pass (default %(default)s)"),
     "--test-frac": dict(type=float, default=0.33,
-                        help="held-out user fraction, excluded from learning (default 0.33)"),
+                        help="held-out user fraction, excluded from learning (default %(default)s)"),
 }
 
 
@@ -338,26 +339,33 @@ def _add_filter_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_synth_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--users", type=int, default=5000, help="number of synthetic users")
-    p.add_argument("--weeks", type=int, default=12, help="number of weeks")
-    p.add_argument("--noise", type=float, default=0.35, help="noise level in [0, 1]")
-    p.add_argument("--organic-rate", type=float, default=0.80,
-                   help="population organic stream fraction target")
+    defaults = synth.SynthConfig
+    p.add_argument("--users", type=int, default=defaults.n_users,
+                   help="number of synthetic users (default %(default)s)")
+    p.add_argument("--weeks", type=int, default=defaults.weeks, help="number of weeks (default %(default)s)")
+    p.add_argument("--noise", type=float, default=defaults.noise,
+                   help="noise level in [0, 1] (default %(default)s)")
+    p.add_argument("--organic-rate", type=float, default=defaults.organic_rate,
+                   help="population organic stream fraction target (default %(default)s)")
     p.add_argument("--archetypes", default=None, help="archetype JSON config (default: built-ins)")
 
 
 def _add_learn_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--atoms", type=int, default=32, help="number of atoms K (default 32)")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                   help="L1 sparsity weight (default 1.0)")
-    p.add_argument("--outer-iters", type=int, default=100, help="alternation rounds (default 100)")
+    defaults = dictionary.LearnConfig
+    p.add_argument("--atoms", type=int, default=defaults.n_atoms,
+                   help="number of atoms K (default %(default)s)")
+    p.add_argument("--lambda", dest="lam", type=float, default=defaults.lam,
+                   help="L1 sparsity weight (default %(default)s)")
+    p.add_argument("--outer-iters", type=int, default=defaults.outer_iters,
+                   help="alternation rounds (default %(default)s)")
     _add(p, "--lasso-tol", "--lasso-max-sweeps", "--test-frac")
 
 
 def _add_eval_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--l2-grid", type=float, nargs="+", default=list(evaluate.DEFAULT_L2_GRID),
+    p.add_argument("--l2-grid", type=float, nargs="+", default=list(evaluate.EvalConfig.l2_grid),
                    help="l2 strengths searched by CV")
-    p.add_argument("--cv-folds", type=int, default=5, help="grid-search folds (default 5)")
+    p.add_argument("--cv-folds", type=int, default=evaluate.EvalConfig.cv_folds,
+                   help="grid-search folds (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:

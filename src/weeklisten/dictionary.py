@@ -27,7 +27,7 @@ The dictionary persists as ``dictionary.csv``.  :func:`embed` returns the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,14 +97,14 @@ class LearnResult:
     objective_trace: tuple[float, ...]  # objective after every half-step
 
 
-def _stacked(dictionary) -> np.ndarray:
-    mat = dictionary.stacked if isinstance(dictionary, Dictionary) else np.asarray(dictionary, dtype=np.float64)
+def _stacked(dictionary: np.ndarray) -> np.ndarray:
+    mat = np.asarray(dictionary, dtype=np.float64)
     if mat.ndim != 2:
         raise DictionaryError(f"dictionary must be 2-D (dim, K), got shape {mat.shape}")
     return mat
 
 
-def objective(signals: np.ndarray, dictionary, codes: np.ndarray, lam: float) -> float:
+def objective(signals: np.ndarray, dictionary: np.ndarray, codes: np.ndarray, lam: float) -> float:
     """``||S - D @ G||_F^2 + lam * ||G||_1`` on stacked matrices.
 
     :func:`learn` records the same value through :func:`_gram_objective`; this
@@ -133,7 +133,7 @@ def _kkt_from_half_gradient(g: np.ndarray, C: np.ndarray, lam: float) -> np.ndar
     return viol.max(axis=0) if viol.size else np.zeros(g.shape[1])
 
 
-def kkt_residuals(signals: np.ndarray, dictionary, codes: np.ndarray, lam: float) -> np.ndarray:
+def kkt_residuals(signals: np.ndarray, dictionary: np.ndarray, codes: np.ndarray, lam: float) -> np.ndarray:
     """Worst subgradient-optimality violation of each row's lasso code.
 
     The least-squares gradient is ``grad = -2 D^T (s - D c)``; optimality needs
@@ -204,8 +204,8 @@ def _exact_support_step(C: np.ndarray, g: np.ndarray, H: np.ndarray, D: np.ndarr
             g[:, cols[moved]] = h[moved].T - G @ new[moved].T
 
 
-def sparse_code_batch(signals: np.ndarray, dictionary, lam: float,
-                      tol: float = 1e-8, max_sweeps: int = 1000,
+def sparse_code_batch(signals: np.ndarray, dictionary: np.ndarray, lam: float,
+                      tol: float = LearnConfig.lasso_tol, max_sweeps: int = LearnConfig.lasso_max_sweeps,
                       warm_codes: np.ndarray | None = None) -> np.ndarray:
     """Lasso codes for every signal row: coordinate descent plus exact support steps.
 
@@ -276,12 +276,12 @@ def sparse_code_batch(signals: np.ndarray, dictionary, lam: float,
     return codes.T.copy()
 
 
-def update_dictionary(signals: np.ndarray, dictionary, codes: np.ndarray):
+def update_dictionary(signals: np.ndarray, dictionary: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """One block-coordinate-descent pass over atoms with fixed codes.
 
     Atoms are refit in index order against the residual and projected onto
     the unit L2 ball; atoms with zero code energy are left unchanged.  The
-    reconstruction term never increases.  Returns the same type it was given.
+    reconstruction term never increases.  Returns the new ``(dim, K)`` matrix.
     """
     X = np.asarray(signals, dtype=np.float64)
     D = _stacked(dictionary).copy()
@@ -299,9 +299,6 @@ def update_dictionary(signals: np.ndarray, dictionary, codes: np.ndarray):
         if norm > 1.0:
             d_j /= norm
         D[:, j] = d_j
-
-    if isinstance(dictionary, Dictionary):
-        return replace(dictionary, stacked=D)
     return D
 
 
@@ -343,7 +340,7 @@ def learn(signals: np.ndarray, config: LearnConfig) -> LearnResult:
 
 
 def embed(signal_set: SignalSet, dictionary: Dictionary, lam: float | None = None,
-          tol: float = 1e-8, max_sweeps: int = 1000) -> np.ndarray:
+          tol: float = LearnConfig.lasso_tol, max_sweeps: int = LearnConfig.lasso_max_sweeps) -> np.ndarray:
     """Sparse codes of arbitrary users against a fixed dictionary.
 
     Returns the ``(n_users, K)`` code matrix; row ``i`` is the code of
@@ -355,7 +352,7 @@ def embed(signal_set: SignalSet, dictionary: Dictionary, lam: float | None = Non
         lam = dictionary.lam
     if lam is None:
         raise DictionaryError("lam not given and the dictionary records none")
-    return sparse_code_batch(signal_set.matrix, dictionary, lam, tol, max_sweeps)
+    return sparse_code_batch(signal_set.matrix, dictionary.stacked, lam, tol, max_sweeps)
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,6 @@ GENDER_CODES = 3
 
 LABELS_HEADER = ("user_id",) + ACTIVITIES + ("age_group", "gender")
 
-DEFAULT_L2_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
-
 
 class LabelSet:
     """Label table as columns: row ``i`` holds the labels of ``user_ids[i]``.
@@ -129,12 +127,13 @@ def write_labels(labels: LabelSet, path) -> None:
 # Split and features
 # ---------------------------------------------------------------------------
 
-def split_users(user_ids: Sequence[str], test_fraction: float = 0.33,
+def split_users(user_ids: Sequence[str], test_fraction: float,
                 seed=0) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Seeded uniform split into (train, test); test gets ``round(f * N)`` users.
 
     The same split must gate both atom learning (train only) and classifier
-    evaluation, so call this once per run and thread the result through.
+    evaluation.  ``learn`` and ``eval`` each derive it anew from the sorted ids,
+    ``--test-frac`` and ``--seed``, so both stages must get the same values.
     """
     users = sorted(user_ids)
     n = len(users)
@@ -363,8 +362,8 @@ def stratified_folds(y01: np.ndarray, folds: int, seed) -> np.ndarray:
     return assignment
 
 
-def grid_search_cv(X: np.ndarray, y01: np.ndarray, l2_grid: Sequence[float] = DEFAULT_L2_GRID,
-                   folds: int = 5, seed=0) -> float:
+def grid_search_cv(X: np.ndarray, y01: np.ndarray, l2_grid: Sequence[float],
+                   folds: int, seed=0) -> float:
     """Pick the l2 strength maximizing mean validation ROC AUC over seeded folds.
 
     Ties break toward the strongest regularization.
@@ -397,7 +396,7 @@ def grid_search_cv(X: np.ndarray, y01: np.ndarray, l2_grid: Sequence[float] = DE
 
 @dataclass(frozen=True)
 class EvalConfig:
-    l2_grid: tuple[float, ...] = DEFAULT_L2_GRID
+    l2_grid: tuple[float, ...] = (0.01, 0.1, 1.0, 10.0, 100.0)
     cv_folds: int = 5
     seed: int = 0
 

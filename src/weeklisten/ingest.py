@@ -5,9 +5,11 @@ This module owns the ``events.csv`` format: line-delimited CSV with header
 Timestamps are integer epoch seconds (UTC); ``origin`` is ``organic`` or
 ``algorithmic``; ``tz_offset_min`` is an optional signed minute offset used to
 move an event into the user's local clock.  Columns are found by their header
-names.  A timestamp must fit in int64, a duration or offset in int32 (an
-offset above the int32 minimum, the no-offset sentinel); an integer out of
-its range makes the line malformed.  Malformed lines are counted and
+names.  A duration or offset must fit in int32 (an offset above the int32
+minimum, the no-offset sentinel), and a timestamp in
+``[TIMESTAMP_MIN, TIMESTAMP_MAX]``, which keeps the largest offset from
+wrapping its local clock in int64; an integer out of its range makes the
+line malformed.  Malformed lines are counted and
 reported by physical line number; more than :data:`MAX_MALFORMED_FRACTION`
 (1%) of them fails the parse.
 :func:`write_events` is the one writer of the format: it takes blocks of
@@ -21,19 +23,19 @@ row logs small and makes the downstream grouping operations plain numpy.
 Favorites parse to columns as well (:func:`parse_favorites`).
 
 The activity filter keeps users with at least one valid stream whose daily
-average meets the threshold, so every active user gets a profile.  Profiles
-(:class:`ProfileSet`) stay columnar too: the signal builder reads per-event
-flags from them and ``user_summary.csv`` reads whole columns, so no per-user
-record is ever built.  One liked-track set per user (favorited tracks plus
-tracks streamed under a favorited album) drives both the ``liked`` flag of an
-event and the ``liked_tracks`` count.
+average meets the threshold, so every active user gets a profile.
+:func:`build_profiles` returns :class:`Profiles`, plain columns next to the log
+they were built from; ``user_summary.csv`` and the signal rows share its one
+sorted user order, and no per-user record is ever built.  One liked-track set
+per user (favorited tracks plus tracks streamed under a favorited album)
+drives both the ``liked`` flag of an event and the ``liked_tracks`` count.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -47,8 +49,12 @@ ORIGIN_TOKENS = (ORGANIC, ALGORITHMIC)
 #: Sentinel stored in the tz column for events without an explicit offset.
 TZ_UNSET = np.iinfo(np.int32).min
 #: Bounds of the integer columns; a value outside them makes its line malformed.
+#: A tz offset, from the column or the default, lies in ``(TZ_UNSET, _INT32_MAX]``
+#: minutes, and timestamps keep that many minutes from the int64 limits, so
+#: no local clock can wrap.
 _INT32_MAX = np.iinfo(np.int32).max
-_INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+TIMESTAMP_MIN = np.iinfo(np.int64).min + 60 * _INT32_MAX
+TIMESTAMP_MAX = np.iinfo(np.int64).max - 60 * _INT32_MAX
 
 #: Lifetime play count above which a track counts as repeat listening.
 REPEAT_PLAY_THRESHOLD = 3
@@ -152,14 +158,15 @@ class EventLog:
         )
 
     def local_timestamps(self, default_tz_offset_min: int = 0) -> np.ndarray:
-        """Epoch seconds shifted into each event's local clock."""
+        """Epoch seconds shifted into each event's local clock.
+
+        ``default_tz_offset_min`` applies to events without an offset and must
+        lie in the tz column's range.
+        """
+        if not TZ_UNSET < default_tz_offset_min <= _INT32_MAX:
+            raise IngestError(f"default tz offset {default_tz_offset_min} minutes does not fit in 32 bits")
         offsets = np.where(self.tz_offset_min == TZ_UNSET, default_tz_offset_min, self.tz_offset_min)
         return self.timestamps + offsets.astype(np.int64) * 60
-
-    def user_ids_present(self) -> list[str]:
-        """Sorted ids of users that have at least one event in this view."""
-        present = np.unique(self.user_idx)
-        return sorted(str(self.users[i]) for i in present)
 
 
 def parse_events(source) -> tuple[EventLog, ParseReport]:
@@ -218,8 +225,8 @@ def parse_events(source) -> tuple[EventLog, ParseReport]:
             except ValueError:
                 reject(f"timestamp {row[ts_pos]!r} is not an integer")
                 continue
-            if not _INT64_MIN <= ts <= _INT64_MAX:
-                reject(f"timestamp {ts} does not fit in 64 bits")
+            if not TIMESTAMP_MIN <= ts <= TIMESTAMP_MAX:
+                reject(f"timestamp {ts} is not between {TIMESTAMP_MIN} and {TIMESTAMP_MAX}")
                 continue
             try:
                 duration = int(row[du_pos])
@@ -349,84 +356,84 @@ def _members(table: np.ndarray, wanted: set[str]) -> np.ndarray:
     return np.fromiter((t in wanted for t in table), count=len(table), dtype=bool)
 
 
-class ProfileSet:
-    """Per-user lookups over one filtered log, held columnar as sorted pair keys.
+class Profiles(NamedTuple):
+    """Per-user lookups over one filtered log, as plain columns.
 
-    A (user, track) pair key is ``user_idx * n_tracks + track_idx``.  The
-    signal builder reads two per-event flags (:meth:`event_flags`): whether
-    the event's track is repeat listening for that user, and whether it is
-    liked content (its track is in the user's liked-track set: favorited
-    tracks plus tracks the user streamed under a favorited album).
-    ``user_summary.csv`` reads :meth:`summary_columns`.  ``favorites`` holds
-    the ``(user_ids, kinds, item_ids)`` columns of :func:`parse_favorites`
-    (``()`` for none).
+    ``repeated`` and ``liked`` flag each event of ``log``: its track is repeat
+    listening for its user, or is in the user's liked-track set.  ``user_ids``
+    holds the users with an event in ``log``, sorted; row ``i`` of ``summary``
+    (the int64 ``total_valid_streams``, ``active_days``, ``distinct_tracks``
+    and ``liked_tracks`` of ``user_summary.csv``) and of the signal matrix is
+    ``user_ids[i]``, and ``row_of_user`` maps each ``log.users`` index to that
+    row (-1 for a user of the shared table without events).
     """
 
-    def __init__(self, log: EventLog, favorites=()):
-        self._log = log
-        n_users = len(log.users)
-        n_tracks = len(log.tracks)
-        self._n_tracks = n_tracks
-
-        # Lifetime (user, track) play counts over the whole log.
-        pair_key = log.user_idx.astype(np.int64) * n_tracks + log.track_idx
-        self._pair_keys, pair_counts = np.unique(pair_key, return_counts=True)
-
-        self._totals = np.bincount(log.user_idx, minlength=n_users)
-
-        # Only users with at least one event are profiled; the shared string
-        # table may hold more (filtered-out users of a select view).
-        user_pos = {str(log.users[i]): int(i) for i in np.unique(log.user_idx)}
-        # Favorites are looked up only among the favorited ids, each kind in its own table.
-        rows = list(zip(*favorites))
-        self.unknown_user_warnings = sum(user not in user_pos for user, _, _ in rows)
-        fav_keys = {}
-        for kind, table in ((TRACK, log.tracks), (ALBUM, log.albums)):
-            hits = np.flatnonzero(_members(table, {item for _, k, item in rows if k == kind}))
-            pos = dict(zip(table[hits].tolist(), hits.tolist()))
-            fav_keys[kind] = np.array([user_pos[user] * len(table) + pos[item] for user, k, item in rows
-                                       if k == kind and user in user_pos and item in pos], dtype=np.int64)
-
-        # The liked-track set: the user's favorited tracks plus every track
-        # they streamed under a favorited album.  An event is liked when its
-        # (user, track) pair is in that set, whatever album it came under.
-        album_key = log.user_idx.astype(np.int64) * len(log.albums) + log.album_idx
-        album_liked = np.isin(album_key, fav_keys[ALBUM])
-        track_liked = np.isin(pair_key, fav_keys[TRACK])
-        self._liked_pair_keys = np.unique(pair_key[album_liked | track_liked])
-        self._event_liked = np.isin(pair_key, self._liked_pair_keys)
-
-        repeated_pairs = self._pair_keys[pair_counts > REPEAT_PLAY_THRESHOLD]
-        self._event_repeated = np.isin(pair_key, repeated_pairs)
-
-        # Offset keeps pre-1970 days from bleeding into the previous user's block.
-        day = log.local_timestamps() // 86400 + (1 << 31)
-        day_key = log.user_idx.astype(np.int64) * (1 << 32) + day
-        active_day_users = np.unique(day_key) >> 32
-        self._active_days = np.bincount(active_day_users, minlength=n_users)
-
-    def event_flags(self, log: EventLog) -> tuple[np.ndarray, np.ndarray]:
-        """Per-event (repeated, liked) booleans of the profiled ``log``."""
-        if log is not self._log:
-            raise IngestError("event_flags requires the log the profiles were built from")
-        return self._event_repeated, self._event_liked
-
-    def summary_columns(self) -> tuple[tuple[str, ...], np.ndarray]:
-        """Profiled user ids (sorted) and their ``user_summary.csv`` columns.
-
-        The ``(n_users, 4)`` int64 matrix holds ``total_valid_streams``,
-        ``active_days``, ``distinct_tracks`` and ``liked_tracks`` per user.
-        """
-        n_users = len(self._log.users)
-        distinct = np.bincount(self._pair_keys // self._n_tracks, minlength=n_users)
-        liked = np.bincount(self._liked_pair_keys // self._n_tracks, minlength=n_users)
-        columns = np.column_stack([self._totals, self._active_days, distinct, liked])
-        present = np.flatnonzero(self._totals)
-        names = [str(u) for u in self._log.users[present]]
-        order = sorted(range(len(names)), key=names.__getitem__)
-        return tuple(names[i] for i in order), columns[present[order]]
+    log: EventLog
+    repeated: np.ndarray
+    liked: np.ndarray
+    user_ids: tuple[str, ...]
+    row_of_user: np.ndarray
+    summary: np.ndarray
+    unknown_user_warnings: int
 
 
-def build_profiles(log: EventLog, favorites=()) -> ProfileSet:
-    """Build per-user profiles from a duration-filtered, user-restricted log and favorites columns."""
-    return ProfileSet(log, favorites)
+def build_profiles(log: EventLog, favorites=()) -> Profiles:
+    """Profiles of a duration-filtered, user-restricted log and favorites columns (``()`` for none)."""
+    n_users = len(log.users)
+    n_tracks = len(log.tracks)
+
+    # Lifetime (user, track) play counts over the whole log; a pair key is
+    # ``user_idx * n_tracks + track_idx``.
+    pair_key = log.user_idx.astype(np.int64) * n_tracks + log.track_idx
+    pair_keys, pair_counts = np.unique(pair_key, return_counts=True)
+    totals = np.bincount(log.user_idx, minlength=n_users)
+
+    # Only users with at least one event are profiled; the shared string
+    # table may hold more (filtered-out users of a select view).
+    present = np.flatnonzero(totals)
+    names = log.users[present].tolist()
+    order = sorted(range(len(names)), key=names.__getitem__)
+    row_of_user = np.full(n_users, -1, dtype=np.int64)
+    row_of_user[present[order]] = np.arange(len(order))
+
+    # Favorites are looked up only among the favorited ids, each kind in its own table.
+    user_pos = dict(zip(names, present.tolist()))
+    rows = list(zip(*favorites))
+    fav_keys = {}
+    for kind, table in ((TRACK, log.tracks), (ALBUM, log.albums)):
+        hits = np.flatnonzero(_members(table, {item for _, k, item in rows if k == kind}))
+        pos = dict(zip(table[hits].tolist(), hits.tolist()))
+        fav_keys[kind] = np.array([user_pos[user] * len(table) + pos[item] for user, k, item in rows
+                                   if k == kind and user in user_pos and item in pos], dtype=np.int64)
+
+    # The liked-track set: the user's favorited tracks plus every track
+    # they streamed under a favorited album.  An event is liked when its
+    # (user, track) pair is in that set, whatever album it came under.
+    album_key = log.user_idx.astype(np.int64) * len(log.albums) + log.album_idx
+    album_liked = np.isin(album_key, fav_keys[ALBUM])
+    track_liked = np.isin(pair_key, fav_keys[TRACK])
+    liked_pairs = np.unique(pair_key[album_liked | track_liked])
+
+    # Distinct (user, local day) pairs, found by sorting on both columns so
+    # that no day number has to fit in a packed key.
+    day = log.local_timestamps() // 86400
+    by_day = np.lexsort((day, log.user_idx))
+    user_sorted, day_sorted = log.user_idx[by_day], day[by_day]
+    new_day = np.ones(len(by_day), dtype=bool)
+    new_day[1:] = (user_sorted[1:] != user_sorted[:-1]) | (day_sorted[1:] != day_sorted[:-1])
+
+    summary = np.column_stack([
+        totals,
+        np.bincount(user_sorted[new_day], minlength=n_users),
+        np.bincount(pair_keys // n_tracks, minlength=n_users),
+        np.bincount(liked_pairs // n_tracks, minlength=n_users),
+    ])
+    return Profiles(
+        log=log,
+        repeated=np.isin(pair_key, pair_keys[pair_counts > REPEAT_PLAY_THRESHOLD]),
+        liked=np.isin(pair_key, liked_pairs),
+        user_ids=tuple(names[i] for i in order),
+        row_of_user=row_of_user,
+        summary=summary[present[order]],
+        unknown_user_warnings=sum(user not in user_pos for user, _, _ in rows),
+    )

@@ -17,22 +17,24 @@ computed in local time: each event's explicit minute offset wins, otherwise a
 configurable default applies.  Only 1-hour windows fully inside the study
 period are aggregated, so ragged period edges never skew the per-slot divisor.
 
-:func:`build_signal_set` runs all three steps for every user at once and
-returns a :class:`SignalSet`, the ``(user_ids, matrix)`` pair that enforces the
-``(n, 672)`` shape; there is no per-user signal object.  The pair hands off to
-the learning stage as a user-index file plus a ``.npy`` matrix
+:func:`build_signal_set` runs all three steps for every user at once from the
+:class:`~weeklisten.ingest.Profiles` of ingest, which carry the filtered log,
+the per-event repetition and liked flags and the sorted user order.  It
+returns a :class:`SignalSet`, the ``(user_ids, matrix)`` pair that enforces
+the ``(n, 672)`` shape, with rows in the order of ``user_summary.csv``; there
+is no per-user signal object.  The pair hands off to the learning stage as a
+user-index file plus a ``.npy`` matrix
 (:func:`weeklisten.storage.save_indexed_matrix`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import SignalError
-from .ingest import EventLog, ProfileSet, StudyPeriod
+from .ingest import Profiles, StudyPeriod
 
 CHANNELS = ("volume", "repetition", "organicity", "liked")
 N_CHANNELS = len(CHANNELS)
@@ -63,10 +65,6 @@ class SignalSet:
         if self.matrix.shape != (len(self.user_ids), N_CHANNELS * SLOTS_PER_WEEK):
             raise SignalError(f"signal matrix shape {self.matrix.shape} does not match "
                               f"{len(self.user_ids)} users x {N_CHANNELS * SLOTS_PER_WEEK}")
-
-    def as_channels(self) -> np.ndarray:
-        """View shaped (n_users, N_CHANNELS, SLOTS_PER_WEEK)."""
-        return self.matrix.reshape(len(self.user_ids), N_CHANNELS, SLOTS_PER_WEEK)
 
 
 def _window_range(period: StudyPeriod, default_tz_offset_min: int) -> tuple[int, int]:
@@ -115,37 +113,25 @@ def _normalize_values(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_signal_set(profiles: ProfileSet, log: EventLog, period: StudyPeriod,
-                     default_tz_offset_min: int = 0, user_ids: Sequence[str] | None = None) -> SignalSet:
-    """Aggregated, smoothed and normalized weekly signals of every user, stacked channel-major.
+def build_signal_set(profiles: Profiles, period: StudyPeriod, default_tz_offset_min: int = 0) -> SignalSet:
+    """Aggregated, smoothed and normalized weekly signals of every profiled user, stacked channel-major.
 
-    ``log`` must be the log ``profiles`` was built from.  Users default to
-    those present in ``log``; rows are ordered lexicographically by user id
-    regardless of input order, and a listed user without in-period events
-    gets an all-zero row.
+    Rows follow ``profiles.user_ids``; a user without in-period events gets
+    an all-zero row.
     """
-    users = sorted(user_ids) if user_ids is not None else log.user_ids_present()
-    n_rows = len(users)
-    row_of_user = np.full(len(log.users), -1, dtype=np.int64)
-    pos = {u: i for i, u in enumerate(users)}
-    for idx, name in enumerate(log.users):
-        row = pos.get(str(name))
-        if row is not None:
-            row_of_user[idx] = row
+    log = profiles.log
+    n_rows = len(profiles.user_ids)
 
+    k = log.local_timestamps(default_tz_offset_min) // 3600
     k_first, k_excl = _window_range(period, default_tz_offset_min)
     n_windows = k_excl - k_first
     divisor = _slot_divisors(k_first, k_excl)
-
-    repeated, liked = profiles.event_flags(log)
-    k = log.local_timestamps(default_tz_offset_min) // 3600
-    rows = row_of_user[log.user_idx]
-    in_scope = (k >= k_first) & (k < k_excl) & (rows >= 0)
+    in_scope = (k >= k_first) & (k < k_excl)
 
     k = k[in_scope]
-    rows = rows[in_scope]
-    repeated = repeated[in_scope]
-    liked = liked[in_scope]
+    rows = profiles.row_of_user[log.user_idx[in_scope]]
+    repeated = profiles.repeated[in_scope]
+    liked = profiles.liked[in_scope]
     organic = log.organic[in_scope]
 
     # Group events by (row, window) to get per-window counts and fractions.
@@ -167,5 +153,5 @@ def build_signal_set(profiles: ProfileSet, log: EventLog, period: StudyPeriod,
     if not np.isfinite(raw).all():
         raise SignalError("non-finite values in aggregated signals")
     norm = _normalize_values(_smooth_values(raw))
-    return SignalSet(user_ids=tuple(users), matrix=norm.reshape(n_rows, -1))
+    return SignalSet(user_ids=profiles.user_ids, matrix=norm.reshape(n_rows, -1))
 

@@ -102,7 +102,13 @@ def _scaled(profile: np.ndarray, weekly_volume: float) -> np.ndarray:
     return profile * (weekly_volume / profile.sum())
 
 
-def default_archetypes(weekly_volume: float = 52.0, organic_target: float = 0.80) -> tuple[Archetype, ...]:
+def _recentered(organicity: np.ndarray, rate: np.ndarray, organic_target: float) -> np.ndarray:
+    """``organicity`` shifted so its volume-weighted mean under ``rate`` is exactly the organic target."""
+    shift = organic_target - float((rate * organicity).sum() / rate.sum())
+    return np.clip(organicity + shift, 0.02, 0.98)
+
+
+def default_archetypes(weekly_volume: float, organic_target: float) -> tuple[Archetype, ...]:
     """The four stock archetypes; profiles integrate to ``weekly_volume``."""
     commute_am = hour_block(WEEKDAYS, (7, 8, 9), 1.0)
     commute_pm = hour_block(WEEKDAYS, (17, 18, 19), 0.9)
@@ -112,11 +118,6 @@ def default_archetypes(weekly_volume: float = 52.0, organic_target: float = 0.80
     weekend_pm = hour_block((5, 6), (14, 15, 16, 17), 0.4)
     late_evenings = hour_block(range(7), (21, 22, 23), 1.0)
     early_mornings = hour_block(range(7), (6, 7), 0.55)
-
-    def org(modulation: np.ndarray, rate: np.ndarray) -> np.ndarray:
-        # Recenter so the volume-weighted mean is exactly the organic target.
-        shift = organic_target - float((rate * modulation).sum() / rate.sum())
-        return np.clip(modulation + shift, 0.02, 0.98)
 
     specs = [
         ("commuter", 0.05, commute_am + commute_pm,
@@ -145,7 +146,7 @@ def default_archetypes(weekly_volume: float = 52.0, organic_target: float = 0.80
         rate = _scaled(base + peaks, weekly_volume)
         archetypes.append(Archetype(
             name=name, rate_profile=rate, repetition=rep,
-            organicity=org(org_mod + organic_target, rate),
+            organicity=_recentered(org_mod + organic_target, rate, organic_target),
             liked=liked, activity_links=links,
         ))
     return tuple(archetypes)
@@ -404,7 +405,8 @@ def generate(config: SynthConfig, out_dir) -> GenerateResult:
 # Archetype config files (JSON)
 # ---------------------------------------------------------------------------
 
-def load_archetypes(path, weekly_volume: float = 52.0, organic_target: float = 0.80) -> tuple[Archetype, ...]:
+def load_archetypes(path, weekly_volume: float = SynthConfig.weekly_volume,
+                    organic_target: float = SynthConfig.organic_rate) -> tuple[Archetype, ...]:
     """Read archetypes from the documented JSON form.
 
     Schema: ``{"archetypes": [{"name", "base_rate", "volume_peaks":
@@ -428,13 +430,11 @@ def load_archetypes(path, weekly_volume: float = 52.0, organic_target: float = 0
                        start=np.zeros(SLOTS_PER_WEEK))
             return np.clip(block.get("base", default_base) + mods, 0.02, 0.98)
 
-        organicity = ratio_of("organicity", organic_target)
-        shift = organic_target - float((rate * organicity).sum() / rate.sum())
         archetypes.append(Archetype(
             name=entry["name"],
             rate_profile=rate,
             repetition=ratio_of("repetition", 0.5),
-            organicity=np.clip(organicity + shift, 0.02, 0.98),
+            organicity=_recentered(ratio_of("organicity", organic_target), rate, organic_target),
             liked=ratio_of("liked", 0.32),
             activity_links=dict(entry.get("activity_links", {})),
         ))

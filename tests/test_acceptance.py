@@ -191,7 +191,7 @@ def test_criterion_07_logreg_gradient():
 def test_criterion_08_signal_invariants(run_a):
     out, _ = run_a
     sset = signals.SignalSet(*storage.load_indexed_matrix(out / "signal_users.txt", out / "signals.npy"))
-    channels = sset.as_channels()
+    channels = sset.matrix.reshape(len(sset.user_ids), signals.N_CHANNELS, signals.SLOTS_PER_WEEK)
     mean_ok = float(np.abs(channels.mean(axis=2)).max()) < 1e-9
     maxabs = np.abs(channels).max(axis=2)
     maxabs_ok = bool(np.all((maxabs == 0.0) | (np.abs(maxabs - 1.0) < 1e-9)))

@@ -6,7 +6,7 @@ import pytest
 
 from weeklisten import cli, dictionary, ingest, synth
 
-from conftest import DATA_ARTIFACTS
+from conftest import DATA_ARTIFACTS, MONDAY, WEEK, events_csv_lines
 
 SMALL = ["--users", "120", "--weeks", "2", "--atoms", "8", "--outer-iters", "6"]
 
@@ -82,6 +82,21 @@ def test_zero_activity_threshold_counts_only_users_with_valid_streams(tmp_path, 
     assert "30 active users" in capsys.readouterr().out
     rows = (tmp_path / "user_summary.csv").read_text().splitlines()[1:]
     assert len(rows) == 30 and not any(r.startswith("skipper,") for r in rows)
+
+
+def test_far_future_timestamps_ingest_and_signal(tmp_path, capsys):
+    # Day numbers past 2**31 once overflowed a packed (user, day) key and crashed ingest.
+    events = tmp_path / "events.csv"
+    events.write_text("".join(events_csv_lines([f"u1,{2**62 + i},t{i},a{i},organic,60" for i in range(700)])))
+    argv = ["--events", str(events), "--period-start", str(MONDAY), "--period-end", str(MONDAY + WEEK),
+            "--out", str(tmp_path)]
+    assert run(["ingest", *argv]) == 0
+    assert (tmp_path / "user_summary.csv").read_text().splitlines()[1] == "u1,700,1,700,0"
+    assert run(["signals", *argv]) == 0
+    assert (tmp_path / "signal_users.txt").read_text().split() == ["u1"]
+    capsys.readouterr()
+    assert run(["signals", *argv, f"--tz-offset-min={-2**31}"]) == 1
+    assert f"error: default tz offset {-2**31} minutes does not fit in 32 bits" in capsys.readouterr().err
 
 
 def test_module_error_exits_1(tmp_path, capsys):

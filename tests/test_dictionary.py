@@ -324,7 +324,7 @@ def test_embed_training_rows_match_learned_codes():
     # codes the learner returned (same convex problem instance).
     X, _, _ = small_planted(9)
     result = dictionary.learn(X, dictionary.LearnConfig(n_atoms=3, lam=0.2, outer_iters=20, seed=5))
-    codes = dictionary.sparse_code_batch(X, result.dictionary, 0.2)
+    codes = dictionary.sparse_code_batch(X, result.dictionary.stacked, 0.2)
     assert np.allclose(codes, result.codes, atol=1e-6)
 
 
@@ -332,7 +332,7 @@ def test_embed_zero_row_and_duplicates():
     X, _, _ = small_planted(10)
     result = dictionary.learn(X, dictionary.LearnConfig(n_atoms=3, lam=0.2, outer_iters=5, seed=5))
     rows = np.vstack([np.zeros(X.shape[1]), X[0], X[0]])
-    codes = dictionary.sparse_code_batch(rows, result.dictionary, 0.2)
+    codes = dictionary.sparse_code_batch(rows, result.dictionary.stacked, 0.2)
     assert np.all(codes[0] == 0.0)
     assert np.array_equal(codes[1], codes[2])
 
@@ -343,7 +343,7 @@ def test_embed_uses_dictionary_lambda(rng):
     sset = make_signal_set(matrix)
     codes = dictionary.embed(sset, dct)
     assert codes.shape == (len(sset.user_ids), 6)  # row i codes sset.user_ids[i]
-    explicit = dictionary.sparse_code_batch(matrix, dct, 0.7)
+    explicit = dictionary.sparse_code_batch(matrix, dct.stacked, 0.7)
     assert np.array_equal(codes, explicit)
 
     bare = dictionary.Dictionary(stacked=dct.stacked)

@@ -86,14 +86,25 @@ def test_parse_too_many_malformed_is_fatal(tmp_path):
             ingest.parse_events(source)
 
 
+OUT_OF_RANGE = f"not between {ingest.TIMESTAMP_MIN} and {ingest.TIMESTAMP_MAX}"
+
+
 @pytest.mark.parametrize("row, reason", [
     (f"ux,{MONDAY},t,a,organic,{2**31},", f"listen_duration {2**31} does not fit in 32 bits"),
     (f"ux,{MONDAY},t,a,organic,60,{-2**31 - 1}", f"tz_offset_min {-2**31 - 1} does not fit in 32 bits"),
     (f"ux,{MONDAY},t,a,organic,60,{-2**31}", f"tz_offset_min {-2**31} does not fit in 32 bits"),
-    (f"ux,{2**63},t,a,organic,60,", f"timestamp {2**63} does not fit in 64 bits"),
-], ids=["listen_duration", "tz_offset_min", "tz_offset_min-sentinel", "timestamp"])
+    (f"ux,{MONDAY},t,a,organic,60,{2**31}", f"tz_offset_min {2**31} does not fit in 32 bits"),
+    (f"ux,{2**63},t,a,organic,60,", f"timestamp {2**63} is {OUT_OF_RANGE}"),
+    (f"ux,{ingest.TIMESTAMP_MAX + 1},t,a,organic,60,",
+     f"timestamp {ingest.TIMESTAMP_MAX + 1} is {OUT_OF_RANGE}"),
+    (f"ux,{ingest.TIMESTAMP_MIN - 1},t,a,organic,60,",
+     f"timestamp {ingest.TIMESTAMP_MIN - 1} is {OUT_OF_RANGE}"),
+    (f"ux,{-2**63},t,a,organic,60,", f"timestamp {-2**63} is {OUT_OF_RANGE}"),
+], ids=["listen_duration", "tz_offset_min", "tz_offset_min-sentinel", "tz_offset_min-above",
+        "timestamp", "timestamp-above-bound", "timestamp-below-bound", "timestamp-int64-min"])
 def test_out_of_range_integer_is_a_malformed_line(row, reason):
     # The int32 minimum is the no-offset sentinel of the tz column, so it is out of range too.
+    # A timestamp keeps 2**31 - 1 minutes from the int64 limits, so no offset can wrap its local clock.
     good = [f"u{i},{MONDAY + i},t,a,organic,60,{i}" for i in range(150)]
     header = EVENTS_HEADER + ",tz_offset_min"
     log, report = ingest.parse_events(events_csv_lines(good[:70] + [row] + good[70:], header=header))
@@ -105,12 +116,21 @@ def test_out_of_range_integer_is_a_malformed_line(row, reason):
 
 def test_in_range_integer_extremes_parse():
     header = EVENTS_HEADER + ",tz_offset_min"
-    rows = [f"u1,{-2**63},t,a,organic,{2**31 - 1},{-2**31 + 1}", f"u2,{2**63 - 1},t,a,organic,0,{2**31 - 1}"]
+    lo, hi = ingest.TIMESTAMP_MIN, ingest.TIMESTAMP_MAX
+    rows = [f"u1,{lo},t,a,organic,{2**31 - 1},{-2**31 + 1}", f"u2,{hi},t,a,organic,0,{2**31 - 1}",
+            f"u3,{lo},t,a,organic,60,", f"u3,{hi},t,a,organic,60,"]
     log, report = ingest.parse_events(events_csv_lines(rows, header=header))
     assert report.malformed_count == 0
-    assert log.timestamps.tolist() == [-2**63, 2**63 - 1]
-    assert log.durations.tolist() == [2**31 - 1, 0]
-    assert log.tz_offset_min.tolist() == [-2**31 + 1, 2**31 - 1]
+    assert log.timestamps.tolist() == [lo, hi, lo, hi]
+    assert log.durations.tolist() == [2**31 - 1, 0, 60, 60]
+    assert log.tz_offset_min.tolist() == [-2**31 + 1, 2**31 - 1, ingest.TZ_UNSET, ingest.TZ_UNSET]
+    # The extreme offsets take the extreme timestamps exactly to the int64 limits, never past them.
+    assert log.local_timestamps().tolist() == [-2**63, 2**63 - 1, lo, hi]
+    assert log.local_timestamps(-2**31 + 1)[2] == -2**63
+    assert log.local_timestamps(2**31 - 1)[3] == 2**63 - 1
+    for default in (ingest.TZ_UNSET, 2**31):
+        with pytest.raises(IngestError, match=f"default tz offset {default} minutes does not fit in 32 bits"):
+            log.local_timestamps(default)
 
 
 def test_parse_unreadable_source_is_fatal(tmp_path):
@@ -173,11 +193,9 @@ def test_build_profiles_play_counts():
     log = log_of(*events)
     profiles = ingest.build_profiles(log)
     assert oracles.profiles(records(log))["u1"].play_count_per_track["t7"] == 4
-    users, columns = profiles.summary_columns()
-    assert users == ("u1",)
-    assert columns.tolist() == [[4, 1, 1, 0]]  # streams, active days, distinct tracks, liked tracks
-    repeated, _ = profiles.event_flags(log)
-    assert repeated.all()  # 4 plays is above the repeat threshold
+    assert profiles.user_ids == ("u1",)
+    assert profiles.summary.tolist() == [[4, 1, 1, 0]]  # streams, active days, distinct tracks, liked tracks
+    assert profiles.repeated.all()  # 4 plays is above the repeat threshold
 
 
 def test_build_profiles_album_expansion():
@@ -189,9 +207,8 @@ def test_build_profiles_album_expansion():
     favorites = favorites_of(("u1", "album", "alb"))
     log = log_of(*events)
     profiles = ingest.build_profiles(log, favorites)
-    _, liked = profiles.event_flags(log)
-    assert liked.tolist() == [True, True, False]
-    assert profiles.summary_columns()[1][0, 3] == 2
+    assert profiles.liked.tolist() == [True, True, False]
+    assert profiles.summary[0, 3] == 2
     oracle = oracles.profiles(records(log), favorites)["u1"]
     assert oracle.liked_tracks >= {"t1", "t2"}
     assert "t3" not in oracle.liked_tracks
@@ -205,8 +222,8 @@ def test_liked_flags_follow_the_liked_track_set():
     favorites = favorites_of(("u1", "album", "a1"))
     log = log_of(*events)
     profiles = ingest.build_profiles(log, favorites)
-    assert profiles.event_flags(log)[1].tolist() == [True, True]
-    assert profiles.summary_columns()[1][0, 3] == 1
+    assert profiles.liked.tolist() == [True, True]
+    assert profiles.summary[0, 3] == 1
     oracle = oracles.profiles(records(log), favorites)["u1"]
     assert [oracle.is_liked(e) for e in events] == [True, True]
     assert oracle.liked_tracks == {"t1"}
@@ -215,8 +232,8 @@ def test_liked_flags_follow_the_liked_track_set():
 def test_build_profiles_no_favorites():
     log = log_of(make_event())
     profiles = ingest.build_profiles(log)
-    assert not profiles.event_flags(log)[1].any()
-    assert profiles.summary_columns()[1][0, 3] == 0
+    assert not profiles.liked.any()
+    assert profiles.summary[0, 3] == 0
     assert oracles.profiles(records(log))["u1"].liked_tracks == frozenset()
 
 
@@ -230,18 +247,11 @@ def test_profiles_total_equals_sum_of_play_counts():
     events = [make_event(track=f"t{i % 3}", timestamp=MONDAY + i) for i in range(10)]
     events += [make_event(user="u2", track="t0", timestamp=MONDAY + i) for i in range(3)]
     log = log_of(*events)
-    users, columns = ingest.build_profiles(log).summary_columns()
-    profile_of = oracles.profiles(records(log))
-    for user, total in zip(users, columns[:, 0]):
-        assert total == sum(profile_of[user].play_count_per_track.values())
-    assert columns[:, 0].sum() == 13
-
-
-def test_event_flags_needs_the_profiled_log():
-    log = log_of(make_event(), make_event(timestamp=MONDAY + 5))
     profiles = ingest.build_profiles(log)
-    with pytest.raises(IngestError, match="profiles were built from"):
-        profiles.event_flags(log.select(np.array([True, False])))
+    profile_of = oracles.profiles(records(log))
+    for user, total in zip(profiles.user_ids, profiles.summary[:, 0]):
+        assert total == sum(profile_of[user].play_count_per_track.values())
+    assert profiles.summary[:, 0].sum() == 13
 
 
 def test_parse_favorites():
@@ -338,10 +348,13 @@ def test_restrict_to_users():
 summary_event = st.builds(
     make_event,
     user=st.sampled_from(["u1", "u2", "u3"]),
-    timestamp=st.integers(min_value=MONDAY - DAY, max_value=MONDAY + 13 * DAY),
+    # Far and negative timestamps too: day numbers past 2**31 once overflowed a packed (user, day) key.
+    timestamp=st.integers(min_value=MONDAY - DAY, max_value=MONDAY + 13 * DAY)
+    | st.integers(min_value=ingest.TIMESTAMP_MIN, max_value=ingest.TIMESTAMP_MAX)
+    | st.sampled_from([ingest.TIMESTAMP_MIN, -2**62, -1, 2**62, ingest.TIMESTAMP_MAX]),
     track=st.sampled_from(["t1", "t2", "t3", "t4"]),
     album=st.sampled_from(["t1", "a1", "a2"]),  # "t1" names a track and an album
-    tz=st.one_of(st.none(), st.integers(min_value=-720, max_value=840)),
+    tz=st.one_of(st.none(), st.integers(min_value=-720, max_value=840), st.sampled_from([-2**31 + 1, 2**31 - 1])),
 )
 
 summary_favorite = st.tuples(
@@ -363,8 +376,7 @@ def test_summary_columns_match_oracle(events, favorites):
     events = events + night_events()
     log = log_of(*events)
     profiles = ingest.build_profiles(log, favorites_of(*favorites))
-    users, columns = profiles.summary_columns()
     rows = oracles.summary_rows(oracles.profiles(records(log), favorites_of(*favorites)))
-    assert [(u, *c) for u, c in zip(users, columns.tolist())] == rows
+    assert [(u, *c) for u, c in zip(profiles.user_ids, profiles.summary.tolist())] == rows
     listeners = {e.user_id for e in events}
     assert profiles.unknown_user_warnings == sum(user not in listeners for user, _, _ in favorites)

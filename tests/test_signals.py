@@ -19,7 +19,7 @@ def raw_of(log, period, favorites=()):
     """Oracle raw signal of the log's one user; the package's row must be its smoothed, normalized form."""
     (profile,) = oracles.profiles(records(log), favorites).values()
     raw = oracles.aggregate(records(log), profile, period)
-    sset = signals.build_signal_set(profiles_for(log, favorites), log, period)
+    sset = signals.build_signal_set(profiles_for(log, favorites), period)
     assert np.allclose(sset.matrix[0], oracles.normalize(oracles.smooth(raw)).ravel(), rtol=0, atol=1e-12)
     return raw
 
@@ -105,10 +105,10 @@ def test_aggregate_two_week_mean():
 
 
 def test_aggregate_no_events_is_zero():
-    # The user's only event lies before the period: a listed user with an all-zero row.
+    # The user's only event lies before the period: a profiled user with an all-zero row.
     log = log_of(make_event(timestamp=MONDAY - HOUR))
     period = ingest.StudyPeriod(MONDAY, MONDAY + WEEK)
-    row_sig = signals.build_signal_set(profiles_for(log), log, period, user_ids=["u1"])
+    row_sig = signals.build_signal_set(profiles_for(log), period)
     assert row_sig.user_ids == ("u1",)
     assert np.all(row_sig.matrix == 0.0)
     assert np.all(raw_of(log, period) == 0.0)
@@ -137,7 +137,7 @@ def test_aggregate_rejects_short_period():
     log = log_of(make_event())
     short = ingest.StudyPeriod(MONDAY, MONDAY + 3 * DAY)
     with pytest.raises(SignalError, match="at least one week"):
-        signals.build_signal_set(profiles_for(log), log, short)
+        signals.build_signal_set(profiles_for(log), short)
     with pytest.raises(SignalError, match="at least one week"):
         oracles.aggregate(records(log), oracles.profiles(records(log))["u1"], short)
 
@@ -285,7 +285,7 @@ def two_user_log():
 def test_build_signal_set_shape_and_order():
     log = two_user_log()
     period = ingest.StudyPeriod(MONDAY, MONDAY + WEEK)
-    sset = signals.build_signal_set(profiles_for(log), log, period)
+    sset = signals.build_signal_set(profiles_for(log), period)
     assert sset.matrix.shape == (2, 672)
     assert sset.user_ids == ("alpha", "zeta")  # lexicographic, not input order
 
@@ -293,8 +293,7 @@ def test_build_signal_set_shape_and_order():
 def test_build_signal_set_row_layout():
     log = two_user_log()
     period = ingest.StudyPeriod(MONDAY, MONDAY + WEEK)
-    profiles = profiles_for(log)
-    sset = signals.build_signal_set(profiles, log, period)
+    sset = signals.build_signal_set(profiles_for(log), period)
 
     zeta = records(ingest.restrict_to_users(log, ["zeta"]))
     raw = oracles.aggregate(zeta, oracles.profiles(records(log))["zeta"], period)
@@ -308,7 +307,7 @@ def test_build_signal_set_row_layout():
 def test_signal_set_round_trip(tmp_path):
     log = two_user_log()
     period = ingest.StudyPeriod(MONDAY, MONDAY + WEEK)
-    sset = signals.build_signal_set(profiles_for(log), log, period)
+    sset = signals.build_signal_set(profiles_for(log), period)
     index, matrix = tmp_path / "users.txt", tmp_path / "m.npy"
     storage.save_indexed_matrix(sset.user_ids, sset.matrix, index, matrix)
     loaded = signals.SignalSet(*storage.load_indexed_matrix(index, matrix))
@@ -352,8 +351,31 @@ def test_build_signal_set_matches_oracle(events, favorites, default_tz):
     log = log_of(*(events + fixed_events()))
     favorites = favorites_of(*favorites)
     period = ingest.StudyPeriod(MONDAY, MONDAY + 2 * WEEK)
-    sset = signals.build_signal_set(profiles_for(log, favorites), log, period, default_tz)
+    sset = signals.build_signal_set(profiles_for(log, favorites), period, default_tz)
     users, matrix = oracles.signal_rows(records(log), favorites, period, default_tz)
     assert sset.user_ids == users
     assert np.allclose(sset.matrix, matrix, rtol=0, atol=1e-12)
     assert np.all(oracles.signal_row(sset, "idle") == 0.0)
+
+
+order_user = st.sampled_from(["zeta", "Alpha", "u10", "u2", "_x"])
+
+
+@given(events=st.lists(st.builds(make_event, user=order_user,
+                                 timestamp=st.integers(MONDAY - DAY, MONDAY + 2 * WEEK + DAY),
+                                 track=st.sampled_from(TRACKS)), max_size=40),
+       kept=st.sets(order_user))
+@settings(max_examples=60, deadline=None)
+def test_signal_rows_and_summary_share_one_user_order(events, kept):
+    # "idle" streams only before the period; the restricted view shares a user table
+    # that also names the users left out.
+    log = ingest.restrict_to_users(log_of(*(events + fixed_events())), kept | {"idle"})
+    profiles = ingest.build_profiles(log)
+    sset = signals.build_signal_set(profiles, ingest.StudyPeriod(MONDAY, MONDAY + 2 * WEEK))
+    listeners = tuple(sorted({e.user_id for e in records(log)}))
+    assert sset.user_ids == profiles.user_ids == listeners
+    rows = oracles.summary_rows(oracles.profiles(records(log)))
+    assert [(u, *c) for u, c in zip(profiles.user_ids, profiles.summary.tolist())] == rows
+    assert [listeners[r] if r >= 0 else None for r in profiles.row_of_user.tolist()] == \
+        [u if u in listeners else None for u in log.users.tolist()]
+    assert "idle" in listeners and np.all(oracles.signal_row(sset, "idle") == 0.0)

@@ -131,17 +131,15 @@ def _downstream_auc(noise, seed, tmp_path):
     valid = ingest.filter_valid_streams(log)
     period = ingest.StudyPeriod(config.period_start, config.period_end)
     active = ingest.filter_active_users(valid, period)
-    restricted = ingest.restrict_to_users(valid, active)
-    profiles = ingest.build_profiles(restricted, favorites)
-    sset = signals.build_signal_set(profiles, restricted, period)
+    profiles = ingest.build_profiles(ingest.restrict_to_users(valid, active), favorites)
+    sset = signals.build_signal_set(profiles, period)
     split = evaluate.split_users(sset.user_ids, 0.33, seed=seed)
     train_mask = np.array([u in set(split[0]) for u in sset.user_ids])
     learned = dictionary.learn(sset.matrix[train_mask],
                                dictionary.LearnConfig(n_atoms=6, lam=1.0, outer_iters=12, seed=seed))
     codes = dictionary.embed(sset, learned.dictionary)
     labels = evaluate.parse_labels(result.labels_path)
-    users, columns = profiles.summary_columns()
-    totals = dict(zip(users, columns[:, 0].tolist()))
+    totals = dict(zip(profiles.user_ids, profiles.summary[:, 0].tolist()))
     report = evaluate.evaluate_all(sset.user_ids, codes, labels, totals, split,
                                    evaluate.EvalConfig(seed=seed))
     primaries = synth.planted_truth(config).primary_activities()
