@@ -29,6 +29,7 @@ certificate tolerance (``users_uncertified``), and warn when that is not 0.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -165,27 +166,24 @@ def cmd_learn(args) -> None:
     started = time.monotonic()
     out = _out_dir(args)
     sset = signals.SignalSet(*storage.load_indexed_matrix(args.signal_users, args.signals))
-    train_users, test_users = evaluate.split_users(
-        sset.user_ids, args.test_frac, stage_seed(args.seed, "split"))
-    train = set(train_users)
-    train_rows = np.array([u in train for u in sset.user_ids])
+    test = evaluate.split_users(sset.user_ids, args.test_frac, stage_seed(args.seed, "split"))
     config = dictionary.LearnConfig(
         n_atoms=args.atoms, lam=args.lam, outer_iters=args.outer_iters,
         lasso_tol=args.lasso_tol, lasso_max_sweeps=args.lasso_max_sweeps,
         seed=stage_seed(args.seed, "learn"))
-    train_matrix = sset.matrix[train_rows]
+    train_matrix = sset.matrix[~test]
     result = dictionary.learn(train_matrix, config)
     certificate = _certify_codes(train_matrix, result.dictionary, result.codes, args.lam, args.lasso_tol)
 
     csv_path = out / "dictionary.csv"
     dictionary.save_dictionary_csv(result.dictionary, csv_path)
-    storage.save_index(train_users, out / "train_users.txt")
-    storage.save_index(test_users, out / "test_users.txt")
+    for name, side in (("train_users.txt", ~test), ("test_users.txt", test)):
+        storage.save_index(sorted(itertools.compress(sset.user_ids, side)), out / name)
     trace_path = out / "objective_trace.csv"
     with open(trace_path, "w", encoding="utf-8") as fh:
         fh.write("half_step,objective\n")
         fh.writelines(f"{i},{v!r}\n" for i, v in enumerate(result.objective_trace))
-    print(f"learned {config.n_atoms} atoms on {int(train_rows.sum())} train users; "
+    print(f"learned {config.n_atoms} atoms on {len(train_matrix)} train users; "
           f"objective {result.objective_trace[0]:.4f} -> {result.objective_trace[-1]:.4f}")
     _write_manifest(out, "learn", args,
                     {"signal_users": args.signal_users, "signals": args.signals},
@@ -200,7 +198,9 @@ def cmd_embed(args) -> None:
     sset = signals.SignalSet(*storage.load_indexed_matrix(args.signal_users, args.signals))
     dct = dictionary.load_dictionary_csv(args.dictionary)
     lam = args.lam if args.lam is not None else dct.lam
-    codes = dictionary.embed(sset, dct, lam, args.lasso_tol, args.lasso_max_sweeps)
+    if lam is None:
+        raise PipelineError(f"no --lambda given and dictionary {args.dictionary} records no lambda")
+    codes = dictionary.embed(sset.matrix, dct, lam, args.lasso_tol, args.lasso_max_sweeps)
     certificate = _certify_codes(sset.matrix, dct, codes, lam, args.lasso_tol)
     index_path = out / "code_users.txt"
     matrix_path = out / "codes.npy"
@@ -222,12 +222,16 @@ def _read_summary_totals(path) -> dict[str, int]:
             raise PipelineError(f"{path} is not a user summary (header {header})") from None
         totals = {}
         for row in rows:
-            if row:
-                try:
-                    totals[row[u_col]] = int(row[t_col])
-                except (IndexError, ValueError):
-                    raise PipelineError(f"{path} line {rows.line_num}: no integer total_valid_streams "
-                                        f"in {','.join(row)!r}") from None
+            if not row:
+                continue
+            try:
+                user, total = row[u_col], int(row[t_col])
+            except (IndexError, ValueError):
+                raise PipelineError(f"{path} line {rows.line_num}: no integer total_valid_streams "
+                                    f"in {','.join(row)!r}") from None
+            if user in totals:
+                raise PipelineError(f"{path} line {rows.line_num}: duplicate user id {user}")
+            totals[user] = total
     return totals
 
 
@@ -237,10 +241,10 @@ def cmd_eval(args) -> None:
     users, codes = storage.load_indexed_matrix(args.code_users, args.codes)
     labels = evaluate.parse_labels(args.labels)
     totals = _read_summary_totals(args.summary)
-    split = evaluate.split_users(users, args.test_frac, stage_seed(args.seed, "split"))
+    test = evaluate.split_users(users, args.test_frac, stage_seed(args.seed, "split"))
     config = evaluate.EvalConfig(l2_grid=tuple(args.l2_grid), cv_folds=args.cv_folds,
                                  seed=stage_seed(args.seed, "eval"))
-    report = evaluate.evaluate_all(users, codes, labels, totals, split, config)
+    report = evaluate.evaluate_all(users, codes, labels, totals, test, config)
 
     report_path = out / "eval_report.csv"
     table_path = out / "eval_table.txt"

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DictionaryError
-from .signals import CHANNELS, N_CHANNELS, SLOTS_PER_WEEK, SignalSet
+from .signals import CHANNELS, N_CHANNELS, SLOTS_PER_WEEK
 
 STACKED_DIM = N_CHANNELS * SLOTS_PER_WEEK
 
@@ -339,20 +339,15 @@ def learn(signals: np.ndarray, config: LearnConfig) -> LearnResult:
     return LearnResult(dictionary=dictionary, codes=codes, objective_trace=tuple(trace))
 
 
-def embed(signal_set: SignalSet, dictionary: Dictionary, lam: float | None = None,
+def embed(signals: np.ndarray, dictionary: Dictionary, lam: float,
           tol: float = LearnConfig.lasso_tol, max_sweeps: int = LearnConfig.lasso_max_sweeps) -> np.ndarray:
     """Sparse codes of arbitrary users against a fixed dictionary.
 
-    Returns the ``(n_users, K)`` code matrix; row ``i`` is the code of
-    ``signal_set.user_ids[i]``.  ``lam`` defaults to the value the dictionary
-    was trained with, so held-out users are coded under the same sparsity
-    pressure as training users.
+    Returns the ``(n_users, K)`` code matrix; row ``i`` is the code of signal
+    row ``i``.  Pass the ``lam`` the dictionary was trained with to code
+    held-out users under the same sparsity pressure as training users.
     """
-    if lam is None:
-        lam = dictionary.lam
-    if lam is None:
-        raise DictionaryError("lam not given and the dictionary records none")
-    return sparse_code_batch(signal_set.matrix, dictionary.stacked, lam, tol, max_sweeps)
+    return sparse_code_batch(signals, dictionary.stacked, lam, tol, max_sweeps)
 
 
 # ---------------------------------------------------------------------------

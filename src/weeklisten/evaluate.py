@@ -13,16 +13,18 @@ on a held-out user split.  Feature variants:
 
 All variants are standardized with train-row statistics only.
 
-The data stay columnar from ``labels.csv`` to the report: :class:`LabelSet`
-holds the label columns (no per-user record), :func:`build_features` returns
-a plain matrix, and :func:`evaluate_all` fills the AUC, l2 and codes-model
-coefficient arrays of :class:`EvalReport` job by job.
+The data stay columnar from ``labels.csv`` to the report: :func:`parse_labels`
+returns the label columns as :class:`Labels` (no per-user record), the split
+is one boolean test mask from :func:`split_users`, and :func:`evaluate_all`
+aligns codes, labels and stream totals by user id once, then fills the AUC,
+l2 and codes-model coefficient arrays of :class:`EvalReport` job by job from
+the plain matrices :func:`build_features` returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,63 +48,40 @@ GENDER_CODES = 3
 LABELS_HEADER = ("user_id",) + ACTIVITIES + ("age_group", "gender")
 
 
-class LabelSet:
+class Labels(NamedTuple):
     """Label table as columns: row ``i`` holds the labels of ``user_ids[i]``.
 
     ``answers`` is ``(n, 6)`` with 0/1 flags in :data:`ACTIVITIES` order;
-    ``age_group`` and ``gender`` are ``(n,)`` integer codes.
+    ``age_group`` and ``gender`` are ``(n,)`` integer codes.  All three are int8.
     """
 
-    def __init__(self, user_ids: Sequence[str], answers, age_group, gender):
-        self.user_ids = tuple(user_ids)
-        n = len(self.user_ids)
-        answers, age_group, gender = np.asarray(answers), np.asarray(age_group), np.asarray(gender)
-        if answers.shape != (n, N_ACTIVITIES) or age_group.shape != (n,) or gender.shape != (n,):
-            raise EvaluationError(f"label columns of shapes {answers.shape}, {age_group.shape}, "
-                                  f"{gender.shape} do not fit {n} users")
-        for bad, rule in (((~np.isin(answers, (0, 1))).any(axis=1), "answers must be six 0/1 flags"),
-                          ((age_group < 0) | (age_group >= AGE_GROUPS), f"age_group must lie in [0, {AGE_GROUPS})"),
-                          ((gender < 0) | (gender >= GENDER_CODES), f"gender must lie in [0, {GENDER_CODES})")):
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise EvaluationError(f"labels of user {self.user_ids[i]}: {rule}, got answers "
-                                      f"{answers[i].tolist()}, age_group {age_group[i]}, gender {gender[i]}")
-        self._row = {u: i for i, u in enumerate(self.user_ids)}
-        if len(self._row) != n:
-            dup = next(u for i, u in enumerate(self.user_ids) if self._row[u] != i)
-            raise EvaluationError(f"duplicate user id {dup} in labels")
-        self.answers = answers.astype(np.int8)
-        self.age_group = age_group.astype(np.int8)
-        self.gender = gender.astype(np.int8)
-
-    def __len__(self) -> int:
-        return len(self.user_ids)
-
-    def __contains__(self, user_id: str) -> bool:
-        return user_id in self._row
-
-    def row(self, user_id: str) -> int:
-        try:
-            return self._row[user_id]
-        except KeyError:
-            raise EvaluationError(f"no labels for user {user_id}") from None
+    user_ids: tuple[str, ...]
+    answers: np.ndarray
+    age_group: np.ndarray
+    gender: np.ndarray
 
 
-def parse_labels(source) -> LabelSet:
-    """Parse the labels CSV into columns; strict (any malformed line is fatal)."""
+def parse_labels(source) -> Labels:
+    """Parse the labels CSV into columns; strict (any malformed line is fatal).
+
+    Every user id must be unique, every answer a 0/1 flag and every code in
+    range; an error names the first line that breaks a rule.
+    """
     with storage.csv_rows(source, "labels", EvaluationError) as (header, reader):
         if tuple(header) != LABELS_HEADER:
             raise EvaluationError(f"labels header must be {','.join(LABELS_HEADER)}, got {','.join(header)}")
-        user_ids, fields, line_nos = [], [], []
+        line_of, fields = {}, []  # user id -> line number, in file order
         for rowv in reader:
             if not rowv:
                 continue
             if len(rowv) != len(LABELS_HEADER):
                 raise EvaluationError(f"labels line {reader.line_num} has {len(rowv)} fields, "
                                       f"expected {len(LABELS_HEADER)}")
-            user_ids.append(rowv[0])
+            if rowv[0] in line_of:
+                raise EvaluationError(f"labels line {reader.line_num}: duplicate user id {rowv[0]}")
+            line_of[rowv[0]] = reader.line_num
             fields.append(rowv[1:])
-            line_nos.append(reader.line_num)
+    user_ids, line_nos = tuple(line_of), tuple(line_of.values())
     try:
         values = np.array(fields, dtype=np.int64).reshape(len(fields), len(LABELS_HEADER) - 1)
     except (ValueError, OverflowError):
@@ -112,41 +91,48 @@ def parse_labels(source) -> LabelSet:
             except (ValueError, OverflowError) as exc:
                 raise EvaluationError(f"labels line {line_no} is malformed: {exc}") from exc
         raise
-    return LabelSet(user_ids, values[:, :N_ACTIVITIES], values[:, N_ACTIVITIES], values[:, N_ACTIVITIES + 1])
+    answers, age_group, gender = values[:, :N_ACTIVITIES], values[:, N_ACTIVITIES], values[:, N_ACTIVITIES + 1]
+    for bad, rule in (((~np.isin(answers, (0, 1))).any(axis=1), "answers must be six 0/1 flags"),
+                      ((age_group < 0) | (age_group >= AGE_GROUPS), f"age_group must lie in [0, {AGE_GROUPS})"),
+                      ((gender < 0) | (gender >= GENDER_CODES), f"gender must lie in [0, {GENDER_CODES})")):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise EvaluationError(f"labels line {line_nos[i]}, user {user_ids[i]}: {rule}, got answers "
+                                  f"{answers[i].tolist()}, age_group {age_group[i]}, gender {gender[i]}")
+    return Labels(user_ids, answers.astype(np.int8), age_group.astype(np.int8), gender.astype(np.int8))
 
 
-def write_labels(labels: LabelSet, path) -> None:
-    columns = np.column_stack([labels.answers, labels.age_group, labels.gender]).tolist()
+def write_labels(path, user_ids: Sequence[str], answers, age_group, gender) -> None:
+    """Write the labels CSV from the columns :func:`parse_labels` returns."""
+    columns = np.column_stack([answers, age_group, gender]).tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(LABELS_HEADER) + "\n")
         fh.writelines(f"{user}," + ",".join(map(str, row)) + "\n"
-                      for user, row in zip(labels.user_ids, columns))
+                      for user, row in zip(user_ids, columns))
 
 
 # ---------------------------------------------------------------------------
 # Split and features
 # ---------------------------------------------------------------------------
 
-def split_users(user_ids: Sequence[str], test_fraction: float,
-                seed=0) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Seeded uniform split into (train, test); test gets ``round(f * N)`` users.
+def split_users(user_ids: Sequence[str], test_fraction: float, seed=0) -> np.ndarray:
+    """Seeded uniform split: a boolean test mask aligned with ``user_ids``.
 
-    The same split must gate both atom learning (train only) and classifier
-    evaluation.  ``learn`` and ``eval`` each derive it anew from the sorted ids,
-    ``--test-frac`` and ``--seed``, so both stages must get the same values.
+    ``round(f * N)`` users are held out, drawn by a seeded permutation of the
+    sorted ids, so the mask does not depend on the input order.  The split
+    gates both atom learning and evaluation; ``learn`` and ``eval`` each derive
+    it anew, so both must get the same ``--test-frac`` and ``--seed``.
     """
-    users = sorted(user_ids)
-    n = len(users)
+    n = len(user_ids)
     if n < 10:
         raise EvaluationError(f"need at least 10 users to split, got {n}")
     n_test = int(round(test_fraction * n))
     if n_test < 1 or n_test >= n:
         raise EvaluationError(f"degenerate split: {n_test} test users of {n}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    test = {users[i] for i in perm[:n_test]}
-    return (tuple(u for u in users if u not in test),
-            tuple(u for u in users if u in test))
+    by_id = np.array(sorted(range(n), key=user_ids.__getitem__), dtype=np.int64)
+    test = np.zeros(n, dtype=bool)
+    test[by_id[np.random.default_rng(seed).permutation(n)[:n_test]]] = True
+    return test
 
 
 def standardize(values: np.ndarray, train_mask: np.ndarray) -> np.ndarray:
@@ -163,74 +149,33 @@ def standardize(values: np.ndarray, train_mask: np.ndarray) -> np.ndarray:
     return out
 
 
-class EvalInputs:
-    """User-aligned raw inputs for feature building.
-
-    ``codes`` row ``i`` is the code of ``user_ids[i]``; rows are reordered by
-    user id.  The evaluation universe is the coded users (labels may cover
-    more, e.g. users dropped by the activity filter; those rows are ignored).
-    Every coded user must come with labels and a stream total.
-    """
-
-    def __init__(self, user_ids: Sequence[str], codes: np.ndarray, labels: LabelSet,
-                 total_streams: Mapping[str, int]):
-        codes = np.asarray(codes, dtype=np.float64)
-        if codes.ndim != 2 or codes.shape[0] != len(user_ids):
-            raise EvaluationError(f"codes shape {codes.shape} does not match {len(user_ids)} users")
-        order = sorted(range(len(user_ids)), key=user_ids.__getitem__)
-        users = [user_ids[i] for i in order]
-        if len(set(users)) != len(users):
-            raise EvaluationError("duplicate user ids among the coded users")
-        missing = [u for u in users if u not in labels]
-        if missing:
-            raise EvaluationError(f"{len(missing)} coded users have no labels, e.g. {missing[:3]}")
-        missing = [u for u in users if u not in total_streams]
-        if missing:
-            raise EvaluationError(f"{len(missing)} coded users have no stream total, e.g. {missing[:3]}")
-        self.user_ids = tuple(users)
-        self.codes = codes[order]
-        rows = [labels.row(u) for u in users]
-        self.answers = labels.answers[rows].astype(np.float64)
-        self.age_group = labels.age_group[rows].astype(np.float64)
-        self.gender = labels.gender[rows].astype(np.float64)
-        self.totals = np.array([float(total_streams[u]) for u in users])
-
-    @property
-    def n_atoms(self) -> int:
-        return self.codes.shape[1]
-
-
-def build_features(variant: str, target_activity: str, inputs: EvalInputs,
-                   train_users: Iterable[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+def build_features(variant: str, target_activity: str, codes: np.ndarray, answers: np.ndarray,
+                   demographics: np.ndarray, totals: np.ndarray,
+                   train_mask: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
     """One variant's feature matrix, standardized on train rows, and its column names.
 
-    Rows follow ``inputs.user_ids``.
+    The inputs are row-aligned: ``codes`` ``(n, K)``, ``answers`` ``(n, 6)``,
+    ``demographics`` ``(n, 2)`` (age group, gender) and ``totals`` ``(n,)``.
     """
     if target_activity not in ACTIVITIES:
         raise EvaluationError(f"unknown activity {target_activity!r}")
-    atom_names = tuple(f"atom_{k}" for k in range(inputs.n_atoms))
-    demo = np.column_stack([inputs.age_group, inputs.gender])
+    atom_names = tuple(f"atom_{k}" for k in range(codes.shape[1]))
     if variant == VARIANT_VOLUME:
-        values, names = inputs.totals[:, None], ("total_streams",)
+        values, names = totals[:, None], ("total_streams",)
     elif variant == VARIANT_DEMOGRAPHICS:
-        values, names = demo, ("age_group", "gender")
+        values, names = demographics, ("age_group", "gender")
     elif variant == VARIANT_OTHER_ACTIVITIES:
         keep = [i for i, a in enumerate(ACTIVITIES) if a != target_activity]
-        values = inputs.answers[:, keep]
+        values = answers[:, keep]
         names = tuple(ACTIVITIES[i] for i in keep)
     elif variant == VARIANT_CODES:
-        values, names = inputs.codes, atom_names
+        values, names = codes, atom_names
     elif variant == VARIANT_CODES_DEMOGRAPHICS:
-        values = np.column_stack([inputs.codes, demo])
+        values = np.column_stack([codes, demographics])
         names = atom_names + ("age_group", "gender")
     else:
         raise EvaluationError(f"unknown feature variant {variant!r}")
 
-    train_set = set(train_users)
-    train_mask = np.fromiter((u in train_set for u in inputs.user_ids),
-                             count=len(inputs.user_ids), dtype=bool)
-    if not train_mask.any():
-        raise EvaluationError("no train users present in the feature inputs")
     return standardize(np.asarray(values, dtype=np.float64), train_mask), names
 
 
@@ -442,32 +387,45 @@ def write_coefficients_csv(coefficients: np.ndarray, path) -> None:
                 fh.write(f"{k},{activity},{float(coefficients[k, ai])!r}\n")
 
 
-def evaluate_all(user_ids: Sequence[str], codes: np.ndarray, labels: LabelSet,
-                 total_streams: Mapping[str, int],
-                 split: tuple[Sequence[str], Sequence[str]],
+def evaluate_all(user_ids: Sequence[str], codes: np.ndarray, labels: Labels,
+                 totals: Mapping[str, int], test_mask: np.ndarray,
                  config: EvalConfig = EvalConfig()) -> EvalReport:
     """Run every (variant, activity) job: grid-search on train, refit, score test.
 
-    ``codes`` row ``i`` is the code of ``user_ids[i]``.
+    ``codes`` row ``i`` and ``test_mask[i]`` belong to ``user_ids[i]``.  Rows
+    are put in user-id order once, so the report does not depend on the input
+    order.  Labels may cover more users than the coded ones (e.g. users dropped
+    by the activity filter); every coded user needs labels and a stream total.
     """
-    inputs = EvalInputs(user_ids, codes, labels, total_streams)
-    train_users, test_users = split
-    train_set, test_set = set(train_users), set(test_users)
-    if train_set & test_set:
-        raise EvaluationError("train and test user sets overlap")
-    users = inputs.user_ids
-    train_mask = np.fromiter((u in train_set for u in users), count=len(users), dtype=bool)
-    test_mask = np.fromiter((u in test_set for u in users), count=len(users), dtype=bool)
+    codes = np.asarray(codes, dtype=np.float64)
+    test_mask = np.asarray(test_mask, dtype=bool)
+    if codes.ndim != 2 or codes.shape[0] != len(user_ids) or test_mask.shape != (len(user_ids),):
+        raise EvaluationError(f"codes shape {codes.shape} and test mask shape {test_mask.shape} "
+                              f"do not match {len(user_ids)} users")
+    order = sorted(range(len(user_ids)), key=user_ids.__getitem__)
+    users = [user_ids[i] for i in order]
+    if len(set(users)) != len(users):
+        raise EvaluationError("duplicate user ids among the coded users")
+    label_row = {u: i for i, u in enumerate(labels.user_ids)}
+    for what, known in (("labels", label_row), ("stream total", totals)):
+        missing = [u for u in users if u not in known]
+        if missing:
+            raise EvaluationError(f"{len(missing)} coded users have no {what}, e.g. {missing[:3]}")
+    rows = [label_row[u] for u in users]
+    codes, answers, test_mask = codes[order], labels.answers[rows], test_mask[order]
+    demographics = np.column_stack([labels.age_group[rows], labels.gender[rows]])
+    volume = np.array([float(totals[u]) for u in users])
+    train_mask = ~test_mask
     if not train_mask.any() or not test_mask.any():
-        raise EvaluationError("split leaves train or test empty among labeled users")
+        raise EvaluationError("split leaves train or test empty")
 
     auc = np.zeros((len(VARIANTS), N_ACTIVITIES))
     chosen = np.zeros_like(auc)
-    coefficients = np.zeros((inputs.n_atoms, N_ACTIVITIES))
+    coefficients = np.zeros((codes.shape[1], N_ACTIVITIES))
     for ai, activity in enumerate(ACTIVITIES):
-        y = inputs.answers[:, ai].astype(np.int8)
+        y = answers[:, ai]
         for vi, variant in enumerate(VARIANTS):
-            X, _ = build_features(variant, activity, inputs, train_users)
+            X, _ = build_features(variant, activity, codes, answers, demographics, volume, train_mask)
             X_train, y_train = X[train_mask], y[train_mask]
             job_seed = (config.seed, ai, vi)
             l2 = grid_search_cv(X_train, y_train, config.l2_grid, config.cv_folds, job_seed)

@@ -81,9 +81,14 @@ def _window_range(period: StudyPeriod, default_tz_offset_min: int) -> tuple[int,
 
 
 def _slot_divisors(k_first: int, k_excl: int) -> np.ndarray:
-    """How many in-period windows map to each weekly slot."""
-    slots = slot_of_hour_index(np.arange(k_first, k_excl, dtype=np.int64))
-    return np.bincount(slots, minlength=SLOTS_PER_WEEK).astype(np.float64)
+    """How many in-period windows map to each weekly slot, without enumerating them.
+
+    Every slot gets one window per whole week; the leftover hours at the start add one each.
+    """
+    weeks, extra = divmod(k_excl - k_first, SLOTS_PER_WEEK)
+    divisor = np.full(SLOTS_PER_WEEK, float(weeks))
+    divisor[slot_of_hour_index(k_first + np.arange(extra, dtype=np.int64))] += 1.0
+    return divisor
 
 
 def _smooth_values(values: np.ndarray) -> np.ndarray:
@@ -125,6 +130,9 @@ def build_signal_set(profiles: Profiles, period: StudyPeriod, default_tz_offset_
     k = log.local_timestamps(default_tz_offset_min) // 3600
     k_first, k_excl = _window_range(period, default_tz_offset_min)
     n_windows = k_excl - k_first
+    if n_rows * n_windows > np.iinfo(np.int64).max:
+        raise SignalError(f"{n_rows} users x {n_windows} hour windows of the study period "
+                          "overflow the 64-bit (user, window) key; shorten the period")
     divisor = _slot_divisors(k_first, k_excl)
     in_scope = (k >= k_first) & (k < k_excl)
 

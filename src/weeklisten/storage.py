@@ -81,7 +81,7 @@ def save_indexed_matrix(user_ids, matrix: np.ndarray, index_path, matrix_path) -
 
 
 def load_indexed_matrix(index_path, matrix_path) -> tuple[tuple[str, ...], np.ndarray]:
-    """Read a :func:`save_indexed_matrix` pair; the matrix must be ``.npy`` with one row per user."""
+    """Read a :func:`save_indexed_matrix` pair; the ``.npy`` matrix has one row per distinct user id."""
     try:
         with open(index_path, encoding="utf-8") as fh:
             users = tuple(line.rstrip("\n") for line in fh if line.strip())
@@ -92,6 +92,11 @@ def load_indexed_matrix(index_path, matrix_path) -> tuple[tuple[str, ...], np.nd
             matrix = np.lib.format.read_array(fh, allow_pickle=False)
     except (OSError, ValueError) as exc:
         raise PipelineError(f"cannot read matrix {matrix_path}: {exc}") from exc
+    seen = set()
+    for user in users:
+        if user in seen:
+            raise PipelineError(f"user index {index_path} lists user {user} more than once")
+        seen.add(user)
     if matrix.ndim != 2 or matrix.shape[0] != len(users):
         raise PipelineError(f"matrix {matrix_path} of shape {matrix.shape} does not match "
                             f"the {len(users)} users of {index_path}")

@@ -24,7 +24,7 @@ total volume uninformative about activities.  Activity labels are assigned
 by thresholding a noisy archetype-link score at the population quantile of
 the configured base rate, which pins realized rates to the base rates while
 the noise level tunes task difficulty; the answer and demographic columns go
-to ``labels.csv`` as one :class:`~weeklisten.evaluate.LabelSet`.  Archetypes
+to ``labels.csv`` through :func:`weeklisten.evaluate.write_labels`.  Archetypes
 from a JSON file are recentered to the configured organic rate like the
 built-in ones.
 
@@ -45,7 +45,7 @@ import numpy as np
 
 from . import ingest
 from .errors import SynthesisError
-from .evaluate import ACTIVITIES, AGE_GROUPS, GENDER_CODES, LabelSet, write_labels
+from .evaluate import ACTIVITIES, AGE_GROUPS, GENDER_CODES, write_labels
 from .signals import SLOTS_PER_WEEK, _normalize_values, _smooth_values
 
 #: Monday 2022-01-03 00:00:00 UTC; keeps week boundaries aligned with slot 0.
@@ -391,7 +391,7 @@ def generate(config: SynthConfig, out_dir) -> GenerateResult:
         threshold = np.quantile(col, 1.0 - rate)
         answers[:, ai] = (col > threshold).astype(np.int8)
 
-    write_labels(LabelSet(user_ids, answers, demographics[:, 0], demographics[:, 1]), labels_path)
+    write_labels(labels_path, user_ids, answers, demographics[:, 0], demographics[:, 1])
 
     return GenerateResult(
         events_path=events_path, favorites_path=favorites_path, labels_path=labels_path,

@@ -99,6 +99,30 @@ def test_far_future_timestamps_ingest_and_signal(tmp_path, capsys):
     assert f"error: default tz offset {-2**31} minutes does not fit in 32 bits" in capsys.readouterr().err
 
 
+def test_far_apart_timestamps_signal_without_a_period(tmp_path, capsys):
+    # Without --period-start/--period-end the period covers the event span, here
+    # 2**40 s (about 300 million hours); the slot divisors once took memory per hour.
+    events = tmp_path / "events.csv"
+    events.write_text("".join(events_csv_lines([f"u1,{ts},t{i},a{i},organic,60"
+                                                for i, ts in enumerate((0, 3600, 2**40))])))
+    argv = ["--events", str(events), "--min-daily-streams", "0", "--out", str(tmp_path)]
+    assert run(["signals", *argv]) == 0
+    assert "built 1 signals of 672 columns" in capsys.readouterr().out
+    signal = np.load(tmp_path / "signals.npy")
+    assert signal.shape == (1, 672) and np.isfinite(signal).all()
+
+
+def test_window_key_overflow_is_an_error_line(tmp_path, capsys):
+    # 4096 users over the widest timestamp span need more (user, hour) keys than int64 holds.
+    rows = [f"u{i:04d},{ts},t{i},a{i},organic,60"
+            for i in range(4096) for ts in (ingest.TIMESTAMP_MIN, ingest.TIMESTAMP_MAX)]
+    events = tmp_path / "events.csv"
+    events.write_text("".join(events_csv_lines(rows)))
+    assert run(["signals", "--events", str(events), "--min-daily-streams", "0", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 4096 users x ") and "overflow the 64-bit (user, window) key" in err
+
+
 def test_module_error_exits_1(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     rc = run(["ingest", "--events", str(missing), "--out", str(tmp_path)])
@@ -161,6 +185,17 @@ def _non_utf8(name, line, col):
     return damage
 
 
+def _line_2_repeated(name):
+    """``name`` with line 3 replaced by a copy of line 2, so one user id appears twice."""
+    def damage(tmp_path, pipe):
+        lines = (pipe / name).read_text().splitlines(True)
+        lines[2] = lines[1]
+        path = tmp_path / name
+        path.write_text("".join(lines))
+        return path
+    return damage
+
+
 def _overflowing_duration(tmp_path, pipe):
     """A one-line events file whose listen_duration does not fit in 32 bits."""
     path = tmp_path / "events.csv"
@@ -203,6 +238,13 @@ BAD_HANDOFFS = {
         lambda p, bad: ["eval", "--code-users", p / "code_users.txt", "--codes", p / "codes.npy",
                         "--labels", bad, "--summary", p / "user_summary.csv"],
         _non_utf8("labels.csv", 61, 0), ("cannot read labels source", ": line 61, byte column 7: ")),
+    "learn-duplicate-index-user": (
+        lambda p, bad: ["learn", "--signal-users", bad, "--signals", p / "signals.npy"],
+        _line_2_repeated("signal_users.txt"), "lists user u00001 more than once"),
+    "eval-duplicate-summary-user": (
+        lambda p, bad: ["eval", "--code-users", p / "code_users.txt", "--codes", p / "codes.npy",
+                        "--labels", p / "labels.csv", "--summary", bad],
+        _line_2_repeated("user_summary.csv"), "line 3: duplicate user id u00000"),
     "ingest-overflowing-duration": (
         lambda p, bad: ["ingest", "--events", bad], _overflowing_duration,
         ("too many malformed lines", "line 2: listen_duration 99999999999 does not fit in 32 bits")),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weeklisten import dictionary, storage
+from weeklisten import cli, dictionary, storage
 from weeklisten.errors import DictionaryError
 
 from conftest import sparse_code
@@ -313,12 +313,6 @@ def test_learn_atom_norms_bounded():
     assert np.linalg.norm(result.dictionary.stacked, axis=0).max() <= 1.0 + 1e-9
 
 
-def make_signal_set(X):
-    from weeklisten.signals import SignalSet
-    users = tuple(f"u{i:03d}" for i in range(len(X)))
-    return SignalSet(user_ids=users, matrix=X)
-
-
 def test_embed_training_rows_match_learned_codes():
     # Cold-start coding against the final dictionary lands on the warm-started
     # codes the learner returned (same convex problem instance).
@@ -337,18 +331,31 @@ def test_embed_zero_row_and_duplicates():
     assert np.array_equal(codes[1], codes[2])
 
 
-def test_embed_uses_dictionary_lambda(rng):
+def test_embed_uses_dictionary_lambda(rng, tmp_path, capsys):
+    # The embed command codes under the dictionary's training lambda unless
+    # --lambda overrides it; a dictionary that records none needs the flag.
     matrix = rng.normal(size=(4, 672))
     dct = dictionary.Dictionary(stacked=rng.normal(size=(672, 6)), lam=0.7, seed=0)
-    sset = make_signal_set(matrix)
-    codes = dictionary.embed(sset, dct)
-    assert codes.shape == (len(sset.user_ids), 6)  # row i codes sset.user_ids[i]
-    explicit = dictionary.sparse_code_batch(matrix, dct.stacked, 0.7)
-    assert np.array_equal(codes, explicit)
+    users = tuple(f"u{i:03d}" for i in range(len(matrix)))
+    storage.save_indexed_matrix(users, matrix, tmp_path / "users.txt", tmp_path / "signals.npy")
+    dictionary.save_dictionary_csv(dct, tmp_path / "dictionary.csv")
+    dictionary.save_dictionary_csv(dictionary.Dictionary(stacked=dct.stacked), tmp_path / "bare.csv")
+    argv = ["embed", "--out", str(tmp_path), "--signal-users", str(tmp_path / "users.txt"),
+            "--signals", str(tmp_path / "signals.npy")]
 
-    bare = dictionary.Dictionary(stacked=dct.stacked)
-    with pytest.raises(DictionaryError, match="lam"):
-        dictionary.embed(sset, bare)
+    assert cli.main([*argv, "--dictionary", str(tmp_path / "dictionary.csv")]) == 0
+    codes = np.load(tmp_path / "codes.npy")
+    assert codes.shape == (len(users), 6)  # row i codes users[i]
+    loaded = dictionary.load_dictionary_csv(tmp_path / "dictionary.csv")
+    explicit = dictionary.sparse_code_batch(matrix, loaded.stacked, 0.7)
+    assert np.array_equal(codes, explicit)
+    assert np.array_equal(dictionary.embed(matrix, loaded, 0.7), explicit)
+
+    capsys.readouterr()
+    assert cli.main([*argv, "--dictionary", str(tmp_path / "bare.csv")]) == 1
+    assert "error: no --lambda given and dictionary" in capsys.readouterr().err
+    assert cli.main([*argv, "--dictionary", str(tmp_path / "bare.csv"), "--lambda", "0.7"]) == 0
+    assert np.array_equal(np.load(tmp_path / "codes.npy"), explicit)
 
 
 # -- persistence -------------------------------------------------------------------

@@ -1,4 +1,6 @@
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,26 +16,42 @@ def make_labels(n, rng=None, answers=None):
     rng = rng or np.random.default_rng(0)
     if answers is None:
         answers = rng.integers(0, 2, (n, 6))
-    return evaluate.LabelSet([f"u{i:04d}" for i in range(n)], answers,
-                             rng.integers(0, 5, n), rng.integers(0, 3, n))
+    return evaluate.Labels(tuple(f"u{i:04d}" for i in range(n)), np.asarray(answers, dtype=np.int8),
+                           rng.integers(0, 5, n).astype(np.int8), rng.integers(0, 3, n).astype(np.int8))
 
 
 # -- split_users -----------------------------------------------------------------
 
 def test_split_100_users_gives_67_33():
     users = [f"u{i:03d}" for i in range(100)]
-    train, test = evaluate.split_users(users, 0.33, seed=4)
-    assert len(train) == 67 and len(test) == 33
+    test = evaluate.split_users(users, 0.33, seed=4)
+    assert test.dtype == bool and test.shape == (100,)
+    assert int((~test).sum()) == 67 and int(test.sum()) == 33
 
 
 def test_split_deterministic_and_partitioning():
     users = [f"u{i}" for i in range(57)]
     a = evaluate.split_users(users, 0.33, seed=9)
     b = evaluate.split_users(list(reversed(users)), 0.33, seed=9)
-    assert a == b  # input order is irrelevant
-    train, test = a
-    assert set(train) | set(test) == set(users)
-    assert set(train) & set(test) == set()
+    assert np.array_equal(a, b[::-1])  # input order is irrelevant
+    train, test = set(itertools.compress(users, ~a)), set(itertools.compress(users, a))
+    assert train | test == set(users)
+    assert train & test == set()
+
+
+@given(ids=st.lists(st.text(min_size=1), min_size=10, max_size=60, unique=True), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_split_test_set_ignores_input_order(ids, data):
+    n_test = data.draw(st.integers(1, len(ids) - 1))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    shuffled = data.draw(st.permutations(ids))
+    test = evaluate.split_users(ids, n_test / len(ids), seed)
+    shuffled_test = evaluate.split_users(shuffled, n_test / len(ids), seed)
+    chosen = set(itertools.compress(ids, test))
+    assert chosen == set(itertools.compress(shuffled, shuffled_test))
+    # The draw: a seeded permutation of the sorted ids, first n_test held out.
+    by_id = sorted(ids)
+    assert chosen == {by_id[i] for i in np.random.default_rng(seed).permutation(len(ids))[:n_test]}
 
 
 def test_split_too_few_users():
@@ -45,58 +63,42 @@ def test_split_too_few_users():
 
 @pytest.fixture
 def inputs_fixture():
+    """Row-aligned feature inputs for 40 users: codes, answers, demographics, totals, train mask."""
     rng = np.random.default_rng(11)
     n = 40
     labels = make_labels(n, rng)
     codes = rng.normal(size=(n, 8))
-    totals = {u: int(rng.integers(100, 5000)) for u in labels.user_ids}
-    return evaluate.EvalInputs(labels.user_ids, codes, labels, totals)
-
-
-def test_eval_inputs_align_codes_with_sorted_users():
-    labels = make_labels(12, np.random.default_rng(4))
-    users = labels.user_ids[::-1]
-    codes = np.arange(12.0)[:, None] * np.ones((1, 3))  # row i is all i
-    totals = {u: i for i, u in enumerate(labels.user_ids)}
-    inputs = evaluate.EvalInputs(users, codes, labels, totals)
-    assert inputs.user_ids == labels.user_ids
-    assert inputs.codes[:, 0].tolist() == list(range(11, -1, -1))
-    assert inputs.totals.tolist() == list(range(12))
-    with pytest.raises(EvaluationError, match="duplicate"):
-        evaluate.EvalInputs(users[:1] * 12, codes, labels, totals)
-    with pytest.raises(EvaluationError, match="does not match"):
-        evaluate.EvalInputs(users[:5], codes, labels, totals)
+    totals = rng.integers(100, 5000, n).astype(np.float64)
+    demographics = np.column_stack([labels.age_group, labels.gender])
+    return codes, labels.answers, demographics, totals, np.arange(n) < 30
 
 
 def test_features_other_activities_excludes_target(inputs_fixture):
-    train = inputs_fixture.user_ids[:30]
-    values, names = evaluate.build_features("other_activities", "work", inputs_fixture, train)
+    values, names = evaluate.build_features("other_activities", "work", *inputs_fixture)
     assert names == ("wake_up", "transport", "sports", "friends", "asleep")
     assert values.shape == (40, 5)
 
 
 def test_features_volume_is_single_column(inputs_fixture):
-    values, names = evaluate.build_features("volume", "work", inputs_fixture, inputs_fixture.user_ids[:30])
+    values, names = evaluate.build_features("volume", "work", *inputs_fixture)
     assert names == ("total_streams",)
     assert values.shape == (40, 1)
 
 
 def test_features_codes_demographics_is_k_plus_2(inputs_fixture):
-    values, names = evaluate.build_features("codes_demographics", "work", inputs_fixture,
-                                            inputs_fixture.user_ids[:30])
+    values, names = evaluate.build_features("codes_demographics", "work", *inputs_fixture)
     assert values.shape == (40, 10)
     assert names[-2:] == ("age_group", "gender")
 
 
 def test_features_unknown_variant(inputs_fixture):
     with pytest.raises(EvaluationError, match="variant"):
-        evaluate.build_features("pca", "work", inputs_fixture, inputs_fixture.user_ids[:30])
+        evaluate.build_features("pca", "work", *inputs_fixture)
 
 
 def test_standardization_uses_train_stats_only(inputs_fixture):
-    train = inputs_fixture.user_ids[:30]
-    values, _ = evaluate.build_features("codes", "work", inputs_fixture, train)
-    train_mask = np.array([u in set(train) for u in inputs_fixture.user_ids])
+    values, _ = evaluate.build_features("codes", "work", *inputs_fixture)
+    train_mask = inputs_fixture[-1]
     train_rows = values[train_mask]
     assert np.abs(train_rows.mean(axis=0)).max() < 1e-9
     assert np.allclose(train_rows.std(axis=0), 1.0, atol=1e-9)
@@ -272,12 +274,47 @@ def random_eval_setup(n_users, k=8, seed=0, planted_activity=None):
     return labels.user_ids, codes, labels, totals
 
 
+def test_evaluate_all_aligns_codes_with_sorted_users():
+    users, codes, labels, totals = random_eval_setup(60, k=3, seed=4, planted_activity="work")
+    test = evaluate.split_users(users, 0.33, seed=1)
+    config = evaluate.EvalConfig(l2_grid=(1.0,), seed=0)
+    base = evaluate.evaluate_all(users, codes, labels, totals, test, config)
+    reversed_labels = evaluate.Labels(*(column[::-1] for column in labels))
+    for rows, label_table in ((slice(None, None, -1), labels), (slice(None), reversed_labels)):
+        report = evaluate.evaluate_all(users[rows], codes[rows], label_table, totals, test[rows], config)
+        assert np.array_equal(report.auc, base.auc)
+        assert np.array_equal(report.chosen_l2, base.chosen_l2)
+        assert np.array_equal(report.coefficients, base.coefficients)
+    # Rows are matched to users by id: reordering the ids alone changes the report.
+    shuffled = evaluate.evaluate_all(users[::-1], codes, labels, totals, test, config)
+    assert not np.array_equal(shuffled.auc, base.auc)
+    with pytest.raises(EvaluationError, match="duplicate"):
+        evaluate.evaluate_all(users[:1] * 60, codes, labels, totals, test, config)
+    with pytest.raises(EvaluationError, match="do not match"):
+        evaluate.evaluate_all(users[:5], codes, labels, totals, test, config)
+    with pytest.raises(EvaluationError, match="do not match"):
+        evaluate.evaluate_all(users, codes, labels, totals, test[:5], config)
+
+
+def test_evaluate_all_needs_labels_and_a_total_for_every_coded_user():
+    users, codes, labels, totals = random_eval_setup(30, seed=2)
+    test = evaluate.split_users(users, 0.33, seed=0)
+    unlabeled = evaluate.Labels(*(column[1:] for column in labels))
+    with pytest.raises(EvaluationError, match=r"1 coded users have no labels, e\.g\. \['u0000'\]"):
+        evaluate.evaluate_all(users, codes, unlabeled, totals, test)
+    no_total = {u: t for u, t in totals.items() if u != "u0007"}
+    with pytest.raises(EvaluationError, match=r"1 coded users have no stream total, e\.g\. \['u0007'\]"):
+        evaluate.evaluate_all(users, codes, labels, no_total, test)
+    with pytest.raises(EvaluationError, match="train or test empty"):
+        evaluate.evaluate_all(users, codes, labels, totals, np.zeros(30, dtype=bool))
+
+
 def test_evaluate_all_report_shape_and_determinism():
     users, codes, labels, totals = random_eval_setup(120, seed=5, planted_activity="work")
-    split = evaluate.split_users(users, 0.33, seed=1)
+    test = evaluate.split_users(users, 0.33, seed=1)
     config = evaluate.EvalConfig(seed=3)
-    rep1 = evaluate.evaluate_all(users, codes, labels, totals, split, config)
-    rep2 = evaluate.evaluate_all(users, codes, labels, totals, split, config)
+    rep1 = evaluate.evaluate_all(users, codes, labels, totals, test, config)
+    rep2 = evaluate.evaluate_all(users, codes, labels, totals, test, config)
     assert rep1.auc.shape == (5, 6)
     assert rep1.auc.size == 30
     assert np.array_equal(rep1.auc, rep2.auc)
@@ -288,17 +325,17 @@ def test_evaluate_all_report_shape_and_determinism():
 
 def test_evaluate_all_planted_signal_beats_volume():
     users, codes, labels, totals = random_eval_setup(400, seed=7, planted_activity="friends")
-    split = evaluate.split_users(users, 0.33, seed=2)
-    rep = evaluate.evaluate_all(users, codes, labels, totals, split, evaluate.EvalConfig(seed=0))
+    test = evaluate.split_users(users, 0.33, seed=2)
+    rep = evaluate.evaluate_all(users, codes, labels, totals, test, evaluate.EvalConfig(seed=0))
     assert rep.auc_of("codes", "friends") > rep.auc_of("volume", "friends") + 0.15
 
 
 def test_evaluate_all_random_labels_near_half():
     # Null oracle: with no signal anywhere, test AUC concentrates around 0.5.
     users, codes, labels, totals = random_eval_setup(3030, seed=9)
-    split = evaluate.split_users(users, 0.33, seed=4)
-    assert len(split[1]) == 1000
-    rep = evaluate.evaluate_all(users, codes, labels, totals, split, evaluate.EvalConfig(seed=1))
+    test = evaluate.split_users(users, 0.33, seed=4)
+    assert int(test.sum()) == 1000
+    rep = evaluate.evaluate_all(users, codes, labels, totals, test, evaluate.EvalConfig(seed=1))
     others = [v for v in evaluate.VARIANTS if v != "other_activities"]
     for variant in others:
         for activity in evaluate.ACTIVITIES:
@@ -309,15 +346,16 @@ def test_coefficient_report_shape_and_csv(tmp_path):
     # Each coefficient column is the weight vector of the codes-variant model
     # refit on the train split with the chosen l2.
     users, codes, labels, totals = random_eval_setup(90, k=4, seed=12, planted_activity="work")
-    split = evaluate.split_users(users, 0.33, seed=6)
-    rep = evaluate.evaluate_all(users, codes, labels, totals, split, evaluate.EvalConfig(seed=1))
+    test = evaluate.split_users(users, 0.33, seed=6)
+    rep = evaluate.evaluate_all(users, codes, labels, totals, test, evaluate.EvalConfig(seed=1))
     assert rep.coefficients.shape == (4, 6)
-    inputs = evaluate.EvalInputs(users, codes, labels, totals)
-    train_mask = np.isin(inputs.user_ids, split[0])
-    X, _ = evaluate.build_features("codes", "work", inputs, split[0])
+    assert list(users) == sorted(users)  # rows are already in user-id order
+    demographics = np.column_stack([labels.age_group, labels.gender])
+    volume = np.array([float(totals[u]) for u in users])
+    X, _ = evaluate.build_features("codes", "work", codes, labels.answers, demographics, volume, ~test)
     ai = evaluate.ACTIVITIES.index("work")
     l2 = rep.chosen_l2[evaluate.VARIANTS.index("codes"), ai]
-    model = evaluate.train_logreg(X[train_mask], inputs.answers[train_mask, ai], l2)
+    model = evaluate.train_logreg(X[~test], labels.answers[~test, ai], l2)
     assert np.array_equal(rep.coefficients[:, ai], model.weights)
     path = tmp_path / "coef.csv"
     evaluate.write_coefficients_csv(rep.coefficients, path)
@@ -329,8 +367,8 @@ def test_coefficient_report_shape_and_csv(tmp_path):
 
 def test_coefficient_report_planted_atom_dominates():
     users, codes, labels, totals = random_eval_setup(500, seed=3, planted_activity="asleep")
-    split = evaluate.split_users(users, 0.33, seed=5)
-    rep = evaluate.evaluate_all(users, codes, labels, totals, split, evaluate.EvalConfig(seed=2))
+    test = evaluate.split_users(users, 0.33, seed=5)
+    rep = evaluate.evaluate_all(users, codes, labels, totals, test, evaluate.EvalConfig(seed=2))
     ai = evaluate.ACTIVITIES.index("asleep")
     # The planted generator ties atom 0 to the label, so its coefficient tops the column.
     assert np.argmax(rep.coefficients[:, ai]) == 0
@@ -339,7 +377,7 @@ def test_coefficient_report_planted_atom_dominates():
 def test_labels_round_trip(tmp_path):
     labels = make_labels(25, np.random.default_rng(6))
     path = tmp_path / "labels.csv"
-    evaluate.write_labels(labels, path)
+    evaluate.write_labels(path, *labels)
     text = path.read_text()
     assert text.splitlines()[1] == "u0000," + ",".join(
         str(v) for v in [*labels.answers[0], labels.age_group[0], labels.gender[0]])
@@ -352,31 +390,34 @@ def test_labels_round_trip(tmp_path):
 
 
 def test_labels_validation():
-    def one_user(answers=(0,) * 6, age_group=0, gender=0, users=("u",)):
-        n = len(users)
-        return evaluate.LabelSet(users, [answers] * n, [age_group] * n, [gender] * n)
+    header = ",".join(evaluate.LABELS_HEADER) + "\n"
 
-    one_user()
-    with pytest.raises(EvaluationError, match="0/1 flags"):
-        one_user(answers=(0, 1, 2, 0, 0, 0))
-    with pytest.raises(EvaluationError, match="age_group"):
-        one_user(age_group=5)
-    with pytest.raises(EvaluationError, match="age_group"):
-        one_user(age_group=-1)
-    with pytest.raises(EvaluationError, match="gender"):
-        one_user(gender=3)
-    with pytest.raises(EvaluationError, match="duplicate user id w"):
-        one_user(users=("u", "w", "v", "w"))
-    with pytest.raises(EvaluationError, match="do not fit"):
-        one_user(answers=(0,) * 5)
+    def parse(*lines):
+        return evaluate.parse_labels([header, *lines])
+
+    def line(user="u", answers=(0,) * 6, age_group=0, gender=0):
+        return ",".join([user, *map(str, answers), str(age_group), str(gender)]) + "\n"
+
+    assert parse(line()).user_ids == ("u",)
+    with pytest.raises(EvaluationError, match="line 2, user u: answers must be six 0/1 flags"):
+        parse(line(answers=(0, 1, 2, 0, 0, 0)))
+    with pytest.raises(EvaluationError, match="line 2, user u: age_group"):
+        parse(line(age_group=5))
+    with pytest.raises(EvaluationError, match="line 2, user u: age_group"):
+        parse(line(age_group=-1))
+    with pytest.raises(EvaluationError, match="line 2, user u: gender"):
+        parse(line(gender=3))
+    with pytest.raises(EvaluationError, match="line 5: duplicate user id w"):
+        parse(line("u"), line("w"), line("v"), line("w"))
+    with pytest.raises(EvaluationError, match="line 2 has 8 fields"):
+        parse(line(answers=(0,) * 5))
     with pytest.raises(EvaluationError, match="header"):
         evaluate.parse_labels(["user_id,foo\n"])
-    header = ",".join(evaluate.LABELS_HEADER) + "\n"
     with pytest.raises(EvaluationError, match="line 3 is malformed"):
-        evaluate.parse_labels([header, "u1,0,0,0,0,0,0,1,1\n", "u2,0,x,0,0,0,0,1,1\n"])
+        parse("u1,0,0,0,0,0,0,1,1\n", "u2,0,x,0,0,0,0,1,1\n")
     with pytest.raises(EvaluationError, match="line 4 is malformed"):  # a quoted id spans lines 2-3
-        evaluate.parse_labels([header, '"u\n', '1",0,0,0,0,0,0,1,1\n', "u2,0,x,0,0,0,0,1,1\n"])
+        parse('"u\n', '1",0,0,0,0,0,0,1,1\n', "u2,0,x,0,0,0,0,1,1\n")
     with pytest.raises(EvaluationError, match="line 2 has 8 fields"):
-        evaluate.parse_labels([header, "u1,0,0,0,0,0,1,1\n"])
-    with pytest.raises(EvaluationError, match="user u2: gender"):
-        evaluate.parse_labels([header, "u1,0,0,0,0,0,0,1,1\n", "u2,0,0,0,0,0,0,1,7\n"])
+        parse("u1,0,0,0,0,0,1,1\n")
+    with pytest.raises(EvaluationError, match="line 3, user u2: gender"):
+        parse("u1,0,0,0,0,0,0,1,1\n", "u2,0,0,0,0,0,0,1,7\n")

@@ -1,3 +1,6 @@
+import time
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -131,6 +134,23 @@ def test_aggregate_partial_week_divisor():
     raw = raw_of(log_of(*events), period)
     assert channel(raw, "volume")[3 * 24 + 12] == pytest.approx(1.0)   # 1 event / 1 window
     assert channel(raw, "volume")[12] == pytest.approx(0.5)            # 1 event / 2 windows
+
+
+@given(first=st.integers(-10**6, 10**6), n_hours=st.integers(0, 2000))
+@settings(max_examples=60, deadline=None)
+def test_slot_divisors_match_window_count(first, n_hours):
+    counts = Counter(oracles.weekly_slot(3600 * k) for k in range(first, first + n_hours))
+    expected = [counts[slot] for slot in range(signals.SLOTS_PER_WEEK)]
+    assert signals._slot_divisors(first, first + n_hours).tolist() == expected
+
+
+def test_slot_divisors_of_a_huge_span_are_immediate():
+    span = 2**40 // 3600
+    start = time.perf_counter()
+    divisor = signals._slot_divisors(-7, span - 7)
+    assert time.perf_counter() - start < 0.5
+    assert divisor.sum() == span
+    assert divisor.max() - divisor.min() <= 1
 
 
 def test_aggregate_rejects_short_period():

@@ -47,7 +47,7 @@ def test_generated_files_round_trip_ingest(thousand_users):
     favorites = ingest.parse_favorites(result.favorites_path)
     assert favorites[0]  # non-empty
     labels = evaluate.parse_labels(result.labels_path)
-    assert len(labels) == 1000
+    assert len(labels.user_ids) == 1000
     valid = ingest.filter_valid_streams(log)
     assert len(valid) == result.n_valid_events
     organic = float(np.mean(valid.organic))
@@ -133,14 +133,13 @@ def _downstream_auc(noise, seed, tmp_path):
     active = ingest.filter_active_users(valid, period)
     profiles = ingest.build_profiles(ingest.restrict_to_users(valid, active), favorites)
     sset = signals.build_signal_set(profiles, period)
-    split = evaluate.split_users(sset.user_ids, 0.33, seed=seed)
-    train_mask = np.array([u in set(split[0]) for u in sset.user_ids])
-    learned = dictionary.learn(sset.matrix[train_mask],
+    test = evaluate.split_users(sset.user_ids, 0.33, seed=seed)
+    learned = dictionary.learn(sset.matrix[~test],
                                dictionary.LearnConfig(n_atoms=6, lam=1.0, outer_iters=12, seed=seed))
-    codes = dictionary.embed(sset, learned.dictionary)
+    codes = dictionary.embed(sset.matrix, learned.dictionary, learned.dictionary.lam)
     labels = evaluate.parse_labels(result.labels_path)
     totals = dict(zip(profiles.user_ids, profiles.summary[:, 0].tolist()))
-    report = evaluate.evaluate_all(sset.user_ids, codes, labels, totals, split,
+    report = evaluate.evaluate_all(sset.user_ids, codes, labels, totals, test,
                                    evaluate.EvalConfig(seed=seed))
     primaries = synth.planted_truth(config).primary_activities()
     return float(np.mean([report.auc_of("codes", a) for a in primaries]))
