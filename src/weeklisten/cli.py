@@ -23,7 +23,10 @@ with the resolved configuration, paths, seed, version and wall-clock duration
 (the manifest is the only artifact carrying timing, hence the only one that
 differs between byte-identical runs).  ``learn`` and ``embed`` also record the
 codes' worst KKT residual (``kkt_max``) and the number of users above the
-certificate tolerance (``users_uncertified``), and warn when that is not 0.
+certificate tolerance (``users_uncertified``), and warn when that is not 0;
+``eval`` records its logistic fits' worst final gradient max-norm
+(``newton_grad_max``) and how many of them stopped at ``max_iter`` or when step
+halving ran out, and warns when either count is not 0.
 """
 
 from __future__ import annotations
@@ -82,6 +85,18 @@ def _certify_codes(matrix, dct, codes, lam, lasso_tol) -> dict:
         print(f"warning: {uncertified} of {residuals.size} codes miss the KKT certificate "
               f"{bound:g} (worst {worst:.3g}); raise --lasso-max-sweeps")
     return {"kkt_max": worst, "users_uncertified": uncertified}
+
+
+def _certify_fits(report: evaluate.EvalReport) -> dict:
+    """The logistic fits' worst gradient and stop counts; warns if any fit stopped uncertified."""
+    stopped = report.stopped_max_iter + report.stopped_halving
+    if stopped:
+        print(f"warning: {stopped} of {report.fits} logistic fits stopped with gradient above "
+              f"{evaluate.GRAD_TOL:g} ({report.stopped_max_iter} at max_iter, {report.stopped_halving} "
+              f"when step halving ran out; worst {report.grad_max:.3g})")
+    return {"newton_fits": report.fits, "newton_grad_max": report.grad_max,
+            "newton_stopped_max_iter": report.stopped_max_iter,
+            "newton_stopped_halving": report.stopped_halving}
 
 
 def _resolve_period(args, valid_log) -> ingest.StudyPeriod:
@@ -245,6 +260,7 @@ def cmd_eval(args) -> None:
     config = evaluate.EvalConfig(l2_grid=tuple(args.l2_grid), cv_folds=args.cv_folds,
                                  seed=stage_seed(args.seed, "eval"))
     report = evaluate.evaluate_all(users, codes, labels, totals, test, config)
+    certificate = _certify_fits(report)
 
     report_path = out / "eval_report.csv"
     table_path = out / "eval_table.txt"
@@ -257,7 +273,7 @@ def cmd_eval(args) -> None:
                     {"code_users": args.code_users, "codes": args.codes,
                      "labels": args.labels, "summary": args.summary},
                     {"report": report_path, "table": table_path, "coefficients": coef_path},
-                    started)
+                    started, certificate)
 
 
 def cmd_export_atoms(args) -> None:
@@ -313,7 +329,8 @@ SHARED_FLAGS = {
     "--signals": dict(required=True, help="signal matrix file"),
     "--dictionary": dict(required=True, help="dictionary CSV"),
     "--lasso-tol": dict(type=float, default=dictionary.LearnConfig.lasso_tol,
-                        help="coordinate-change tolerance (default %(default)s)"),
+                        help="coding tolerance; codes are certified to KKT residual "
+                             f"{dictionary.KKT_TOL_FACTOR:g}x this (default %(default)s)"),
     "--lasso-max-sweeps": dict(type=int, default=dictionary.LearnConfig.lasso_max_sweeps,
                                help="sweep cap per coding pass (default %(default)s)"),
     "--test-frac": dict(type=float, default=0.33,

@@ -9,14 +9,19 @@ where the channel sum equals the Frobenius norm of the channel-major stacked
 matrices, so everything below runs on plain ``(dim, K)`` dictionaries and
 ``(n, dim)`` signal rows (``dim`` is 672 in production, anything in tests).
 
-Sparse coding is cyclic coordinate descent with closed-form soft-threshold
-updates, vectorized across users, which finds each user's support and signs;
-after every sweep each unsettled user takes one exact step on that support
-(the reduced least-squares system solved in stacked blocks, stopped at the
-first sign change, kept only if the objective does not rise).  The dictionary
-half-step is block coordinate descent over atoms with unit-L2-ball projection.
-Both half-steps never increase the objective, which the learner records after
-every half-step from Gram statistics.  :func:`sparse_code_batch` is the one
+Sparse coding, vectorized across users, mixes exact steps on a user's
+support (the reduced least-squares system solved in stacked blocks, stopped at
+the first sign change, kept only if the objective does not rise) with cyclic
+coordinate-descent sweeps of closed-form soft-threshold updates, which find
+the support and signs.  A pass opens with an exact step on the warm start and
+then alternates sweeps and exact steps; a user retires once its KKT residual
+is within ``KKT_TOL_FACTOR * tol``, checked after every step and sweep, so a
+user whose support and signs survive a dictionary update costs one solve and
+no sweep (the feature-sign idea of Lee, Battle, Raina and Ng, "Efficient
+sparse coding algorithms", NIPS 2007).  The dictionary half-step is block
+coordinate descent over atoms with unit-L2-ball projection.  Both half-steps
+never increase the objective, which the learner records after every half-step
+from Gram statistics.  :func:`sparse_code_batch` is the one
 coder (a single signal is a batch of one row) and :func:`kkt_residuals`
 certifies its codes.
 
@@ -36,7 +41,7 @@ from .signals import CHANNELS, N_CHANNELS, SLOTS_PER_WEEK
 
 STACKED_DIM = N_CHANNELS * SLOTS_PER_WEEK
 
-#: Factor mapping the coordinate-change tolerance to the KKT certificate tolerance.
+#: A code is certified (and its user retired) once its KKT residual is within this times ``tol``.
 KKT_TOL_FACTOR = 10.0
 
 #: Users per stacked exact-step solve, so the (block, K, K) systems stay a few MB.
@@ -161,8 +166,10 @@ def _exact_support_step(C: np.ndarray, g: np.ndarray, H: np.ndarray, D: np.ndarr
     ``C``, ``g = H - G C`` and ``H`` are ``(K, n)`` with one column per user;
     ``C`` and ``g`` are updated in place, ``g`` recomputed for users that moved.
     """
+    # Blocks of users with similar support sizes keep the padded systems small.
+    by_size = np.argsort(np.count_nonzero(C, axis=0), kind="stable")
     for start in range(0, C.shape[1], SOLVE_BLOCK):
-        cols = np.arange(start, min(start + SOLVE_BLOCK, C.shape[1]))
+        cols = by_size[start:start + SOLVE_BLOCK]
         c = C[:, cols].T                                   # (b, K)
         support = c != 0.0
         size = support.sum(axis=1)
@@ -207,18 +214,19 @@ def _exact_support_step(C: np.ndarray, g: np.ndarray, H: np.ndarray, D: np.ndarr
 def sparse_code_batch(signals: np.ndarray, dictionary: np.ndarray, lam: float,
                       tol: float = LearnConfig.lasso_tol, max_sweeps: int = LearnConfig.lasso_max_sweeps,
                       warm_codes: np.ndarray | None = None) -> np.ndarray:
-    """Lasso codes for every signal row: coordinate descent plus exact support steps.
+    """Lasso codes for every signal row: exact support steps plus coordinate descent.
 
     Runs in covariance form: with ``G = D^T D`` and ``H = D^T S`` precomputed,
     a coordinate update touches K-vectors instead of dim-vectors.  Each user's
-    problem is independent; they are swept together for speed.  A cyclic
-    coordinate-descent sweep finds each user's support and signs; a user drops
-    out once its sweep-to-sweep coordinate change is below ``tol`` and its KKT
-    violation is within ``KKT_TOL_FACTOR * tol``.  Every user still active
-    after a sweep then takes one exact step on its support (see
-    :func:`_exact_support_step`), so a pass usually settles within a few
-    sweeps.  ``max_sweeps`` caps the coordinate-descent sweeps.  Codes of
-    zero-norm atoms are 0.
+    problem is independent; they are solved together for speed.  A pass opens
+    with one exact step on the warm support (see :func:`_exact_support_step`);
+    then cyclic coordinate-descent sweeps find the support and signs of the
+    users still open, each sweep followed by another exact step.  A user
+    retires as soon as its KKT violation is within ``KKT_TOL_FACTOR * tol``,
+    checked after every exact step and every sweep, so a user whose warm
+    support and signs are still optimal costs one solve and no sweep.
+    ``max_sweeps`` caps the coordinate-descent sweeps.  Codes of zero-norm
+    atoms are 0.
     """
     X = np.asarray(signals, dtype=np.float64)
     if X.ndim != 2:
@@ -237,16 +245,27 @@ def sparse_code_batch(signals: np.ndarray, dictionary: np.ndarray, lam: float,
     atom_sq = np.diagonal(G).copy()           # ||d_j||^2
     codes[atom_sq == 0.0] = 0.0               # the penalty alone decides a zero atom's code
     threshold = lam / 2.0
+    bound = KKT_TOL_FACTOR * tol
 
-    # Active users' columns, compacted as users settle; codes[:, active] is stale until then.
+    # Open users' columns, compacted as users retire; codes[:, active] is stale until then.
     active = np.arange(n)
     C = codes.copy()
     H = D.T @ X.T                             # (K, n)
     g = H - G @ C                             # half-gradient: d_j . residual per user
+
+    def retire():
+        nonlocal active, C, g, H
+        done = _kkt_from_half_gradient(g, C, lam) <= bound
+        if np.any(done):
+            codes[:, active[done]] = C[:, done]
+            keep = ~done
+            active, C, g, H = active[keep], C[:, keep], g[:, keep], H[:, keep]
+
+    _exact_support_step(C, g, H, D, G, lam)
+    retire()
     for _ in range(max_sweeps):
         if active.size == 0:
             break
-        max_delta = np.zeros(active.size)
         for j in range(K):
             if atom_sq[j] == 0.0:
                 continue  # degenerate atom: code stays 0, gradient is zero
@@ -258,19 +277,9 @@ def sparse_code_batch(signals: np.ndarray, dictionary: np.ndarray, lam: float,
             if np.any(changed):
                 g -= np.outer(G[:, j], delta)
                 c_j[changed] = new[changed]
-            np.maximum(max_delta, np.abs(delta), out=max_delta)
-
-        settled = max_delta < tol
-        if np.any(settled):
-            # Promote settled users only once their KKT certificate holds.
-            viol = _kkt_from_half_gradient(g[:, settled], C[:, settled], lam)
-            done = settled.copy()
-            done[settled] = viol <= KKT_TOL_FACTOR * tol
-            if np.any(done):
-                codes[:, active[done]] = C[:, done]
-                keep = ~done
-                active, C, g, H = active[keep], C[:, keep], g[:, keep], H[:, keep]
+        retire()
         _exact_support_step(C, g, H, D, G, lam)
+        retire()
 
     codes[:, active] = C
     return codes.T.copy()

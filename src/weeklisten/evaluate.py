@@ -1,9 +1,15 @@
 """Activity-prediction evaluation of user codes against baselines.
 
 Six binary activity labels are predicted separately with L2-regularized
-logistic regression (from-scratch Newton optimizer), model selection by
-seeded stratified 5-fold grid search on ROC AUC, and final scoring by ROC AUC
-on a held-out user split.  Feature variants:
+logistic regression, model selection by seeded stratified 5-fold grid search
+on ROC AUC, and final scoring by ROC AUC on a held-out user split.  Every fit
+goes through :func:`newton_logreg`, one from-scratch damped Newton that
+solves a batch of row-subset problems over one feature matrix at once, each
+stopping on its own gradient certificate: a job's 25 (l2, fold) problems are
+one call, and :func:`train_logreg` is the one-problem case.  Each problem
+reports its iterations, step halvings, final gradient max-norm and stop
+reason; :class:`EvalReport` carries the worst gradient and the counts of fits
+stopped by ``max_iter`` or by running out of step halvings.  Feature variants:
 
 * ``volume``             - total valid stream count (1 column);
 * ``demographics``       - age-group and gender integer codes (2 columns);
@@ -180,14 +186,31 @@ def build_features(variant: str, target_activity: str, codes: np.ndarray, answer
 
 
 # ---------------------------------------------------------------------------
-# Logistic regression (full-batch Newton) and ROC AUC
+# Logistic regression (one batched damped Newton) and ROC AUC
 # ---------------------------------------------------------------------------
+
+#: A fit is certified when its gradient max-norm falls below this.
+GRAD_TOL = 1e-6
+
+STOP_CONVERGED, STOP_MAX_ITER, STOP_HALVING = "converged", "max_iter", "halving"
+
+
+class NewtonFit(NamedTuple):
+    """What :func:`newton_logreg` returns; entry ``p`` of each column belongs to problem ``p``."""
+
+    params: np.ndarray      # (P, f + 1): the weights, then the intercept
+    iterations: np.ndarray  # (P,) Newton steps taken
+    halvings: np.ndarray    # (P,) step halvings over all line searches
+    grad_norm: np.ndarray   # (P,) final gradient max-norm
+    stop: np.ndarray        # (P,) STOP_CONVERGED, STOP_MAX_ITER or STOP_HALVING
+
 
 @dataclass(frozen=True)
 class LogRegModel:
     weights: np.ndarray
     intercept: float
     l2_strength: float
+    fit: NewtonFit  # the one-problem certificate
 
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
         return X @ self.weights + self.intercept
@@ -203,69 +226,113 @@ def _sigmoid(m: np.ndarray) -> np.ndarray:
 
 
 def logistic_loss_and_grad(params: np.ndarray, X: np.ndarray, y01: np.ndarray,
-                           l2_strength: float) -> tuple[float, np.ndarray]:
-    """Mean logistic loss plus ``l2/2 * ||w||^2`` (intercept unpenalized).
+                           l2_strength, rows: np.ndarray | None = None):
+    """Mean logistic loss plus ``l2/2 * ||w||^2`` (intercept unpenalized), and its gradient.
 
-    ``params`` is ``[w_0 .. w_{f-1}, intercept]``; returns (loss, gradient).
+    ``params`` is ``[w_0 .. w_{f-1}, intercept]``, or a ``(P, f + 1)`` stack of
+    P problems over the same ``X``; ``l2_strength`` is one value or one per
+    problem.  Problem ``p`` averages over the rows ``rows[p]`` selects (a
+    ``(P, n)`` boolean mask; default every row).  Returns (loss, gradient): a
+    float and an ``(f + 1,)`` vector for 1-D ``params``, else ``(P,)`` and
+    ``(P, f + 1)``.
     """
     X = np.asarray(X, dtype=np.float64)
-    w, b = params[:-1], params[-1]
+    theta = np.atleast_2d(np.asarray(params, dtype=np.float64))
+    w, b = theta[:, :-1], theta[:, -1:]
+    l2 = np.asarray(l2_strength, dtype=np.float64).reshape(-1, 1)
+    weight = np.ones((1, len(X))) if rows is None else np.asarray(rows, dtype=np.float64)
+    weight = weight / weight.sum(axis=1, keepdims=True)
     y = 2.0 * np.asarray(y01, dtype=np.float64) - 1.0
-    m = X @ w + b
-    loss = float(np.mean(np.logaddexp(0.0, -y * m)) + 0.5 * l2_strength * w @ w)
-    coef = -y * _sigmoid(-y * m) / len(y)
-    grad = np.empty_like(params)
-    grad[:-1] = X.T @ coef + l2_strength * w
-    grad[-1] = coef.sum()
+    m = w @ X.T + b
+    loss = np.sum(weight * np.logaddexp(0.0, -y * m), axis=1) + 0.5 * l2[:, 0] * np.sum(w * w, axis=1)
+    coef = -y * _sigmoid(-y * m) * weight
+    grad = np.empty_like(theta)
+    grad[:, :-1] = coef @ X + l2 * w
+    grad[:, -1] = coef.sum(axis=1)
+    if np.ndim(params) == 1:
+        return float(loss[0]), grad[0]
     return loss, grad
 
 
-def train_logreg(X: np.ndarray, y01: np.ndarray, l2_strength: float,
-                 grad_tol: float = 1e-6, max_iter: int = 10000) -> LogRegModel:
-    """Fit by damped Newton iterations until the gradient max-norm is tiny.
+def newton_logreg(X: np.ndarray, y01: np.ndarray, rows: np.ndarray, l2_strength,
+                  grad_tol: float = GRAD_TOL, max_iter: int = 10000) -> NewtonFit:
+    """Fit P row-subset l2 logistic problems over one feature matrix by damped Newton.
 
-    Deterministic full-batch optimization from a zero start; steps are halved
-    whenever they fail to decrease the loss, so the loss trace is
-    non-increasing.
+    Problem ``p`` minimizes :func:`logistic_loss_and_grad` over the rows
+    ``rows[p]`` selects, with l2 strength ``l2_strength[p]`` (or one shared
+    value).  All problems start at zero and step together, each on its own
+    schedule, deterministically.  A step is halved whenever it fails to
+    decrease the loss, so each loss trace is non-increasing, and a 1e-12
+    ridge on the Hessian diagonal guards against saturated probabilities.  A
+    problem stops when its gradient max-norm falls below ``grad_tol``
+    (``converged``), after ``max_iter`` steps (``max_iter``), or when the
+    halved step reaches 1e-12 of the Newton step without a decrease
+    (``halving``: no descent direction left at float precision).
     """
     X = np.asarray(X, dtype=np.float64)
     y01 = np.asarray(y01)
-    classes = np.unique(y01)
-    if len(classes) < 2:
-        raise EvaluationError(f"labels are single-class ({classes.tolist()}); "
-                              "logistic regression needs both a positive and a negative example")
-    n, f = X.shape
-    params = np.zeros(f + 1)
-    loss, grad = logistic_loss_and_grad(params, X, y01, l2_strength)
+    rows = np.asarray(rows, dtype=bool)
+    n_problems, f = len(rows), X.shape[1]
+    for mask in rows:
+        classes = np.unique(y01[mask])
+        if len(classes) < 2:
+            raise EvaluationError(f"labels are single-class ({classes.tolist()}); "
+                                  "logistic regression needs both a positive and a negative example")
+    l2 = np.broadcast_to(np.asarray(l2_strength, dtype=np.float64), (n_problems,))
+    weight = rows / rows.sum(axis=1, keepdims=True)
+    params = np.zeros((n_problems, f + 1))
+    loss, grad = logistic_loss_and_grad(params, X, y01, l2, rows)
+    iterations = np.zeros(n_problems, dtype=np.int64)
+    halvings = np.zeros(n_problems, dtype=np.int64)
+    stalled = np.zeros(n_problems, dtype=bool)
+    # Row i of ``pairs`` is the outer product of [x_i, 1], so one product with the
+    # Hessian weights gives every problem's Hessian.
+    augmented = np.column_stack([X, np.ones(len(X))])
+    pairs = (augmented[:, :, None] * augmented[:, None, :]).reshape(len(X), -1)
+    diagonal = np.arange(f + 1)
 
+    live = np.arange(n_problems)  # problems still stepping
     for _ in range(max_iter):
-        if np.max(np.abs(grad)) < grad_tol:
+        live = live[~(np.abs(grad[live]).max(axis=1) < grad_tol)]  # a NaN gradient keeps stepping
+        if live.size == 0:
             break
-        m = X @ params[:-1] + params[-1]
-        p = _sigmoid(m)
-        w_diag = p * (1.0 - p) / n
-        Xw = X * w_diag[:, None]
-        H = np.empty((f + 1, f + 1))
-        H[:f, :f] = X.T @ Xw + l2_strength * np.eye(f)
-        H[:f, f] = Xw.sum(axis=0)
-        H[f, :f] = H[:f, f]
-        H[f, f] = w_diag.sum()
-        H[np.diag_indices_from(H)] += 1e-12  # guard against saturated probabilities
-        step = np.linalg.solve(H, -grad)
+        iterations[live] += 1
+        p = _sigmoid(params[live, :-1] @ X.T + params[live, -1:])
+        H = ((p * (1.0 - p) * weight[live]) @ pairs).reshape(live.size, f + 1, f + 1)
+        H[:, diagonal[:f], diagonal[:f]] += l2[live, None]
+        H[:, diagonal, diagonal] += 1e-12  # guard against saturated probabilities
+        step = np.linalg.solve(H, -grad[live][:, :, None])[:, :, 0]
 
-        scale = 1.0
-        while scale > 1e-12:
-            trial = params + scale * step
-            trial_loss, trial_grad = logistic_loss_and_grad(trial, X, y01, l2_strength)
-            if trial_loss <= loss:
-                params, loss, grad = trial, trial_loss, trial_grad
-                break
-            scale *= 0.5
-        else:
-            break  # no descent direction left at float precision
+        scale = np.ones(live.size)
+        searching = np.arange(live.size)  # positions in ``live`` whose line search goes on
+        while searching.size:
+            ids = live[searching]
+            trial = params[ids] + scale[searching, None] * step[searching]
+            trial_loss, trial_grad = logistic_loss_and_grad(trial, X, y01, l2[ids], rows[ids])
+            better = trial_loss <= loss[ids]
+            done = ids[better]
+            params[done], loss[done], grad[done] = trial[better], trial_loss[better], trial_grad[better]
+            failed = searching[~better]
+            halvings[live[failed]] += 1
+            scale[failed] *= 0.5
+            searching = failed[scale[failed] > 1e-12]
+        out = scale <= 1e-12
+        stalled[live[out]] = True
+        live = live[~out]
 
-    return LogRegModel(weights=params[:-1].copy(), intercept=float(params[-1]),
-                       l2_strength=float(l2_strength))
+    grad_norm = np.abs(grad).max(axis=1)
+    stop = np.where(stalled, STOP_HALVING, np.where(grad_norm < grad_tol, STOP_CONVERGED, STOP_MAX_ITER))
+    return NewtonFit(params, iterations, halvings, grad_norm, stop)
+
+
+def train_logreg(X: np.ndarray, y01: np.ndarray, l2_strength: float,
+                 grad_tol: float = GRAD_TOL, max_iter: int = 10000) -> LogRegModel:
+    """Fit one problem on every row of ``X``: :func:`newton_logreg` with P = 1."""
+    X = np.asarray(X, dtype=np.float64)
+    fit = newton_logreg(X, y01, np.ones((1, len(X)), dtype=bool), l2_strength,
+                        grad_tol=grad_tol, max_iter=max_iter)
+    return LogRegModel(weights=fit.params[0, :-1].copy(), intercept=float(fit.params[0, -1]),
+                       l2_strength=float(l2_strength), fit=fit)
 
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -307,11 +374,19 @@ def stratified_folds(y01: np.ndarray, folds: int, seed) -> np.ndarray:
     return assignment
 
 
+class GridSearch(NamedTuple):
+    """The l2 strength :func:`grid_search_cv` picks, and the fits it scored."""
+
+    l2: float
+    fits: NewtonFit  # problem ``i * folds + k``: i-th grid value (ascending), fold k held out
+
+
 def grid_search_cv(X: np.ndarray, y01: np.ndarray, l2_grid: Sequence[float],
-                   folds: int, seed=0) -> float:
+                   folds: int, seed=0) -> GridSearch:
     """Pick the l2 strength maximizing mean validation ROC AUC over seeded folds.
 
-    Ties break toward the strongest regularization.
+    Every (l2, fold) problem is fit in one :func:`newton_logreg` call.  Ties
+    break toward the strongest regularization.
     """
     if folds < 2:
         raise EvaluationError(f"need at least 2 folds, got {folds}")
@@ -320,19 +395,17 @@ def grid_search_cv(X: np.ndarray, y01: np.ndarray, l2_grid: Sequence[float],
         raise EvaluationError("l2 grid is empty")
     X = np.asarray(X, dtype=np.float64)
     y01 = np.asarray(y01)
-    fold_of = stratified_folds(y01, folds, seed)
+    held_out = stratified_folds(y01, folds, seed) == np.arange(folds)[:, None]  # (folds, n)
+    fits = newton_logreg(X, y01, np.tile(~held_out, (len(grid), 1)), np.repeat(grid, folds))
 
     best_l2, best_mean = None, -np.inf
-    for l2 in grid:
-        scores = []
-        for f in range(folds):
-            val = fold_of == f
-            model = train_logreg(X[~val], y01[~val], l2)
-            scores.append(roc_auc(model.decision_scores(X[val]), y01[val]))
+    for i, l2 in enumerate(grid):
+        scores = [roc_auc(X[val] @ params[:-1] + params[-1], y01[val])
+                  for params, val in zip(fits.params[i * folds:(i + 1) * folds], held_out)]
         mean_auc = float(np.mean(scores))
         if mean_auc >= best_mean:  # >= on an ascending grid = ties go to larger l2
             best_l2, best_mean = l2, mean_auc
-    return best_l2
+    return GridSearch(best_l2, fits)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +430,11 @@ class EvalReport:
     coefficients: np.ndarray  # (n_atoms, n_activities), from the codes variant
     n_train: int
     n_test: int
+    # Certificate over every logistic fit of the run, grid search and final fits alike.
+    fits: int
+    grad_max: float          # worst final gradient max-norm
+    stopped_max_iter: int    # fits stopped by max_iter
+    stopped_halving: int     # fits stopped because step halving ran out
 
     def auc_of(self, variant: str, activity: str) -> float:
         return float(self.auc[self.variants.index(variant), self.activities.index(activity)])
@@ -422,22 +500,29 @@ def evaluate_all(user_ids: Sequence[str], codes: np.ndarray, labels: Labels,
     auc = np.zeros((len(VARIANTS), N_ACTIVITIES))
     chosen = np.zeros_like(auc)
     coefficients = np.zeros((codes.shape[1], N_ACTIVITIES))
+    newton_fits = []
     for ai, activity in enumerate(ACTIVITIES):
         y = answers[:, ai]
         for vi, variant in enumerate(VARIANTS):
             X, _ = build_features(variant, activity, codes, answers, demographics, volume, train_mask)
             X_train, y_train = X[train_mask], y[train_mask]
             job_seed = (config.seed, ai, vi)
-            l2 = grid_search_cv(X_train, y_train, config.l2_grid, config.cv_folds, job_seed)
+            l2, grid_fits = grid_search_cv(X_train, y_train, config.l2_grid, config.cv_folds, job_seed)
             model = train_logreg(X_train, y_train, l2)
+            newton_fits += [grid_fits, model.fit]
             scores = model.decision_scores(X[test_mask])
             auc[vi, ai] = roc_auc(scores, y[test_mask])
             chosen[vi, ai] = l2
             if variant == VARIANT_CODES:
                 coefficients[:, ai] = model.weights
 
+    grad_norm = np.concatenate([fit.grad_norm for fit in newton_fits])
+    stop = np.concatenate([fit.stop for fit in newton_fits])
     return EvalReport(
         variants=VARIANTS, activities=ACTIVITIES, auc=auc, chosen_l2=chosen,
         coefficients=coefficients,
         n_train=int(train_mask.sum()), n_test=int(test_mask.sum()),
+        fits=len(grad_norm), grad_max=float(grad_norm.max()),
+        stopped_max_iter=int(np.count_nonzero(stop == STOP_MAX_ITER)),
+        stopped_halving=int(np.count_nonzero(stop == STOP_HALVING)),
     )

@@ -176,7 +176,9 @@ def parse_events(source) -> tuple[EventLog, ParseReport]:
     columns are found by name).  Malformed lines are counted and reported by
     the physical line on which their record ends, never silently dropped; if
     they exceed :data:`MAX_MALFORMED_FRACTION` of the data lines the whole
-    parse fails.  Identifiers are interned in order of first appearance.
+    parse fails.  A user id that is blank or holds a line break is malformed,
+    since user index files hold one id per line.  Identifiers are interned in
+    order of first appearance.
 
     Returns the log plus a :class:`ParseReport`.
     """
@@ -247,7 +249,13 @@ def parse_events(source) -> tuple[EventLog, ParseReport]:
                 if not TZ_UNSET < tz <= _INT32_MAX:  # TZ_UNSET itself is the no-offset sentinel
                     reject(f"tz_offset_min {tz} does not fit in 32 bits")
                     continue
-            user_idx.append(users.setdefault(user, len(users)))
+            u = users.get(user)
+            if u is None:  # a new user id: it must fit on one line of a user index file
+                if not user.strip() or "\n" in user or "\r" in user:
+                    reject(f"user id {user!r} is blank or holds a line break")
+                    continue
+                u = users[user] = len(users)
+            user_idx.append(u)
             track_idx.append(tracks.setdefault(track, len(tracks)))
             album_idx.append(albums.setdefault(album, len(albums)))
             timestamps.append(ts)

@@ -4,10 +4,11 @@ Nothing here shares code with the package's vectorized paths: the lasso
 oracle is an exhaustive box-refinement search, the KKT check walks the
 coordinates one by one, the orthonormal form is the textbook closed form, and
 recovery matching enumerates permutations, and the dictionary objective sums
-per-row lasso objectives.  The profile and signal oracles walk a list of event
-records (``conftest.records(log)``) one by one, find weekly slots with the
-calendar, and smooth and normalize slot by slot.  Favorites are the
-``(user_ids, kinds, item_ids)`` columns that ``ingest.parse_favorites``
+per-row lasso objectives.  The logistic fit is the scalar damped Newton loop,
+one problem on its own rows at a time.  The profile and signal oracles walk a
+list of event records (``conftest.records(log)``) one by one, find weekly
+slots with the calendar, and smooth and normalize slot by slot.  Favorites are
+the ``(user_ids, kinds, item_ids)`` columns that ``ingest.parse_favorites``
 returns.
 """
 
@@ -132,6 +133,43 @@ def pair_counting_auc(scores, labels):
             elif p == q:
                 ties += 1
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
+
+
+def logistic_loss_and_grad(params, X, y01, l2):
+    """Mean logistic loss plus ``l2/2 * ||w||^2`` (intercept unpenalized) and its gradient, one problem."""
+    w, b = params[:-1], params[-1]
+    y = 2.0 * np.asarray(y01, dtype=float) - 1.0
+    m = X @ w + b
+    loss = float(np.mean(np.logaddexp(0.0, -y * m)) + 0.5 * l2 * w @ w)
+    coef = -y * np.exp(-np.logaddexp(0.0, y * m)) / len(y)  # -y * sigmoid(-y m) / n
+    return loss, np.r_[X.T @ coef + l2 * w, coef.sum()]
+
+
+def train_logreg(X, y01, l2, grad_tol=1e-6, max_iter=10000):
+    """``[weights, intercept]`` of one problem by damped Newton from zero, step halving to 1e-12."""
+    X = np.asarray(X, dtype=float)
+    n, f = X.shape
+    params = np.zeros(f + 1)
+    loss, grad = logistic_loss_and_grad(params, X, y01, l2)
+    for _ in range(max_iter):
+        if np.max(np.abs(grad)) < grad_tol:
+            break
+        p = np.exp(-np.logaddexp(0.0, -(X @ params[:-1] + params[-1])))  # sigmoid
+        h = p * (1.0 - p) / n
+        A = np.column_stack([X, np.ones(n)])
+        H = A.T @ (A * h[:, None]) + np.diag(np.r_[np.full(f, l2), 0.0]) + 1e-12 * np.eye(f + 1)
+        step = np.linalg.solve(H, -grad)
+        scale = 1.0
+        while scale > 1e-12:
+            trial = params + scale * step
+            trial_loss, trial_grad = logistic_loss_and_grad(trial, X, y01, l2)
+            if trial_loss <= loss:
+                params, loss, grad = trial, trial_loss, trial_grad
+                break
+            scale *= 0.5
+        else:
+            break  # no descent direction left at float precision
+    return params
 
 
 # -- profiles and weekly signals, record by record ------------------------------

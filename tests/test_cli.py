@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from weeklisten import cli, dictionary, ingest, synth
+from weeklisten import cli, dictionary, evaluate, ingest, synth
 
 from conftest import DATA_ARTIFACTS, MONDAY, WEEK, events_csv_lines
 
@@ -350,6 +350,46 @@ def test_sweep_cap_is_reported(pipeline_dir, tmp_path, capsys):
         manifest = json.loads((out / f"manifest_{name}.json").read_text())
         assert manifest["users_uncertified"] > 0
         assert manifest["kkt_max"] > dictionary.KKT_TOL_FACTOR * 1e-8
+
+
+def test_newton_certificate_is_reported(pipeline_dir, tmp_path, capsys, monkeypatch):
+    manifest = json.loads((pipeline_dir / "manifest_eval.json").read_text())
+    assert manifest["newton_fits"] == 30 * (5 * 5 + 1)  # per job: 25 (l2, fold) fits and the refit
+    assert manifest["newton_grad_max"] < evaluate.GRAD_TOL
+    assert manifest["newton_stopped_max_iter"] == manifest["newton_stopped_halving"] == 0
+
+    newton = evaluate.newton_logreg
+    monkeypatch.setattr(evaluate, "newton_logreg", lambda *args, **kw: newton(*args, **{**kw, "max_iter": 1}))
+    out = tmp_path / "capped"
+    capsys.readouterr()
+    assert run(["eval", "--out", str(out), "--seed", "7", "--code-users", str(pipeline_dir / "code_users.txt"),
+                "--codes", str(pipeline_dir / "codes.npy"), "--labels", str(pipeline_dir / "labels.csv"),
+                "--summary", str(pipeline_dir / "user_summary.csv")]) == 0
+    manifest = json.loads((out / "manifest_eval.json").read_text())
+    capped = manifest["newton_stopped_max_iter"]
+    assert manifest["newton_fits"] == 780 and 700 < capped <= 780  # a few fits converge in one step
+    assert manifest["newton_stopped_halving"] == 0
+    assert manifest["newton_grad_max"] >= evaluate.GRAD_TOL
+    warnings = [line for line in capsys.readouterr().out.splitlines() if line.startswith("warning:")]
+    assert warnings == [f"warning: {capped} of 780 logistic fits stopped with gradient above 1e-06 "
+                        f"({capped} at max_iter, 0 when step halving ran out; "
+                        f"worst {manifest['newton_grad_max']:.3g})"]
+
+
+def test_user_ids_that_break_index_files_are_malformed(tmp_path, capsys):
+    # A blank user id, or one holding a line break, cannot be written as one line of
+    # signal_users.txt; such lines once ran through signals and embed gave users each
+    # other's codes.  They are malformed lines now, reported by physical line.
+    users = [" ", '"a\nb"', "c"]
+    rows = [f"{user},{MONDAY + 60 * i},t{i},al{i},organic,60" for user in users for i in range(400)]
+    events = tmp_path / "events.csv"
+    events.write_text("".join(events_csv_lines(rows)))
+    capsys.readouterr()
+    assert run(["signals", "--events", str(events), "--min-daily-streams", "0", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: too many malformed lines: 400 events parsed, 800 malformed of 1200 lines")
+    assert "line 2: user id ' ' is blank or holds a line break" in err
+    assert not (tmp_path / "signal_users.txt").exists()
 
 
 def test_learn_atoms_flag_sets_dictionary_header(pipeline_dir, tmp_path):

@@ -110,16 +110,40 @@ def test_sparse_code_batch_equals_row_wise(rng):
         assert np.allclose(batch[i], sparse_code(X[i], D, 0.8), atol=1e-7)
 
 
-@given(seed=st.integers(0, 10_000), lam=st.sampled_from([0.0, 0.3, 1.0, 4.0]))
-@settings(max_examples=60, deadline=None)
-def test_sparse_code_kkt_certificate(seed, lam):
+@given(seed=st.integers(0, 10_000), lam=st.sampled_from([0.0, 0.3, 1.0, 4.0]),
+       warm=st.sampled_from(["cold", "random", "perturbed"]))
+@settings(max_examples=90, deadline=None)
+def test_sparse_code_kkt_certificate(seed, lam, warm):
+    # Warm starts: random supports and signs, or the codes of a perturbed dictionary.
     rng = np.random.default_rng(seed)
     K = int(rng.integers(1, 6))
     D = rng.normal(size=(12, K))
-    s = rng.normal(size=12) * rng.uniform(0.5, 3.0)
+    X = rng.normal(size=(4, 12)) * rng.uniform(0.5, 3.0)
     tol = 1e-8
-    code = sparse_code(s, D, lam, tol=tol)
-    assert kkt_violation(s, D, code, lam) <= dictionary.KKT_TOL_FACTOR * tol
+    if warm == "cold":
+        warm_codes = None
+    elif warm == "random":
+        warm_codes = rng.choice([-1.0, 0.0, 1.0], size=(4, K)) * rng.uniform(0.1, 3.0, size=(4, K))
+    else:
+        warm_codes = dictionary.sparse_code_batch(X, D + 0.3 * rng.normal(size=D.shape), lam)
+    codes = dictionary.sparse_code_batch(X, D, lam, tol=tol, warm_codes=warm_codes)
+    for s, code in zip(X, codes):
+        assert kkt_violation(s, D, code, lam) <= dictionary.KKT_TOL_FACTOR * tol
+
+
+def test_sparse_code_certified_warm_start_keeps_support_and_signs(rng):
+    # A warm start that already is the certified optimum is certified after the
+    # opening exact step, with no sweep; that step can only polish its values.
+    D = rng.normal(size=(12, 5))
+    X = rng.normal(size=(30, 12)) * 2
+    lam = 1.0
+    optimum = dictionary.sparse_code_batch(X, D, lam)
+    assert np.count_nonzero(optimum) > 0 and np.count_nonzero(optimum == 0.0) > 0
+    codes = dictionary.sparse_code_batch(X, D, lam, max_sweeps=0, warm_codes=optimum)
+    assert np.array_equal(np.sign(codes), np.sign(optimum))
+    assert np.allclose(codes, optimum, atol=1e-9)
+    for s, code in zip(X, codes):
+        assert kkt_violation(s, D, code, lam) <= dictionary.KKT_TOL_FACTOR * 1e-8
 
 
 def correlated_atoms(rng, dim=8, K=3, spread=0.3):

@@ -3,12 +3,13 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weeklisten import evaluate
 from weeklisten.errors import EvaluationError
 
+import oracles
 from oracles import pair_counting_auc
 
 
@@ -151,6 +152,82 @@ def test_logreg_gradient_matches_finite_differences():
         assert np.linalg.norm(grad - fd) <= 1e-5 * (1.0 + np.linalg.norm(grad))
 
 
+def test_logreg_batched_loss_matches_per_problem_oracle_and_finite_differences():
+    rng = np.random.default_rng(19)
+    for _ in range(30):
+        n, f, P = int(rng.integers(5, 40)), int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        X = rng.normal(size=(n, f))
+        y = rng.integers(0, 2, n)
+        rows = rng.random((P, n)) < 0.7
+        rows[:, 0] = True
+        l2 = rng.choice([0.0, 0.1, 1.0], size=P)
+        params = rng.normal(size=(P, f + 1))
+        loss, grad = evaluate.logistic_loss_and_grad(params, X, y, l2, rows)
+        assert loss.shape == (P,) and grad.shape == (P, f + 1)
+        for p in range(P):
+            want_loss, want_grad = oracles.logistic_loss_and_grad(params[p], X[rows[p]], y[rows[p]], l2[p])
+            assert loss[p] == pytest.approx(want_loss, rel=1e-12)
+            assert np.allclose(grad[p], want_grad, rtol=1e-10, atol=1e-13)
+        h = 1e-6
+        for k in range(f + 1):
+            e = np.zeros(f + 1)
+            e[k] = h
+            lp, _ = evaluate.logistic_loss_and_grad(params + e, X, y, l2, rows)
+            lm, _ = evaluate.logistic_loss_and_grad(params - e, X, y, l2, rows)
+            fd = (lp - lm) / (2 * h)
+            assert np.all(np.abs(grad[:, k] - fd) <= 1e-5 * (1.0 + np.abs(grad).max(axis=1)))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 40), f=st.integers(1, 5), folds=st.integers(2, 5),
+       grid=st.lists(st.floats(0.01, 100.0), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_newton_batch_matches_scalar_oracle(seed, n, f, folds, grid):
+    # One batched solve of every (l2, fold) problem equals the scalar Newton loop on each
+    # problem's own rows, and each problem ends certified.
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, f)) * rng.uniform(0.3, 3.0)
+    y = rng.integers(0, 2, n)
+    rows = np.tile(rng.integers(0, folds, n) != np.arange(folds)[:, None], (len(grid), 1))
+    assume(all(len(np.unique(y[r])) == 2 for r in rows))
+    l2 = np.repeat(grid, folds)
+    fit = evaluate.newton_logreg(X, y, rows, l2)
+    assert fit.params.shape == (len(rows), f + 1)
+    assert fit.stop.tolist() == [evaluate.STOP_CONVERGED] * len(rows)
+    assert np.all(fit.grad_norm < 1e-6)
+    for p, r in enumerate(rows):
+        assert np.allclose(fit.params[p], oracles.train_logreg(X[r], y[r], l2[p]), rtol=0, atol=1e-6)
+        _, grad = oracles.logistic_loss_and_grad(fit.params[p], X[r], y[r], l2[p])
+        assert np.abs(grad).max() == pytest.approx(fit.grad_norm[p], rel=1e-6, abs=1e-12)
+
+
+def test_newton_reports_the_iteration_cap():
+    rng = np.random.default_rng(23)
+    X = rng.normal(size=(60, 3))
+    y = (X[:, 0] + rng.normal(size=60) > 0).astype(int)
+    capped = evaluate.train_logreg(X, y, 0.1, max_iter=1).fit
+    assert capped.stop.tolist() == [evaluate.STOP_MAX_ITER]
+    assert capped.iterations.tolist() == [1] and capped.grad_norm[0] >= evaluate.GRAD_TOL
+    full = evaluate.train_logreg(X, y, 0.1).fit
+    assert full.stop.tolist() == [evaluate.STOP_CONVERGED]
+    assert full.iterations[0] > 1 and full.grad_norm[0] < evaluate.GRAD_TOL
+
+
+def test_newton_reports_when_step_halving_runs_out():
+    # A negative l2 strength makes the loss concave in the weights, so the Newton step
+    # climbs and so does every halving of it: after 40 halvings (scale below 1e-12) the
+    # problem stops where it started.  The second problem of the batch is unaffected.
+    rng = np.random.default_rng(29)
+    X = rng.normal(size=(40, 2))
+    X -= X.mean(axis=0)
+    X *= 3.0
+    y = (X[:, 0] > np.median(X[:, 0])).astype(int)
+    fit = evaluate.newton_logreg(X, y, np.ones((2, 40), dtype=bool), [-20.0, 1.0])
+    assert fit.stop.tolist() == [evaluate.STOP_HALVING, evaluate.STOP_CONVERGED]
+    assert fit.iterations[0] == 1 and fit.halvings[0] == 40
+    assert np.all(fit.params[0] == 0.0) and fit.grad_norm[0] >= evaluate.GRAD_TOL
+    assert np.allclose(fit.params[1], oracles.train_logreg(X, y, 1.0), atol=1e-6)
+
+
 def test_logreg_strong_l2_shrinks_to_base_rate():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(200, 3))
@@ -223,7 +300,7 @@ def test_grid_search_single_value():
     y = rng.integers(0, 2, 40)
     y[:10] = 1
     y[10:20] = 0
-    assert evaluate.grid_search_cv(X, y, [7.5], folds=5, seed=0) == 7.5
+    assert evaluate.grid_search_cv(X, y, [7.5], folds=5, seed=0).l2 == 7.5
 
 
 def test_stratified_folds_contract():
@@ -250,7 +327,7 @@ def test_grid_search_tie_breaks_to_larger_l2():
     X = np.zeros((60, 2))
     y = np.r_[np.ones(30), np.zeros(30)].astype(int)
     best = evaluate.grid_search_cv(X, y, [0.01, 0.1, 1.0, 10.0], folds=5, seed=2)
-    assert best == 10.0
+    assert best.l2 == 10.0
 
 
 def test_grid_search_fold_validation_disjoint():

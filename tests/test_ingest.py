@@ -73,6 +73,20 @@ def test_non_utf8_source_names_line_and_byte_column(tmp_path):
         ingest.parse_events(path)
 
 
+def test_user_ids_that_do_not_fit_one_index_line_are_malformed():
+    # User index files hold one id per line: a blank id or one holding a line break is malformed,
+    # named by the physical line on which its record ends.  Other whitespace is kept.
+    good = [f"u{i},{MONDAY + i},t,a,organic,60" for i in range(300)]
+    bad = [f"  ,{MONDAY},t,a,organic,60", f'"x\ny",{MONDAY},t,a,organic,60', f'"x\ry",{MONDAY},t,a,organic,60']
+    text = "".join(events_csv_lines(good[:100] + bad[:1] + good[100:200] + bad[1:2] + good[200:] + bad[2:]
+                                    + [f" u1 ,{MONDAY},t,a,organic,60"]))
+    log, report = ingest.parse_events(text.splitlines(keepends=True))
+    assert report.details == ((102, "user id '  ' is blank or holds a line break"),
+                              (204, "user id 'x\\ny' is blank or holds a line break"),
+                              (306, "user id 'x\\ry' is blank or holds a line break"))
+    assert len(log) == 301 and list(log.users[-1:]) == [" u1 "]
+
+
 def test_parse_too_many_malformed_is_fatal(tmp_path):
     lines = events_csv_lines([
         f"u1,{MONDAY},t,a,organic,60",
