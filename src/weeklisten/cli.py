@@ -9,6 +9,9 @@ arrays.  ``pipeline`` uses those file handoffs too, with one exception: it
 parses ``events.csv`` and ``favorites.csv`` once, in ``ingest``, and hands the
 ingest front end (the profiles, which carry the filtered log, and the study
 period) to ``signals`` in memory; a staged ``signals`` parses the files itself.
+The front end keeps one live copy of the event columns: each filter's input
+is released once its output exists, and only the restricted log is alive
+while profiles and signals are built.
 
 Stage commands signal failure only by raising :class:`PipelineError`, which
 :func:`main` turns into an ``error: ...`` line and exit status 1 (a missing,
@@ -19,9 +22,12 @@ All randomness flows from one ``--seed``: each stage derives its own seed as
 ``SeedSequence(entropy=seed, spawn_key=(STAGE_ID,))``, so running a stage
 standalone with the base seed reproduces exactly what ``pipeline`` did.
 Every successful run writes a ``manifest_<command>.json`` next to its outputs
-with the resolved configuration, paths, seed, version and wall-clock duration
-(the manifest is the only artifact carrying timing, hence the only one that
-differs between byte-identical runs).  ``learn`` and ``embed`` also record the
+with the resolved configuration, paths, seed, version, wall-clock duration and
+``peak_rss_mb``, its process's peak resident set size so far (the manifest is
+the only artifact carrying timing and memory, hence the only one that differs
+between byte-identical runs).  ``ingest`` also records the gate counts it
+prints: ``lines``, ``malformed``, ``valid_streams``, ``active_users`` and
+``unknown_favorite_users``.  ``learn`` and ``embed`` also record the
 codes' worst KKT residual (``kkt_max``) and the number of users above the
 certificate tolerance (``users_uncertified``), and warn when that is not 0;
 ``eval`` records its logistic fits' worst final gradient max-norm
@@ -34,6 +40,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -63,10 +70,17 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
         "inputs": {k: str(v) for k, v in inputs.items()},
         "outputs": {k: str(v) for k, v in outputs.items()},
         "duration_secs": round(time.monotonic() - started, 3),
+        "peak_rss_mb": _peak_rss_mb(),
         **(diagnostics or {}),
     }
     path = out_dir / f"manifest_{command.replace('-', '_')}.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB (``ru_maxrss`` is KiB on Linux, bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1)
 
 
 def _out_dir(args) -> Path:
@@ -108,14 +122,20 @@ def _resolve_period(args, valid_log) -> ingest.StudyPeriod:
 
 
 def _load_filtered(args):
-    """Shared ingest front end: parse, filter and profile; ``(profiles, period, report)``."""
+    """Shared ingest front end: parse, filter and profile; ``(profiles, period, report, valid_streams)``.
+
+    Each filter's input is released as soon as its output exists, so at most
+    two copies of the event columns are ever alive, and only the restricted
+    log, which the profiles carry, is alive while they are built.
+    """
     log, report = ingest.parse_events(args.events)
     favorites = ingest.parse_favorites(args.favorites) if args.favorites else ()
-    valid = ingest.filter_valid_streams(log, args.min_listen_secs)
-    period = _resolve_period(args, valid)
-    active = ingest.filter_active_users(valid, period, args.min_daily_streams)
-    profiles = ingest.build_profiles(ingest.restrict_to_users(valid, active), favorites)
-    return profiles, period, report
+    log = ingest.filter_valid_streams(log, args.min_listen_secs)
+    valid_streams = len(log)
+    period = _resolve_period(args, log)
+    active = ingest.filter_active_users(log, period, args.min_daily_streams)
+    log = ingest.restrict_to_users(log, active)
+    return ingest.build_profiles(log, favorites), period, report, valid_streams
 
 
 def _synth_config(args) -> synth.SynthConfig:
@@ -146,9 +166,12 @@ def cmd_ingest(args) -> tuple:
     started = time.monotonic()
     out = _out_dir(args)
     front = _load_filtered(args)
-    profiles, period, report = front
+    profiles, period, report, valid_streams = front
+    gates = {"lines": report.total_lines, "malformed": report.malformed_count,
+             "valid_streams": valid_streams, "active_users": len(profiles.user_ids),
+             "unknown_favorite_users": profiles.unknown_user_warnings}
     print(report.summary())
-    print(f"{len(profiles.user_ids)} active users over {period.days:g} days")
+    print(f"{valid_streams} valid streams; {len(profiles.user_ids)} active users over {period.days:g} days")
     if profiles.unknown_user_warnings:
         print(f"warning: {profiles.unknown_user_warnings} favorites referenced unknown users")
     summary_path = out / "user_summary.csv"
@@ -158,7 +181,7 @@ def cmd_ingest(args) -> tuple:
                       in zip(profiles.user_ids, profiles.summary.tolist()))
     _write_manifest(out, "ingest", args,
                     {"events": args.events, "favorites": args.favorites or ""},
-                    {"user_summary": summary_path}, started)
+                    {"user_summary": summary_path}, started, gates)
     return front
 
 
@@ -166,7 +189,7 @@ def cmd_signals(args, front=None) -> None:
     """Write the signal matrix, from ``front`` (see :func:`cmd_ingest`) or a parse of its own."""
     started = time.monotonic()
     out = _out_dir(args)
-    profiles, period, _ = front or _load_filtered(args)
+    profiles, period, *_ = front or _load_filtered(args)
     sset = signals.build_signal_set(profiles, period, args.tz_offset_min)
     index_path = out / "signal_users.txt"
     matrix_path = out / "signals.npy"
@@ -252,13 +275,13 @@ def _read_summary_totals(path) -> dict[str, int]:
 
 def cmd_eval(args) -> None:
     started = time.monotonic()
+    config = evaluate.EvalConfig(l2_grid=tuple(args.l2_grid), cv_folds=args.cv_folds,
+                                 seed=stage_seed(args.seed, "eval"))
     out = _out_dir(args)
     users, codes = storage.load_indexed_matrix(args.code_users, args.codes)
     labels = evaluate.parse_labels(args.labels)
     totals = _read_summary_totals(args.summary)
     test = evaluate.split_users(users, args.test_frac, stage_seed(args.seed, "split"))
-    config = evaluate.EvalConfig(l2_grid=tuple(args.l2_grid), cv_folds=args.cv_folds,
-                                 seed=stage_seed(args.seed, "eval"))
     report = evaluate.evaluate_all(users, codes, labels, totals, test, config)
     certificate = _certify_fits(report)
 

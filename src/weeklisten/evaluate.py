@@ -418,6 +418,11 @@ class EvalConfig:
     cv_folds: int = 5
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        bad = [l2 for l2 in self.l2_grid if not (np.isfinite(l2) and l2 > 0)]
+        if bad:
+            raise EvaluationError(f"l2 strengths must be finite and positive, got {bad}")
+
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -435,9 +440,6 @@ class EvalReport:
     grad_max: float          # worst final gradient max-norm
     stopped_max_iter: int    # fits stopped by max_iter
     stopped_halving: int     # fits stopped because step halving ran out
-
-    def auc_of(self, variant: str, activity: str) -> float:
-        return float(self.auc[self.variants.index(variant), self.activities.index(activity)])
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -29,6 +29,9 @@ they were built from; ``user_summary.csv`` and the signal rows share its one
 sorted user order, and no per-user record is ever built.  One liked-track set
 per user (favorited tracks plus tracks streamed under a favorited album)
 drives both the ``liked`` flag of an event and the ``liked_tracks`` count.
+One stable sort of the ``(user, track)`` pair keys gives the distinct pairs,
+their play counts and each event's pair, and favorites are found by binary
+search in their sorted keys.
 """
 
 from __future__ import annotations
@@ -386,14 +389,12 @@ class Profiles(NamedTuple):
 
 
 def build_profiles(log: EventLog, favorites=()) -> Profiles:
-    """Profiles of a duration-filtered, user-restricted log and favorites columns (``()`` for none)."""
+    """Profiles of a duration-filtered, user-restricted log and favorites columns (``()`` for none).
+
+    Each step frees its per-event temporaries before the next one starts.
+    """
     n_users = len(log.users)
     n_tracks = len(log.tracks)
-
-    # Lifetime (user, track) play counts over the whole log; a pair key is
-    # ``user_idx * n_tracks + track_idx``.
-    pair_key = log.user_idx.astype(np.int64) * n_tracks + log.track_idx
-    pair_keys, pair_counts = np.unique(pair_key, return_counts=True)
     totals = np.bincount(log.user_idx, minlength=n_users)
 
     # Only users with at least one event are profiled; the shared string
@@ -404,44 +405,89 @@ def build_profiles(log: EventLog, favorites=()) -> Profiles:
     row_of_user = np.full(n_users, -1, dtype=np.int64)
     row_of_user[present[order]] = np.arange(len(order))
 
-    # Favorites are looked up only among the favorited ids, each kind in its own table.
+    # Distinct (user, local day) pairs, found by sorting on both columns so
+    # that no day number has to fit in a packed key.
+    day = log.local_timestamps()
+    day //= 86400
+    by_day = np.lexsort((day, log.user_idx))
+    day = day[by_day]
+    user_sorted = log.user_idx[by_day]
+    del by_day
+    new_day = _starts_of_runs(day)
+    new_day[1:] |= user_sorted[1:] != user_sorted[:-1]
+    active_days = np.bincount(user_sorted[new_day], minlength=n_users)
+    del day, user_sorted, new_day
+
+    # Favorites are looked up only among the favorited ids, each kind in its
+    # own table, as sorted keys ``user_idx * len(table) + item_idx``.
     user_pos = dict(zip(names, present.tolist()))
     rows = list(zip(*favorites))
     fav_keys = {}
     for kind, table in ((TRACK, log.tracks), (ALBUM, log.albums)):
         hits = np.flatnonzero(_members(table, {item for _, k, item in rows if k == kind}))
         pos = dict(zip(table[hits].tolist(), hits.tolist()))
-        fav_keys[kind] = np.array([user_pos[user] * len(table) + pos[item] for user, k, item in rows
-                                   if k == kind and user in user_pos and item in pos], dtype=np.int64)
+        fav_keys[kind] = np.unique(np.array([user_pos[user] * len(table) + pos[item] for user, k, item in rows
+                                             if k == kind and user in user_pos and item in pos], dtype=np.int64))
+    album_liked = _in_sorted(_pair_keys(log.user_idx, log.album_idx, len(log.albums)), fav_keys[ALBUM])
+
+    # One stable sort of the (user, track) pair keys groups the events of each
+    # pair: it gives the distinct pairs, their lifetime play counts and, through
+    # ``by_pair``, each event's pair.
+    pair_key = _pair_keys(log.user_idx, log.track_idx, n_tracks)
+    by_pair = np.argsort(pair_key, kind="stable")
+    pair_key = pair_key[by_pair]
+    first = np.flatnonzero(_starts_of_runs(pair_key))
+    pair_keys = pair_key[first]
+    del pair_key
+    pair_counts = np.diff(first, append=len(by_pair))
 
     # The liked-track set: the user's favorited tracks plus every track
     # they streamed under a favorited album.  An event is liked when its
     # (user, track) pair is in that set, whatever album it came under.
-    album_key = log.user_idx.astype(np.int64) * len(log.albums) + log.album_idx
-    album_liked = np.isin(album_key, fav_keys[ALBUM])
-    track_liked = np.isin(pair_key, fav_keys[TRACK])
-    liked_pairs = np.unique(pair_key[album_liked | track_liked])
-
-    # Distinct (user, local day) pairs, found by sorting on both columns so
-    # that no day number has to fit in a packed key.
-    day = log.local_timestamps() // 86400
-    by_day = np.lexsort((day, log.user_idx))
-    user_sorted, day_sorted = log.user_idx[by_day], day[by_day]
-    new_day = np.ones(len(by_day), dtype=bool)
-    new_day[1:] = (user_sorted[1:] != user_sorted[:-1]) | (day_sorted[1:] != day_sorted[:-1])
+    pair_liked = _in_sorted(pair_keys, fav_keys[TRACK])
+    pair_liked |= np.logical_or.reduceat(album_liked[by_pair], first)
+    repeated = np.empty(len(by_pair), dtype=bool)
+    repeated[by_pair] = np.repeat(pair_counts > REPEAT_PLAY_THRESHOLD, pair_counts)
+    liked = np.empty(len(by_pair), dtype=bool)
+    liked[by_pair] = np.repeat(pair_liked, pair_counts)
 
     summary = np.column_stack([
         totals,
-        np.bincount(user_sorted[new_day], minlength=n_users),
+        active_days,
         np.bincount(pair_keys // n_tracks, minlength=n_users),
-        np.bincount(liked_pairs // n_tracks, minlength=n_users),
+        np.bincount(pair_keys[pair_liked] // n_tracks, minlength=n_users),
     ])
     return Profiles(
         log=log,
-        repeated=np.isin(pair_key, pair_keys[pair_counts > REPEAT_PLAY_THRESHOLD]),
-        liked=np.isin(pair_key, liked_pairs),
+        repeated=repeated,
+        liked=liked,
         user_ids=tuple(names[i] for i in order),
         row_of_user=row_of_user,
         summary=summary[present[order]],
         unknown_user_warnings=sum(user not in user_pos for user, _, _ in rows),
     )
+
+
+def _pair_keys(user_idx: np.ndarray, item_idx: np.ndarray, n_items: int) -> np.ndarray:
+    """int64 keys ``user_idx * n_items + item_idx``, built in one buffer."""
+    key = user_idx.astype(np.int64)
+    key *= n_items
+    key += item_idx
+    return key
+
+
+def _starts_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
+    """Boolean mask of the entries of ``sorted_keys`` that differ from their predecessor (the first always)."""
+    new = np.empty(len(sorted_keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
+    return new
+
+
+def _in_sorted(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Boolean mask of the ``keys`` found in the sorted int64 ``table``; one binary search each."""
+    if not len(table):
+        return np.zeros(len(keys), dtype=bool)
+    pos = np.searchsorted(table, keys)
+    np.minimum(pos, len(table) - 1, out=pos)
+    return table[pos] == keys

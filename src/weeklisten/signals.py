@@ -22,8 +22,11 @@ period are aggregated, so ragged period edges never skew the per-slot divisor.
 the per-event repetition and liked flags and the sorted user order.  It
 returns a :class:`SignalSet`, the ``(user_ids, matrix)`` pair that enforces
 the ``(n, 672)`` shape, with rows in the order of ``user_summary.csv``; there
-is no per-user signal object.  The pair hands off to the learning stage as a
-user-index file plus a ``.npy`` matrix
+is no per-user signal object.  One sort of the in-period events' ``(row,
+window)`` keys groups them into windows, and smoothing and normalization run
+in one buffer next to the raw aggregate (:func:`_smooth_values` and
+:func:`_normalize_values`, which ``synth`` shares).  The pair hands off to
+the learning stage as a user-index file plus a ``.npy`` matrix
 (:func:`weeklisten.storage.save_indexed_matrix`).
 """
 
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SignalError
-from .ingest import Profiles, StudyPeriod
+from .ingest import Profiles, StudyPeriod, _starts_of_runs
 
 CHANNELS = ("volume", "repetition", "organicity", "liked")
 N_CHANNELS = len(CHANNELS)
@@ -92,28 +95,43 @@ def _slot_divisors(k_first: int, k_excl: int) -> np.ndarray:
 
 
 def _smooth_values(values: np.ndarray) -> np.ndarray:
-    """Circular moving average with kernel (1/3, 1/3, 1/3) along the last axis."""
-    return (values + np.roll(values, 1, axis=-1) + np.roll(values, -1, axis=-1)) / 3.0
+    """Circular moving average with kernel (1/3, 1/3, 1/3) along the last axis, into one new array.
+
+    Each entry is ``(v[t] + v[t-1]) + v[t+1]``, divided by 3.
+    """
+    out = np.empty(values.shape)
+    out[..., 1:] = values[..., :-1]
+    out[..., :1] = values[..., -1:]
+    np.add(values, out, out=out)
+    out[..., :-1] += values[..., 1:]
+    out[..., -1:] += values[..., :1]
+    out /= 3.0
+    return out
 
 
-def _normalize_values(values: np.ndarray) -> np.ndarray:
+def _max_abs(values: np.ndarray) -> np.ndarray:
+    """Largest magnitude along the last axis (keepdims), without an ``abs`` copy of ``values``."""
+    return np.maximum(values.max(axis=-1, keepdims=True), -values.min(axis=-1, keepdims=True))
+
+
+def _normalize_values(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Per-channel mean-0 / maxabs-1 along the last axis; constant channels go to zero.
 
-    A channel whose centered spread sits at roundoff level relative to its
-    input is constant in exact arithmetic and is snapped to zero rather than
-    having float noise blown up to maxabs 1.  Centering and rescaling then run
-    twice so the mean-0 / maxabs-1 invariants hold to well under 1e-9 even on
-    near-constant channels.
+    The result goes to ``out``, which may be ``values`` itself, or to a new
+    array.  A channel whose centered spread sits at roundoff level relative to
+    its input is constant in exact arithmetic and is snapped to zero rather
+    than having float noise blown up to maxabs 1.  Centering and rescaling
+    then run twice so the mean-0 / maxabs-1 invariants hold to well under
+    1e-9 even on near-constant channels.
     """
-    out = values - values.mean(axis=-1, keepdims=True)
-    spread = np.abs(out).max(axis=-1, keepdims=True)
-    roundoff = np.abs(values).max(axis=-1, keepdims=True) * 1e-13
-    out = np.where(spread <= roundoff, 0.0, out)
+    roundoff = _max_abs(values) * 1e-13
+    out = np.subtract(values, values.mean(axis=-1, keepdims=True), out=out)
+    np.copyto(out, 0.0, where=_max_abs(out) <= roundoff)
     for _ in range(2):
-        scale = np.abs(out).max(axis=-1, keepdims=True)
+        scale = _max_abs(out)
         np.divide(out, scale, out=out, where=scale > 0)
         out -= out.mean(axis=-1, keepdims=True)
-    scale = np.abs(out).max(axis=-1, keepdims=True)
+    scale = _max_abs(out)
     np.divide(out, scale, out=out, where=scale > 0)
     return out
 
@@ -127,39 +145,54 @@ def build_signal_set(profiles: Profiles, period: StudyPeriod, default_tz_offset_
     log = profiles.log
     n_rows = len(profiles.user_ids)
 
-    k = log.local_timestamps(default_tz_offset_min) // 3600
+    # Each in-period event's window, counted from the first one, and its key
+    # ``row * n_windows + window``.
+    window = log.local_timestamps(default_tz_offset_min)
     k_first, k_excl = _window_range(period, default_tz_offset_min)
     n_windows = k_excl - k_first
     if n_rows * n_windows > np.iinfo(np.int64).max:
         raise SignalError(f"{n_rows} users x {n_windows} hour windows of the study period "
                           "overflow the 64-bit (user, window) key; shorten the period")
     divisor = _slot_divisors(k_first, k_excl)
-    in_scope = (k >= k_first) & (k < k_excl)
+    window //= 3600
+    window -= k_first
+    in_scope = (window >= 0) & (window < n_windows)
+    key = profiles.row_of_user[log.user_idx[in_scope]]
+    key *= n_windows
+    key += window[in_scope]
+    del window
 
-    k = k[in_scope]
-    rows = profiles.row_of_user[log.user_idx[in_scope]]
-    repeated = profiles.repeated[in_scope]
-    liked = profiles.liked[in_scope]
-    organic = log.organic[in_scope]
+    # One sort groups the events by (row, window): each sorted event's window
+    # index, and each window's key, volume and flag counts.
+    by_key = np.argsort(key, kind="stable")
+    key = key[by_key]
+    flags = [column[in_scope][by_key] for column in (profiles.repeated, log.organic, profiles.liked)]
+    del by_key, in_scope
+    new_window = _starts_of_runs(key)
+    cell = key[new_window]  # each window's key, made its (row, slot) cell in place
+    del key
+    group = np.cumsum(new_window)
+    group -= 1
+    volume = np.bincount(group)
+    hour = cell % n_windows
+    hour += k_first
+    cell //= n_windows
+    cell *= SLOTS_PER_WEEK
+    cell += slot_of_hour_index(hour)
+    del hour
 
-    # Group events by (row, window) to get per-window counts and fractions.
-    key = rows * n_windows + (k - k_first)
-    uw_key, inverse, volume = np.unique(key, return_inverse=True, return_counts=True)
-    frac_rep = np.bincount(inverse, weights=repeated) / volume
-    frac_org = np.bincount(inverse, weights=organic) / volume
-    frac_lik = np.bincount(inverse, weights=liked) / volume
-
-    uw_row = uw_key // n_windows
-    uw_slot = slot_of_hour_index(k_first + uw_key % n_windows)
-    cell = uw_row * SLOTS_PER_WEEK + uw_slot
-    size = n_rows * SLOTS_PER_WEEK
+    # Every (row, slot) cell sums its windows' volumes and flag fractions.
+    def per_cell(values):
+        return np.bincount(cell, weights=values, minlength=n_rows * SLOTS_PER_WEEK).reshape(n_rows, -1)
 
     raw = np.empty((n_rows, N_CHANNELS, SLOTS_PER_WEEK))
-    for ci, values in enumerate((volume.astype(np.float64), frac_rep, frac_org, frac_lik)):
-        raw[:, ci, :] = np.bincount(cell, weights=values, minlength=size).reshape(n_rows, SLOTS_PER_WEEK)
+    raw[:, 0, :] = per_cell(volume)
+    for ci, flag in enumerate(flags, start=1):
+        raw[:, ci, :] = per_cell(np.bincount(group, weights=flag) / volume)
+    del cell, group, volume, flags
     raw /= divisor
     if not np.isfinite(raw).all():
         raise SignalError("non-finite values in aggregated signals")
-    norm = _normalize_values(_smooth_values(raw))
+    norm = _smooth_values(raw)
+    _normalize_values(norm, out=norm)
     return SignalSet(user_ids=profiles.user_ids, matrix=norm.reshape(n_rows, -1))
-

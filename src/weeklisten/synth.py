@@ -46,7 +46,7 @@ import numpy as np
 from . import ingest
 from .errors import SynthesisError
 from .evaluate import ACTIVITIES, AGE_GROUPS, GENDER_CODES, write_labels
-from .signals import SLOTS_PER_WEEK, _normalize_values, _smooth_values
+from .signals import SLOTS_PER_WEEK, _smooth_values
 
 #: Monday 2022-01-03 00:00:00 UTC; keeps week boundaries aligned with slot 0.
 DEFAULT_PERIOD_START = 1_641_168_000
@@ -195,36 +195,6 @@ class SynthConfig:
     @property
     def period_end(self) -> int:
         return self.period_start + self.weeks * SECONDS_PER_WEEK
-
-
-@dataclass(frozen=True)
-class PlantedTruth:
-    """Ground truth behind a generated population."""
-
-    archetype_names: tuple[str, ...]
-    profiles: np.ndarray          # (n_archetypes, 4, 168): volume rate + 3 ratio tendencies
-    activity_links: tuple[dict[str, float], ...]
-
-    def normalized_profiles(self) -> np.ndarray:
-        """Archetype profiles run through the signal smoothing + normalization."""
-        return _normalize_values(_smooth_values(self.profiles))
-
-    def primary_activities(self) -> tuple[str, ...]:
-        """One strongest-linked activity per archetype."""
-        return tuple(max(links, key=links.get) for links in self.activity_links)
-
-
-def planted_truth(config: SynthConfig) -> PlantedTruth:
-    archetypes = config.resolved_archetypes()
-    profiles = np.stack([
-        np.stack([a.rate_profile, a.repetition, a.organicity, a.liked])
-        for a in archetypes
-    ])
-    return PlantedTruth(
-        archetype_names=tuple(a.name for a in archetypes),
-        profiles=profiles,
-        activity_links=tuple(dict(a.activity_links) for a in archetypes),
-    )
 
 
 @dataclass(frozen=True)

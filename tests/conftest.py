@@ -69,6 +69,11 @@ def favorites_of(*triples):
     return tuple(list(column) for column in zip(*triples))
 
 
+def auc_of(report, variant, activity):
+    """Test AUC of one (variant, activity) job of an ``evaluate.EvalReport``."""
+    return float(report.auc[report.variants.index(variant), report.activities.index(activity)])
+
+
 def sparse_code(signal, atoms, lam, **kwargs):
     """Lasso code of one signal through the package's batch coder."""
     return dictionary.sparse_code_batch(np.asarray(signal, dtype=float)[None, :], atoms, lam, **kwargs)[0]

@@ -9,7 +9,8 @@ one problem on its own rows at a time.  The profile and signal oracles walk a
 list of event records (``conftest.records(log)``) one by one, find weekly
 slots with the calendar, and smooth and normalize slot by slot.  Favorites are
 the ``(user_ids, kinds, item_ids)`` columns that ``ingest.parse_favorites``
-returns.
+returns.  The planted truth behind a synthetic population (its archetype
+profiles and activity links) is kept here as well, since only tests read it.
 """
 
 import itertools
@@ -323,3 +324,28 @@ def signal_rows(events, favorites, period, default_tz_offset_min=0):
 def signal_row(sset, user_id):
     """The matrix row of ``user_id`` in a signal set."""
     return sset.matrix[sset.user_ids.index(user_id)]
+
+
+# -- planted truth of the synthetic generator ------------------------------------
+
+@dataclass(frozen=True)
+class PlantedTruth:
+    """Ground truth behind a generated population."""
+
+    archetype_names: tuple
+    profiles: np.ndarray          # (n_archetypes, 4, 168): volume rate + 3 ratio tendencies
+    activity_links: tuple         # one {activity: link weight} dict per archetype
+
+    def primary_activities(self):
+        """One strongest-linked activity per archetype."""
+        return tuple(max(links, key=links.get) for links in self.activity_links)
+
+
+def planted_truth(config):
+    """The archetypes a ``synth.SynthConfig`` generates from, as a :class:`PlantedTruth`."""
+    archetypes = config.resolved_archetypes()
+    return PlantedTruth(
+        archetype_names=tuple(a.name for a in archetypes),
+        profiles=np.stack([np.stack([a.rate_profile, a.repetition, a.organicity, a.liked]) for a in archetypes]),
+        activity_links=tuple(dict(a.activity_links) for a in archetypes),
+    )

@@ -1,10 +1,11 @@
 import argparse
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from weeklisten import cli, dictionary, evaluate, ingest, synth
+from weeklisten import cli, dictionary, evaluate, ingest, signals, synth
 
 from conftest import DATA_ARTIFACTS, MONDAY, WEEK, events_csv_lines
 
@@ -82,6 +83,40 @@ def test_zero_activity_threshold_counts_only_users_with_valid_streams(tmp_path, 
     assert "30 active users" in capsys.readouterr().out
     rows = (tmp_path / "user_summary.csv").read_text().splitlines()[1:]
     assert len(rows) == 30 and not any(r.startswith("skipper,") for r in rows)
+
+
+def test_front_end_memory_is_bounded_by_the_restricted_log(tmp_path, monkeypatch):
+    # Measured from the end of the parse, whose own peak is set by the interned id
+    # strings: the filters, profiles and signals must stay under 3 copies of the
+    # restricted log's event columns.  Keeping the parsed, valid and restricted logs
+    # alive together and sorting copies of the keys with np.unique and np.isin took 5.8.
+    config = synth.SynthConfig(n_users=300, weeks=4, seed=3)
+    result = synth.generate(config, tmp_path)
+    args = argparse.Namespace(
+        events=result.events_path, favorites=result.favorites_path,
+        min_listen_secs=ingest.MIN_LISTEN_SECS, min_daily_streams=ingest.MIN_DAILY_STREAMS,
+        period_start=config.period_start, period_end=config.period_end)
+    parse, parsed = ingest.parse_events, {}
+
+    def parse_then_reset_peak(source):
+        out = parse(source)
+        parsed["traced"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return out
+
+    monkeypatch.setattr(ingest, "parse_events", parse_then_reset_peak)
+    tracemalloc.start()
+    try:
+        profiles, period, *_ = cli._load_filtered(args)
+        signals.build_signal_set(profiles, period)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    log = profiles.log
+    columns = sum(c.nbytes for c in (log.user_idx, log.track_idx, log.album_idx, log.timestamps,
+                                     log.durations, log.organic, log.tz_offset_min))
+    assert len(log) > 50_000
+    assert peak - parsed["traced"] < 3 * columns, (peak - parsed["traced"]) / columns
 
 
 def test_far_future_timestamps_ingest_and_signal(tmp_path, capsys):
@@ -299,6 +334,37 @@ def test_manifest_contents(pipeline_dir):
     assert manifest["outputs"]["dictionary_csv"].endswith("dictionary.csv")
 
 
+def test_manifests_record_peak_rss_and_ingest_gate_counts(pipeline_dir, tmp_path, capsys):
+    manifests = sorted(pipeline_dir.glob("manifest_*.json"))
+    assert len(manifests) == 8
+    for path in manifests:
+        assert json.loads(path.read_text())["peak_rss_mb"] > 0, path.name
+
+    # One malformed line and one favorite of an unknown user, so that every gate count shows.
+    events = tmp_path / "events.csv"
+    lines = (pipeline_dir / "events.csv").read_text().splitlines()
+    events.write_text("\n".join(lines + ["not,an,event"]) + "\n")
+    favorites = tmp_path / "favorites.csv"
+    favorites.write_text((pipeline_dir / "favorites.csv").read_text() + "ghost,track,t1\n")
+    config = synth.SynthConfig(n_users=120, weeks=2)
+    capsys.readouterr()
+    assert run(["ingest", "--out", str(tmp_path), "--events", str(events), "--favorites", str(favorites),
+                "--period-start", str(config.period_start), "--period-end", str(config.period_end)]) == 0
+    out = capsys.readouterr().out
+    gates = {k: v for k, v in json.loads((tmp_path / "manifest_ingest.json").read_text()).items()
+             if k in ("lines", "malformed", "valid_streams", "active_users", "unknown_favorite_users")}
+    assert gates == {
+        "lines": len(lines),
+        "malformed": 1,
+        "valid_streams": sum(int(line.rsplit(",", 1)[1]) >= 30 for line in lines[1:]),
+        "active_users": len((tmp_path / "user_summary.csv").read_text().splitlines()) - 1,
+        "unknown_favorite_users": 1,
+    }
+    assert f"{gates['lines'] - 1} events parsed, 1 malformed of {gates['lines']} lines" in out
+    assert f"{gates['valid_streams']} valid streams; {gates['active_users']} active users over" in out
+    assert "warning: 1 favorites referenced unknown users" in out
+
+
 def test_eval_report_well_formed(pipeline_dir):
     lines = (pipeline_dir / "eval_report.csv").read_text().splitlines()
     assert lines[0] == "variant,activity,auc,l2"
@@ -374,6 +440,16 @@ def test_newton_certificate_is_reported(pipeline_dir, tmp_path, capsys, monkeypa
     assert warnings == [f"warning: {capped} of 780 logistic fits stopped with gradient above 1e-06 "
                         f"({capped} at max_iter, 0 when step halving ran out; "
                         f"worst {manifest['newton_grad_max']:.3g})"]
+
+
+@pytest.mark.parametrize("l2", ["-20", "0", "nan", "inf"])
+def test_eval_rejects_an_l2_that_is_not_finite_and_positive(pipeline_dir, tmp_path, capsys, l2):
+    assert run(["eval", "--out", str(tmp_path), "--seed", "7", "--code-users", str(pipeline_dir / "code_users.txt"),
+                "--codes", str(pipeline_dir / "codes.npy"), "--labels", str(pipeline_dir / "labels.csv"),
+                "--summary", str(pipeline_dir / "user_summary.csv"), "--l2-grid", l2, "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: l2 strengths must be finite and positive, got ["), err
+    assert not (tmp_path / "manifest_eval.json").exists()
 
 
 def test_user_ids_that_break_index_files_are_malformed(tmp_path, capsys):

@@ -12,6 +12,8 @@ from weeklisten.errors import EvaluationError
 import oracles
 from oracles import pair_counting_auc
 
+from conftest import auc_of
+
 
 def make_labels(n, rng=None, answers=None):
     rng = rng or np.random.default_rng(0)
@@ -404,7 +406,7 @@ def test_evaluate_all_planted_signal_beats_volume():
     users, codes, labels, totals = random_eval_setup(400, seed=7, planted_activity="friends")
     test = evaluate.split_users(users, 0.33, seed=2)
     rep = evaluate.evaluate_all(users, codes, labels, totals, test, evaluate.EvalConfig(seed=0))
-    assert rep.auc_of("codes", "friends") > rep.auc_of("volume", "friends") + 0.15
+    assert auc_of(rep, "codes", "friends") > auc_of(rep, "volume", "friends") + 0.15
 
 
 def test_evaluate_all_random_labels_near_half():
@@ -416,7 +418,7 @@ def test_evaluate_all_random_labels_near_half():
     others = [v for v in evaluate.VARIANTS if v != "other_activities"]
     for variant in others:
         for activity in evaluate.ACTIVITIES:
-            assert abs(rep.auc_of(variant, activity) - 0.5) < 0.1
+            assert abs(auc_of(rep, variant, activity) - 0.5) < 0.1
 
 
 def test_coefficient_report_shape_and_csv(tmp_path):

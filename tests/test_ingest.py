@@ -394,3 +394,24 @@ def test_summary_columns_match_oracle(events, favorites):
     assert [(u, *c) for u, c in zip(profiles.user_ids, profiles.summary.tolist())] == rows
     listeners = {e.user_id for e in events}
     assert profiles.unknown_user_warnings == sum(user not in listeners for user, _, _ in favorites)
+
+
+@given(events=st.lists(summary_event, max_size=40), favorites=st.lists(summary_favorite, max_size=6),
+       plays=st.integers(min_value=ingest.REPEAT_PLAY_THRESHOLD + 1, max_value=8), split=st.integers(0, 40))
+@settings(max_examples=60, deadline=None)
+def test_event_flags_match_oracle_when_repeated_and_liked_share_a_pair(events, favorites, plays, split):
+    # u1 streams t1 under a1 more often than the repeat threshold and favorites both
+    # the track and the album, so one (user, track) pair is repeated, track-liked
+    # and album-liked at once; other events may interleave with its streams.
+    shared = [make_event(user="u1", track="t1", album="a1", timestamp=MONDAY + i) for i in range(plays)]
+    start = min(split, len(events))
+    events = events[:start] + shared + events[start:]
+    favorites = favorites_of(*favorites, ("u1", "track", "t1"), ("u1", "album", "a1"))
+    log = log_of(*events)
+    profiles = ingest.build_profiles(log, favorites)
+    profile_of = oracles.profiles(records(log), favorites)
+    expected_repeated = [profile_of[e.user_id].play_count_per_track[e.track_id] > ingest.REPEAT_PLAY_THRESHOLD
+                         for e in records(log)]
+    assert profiles.repeated.tolist() == expected_repeated
+    assert profiles.liked.tolist() == [profile_of[e.user_id].is_liked(e) for e in records(log)]
+    assert profiles.repeated[start:start + plays].all() and profiles.liked[start:start + plays].all()

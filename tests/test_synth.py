@@ -7,6 +7,8 @@ import oracles
 from weeklisten import dictionary, evaluate, ingest, signals, synth
 from weeklisten.errors import SynthesisError
 
+from conftest import auc_of
+
 
 @pytest.fixture(scope="module")
 def thousand_users(tmp_path_factory):
@@ -69,22 +71,22 @@ def test_pure_commuter_concentrates_on_commute_slots(tmp_path):
 
 def test_planted_truth_shapes_and_links():
     config = synth.SynthConfig(n_users=10, weeks=2, seed=0)
-    truth = synth.planted_truth(config)
+    truth = oracles.planted_truth(config)
     assert len(truth.archetype_names) == len(config.archetype_weights)
     assert truth.profiles.shape == (4, 4, 168)
     assert truth.primary_activities() == ("transport", "work", "friends", "asleep")
 
 
 def test_planted_truth_normalization_invariants():
-    truth = synth.planted_truth(synth.SynthConfig(n_users=10, weeks=2, seed=0))
-    norm = truth.normalized_profiles()
+    truth = oracles.planted_truth(synth.SynthConfig(n_users=10, weeks=2, seed=0))
+    norm = signals._normalize_values(signals._smooth_values(truth.profiles))
     assert np.abs(norm.mean(axis=-1)).max() < 1e-9
     maxabs = np.abs(norm).max(axis=-1)
     assert np.all((maxabs == 0.0) | (np.abs(maxabs - 1.0) < 1e-9))
 
 
 def test_planted_commuter_volume_peaks():
-    truth = synth.planted_truth(synth.SynthConfig(n_users=10, weeks=2, seed=0))
+    truth = oracles.planted_truth(synth.SynthConfig(n_users=10, weeks=2, seed=0))
     commuter = truth.profiles[truth.archetype_names.index("commuter")]
     volume = commuter[0]
     commute_hours = [d * 24 + h for d in range(5) for h in (7, 8, 9, 17, 18, 19)]
@@ -141,8 +143,8 @@ def _downstream_auc(noise, seed, tmp_path):
     totals = dict(zip(profiles.user_ids, profiles.summary[:, 0].tolist()))
     report = evaluate.evaluate_all(sset.user_ids, codes, labels, totals, test,
                                    evaluate.EvalConfig(seed=seed))
-    primaries = synth.planted_truth(config).primary_activities()
-    return float(np.mean([report.auc_of("codes", a) for a in primaries]))
+    primaries = oracles.planted_truth(config).primary_activities()
+    return float(np.mean([auc_of(report, "codes", a) for a in primaries]))
 
 
 @pytest.mark.slow
