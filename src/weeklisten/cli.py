@@ -93,7 +93,7 @@ def _certify_codes(matrix, dct, codes, lam, lasso_tol) -> dict:
     """Worst KKT residual of the codes and how many exceed the certificate; warns if any do."""
     residuals = dictionary.kkt_residuals(matrix, dct.stacked, codes, lam)
     bound = dictionary.KKT_TOL_FACTOR * lasso_tol
-    uncertified = int(np.count_nonzero(residuals > bound))
+    uncertified = int(np.count_nonzero(~(residuals <= bound)))  # a NaN residual is not certified
     worst = float(residuals.max()) if residuals.size else 0.0
     if uncertified:
         print(f"warning: {uncertified} of {residuals.size} codes miss the KKT certificate "
@@ -142,23 +142,24 @@ def _synth_config(args) -> synth.SynthConfig:
     return synth.SynthConfig(
         n_users=args.users, weeks=args.weeks, seed=stage_seed(args.seed, "synth"),
         noise=args.noise, organic_rate=args.organic_rate,
-        archetypes=(synth.load_archetypes(args.archetypes, organic_target=args.organic_rate)
-                    if args.archetypes else None),
+        archetypes=synth.load_archetypes(args.archetypes, args.organic_rate) if args.archetypes else None,
     )
 
 
-def cmd_synth(args) -> None:
+def cmd_synth(args) -> synth.SynthConfig:
+    """Write the synthetic inputs; returns the config so ``pipeline`` knows the study period."""
     started = time.monotonic()
     out = _out_dir(args)
     config = _synth_config(args)
     result = synth.generate(config, out)
     print(f"generated {result.n_events} events for {result.n_users} users "
           f"({result.n_valid_events} valid, organic fraction {result.organic_fraction_valid:.4f})")
-    print(f"study period: [{config.period_start}, {config.period_end})")
+    print(f"study period: [{synth.PERIOD_START}, {config.period_end})")
     _write_manifest(out, "synth", args, {}, {
         "events": result.events_path, "favorites": result.favorites_path,
         "labels": result.labels_path,
     }, started)
+    return config
 
 
 def cmd_ingest(args) -> tuple:
@@ -313,12 +314,10 @@ def cmd_export_atoms(args) -> None:
 def cmd_pipeline(args) -> None:
     started = time.monotonic()
     out = _out_dir(args)
-    config = _synth_config(args)
-
-    cmd_synth(_ns(args, out=out))
+    config = cmd_synth(_ns(args, out=out))
     stage_args = _ns(
         args, out=out, events=out / "events.csv", favorites=out / "favorites.csv",
-        period_start=config.period_start, period_end=config.period_end)
+        period_start=synth.PERIOD_START, period_end=config.period_end)
     # The ingest front end lives only as this argument, so it is freed before learn.
     cmd_signals(stage_args, cmd_ingest(stage_args))
     learn_args = _ns(stage_args, signal_users=out / "signal_users.txt",
@@ -391,7 +390,7 @@ def _add_synth_flags(p: argparse.ArgumentParser) -> None:
                    help="noise level in [0, 1] (default %(default)s)")
     p.add_argument("--organic-rate", type=float, default=defaults.organic_rate,
                    help="population organic stream fraction target (default %(default)s)")
-    p.add_argument("--archetypes", default=None, help="archetype JSON config (default: built-ins)")
+    p.add_argument("--archetypes", default=None, help="archetype JSON file (default: the stock archetypes)")
 
 
 def _add_learn_flags(p: argparse.ArgumentParser) -> None:

@@ -62,10 +62,6 @@ class LearnConfig:
     def __post_init__(self):
         if self.n_atoms < 1:
             raise DictionaryError(f"n_atoms must be >= 1, got {self.n_atoms}")
-        if self.lam < 0:
-            raise DictionaryError(f"lam must be >= 0, got {self.lam}")
-        if self.lasso_tol <= 0 or self.lasso_max_sweeps <= 0:
-            raise DictionaryError("lasso_tol and lasso_max_sweeps must be positive")
 
 
 @dataclass(frozen=True)
@@ -228,12 +224,20 @@ def sparse_code_batch(signals: np.ndarray, dictionary: np.ndarray, lam: float,
     ``max_sweeps`` caps the coordinate-descent sweeps.  Codes of zero-norm
     atoms are 0.
     """
+    if not 0 <= lam < np.inf:
+        raise DictionaryError(f"lam must be finite and >= 0, got {lam}")
+    if not 0 < tol < np.inf:
+        raise DictionaryError(f"lasso tolerance must be finite and > 0, got {tol}")
+    if not max_sweeps >= 1:
+        raise DictionaryError(f"lasso sweep cap must be >= 1, got {max_sweeps}")
     X = np.asarray(signals, dtype=np.float64)
     if X.ndim != 2:
         raise DictionaryError(f"signals must be 2-D (n, dim), got shape {X.shape}")
     if not np.isfinite(X).all():
         raise DictionaryError("non-finite values in signals")
     D = _stacked(dictionary)
+    if not np.isfinite(D).all():
+        raise DictionaryError("non-finite values in dictionary")
     n, dim = X.shape
     if D.shape[0] != dim:
         raise DictionaryError(f"dictionary dim {D.shape[0]} does not match signals dim {dim}")

@@ -358,8 +358,9 @@ def filter_active_users(log: EventLog, period: StudyPeriod,
 
 
 def restrict_to_users(log: EventLog, user_ids: Iterable[str]) -> EventLog:
-    """View of ``log`` containing only events of the given users."""
-    return log.select(_members(log.users, set(user_ids))[log.user_idx])
+    """View of ``log`` containing only events of the given users; ``log`` itself when that is all of them."""
+    keep = _members(log.users, set(user_ids))[log.user_idx]
+    return log if keep.all() else log.select(keep)
 
 
 def _members(table: np.ndarray, wanted: set[str]) -> np.ndarray:

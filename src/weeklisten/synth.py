@@ -1,8 +1,11 @@
 """Seeded synthetic listening logs with planted weekly behavior archetypes.
 
-Each user draws a sparse mixture over four archetypes, each defined by a
+Each user draws a sparse mixture over a set of archetypes, each defined by a
 weekly rate profile (expected valid streams per hour-of-week slot) plus
-per-slot tendencies for the repetition / organicity / liked channels:
+per-slot tendencies for the repetition / organicity / liked channels.  Every
+set is built by :func:`build_archetypes` from the JSON schema it documents:
+the stock set :data:`STOCK_ARCHETYPES`, or any number of archetypes read from
+an ``--archetypes`` file by :func:`load_archetypes`.  The four stock ones are
 
 * ``commuter``    - weekday morning and evening travel peaks; linked to transport;
 * ``office``      - weekday working-hours listening with small commute bumps,
@@ -18,15 +21,14 @@ activity that weekly patterns cannot pin down.
 Hourly stream counts are Poisson draws from the user's blended rate profile;
 per-event origin and track choice are Bernoulli draws against the blended
 tendencies, so the population organic fraction matches the configured target
-in expectation exactly.  Every archetype profile integrates to the same
-weekly volume and each user gets an independent volume multiplier, keeping
-total volume uninformative about activities.  Activity labels are assigned
-by thresholding a noisy archetype-link score at the population quantile of
-the configured base rate, which pins realized rates to the base rates while
-the noise level tunes task difficulty; the answer and demographic columns go
-to ``labels.csv`` through :func:`weeklisten.evaluate.write_labels`.  Archetypes
-from a JSON file are recentered to the configured organic rate like the
-built-in ones.
+in expectation exactly, for stock and file archetypes alike.  Every archetype
+profile integrates to the same weekly volume and each user gets an independent
+volume multiplier, keeping total volume uninformative about activities.
+Activity labels are assigned by thresholding a noisy archetype-link score at
+the population quantile of each activity's base rate, which pins realized
+rates to the base rates while the noise level tunes task difficulty; the
+answer and demographic columns go to ``labels.csv`` through
+:func:`weeklisten.evaluate.write_labels`.
 
 Events are written through :func:`weeklisten.ingest.write_events`, one block
 of columns per user, so the events format is known only to ``ingest``.
@@ -49,11 +51,62 @@ from .evaluate import ACTIVITIES, AGE_GROUPS, GENDER_CODES, write_labels
 from .signals import SLOTS_PER_WEEK, _smooth_values
 
 #: Monday 2022-01-03 00:00:00 UTC; keeps week boundaries aligned with slot 0.
-DEFAULT_PERIOD_START = 1_641_168_000
+PERIOD_START = 1_641_168_000
 
 SECONDS_PER_WEEK = SLOTS_PER_WEEK * 3600
 
-WEEKDAYS = (0, 1, 2, 3, 4)
+#: Expected valid streams per week of every archetype profile and idiosyncratic profile.
+WEEKLY_VOLUME = 52.0
+
+#: Expected skipped (sub-30 s) streams per valid stream, in every slot.
+SKIP_RATE = 0.05
+
+#: Dirichlet concentration of each archetype in a user's mixture; below 1 keeps mixtures sparse.
+MIXTURE_CONCENTRATION = 0.35
+
+#: Share of users labelled with each activity, in ``ACTIVITIES`` order.
+BASE_RATES = (0.18, 0.38, 0.39, 0.50, 0.47, 0.15)
+
+#: Population repeat and liked ratios: the defaults of an archetype's ratio
+#: bases, and the tendencies of each user's idiosyncratic share.
+REPETITION_BASE = 0.5
+LIKED_BASE = 0.32
+
+WEEKDAYS = [0, 1, 2, 3, 4]
+EVERY_DAY = [0, 1, 2, 3, 4, 5, 6]
+
+#: The stock archetypes, in the schema of :func:`build_archetypes`.
+STOCK_ARCHETYPES = {"archetypes": [
+    {"name": "commuter", "base_rate": 0.05,
+     "volume_peaks": [{"days": WEEKDAYS, "hours": [7, 8, 9], "level": 1.0},
+                      {"days": WEEKDAYS, "hours": [17, 18, 19], "level": 0.9}],
+     "repetition": {"base": 0.50, "peaks": [{"days": WEEKDAYS, "hours": [7, 8, 9, 17, 18, 19], "level": 0.15}]},
+     "organicity": {"peaks": [{"days": WEEKDAYS, "hours": [7, 8, 9, 17, 18, 19], "level": 0.05}]},
+     "liked": {"base": 0.32, "peaks": [{"days": WEEKDAYS, "hours": [7, 8, 9, 17, 18, 19], "level": 0.05}]},
+     "activity_links": {"transport": 1.0, "sports": 0.15}},
+    {"name": "office", "base_rate": 0.05,
+     "volume_peaks": [{"days": WEEKDAYS, "hours": list(range(9, 18)), "level": 1.0},
+                      {"days": WEEKDAYS, "hours": [8, 18], "level": 0.45}],
+     "repetition": {"base": 0.50, "peaks": [{"days": WEEKDAYS, "hours": list(range(9, 18)), "level": 0.25}]},
+     "organicity": {"peaks": [{"days": WEEKDAYS, "hours": list(range(9, 18)), "level": 0.08}]},
+     "liked": {"base": 0.32, "peaks": [{"days": WEEKDAYS, "hours": list(range(9, 18)), "level": 0.08}]},
+     "activity_links": {"work": 1.0}},
+    {"name": "partygoer", "base_rate": 0.06,
+     "volume_peaks": [{"days": [4, 5], "hours": [18, 19, 20, 21, 22, 23], "level": 1.0},
+                      {"days": [5, 6], "hours": [14, 15, 16, 17], "level": 0.4}],
+     "repetition": {"base": 0.50, "peaks": [{"days": [4, 5], "hours": [18, 19, 20, 21, 22, 23], "level": -0.15}]},
+     "organicity": {"peaks": [{"days": [4, 5], "hours": [18, 19, 20, 21, 22, 23], "level": -0.12}]},
+     "liked": {"base": 0.32, "peaks": [{"days": [4, 5], "hours": [18, 19, 20, 21, 22, 23], "level": -0.10}]},
+     "activity_links": {"friends": 1.0, "sports": 0.2}},
+    {"name": "night_owl", "base_rate": 0.05,
+     "volume_peaks": [{"days": EVERY_DAY, "hours": [21, 22, 23], "level": 1.0},
+                      {"days": EVERY_DAY, "hours": [6, 7], "level": 0.55}],
+     "repetition": {"base": 0.50, "peaks": [{"days": EVERY_DAY, "hours": [21, 22, 23], "level": 0.10}]},
+     "organicity": {"peaks": [{"days": EVERY_DAY, "hours": [21, 22, 23], "level": -0.03}]},
+     "liked": {"base": 0.32, "peaks": [{"days": EVERY_DAY, "hours": [21, 22, 23], "level": 0.15},
+                                       {"days": EVERY_DAY, "hours": [6, 7], "level": 0.08}]},
+     "activity_links": {"asleep": 1.0, "wake_up": 0.7}},
+]}
 
 
 @dataclass(frozen=True)
@@ -68,15 +121,11 @@ class Archetype:
     activity_links: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for arr_name in ("rate_profile", "repetition", "organicity", "liked"):
-            arr = getattr(self, arr_name)
-            if arr.shape != (SLOTS_PER_WEEK,):
-                raise SynthesisError(f"{self.name}.{arr_name} must have shape (168,), got {arr.shape}")
-        if np.any(self.rate_profile < 0):
+        if not np.all(self.rate_profile >= 0):
             raise SynthesisError(f"{self.name} has negative rates")
         for arr_name in ("repetition", "organicity", "liked"):
             arr = getattr(self, arr_name)
-            if np.any((arr < 0) | (arr > 1)):
+            if not np.all((arr >= 0) & (arr <= 1)):
                 raise SynthesisError(f"{self.name}.{arr_name} must lie in [0, 1]")
         for activity, p in self.activity_links.items():
             if activity not in ACTIVITIES:
@@ -90,66 +139,64 @@ def hour_block(days, hours, level: float) -> np.ndarray:
     out = np.zeros(SLOTS_PER_WEEK)
     for d in days:
         for h in hours:
+            if not (0 <= d < 7 and 0 <= h < 24):
+                raise SynthesisError(f"day {d} hour {h} is not a slot of the week")
             out[d * 24 + h] = level
     return out
 
 
-def _ratio(base: float, *blocks: np.ndarray) -> np.ndarray:
-    return np.clip(base + sum(blocks), 0.02, 0.98)
+def _scaled(profile: np.ndarray) -> np.ndarray:
+    return profile * (WEEKLY_VOLUME / profile.sum())
 
 
-def _scaled(profile: np.ndarray, weekly_volume: float) -> np.ndarray:
-    return profile * (weekly_volume / profile.sum())
+def build_archetypes(spec: dict, organic_target: float) -> tuple[Archetype, ...]:
+    """The archetypes of a spec in the JSON schema of :data:`STOCK_ARCHETYPES`.
 
+    Schema: ``{"archetypes": [{"name", "base_rate", "volume_peaks":
+    [{"days", "hours", "level"}, ...], "repetition"/"organicity"/"liked":
+    {"base", "peaks": [...]}, "activity_links": {...}}, ...]}`` with one or
+    more archetypes.  Each channel is its base plus the levels of its peaks
+    (days 0-6 from Monday, hours 0-23).  A ratio block, its ``base`` or its
+    ``peaks`` may be left out; the bases default to :data:`REPETITION_BASE`,
+    the organic target and :data:`LIKED_BASE`.  Volume profiles are rescaled
+    to :data:`WEEKLY_VOLUME`.  Organicity is shifted so its volume-weighted
+    mean is the organic target; then every ratio is clipped to [0.02, 0.98].
+    A spec that breaks the schema is a :class:`SynthesisError`.
+    """
+    def channel(block: dict, base: float) -> np.ndarray:
+        return block.get("base", base) + sum(
+            (hour_block(p["days"], p["hours"], p["level"]) for p in block.get("peaks", ())),
+            start=np.zeros(SLOTS_PER_WEEK))
 
-def _recentered(organicity: np.ndarray, rate: np.ndarray, organic_target: float) -> np.ndarray:
-    """``organicity`` shifted so its volume-weighted mean under ``rate`` is exactly the organic target."""
-    shift = organic_target - float((rate * organicity).sum() / rate.sum())
-    return np.clip(organicity + shift, 0.02, 0.98)
-
-
-def default_archetypes(weekly_volume: float, organic_target: float) -> tuple[Archetype, ...]:
-    """The four stock archetypes; profiles integrate to ``weekly_volume``."""
-    commute_am = hour_block(WEEKDAYS, (7, 8, 9), 1.0)
-    commute_pm = hour_block(WEEKDAYS, (17, 18, 19), 0.9)
-    office_hours = hour_block(WEEKDAYS, range(9, 18), 1.0)
-    office_edges = hour_block(WEEKDAYS, (8, 18), 0.45)
-    party_nights = hour_block((4, 5), (18, 19, 20, 21, 22, 23), 1.0)
-    weekend_pm = hour_block((5, 6), (14, 15, 16, 17), 0.4)
-    late_evenings = hour_block(range(7), (21, 22, 23), 1.0)
-    early_mornings = hour_block(range(7), (6, 7), 0.55)
-
-    specs = [
-        ("commuter", 0.05, commute_am + commute_pm,
-         _ratio(0.50, 0.15 * (commute_am > 0), 0.15 * (commute_pm > 0)),
-         0.05 * ((commute_am + commute_pm) > 0),
-         _ratio(0.32, 0.05 * ((commute_am + commute_pm) > 0)),
-         {"transport": 1.0, "sports": 0.15}),
-        ("office", 0.05, office_hours + office_edges,
-         _ratio(0.50, 0.25 * (office_hours > 0)),
-         0.08 * (office_hours > 0),
-         _ratio(0.32, 0.08 * (office_hours > 0)),
-         {"work": 1.0}),
-        ("partygoer", 0.06, party_nights + weekend_pm,
-         _ratio(0.50, -0.15 * (party_nights > 0)),
-         -0.12 * (party_nights > 0),
-         _ratio(0.32, -0.10 * (party_nights > 0)),
-         {"friends": 1.0, "sports": 0.2}),
-        ("night_owl", 0.05, late_evenings + early_mornings,
-         _ratio(0.50, 0.10 * (late_evenings > 0)),
-         -0.03 * (late_evenings > 0),
-         _ratio(0.32, 0.15 * (late_evenings > 0), 0.08 * (early_mornings > 0)),
-         {"asleep": 1.0, "wake_up": 0.7}),
-    ]
     archetypes = []
-    for name, base, peaks, rep, org_mod, liked, links in specs:
-        rate = _scaled(base + peaks, weekly_volume)
-        archetypes.append(Archetype(
-            name=name, rate_profile=rate, repetition=rep,
-            organicity=_recentered(org_mod + organic_target, rate, organic_target),
-            liked=liked, activity_links=links,
-        ))
+    try:
+        for entry in spec["archetypes"]:
+            volume = channel({"base": entry["base_rate"], "peaks": entry["volume_peaks"]}, 0.0)
+            if not 0 < volume.sum() < np.inf:
+                raise SynthesisError(f"{entry['name']} needs a finite, positive weekly volume")
+            rate = _scaled(volume)
+            organicity = channel(entry.get("organicity", {}), organic_target)
+            organicity += organic_target - float((rate * organicity).sum() / rate.sum())
+            archetypes.append(Archetype(
+                name=entry["name"], rate_profile=rate,
+                repetition=np.clip(channel(entry.get("repetition", {}), REPETITION_BASE), 0.02, 0.98),
+                organicity=np.clip(organicity, 0.02, 0.98),
+                liked=np.clip(channel(entry.get("liked", {}), LIKED_BASE), 0.02, 0.98),
+                activity_links=dict(entry.get("activity_links", {})),
+            ))
+    except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
+        raise SynthesisError(f"archetypes do not follow the schema: {type(exc).__name__} {exc}") from exc
+    if not archetypes:
+        raise SynthesisError("no archetypes given")
     return tuple(archetypes)
+
+
+def load_archetypes(path, organic_target: float) -> tuple[Archetype, ...]:
+    """:func:`build_archetypes` of the JSON file at ``path``; any failure is a :class:`SynthesisError` naming it."""
+    try:
+        return build_archetypes(json.loads(Path(path).read_text(encoding="utf-8")), organic_target)
+    except (OSError, ValueError, SynthesisError) as exc:  # ValueError: not UTF-8 or not JSON
+        raise SynthesisError(f"cannot read archetypes {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -159,15 +206,9 @@ class SynthConfig:
     n_users: int = 5000
     weeks: int = 12
     seed: int = 0
-    archetype_weights: tuple[float, ...] = (0.25, 0.25, 0.25, 0.25)
     noise: float = 0.35
     organic_rate: float = 0.80
-    base_rates: tuple[float, ...] = (0.18, 0.38, 0.39, 0.50, 0.47, 0.15)
-    weekly_volume: float = 52.0
-    skip_rate: float = 0.05
-    mixture_concentration: float = 0.35
-    period_start: int = DEFAULT_PERIOD_START
-    archetypes: tuple[Archetype, ...] | None = None
+    archetypes: tuple[Archetype, ...] | None = None  # None: the stock archetypes
 
     def __post_init__(self):
         if self.weeks < 2:
@@ -176,25 +217,18 @@ class SynthConfig:
             raise SynthesisError(f"n_users must be >= 1, got {self.n_users}")
         if not 0 <= self.noise <= 1:
             raise SynthesisError(f"noise must lie in [0, 1], got {self.noise}")
-        if len(self.base_rates) != len(ACTIVITIES):
-            raise SynthesisError(f"need {len(ACTIVITIES)} base rates, got {len(self.base_rates)}")
-        if any(not 0 < r < 1 for r in self.base_rates):
-            raise SynthesisError(f"base rates must lie strictly inside (0, 1), got {self.base_rates}")
         if not 0 < self.organic_rate < 1:
             raise SynthesisError(f"organic rate must lie in (0, 1), got {self.organic_rate}")
-        if abs(sum(self.archetype_weights) - 1.0) > 1e-9 or any(w < 0 for w in self.archetype_weights):
-            raise SynthesisError(f"archetype weights must be nonnegative and sum to 1, got {self.archetype_weights}")
 
     def resolved_archetypes(self) -> tuple[Archetype, ...]:
-        arch = self.archetypes if self.archetypes is not None else \
-            default_archetypes(self.weekly_volume, self.organic_rate)
-        if len(arch) != len(self.archetype_weights):
-            raise SynthesisError(f"{len(self.archetype_weights)} weights for {len(arch)} archetypes")
-        return arch
+        """``archetypes``, or the stock ones recentered to ``organic_rate``."""
+        if self.archetypes is not None:
+            return self.archetypes
+        return build_archetypes(STOCK_ARCHETYPES, self.organic_rate)
 
     @property
     def period_end(self) -> int:
-        return self.period_start + self.weeks * SECONDS_PER_WEEK
+        return PERIOD_START + self.weeks * SECONDS_PER_WEEK
 
 
 @dataclass(frozen=True)
@@ -206,18 +240,17 @@ class GenerateResult:
     n_events: int
     n_valid_events: int
     organic_fraction_valid: float
-    label_rates: dict[str, float]
 
 
 def _user_rng(seed: int, user_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1, user_index)))
 
 
-def _smooth_random_profile(rng: np.random.Generator, weekly_volume: float) -> np.ndarray:
+def _smooth_random_profile(rng: np.random.Generator) -> np.ndarray:
     rough = rng.gamma(shape=1.2, scale=1.0, size=SLOTS_PER_WEEK)
     for _ in range(3):
         rough = _smooth_values(rough)
-    return _scaled(rough, weekly_volume)
+    return _scaled(rough)
 
 
 def _user_events(rng, config: SynthConfig, uid: str, rate: np.ndarray,
@@ -231,7 +264,7 @@ def _user_events(rng, config: SynthConfig, uid: str, rate: np.ndarray,
     slots = cells % SLOTS_PER_WEEK
 
     offsets = rng.integers(0, 3600, size=n)
-    timestamps = config.period_start + cells * 3600 + offsets
+    timestamps = PERIOD_START + cells * 3600 + offsets
     durations = rng.integers(30, 421, size=n)
     organic = rng.random(n) < org_p[slots]
 
@@ -259,10 +292,10 @@ def _user_events(rng, config: SynthConfig, uid: str, rate: np.ndarray,
     albums[fresh] = np.array([f"{uid}_al_f{c}" for c in range(fresh.size)], dtype=object)
 
     # Short skipped streams on top; they must fall below the validity cutoff.
-    skip_counts = rng.poisson(lam=rate * config.skip_rate, size=(weeks, SLOTS_PER_WEEK))
+    skip_counts = rng.poisson(lam=rate * SKIP_RATE, size=(weeks, SLOTS_PER_WEEK))
     s_cells = np.repeat(np.arange(weeks * SLOTS_PER_WEEK), skip_counts.ravel())
     m = s_cells.size
-    s_timestamps = config.period_start + s_cells * 3600 + rng.integers(0, 3600, size=m)
+    s_timestamps = PERIOD_START + s_cells * 3600 + rng.integers(0, 3600, size=m)
     s_durations = rng.integers(1, 30, size=m)
     s_organic = rng.random(m) < org_p[s_cells % SLOTS_PER_WEEK]
     s_tracks = np.array([f"{uid}_t_s{i}" for i in range(m)], dtype=object)
@@ -292,7 +325,7 @@ def generate(config: SynthConfig, out_dir) -> GenerateResult:
         for activity, p in a.activity_links.items():
             link_matrix[gi, ACTIVITIES.index(activity)] = p
 
-    alpha = np.asarray(config.archetype_weights) * n_arch * config.mixture_concentration
+    alpha = np.full(n_arch, MIXTURE_CONCENTRATION)
     width = max(5, len(str(config.n_users - 1)))
     noise = config.noise
 
@@ -313,7 +346,7 @@ def generate(config: SynthConfig, out_dir) -> GenerateResult:
 
             w = rng.dirichlet(alpha)
             vol_mult = rng.uniform(0.9, 1.6)
-            idio = _smooth_random_profile(rng, config.weekly_volume)
+            idio = _smooth_random_profile(rng)
 
             mix_rate = w @ rates
             rate = vol_mult * ((1.0 - noise) * mix_rate + noise * idio)
@@ -322,9 +355,9 @@ def generate(config: SynthConfig, out_dir) -> GenerateResult:
             # the volume-weighted organic mean at the configured target.
             blend_w = (1.0 - noise) * (w[:, None] * rates)
             denom = blend_w.sum(axis=0) + noise * idio
-            rep_p = (np.einsum("as,as->s", blend_w, reps) + noise * idio * 0.5) / denom
+            rep_p = (np.einsum("as,as->s", blend_w, reps) + noise * idio * REPETITION_BASE) / denom
             org_p = (np.einsum("as,as->s", blend_w, orgs) + noise * idio * config.organic_rate) / denom
-            liked_p = (np.einsum("as,as->s", blend_w, likes) + noise * idio * 0.32) / denom
+            liked_p = (np.einsum("as,as->s", blend_w, likes) + noise * idio * LIKED_BASE) / denom
             liked_p = np.minimum(liked_p, rep_p)
 
             columns, valid, organic_valid = _user_events(
@@ -354,7 +387,7 @@ def generate(config: SynthConfig, out_dir) -> GenerateResult:
     else:
         z = (1.0 - noise) * link_scores + noise * noise_scale * label_noise
     answers = np.zeros_like(z, dtype=np.int8)
-    for ai, rate in enumerate(config.base_rates):
+    for ai, rate in enumerate(BASE_RATES):
         col = z[:, ai]
         if col.std() == 0.0:  # constant scores cannot meet a base rate; fall back to noise
             col = label_noise[:, ai]
@@ -367,45 +400,5 @@ def generate(config: SynthConfig, out_dir) -> GenerateResult:
         events_path=events_path, favorites_path=favorites_path, labels_path=labels_path,
         n_users=config.n_users, n_events=n_events, n_valid_events=n_valid,
         organic_fraction_valid=n_organic_valid / max(n_valid, 1),
-        label_rates={a: float(answers[:, ai].mean()) for ai, a in enumerate(ACTIVITIES)},
     )
 
-
-# ---------------------------------------------------------------------------
-# Archetype config files (JSON)
-# ---------------------------------------------------------------------------
-
-def load_archetypes(path, weekly_volume: float = SynthConfig.weekly_volume,
-                    organic_target: float = SynthConfig.organic_rate) -> tuple[Archetype, ...]:
-    """Read archetypes from the documented JSON form.
-
-    Schema: ``{"archetypes": [{"name", "base_rate", "volume_peaks":
-    [{"days", "hours", "level"}, ...], "repetition"/"organicity"/"liked":
-    {"base", "peaks": [...]}, "activity_links": {...}}, ...]}``.
-    Volume profiles are rescaled to the common weekly volume; organicity is
-    recentered so its volume-weighted mean hits the organic target.
-    """
-    spec = json.loads(Path(path).read_text(encoding="utf-8"))
-    archetypes = []
-    for entry in spec["archetypes"]:
-        peaks = sum((hour_block(p["days"], p["hours"], p["level"]) for p in entry["volume_peaks"]),
-                    start=np.zeros(SLOTS_PER_WEEK))
-        rate = _scaled(entry["base_rate"] + peaks, weekly_volume)
-
-        def ratio_of(key: str, default_base: float) -> np.ndarray:
-            block = entry.get(key)
-            if block is None:
-                return np.full(SLOTS_PER_WEEK, default_base)
-            mods = sum((hour_block(p["days"], p["hours"], p["level"]) for p in block.get("peaks", ())),
-                       start=np.zeros(SLOTS_PER_WEEK))
-            return np.clip(block.get("base", default_base) + mods, 0.02, 0.98)
-
-        archetypes.append(Archetype(
-            name=entry["name"],
-            rate_profile=rate,
-            repetition=ratio_of("repetition", 0.5),
-            organicity=_recentered(ratio_of("organicity", organic_target), rate, organic_target),
-            liked=ratio_of("liked", 0.32),
-            activity_links=dict(entry.get("activity_links", {})),
-        ))
-    return tuple(archetypes)

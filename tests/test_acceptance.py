@@ -8,6 +8,7 @@ supplies the two-execution and thread-count determinism comparisons.
 """
 
 import csv
+import json
 import time
 
 import numpy as np
@@ -35,7 +36,12 @@ def _run_pipeline(out, threads):
     started = time.monotonic()
     rc = cli.main(["pipeline", "--seed", "7", "--threads", str(threads), "--out", str(out)])
     assert rc == 0
-    return time.monotonic() - started
+    duration = time.monotonic() - started
+    # Every solver certified what it returned: no code missed its KKT bound, no Newton fit stopped early.
+    manifests = {name: json.loads((out / f"manifest_{name}.json").read_text()) for name in ("learn", "embed", "eval")}
+    assert manifests["learn"]["users_uncertified"] == manifests["embed"]["users_uncertified"] == 0
+    assert manifests["eval"]["newton_stopped_max_iter"] == manifests["eval"]["newton_stopped_halving"] == 0
+    return duration
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +207,7 @@ def test_criterion_08_signal_invariants(run_a):
     log, _ = ingest.parse_events(out / "events.csv")
     favorites = ingest.parse_favorites(out / "favorites.csv")
     config = synth.SynthConfig()
-    period = ingest.StudyPeriod(config.period_start, config.period_end)
+    period = ingest.StudyPeriod(synth.PERIOD_START, config.period_end)
     valid = ingest.filter_valid_streams(log)
     active = ingest.filter_active_users(valid, period)
     restricted = ingest.restrict_to_users(valid, active)

@@ -71,14 +71,26 @@ def test_synth_archetype_file_follows_organic_rate(tmp_path, capsys):
     assert fraction == pytest.approx(0.6, abs=0.03)
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_synth_runs_with_any_archetype_count(tmp_path, count):
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps({"archetypes": synth.STOCK_ARCHETYPES["archetypes"][:count]}))
+    assert run(["synth", "--seed", "3", "--out", str(tmp_path), "--users", "40", "--weeks", "2",
+                "--archetypes", str(path)]) == 0
+    labels = evaluate.parse_labels(tmp_path / "labels.csv")
+    assert len(labels.user_ids) == 40
+    log, _ = ingest.parse_events(tmp_path / "events.csv")
+    assert len(set(log.users[log.user_idx])) == 40
+
+
 def test_zero_activity_threshold_counts_only_users_with_valid_streams(tmp_path, capsys):
     assert run(["synth", "--seed", "5", "--out", str(tmp_path), "--users", "30", "--weeks", "2"]) == 0
     config = synth.SynthConfig(weeks=2)
     with open(tmp_path / "events.csv", "a", encoding="utf-8") as fh:
-        fh.write(f"skipper,{config.period_start + 60},t_skip,al_skip,organic,5\n")
+        fh.write(f"skipper,{synth.PERIOD_START + 60},t_skip,al_skip,organic,5\n")
     capsys.readouterr()
     assert run(["ingest", "--out", str(tmp_path), "--events", str(tmp_path / "events.csv"),
-                "--period-start", str(config.period_start), "--period-end", str(config.period_end),
+                "--period-start", str(synth.PERIOD_START), "--period-end", str(config.period_end),
                 "--min-daily-streams", "0"]) == 0
     assert "30 active users" in capsys.readouterr().out
     rows = (tmp_path / "user_summary.csv").read_text().splitlines()[1:]
@@ -95,7 +107,7 @@ def test_front_end_memory_is_bounded_by_the_restricted_log(tmp_path, monkeypatch
     args = argparse.Namespace(
         events=result.events_path, favorites=result.favorites_path,
         min_listen_secs=ingest.MIN_LISTEN_SECS, min_daily_streams=ingest.MIN_DAILY_STREAMS,
-        period_start=config.period_start, period_end=config.period_end)
+        period_start=synth.PERIOD_START, period_end=config.period_end)
     parse, parsed = ingest.parse_events, {}
 
     def parse_then_reset_peak(source):
@@ -238,6 +250,22 @@ def _overflowing_duration(tmp_path, pipe):
     return path
 
 
+def _nan_dictionary(tmp_path, pipe):
+    path = tmp_path / "dictionary.csv"
+    lines = (pipe / "dictionary.csv").read_text().splitlines(True)
+    lines[2] = "nan," + lines[2].split(",", 1)[1]
+    path.write_text("".join(lines))
+    return path
+
+
+def _archetype_file(text):
+    def damage(tmp_path, pipe):
+        path = tmp_path / "arch.json"
+        path.write_text(text)
+        return path
+    return damage
+
+
 # (argv builder over the pipeline dir and the damaged file, damage, expected message or messages)
 BAD_HANDOFFS = {
     "export-atoms-empty-dictionary": (
@@ -283,6 +311,17 @@ BAD_HANDOFFS = {
     "ingest-overflowing-duration": (
         lambda p, bad: ["ingest", "--events", bad], _overflowing_duration,
         ("too many malformed lines", "line 2: listen_duration 99999999999 does not fit in 32 bits")),
+    "embed-nan-dictionary": (
+        lambda p, bad: ["embed", "--signal-users", p / "signal_users.txt", "--signals", p / "signals.npy",
+                        "--dictionary", bad], _nan_dictionary, "non-finite values in dictionary"),
+    "synth-missing-archetypes": (
+        lambda p, bad: ["synth", "--archetypes", bad], _missing, ("cannot read archetypes", "nope.npy")),
+    "synth-non-json-archetypes": (
+        lambda p, bad: ["synth", "--archetypes", bad], _archetype_file("{archetypes: commuter}"),
+        ("cannot read archetypes", "arch.json")),
+    "synth-schema-breaking-archetypes": (
+        lambda p, bad: ["synth", "--archetypes", bad], _archetype_file('{"archetypes": [{"name": "x"}]}'),
+        ("cannot read archetypes", "arch.json", "do not follow the schema", "KeyError 'base_rate'")),
 }
 
 
@@ -349,7 +388,7 @@ def test_manifests_record_peak_rss_and_ingest_gate_counts(pipeline_dir, tmp_path
     config = synth.SynthConfig(n_users=120, weeks=2)
     capsys.readouterr()
     assert run(["ingest", "--out", str(tmp_path), "--events", str(events), "--favorites", str(favorites),
-                "--period-start", str(config.period_start), "--period-end", str(config.period_end)]) == 0
+                "--period-start", str(synth.PERIOD_START), "--period-end", str(config.period_end)]) == 0
     out = capsys.readouterr().out
     gates = {k: v for k, v in json.loads((tmp_path / "manifest_ingest.json").read_text()).items()
              if k in ("lines", "malformed", "valid_streams", "active_users", "unknown_favorite_users")}
@@ -377,7 +416,7 @@ def test_staged_run_matches_pipeline_bytes(pipeline_dir, tmp_path):
     staged = tmp_path / "staged"
     seed = ["--seed", "7"]
     config = synth.SynthConfig(n_users=120, weeks=2)
-    period = ["--period-start", str(config.period_start),
+    period = ["--period-start", str(synth.PERIOD_START),
               "--period-end", str(config.period_end)]
     src = ["--events", str(staged / "events.csv"), "--favorites", str(staged / "favorites.csv")]
     out = ["--out", str(staged)]
@@ -397,6 +436,31 @@ def test_staged_run_matches_pipeline_bytes(pipeline_dir, tmp_path):
 
     for name in DATA_ARTIFACTS:
         assert (staged / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("stage, flags, message", [
+    ("embed", ["--lambda", "-1"], "lam must be finite and >= 0, got -1.0"),
+    ("embed", ["--lasso-tol", "-1"], "lasso tolerance must be finite and > 0, got -1.0"),
+    ("embed", ["--lasso-max-sweeps", "0"], "lasso sweep cap must be >= 1, got 0"),
+    ("learn", ["--lambda", "nan", "--atoms", "8", "--outer-iters", "2"], "lam must be finite and >= 0, got nan"),
+])
+def test_bad_coder_arguments_are_error_lines(pipeline_dir, tmp_path, capsys, stage, flags, message):
+    out = tmp_path / "out"
+    argv = [stage, "--out", str(out), "--signal-users", str(pipeline_dir / "signal_users.txt"),
+            "--signals", str(pipeline_dir / "signals.npy"), *flags]
+    if stage == "embed":
+        argv += ["--dictionary", str(pipeline_dir / "dictionary.csv")]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / f"manifest_{stage}.json").exists()
+
+
+def test_nan_residuals_are_not_certified(capsys):
+    dct = dictionary.Dictionary(stacked=np.eye(3), lam=1.0)
+    codes = np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    certificate = cli._certify_codes(np.zeros((3, 3)), dct, codes, 1.0, 1e-8)
+    assert certificate["users_uncertified"] == 1
+    assert "1 of 3 codes miss the KKT certificate" in capsys.readouterr().out
 
 
 def test_sweep_cap_is_reported(pipeline_dir, tmp_path, capsys):
@@ -487,7 +551,7 @@ def test_threads_flag_does_not_change_outputs(pipeline_dir, tmp_path):
     src = ["--events", str(pipeline_dir / "events.csv"),
            "--favorites", str(pipeline_dir / "favorites.csv")]
     config = synth.SynthConfig(n_users=120, weeks=2)
-    period = ["--period-start", str(config.period_start), "--period-end", str(config.period_end)]
+    period = ["--period-start", str(synth.PERIOD_START), "--period-end", str(config.period_end)]
     rc = run(["signals", "--out", str(out), "--seed", "7", "--threads", "4", *src, *period])
     assert rc == 0
     assert (out / "signals.npy").read_bytes() == (pipeline_dir / "signals.npy").read_bytes()

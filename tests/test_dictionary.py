@@ -100,6 +100,21 @@ def test_sparse_code_matches_grid_oracle(rng):
 def test_sparse_code_rejects_non_finite():
     with pytest.raises(DictionaryError, match="non-finite"):
         sparse_code(np.array([1.0, np.nan]), np.eye(2), 0.1)
+    with pytest.raises(DictionaryError, match="non-finite values in dictionary"):
+        dictionary.sparse_code_batch(np.ones((3, 2)), np.array([[1.0, np.nan], [0.0, 1.0]]), 0.1)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"lam": -1.0}, "lam must be finite and >= 0"),
+    ({"lam": np.nan}, "lam must be finite and >= 0"),
+    ({"lam": np.inf}, "lam must be finite and >= 0"),
+    ({"tol": 0.0}, "tolerance must be finite and > 0"),
+    ({"tol": np.nan}, "tolerance must be finite and > 0"),
+    ({"max_sweeps": 0}, "sweep cap must be >= 1"),
+])
+def test_sparse_code_batch_checks_its_arguments(kwargs, message):
+    with pytest.raises(DictionaryError, match=message):
+        dictionary.sparse_code_batch(np.ones((3, 2)), np.eye(2), **{"lam": 0.1, **kwargs})
 
 
 def test_sparse_code_batch_equals_row_wise(rng):
@@ -131,7 +146,7 @@ def test_sparse_code_kkt_certificate(seed, lam, warm):
         assert kkt_violation(s, D, code, lam) <= dictionary.KKT_TOL_FACTOR * tol
 
 
-def test_sparse_code_certified_warm_start_keeps_support_and_signs(rng):
+def test_sparse_code_certified_warm_start_keeps_support_and_signs(rng, monkeypatch):
     # A warm start that already is the certified optimum is certified after the
     # opening exact step, with no sweep; that step can only polish its values.
     D = rng.normal(size=(12, 5))
@@ -139,7 +154,10 @@ def test_sparse_code_certified_warm_start_keeps_support_and_signs(rng):
     lam = 1.0
     optimum = dictionary.sparse_code_batch(X, D, lam)
     assert np.count_nonzero(optimum) > 0 and np.count_nonzero(optimum == 0.0) > 0
-    codes = dictionary.sparse_code_batch(X, D, lam, max_sweeps=0, warm_codes=optimum)
+    steps, exact_step = [], dictionary._exact_support_step
+    monkeypatch.setattr(dictionary, "_exact_support_step", lambda *a: steps.append(exact_step(*a)))
+    codes = dictionary.sparse_code_batch(X, D, lam, max_sweeps=1, warm_codes=optimum)
+    assert len(steps) == 1  # a sweep would be followed by a second exact step
     assert np.array_equal(np.sign(codes), np.sign(optimum))
     assert np.allclose(codes, optimum, atol=1e-9)
     for s, code in zip(X, codes):

@@ -357,6 +357,7 @@ def test_restrict_to_users():
     only_a = ingest.restrict_to_users(log, ["a"])
     assert len(only_a) == 2
     assert {e.user_id for e in records(only_a)} == {"a"}
+    assert ingest.restrict_to_users(log, ["a", "b", "c"]) is log  # nothing to drop, nothing to copy
 
 
 summary_event = st.builds(

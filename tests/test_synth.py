@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -36,9 +37,10 @@ def test_organic_rate_hits_target(thousand_users):
 
 
 def test_label_rates_match_base_rates(thousand_users):
-    config, result = thousand_users
-    for activity, rate in zip(evaluate.ACTIVITIES, config.base_rates):
-        assert result.label_rates[activity] == pytest.approx(rate, abs=0.03)
+    _, result = thousand_users
+    answers = evaluate.parse_labels(result.labels_path).answers
+    for activity, column, rate in zip(evaluate.ACTIVITIES, answers.T, synth.BASE_RATES):
+        assert column.mean() == pytest.approx(rate, abs=0.03), activity
 
 
 def test_generated_files_round_trip_ingest(thousand_users):
@@ -57,9 +59,9 @@ def test_generated_files_round_trip_ingest(thousand_users):
 
 
 def test_pure_commuter_concentrates_on_commute_slots(tmp_path):
-    config = synth.SynthConfig(n_users=30, weeks=4, seed=5, noise=0.0,
-                               archetype_weights=(1.0, 0.0, 0.0, 0.0),
-                               mixture_concentration=1e6)  # pin mixtures to the commuter
+    commuter = synth.build_archetypes(synth.STOCK_ARCHETYPES, 0.80)[0]
+    assert commuter.name == "commuter"
+    config = synth.SynthConfig(n_users=30, weeks=4, seed=5, noise=0.0, archetypes=(commuter,))
     result = synth.generate(config, tmp_path)
     log, _ = ingest.parse_events(result.events_path)
     valid = ingest.filter_valid_streams(log)
@@ -72,7 +74,7 @@ def test_pure_commuter_concentrates_on_commute_slots(tmp_path):
 def test_planted_truth_shapes_and_links():
     config = synth.SynthConfig(n_users=10, weeks=2, seed=0)
     truth = oracles.planted_truth(config)
-    assert len(truth.archetype_names) == len(config.archetype_weights)
+    assert len(truth.archetype_names) == len(synth.STOCK_ARCHETYPES["archetypes"])
     assert truth.profiles.shape == (4, 4, 168)
     assert truth.primary_activities() == ("transport", "work", "friends", "asleep")
 
@@ -97,10 +99,10 @@ def test_planted_commuter_volume_peaks():
 def test_config_validation():
     with pytest.raises(SynthesisError, match="weeks"):
         synth.SynthConfig(weeks=1)
-    with pytest.raises(SynthesisError, match="base rates"):
-        synth.SynthConfig(base_rates=(0.5,) * 5 + (1.5,))
-    with pytest.raises(SynthesisError, match="weights"):
-        synth.SynthConfig(archetype_weights=(0.5, 0.5, 0.5, 0.5))
+    with pytest.raises(SynthesisError, match="n_users"):
+        synth.SynthConfig(n_users=0)
+    with pytest.raises(SynthesisError, match="organic rate"):
+        synth.SynthConfig(organic_rate=1.0)
     with pytest.raises(SynthesisError, match="noise"):
         synth.SynthConfig(noise=1.5)
 
@@ -114,14 +116,43 @@ def test_archetype_json_loading(tmp_path):
     ]}
     path = tmp_path / "arch.json"
     path.write_text(json.dumps(spec))
-    (arch,) = synth.load_archetypes(path, weekly_volume=40.0, organic_target=0.8)
+    (arch,) = synth.load_archetypes(path, organic_target=0.8)
     assert arch.name == "tester"
-    assert arch.rate_profile.sum() == pytest.approx(40.0)
+    assert arch.rate_profile.sum() == pytest.approx(synth.WEEKLY_VOLUME)
     assert arch.rate_profile[10] > arch.rate_profile[9]
     assert np.all(arch.repetition == 0.6)
     # Organicity is recentered to the target under the volume weighting.
     weighted = (arch.rate_profile * arch.organicity).sum() / arch.rate_profile.sum()
     assert weighted == pytest.approx(0.8, abs=1e-9)
+
+
+def test_stock_archetypes_survive_a_json_round_trip(tmp_path):
+    path = tmp_path / "stock.json"
+    path.write_text(json.dumps(synth.STOCK_ARCHETYPES))
+    for rate in (0.01, 0.3, 0.8, 0.95, 0.99):
+        stock = synth.SynthConfig(organic_rate=rate).resolved_archetypes()
+        loaded = synth.load_archetypes(path, rate)
+        assert [a.name for a in loaded] == ["commuter", "office", "partygoer", "night_owl"]
+        for built, read in zip(stock, loaded):
+            assert built.name == read.name and built.activity_links == read.activity_links
+            for channel in ("rate_profile", "repetition", "organicity", "liked"):
+                assert np.array_equal(getattr(built, channel), getattr(read, channel))
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"archetypes": []}, "no archetypes"),
+    ({"archetypes": [{"name": "x"}]}, "KeyError 'base_rate'"),
+    ({"archetypes": [{"name": "x", "base_rate": 0.0, "volume_peaks": []}]}, "positive weekly volume"),
+    ({"archetypes": [{"name": "x", "base_rate": 0.1,
+                      "volume_peaks": [{"days": [0], "hours": [24], "level": 1.0}]}]}, "day 0 hour 24"),
+    ({"archetypes": [{"name": "x", "base_rate": 0.1, "volume_peaks": [], "liked": 0.3}]}, "AttributeError"),
+    ({"archetypes": [{"name": "x", "base_rate": "high", "volume_peaks": []}]}, "schema"),
+    ({"archetypes": [{"name": "x", "base_rate": 0.1, "volume_peaks": [],
+                      "activity_links": {"work": 2.0}}]}, "outside [0, 1]"),
+])
+def test_build_archetypes_checks_the_schema(spec, message):
+    with pytest.raises(SynthesisError, match=re.escape(message)):
+        synth.build_archetypes(spec, 0.8)
 
 
 def _downstream_auc(noise, seed, tmp_path):
@@ -131,7 +162,7 @@ def _downstream_auc(noise, seed, tmp_path):
     log, _ = ingest.parse_events(result.events_path)
     favorites = ingest.parse_favorites(result.favorites_path)
     valid = ingest.filter_valid_streams(log)
-    period = ingest.StudyPeriod(config.period_start, config.period_end)
+    period = ingest.StudyPeriod(synth.PERIOD_START, config.period_end)
     active = ingest.filter_active_users(valid, period)
     profiles = ingest.build_profiles(ingest.restrict_to_users(valid, active), favorites)
     sset = signals.build_signal_set(profiles, period)
