@@ -48,13 +48,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dictionary, evaluate, ingest, signals, storage, synth
-from .errors import PipelineError
+from .errors import IngestError, PipelineError
 
 STAGE_IDS = {"synth": 0, "split": 1, "learn": 2, "eval": 3}
 
 
 def stage_seed(base_seed: int, stage: str) -> int:
     """Per-stage seed derived from the base seed (documented, reproducible)."""
+    if base_seed < 0:
+        raise PipelineError(f"seed must be >= 0, got {base_seed}")
     ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(STAGE_IDS[stage],))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -134,6 +136,9 @@ def _load_filtered(args):
     valid_streams = len(log)
     period = _resolve_period(args, log)
     active = ingest.filter_active_users(log, period, args.min_daily_streams)
+    if not active:
+        raise IngestError(f"no active users: none has {args.min_daily_streams:g} valid streams "
+                          f"(of at least {args.min_listen_secs} s) per day")
     log = ingest.restrict_to_users(log, active)
     return ingest.build_profiles(log, favorites), period, report, valid_streams
 

@@ -62,6 +62,8 @@ class LearnConfig:
     def __post_init__(self):
         if self.n_atoms < 1:
             raise DictionaryError(f"n_atoms must be >= 1, got {self.n_atoms}")
+        if self.outer_iters < 0:
+            raise DictionaryError(f"outer_iters must be >= 0, got {self.outer_iters}")
 
 
 @dataclass(frozen=True)

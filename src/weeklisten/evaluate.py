@@ -6,10 +6,11 @@ on ROC AUC, and final scoring by ROC AUC on a held-out user split.  Every fit
 goes through :func:`newton_logreg`, one from-scratch damped Newton that
 solves a batch of row-subset problems over one feature matrix at once, each
 stopping on its own gradient certificate: a job's 25 (l2, fold) problems are
-one call, and :func:`train_logreg` is the one-problem case.  Each problem
-reports its iterations, step halvings, final gradient max-norm and stop
-reason; :class:`EvalReport` carries the worst gradient and the counts of fits
-stopped by ``max_iter`` or by running out of step halvings.  Feature variants:
+one call, and :func:`train_logreg` is the one-problem case, whose
+:class:`NewtonFit` holds the refit's weights.  Each problem reports its
+iterations, step halvings, final gradient max-norm and stop reason;
+:class:`EvalReport` carries the worst gradient and the counts of fits stopped
+by ``max_iter`` or by running out of step halvings.  Feature variants:
 
 * ``volume``             - total valid stream count (1 column);
 * ``demographics``       - age-group and gender integer codes (2 columns);
@@ -20,11 +21,13 @@ stopped by ``max_iter`` or by running out of step halvings.  Feature variants:
 All variants are standardized with train-row statistics only.
 
 The data stay columnar from ``labels.csv`` to the report: :func:`parse_labels`
-returns the label columns as :class:`Labels` (no per-user record), the split
-is one boolean test mask from :func:`split_users`, and :func:`evaluate_all`
-aligns codes, labels and stream totals by user id once, then fills the AUC,
-l2 and codes-model coefficient arrays of :class:`EvalReport` job by job from
-the plain matrices :func:`build_features` returns.
+returns :class:`Labels`, the ``(n, 6)`` answers and one ``(n, 2)``
+demographics column, which :func:`write_labels` also takes (no per-user
+record); the split is one boolean test mask from :func:`split_users`; and
+:func:`evaluate_all` aligns codes, labels and stream totals by user id once,
+then fills the AUC, l2 and codes-model coefficient arrays of
+:class:`EvalReport` job by job from the matrix :func:`build_features` returns
+and the parameters of each refit.
 """
 
 from __future__ import annotations
@@ -58,13 +61,13 @@ class Labels(NamedTuple):
     """Label table as columns: row ``i`` holds the labels of ``user_ids[i]``.
 
     ``answers`` is ``(n, 6)`` with 0/1 flags in :data:`ACTIVITIES` order;
-    ``age_group`` and ``gender`` are ``(n,)`` integer codes.  All three are int8.
+    ``demographics`` is ``(n, 2)``: the age group and gender integer codes.
+    Both are int8.
     """
 
     user_ids: tuple[str, ...]
     answers: np.ndarray
-    age_group: np.ndarray
-    gender: np.ndarray
+    demographics: np.ndarray
 
 
 def parse_labels(source) -> Labels:
@@ -97,7 +100,8 @@ def parse_labels(source) -> Labels:
             except (ValueError, OverflowError) as exc:
                 raise EvaluationError(f"labels line {line_no} is malformed: {exc}") from exc
         raise
-    answers, age_group, gender = values[:, :N_ACTIVITIES], values[:, N_ACTIVITIES], values[:, N_ACTIVITIES + 1]
+    answers, demographics = values[:, :N_ACTIVITIES], values[:, N_ACTIVITIES:]
+    age_group, gender = demographics.T
     for bad, rule in (((~np.isin(answers, (0, 1))).any(axis=1), "answers must be six 0/1 flags"),
                       ((age_group < 0) | (age_group >= AGE_GROUPS), f"age_group must lie in [0, {AGE_GROUPS})"),
                       ((gender < 0) | (gender >= GENDER_CODES), f"gender must lie in [0, {GENDER_CODES})")):
@@ -105,12 +109,12 @@ def parse_labels(source) -> Labels:
             i = int(np.argmax(bad))
             raise EvaluationError(f"labels line {line_nos[i]}, user {user_ids[i]}: {rule}, got answers "
                                   f"{answers[i].tolist()}, age_group {age_group[i]}, gender {gender[i]}")
-    return Labels(user_ids, answers.astype(np.int8), age_group.astype(np.int8), gender.astype(np.int8))
+    return Labels(user_ids, answers.astype(np.int8), demographics.astype(np.int8))
 
 
-def write_labels(path, user_ids: Sequence[str], answers, age_group, gender) -> None:
+def write_labels(path, user_ids: Sequence[str], answers, demographics) -> None:
     """Write the labels CSV from the columns :func:`parse_labels` returns."""
-    columns = np.column_stack([answers, age_group, gender]).tolist()
+    columns = np.column_stack([answers, demographics]).tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(LABELS_HEADER) + "\n")
         fh.writelines(f"{user}," + ",".join(map(str, row)) + "\n"
@@ -129,6 +133,8 @@ def split_users(user_ids: Sequence[str], test_fraction: float, seed=0) -> np.nda
     gates both atom learning and evaluation; ``learn`` and ``eval`` each derive
     it anew, so both must get the same ``--test-frac`` and ``--seed``.
     """
+    if not 0 < test_fraction < 1:
+        raise EvaluationError(f"test fraction must lie in (0, 1), got {test_fraction}")
     n = len(user_ids)
     if n < 10:
         raise EvaluationError(f"need at least 10 users to split, got {n}")
@@ -157,32 +163,28 @@ def standardize(values: np.ndarray, train_mask: np.ndarray) -> np.ndarray:
 
 def build_features(variant: str, target_activity: str, codes: np.ndarray, answers: np.ndarray,
                    demographics: np.ndarray, totals: np.ndarray,
-                   train_mask: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
-    """One variant's feature matrix, standardized on train rows, and its column names.
+                   train_mask: np.ndarray) -> np.ndarray:
+    """One variant's feature matrix, standardized on train rows.
 
     The inputs are row-aligned: ``codes`` ``(n, K)``, ``answers`` ``(n, 6)``,
     ``demographics`` ``(n, 2)`` (age group, gender) and ``totals`` ``(n,)``.
     """
     if target_activity not in ACTIVITIES:
         raise EvaluationError(f"unknown activity {target_activity!r}")
-    atom_names = tuple(f"atom_{k}" for k in range(codes.shape[1]))
     if variant == VARIANT_VOLUME:
-        values, names = totals[:, None], ("total_streams",)
+        values = totals[:, None]
     elif variant == VARIANT_DEMOGRAPHICS:
-        values, names = demographics, ("age_group", "gender")
+        values = demographics
     elif variant == VARIANT_OTHER_ACTIVITIES:
-        keep = [i for i, a in enumerate(ACTIVITIES) if a != target_activity]
-        values = answers[:, keep]
-        names = tuple(ACTIVITIES[i] for i in keep)
+        values = answers[:, [i for i, a in enumerate(ACTIVITIES) if a != target_activity]]
     elif variant == VARIANT_CODES:
-        values, names = codes, atom_names
+        values = codes
     elif variant == VARIANT_CODES_DEMOGRAPHICS:
         values = np.column_stack([codes, demographics])
-        names = atom_names + ("age_group", "gender")
     else:
         raise EvaluationError(f"unknown feature variant {variant!r}")
 
-    return standardize(np.asarray(values, dtype=np.float64), train_mask), names
+    return standardize(np.asarray(values, dtype=np.float64), train_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -205,17 +207,6 @@ class NewtonFit(NamedTuple):
     stop: np.ndarray        # (P,) STOP_CONVERGED, STOP_MAX_ITER or STOP_HALVING
 
 
-@dataclass(frozen=True)
-class LogRegModel:
-    weights: np.ndarray
-    intercept: float
-    l2_strength: float
-    fit: NewtonFit  # the one-problem certificate
-
-    def decision_scores(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.weights + self.intercept
-
-
 def _sigmoid(m: np.ndarray) -> np.ndarray:
     out = np.empty_like(m, dtype=np.float64)
     pos = m >= 0
@@ -226,31 +217,25 @@ def _sigmoid(m: np.ndarray) -> np.ndarray:
 
 
 def logistic_loss_and_grad(params: np.ndarray, X: np.ndarray, y01: np.ndarray,
-                           l2_strength, rows: np.ndarray | None = None):
+                           l2_strength: np.ndarray, rows: np.ndarray):
     """Mean logistic loss plus ``l2/2 * ||w||^2`` (intercept unpenalized), and its gradient.
 
-    ``params`` is ``[w_0 .. w_{f-1}, intercept]``, or a ``(P, f + 1)`` stack of
-    P problems over the same ``X``; ``l2_strength`` is one value or one per
-    problem.  Problem ``p`` averages over the rows ``rows[p]`` selects (a
-    ``(P, n)`` boolean mask; default every row).  Returns (loss, gradient): a
-    float and an ``(f + 1,)`` vector for 1-D ``params``, else ``(P,)`` and
-    ``(P, f + 1)``.
+    ``params`` is a ``(P, f + 1)`` stack of P problems over the same ``X``,
+    each ``[w_0 .. w_{f-1}, intercept]``, with the ``(P,)`` l2 strengths
+    ``l2_strength``.  Problem ``p`` averages over the rows ``rows[p]`` selects
+    (a ``(P, n)`` boolean mask).  Returns the ``(P,)`` losses and the
+    ``(P, f + 1)`` gradients.
     """
-    X = np.asarray(X, dtype=np.float64)
-    theta = np.atleast_2d(np.asarray(params, dtype=np.float64))
-    w, b = theta[:, :-1], theta[:, -1:]
-    l2 = np.asarray(l2_strength, dtype=np.float64).reshape(-1, 1)
-    weight = np.ones((1, len(X))) if rows is None else np.asarray(rows, dtype=np.float64)
-    weight = weight / weight.sum(axis=1, keepdims=True)
+    w, b = params[:, :-1], params[:, -1:]
+    l2 = l2_strength.reshape(-1, 1)
+    weight = rows / rows.sum(axis=1, keepdims=True)
     y = 2.0 * np.asarray(y01, dtype=np.float64) - 1.0
     m = w @ X.T + b
     loss = np.sum(weight * np.logaddexp(0.0, -y * m), axis=1) + 0.5 * l2[:, 0] * np.sum(w * w, axis=1)
     coef = -y * _sigmoid(-y * m) * weight
-    grad = np.empty_like(theta)
+    grad = np.empty_like(params)
     grad[:, :-1] = coef @ X + l2 * w
     grad[:, -1] = coef.sum(axis=1)
-    if np.ndim(params) == 1:
-        return float(loss[0]), grad[0]
     return loss, grad
 
 
@@ -326,13 +311,10 @@ def newton_logreg(X: np.ndarray, y01: np.ndarray, rows: np.ndarray, l2_strength,
 
 
 def train_logreg(X: np.ndarray, y01: np.ndarray, l2_strength: float,
-                 grad_tol: float = GRAD_TOL, max_iter: int = 10000) -> LogRegModel:
+                 grad_tol: float = GRAD_TOL, max_iter: int = 10000) -> NewtonFit:
     """Fit one problem on every row of ``X``: :func:`newton_logreg` with P = 1."""
-    X = np.asarray(X, dtype=np.float64)
-    fit = newton_logreg(X, y01, np.ones((1, len(X)), dtype=bool), l2_strength,
-                        grad_tol=grad_tol, max_iter=max_iter)
-    return LogRegModel(weights=fit.params[0, :-1].copy(), intercept=float(fit.params[0, -1]),
-                       l2_strength=float(l2_strength), fit=fit)
+    return newton_logreg(X, y01, np.ones((1, len(X)), dtype=bool), l2_strength,
+                         grad_tol=grad_tol, max_iter=max_iter)
 
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -428,9 +410,7 @@ class EvalConfig:
 class EvalReport:
     """Test AUC and chosen l2 per (variant, activity), plus codes-model coefficients."""
 
-    variants: tuple[str, ...]
-    activities: tuple[str, ...]
-    auc: np.ndarray          # (n_variants, n_activities)
+    auc: np.ndarray          # (n_variants, n_activities), in VARIANTS and ACTIVITIES order
     chosen_l2: np.ndarray    # (n_variants, n_activities)
     coefficients: np.ndarray  # (n_atoms, n_activities), from the codes variant
     n_train: int
@@ -444,16 +424,16 @@ class EvalReport:
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("variant,activity,auc,l2\n")
-            for vi, v in enumerate(self.variants):
-                for ai, a in enumerate(self.activities):
+            for vi, v in enumerate(VARIANTS):
+                for ai, a in enumerate(ACTIVITIES):
                     fh.write(f"{v},{a},{self.auc[vi, ai]:.6f},{self.chosen_l2[vi, ai]:g}\n")
 
     def to_table(self) -> str:
-        width = max(len(v) for v in self.variants) + 2
+        width = max(len(v) for v in VARIANTS) + 2
         lines = [f"Test ROC AUC per activity ({self.n_train} train / {self.n_test} test users)"]
-        lines.append("".ljust(width) + "".join(a.rjust(11) for a in self.activities))
-        for vi, v in enumerate(self.variants):
-            cells = "".join(f"{self.auc[vi, ai]:11.3f}" for ai in range(len(self.activities)))
+        lines.append("".ljust(width) + "".join(a.rjust(11) for a in ACTIVITIES))
+        for vi, v in enumerate(VARIANTS):
+            cells = "".join(f"{self.auc[vi, ai]:11.3f}" for ai in range(N_ACTIVITIES))
             lines.append(v.ljust(width) + cells)
         return "\n".join(lines) + "\n"
 
@@ -492,8 +472,8 @@ def evaluate_all(user_ids: Sequence[str], codes: np.ndarray, labels: Labels,
         if missing:
             raise EvaluationError(f"{len(missing)} coded users have no {what}, e.g. {missing[:3]}")
     rows = [label_row[u] for u in users]
-    codes, answers, test_mask = codes[order], labels.answers[rows], test_mask[order]
-    demographics = np.column_stack([labels.age_group[rows], labels.gender[rows]])
+    codes, answers, demographics = codes[order], labels.answers[rows], labels.demographics[rows]
+    test_mask = test_mask[order]
     volume = np.array([float(totals[u]) for u in users])
     train_mask = ~test_mask
     if not train_mask.any() or not test_mask.any():
@@ -506,23 +486,22 @@ def evaluate_all(user_ids: Sequence[str], codes: np.ndarray, labels: Labels,
     for ai, activity in enumerate(ACTIVITIES):
         y = answers[:, ai]
         for vi, variant in enumerate(VARIANTS):
-            X, _ = build_features(variant, activity, codes, answers, demographics, volume, train_mask)
+            X = build_features(variant, activity, codes, answers, demographics, volume, train_mask)
             X_train, y_train = X[train_mask], y[train_mask]
             job_seed = (config.seed, ai, vi)
             l2, grid_fits = grid_search_cv(X_train, y_train, config.l2_grid, config.cv_folds, job_seed)
-            model = train_logreg(X_train, y_train, l2)
-            newton_fits += [grid_fits, model.fit]
-            scores = model.decision_scores(X[test_mask])
-            auc[vi, ai] = roc_auc(scores, y[test_mask])
+            fit = train_logreg(X_train, y_train, l2)
+            newton_fits += [grid_fits, fit]
+            params = fit.params[0]
+            auc[vi, ai] = roc_auc(X[test_mask] @ params[:-1] + params[-1], y[test_mask])
             chosen[vi, ai] = l2
             if variant == VARIANT_CODES:
-                coefficients[:, ai] = model.weights
+                coefficients[:, ai] = params[:-1]
 
     grad_norm = np.concatenate([fit.grad_norm for fit in newton_fits])
     stop = np.concatenate([fit.stop for fit in newton_fits])
     return EvalReport(
-        variants=VARIANTS, activities=ACTIVITIES, auc=auc, chosen_l2=chosen,
-        coefficients=coefficients,
+        auc=auc, chosen_l2=chosen, coefficients=coefficients,
         n_train=int(train_mask.sum()), n_test=int(test_mask.sum()),
         fits=len(grad_norm), grad_max=float(grad_norm.max()),
         stopped_max_iter=int(np.count_nonzero(stop == STOP_MAX_ITER)),

@@ -3,9 +3,10 @@
 Each user draws a sparse mixture over a set of archetypes, each defined by a
 weekly rate profile (expected valid streams per hour-of-week slot) plus
 per-slot tendencies for the repetition / organicity / liked channels.  Every
-set is built by :func:`build_archetypes` from the JSON schema it documents:
-the stock set :data:`STOCK_ARCHETYPES`, or any number of archetypes read from
-an ``--archetypes`` file by :func:`load_archetypes`.  The four stock ones are
+set is built by :func:`build_archetypes` from the JSON schema it documents,
+as one :class:`Archetypes` table of stacked arrays: the stock set
+:data:`STOCK_ARCHETYPES`, or any number of archetypes read from an
+``--archetypes`` file by :func:`load_archetypes`.  The four stock ones are
 
 * ``commuter``    - weekday morning and evening travel peaks; linked to transport;
 * ``office``      - weekday working-hours listening with small commute bumps,
@@ -27,8 +28,8 @@ volume multiplier, keeping total volume uninformative about activities.
 Activity labels are assigned by thresholding a noisy archetype-link score at
 the population quantile of each activity's base rate, which pins realized
 rates to the base rates while the noise level tunes task difficulty; the
-answer and demographic columns go to ``labels.csv`` through
-:func:`weeklisten.evaluate.write_labels`.
+``(n, 6)`` answers and the ``(n, 2)`` demographics (age group, gender) go to
+``labels.csv`` through :func:`weeklisten.evaluate.write_labels`.
 
 Events are written through :func:`weeklisten.ingest.write_events`, one block
 of columns per user, so the events format is known only to ``ingest``.
@@ -40,8 +41,9 @@ keys, so generation is byte-reproducible and order-independent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,29 +111,15 @@ STOCK_ARCHETYPES = {"archetypes": [
 ]}
 
 
-@dataclass(frozen=True)
-class Archetype:
-    """One planted behavior template."""
+class Archetypes(NamedTuple):
+    """A set of planted behavior templates as one table: row ``a`` of each array is ``names[a]``."""
 
-    name: str
-    rate_profile: np.ndarray     # (168,) nonnegative, scaled to the common weekly volume
-    repetition: np.ndarray       # (168,) target repeat-listening ratio in [0, 1]
-    organicity: np.ndarray       # (168,) target organic ratio in [0, 1]
-    liked: np.ndarray            # (168,) target liked ratio in [0, 1]
-    activity_links: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not np.all(self.rate_profile >= 0):
-            raise SynthesisError(f"{self.name} has negative rates")
-        for arr_name in ("repetition", "organicity", "liked"):
-            arr = getattr(self, arr_name)
-            if not np.all((arr >= 0) & (arr <= 1)):
-                raise SynthesisError(f"{self.name}.{arr_name} must lie in [0, 1]")
-        for activity, p in self.activity_links.items():
-            if activity not in ACTIVITIES:
-                raise SynthesisError(f"{self.name} links unknown activity {activity!r}")
-            if not 0 <= p <= 1:
-                raise SynthesisError(f"{self.name} link probability {p} outside [0, 1]")
+    names: tuple[str, ...]
+    rates: np.ndarray       # (A, 168) nonnegative, each row scaled to the common weekly volume
+    repetition: np.ndarray  # (A, 168) target repeat-listening ratio in [0, 1]
+    organicity: np.ndarray  # (A, 168) target organic ratio in [0, 1]
+    liked: np.ndarray       # (A, 168) target liked ratio in [0, 1]
+    links: np.ndarray       # (A, 6) link probability of each activity, in ``ACTIVITIES`` order
 
 
 def hour_block(days, hours, level: float) -> np.ndarray:
@@ -149,7 +137,7 @@ def _scaled(profile: np.ndarray) -> np.ndarray:
     return profile * (WEEKLY_VOLUME / profile.sum())
 
 
-def build_archetypes(spec: dict, organic_target: float) -> tuple[Archetype, ...]:
+def build_archetypes(spec: dict, organic_target: float) -> Archetypes:
     """The archetypes of a spec in the JSON schema of :data:`STOCK_ARCHETYPES`.
 
     Schema: ``{"archetypes": [{"name", "base_rate", "volume_peaks":
@@ -161,37 +149,50 @@ def build_archetypes(spec: dict, organic_target: float) -> tuple[Archetype, ...]
     the organic target and :data:`LIKED_BASE`.  Volume profiles are rescaled
     to :data:`WEEKLY_VOLUME`.  Organicity is shifted so its volume-weighted
     mean is the organic target; then every ratio is clipped to [0.02, 0.98].
-    A spec that breaks the schema is a :class:`SynthesisError`.
+    A spec that breaks the schema, or has a negative rate, a NaN ratio, an
+    unknown activity or a link probability outside [0, 1], is a
+    :class:`SynthesisError`.
     """
     def channel(block: dict, base: float) -> np.ndarray:
         return block.get("base", base) + sum(
             (hour_block(p["days"], p["hours"], p["level"]) for p in block.get("peaks", ())),
             start=np.zeros(SLOTS_PER_WEEK))
 
-    archetypes = []
+    names, rows = [], []
     try:
         for entry in spec["archetypes"]:
+            name = entry["name"]
             volume = channel({"base": entry["base_rate"], "peaks": entry["volume_peaks"]}, 0.0)
             if not 0 < volume.sum() < np.inf:
-                raise SynthesisError(f"{entry['name']} needs a finite, positive weekly volume")
+                raise SynthesisError(f"{name} needs a finite, positive weekly volume")
             rate = _scaled(volume)
+            if not np.all(rate >= 0):
+                raise SynthesisError(f"{name} has negative rates")
             organicity = channel(entry.get("organicity", {}), organic_target)
             organicity += organic_target - float((rate * organicity).sum() / rate.sum())
-            archetypes.append(Archetype(
-                name=entry["name"], rate_profile=rate,
-                repetition=np.clip(channel(entry.get("repetition", {}), REPETITION_BASE), 0.02, 0.98),
-                organicity=np.clip(organicity, 0.02, 0.98),
-                liked=np.clip(channel(entry.get("liked", {}), LIKED_BASE), 0.02, 0.98),
-                activity_links=dict(entry.get("activity_links", {})),
-            ))
+            ratios = {"repetition": channel(entry.get("repetition", {}), REPETITION_BASE),
+                      "organicity": organicity,
+                      "liked": channel(entry.get("liked", {}), LIKED_BASE)}
+            for ratio, values in ratios.items():
+                if np.isnan(values).any():
+                    raise SynthesisError(f"{name}.{ratio} must lie in [0, 1]")
+            links = np.zeros(len(ACTIVITIES))
+            for activity, p in dict(entry.get("activity_links", {})).items():
+                if activity not in ACTIVITIES:
+                    raise SynthesisError(f"{name} links unknown activity {activity!r}")
+                if not 0 <= p <= 1:
+                    raise SynthesisError(f"{name} link probability {p} outside [0, 1]")
+                links[ACTIVITIES.index(activity)] = p
+            names.append(name)
+            rows.append((rate, *(np.clip(values, 0.02, 0.98) for values in ratios.values()), links))
     except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
         raise SynthesisError(f"archetypes do not follow the schema: {type(exc).__name__} {exc}") from exc
-    if not archetypes:
+    if not names:
         raise SynthesisError("no archetypes given")
-    return tuple(archetypes)
+    return Archetypes(tuple(names), *map(np.stack, zip(*rows)))
 
 
-def load_archetypes(path, organic_target: float) -> tuple[Archetype, ...]:
+def load_archetypes(path, organic_target: float) -> Archetypes:
     """:func:`build_archetypes` of the JSON file at ``path``; any failure is a :class:`SynthesisError` naming it."""
     try:
         return build_archetypes(json.loads(Path(path).read_text(encoding="utf-8")), organic_target)
@@ -208,7 +209,7 @@ class SynthConfig:
     seed: int = 0
     noise: float = 0.35
     organic_rate: float = 0.80
-    archetypes: tuple[Archetype, ...] | None = None  # None: the stock archetypes
+    archetypes: Archetypes | None = None  # None: the stock archetypes
 
     def __post_init__(self):
         if self.weeks < 2:
@@ -220,7 +221,7 @@ class SynthConfig:
         if not 0 < self.organic_rate < 1:
             raise SynthesisError(f"organic rate must lie in (0, 1), got {self.organic_rate}")
 
-    def resolved_archetypes(self) -> tuple[Archetype, ...]:
+    def resolved_archetypes(self) -> Archetypes:
         """``archetypes``, or the stock ones recentered to ``organic_rate``."""
         if self.archetypes is not None:
             return self.archetypes
@@ -314,18 +315,8 @@ def generate(config: SynthConfig, out_dir) -> GenerateResult:
     """Write ``events.csv``, ``favorites.csv`` and ``labels.csv`` under ``out_dir``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    archetypes = config.resolved_archetypes()
-    n_arch = len(archetypes)
-    rates = np.stack([a.rate_profile for a in archetypes])          # (A, 168)
-    reps = np.stack([a.repetition for a in archetypes])
-    orgs = np.stack([a.organicity for a in archetypes])
-    likes = np.stack([a.liked for a in archetypes])
-    link_matrix = np.zeros((n_arch, len(ACTIVITIES)))
-    for gi, a in enumerate(archetypes):
-        for activity, p in a.activity_links.items():
-            link_matrix[gi, ACTIVITIES.index(activity)] = p
-
-    alpha = np.full(n_arch, MIXTURE_CONCENTRATION)
+    _, rates, reps, orgs, likes, link_matrix = config.resolved_archetypes()
+    alpha = np.full(len(rates), MIXTURE_CONCENTRATION)
     width = max(5, len(str(config.n_users - 1)))
     noise = config.noise
 
@@ -394,7 +385,7 @@ def generate(config: SynthConfig, out_dir) -> GenerateResult:
         threshold = np.quantile(col, 1.0 - rate)
         answers[:, ai] = (col > threshold).astype(np.int8)
 
-    write_labels(labels_path, user_ids, answers, demographics[:, 0], demographics[:, 1])
+    write_labels(labels_path, user_ids, answers, demographics)
 
     return GenerateResult(
         events_path=events_path, favorites_path=favorites_path, labels_path=labels_path,

@@ -3,7 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from weeklisten import dictionary, ingest
+from weeklisten import dictionary, evaluate, ingest
 
 # 2022-01-03 00:00:00 UTC, a Monday.
 MONDAY = 1_641_168_000
@@ -71,7 +71,7 @@ def favorites_of(*triples):
 
 def auc_of(report, variant, activity):
     """Test AUC of one (variant, activity) job of an ``evaluate.EvalReport``."""
-    return float(report.auc[report.variants.index(variant), report.activities.index(activity)])
+    return float(report.auc[evaluate.VARIANTS.index(variant), evaluate.ACTIVITIES.index(activity)])
 
 
 def sparse_code(signal, atoms, lam, **kwargs):

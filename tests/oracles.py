@@ -22,6 +22,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from weeklisten.errors import SignalError
+from weeklisten.evaluate import ACTIVITIES
 from weeklisten.ingest import ORGANIC, REPEAT_PLAY_THRESHOLD
 
 SIGNAL_CHANNELS = ("volume", "repetition", "organicity", "liked")
@@ -334,18 +335,18 @@ class PlantedTruth:
 
     archetype_names: tuple
     profiles: np.ndarray          # (n_archetypes, 4, 168): volume rate + 3 ratio tendencies
-    activity_links: tuple         # one {activity: link weight} dict per archetype
+    links: np.ndarray             # (n_archetypes, 6): link weight of each activity, in ACTIVITIES order
 
     def primary_activities(self):
         """One strongest-linked activity per archetype."""
-        return tuple(max(links, key=links.get) for links in self.activity_links)
+        return tuple(ACTIVITIES[i] for i in self.links.argmax(axis=1))
 
 
 def planted_truth(config):
     """The archetypes a ``synth.SynthConfig`` generates from, as a :class:`PlantedTruth`."""
-    archetypes = config.resolved_archetypes()
+    table = config.resolved_archetypes()
     return PlantedTruth(
-        archetype_names=tuple(a.name for a in archetypes),
-        profiles=np.stack([np.stack([a.rate_profile, a.repetition, a.organicity, a.liked]) for a in archetypes]),
-        activity_links=tuple(dict(a.activity_links) for a in archetypes),
+        archetype_names=table.names,
+        profiles=np.stack([table.rates, table.repetition, table.organicity, table.liked], axis=1),
+        links=table.links,
     )

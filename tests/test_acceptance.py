@@ -177,17 +177,18 @@ def test_criterion_07_logreg_gradient():
         y = rng.integers(0, 2, n)
         if len(np.unique(y)) < 2:
             y[:2] = (0, 1)
-        l2 = float(rng.choice([0.0, 0.01, 1.0, 10.0]))
-        params = rng.normal(size=f + 1)
-        _, grad = evaluate.logistic_loss_and_grad(params, X, y, l2)
+        l2 = rng.choice([0.0, 0.01, 1.0, 10.0], size=1)
+        params = rng.normal(size=(1, f + 1))
+        every_row = np.ones((1, n), dtype=bool)
+        _, grad = evaluate.logistic_loss_and_grad(params, X, y, l2, every_row)
         fd = np.empty_like(grad)
         h = 1e-6
         for k in range(f + 1):
             e = np.zeros(f + 1)
             e[k] = h
-            lp, _ = evaluate.logistic_loss_and_grad(params + e, X, y, l2)
-            lm, _ = evaluate.logistic_loss_and_grad(params - e, X, y, l2)
-            fd[k] = (lp - lm) / (2 * h)
+            lp, _ = evaluate.logistic_loss_and_grad(params + e, X, y, l2, every_row)
+            lm, _ = evaluate.logistic_loss_and_grad(params - e, X, y, l2, every_row)
+            fd[:, k] = (lp - lm) / (2 * h)
         worst = max(worst, float(np.linalg.norm(grad - fd) / (1.0 + np.linalg.norm(grad))))
     ok = worst <= 1e-5
     _report("07 logreg-gradient", ok, f"worst relative error {worst:.2e}")

@@ -63,8 +63,8 @@ def test_synth_archetype_file_follows_organic_rate(tmp_path, capsys):
     path = tmp_path / "arch.json"
     path.write_text(json.dumps(spec))
     args = cli.build_parser().parse_args(["synth", "--archetypes", str(path), "--organic-rate", "0.6"])
-    for arch in cli._synth_config(args).resolved_archetypes():
-        assert (arch.rate_profile * arch.organicity).sum() / arch.rate_profile.sum() == pytest.approx(0.6)
+    table = cli._synth_config(args).resolved_archetypes()
+    assert (table.rates * table.organicity).sum(axis=1) / table.rates.sum(axis=1) == pytest.approx([0.6] * 4)
     assert run(["synth", "--seed", "3", "--out", str(tmp_path), "--users", "100", "--weeks", "2",
                 "--archetypes", str(path), "--organic-rate", "0.6"]) == 0
     fraction = float(capsys.readouterr().out.split("organic fraction ")[1].split(")")[0])
@@ -443,16 +443,41 @@ def test_staged_run_matches_pipeline_bytes(pipeline_dir, tmp_path):
     ("embed", ["--lasso-tol", "-1"], "lasso tolerance must be finite and > 0, got -1.0"),
     ("embed", ["--lasso-max-sweeps", "0"], "lasso sweep cap must be >= 1, got 0"),
     ("learn", ["--lambda", "nan", "--atoms", "8", "--outer-iters", "2"], "lam must be finite and >= 0, got nan"),
+    ("synth", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("learn", ["--test-frac", "nan"], "test fraction must lie in (0, 1), got nan"),
+    ("learn", ["--test-frac", "inf"], "test fraction must lie in (0, 1), got inf"),
+    ("eval", ["--test-frac", "nan"], "test fraction must lie in (0, 1), got nan"),
+    ("learn", ["--outer-iters", "-4"], "outer_iters must be >= 0, got -4"),
 ])
 def test_bad_coder_arguments_are_error_lines(pipeline_dir, tmp_path, capsys, stage, flags, message):
+    # Bad argument values of any stage, coder arguments among them.
     out = tmp_path / "out"
-    argv = [stage, "--out", str(out), "--signal-users", str(pipeline_dir / "signal_users.txt"),
-            "--signals", str(pipeline_dir / "signals.npy"), *flags]
-    if stage == "embed":
-        argv += ["--dictionary", str(pipeline_dir / "dictionary.csv")]
-    assert run(argv) == 1
+    signal_files = ["--signal-users", str(pipeline_dir / "signal_users.txt"),
+                    "--signals", str(pipeline_dir / "signals.npy")]
+    inputs = {"synth": [], "learn": signal_files,
+              "embed": signal_files + ["--dictionary", str(pipeline_dir / "dictionary.csv")],
+              "eval": ["--code-users", str(pipeline_dir / "code_users.txt"),
+                       "--codes", str(pipeline_dir / "codes.npy"), "--labels", str(pipeline_dir / "labels.csv"),
+                       "--summary", str(pipeline_dir / "user_summary.csv")]}
+    assert run([stage, "--out", str(out), *inputs[stage], *flags]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (out / f"manifest_{stage}.json").exists()
+
+
+@pytest.mark.parametrize("stage, flags, message", [
+    ("ingest", ["--min-daily-streams", "1000"], "none has 1000 valid streams (of at least 30 s) per day"),
+    ("signals", ["--min-daily-streams", "1e9"], "none has 1e+09 valid streams (of at least 30 s) per day"),
+    ("pipeline", ["--min-listen-secs", "100000"], "none has 6 valid streams (of at least 100000 s) per day"),
+])
+def test_no_active_user_is_an_error_line(pipeline_dir, tmp_path, capsys, stage, flags, message):
+    if stage == "pipeline":
+        argv = ["pipeline", "--seed", "7", *SMALL]
+    else:
+        argv = [stage, "--events", str(pipeline_dir / "events.csv"),
+                "--favorites", str(pipeline_dir / "favorites.csv")]
+    assert run([*argv, "--out", str(tmp_path), *flags]) == 1
+    assert capsys.readouterr().err == f"error: no active users: {message}\n"
+    assert not (tmp_path / "user_summary.csv").exists() and not (tmp_path / "signals.npy").exists()
 
 
 def test_nan_residuals_are_not_certified(capsys):

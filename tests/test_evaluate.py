@@ -19,8 +19,9 @@ def make_labels(n, rng=None, answers=None):
     rng = rng or np.random.default_rng(0)
     if answers is None:
         answers = rng.integers(0, 2, (n, 6))
+    demographics = rng.integers(0, [[evaluate.AGE_GROUPS], [evaluate.GENDER_CODES]], (2, n)).T
     return evaluate.Labels(tuple(f"u{i:04d}" for i in range(n)), np.asarray(answers, dtype=np.int8),
-                           rng.integers(0, 5, n).astype(np.int8), rng.integers(0, 3, n).astype(np.int8))
+                           demographics.astype(np.int8))
 
 
 # -- split_users -----------------------------------------------------------------
@@ -72,26 +73,29 @@ def inputs_fixture():
     labels = make_labels(n, rng)
     codes = rng.normal(size=(n, 8))
     totals = rng.integers(100, 5000, n).astype(np.float64)
-    demographics = np.column_stack([labels.age_group, labels.gender])
-    return codes, labels.answers, demographics, totals, np.arange(n) < 30
+    return codes, labels.answers, labels.demographics, totals, np.arange(n) < 30
 
 
 def test_features_other_activities_excludes_target(inputs_fixture):
-    values, names = evaluate.build_features("other_activities", "work", *inputs_fixture)
-    assert names == ("wake_up", "transport", "sports", "friends", "asleep")
+    _, answers, _, _, train = inputs_fixture
+    values = evaluate.build_features("other_activities", "work", *inputs_fixture)
+    others = [evaluate.ACTIVITIES.index(a) for a in ("wake_up", "transport", "sports", "friends", "asleep")]
     assert values.shape == (40, 5)
+    assert np.array_equal(values, evaluate.standardize(answers[:, others].astype(float), train))
 
 
 def test_features_volume_is_single_column(inputs_fixture):
-    values, names = evaluate.build_features("volume", "work", *inputs_fixture)
-    assert names == ("total_streams",)
+    *_, totals, train = inputs_fixture
+    values = evaluate.build_features("volume", "work", *inputs_fixture)
     assert values.shape == (40, 1)
+    assert np.array_equal(values, evaluate.standardize(totals[:, None], train))
 
 
 def test_features_codes_demographics_is_k_plus_2(inputs_fixture):
-    values, names = evaluate.build_features("codes_demographics", "work", *inputs_fixture)
+    _, _, demographics, _, train = inputs_fixture
+    values = evaluate.build_features("codes_demographics", "work", *inputs_fixture)
     assert values.shape == (40, 10)
-    assert names[-2:] == ("age_group", "gender")
+    assert np.array_equal(values[:, -2:], evaluate.standardize(demographics.astype(float), train))
 
 
 def test_features_unknown_variant(inputs_fixture):
@@ -100,7 +104,7 @@ def test_features_unknown_variant(inputs_fixture):
 
 
 def test_standardization_uses_train_stats_only(inputs_fixture):
-    values, _ = evaluate.build_features("codes", "work", *inputs_fixture)
+    values = evaluate.build_features("codes", "work", *inputs_fixture)
     train_mask = inputs_fixture[-1]
     train_rows = values[train_mask]
     assert np.abs(train_rows.mean(axis=0)).max() < 1e-9
@@ -123,8 +127,8 @@ def test_logreg_separable_training_accuracy():
     rng = np.random.default_rng(5)
     X = np.vstack([rng.normal(-2, 0.3, (30, 2)), rng.normal(2, 0.3, (30, 2))])
     y = np.r_[np.zeros(30), np.ones(30)]
-    model = evaluate.train_logreg(X, y, l2_strength=1e-4)
-    assert np.mean((model.decision_scores(X) > 0) == y) == 1.0
+    params = evaluate.train_logreg(X, y, l2_strength=1e-4).params[0]
+    assert np.mean((X @ params[:-1] + params[-1] > 0) == y) == 1.0
 
 
 def test_logreg_single_class_is_fatal():
@@ -140,17 +144,18 @@ def test_logreg_gradient_matches_finite_differences():
         y = rng.integers(0, 2, n)
         if len(np.unique(y)) < 2:
             y[0], y[1] = 0, 1
-        l2 = float(rng.choice([0.0, 0.1, 1.0]))
-        params = rng.normal(size=f + 1)
-        _, grad = evaluate.logistic_loss_and_grad(params, X, y, l2)
+        l2 = rng.choice([0.0, 0.1, 1.0], size=1)
+        params = rng.normal(size=(1, f + 1))
+        every_row = np.ones((1, n), dtype=bool)
+        _, grad = evaluate.logistic_loss_and_grad(params, X, y, l2, every_row)
         fd = np.empty_like(grad)
         h = 1e-6
         for k in range(f + 1):
             e = np.zeros(f + 1)
             e[k] = h
-            lp, _ = evaluate.logistic_loss_and_grad(params + e, X, y, l2)
-            lm, _ = evaluate.logistic_loss_and_grad(params - e, X, y, l2)
-            fd[k] = (lp - lm) / (2 * h)
+            lp, _ = evaluate.logistic_loss_and_grad(params + e, X, y, l2, every_row)
+            lm, _ = evaluate.logistic_loss_and_grad(params - e, X, y, l2, every_row)
+            fd[:, k] = (lp - lm) / (2 * h)
         assert np.linalg.norm(grad - fd) <= 1e-5 * (1.0 + np.linalg.norm(grad))
 
 
@@ -206,10 +211,10 @@ def test_newton_reports_the_iteration_cap():
     rng = np.random.default_rng(23)
     X = rng.normal(size=(60, 3))
     y = (X[:, 0] + rng.normal(size=60) > 0).astype(int)
-    capped = evaluate.train_logreg(X, y, 0.1, max_iter=1).fit
+    capped = evaluate.train_logreg(X, y, 0.1, max_iter=1)
     assert capped.stop.tolist() == [evaluate.STOP_MAX_ITER]
     assert capped.iterations.tolist() == [1] and capped.grad_norm[0] >= evaluate.GRAD_TOL
-    full = evaluate.train_logreg(X, y, 0.1).fit
+    full = evaluate.train_logreg(X, y, 0.1)
     assert full.stop.tolist() == [evaluate.STOP_CONVERGED]
     assert full.iterations[0] > 1 and full.grad_norm[0] < evaluate.GRAD_TOL
 
@@ -234,9 +239,9 @@ def test_logreg_strong_l2_shrinks_to_base_rate():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(200, 3))
     y = (rng.random(200) < 0.3).astype(int)
-    model = evaluate.train_logreg(X, y, l2_strength=1e6)
-    assert np.abs(model.weights).max() < 1e-4
-    assert np.allclose(1.0 / (1.0 + np.exp(-model.decision_scores(X))), y.mean(), atol=1e-3)
+    params = evaluate.train_logreg(X, y, l2_strength=1e6).params[0]
+    assert np.abs(params[:-1]).max() < 1e-4
+    assert np.allclose(1.0 / (1.0 + np.exp(-(X @ params[:-1] + params[-1]))), y.mean(), atol=1e-3)
 
 
 def test_logreg_loss_nonincreasing_over_refits():
@@ -246,10 +251,9 @@ def test_logreg_loss_nonincreasing_over_refits():
     X = rng.normal(size=(50, 4))
     y = rng.integers(0, 2, 50)
     y[:2] = (0, 1)
-    model = evaluate.train_logreg(X, y, 0.5)
-    params = np.r_[model.weights, model.intercept]
-    final, _ = evaluate.logistic_loss_and_grad(params, X, y, 0.5)
-    start, _ = evaluate.logistic_loss_and_grad(np.zeros(5), X, y, 0.5)
+    params = evaluate.train_logreg(X, y, 0.5).params[0]
+    final, _ = oracles.logistic_loss_and_grad(params, X, y, 0.5)
+    start, _ = oracles.logistic_loss_and_grad(np.zeros(5), X, y, 0.5)
     assert final <= start
 
 
@@ -429,13 +433,12 @@ def test_coefficient_report_shape_and_csv(tmp_path):
     rep = evaluate.evaluate_all(users, codes, labels, totals, test, evaluate.EvalConfig(seed=1))
     assert rep.coefficients.shape == (4, 6)
     assert list(users) == sorted(users)  # rows are already in user-id order
-    demographics = np.column_stack([labels.age_group, labels.gender])
     volume = np.array([float(totals[u]) for u in users])
-    X, _ = evaluate.build_features("codes", "work", codes, labels.answers, demographics, volume, ~test)
+    X = evaluate.build_features("codes", "work", codes, labels.answers, labels.demographics, volume, ~test)
     ai = evaluate.ACTIVITIES.index("work")
     l2 = rep.chosen_l2[evaluate.VARIANTS.index("codes"), ai]
-    model = evaluate.train_logreg(X[~test], labels.answers[~test, ai], l2)
-    assert np.array_equal(rep.coefficients[:, ai], model.weights)
+    fit = evaluate.train_logreg(X[~test], labels.answers[~test, ai], l2)
+    assert np.array_equal(rep.coefficients[:, ai], fit.params[0, :-1])
     path = tmp_path / "coef.csv"
     evaluate.write_coefficients_csv(rep.coefficients, path)
     lines = path.read_text().splitlines()
@@ -459,12 +462,12 @@ def test_labels_round_trip(tmp_path):
     evaluate.write_labels(path, *labels)
     text = path.read_text()
     assert text.splitlines()[1] == "u0000," + ",".join(
-        str(v) for v in [*labels.answers[0], labels.age_group[0], labels.gender[0]])
+        str(v) for v in [*labels.answers[0], *labels.demographics[0]])
     loaded = evaluate.parse_labels(path)
     assert loaded.user_ids == labels.user_ids
     assert np.array_equal(loaded.answers, labels.answers)
-    assert np.array_equal(loaded.age_group, labels.age_group)
-    assert np.array_equal(loaded.gender, labels.gender)
+    assert np.array_equal(loaded.demographics, labels.demographics)
+    assert loaded.demographics.shape == (25, 2) and loaded.demographics.dtype == np.int8
     assert evaluate.parse_labels(text.replace("\n", "\n\n").splitlines(True)).user_ids == labels.user_ids
 
 

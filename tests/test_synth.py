@@ -59,9 +59,9 @@ def test_generated_files_round_trip_ingest(thousand_users):
 
 
 def test_pure_commuter_concentrates_on_commute_slots(tmp_path):
-    commuter = synth.build_archetypes(synth.STOCK_ARCHETYPES, 0.80)[0]
-    assert commuter.name == "commuter"
-    config = synth.SynthConfig(n_users=30, weeks=4, seed=5, noise=0.0, archetypes=(commuter,))
+    commuter = synth.build_archetypes({"archetypes": synth.STOCK_ARCHETYPES["archetypes"][:1]}, 0.80)
+    assert commuter.names == ("commuter",)
+    config = synth.SynthConfig(n_users=30, weeks=4, seed=5, noise=0.0, archetypes=commuter)
     result = synth.generate(config, tmp_path)
     log, _ = ingest.parse_events(result.events_path)
     valid = ingest.filter_valid_streams(log)
@@ -116,13 +116,16 @@ def test_archetype_json_loading(tmp_path):
     ]}
     path = tmp_path / "arch.json"
     path.write_text(json.dumps(spec))
-    (arch,) = synth.load_archetypes(path, organic_target=0.8)
-    assert arch.name == "tester"
-    assert arch.rate_profile.sum() == pytest.approx(synth.WEEKLY_VOLUME)
-    assert arch.rate_profile[10] > arch.rate_profile[9]
-    assert np.all(arch.repetition == 0.6)
+    table = synth.load_archetypes(path, organic_target=0.8)
+    assert table.names == ("tester",)
+    assert all(column.shape == (1, 168) for column in table[1:5])
+    rate = table.rates[0]
+    assert rate.sum() == pytest.approx(synth.WEEKLY_VOLUME)
+    assert rate[10] > rate[9]
+    assert np.all(table.repetition == 0.6)
+    assert table.links.tolist() == [[0.0, 0.0, 1.0, 0.0, 0.0, 0.0]]  # work, in ACTIVITIES order
     # Organicity is recentered to the target under the volume weighting.
-    weighted = (arch.rate_profile * arch.organicity).sum() / arch.rate_profile.sum()
+    weighted = (rate * table.organicity[0]).sum() / rate.sum()
     assert weighted == pytest.approx(0.8, abs=1e-9)
 
 
@@ -132,11 +135,9 @@ def test_stock_archetypes_survive_a_json_round_trip(tmp_path):
     for rate in (0.01, 0.3, 0.8, 0.95, 0.99):
         stock = synth.SynthConfig(organic_rate=rate).resolved_archetypes()
         loaded = synth.load_archetypes(path, rate)
-        assert [a.name for a in loaded] == ["commuter", "office", "partygoer", "night_owl"]
+        assert loaded.names == ("commuter", "office", "partygoer", "night_owl")
         for built, read in zip(stock, loaded):
-            assert built.name == read.name and built.activity_links == read.activity_links
-            for channel in ("rate_profile", "repetition", "organicity", "liked"):
-                assert np.array_equal(getattr(built, channel), getattr(read, channel))
+            assert np.array_equal(built, read)
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -149,6 +150,12 @@ def test_stock_archetypes_survive_a_json_round_trip(tmp_path):
     ({"archetypes": [{"name": "x", "base_rate": "high", "volume_peaks": []}]}, "schema"),
     ({"archetypes": [{"name": "x", "base_rate": 0.1, "volume_peaks": [],
                       "activity_links": {"work": 2.0}}]}, "outside [0, 1]"),
+    ({"archetypes": [{"name": "x", "base_rate": 0.1,
+                      "volume_peaks": [{"days": [0], "hours": [0], "level": -1.0}]}]}, "x has negative rates"),
+    ({"archetypes": [{"name": "x", "base_rate": 0.1, "volume_peaks": [],
+                      "liked": {"base": float("nan")}}]}, "x.liked must lie in [0, 1]"),
+    ({"archetypes": [{"name": "x", "base_rate": 0.1, "volume_peaks": [],
+                      "activity_links": {"dancing": 1.0}}]}, "x links unknown activity 'dancing'"),
 ])
 def test_build_archetypes_checks_the_schema(spec, message):
     with pytest.raises(SynthesisError, match=re.escape(message)):
