@@ -27,7 +27,9 @@ with the resolved configuration, paths, seed, version, wall-clock duration and
 the only artifact carrying timing and memory, hence the only one that differs
 between byte-identical runs).  ``ingest`` also records the gate counts it
 prints: ``lines``, ``malformed``, ``valid_streams``, ``active_users`` and
-``unknown_favorite_users``.  ``learn`` and ``embed`` also record the
+``unknown_favorite_users``, plus ``parse_s``, the seconds its parse of
+``events.csv`` took; a staged ``signals``, which parses for itself, records
+``parse_s`` too.  ``learn`` and ``embed`` also record the
 codes' worst KKT residual (``kkt_max``) and the number of users above the
 certificate tolerance (``users_uncertified``), and warn when that is not 0;
 ``eval`` records its logistic fits' worst final gradient max-norm
@@ -54,9 +56,7 @@ STAGE_IDS = {"synth": 0, "split": 1, "learn": 2, "eval": 3}
 
 
 def stage_seed(base_seed: int, stage: str) -> int:
-    """Per-stage seed derived from the base seed (documented, reproducible)."""
-    if base_seed < 0:
-        raise PipelineError(f"seed must be >= 0, got {base_seed}")
+    """Per-stage seed derived from the base seed (documented, reproducible); :func:`main` checks it is >= 0."""
     ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(STAGE_IDS[stage],))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -124,13 +124,17 @@ def _resolve_period(args, valid_log) -> ingest.StudyPeriod:
 
 
 def _load_filtered(args):
-    """Shared ingest front end: parse, filter and profile; ``(profiles, period, report, valid_streams)``.
+    """Shared ingest front end: parse, filter and profile.
 
-    Each filter's input is released as soon as its output exists, so at most
-    two copies of the event columns are ever alive, and only the restricted
-    log, which the profiles carry, is alive while they are built.
+    Returns ``(profiles, period, report, valid_streams, parse_s)``, the last
+    the seconds ``parse_events`` took.  Each filter's input is released as
+    soon as its output exists, so at most two copies of the event columns are
+    ever alive, and only the restricted log, which the profiles carry, is
+    alive while they are built.
     """
+    started = time.perf_counter()
     log, report = ingest.parse_events(args.events)
+    parse_s = round(time.perf_counter() - started, 3)
     favorites = ingest.parse_favorites(args.favorites) if args.favorites else ()
     log = ingest.filter_valid_streams(log, args.min_listen_secs)
     valid_streams = len(log)
@@ -140,7 +144,7 @@ def _load_filtered(args):
         raise IngestError(f"no active users: none has {args.min_daily_streams:g} valid streams "
                           f"(of at least {args.min_listen_secs} s) per day")
     log = ingest.restrict_to_users(log, active)
-    return ingest.build_profiles(log, favorites), period, report, valid_streams
+    return ingest.build_profiles(log, favorites), period, report, valid_streams, parse_s
 
 
 def _synth_config(args) -> synth.SynthConfig:
@@ -172,8 +176,8 @@ def cmd_ingest(args) -> tuple:
     started = time.monotonic()
     out = _out_dir(args)
     front = _load_filtered(args)
-    profiles, period, report, valid_streams = front
-    gates = {"lines": report.total_lines, "malformed": report.malformed_count,
+    profiles, period, report, valid_streams, parse_s = front
+    gates = {"parse_s": parse_s, "lines": report.total_lines, "malformed": report.malformed_count,
              "valid_streams": valid_streams, "active_users": len(profiles.user_ids),
              "unknown_favorite_users": profiles.unknown_user_warnings}
     print(report.summary())
@@ -195,7 +199,8 @@ def cmd_signals(args, front=None) -> None:
     """Write the signal matrix, from ``front`` (see :func:`cmd_ingest`) or a parse of its own."""
     started = time.monotonic()
     out = _out_dir(args)
-    profiles, period, *_ = front or _load_filtered(args)
+    parses = front is None
+    profiles, period, _, _, parse_s = front or _load_filtered(args)
     sset = signals.build_signal_set(profiles, period, args.tz_offset_min)
     index_path = out / "signal_users.txt"
     matrix_path = out / "signals.npy"
@@ -203,7 +208,8 @@ def cmd_signals(args, front=None) -> None:
     print(f"built {len(sset.user_ids)} signals of {sset.matrix.shape[1]} columns")
     _write_manifest(out, "signals", args,
                     {"events": args.events, "favorites": args.favorites or ""},
-                    {"signal_users": index_path, "signals": matrix_path}, started)
+                    {"signal_users": index_path, "signals": matrix_path}, started,
+                    {"parse_s": parse_s} if parses else None)
 
 
 def cmd_learn(args) -> None:
@@ -493,6 +499,8 @@ def main(argv=None) -> int:
     if getattr(args, "threads", 1) < 1:
         parser.error("--threads must be >= 1")
     try:
+        if args.seed < 0:  # every subcommand records its seed, and the seeded ones derive from it
+            raise PipelineError(f"seed must be >= 0, got {args.seed}")
         COMMANDS[args.command](args)
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,16 @@ its writer :func:`write_favorites`.
 Events are stored columnar (:class:`EventLog`): string identifiers are interned
 into lookup tables and each event carries int32 indexes, which keeps multi-million
 row logs small and makes the downstream grouping operations plain numpy.
-Favorites parse to columns as well (:func:`parse_favorites`).
+:func:`parse_events` reads a file in byte blocks of whole lines and parses
+each block with numpy: comma and newline positions give the fields, plain
+integers are read by digit arithmetic, origins, empty ids and ranges are
+checked as masks, and each id column's distinct ids come from one
+``np.unique`` per block, made ``str`` once at the end.  One row checker
+decides every line the block parse cannot accept, and every row of the
+``csv.reader`` path, which takes over from the first block that needs it
+(a quote, ``\r``, NUL or an overlong line) and parses iterable sources; both
+paths give the same log and report.  Favorites parse to columns as well
+(:func:`parse_favorites`).
 
 The activity filter keeps users with at least one valid stream whose daily
 average meets the threshold, so every active user gets a profile.
@@ -36,11 +45,16 @@ search in their sorted keys.
 
 from __future__ import annotations
 
+import csv
+import io
+import os
 from array import array
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import storage
 from .errors import IngestError
@@ -183,103 +197,432 @@ def parse_events(source) -> tuple[EventLog, ParseReport]:
     since user index files hold one id per line.  Identifiers are interned in
     order of first appearance.
 
+    A path is read in blocks of whole lines, which numpy splits at commas and
+    newlines and whose plain integers, origins and ids it checks and reads; a
+    line it cannot accept goes to the one row checker.  From the first block
+    holding a quote, ``\\r``, NUL or a line longer than
+    ``csv.field_size_limit()`` to the end of the file, and for an iterable
+    source, ``csv.reader`` splits the rows for that checker instead.  Either
+    way the log and the report are the same.
+
     Returns the log plus a :class:`ParseReport`.
     """
+    if isinstance(source, (str, Path)):
+        parsed = _parse_blocks(source)
+        if parsed is not None:
+            return parsed.result()
     with storage.csv_rows(source, "events", IngestError) as (header, reader):
-        positions = {}
+        parsed = _EventColumns(header)
+        parsed.add_rows(reader)
+    return parsed.result()
+
+
+#: Bytes read at a time from an events file; a block ends after its last newline.
+_BLOCK_BYTES = 1 << 20
+#: A block holding one of these bytes, and every block after it, is split by
+#: ``csv.reader``: a quote may open a field holding commas or line breaks, ``\r``
+#: ends a physical line, and the reader of Python 3.10 rejects NUL.
+_CSV_ONLY = (b'"', b"\r", b"\0")
+#: Items taken at a time where each one becomes a Python object: the rows the
+#: ``csv.reader`` path collects before interning, and ids made ``str``.
+_CHUNK = 1 << 16
+#: Digits of an integer the block parse reads itself; 18 cannot overflow int64.
+_MAX_DIGITS = 18
+_POW10 = 10 ** np.arange(_MAX_DIGITS - 1, -1, -1, dtype=np.int64)
+#: First bytes of a user id that may be all whitespace: ASCII whitespace and non-ASCII bytes.
+_MAY_BE_BLANK = np.zeros(256, dtype=bool)
+_MAY_BE_BLANK[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_MAY_BE_BLANK[0x80:] = True
+#: Per-event column dtypes: user, track and album indexes, timestamp, duration, organic, tz offset.
+_DTYPES = (np.int32, np.int32, np.int32, np.int64, np.int32, bool, np.int32)
+#: The byte that ends each id inside an :class:`_Interner`.
+_END = 1
+#: Odd 64-bit multiplier of the hash :func:`_unique` sorts (the golden-ratio constant).
+_HASH_FACTOR = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _parse_blocks(path) -> "_EventColumns | None":
+    """Parse an events file block by block; None when its first block needs ``csv.reader``."""
+    parsed = None
+    offset = line_base = 0
+    with storage._read_errors(path, "events", IngestError), open(path, "rb") as fh:
+        for block in _blocks(fh):
+            if not block.isascii():
+                block.decode("utf-8")  # raises at the first byte that is not UTF-8
+            ends = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
+            if (any(byte in block for byte in _CSV_ONLY)
+                    or np.diff(ends, prepend=-1).max() > csv.field_size_limit()):
+                if parsed is None:
+                    return None
+                fh.seek(offset)
+                with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+                    parsed.add_rows(csv.reader(text), line_base)
+                break
+            skip = 0
+            if parsed is None:  # the header line
+                header = block[:ends[0]].decode("utf-8")
+                parsed = _EventColumns([h.strip() for h in header.split(",")] if header else [],
+                                       os.fstat(fh.fileno()).st_size)
+                skip = 1
+            parsed.add_lines(block, ends, line_base, skip)
+            offset += len(block)
+            line_base += len(ends)
+    return parsed
+
+
+def _blocks(fh):
+    """Blocks of about :data:`_BLOCK_BYTES` bytes of a binary file, each ending after a newline.
+
+    A last line without a newline gets one.
+    """
+    parts = []
+    while chunk := fh.read(_BLOCK_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*parts, chunk[:cut]])
+            parts = []
+        parts.append(chunk[cut:])
+    if any(parts):
+        yield b"".join([*parts, b"\n"])
+
+
+class _EventColumns:
+    """A parse in progress: the event columns, the id interners and the malformed-line report."""
+
+    def __init__(self, header: list[str], size: int | None = None):
+        """``size`` is the source's byte count, when known; the columns then never grow."""
         for col in EVENT_COLUMNS:
             if col not in header:
                 raise IngestError(f"events header is missing required column {col!r}; got {header}")
-            positions[col] = header.index(col)
-        tz_pos = header.index(TZ_COLUMN) if TZ_COLUMN in header else None
-        n_cols = len(header)
+        self.n_cols = len(header)
+        self.positions = [header.index(col) for col in EVENT_COLUMNS]
+        self.tz_pos = header.index(TZ_COLUMN) if TZ_COLUMN in header else None
+        self.interners = (_Interner(), _Interner(), _Interner())  # users, tracks, albums
+        # An event line holds n_cols - 1 commas, a line end, an origin token
+        # and five nonempty fields, so no source holds more events than this.
+        capacity = _CHUNK if size is None else size // (self.n_cols + len(ORGANIC) + 5) + 1
+        #: One column per :data:`_DTYPES` entry; the id columns hold sequence
+        #: numbers of their :class:`_Interner` until :meth:`result`.
+        self.columns = tuple(_Column(dtype, capacity) for dtype in _DTYPES)
+        self.total = 0
+        self.malformed = 0
+        self.details: list[tuple[int, str]] = []
 
-        u_pos, ts_pos, tr_pos, al_pos, or_pos, du_pos = (positions[c] for c in EVENT_COLUMNS)
-        users: dict[str, int] = {}
-        tracks: dict[str, int] = {}
-        albums: dict[str, int] = {}
-        user_idx, track_idx, album_idx = array("i"), array("i"), array("i")
-        timestamps, durations, organic, tz_offsets = array("q"), array("i"), array("b"), array("i")
-        total = 0
-        malformed = 0
-        details: list[tuple[int, str]] = []
+    def check(self, row: list[str]):
+        """The row checker: why a CSV row is malformed, or its event values.
 
-        def reject(why: str) -> None:
-            nonlocal malformed
-            malformed += 1
-            if len(details) < MAX_REPORTED_DETAILS:
-                details.append((reader.line_num, why))
+        The values are ``(user, track, album, timestamp, duration, organic, tz)``,
+        with ``tz`` :data:`TZ_UNSET` when the row gives no offset.
+        """
+        if len(row) != self.n_cols:
+            return f"expected {self.n_cols} fields, got {len(row)}"
+        u_pos, ts_pos, tr_pos, al_pos, or_pos, du_pos = self.positions
+        user, track, album = row[u_pos], row[tr_pos], row[al_pos]
+        if not user or not track or not album:
+            return "empty identifier field"
+        origin = row[or_pos]
+        if origin not in ORIGIN_TOKENS:
+            return f"unknown origin token {origin!r}"
+        try:
+            ts = int(row[ts_pos])
+        except ValueError:
+            return f"timestamp {row[ts_pos]!r} is not an integer"
+        if not TIMESTAMP_MIN <= ts <= TIMESTAMP_MAX:
+            return f"timestamp {ts} is not between {TIMESTAMP_MIN} and {TIMESTAMP_MAX}"
+        try:
+            duration = int(row[du_pos])
+        except ValueError:
+            return f"listen_duration {row[du_pos]!r} is not an integer"
+        if not 0 <= duration <= _INT32_MAX:
+            return f"listen_duration {duration} " + ("is negative" if duration < 0 else "does not fit in 32 bits")
+        tz = TZ_UNSET
+        if self.tz_pos is not None and row[self.tz_pos] != "":
+            try:
+                tz = int(row[self.tz_pos])
+            except ValueError:
+                return f"tz_offset_min {row[self.tz_pos]!r} is not an integer"
+            if not TZ_UNSET < tz <= _INT32_MAX:  # TZ_UNSET itself is the no-offset sentinel
+                return f"tz_offset_min {tz} does not fit in 32 bits"
+        if user.isspace() or "\n" in user or "\r" in user:  # it must fit on one line of a user index file
+            return f"user id {user!r} is blank or holds a line break"
+        return user, track, album, ts, duration, origin == ORGANIC, tz
 
+    def add_rows(self, reader, line_base: int = 0) -> None:
+        """Check and add the rows of a ``csv.reader``, after ``line_base`` physical lines."""
+        ids = user_ids, track_ids, album_ids = [], [], []
+        values = timestamps, durations, organic, tz_offsets = tuple(array(code) for code in "qibi")
         for row in reader:
             if not row:
                 continue  # blank line, not a record
-            total += 1
-            if len(row) != n_cols:
-                reject(f"expected {n_cols} fields, got {len(row)}")
+            self.total += 1
+            checked = self.check(row)
+            if isinstance(checked, str):
+                self._reject(line_base + reader.line_num, checked)
                 continue
-            user, track, album = row[u_pos], row[tr_pos], row[al_pos]
-            if not user or not track or not album:
-                reject("empty identifier field")
-                continue
-            origin = row[or_pos]
-            if origin not in ORIGIN_TOKENS:
-                reject(f"unknown origin token {origin!r}")
-                continue
-            try:
-                ts = int(row[ts_pos])
-            except ValueError:
-                reject(f"timestamp {row[ts_pos]!r} is not an integer")
-                continue
-            if not TIMESTAMP_MIN <= ts <= TIMESTAMP_MAX:
-                reject(f"timestamp {ts} is not between {TIMESTAMP_MIN} and {TIMESTAMP_MAX}")
-                continue
-            try:
-                duration = int(row[du_pos])
-            except ValueError:
-                reject(f"listen_duration {row[du_pos]!r} is not an integer")
-                continue
-            if not 0 <= duration <= _INT32_MAX:
-                reject(f"listen_duration {duration} "
-                       + ("is negative" if duration < 0 else "does not fit in 32 bits"))
-                continue
-            tz = TZ_UNSET
-            if tz_pos is not None and row[tz_pos] != "":
-                try:
-                    tz = int(row[tz_pos])
-                except ValueError:
-                    reject(f"tz_offset_min {row[tz_pos]!r} is not an integer")
-                    continue
-                if not TZ_UNSET < tz <= _INT32_MAX:  # TZ_UNSET itself is the no-offset sentinel
-                    reject(f"tz_offset_min {tz} does not fit in 32 bits")
-                    continue
-            u = users.get(user)
-            if u is None:  # a new user id: it must fit on one line of a user index file
-                if not user.strip() or "\n" in user or "\r" in user:
-                    reject(f"user id {user!r} is blank or holds a line break")
-                    continue
-                u = users[user] = len(users)
-            user_idx.append(u)
-            track_idx.append(tracks.setdefault(track, len(tracks)))
-            album_idx.append(albums.setdefault(album, len(albums)))
+            user, track, album, ts, duration, is_organic, tz = checked
+            user_ids.append(user)
+            track_ids.append(track)
+            album_ids.append(album)
             timestamps.append(ts)
             durations.append(duration)
-            organic.append(origin == ORGANIC)
+            organic.append(is_organic)
             tz_offsets.append(tz)
+            if len(user_ids) == _CHUNK:
+                self._append_rows(ids, values)
+        self._append_rows(ids, values)
 
-    report = ParseReport(total_lines=total, parsed=total - malformed,
-                         malformed_count=malformed, details=tuple(details))
-    if total > 0 and malformed > MAX_MALFORMED_FRACTION * total:
-        raise IngestError(f"too many malformed lines: {report.summary()}")
-    # Interning numbers ids in insertion order, so each table lists its dict's keys.
-    log = EventLog(
-        np.array(list(users), dtype=object), np.array(list(tracks), dtype=object),
-        np.array(list(albums), dtype=object),
-        np.asarray(user_idx, dtype=np.int32), np.asarray(track_idx, dtype=np.int32),
-        np.asarray(album_idx, dtype=np.int32), np.asarray(timestamps, dtype=np.int64),
-        np.asarray(durations, dtype=np.int32), np.asarray(organic, dtype=bool),
-        np.asarray(tz_offsets, dtype=np.int32),
-    )
-    return log, report
+    def _append_rows(self, ids, values) -> None:
+        """Add and clear the columns that :meth:`add_rows` collects."""
+        self._append([interner.add_strings(column) for interner, column in zip(self.interners, ids)]
+                     + [np.frombuffer(column, dtype=column.typecode) for column in values])
+        for column in ids + values:
+            del column[:]
+
+    def add_lines(self, block: bytes, ends: np.ndarray, line_base: int, skip: int = 0) -> None:
+        """Check and add the lines of ``block`` after its first ``skip``, with numpy.
+
+        ``block`` holds whole lines free of :data:`_CSV_ONLY` bytes, ending at
+        the newline positions ``ends``, after ``line_base`` physical lines.
+        Fields are found between commas and newlines, plain integers read by
+        digit arithmetic, and ids interned by :class:`_Interner`; every line that
+        this cannot accept goes to :meth:`check`, in line order.
+        """
+        # A zero-padded copy of the block keeps every fixed-width window of a field inside it.
+        pad = _MAX_DIGITS
+        padded = np.zeros(pad + len(block) + 2 * int(np.diff(ends, prepend=-1).max()) + 8, dtype=np.uint8)
+        padded[pad:pad + len(block)] = np.frombuffer(block, dtype=np.uint8)
+        ends = ends + pad
+        starts = np.empty_like(ends)
+        starts[:1] = pad
+        starts[1:] = ends[:-1] + 1
+        starts, ends = starts[skip:], ends[skip:]
+        line_base += skip
+        commas = np.flatnonzero(padded == ord(","))
+        first = np.searchsorted(commas, starts)
+        good = np.flatnonzero(np.searchsorted(commas, ends) - first == self.n_cols - 1)
+        first = first[good]
+
+        def field(k):
+            lo = starts[good] if k == 0 else commas[first + (k - 1)] + 1
+            return lo, ends[good] if k == self.n_cols - 1 else commas[first + k]
+
+        (us, ue), (ts_s, ts_e), (trs, tre), (als, ale), (ors, ore), (dus, due) = map(field, self.positions)
+        timestamps, ok = _plain_ints(padded, ts_s, ts_e)  # at most 18 digits: always in range
+        durations, plain = _plain_ints(padded, dus, due)
+        ok &= plain & (durations >= 0) & (durations <= _INT32_MAX)
+        if self.tz_pos is None:
+            tz = np.full(len(good), TZ_UNSET, dtype=np.int64)
+        else:
+            tzs, tze = field(self.tz_pos)
+            tz, plain = _plain_ints(padded, tzs, tze)
+            unset = tzs == tze
+            tz[unset] = TZ_UNSET
+            ok &= unset | (plain & (tz > TZ_UNSET) & (tz <= _INT32_MAX))
+        organic = _equals(padded, ors, ore, ORGANIC)
+        ok &= organic | _equals(padded, ors, ore, ALGORITHMIC)
+        ok &= (ue > us) & (tre > trs) & (ale > als) & ~_MAY_BE_BLANK[padded[us]]
+
+        slow = starts != ends  # every line but a blank one, which is not a record
+        self.total += int(np.count_nonzero(slow))
+        slow[good[ok]] = False
+        for i in np.flatnonzero(slow).tolist():
+            checked = self.check(block[starts[i] - pad:ends[i] - pad].decode("utf-8").split(","))
+            if isinstance(checked, str):
+                self._reject(line_base + i + 1, checked)
+                continue
+            j = int(np.searchsorted(good, i))  # the row has all its fields, so its line is good
+            ok[j] = True
+            _, _, _, timestamps[j], durations[j], organic[j], tz[j] = checked
+        kept = np.flatnonzero(ok)
+        users, tracks, albums = self.interners
+        self._append((users.add(padded, us[kept], ue[kept]), tracks.add(padded, trs[kept], tre[kept]),
+                      albums.add(padded, als[kept], ale[kept]),
+                      timestamps[kept], durations[kept], organic[kept], tz[kept]))
+
+    def _reject(self, line_no: int, why: str) -> None:
+        self.malformed += 1
+        if len(self.details) < MAX_REPORTED_DETAILS:
+            self.details.append((line_no, why))
+
+    def _append(self, columns) -> None:
+        for column, values in zip(self.columns, columns):
+            column.extend(values)
+
+    def result(self) -> tuple[EventLog, ParseReport]:
+        """The log and report; raises when too many lines were malformed."""
+        report = ParseReport(total_lines=self.total, parsed=self.total - self.malformed,
+                             malformed_count=self.malformed, details=tuple(self.details))
+        if self.total > 0 and self.malformed > MAX_MALFORMED_FRACTION * self.total:
+            raise IngestError(f"too many malformed lines: {report.summary()}")
+        columns = [column.finish() for column in self.columns]
+        tables = []
+        for seqs, interner in zip(columns, self.interners):
+            table, index_of_seq = interner.table()
+            tables.append(table)
+            np.take(index_of_seq, seqs, out=seqs)
+        return EventLog(*tables, *columns), report
+
+
+def _plain_ints(padded: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int64 values of the fields ``padded[starts:ends]``, and which fields are plain integers.
+
+    A plain integer is an optional ``-`` and 1 to :data:`_MAX_DIGITS` ASCII
+    digits.  Other fields, which Python's ``int`` may still read, are not.
+    """
+    negative = padded[starts] == ord("-")
+    n_digits = ends - starts - negative
+    plain = (n_digits >= 1) & (n_digits <= _MAX_DIGITS)
+    width = int(np.clip(n_digits.max(initial=1), 1, _MAX_DIGITS))
+    digits = sliding_window_view(padded, width)[ends - width]  # right-aligned on each field's end
+    digits -= ord("0")  # other bytes wrap to values above 9
+    digits[np.arange(width) < (width - n_digits)[:, None]] = 0  # the bytes before the digits
+    not_digit = digits > 9
+    plain &= ~not_digit.any(axis=1)
+    digits[not_digit] = 0
+    values = digits.astype(np.int64) @ _POW10[-width:]
+    np.negative(values, out=values, where=negative)
+    return values, plain
+
+
+def _equals(padded: np.ndarray, starts: np.ndarray, ends: np.ndarray, token: str) -> np.ndarray:
+    """Which fields ``padded[starts:ends]`` equal the ASCII ``token``."""
+    expected = np.frombuffer(token.encode("ascii"), dtype=np.uint8)
+    windows = sliding_window_view(padded, len(expected))[starts]
+    return (ends - starts == len(expected)) & (windows == expected).all(axis=1)
+
+
+class _Interner:
+    """Interns one id column block by block, and numbers its ids in order of first appearance.
+
+    Every distinct id of a block gets the next sequence number, in order of
+    first appearance in the block.  Ids are kept as bytes with an end marker
+    (so that an id ending in NUL stays distinct), zero-padded to a width class
+    of 8, 16, 32, ... bytes, which keeps every fixed-width array within twice
+    the bytes of its ids; one :func:`_unique` per class finds a block's
+    distinct ids.  :meth:`table` merges the blocks the same way and makes each
+    id a ``str`` only then, once.
+    """
+
+    def __init__(self):
+        self.distinct: dict[int, _Column] = {}  # width -> the blocks' distinct ids, by sequence number
+        self.seqs: dict[int, _Column] = {}  # width -> their sequence numbers
+        self.count = 0
+
+    def add(self, padded: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """Sequence numbers of the UTF-8 ids ``padded[starts:ends]``, in order.
+
+        ``padded`` must reach at least ``max(8, 2 * length)`` bytes past each
+        id's start, the widest window an id of that length is read through.
+        """
+        lengths = ends - starts
+        widths = np.left_shift(1, np.frexp(np.maximum(lengths, 7))[1])  # holds the id and its end marker
+        seq = np.empty(len(starts), dtype=np.int64)
+        parts = []
+        for width in np.flatnonzero(np.bincount(widths)).tolist():
+            rows = np.flatnonzero(widths == width)
+            ids = sliding_window_view(padded, width)[starts[rows]]
+            ids *= np.arange(width) < lengths[rows, None]
+            ids[np.arange(len(rows)), lengths[rows]] = _END
+            distinct, first, inverse = _unique(ids.view(f"S{width}").reshape(-1))
+            parts.append((width, rows, distinct, rows[first], inverse))
+        if not parts:
+            return seq
+        firsts = np.concatenate([part[3] for part in parts])
+        numbers = np.empty(len(firsts), dtype=np.int64)
+        numbers[np.argsort(firsts)] = np.arange(self.count, self.count + len(firsts))
+        self.count += len(firsts)
+        offset = 0
+        for width, rows, distinct, _, inverse in parts:
+            mine = numbers[offset:offset + len(distinct)]
+            offset += len(distinct)
+            seq[rows] = mine[inverse]
+            if width not in self.distinct:
+                self.distinct[width] = _Column(f"S{width}", _CHUNK)
+                self.seqs[width] = _Column(np.int64, _CHUNK)
+            order = np.argsort(mine)
+            self.distinct[width].extend(distinct[order])
+            self.seqs[width].extend(mine[order])
+        return seq
+
+    def add_strings(self, ids: list[str]) -> np.ndarray:
+        """Sequence numbers of ``ids``, as :meth:`add` gives them."""
+        joined = "".join(ids).encode("utf-8", "surrogatepass")
+        lengths = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
+        if len(joined) != lengths.sum():  # not all ASCII: count bytes, not characters
+            lengths = np.fromiter((len(i.encode("utf-8", "surrogatepass")) for i in ids), dtype=np.int64,
+                                  count=len(ids))
+        ends = np.cumsum(lengths)
+        joined = np.frombuffer(joined, dtype=np.uint8)
+        padded = np.zeros(len(joined) + 2 * int(lengths.max(initial=0)) + 8, dtype=np.uint8)
+        padded[:len(joined)] = joined
+        return self.add(padded, ends - lengths, ends)
+
+    def table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ids as str in order of first appearance (an object array), and the index of each sequence number."""
+        parts = []
+        for width in sorted(self.distinct):
+            ids = self.distinct.pop(width).finish()
+            seqs = self.seqs.pop(width).finish()
+            # Each class lists its ids by sequence number, so the first occurrence of an id has its least one.
+            distinct, first, inverse = _unique(ids)
+            del ids
+            parts.append((distinct, seqs, seqs[first], inverse))
+        first_seqs = np.concatenate([part[2] for part in parts]) if parts else np.empty(0, dtype=np.int64)
+        index = np.empty(len(first_seqs), dtype=np.int32)
+        index[np.argsort(first_seqs)] = np.arange(len(index))
+        table = np.empty(len(index), dtype=object)
+        index_of_seq = np.empty(self.count, dtype=np.int32)
+        offset = 0
+        for distinct, seqs, _, inverse in parts:
+            mine = index[offset:offset + len(distinct)]
+            offset += len(distinct)
+            index_of_seq[seqs] = mine[inverse]
+            table[mine] = np.fromiter((key[:-1].decode("utf-8", "surrogatepass")  # less the end marker
+                                       for i in range(0, len(distinct), _CHUNK)
+                                       for key in distinct[i:i + _CHUNK].tolist()),
+                                      dtype=object, count=len(distinct))
+        return table, index_of_seq
+
+
+def _unique(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct ids, the index of the first occurrence of each and the distinct index of each id.
+
+    ``ids`` is a fixed-width bytes array whose width is a multiple of 8.  Like
+    ``np.unique`` with ``return_index`` and ``return_inverse``, but it sorts
+    64-bit hashes of the ids rather than their bytes, which is faster; when
+    two different ids share a hash, it sorts the bytes after all.
+    """
+    words = ids.view(np.uint64).reshape(len(ids), -1)
+    hashes = words[:, 0].copy()
+    for k in range(1, words.shape[1]):
+        hashes *= _HASH_FACTOR
+        hashes ^= words[:, k]
+    _, first, inverse = np.unique(hashes, return_index=True, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    if not np.array_equal(ids[first][inverse], ids):
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        inverse = inverse.reshape(-1)
+    return ids[first], first, inverse
+
+
+class _Column:
+    """A 1-D array filled at its end; ``ndarray.resize`` grows it in place when full."""
+
+    def __init__(self, dtype, capacity: int):
+        self.data = np.empty(capacity, dtype=dtype)
+        self.size = 0
+
+    def extend(self, values: np.ndarray) -> None:
+        end = self.size + len(values)
+        if end > len(self.data):
+            self.data.resize(max(end, 2 * len(self.data)), refcheck=False)
+        self.data[self.size:end] = values
+        self.size = end
+
+    def finish(self) -> np.ndarray:
+        """The filled part, as the array itself (no copy)."""
+        self.data.resize(self.size, refcheck=False)
+        return self.data
 
 
 def write_events(path, blocks: Iterable[tuple[np.ndarray, ...]]) -> int:

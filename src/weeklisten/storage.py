@@ -1,9 +1,12 @@
 """Shared on-disk formats: CSV sources, user-index files and ``.npy`` matrix files.
 
-Every CSV input (events, favorites, labels, the user summary) is read through
-:func:`csv_rows`, which streams the open file rather than loading it whole.
-A source that cannot be opened, is not UTF-8 text, is not valid CSV or has
-no header line is the calling stage's error naming the file.
+The favorites, labels and user summary CSVs, and events given as lines, are
+read through :func:`csv_rows`, which streams the open file rather than
+loading it whole.  ``events.csv`` itself is read in byte blocks by
+``ingest.parse_events``, which turns to ``csv.reader`` only where a block
+needs it.  Either way a source that cannot be opened, is not UTF-8 text, is
+not valid CSV or has no header line is the calling stage's error naming the
+file, worded in one place.
 
 Signals and codes hand off as a user-index file (one user id per line,
 UTF-8, in row order) plus a matrix file in numpy's ``.npy`` format (float64,
@@ -34,19 +37,33 @@ def csv_rows(source, kind: str, error: type[PipelineError] = PipelineError):
     message names the line and byte column of the first bad byte.
     """
     is_path = isinstance(source, (str, Path))
-    name = f" {source}" if is_path else ""
+    with (_read_errors(source, kind, error),
+          open(source, encoding="utf-8", newline="") if is_path else nullcontext(source) as lines):
+        reader = csv.reader(lines)
+        header = next(reader, None)
+        if header is None:
+            raise error(f"{kind} source{_named(source)} is empty (missing header)")
+        yield [h.strip() for h in header], reader
+
+
+@contextmanager
+def _read_errors(source, kind: str, error: type[PipelineError]):
+    """Turn a failure to open, decode or split ``source`` into ``error`` naming ``kind`` and the path.
+
+    Shared by :func:`csv_rows` and the block parse of ``events.csv``, so both
+    word these failures alike.
+    """
     try:
-        with open(source, encoding="utf-8", newline="") if is_path else nullcontext(source) as lines:
-            reader = csv.reader(lines)
-            header = next(reader, None)
-            if header is None:
-                raise error(f"{kind} source{name} is empty (missing header)")
-            yield [h.strip() for h in header], reader
+        yield
     except UnicodeDecodeError as exc:
-        where = _undecodable_line(source) if is_path else None
-        raise error(f"cannot read {kind} source{name}: {where or exc}") from exc
+        where = _undecodable_line(source) if isinstance(source, (str, Path)) else None
+        raise error(f"cannot read {kind} source{_named(source)}: {where or exc}") from exc
     except (OSError, csv.Error) as exc:
-        raise error(f"cannot read {kind} source{name}: {exc}") from exc
+        raise error(f"cannot read {kind} source{_named(source)}: {exc}") from exc
+
+
+def _named(source) -> str:
+    return f" {source}" if isinstance(source, (str, Path)) else ""
 
 
 def _undecodable_line(path) -> str | None:

@@ -9,19 +9,24 @@ one problem on its own rows at a time.  The profile and signal oracles walk a
 list of event records (``conftest.records(log)``) one by one, find weekly
 slots with the calendar, and smooth and normalize slot by slot.  Favorites are
 the ``(user_ids, kinds, item_ids)`` columns that ``ingest.parse_favorites``
-returns.  The planted truth behind a synthetic population (its archetype
-profiles and activity links) is kept here as well, since only tests read it.
+returns.  The events parse is the per-row loop: ``csv.reader`` over the
+lines, each row checked in turn and its ids interned by dict lookups.  The
+planted truth behind a synthetic population (its archetype profiles and
+activity links) is kept here as well, since only tests read it.
 """
 
+import csv
 import itertools
 import math
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
-from weeklisten.errors import SignalError
+from weeklisten import ingest
+from weeklisten.errors import IngestError, SignalError
 from weeklisten.evaluate import ACTIVITIES
 from weeklisten.ingest import ORGANIC, REPEAT_PLAY_THRESHOLD
 
@@ -172,6 +177,107 @@ def train_logreg(X, y01, l2, grad_tol=1e-6, max_iter=10000):
         else:
             break  # no descent direction left at float precision
     return params
+
+
+# -- the events parse, row by row -----------------------------------------------
+
+def parse_events(lines):
+    """``(EventLog, ParseReport)`` of an iterable of events CSV lines, one row at a time.
+
+    Raises ``IngestError`` for a missing header column or too many malformed
+    lines, with the package's messages; ``csv.Error`` passes through.
+    """
+    reader = csv.reader(lines)
+    header = [h.strip() for h in next(reader)]
+    positions = {}
+    for col in ingest.EVENT_COLUMNS:
+        if col not in header:
+            raise IngestError(f"events header is missing required column {col!r}; got {header}")
+        positions[col] = header.index(col)
+    tz_pos = header.index(ingest.TZ_COLUMN) if ingest.TZ_COLUMN in header else None
+    n_cols = len(header)
+    u_pos, ts_pos, tr_pos, al_pos, or_pos, du_pos = (positions[c] for c in ingest.EVENT_COLUMNS)
+    int32_max = 2**31 - 1
+    users, tracks, albums = {}, {}, {}
+    user_idx, track_idx, album_idx = array("i"), array("i"), array("i")
+    timestamps, durations, organic, tz_offsets = array("q"), array("i"), array("b"), array("i")
+    total = malformed = 0
+    details = []
+
+    def reject(why):
+        nonlocal malformed
+        malformed += 1
+        if len(details) < ingest.MAX_REPORTED_DETAILS:
+            details.append((reader.line_num, why))
+
+    for row in reader:
+        if not row:
+            continue
+        total += 1
+        if len(row) != n_cols:
+            reject(f"expected {n_cols} fields, got {len(row)}")
+            continue
+        user, track, album = row[u_pos], row[tr_pos], row[al_pos]
+        if not user or not track or not album:
+            reject("empty identifier field")
+            continue
+        origin = row[or_pos]
+        if origin not in ingest.ORIGIN_TOKENS:
+            reject(f"unknown origin token {origin!r}")
+            continue
+        try:
+            ts = int(row[ts_pos])
+        except ValueError:
+            reject(f"timestamp {row[ts_pos]!r} is not an integer")
+            continue
+        if not ingest.TIMESTAMP_MIN <= ts <= ingest.TIMESTAMP_MAX:
+            reject(f"timestamp {ts} is not between {ingest.TIMESTAMP_MIN} and {ingest.TIMESTAMP_MAX}")
+            continue
+        try:
+            duration = int(row[du_pos])
+        except ValueError:
+            reject(f"listen_duration {row[du_pos]!r} is not an integer")
+            continue
+        if not 0 <= duration <= int32_max:
+            reject(f"listen_duration {duration} " + ("is negative" if duration < 0 else "does not fit in 32 bits"))
+            continue
+        tz = ingest.TZ_UNSET
+        if tz_pos is not None and row[tz_pos] != "":
+            try:
+                tz = int(row[tz_pos])
+            except ValueError:
+                reject(f"tz_offset_min {row[tz_pos]!r} is not an integer")
+                continue
+            if not ingest.TZ_UNSET < tz <= int32_max:
+                reject(f"tz_offset_min {tz} does not fit in 32 bits")
+                continue
+        u = users.get(user)
+        if u is None:
+            if not user.strip() or "\n" in user or "\r" in user:
+                reject(f"user id {user!r} is blank or holds a line break")
+                continue
+            u = users[user] = len(users)
+        user_idx.append(u)
+        track_idx.append(tracks.setdefault(track, len(tracks)))
+        album_idx.append(albums.setdefault(album, len(albums)))
+        timestamps.append(ts)
+        durations.append(duration)
+        organic.append(origin == ORGANIC)
+        tz_offsets.append(tz)
+
+    report = ingest.ParseReport(total_lines=total, parsed=total - malformed,
+                                malformed_count=malformed, details=tuple(details))
+    if total > 0 and malformed > ingest.MAX_MALFORMED_FRACTION * total:
+        raise IngestError(f"too many malformed lines: {report.summary()}")
+    log = ingest.EventLog(
+        np.array(list(users), dtype=object), np.array(list(tracks), dtype=object),
+        np.array(list(albums), dtype=object),
+        np.asarray(user_idx, dtype=np.int32), np.asarray(track_idx, dtype=np.int32),
+        np.asarray(album_idx, dtype=np.int32), np.asarray(timestamps, dtype=np.int64),
+        np.asarray(durations, dtype=np.int32), np.asarray(organic, dtype=bool),
+        np.asarray(tz_offsets, dtype=np.int32),
+    )
+    return log, report
 
 
 # -- profiles and weekly signals, record by record ------------------------------

@@ -404,6 +404,19 @@ def test_manifests_record_peak_rss_and_ingest_gate_counts(pipeline_dir, tmp_path
     assert "warning: 1 favorites referenced unknown users" in out
 
 
+def test_stages_that_parse_record_the_parse_time(pipeline_dir, tmp_path):
+    # pipeline parses once, in ingest; a staged signals parses for itself and says so.
+    def manifest(directory, name):
+        return json.loads((directory / f"manifest_{name}.json").read_text())
+
+    assert isinstance(manifest(pipeline_dir, "ingest")["parse_s"], float)
+    assert "parse_s" not in manifest(pipeline_dir, "signals")
+    config = synth.SynthConfig(n_users=120, weeks=2)
+    assert run(["signals", "--out", str(tmp_path), "--events", str(pipeline_dir / "events.csv"),
+                "--period-start", str(synth.PERIOD_START), "--period-end", str(config.period_end)]) == 0
+    assert manifest(tmp_path, "signals")["parse_s"] >= 0
+
+
 def test_eval_report_well_formed(pipeline_dir):
     lines = (pipeline_dir / "eval_report.csv").read_text().splitlines()
     assert lines[0] == "variant,activity,auc,l2"
@@ -448,20 +461,26 @@ def test_staged_run_matches_pipeline_bytes(pipeline_dir, tmp_path):
     ("learn", ["--test-frac", "inf"], "test fraction must lie in (0, 1), got inf"),
     ("eval", ["--test-frac", "nan"], "test fraction must lie in (0, 1), got nan"),
     ("learn", ["--outer-iters", "-4"], "outer_iters must be >= 0, got -4"),
+    ("ingest", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("signals", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("embed", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("export-atoms", ["--seed", "-1"], "seed must be >= 0, got -1"),
 ])
 def test_bad_coder_arguments_are_error_lines(pipeline_dir, tmp_path, capsys, stage, flags, message):
     # Bad argument values of any stage, coder arguments among them.
     out = tmp_path / "out"
     signal_files = ["--signal-users", str(pipeline_dir / "signal_users.txt"),
                     "--signals", str(pipeline_dir / "signals.npy")]
-    inputs = {"synth": [], "learn": signal_files,
+    events = ["--events", str(pipeline_dir / "events.csv"), "--favorites", str(pipeline_dir / "favorites.csv")]
+    inputs = {"synth": [], "learn": signal_files, "ingest": events, "signals": events,
               "embed": signal_files + ["--dictionary", str(pipeline_dir / "dictionary.csv")],
+              "export-atoms": ["--dictionary", str(pipeline_dir / "dictionary.csv")],
               "eval": ["--code-users", str(pipeline_dir / "code_users.txt"),
                        "--codes", str(pipeline_dir / "codes.npy"), "--labels", str(pipeline_dir / "labels.csv"),
                        "--summary", str(pipeline_dir / "user_summary.csv")]}
     assert run([stage, "--out", str(out), *inputs[stage], *flags]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (out / f"manifest_{stage}.json").exists()
+    assert not (out / f"manifest_{stage.replace('-', '_')}.json").exists()
 
 
 @pytest.mark.parametrize("stage, flags, message", [

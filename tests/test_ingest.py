@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,24 +119,37 @@ OUT_OF_RANGE = f"not between {ingest.TIMESTAMP_MIN} and {ingest.TIMESTAMP_MAX}"
     (f"ux,{-2**63},t,a,organic,60,", f"timestamp {-2**63} is {OUT_OF_RANGE}"),
 ], ids=["listen_duration", "tz_offset_min", "tz_offset_min-sentinel", "tz_offset_min-above",
         "timestamp", "timestamp-above-bound", "timestamp-below-bound", "timestamp-int64-min"])
-def test_out_of_range_integer_is_a_malformed_line(row, reason):
+def test_out_of_range_integer_is_a_malformed_line(tmp_path, row, reason):
     # The int32 minimum is the no-offset sentinel of the tz column, so it is out of range too.
     # A timestamp keeps 2**31 - 1 minutes from the int64 limits, so no offset can wrap its local clock.
+    # Lines and a file (the block parse) give the same report.
     good = [f"u{i},{MONDAY + i},t,a,organic,60,{i}" for i in range(150)]
     header = EVENTS_HEADER + ",tz_offset_min"
-    log, report = ingest.parse_events(events_csv_lines(good[:70] + [row] + good[70:], header=header))
-    assert report.details == ((72, reason),)
-    assert len(log) == 150 and "ux" not in log.users
-    with pytest.raises(IngestError, match=f"too many malformed lines: .*line 2: {reason}"):
-        ingest.parse_events(events_csv_lines([row], header=header))
+    lines = events_csv_lines(good[:70] + [row] + good[70:], header=header)
+    path = tmp_path / "events.csv"
+    path.write_text("".join(lines))
+    for source in (lines, path):
+        log, report = ingest.parse_events(source)
+        assert report.details == ((72, reason),)
+        assert len(log) == 150 and "ux" not in log.users
+    path.write_text("".join(events_csv_lines([row], header=header)))
+    for source in (events_csv_lines([row], header=header), path):
+        with pytest.raises(IngestError, match=f"too many malformed lines: .*line 2: {reason}"):
+            ingest.parse_events(source)
 
 
-def test_in_range_integer_extremes_parse():
+def test_in_range_integer_extremes_parse(tmp_path):
     header = EVENTS_HEADER + ",tz_offset_min"
     lo, hi = ingest.TIMESTAMP_MIN, ingest.TIMESTAMP_MAX
     rows = [f"u1,{lo},t,a,organic,{2**31 - 1},{-2**31 + 1}", f"u2,{hi},t,a,organic,0,{2**31 - 1}",
             f"u3,{lo},t,a,organic,60,", f"u3,{hi},t,a,organic,60,"]
-    log, report = ingest.parse_events(events_csv_lines(rows, header=header))
+    lines = events_csv_lines(rows, header=header)
+    path = tmp_path / "events.csv"
+    path.write_text("".join(lines))
+    log, report = ingest.parse_events(lines)
+    from_file = ingest.parse_events(path)
+    assert from_file[1] == report
+    assert all(np.array_equal(getattr(from_file[0], name), getattr(log, name)) for name in ingest.EventLog.__slots__)
     assert report.malformed_count == 0
     assert log.timestamps.tolist() == [lo, hi, lo, hi]
     assert log.durations.tolist() == [2**31 - 1, 0, 60, 60]
@@ -334,6 +350,135 @@ def test_events_round_trip(tmp_path_factory, blocks):
                     log.organic.tolist(), log.durations.tolist())) == rows
     assert np.all(log.tz_offset_min == ingest.TZ_UNSET)
     assert path.read_text(encoding="utf-8").splitlines()[0] == EVENTS_HEADER
+
+
+def parse_outcome(parse, source):
+    """The columns (dtype and values) and report of a parse, or its error message."""
+    try:
+        log, report = parse(source)
+    except (IngestError, csv.Error) as exc:
+        return str(exc)
+    return [(c.dtype, c.tolist()) for c in (getattr(log, name) for name in ingest.EventLog.__slots__)], report
+
+
+def edges(lo, hi):
+    return [str(lo - 1), str(lo), str(hi), str(hi + 1)]
+
+
+#: Field values the block parse must read, or hand to the row checker, as the per-row parse does.
+ODD_INTS = ["", "-", "-0", "007", "+5", "1_000", "\u0663", "\uff11\uff12", " 7", "7 ", "5.0", "--1", "0x1f", "x",
+            "9" * 18, "-" + "9" * 18, "1" + "0" * 18, "0" * 20 + "5"]
+ODD_IDS = ["", " ", "  ", "\u3000", "\x1c", "\x85", "\x0b", " u1 ", "u1 ", "\xe9", "\xfc1", "x\ty", "x y", "it's",
+           "t" * 40]
+ODD_FIELDS = {
+    "user_id": ODD_IDS, "track_id": ODD_IDS, "album_id": ODD_IDS,
+    "timestamp": ODD_INTS + edges(ingest.TIMESTAMP_MIN, ingest.TIMESTAMP_MAX),
+    "origin": ["paid", "Organic", "organic ", "", "organi", "organicx", "algorithmic"],
+    "listen_duration": ODD_INTS + edges(0, 2**31 - 1),
+    "tz_offset_min": ODD_INTS + edges(-2**31 + 1, 2**31 - 1),
+}
+
+
+def test_block_parse_reads_each_odd_field_as_the_row_oracle_does(tmp_path):
+    names = list(ingest.EVENT_COLUMNS) + [ingest.TZ_COLUMN]
+    good = [f"u{i % 3},{MONDAY + i},t{i % 4},a{i % 2},organic,{i},{i % 5}" for i in range(150)]
+    path = tmp_path / "events.csv"
+    for k, name in enumerate(names):
+        for value in ODD_FIELDS[name]:
+            row = good[0].split(",")
+            row[k] = value
+            lines = events_csv_lines(good[:70] + [",".join(row)] + good[70:], header=",".join(names))
+            path.write_text("".join(lines), encoding="utf-8")
+            assert parse_outcome(ingest.parse_events, path) == parse_outcome(oracles.parse_events, lines), (name, value)
+
+
+def int_token(lo, hi):
+    """Integer fields that the block parse leaves to the row checker, or that sit on a range edge."""
+    return st.one_of(
+        st.sampled_from(edges(lo, hi) + ODD_INTS),
+        st.integers(-2**70, 2**70).map(str),  # 19 digits and more, mostly out of range
+        st.integers(0, 10**6).map(lambda v: "0" * 20 + str(v)),  # 19 digits and more, in range
+    )
+
+
+parse_id = st.one_of(
+    st.sampled_from(ODD_IDS + ["x\x00"]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"), max_size=12),
+)
+
+#: For each column, the well-formed values of a generated row, and the values it may take instead.
+parse_fields = {
+    "user_id": (st.sampled_from(["u1", "u2", "u3"]), parse_id),
+    "timestamp": (st.integers(MONDAY, MONDAY + 13 * DAY).map(str), int_token(ingest.TIMESTAMP_MIN,
+                                                                           ingest.TIMESTAMP_MAX)),
+    "track_id": (st.sampled_from(["t1", "t2", "t3"]), parse_id),
+    "album_id": (st.sampled_from(["a1", "a2"]), parse_id),
+    "origin": (st.sampled_from(["organic", "algorithmic"]), st.sampled_from(ODD_FIELDS["origin"])),
+    "listen_duration": (st.integers(0, 400).map(str), int_token(0, 2**31 - 1)),
+    "tz_offset_min": (st.sampled_from(["", "-120", "60"]), int_token(-2**31 + 1, 2**31 - 1)),
+}
+
+
+@st.composite
+def parse_rows(draw, names):
+    """One line of an events file with these header names: a record with one or two odd fields, maybe quoted."""
+    row = [draw(parse_fields[name][0]) for name in names]
+    for k in draw(st.lists(st.integers(0, len(names) - 1), min_size=1, max_size=2)):
+        row[k] = draw(parse_fields[names[k]][1])
+    if draw(st.integers(0, 9)) == 0:  # a quoted field, which may hold a comma, a quote or a line break
+        k = draw(st.integers(0, len(row) - 1))
+        row[k] = '"' + (row[k] + draw(st.sampled_from(["", ",", '""', "\n"]))).replace('"', '""') + '"'
+    return ",".join(draw(st.sampled_from([row] * 4 + [row[:-1], row + ["x"], [], ["   "]])))
+
+
+@given(data=st.data(), tz=st.booleans(), block_bytes=st.integers(1, 512) | st.just(1 << 20),
+       line_end=st.sampled_from(["\n", "\n", "\r\n"]), final_end=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_parse_paths_agree_with_the_row_oracle(tmp_path_factory, data, tz, block_bytes, line_end, final_end):
+    # The block parse of a path, the csv.reader parse of lines and the per-row oracle agree on
+    # the log, the report or the error, whatever the blocks cut and however malformed the lines.
+    names = list(ingest.EVENT_COLUMNS) + [ingest.TZ_COLUMN] * tz
+    names = data.draw(st.permutations(names))
+    lines = [",".join(names)]
+    for item in data.draw(st.lists(st.integers(1, 150) | parse_rows(names), max_size=12)):
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        for _ in range(item):  # a run of good records over a handful of ids
+            n = len(lines)
+            good = {"user_id": f"u{n % 7}", "timestamp": str(MONDAY + n), "track_id": f"t{n % 13}",
+                    "album_id": f"a{n % 5}", "origin": ("organic", "algorithmic")[n % 2],
+                    "listen_duration": str(n % 400), "tz_offset_min": ("", str(n % 900 - 450))[n % 2]}
+            lines.append(",".join(good[name] for name in names))
+    text = line_end.join(lines) + (line_end if final_end else "")
+    path = tmp_path_factory.mktemp("blocks") / "events.csv"
+    path.write_bytes(text.encode("utf-8"))
+    source_lines = list(io.StringIO(text, newline=""))
+
+    expected = parse_outcome(oracles.parse_events, source_lines)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+        got = [parse_outcome(ingest.parse_events, source) for source in (path, source_lines)]
+    for source, result in zip((path, source_lines), got):
+        if isinstance(expected, str):
+            # The package names the path in a csv error; the oracle raises the bare csv.Error.
+            assert isinstance(result, str) and result.endswith(expected), (source, result, expected)
+        else:
+            assert result == expected
+
+
+def test_ids_that_share_a_hash_stay_distinct(tmp_path, monkeypatch):
+    # With a zero hash factor, ids of 9 to 15 bytes hash to their second 8 bytes alone, so
+    # these ids collide in pairs and the interner must compare their bytes.
+    monkeypatch.setattr(ingest, "_HASH_FACTOR", np.uint64(0))
+    ids = [f"{c * 8}_{n}" for n in range(3) for c in "ab"]
+    lines = events_csv_lines([f"u1,{MONDAY + i},{track},{track},organic,60" for i, track in enumerate(ids * 2)])
+    path = tmp_path / "events.csv"
+    path.write_text("".join(lines))
+    log, _ = ingest.parse_events(path)
+    expected, _ = oracles.parse_events(lines)
+    assert log.tracks.tolist() == log.albums.tolist() == expected.tracks.tolist() == ids
+    assert log.track_idx.tolist() == log.album_idx.tolist() == expected.track_idx.tolist() == [0, 1, 2, 3, 4, 5] * 2
 
 
 @given(triples=st.lists(st.tuples(identifier, st.sampled_from([ingest.TRACK, ingest.ALBUM]), identifier),
