@@ -24,12 +24,13 @@ row logs small and makes the downstream grouping operations plain numpy.
 each block with numpy: comma and newline positions give the fields, plain
 integers are read by digit arithmetic, origins, empty ids and ranges are
 checked as masks, and each id column's distinct ids come from one
-``np.unique`` per block, made ``str`` once at the end.  One row checker
-decides every line the block parse cannot accept, and every row of the
-``csv.reader`` path, which takes over from the first block that needs it
-(a quote, ``\r``, NUL or an overlong line) and parses iterable sources; both
-paths give the same log and report.  Favorites parse to columns as well
-(:func:`parse_favorites`).
+``np.unique`` per block, made ``str`` once at the end.  A line may end in
+``\n`` or ``\r\n``.  One row checker decides every line the block parse
+cannot accept, and every row of the ``csv.reader`` path, which takes over
+from the first block that needs it (a quote, NUL, a ``\r`` not followed by
+``\n``, or an overlong line) and parses iterable sources and files that
+cannot seek, such as pipes; both paths give the same log and report.
+Favorites parse to columns as well (:func:`parse_favorites`).
 
 The activity filter keeps users with at least one valid stream whose daily
 average meets the threshold, so every active user gets a profile.
@@ -198,19 +199,18 @@ def parse_events(source) -> tuple[EventLog, ParseReport]:
     order of first appearance.
 
     A path is read in blocks of whole lines, which numpy splits at commas and
-    newlines and whose plain integers, origins and ids it checks and reads; a
-    line it cannot accept goes to the one row checker.  From the first block
-    holding a quote, ``\\r``, NUL or a line longer than
-    ``csv.field_size_limit()`` to the end of the file, and for an iterable
-    source, ``csv.reader`` splits the rows for that checker instead.  Either
-    way the log and the report are the same.
+    line ends (``\\n`` or ``\\r\\n``) and whose plain integers, origins and
+    ids it checks and reads; a line it cannot accept goes to the one row
+    checker.  From the first block holding a quote, NUL, a ``\\r`` not
+    followed by ``\\n`` or a line longer than ``csv.field_size_limit()`` to
+    the end of the file, and for an iterable source or a file that cannot
+    seek, ``csv.reader`` splits the rows for that checker instead.  Either way
+    the log and the report are the same.
 
     Returns the log plus a :class:`ParseReport`.
     """
     if isinstance(source, (str, Path)):
-        parsed = _parse_blocks(source)
-        if parsed is not None:
-            return parsed.result()
+        return _parse_file(source).result()
     with storage.csv_rows(source, "events", IngestError) as (header, reader):
         parsed = _EventColumns(header)
         parsed.add_rows(reader)
@@ -219,10 +219,10 @@ def parse_events(source) -> tuple[EventLog, ParseReport]:
 
 #: Bytes read at a time from an events file; a block ends after its last newline.
 _BLOCK_BYTES = 1 << 20
-#: A block holding one of these bytes, and every block after it, is split by
-#: ``csv.reader``: a quote may open a field holding commas or line breaks, ``\r``
-#: ends a physical line, and the reader of Python 3.10 rejects NUL.
-_CSV_ONLY = (b'"', b"\r", b"\0")
+#: A block holding one of these bytes, or a ``\r`` that ends a line on its own,
+#: and every block after it, is split by ``csv.reader``: a quote may open a
+#: field holding commas or line breaks, and the reader of Python 3.10 rejects NUL.
+_CSV_ONLY = (b'"', b"\0")
 #: Items taken at a time where each one becomes a Python object: the rows the
 #: ``csv.reader`` path collects before interning, and ids made ``str``.
 _CHUNK = 1 << 16
@@ -237,36 +237,51 @@ _MAY_BE_BLANK[0x80:] = True
 _DTYPES = (np.int32, np.int32, np.int32, np.int64, np.int32, bool, np.int32)
 #: The byte that ends each id inside an :class:`_Interner`.
 _END = 1
-#: Odd 64-bit multiplier of the hash :func:`_unique` sorts (the golden-ratio constant).
-_HASH_FACTOR = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _parse_blocks(path) -> "_EventColumns | None":
-    """Parse an events file block by block; None when its first block needs ``csv.reader``."""
+def _parse_file(path) -> "_EventColumns":
+    """Parse an events file: in blocks up to the first one that needs ``csv.reader``, then with it.
+
+    A file that cannot seek, such as a pipe, is read once, all with ``csv.reader``.
+    """
     parsed = None
     offset = line_base = 0
     with storage._read_errors(path, "events", IngestError), open(path, "rb") as fh:
-        for block in _blocks(fh):
+        for block in _blocks(fh) if fh.seekable() else ():
             if not block.isascii():
                 block.decode("utf-8")  # raises at the first byte that is not UTF-8
-            ends = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
+            data = np.frombuffer(block, dtype=np.uint8)
+            newlines = np.flatnonzero(data == ord("\n"))
+            # A line ending in "\r\n" ends before its "\r".  The block ends with a
+            # newline, so the first line's look-back (index -1) reads a newline.
+            crlf = data[newlines - 1] == ord("\r")
             if (any(byte in block for byte in _CSV_ONLY)
-                    or np.diff(ends, prepend=-1).max() > csv.field_size_limit()):
-                if parsed is None:
-                    return None
+                    or block.count(b"\r") != np.count_nonzero(crlf)
+                    or np.diff(newlines, prepend=-1).max() > csv.field_size_limit()):
                 fh.seek(offset)
-                with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
-                    parsed.add_rows(csv.reader(text), line_base)
                 break
+            starts = np.concatenate(([0], newlines[:-1] + 1))
+            ends = newlines - crlf
             skip = 0
             if parsed is None:  # the header line
                 header = block[:ends[0]].decode("utf-8")
                 parsed = _EventColumns([h.strip() for h in header.split(",")] if header else [],
                                        os.fstat(fh.fileno()).st_size)
                 skip = 1
-            parsed.add_lines(block, ends, line_base, skip)
+            parsed.add_lines(block, starts[skip:], ends[skip:], line_base + skip)
             offset += len(block)
-            line_base += len(ends)
+            line_base += len(newlines)
+        else:
+            if parsed is not None:
+                return parsed
+        with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+            reader = csv.reader(text)
+            if parsed is None:
+                header = next(reader, None)
+                if header is None:
+                    raise IngestError(f"events source {path} is empty (missing header)")
+                parsed = _EventColumns([h.strip() for h in header])
+            parsed.add_rows(reader, line_base)
     return parsed
 
 
@@ -378,25 +393,23 @@ class _EventColumns:
         for column in ids + values:
             del column[:]
 
-    def add_lines(self, block: bytes, ends: np.ndarray, line_base: int, skip: int = 0) -> None:
-        """Check and add the lines of ``block`` after its first ``skip``, with numpy.
+    def add_lines(self, block: bytes, starts: np.ndarray, ends: np.ndarray, line_base: int) -> None:
+        """Check and add the lines ``block[starts:ends]``, with numpy.
 
-        ``block`` holds whole lines free of :data:`_CSV_ONLY` bytes, ending at
-        the newline positions ``ends``, after ``line_base`` physical lines.
-        Fields are found between commas and newlines, plain integers read by
-        digit arithmetic, and ids interned by :class:`_Interner`; every line that
-        this cannot accept goes to :meth:`check`, in line order.
+        ``block`` is free of :data:`_CSV_ONLY` bytes; its lines, without their
+        line ends, follow ``line_base`` physical lines.  Fields are found
+        between commas and line ends, plain integers read by digit arithmetic,
+        and ids interned by :class:`_Interner`; every line that this cannot
+        accept goes to :meth:`check`, in line order.
         """
+        if len(starts) == 0:
+            return
         # A zero-padded copy of the block keeps every fixed-width window of a field inside it.
         pad = _MAX_DIGITS
-        padded = np.zeros(pad + len(block) + 2 * int(np.diff(ends, prepend=-1).max()) + 8, dtype=np.uint8)
+        padded = np.zeros(pad + len(block) + 2 * int((ends - starts).max()) + 8, dtype=np.uint8)
         padded[pad:pad + len(block)] = np.frombuffer(block, dtype=np.uint8)
+        starts = starts + pad
         ends = ends + pad
-        starts = np.empty_like(ends)
-        starts[:1] = pad
-        starts[1:] = ends[:-1] + 1
-        starts, ends = starts[skip:], ends[skip:]
-        line_base += skip
         commas = np.flatnonzero(padded == ord(","))
         first = np.searchsorted(commas, starts)
         good = np.flatnonzero(np.searchsorted(commas, ends) - first == self.n_cols - 1)
@@ -498,7 +511,7 @@ class _Interner:
     first appearance in the block.  Ids are kept as bytes with an end marker
     (so that an id ending in NUL stays distinct), zero-padded to a width class
     of 8, 16, 32, ... bytes, which keeps every fixed-width array within twice
-    the bytes of its ids; one :func:`_unique` per class finds a block's
+    the bytes of its ids; one ``np.unique`` per class finds a block's
     distinct ids.  :meth:`table` merges the blocks the same way and makes each
     id a ``str`` only then, once.
     """
@@ -523,7 +536,8 @@ class _Interner:
             ids = sliding_window_view(padded, width)[starts[rows]]
             ids *= np.arange(width) < lengths[rows, None]
             ids[np.arange(len(rows)), lengths[rows]] = _END
-            distinct, first, inverse = _unique(ids.view(f"S{width}").reshape(-1))
+            distinct, first, inverse = np.unique(ids.view(f"S{width}").reshape(-1),
+                                                 return_index=True, return_inverse=True)
             parts.append((width, rows, distinct, rows[first], inverse))
         if not parts:
             return seq
@@ -536,9 +550,9 @@ class _Interner:
             mine = numbers[offset:offset + len(distinct)]
             offset += len(distinct)
             seq[rows] = mine[inverse]
-            if width not in self.distinct:
-                self.distinct[width] = _Column(f"S{width}", _CHUNK)
-                self.seqs[width] = _Column(np.int64, _CHUNK)
+            if width not in self.distinct:  # first capacity: 512 kB of ids, so a long id reserves little
+                self.distinct[width] = _Column(f"S{width}", 8 * _CHUNK // width)
+                self.seqs[width] = _Column(np.int64, 8 * _CHUNK // width)
             order = np.argsort(mine)
             self.distinct[width].extend(distinct[order])
             self.seqs[width].extend(mine[order])
@@ -564,7 +578,7 @@ class _Interner:
             ids = self.distinct.pop(width).finish()
             seqs = self.seqs.pop(width).finish()
             # Each class lists its ids by sequence number, so the first occurrence of an id has its least one.
-            distinct, first, inverse = _unique(ids)
+            distinct, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
             del ids
             parts.append((distinct, seqs, seqs[first], inverse))
         first_seqs = np.concatenate([part[2] for part in parts]) if parts else np.empty(0, dtype=np.int64)
@@ -582,27 +596,6 @@ class _Interner:
                                        for key in distinct[i:i + _CHUNK].tolist()),
                                       dtype=object, count=len(distinct))
         return table, index_of_seq
-
-
-def _unique(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct ids, the index of the first occurrence of each and the distinct index of each id.
-
-    ``ids`` is a fixed-width bytes array whose width is a multiple of 8.  Like
-    ``np.unique`` with ``return_index`` and ``return_inverse``, but it sorts
-    64-bit hashes of the ids rather than their bytes, which is faster; when
-    two different ids share a hash, it sorts the bytes after all.
-    """
-    words = ids.view(np.uint64).reshape(len(ids), -1)
-    hashes = words[:, 0].copy()
-    for k in range(1, words.shape[1]):
-        hashes *= _HASH_FACTOR
-        hashes ^= words[:, k]
-    _, first, inverse = np.unique(hashes, return_index=True, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    if not np.array_equal(ids[first][inverse], ids):
-        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-        inverse = inverse.reshape(-1)
-    return ids[first], first, inverse
 
 
 class _Column:

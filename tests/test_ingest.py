@@ -1,5 +1,8 @@
 import csv
 import io
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -432,9 +435,10 @@ def parse_rows(draw, names):
 
 
 @given(data=st.data(), tz=st.booleans(), block_bytes=st.integers(1, 512) | st.just(1 << 20),
-       line_end=st.sampled_from(["\n", "\n", "\r\n"]), final_end=st.booleans())
+       line_ends=st.sampled_from([("\n",), ("\n",), ("\r\n",), ("\r\n", "\n"), ("\n", "\n", "\r")]),
+       final_end=st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_parse_paths_agree_with_the_row_oracle(tmp_path_factory, data, tz, block_bytes, line_end, final_end):
+def test_parse_paths_agree_with_the_row_oracle(tmp_path_factory, data, tz, block_bytes, line_ends, final_end):
     # The block parse of a path, the csv.reader parse of lines and the per-row oracle agree on
     # the log, the report or the error, whatever the blocks cut and however malformed the lines.
     names = list(ingest.EVENT_COLUMNS) + [ingest.TZ_COLUMN] * tz
@@ -450,7 +454,10 @@ def test_parse_paths_agree_with_the_row_oracle(tmp_path_factory, data, tz, block
                     "album_id": f"a{n % 5}", "origin": ("organic", "algorithmic")[n % 2],
                     "listen_duration": str(n % 400), "tz_offset_min": ("", str(n % 900 - 450))[n % 2]}
             lines.append(",".join(good[name] for name in names))
-    text = line_end.join(lines) + (line_end if final_end else "")
+    # Lines end in turn with each of line_ends: "\n", "\r\n" or a lone "\r".
+    text = "".join(line + line_ends[i % len(line_ends)] for i, line in enumerate(lines))
+    if not final_end:
+        text = text.rstrip("\r\n")
     path = tmp_path_factory.mktemp("blocks") / "events.csv"
     path.write_bytes(text.encode("utf-8"))
     source_lines = list(io.StringIO(text, newline=""))
@@ -467,18 +474,54 @@ def test_parse_paths_agree_with_the_row_oracle(tmp_path_factory, data, tz, block
             assert result == expected
 
 
-def test_ids_that_share_a_hash_stay_distinct(tmp_path, monkeypatch):
-    # With a zero hash factor, ids of 9 to 15 bytes hash to their second 8 bytes alone, so
-    # these ids collide in pairs and the interner must compare their bytes.
-    monkeypatch.setattr(ingest, "_HASH_FACTOR", np.uint64(0))
-    ids = [f"{c * 8}_{n}" for n in range(3) for c in "ab"]
-    lines = events_csv_lines([f"u1,{MONDAY + i},{track},{track},organic,60" for i, track in enumerate(ids * 2)])
+def test_an_id_of_70000_bytes_parses_as_the_row_oracle_reads_it(tmp_path):
+    long_id = "x" * 70_000
+    lines = events_csv_lines([f"u1,{MONDAY + i},{track},{long_id},organic,60"
+                              for i, track in enumerate([long_id, "t1", long_id])])
     path = tmp_path / "events.csv"
     path.write_text("".join(lines))
-    log, _ = ingest.parse_events(path)
-    expected, _ = oracles.parse_events(lines)
-    assert log.tracks.tolist() == log.albums.tolist() == expected.tracks.tolist() == ids
-    assert log.track_idx.tolist() == log.album_idx.tolist() == expected.track_idx.tolist() == [0, 1, 2, 3, 4, 5] * 2
+    assert parse_outcome(ingest.parse_events, path) == parse_outcome(oracles.parse_events, lines)
+    tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+    try:
+        log, _ = ingest.parse_events(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert log.tracks.tolist() == [long_id, "t1"] and log.albums.tolist() == [long_id]
+    assert peak < 64 << 20  # no id column is reserved for thousands of such ids
+
+
+def test_crlf_line_ends_stay_in_the_block_parse(tmp_path, monkeypatch):
+    lines = events_csv_lines([f"u{i % 3},{MONDAY + i},t{i % 4},a{i % 2},organic,{i}" for i in range(300)]
+                             + ["", "u1,bad,t1,a1,organic,5"])
+    path = tmp_path / "events.csv"
+    path.write_bytes("".join(lines).replace("\n", "\r\n").encode("utf-8"))
+    expected = parse_outcome(oracles.parse_events, lines)
+
+    def no_csv_rows(*args):
+        raise AssertionError("csv.reader path taken")
+
+    monkeypatch.setattr(ingest._EventColumns, "add_rows", no_csv_rows)
+    assert parse_outcome(ingest.parse_events, path) == expected
+
+
+def test_a_pipe_is_read_once(tmp_path, monkeypatch):
+    # A file that cannot seek, such as a shell's <(zcat events.csv.gz), parses as the file does,
+    # also when a quote past the first block sends a file back to the start of its block.
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1024)
+    good = [f"u{i % 3},{MONDAY + i},t{i % 4},a{i % 2},organic,{i}" for i in range(300)]
+    good[200] = f'"u1",{MONDAY},t1,a1,organic,7'
+    path = tmp_path / "events.csv"
+    path.write_text("".join(events_csv_lines(good)))
+    fifo = tmp_path / "events.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
+    writer.start()
+    try:
+        got = parse_outcome(ingest.parse_events, fifo)
+    finally:
+        writer.join()
+    assert got == parse_outcome(ingest.parse_events, path)
 
 
 @given(triples=st.lists(st.tuples(identifier, st.sampled_from([ingest.TRACK, ingest.ALBUM]), identifier),
