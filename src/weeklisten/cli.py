@@ -25,9 +25,11 @@ Every successful run writes a ``manifest_<command>.json`` next to its outputs
 with the resolved configuration, paths, seed, version, wall-clock duration and
 ``peak_rss_mb``, its process's peak resident set size so far (the manifest is
 the only artifact carrying timing and memory, hence the only one that differs
-between byte-identical runs).  ``ingest`` also records the gate counts it
-prints: ``lines``, ``malformed``, ``valid_streams``, ``active_users`` and
-``unknown_favorite_users``, plus ``parse_s``, the seconds its parse of
+between byte-identical runs).  ``synth`` also records the counts it prints:
+``events``, ``valid_events`` and ``organic_fraction_valid``.  ``ingest``
+records the gate counts it prints: ``lines``, ``malformed``,
+``valid_streams``, ``active_users`` and ``unknown_favorite_users``, plus
+``parse_s``, the seconds its parse of
 ``events.csv`` took; a staged ``signals``, which parses for itself, records
 ``parse_s`` too.  ``learn`` and ``embed`` also record the
 codes' worst KKT residual (``kkt_max``) and the number of users above the
@@ -167,7 +169,8 @@ def cmd_synth(args) -> synth.SynthConfig:
     _write_manifest(out, "synth", args, {}, {
         "events": result.events_path, "favorites": result.favorites_path,
         "labels": result.labels_path,
-    }, started)
+    }, started, {"events": result.n_events, "valid_events": result.n_valid_events,
+                 "organic_fraction_valid": result.organic_fraction_valid})
     return config
 
 

@@ -13,18 +13,21 @@ line malformed.  Malformed lines are counted and
 reported by physical line number; more than :data:`MAX_MALFORMED_FRACTION`
 (1%) of them fails the parse.
 :func:`write_events` is the one writer of the format: it takes blocks of
-columns and writes the six required columns.  The favorites format
+columns, builds each block as one NUL-padded byte matrix and writes the six
+required columns with the NULs dropped; an id the format cannot hold
+unquoted is an error.  The favorites format
 (``user_id,kind,item_id``, kind ``track`` or ``album``) lives here too, with
 its writer :func:`write_favorites`.
 
-Events are stored columnar (:class:`EventLog`): string identifiers are interned
+Events are stored columnar (:class:`EventLog`): identifiers are interned
 into lookup tables and each event carries int32 indexes, which keeps multi-million
 row logs small and makes the downstream grouping operations plain numpy.
+Track and album ids stay bytes (:class:`IdTable`); only user ids become ``str``.
 :func:`parse_events` reads a file in byte blocks of whole lines and parses
 each block with numpy: comma and newline positions give the fields, plain
 integers are read by digit arithmetic, origins, empty ids and ranges are
 checked as masks, and each id column's distinct ids come from one
-``np.unique`` per block, made ``str`` once at the end.  A line may end in
+``np.unique`` per block.  A line may end in
 ``\n`` or ``\r\n``.  One row checker decides every line the block parse
 cannot accept, and every row of the ``csv.reader`` path, which takes over
 from the first block that needs it (a quote, NUL, a ``\r`` not followed by
@@ -146,15 +149,17 @@ class ParseReport:
 class EventLog:
     """Columnar event log: one array per field, one entry per event.
 
-    ``users``, ``tracks`` and ``albums`` are interning tables (numpy object
-    arrays of str); the per-event columns hold indexes into them.  Filtered
-    views created by :meth:`select` share the tables, so indexes stay
-    comparable across a filter chain.
+    ``users``, ``tracks`` and ``albums`` are interning tables and the
+    per-event columns hold indexes into them.  ``users`` is a numpy object
+    array of str; ``tracks`` and ``albums`` are byte tables
+    (:class:`IdTable`) that never make a ``str`` of an id.  Filtered views
+    created by :meth:`select` share the tables, so indexes stay comparable
+    across a filter chain.
     """
 
     users: np.ndarray
-    tracks: np.ndarray
-    albums: np.ndarray
+    tracks: "IdTable"
+    albums: "IdTable"
     user_idx: np.ndarray
     track_idx: np.ndarray
     album_idx: np.ndarray
@@ -473,6 +478,7 @@ class _EventColumns:
             table, index_of_seq = interner.table()
             tables.append(table)
             np.take(index_of_seq, seqs, out=seqs)
+        tables[0] = tables[0].decoded()  # user ids reach the handoff files as str
         return EventLog(*tables, *columns), report
 
 
@@ -512,8 +518,8 @@ class _Interner:
     (so that an id ending in NUL stays distinct), zero-padded to a width class
     of 8, 16, 32, ... bytes, which keeps every fixed-width array within twice
     the bytes of its ids; one ``np.unique`` per class finds a block's
-    distinct ids.  :meth:`table` merges the blocks the same way and makes each
-    id a ``str`` only then, once.
+    distinct ids.  :meth:`table` merges the blocks the same way into an
+    :class:`IdTable`, still as bytes.
     """
 
     def __init__(self):
@@ -528,7 +534,7 @@ class _Interner:
         id's start, the widest window an id of that length is read through.
         """
         lengths = ends - starts
-        widths = np.left_shift(1, np.frexp(np.maximum(lengths, 7))[1])  # holds the id and its end marker
+        widths = _width_class(lengths)
         seq = np.empty(len(starts), dtype=np.int64)
         parts = []
         for width in np.flatnonzero(np.bincount(widths)).tolist():
@@ -571,8 +577,8 @@ class _Interner:
         padded[:len(joined)] = joined
         return self.add(padded, ends - lengths, ends)
 
-    def table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ids as str in order of first appearance (an object array), and the index of each sequence number."""
+    def table(self) -> tuple["IdTable", np.ndarray]:
+        """The ids as an :class:`IdTable` in order of first appearance, and the index of each sequence number."""
         parts = []
         for width in sorted(self.distinct):
             ids = self.distinct.pop(width).finish()
@@ -584,18 +590,62 @@ class _Interner:
         first_seqs = np.concatenate([part[2] for part in parts]) if parts else np.empty(0, dtype=np.int64)
         index = np.empty(len(first_seqs), dtype=np.int32)
         index[np.argsort(first_seqs)] = np.arange(len(index))
-        table = np.empty(len(index), dtype=object)
         index_of_seq = np.empty(self.count, dtype=np.int32)
+        keys, indexes = [], []
         offset = 0
         for distinct, seqs, _, inverse in parts:
             mine = index[offset:offset + len(distinct)]
             offset += len(distinct)
             index_of_seq[seqs] = mine[inverse]
-            table[mine] = np.fromiter((key[:-1].decode("utf-8", "surrogatepass")  # less the end marker
-                                       for i in range(0, len(distinct), _CHUNK)
-                                       for key in distinct[i:i + _CHUNK].tolist()),
-                                      dtype=object, count=len(distinct))
-        return table, index_of_seq
+            keys.append(distinct)
+            indexes.append(mine)
+        return IdTable(tuple(keys), tuple(indexes)), index_of_seq
+
+
+def _width_class(lengths):
+    """The width class of ids of ``lengths`` bytes: the least of 8, 16, 32, ... above each length."""
+    return np.left_shift(1, np.frexp(np.maximum(lengths, 7))[1])
+
+
+@dataclass(frozen=True, eq=False)
+class IdTable:
+    """The distinct ids of an id column, kept as bytes: a table of track or album ids holds no ``str``.
+
+    ``keys[c]`` lists the ids of one width class (8, 16, 32, ... bytes) in
+    sorted order, each as its UTF-8 bytes, an end marker and NUL padding, and
+    ``index[c]`` holds each one's table index (int32).  Table indexes number
+    the ids in order of first appearance.
+    """
+
+    keys: tuple[np.ndarray, ...]
+    index: tuple[np.ndarray, ...]
+
+    def __len__(self) -> int:
+        return sum(map(len, self.index))
+
+    def find(self, ids: list[str]) -> np.ndarray:
+        """The table index of each of ``ids`` (int64), -1 for an id not in the table; one binary search each."""
+        found = np.full(len(ids), -1, dtype=np.int64)
+        wanted = [i.encode("utf-8", "surrogatepass") + bytes([_END]) for i in ids]
+        widths = _width_class(np.fromiter(map(len, wanted), dtype=np.int64, count=len(wanted)) - 1)
+        for keys, index in zip(self.keys, self.index):
+            rows = np.flatnonzero(widths == keys.dtype.itemsize)
+            if len(rows):
+                sought = np.array([wanted[row] for row in rows.tolist()], dtype=keys.dtype)
+                pos = np.minimum(np.searchsorted(keys, sought), len(keys) - 1)
+                hit = keys[pos] == sought
+                found[rows[hit]] = index[pos[hit]]
+        return found
+
+    def decoded(self) -> np.ndarray:
+        """The ids as ``str`` in table order (an object array)."""
+        table = np.empty(len(self), dtype=object)
+        for keys, index in zip(self.keys, self.index):
+            table[index] = np.fromiter((key[:-1].decode("utf-8", "surrogatepass")  # less the end marker
+                                        for i in range(0, len(keys), _CHUNK)
+                                        for key in keys[i:i + _CHUNK].tolist()),
+                                       dtype=object, count=len(keys))
+        return table
 
 
 class _Column:
@@ -618,34 +668,128 @@ class _Column:
         return self.data
 
 
-def write_events(path, blocks: Iterable[tuple[np.ndarray, ...]]) -> int:
+class IdPatterns(NamedTuple):
+    """An id column of :func:`write_events` given as patterns over the row's user id.
+
+    Id ``i`` is ``heads[kind[i]]``, the user id of row ``i``,
+    ``tails[kind[i]]`` and then ``counter[i]`` in decimal, which a negative
+    counter leaves out.
+    """
+
+    heads: tuple[str, ...]
+    tails: tuple[str, ...]
+    kind: np.ndarray
+    counter: np.ndarray
+
+
+#: Characters an id may not hold: the writer writes ids unquoted, and drops NUL.
+_NOT_IN_IDS = (",", '"', "\r", "\n", "\0")
+
+
+def write_events(path, blocks: Iterable[tuple]) -> int:
     """Write ``events.csv`` from blocks of columns; returns the number of event lines.
 
-    Each block holds one equal-length numpy array per :data:`EVENT_COLUMNS`
-    entry, in that order: user ids, epoch-second timestamps, track ids, album
-    ids, an ``organic`` boolean and listen durations.  Each column goes
-    through ``.tolist()`` once and each block is written as one string.  No
-    tz column is written.  Identifiers are written unquoted, so they must not
-    hold a comma, a quote or a line break.
+    Each block holds one equal-length column per :data:`EVENT_COLUMNS` entry,
+    in that order: user ids, epoch-second timestamps, track ids, album ids,
+    an ``organic`` boolean and listen durations.  An id column is an array of
+    ``str`` or of UTF-8 ``bytes`` (numpy ``S``), and a track or album column
+    may instead be :class:`IdPatterns` over the user ids.  Each block becomes
+    one NUL-padded ``uint8`` matrix with a row per line and fixed columns
+    (ids as bytes, integers as digits from ``np.divmod``, origin tokens from
+    a byte table), written with its NUL bytes dropped.  No tz column is
+    written.  Ids are written unquoted, so an id holding a comma, a quote, a
+    line break or NUL raises :class:`IngestError`, naming it.
     """
-    tokens = (ALGORITHMIC, ORGANIC)
-    origin = EVENT_COLUMNS.index("origin")
-    row = ",".join(["%s"] * len(EVENT_COLUMNS)) + "\n"
+    origins = _utf8_rows([ALGORITHMIC, ORGANIC])
     lines = 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(EVENT_COLUMNS) + "\n")
-        for block in blocks:
-            columns = [col.tolist() for col in block]
-            columns[origin] = [tokens[o] for o in columns[origin]]
-            fh.write("".join([row % fields for fields in zip(*columns)]))
-            lines += len(columns[0])
+    with open(path, "wb") as fh:
+        fh.write((",".join(EVENT_COLUMNS) + "\n").encode("ascii"))
+        for users, timestamps, tracks, albums, organic, durations in blocks:
+            user = _id_bytes("user", users)
+            fields = [[user], [_digits(timestamps)], _id_pieces("track", tracks, user),
+                      _id_pieces("album", albums, user), [origins[np.asarray(organic, dtype=np.intp)]],
+                      [_digits(durations)]]
+            widths = [piece.shape[1] for field in fields for piece in field]
+            rows = np.zeros((len(user), sum(widths) + len(fields)), dtype=np.uint8)
+            col = 0
+            for field in fields:
+                for piece in field:
+                    rows[:, col:col + piece.shape[1]] = piece
+                    col += piece.shape[1]
+                rows[:, col] = ord(",")
+                col += 1
+            rows[:, -1] = ord("\n")
+            fh.write(rows[rows != 0])
+            lines += len(rows)
     return lines
+
+
+def _utf8_rows(strings: list[str]) -> np.ndarray:
+    """``strings`` in UTF-8, one NUL-padded ``uint8`` row each."""
+    encoded = np.array([string.encode("utf-8") for string in strings], dtype=bytes)
+    return encoded.view(np.uint8).reshape(len(encoded), encoded.dtype.itemsize)
+
+
+def _check_ids(name: str, ids: list[str]) -> None:
+    """Raise naming the first of ``ids`` that holds one of :data:`_NOT_IN_IDS`."""
+    joined = "".join(ids)
+    if any(char in joined for char in _NOT_IN_IDS):
+        bad = next(i for i in ids if any(char in i for char in _NOT_IN_IDS))
+        raise IngestError(f"{name} id {bad!r} holds a comma, quote, line break or NUL, "
+                          "which events.csv cannot hold")
+
+
+def _id_bytes(name: str, ids: np.ndarray) -> np.ndarray:
+    """The ids of a ``str`` or ``bytes`` column as UTF-8, one NUL-padded ``uint8`` row each."""
+    if ids.dtype.kind != "S":
+        strings = ids.tolist()
+        _check_ids(name, strings)
+        return _utf8_rows(strings)
+    rows = ids.view(np.uint8).reshape(len(ids), ids.dtype.itemsize)
+    bad = np.isin(rows, np.frombuffer(b',"\r\n', dtype=np.uint8)).any(axis=1)
+    bad |= ((rows[:, :-1] == 0) & (rows[:, 1:] != 0)).any(axis=1)  # a NUL before a byte of the id
+    if bad.any():
+        _check_ids(name, [ids[np.argmax(bad)].decode("utf-8", "replace")])
+    return rows
+
+
+def _id_pieces(name: str, ids, user: np.ndarray) -> list[np.ndarray]:
+    """The ``uint8`` row pieces that spell out a track or album column, given the user id rows."""
+    if not isinstance(ids, IdPatterns):
+        return [_id_bytes(name, ids)]
+    _check_ids(f"{name} pattern", [*ids.heads, *ids.tails])
+    kind = np.asarray(ids.kind, dtype=np.intp)
+    counter = np.asarray(ids.counter)
+    digits = _digits(np.maximum(counter, 0))
+    digits[counter < 0] = 0
+    return [_utf8_rows(ids.heads)[kind], user, _utf8_rows(ids.tails)[kind], digits]
+
+
+def _digits(values) -> np.ndarray:
+    """Integers in decimal ASCII, one right-aligned ``uint8`` row each, NUL before the sign or first digit."""
+    values = np.asarray(values, dtype=np.int64)
+    negative = values < 0
+    magnitude = np.abs(values).view(np.uint64)  # the int64 minimum too
+    largest = int(magnitude.max(initial=0))
+    if largest <= _INT32_MAX:
+        magnitude = magnitude.astype(np.int32)
+    sign = int(negative.any())
+    rows = np.zeros((len(values), sign + len(str(largest))), dtype=np.uint8)
+    last = rows.shape[1] - 1
+    for k in range(last, sign - 1, -1):
+        shown = (magnitude != 0) | (k == last)
+        magnitude, digit = np.divmod(magnitude, 10)
+        rows[:, k] = np.where(shown, digit + ord("0"), 0)
+    if sign:
+        neg = np.flatnonzero(negative)
+        rows[neg, last - np.count_nonzero(rows[neg], axis=1)] = ord("-")
+    return rows
 
 
 def write_favorites(path, user_ids: list[str], kinds: list[str], item_ids: list[str]) -> None:
     """Write the favorites CSV from the three columns :func:`parse_favorites` returns.
 
-    Identifiers are written unquoted, as in :func:`write_events`.
+    Identifiers are written unquoted, so they must not hold a comma, a quote or a line break.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(FAVORITES_COLUMNS) + "\n")
@@ -695,13 +839,9 @@ def filter_active_users(log: EventLog, period: StudyPeriod,
 
 def restrict_to_users(log: EventLog, user_ids: Iterable[str]) -> EventLog:
     """View of ``log`` containing only events of the given users; ``log`` itself when that is all of them."""
-    keep = _members(log.users, set(user_ids))[log.user_idx]
+    wanted = set(user_ids)
+    keep = np.fromiter((user in wanted for user in log.users), count=len(log.users), dtype=bool)[log.user_idx]
     return log if keep.all() else log.select(keep)
-
-
-def _members(table: np.ndarray, wanted: set[str]) -> np.ndarray:
-    """Boolean mask of the ids of an interning ``table`` that are in ``wanted``; one scan."""
-    return np.fromiter((t in wanted for t in table), count=len(table), dtype=bool)
 
 
 class Profiles(NamedTuple):
@@ -755,16 +895,17 @@ def build_profiles(log: EventLog, favorites=()) -> Profiles:
     active_days = np.bincount(user_sorted[new_day], minlength=n_users)
     del day, user_sorted, new_day
 
-    # Favorites are looked up only among the favorited ids, each kind in its
-    # own table, as sorted keys ``user_idx * len(table) + item_idx``.
+    # Favorites are found by binary search in the byte table of their kind,
+    # and kept as sorted keys ``user_idx * len(table) + item_idx``.
     user_pos = dict(zip(names, present.tolist()))
-    rows = list(zip(*favorites))
+    fav_users, fav_kinds, fav_items = favorites or ((), (), ())
+    fav_user = np.array([user_pos.get(user, -1) for user in fav_users], dtype=np.int64)
     fav_keys = {}
     for kind, table in ((TRACK, log.tracks), (ALBUM, log.albums)):
-        hits = np.flatnonzero(_members(table, {item for _, k, item in rows if k == kind}))
-        pos = dict(zip(table[hits].tolist(), hits.tolist()))
-        fav_keys[kind] = np.unique(np.array([user_pos[user] * len(table) + pos[item] for user, k, item in rows
-                                             if k == kind and user in user_pos and item in pos], dtype=np.int64))
+        rows = [i for i, k in enumerate(fav_kinds) if k == kind]
+        user, item = fav_user[rows], table.find([fav_items[i] for i in rows])
+        found = (user >= 0) & (item >= 0)
+        fav_keys[kind] = np.unique(user[found] * len(table) + item[found])
     album_liked = _in_sorted(_pair_keys(log.user_idx, log.album_idx, len(log.albums)), fav_keys[ALBUM])
 
     # One stable sort of the (user, track) pair keys groups the events of each
@@ -801,7 +942,7 @@ def build_profiles(log: EventLog, favorites=()) -> Profiles:
         user_ids=tuple(names[i] for i in order),
         row_of_user=row_of_user,
         summary=summary[present[order]],
-        unknown_user_warnings=sum(user not in user_pos for user, _, _ in rows),
+        unknown_user_warnings=int(np.count_nonzero(fav_user < 0)),
     )
 
 

@@ -32,7 +32,10 @@ rates to the base rates while the noise level tunes task difficulty; the
 ``labels.csv`` through :func:`weeklisten.evaluate.write_labels`.
 
 Events are written through :func:`weeklisten.ingest.write_events`, one block
-of columns per user, so the events format is known only to ``ingest``.
+of columns per :data:`USERS_PER_BLOCK` users, so the events format is known
+only to ``ingest``.  A track or album id is a kind code and a counter, which
+the writer spells out after the user id through :class:`ingest.IdPatterns`
+(:data:`TRACK_IDS`, :data:`ALBUM_IDS`): no event id is made a ``str`` here.
 
 All randomness flows from one seed through per-user ``SeedSequence`` spawn
 keys, so generation is byte-reproducible and order-independent.
@@ -109,6 +112,18 @@ STOCK_ARCHETYPES = {"archetypes": [
                                        {"days": EVERY_DAY, "hours": [6, 7], "level": 0.08}]},
      "activity_links": {"asleep": 1.0, "wake_up": 0.7}},
 ]}
+
+
+#: Kind codes of a synthetic event's track and album: a favorited track, a
+#: track of the favorited album, a heavy-rotation track, a fresh track, a skip.
+FAVORITE, FAVORITE_ALBUM, HEAVY, FRESH, SKIP = range(5)
+#: The ids of each kind, as the heads and tails of :class:`ingest.IdPatterns`:
+#: head, user id, tail, then the counter unless it is negative.
+TRACK_IDS = (("",) * 5, ("_t_fav", "_t_alb", "_t_h", "_t_f", "_t_s"))
+ALBUM_IDS = (("",) * 4 + ("al_",), ("_al_fav", "_alb", "_al_h", "_al_f", "_t_s"))
+
+#: Users whose events :func:`generate` hands to the writer as one block.
+USERS_PER_BLOCK = 64
 
 
 class Archetypes(NamedTuple):
@@ -254,10 +269,14 @@ def _smooth_random_profile(rng: np.random.Generator) -> np.ndarray:
     return _scaled(rough)
 
 
-def _user_events(rng, config: SynthConfig, uid: str, rate: np.ndarray,
-                 rep_p: np.ndarray, org_p: np.ndarray, liked_p: np.ndarray,
-                 has_favorites: bool) -> tuple[tuple[np.ndarray, ...], int, int]:
-    """One user's events as :func:`ingest.write_events` columns in time order, plus (n_valid, n_organic_valid)."""
+def _user_events(rng, config: SynthConfig, rate: np.ndarray, rep_p: np.ndarray, org_p: np.ndarray,
+                 liked_p: np.ndarray, has_favorites: bool) -> tuple[tuple[np.ndarray, ...], int, int]:
+    """One user's events in time order, plus (n_valid, n_organic_valid).
+
+    The columns are timestamps, the kind code of the track and album ids, the
+    track and album counters (see :data:`TRACK_IDS`), the ``organic`` flags
+    and durations.
+    """
     weeks = config.weeks
     counts = rng.poisson(lam=rate, size=(weeks, SLOTS_PER_WEEK))
     cells = np.repeat(np.arange(weeks * SLOTS_PER_WEEK), counts.ravel())
@@ -274,23 +293,18 @@ def _user_events(rng, config: SynthConfig, uid: str, rate: np.ndarray,
     liked_ev = draw < lp
     heavy_ev = ~liked_ev & (draw < rep_p[slots])
 
-    liked_tracks = np.array([f"{uid}_t_fav{i}" for i in range(6)]
-                            + [f"{uid}_t_alb{i}" for i in range(4)], dtype=object)
-    liked_albums = np.array([f"{uid}_al_fav{i}" for i in range(6)] + [f"{uid}_alb"] * 4, dtype=object)
-    heavy_tracks = np.array([f"{uid}_t_h{i}" for i in range(12)], dtype=object)
-    heavy_albums = np.array([f"{uid}_al_h{i}" for i in range(12)], dtype=object)
-
-    tracks = np.empty(n, dtype=object)
-    albums = np.empty(n, dtype=object)
-    pick = rng.integers(0, len(liked_tracks), size=n)
-    tracks[liked_ev] = liked_tracks[pick[liked_ev]]
-    albums[liked_ev] = liked_albums[pick[liked_ev]]
-    pick_h = rng.integers(0, len(heavy_tracks), size=n)
-    tracks[heavy_ev] = heavy_tracks[pick_h[heavy_ev]]
-    albums[heavy_ev] = heavy_albums[pick_h[heavy_ev]]
-    fresh = np.flatnonzero(~(liked_ev | heavy_ev))
-    tracks[fresh] = np.array([f"{uid}_t_f{c}" for c in range(fresh.size)], dtype=object)
-    albums[fresh] = np.array([f"{uid}_al_f{c}" for c in range(fresh.size)], dtype=object)
+    # Liked events pick one of 6 favorited tracks or 4 tracks of the favorited
+    # album, heavy ones one of 12 tracks; every other event gets a fresh track.
+    kind = np.full(n, FRESH, dtype=np.int8)
+    counter = np.empty(n, dtype=np.int64)
+    pick = rng.integers(0, 10, size=n)[liked_ev]
+    kind[liked_ev] = np.where(pick < 6, FAVORITE, FAVORITE_ALBUM)
+    counter[liked_ev] = pick % 6
+    pick_h = rng.integers(0, 12, size=n)
+    kind[heavy_ev] = HEAVY
+    counter[heavy_ev] = pick_h[heavy_ev]
+    fresh = kind == FRESH
+    counter[fresh] = np.arange(np.count_nonzero(fresh))
 
     # Short skipped streams on top; they must fall below the validity cutoff.
     skip_counts = rng.poisson(lam=rate * SKIP_RATE, size=(weeks, SLOTS_PER_WEEK))
@@ -299,13 +313,12 @@ def _user_events(rng, config: SynthConfig, uid: str, rate: np.ndarray,
     s_timestamps = PERIOD_START + s_cells * 3600 + rng.integers(0, 3600, size=m)
     s_durations = rng.integers(1, 30, size=m)
     s_organic = rng.random(m) < org_p[s_cells % SLOTS_PER_WEEK]
-    s_tracks = np.array([f"{uid}_t_s{i}" for i in range(m)], dtype=object)
 
     all_ts = np.concatenate([timestamps, s_timestamps])
     order = np.argsort(all_ts, kind="stable")
-    columns = (np.full(n + m, uid, dtype=object), all_ts[order],
-               np.concatenate([tracks, s_tracks])[order],
-               np.concatenate([albums, "al_" + s_tracks])[order],
+    kind = np.concatenate([kind, np.full(m, SKIP, dtype=np.int8)])[order]
+    counter = np.concatenate([counter, np.arange(m)])[order]
+    columns = (all_ts[order], kind, counter, np.where(kind == FAVORITE_ALBUM, -1, counter),
                np.concatenate([organic, s_organic])[order],
                np.concatenate([durations, s_durations])[order])
     return columns, n, int(organic.sum())
@@ -325,6 +338,7 @@ def generate(config: SynthConfig, out_dir) -> GenerateResult:
     labels_path = out_dir / "labels.csv"
 
     user_ids = [f"u{uidx:0{width}d}" for uidx in range(config.n_users)]
+    user_bytes = np.array(user_ids, dtype=bytes)
     has_favorites = [uidx % 50 != 49 for uidx in range(config.n_users)]
     link_scores = np.zeros((config.n_users, len(ACTIVITIES)))
     label_noise = np.zeros_like(link_scores)
@@ -332,7 +346,8 @@ def generate(config: SynthConfig, out_dir) -> GenerateResult:
     valid_counts = np.zeros((config.n_users, 2), dtype=np.int64)  # valid, organic valid
 
     def user_blocks():
-        for uidx, uid in enumerate(user_ids):
+        pending = []  # the columns of each user of the block so far
+        for uidx in range(config.n_users):
             rng = _user_rng(config.seed, uidx)
 
             w = rng.dirichlet(alpha)
@@ -352,12 +367,18 @@ def generate(config: SynthConfig, out_dir) -> GenerateResult:
             liked_p = np.minimum(liked_p, rep_p)
 
             columns, valid, organic_valid = _user_events(
-                rng, config, uid, rate, rep_p, org_p, liked_p, has_favorites[uidx])
+                rng, config, rate, rep_p, org_p, liked_p, has_favorites[uidx])
             valid_counts[uidx] = valid, organic_valid
             link_scores[uidx] = w @ link_matrix
             label_noise[uidx] = rng.normal(size=len(ACTIVITIES))
             demographics[uidx] = (rng.integers(0, AGE_GROUPS), rng.integers(0, GENDER_CODES))
-            yield columns
+            pending.append(columns)
+            if len(pending) == USERS_PER_BLOCK or uidx + 1 == config.n_users:
+                timestamps, kind, tracks, albums, organic, durations = map(np.concatenate, zip(*pending))
+                users = np.repeat(user_bytes[uidx + 1 - len(pending):uidx + 1], [len(c[0]) for c in pending])
+                yield (users, timestamps, ingest.IdPatterns(*TRACK_IDS, kind, tracks),
+                       ingest.IdPatterns(*ALBUM_IDS, kind, albums), organic, durations)
+                pending = []
 
     n_events = ingest.write_events(events_path, user_blocks())
     n_valid, n_organic_valid = valid_counts.sum(axis=0).tolist()

@@ -56,7 +56,8 @@ def log_of(*events):
 
 def records(log):
     """The events of ``log`` as :class:`Event` records, in order."""
-    return [Event(str(log.users[u]), t, str(log.tracks[tr]), str(log.albums[al]),
+    tracks, albums = log.tracks.decoded(), log.albums.decoded()
+    return [Event(str(log.users[u]), t, tracks[tr], albums[al],
                   "organic" if o else "algorithmic", d, None if z == ingest.TZ_UNSET else z)
             for u, t, tr, al, o, d, z in zip(
                 log.user_idx.tolist(), log.timestamps.tolist(), log.track_idx.tolist(),

@@ -10,7 +10,8 @@ list of event records (``conftest.records(log)``) one by one, find weekly
 slots with the calendar, and smooth and normalize slot by slot.  Favorites are
 the ``(user_ids, kinds, item_ids)`` columns that ``ingest.parse_favorites``
 returns.  The events parse is the per-row loop: ``csv.reader`` over the
-lines, each row checked in turn and its ids interned by dict lookups.  The
+lines, each row checked in turn and its ids interned by dict lookups; the
+events writer formats one line per row with ``%``.  The
 planted truth behind a synthetic population (its archetype profiles and
 activity links) is kept here as well, since only tests read it.
 """
@@ -278,6 +279,23 @@ def parse_events(lines):
         np.asarray(tz_offsets, dtype=np.int32),
     )
     return log, report
+
+
+# -- the events writer, row by row ----------------------------------------------
+
+def write_events(path, blocks):
+    """``ingest.write_events`` of blocks of str id columns, one ``%``-formatted line per row."""
+    tokens = ("algorithmic", "organic")
+    row = ",".join(["%s"] * len(ingest.EVENT_COLUMNS)) + "\n"
+    lines = 0
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(ingest.EVENT_COLUMNS) + "\n")
+        for block in blocks:
+            columns = [np.asarray(column).tolist() for column in block]
+            columns[4] = [tokens[o] for o in columns[4]]
+            fh.write("".join([row % fields for fields in zip(*columns)]))
+            lines += len(columns[0])
+    return lines
 
 
 # -- profiles and weekly signals, record by record ------------------------------

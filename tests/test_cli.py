@@ -404,6 +404,15 @@ def test_manifests_record_peak_rss_and_ingest_gate_counts(pipeline_dir, tmp_path
     assert "warning: 1 favorites referenced unknown users" in out
 
 
+def test_synth_manifest_records_the_event_counts(pipeline_dir):
+    manifest = json.loads((pipeline_dir / "manifest_synth.json").read_text())
+    rows = [line.split(",") for line in (pipeline_dir / "events.csv").read_text().splitlines()[1:]]
+    valid = [row[4] == "organic" for row in rows if int(row[5]) >= ingest.MIN_LISTEN_SECS]
+    assert manifest["events"] == len(rows)
+    assert manifest["valid_events"] == len(valid)
+    assert manifest["organic_fraction_valid"] == sum(valid) / len(valid)
+
+
 def test_stages_that_parse_record_the_parse_time(pipeline_dir, tmp_path):
     # pipeline parses once, in ingest; a staged signals parses for itself and says so.
     def manifest(directory, name):

@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import re
 import threading
 import tracemalloc
 
@@ -150,9 +151,7 @@ def test_in_range_integer_extremes_parse(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text("".join(lines))
     log, report = ingest.parse_events(lines)
-    from_file = ingest.parse_events(path)
-    assert from_file[1] == report
-    assert all(np.array_equal(getattr(from_file[0], name), getattr(log, name)) for name in ingest.EventLog.__slots__)
+    assert parse_outcome(ingest.parse_events, path) == parse_outcome(ingest.parse_events, lines)
     assert report.malformed_count == 0
     assert log.timestamps.tolist() == [lo, hi, lo, hi]
     assert log.durations.tolist() == [2**31 - 1, 0, 60, 60]
@@ -349,19 +348,102 @@ def test_events_round_trip(tmp_path_factory, blocks):
     assert report.malformed_count == 0
     rows = [row for block in blocks for row in block]
     assert list(zip(log.users[log.user_idx].tolist(), log.timestamps.tolist(),
-                    log.tracks[log.track_idx].tolist(), log.albums[log.album_idx].tolist(),
+                    log.tracks.decoded()[log.track_idx].tolist(), log.albums.decoded()[log.album_idx].tolist(),
                     log.organic.tolist(), log.durations.tolist())) == rows
     assert np.all(log.tz_offset_min == ingest.TZ_UNSET)
     assert path.read_text(encoding="utf-8").splitlines()[0] == EVENTS_HEADER
 
 
+#: Ids the events format can hold: any text without a comma, quote, line break or NUL.
+writable_ids = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n\0'),
+                       min_size=1, max_size=50)
+
+
+@st.composite
+def writer_blocks(draw):
+    """Blocks for ``ingest.write_events`` and the str columns of each, for the oracle writer.
+
+    Users come as str or UTF-8 bytes, tracks and albums as str or as ``IdPatterns``.
+    """
+    blocks, oracle_blocks = [], []
+    for n in draw(st.lists(st.sampled_from([0, 1]) | st.integers(2, 12), max_size=4)):
+        def column(values):
+            return draw(st.lists(values, min_size=n, max_size=n))
+
+        users = column(writable_ids)
+        user_column = (np.array([u.encode("utf-8") for u in users], dtype=bytes) if draw(st.booleans())
+                       else np.array(users, dtype=object))
+        timestamps, organic, durations = (column(st.integers(-2**63, 2**63 - 1)), column(st.booleans()),
+                                          column(st.integers(0, 2**31 - 1) | st.just(0)))
+        ids, oracle_ids = [], []
+        for _ in range(2):  # tracks, then albums
+            if draw(st.booleans()):
+                heads, tails = (tuple(draw(st.lists(writable_ids | st.just(""), min_size=3, max_size=3)))
+                                for _ in range(2))
+                kind, counter = column(st.integers(0, 2)), column(st.integers(-1, 10**18))
+                ids.append(ingest.IdPatterns(heads, tails, np.array(kind, dtype=np.int8),
+                                             np.array(counter, dtype=np.int64)))
+                oracle_ids.append([heads[k] + u + tails[k] + (str(c) if c >= 0 else "")
+                                   for k, c, u in zip(kind, counter, users)])
+            else:
+                oracle_ids.append(column(writable_ids))
+                ids.append(np.array(oracle_ids[-1], dtype=object))
+        blocks.append((user_column, np.array(timestamps, dtype=np.int64), *ids, np.array(organic, dtype=bool),
+                       np.array(durations, dtype=np.int64)))
+        oracle_blocks.append((users, timestamps, *oracle_ids, organic, durations))
+    return blocks, oracle_blocks
+
+
+@given(writer_blocks())
+@settings(max_examples=100, deadline=None)
+def test_the_writer_writes_the_bytes_of_the_row_oracle(tmp_path_factory, blocks):
+    # Non-ASCII ids of 1 to 200 bytes, 19-digit and negative integers, a duration of 0, and
+    # empty and one-row blocks: the byte matrix writes exactly what one %-line per row writes.
+    ours, oracle_blocks = blocks
+    directory = tmp_path_factory.mktemp("writer")
+    n = sum(len(block[0]) for block in oracle_blocks)
+    assert ingest.write_events(directory / "ours.csv", ours) == n
+    assert oracles.write_events(directory / "oracle.csv", oracle_blocks) == n
+    assert (directory / "ours.csv").read_bytes() == (directory / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("char", [",", '"', "\r", "\n", "\0"])
+@pytest.mark.parametrize("name, position", [("user", 0), ("track", 2), ("album", 3)])
+def test_an_id_the_format_cannot_hold_is_an_error_naming_it(tmp_path, name, position, char):
+    block = [np.array(["u1", "u2"], dtype=object), np.array([1, 2]), np.array(["t1", "t2"], dtype=object),
+             np.array(["a1", "a2"], dtype=object), np.array([True, False]), np.array([30, 40])]
+    bad = f"x{char}y"
+    block[position] = np.array([block[position][0], bad], dtype=object)
+    with pytest.raises(IngestError, match=f"^{name} id {re.escape(repr(bad))} holds"):
+        ingest.write_events(tmp_path / "events.csv", [block])
+    if name == "user":  # the same id as UTF-8 bytes
+        block[position] = np.array([b"u1", bad.encode("utf-8")], dtype=bytes)
+    else:  # a pattern whose tail holds the byte
+        block[position] = ingest.IdPatterns(("",), (f"_{char}",), np.array([0, 0]), np.array([1, 2]))
+        bad = f"_{char}"
+    with pytest.raises(IngestError, match=re.escape(repr(bad))):
+        ingest.write_events(tmp_path / "events.csv", [block])
+
+
 def parse_outcome(parse, source):
-    """The columns (dtype and values) and report of a parse, or its error message."""
+    """The columns (dtype and values) and report of a parse, or its error message.
+
+    A byte table of ids is decoded to str in table order, and each of its ids
+    must be found at its own index.
+    """
     try:
         log, report = parse(source)
     except (IngestError, csv.Error) as exc:
         return str(exc)
-    return [(c.dtype, c.tolist()) for c in (getattr(log, name) for name in ingest.EventLog.__slots__)], report
+    columns = []
+    for name in ingest.EventLog.__slots__:
+        column = getattr(log, name)
+        if isinstance(column, ingest.IdTable):
+            ids = column.decoded()
+            assert column.find(ids.tolist()).tolist() == list(range(len(ids)))
+            column = ids
+        columns.append((column.dtype, column.tolist()))
+    return columns, report
 
 
 def edges(lo, hi):
@@ -487,7 +569,7 @@ def test_an_id_of_70000_bytes_parses_as_the_row_oracle_reads_it(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert log.tracks.tolist() == [long_id, "t1"] and log.albums.tolist() == [long_id]
+    assert log.tracks.decoded().tolist() == [long_id, "t1"] and log.albums.decoded().tolist() == [long_id]
     assert peak < 64 << 20  # no id column is reserved for thousands of such ids
 
 

@@ -58,6 +58,35 @@ def test_generated_files_round_trip_ingest(thousand_users):
     assert organic == pytest.approx(result.organic_fraction_valid, abs=1e-12)
 
 
+def test_synth_events_are_what_the_row_oracle_writes_of_their_parse(tmp_path):
+    # The byte writer over id patterns spells every id and line as one %-line per row would.
+    result = synth.generate(synth.SynthConfig(n_users=70, weeks=2, seed=3), tmp_path)
+    log, report = ingest.parse_events(result.events_path)
+    assert report.malformed_count == 0
+    columns = (log.users[log.user_idx], log.timestamps, log.tracks.decoded()[log.track_idx],
+               log.albums.decoded()[log.album_idx], log.organic, log.durations)
+    assert oracles.write_events(tmp_path / "oracle.csv", [columns]) == result.n_events
+    assert (tmp_path / "oracle.csv").read_bytes() == result.events_path.read_bytes()
+
+
+def test_each_users_tracks_and_albums_are_numbered_by_kind(tmp_path):
+    result = synth.generate(synth.SynthConfig(n_users=70, weeks=2, seed=3), tmp_path)
+    numbers = {}
+    for line in result.events_path.read_text().splitlines()[1:]:
+        user, _, track, album, _, _ = line.split(",")
+        head, tail = track.split("_t_")
+        kind = tail.rstrip("0123456789")
+        assert head == user and album == {"fav": f"{user}_al_{tail}", "alb": f"{user}_alb", "h": f"{user}_al_{tail}",
+                                          "f": f"{user}_al_{tail}", "s": f"al_{track}"}[kind]
+        numbers.setdefault((user, kind), []).append(int(tail[len(kind):]))
+    for (user, kind), seen in numbers.items():
+        if kind in ("f", "s"):
+            assert sorted(seen) == list(range(len(seen))), (user, kind)
+        else:  # one of 6 favorited tracks, 4 tracks of the favorited album or 12 heavy-rotation tracks
+            assert max(seen) < {"fav": 6, "alb": 4, "h": 12}[kind], (user, kind)
+    assert {user for user, _ in numbers} == {f"u{i:05d}" for i in range(70)}
+
+
 def test_pure_commuter_concentrates_on_commute_slots(tmp_path):
     commuter = synth.build_archetypes({"archetypes": synth.STOCK_ARCHETYPES["archetypes"][:1]}, 0.80)
     assert commuter.names == ("commuter",)
