@@ -70,13 +70,14 @@ class Labels(NamedTuple):
     demographics: np.ndarray
 
 
-def parse_labels(source) -> Labels:
-    """Parse the labels CSV into columns; strict (any malformed line is fatal).
+def parse_labels(path) -> Labels:
+    """Parse the labels CSV at ``path`` into columns; strict (any malformed line is fatal).
 
     Every user id must be unique, every answer a 0/1 flag and every code in
-    range; an error names the first line that breaks a rule.
+    range; an error names the first line that breaks a rule.  The file is
+    read once, through ``storage.csv_rows``.
     """
-    with storage.csv_rows(source, "labels", EvaluationError) as (header, reader):
+    with storage.csv_rows(path, "labels", EvaluationError) as (header, reader):
         if tuple(header) != LABELS_HEADER:
             raise EvaluationError(f"labels header must be {','.join(LABELS_HEADER)}, got {','.join(header)}")
         line_of, fields = {}, []  # user id -> line number, in file order

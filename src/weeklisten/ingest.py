@@ -23,16 +23,16 @@ Events are stored columnar (:class:`EventLog`): identifiers are interned
 into lookup tables and each event carries int32 indexes, which keeps multi-million
 row logs small and makes the downstream grouping operations plain numpy.
 Track and album ids stay bytes (:class:`IdTable`); only user ids become ``str``.
-:func:`parse_events` reads a file in byte blocks of whole lines and parses
-each block with numpy: comma and newline positions give the fields, plain
-integers are read by digit arithmetic, origins, empty ids and ranges are
-checked as masks, and each id column's distinct ids come from one
-``np.unique`` per block.  A line may end in
-``\n`` or ``\r\n``.  One row checker decides every line the block parse
-cannot accept, and every row of the ``csv.reader`` path, which takes over
-from the first block that needs it (a quote, NUL, a ``\r`` not followed by
-``\n``, or an overlong line) and parses iterable sources and files that
-cannot seek, such as pipes; both paths give the same log and report.
+:func:`parse_events` reads a file or pipe once, in the byte blocks of whole
+lines that ``storage`` cuts, and parses each block with numpy: comma and
+newline positions give the fields, plain integers are read by digit
+arithmetic, origins, empty ids and ranges are checked as masks, and each id
+column's distinct ids come from one ``np.unique`` per block.  A line may end
+in ``\n`` or ``\r\n``.  One row checker decides every line the block parse
+cannot accept, and every row of the ``csv.reader`` path, which takes the
+rest of the same blocks from the first one that needs it (a quote, NUL, a
+``\r`` not followed by ``\n``, or an overlong line); both paths give the
+same log and report.
 Favorites parse to columns as well (:func:`parse_favorites`).
 
 The activity filter keeps users with at least one valid stream whose daily
@@ -50,11 +50,10 @@ search in their sorted keys.
 from __future__ import annotations
 
 import csv
-import io
 import os
 from array import array
 from dataclasses import dataclass
-from pathlib import Path
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -192,38 +191,66 @@ class EventLog:
         return self.timestamps + offsets.astype(np.int64) * 60
 
 
-def parse_events(source) -> tuple[EventLog, ParseReport]:
-    """Parse an events stream into an :class:`EventLog`.
+def parse_events(path) -> tuple[EventLog, ParseReport]:
+    """Parse the events file at ``path`` into an :class:`EventLog`.
 
-    ``source`` is a path or an iterable of CSV lines (header required; the
-    columns are found by name).  Malformed lines are counted and reported by
-    the physical line on which their record ends, never silently dropped; if
-    they exceed :data:`MAX_MALFORMED_FRACTION` of the data lines the whole
-    parse fails.  A user id that is blank or holds a line break is malformed,
-    since user index files hold one id per line.  Identifiers are interned in
-    order of first appearance.
+    The header is required and the columns are found by name.  Malformed
+    lines are counted and reported by the physical line on which their
+    record ends, never silently dropped; if they exceed
+    :data:`MAX_MALFORMED_FRACTION` of the data lines the whole parse fails.
+    A user id that is blank or holds a line break is malformed, since user
+    index files hold one id per line.  Identifiers are interned in order of
+    first appearance.
 
-    A path is read in blocks of whole lines, which numpy splits at commas and
-    line ends (``\\n`` or ``\\r\\n``) and whose plain integers, origins and
-    ids it checks and reads; a line it cannot accept goes to the one row
-    checker.  From the first block holding a quote, NUL, a ``\\r`` not
-    followed by ``\\n`` or a line longer than ``csv.field_size_limit()`` to
-    the end of the file, and for an iterable source or a file that cannot
-    seek, ``csv.reader`` splits the rows for that checker instead.  Either way
-    the log and the report are the same.
+    The file is opened once and read once, in blocks of whole lines, which
+    numpy splits at commas and line ends (``\\n`` or ``\\r\\n``) and whose
+    plain integers, origins and ids it checks and reads; a line it cannot
+    accept goes to the one row checker.  From the first block holding a
+    quote, NUL, a ``\\r`` not followed by ``\\n`` or a line longer than
+    ``csv.field_size_limit()`` to the end of the file, ``csv.reader`` splits
+    the rows for that checker instead.  Either way the log and the report are
+    the same; a pipe parses as a file does.
 
     Returns the log plus a :class:`ParseReport`.
     """
-    if isinstance(source, (str, Path)):
-        return _parse_file(source).result()
-    with storage.csv_rows(source, "events", IngestError) as (header, reader):
-        parsed = _EventColumns(header)
-        parsed.add_rows(reader)
+    parsed = None
+    line_base = 0
+    with storage._opened(path, "events", IngestError) as fh:
+        blocks = storage._blocks(fh)
+        for block in blocks:
+            data = np.frombuffer(block, dtype=np.uint8)
+            newlines = np.flatnonzero(data == ord("\n"))
+            # A line ending in "\r\n" ends before its "\r".  The block ends with a
+            # newline, so the first line's look-back (index -1) reads a newline.
+            crlf = data[newlines - 1] == ord("\r")
+            if (any(byte in block for byte in _CSV_ONLY)
+                    or block.count(b"\r") != np.count_nonzero(crlf)
+                    or np.diff(newlines, prepend=-1).max() > csv.field_size_limit()):
+                blocks = chain([block], blocks)
+                break
+            if not block.isascii():
+                storage._decoded(block, line_base)  # raises at the first byte that is not UTF-8
+            starts = np.concatenate(([0], newlines[:-1] + 1))
+            ends = newlines - crlf
+            skip = 0
+            if parsed is None:  # the header line
+                header = block[:ends[0]].decode("utf-8")
+                # A pipe reports size 0: its columns start small and grow.
+                parsed = _EventColumns([h.strip() for h in header.split(",")] if header else [],
+                                       os.fstat(fh.fileno()).st_size or None)
+                skip = 1
+            parsed.add_lines(block, starts[skip:], ends[skip:], line_base + skip)
+            line_base += len(newlines)
+        else:
+            if parsed is not None:  # no block needed csv.reader
+                return parsed.result()
+        reader = storage._csv_reader(blocks, line_base)
+        if parsed is None:  # the first block needs csv.reader, or the file is empty
+            parsed = _EventColumns(storage._header(reader, path, "events", IngestError))
+        parsed.add_rows(reader, line_base)
     return parsed.result()
 
 
-#: Bytes read at a time from an events file; a block ends after its last newline.
-_BLOCK_BYTES = 1 << 20
 #: A block holding one of these bytes, or a ``\r`` that ends a line on its own,
 #: and every block after it, is split by ``csv.reader``: a quote may open a
 #: field holding commas or line breaks, and the reader of Python 3.10 rejects NUL.
@@ -242,68 +269,6 @@ _MAY_BE_BLANK[0x80:] = True
 _DTYPES = (np.int32, np.int32, np.int32, np.int64, np.int32, bool, np.int32)
 #: The byte that ends each id inside an :class:`_Interner`.
 _END = 1
-
-
-def _parse_file(path) -> "_EventColumns":
-    """Parse an events file: in blocks up to the first one that needs ``csv.reader``, then with it.
-
-    A file that cannot seek, such as a pipe, is read once, all with ``csv.reader``.
-    """
-    parsed = None
-    offset = line_base = 0
-    with storage._read_errors(path, "events", IngestError), open(path, "rb") as fh:
-        for block in _blocks(fh) if fh.seekable() else ():
-            if not block.isascii():
-                block.decode("utf-8")  # raises at the first byte that is not UTF-8
-            data = np.frombuffer(block, dtype=np.uint8)
-            newlines = np.flatnonzero(data == ord("\n"))
-            # A line ending in "\r\n" ends before its "\r".  The block ends with a
-            # newline, so the first line's look-back (index -1) reads a newline.
-            crlf = data[newlines - 1] == ord("\r")
-            if (any(byte in block for byte in _CSV_ONLY)
-                    or block.count(b"\r") != np.count_nonzero(crlf)
-                    or np.diff(newlines, prepend=-1).max() > csv.field_size_limit()):
-                fh.seek(offset)
-                break
-            starts = np.concatenate(([0], newlines[:-1] + 1))
-            ends = newlines - crlf
-            skip = 0
-            if parsed is None:  # the header line
-                header = block[:ends[0]].decode("utf-8")
-                parsed = _EventColumns([h.strip() for h in header.split(",")] if header else [],
-                                       os.fstat(fh.fileno()).st_size)
-                skip = 1
-            parsed.add_lines(block, starts[skip:], ends[skip:], line_base + skip)
-            offset += len(block)
-            line_base += len(newlines)
-        else:
-            if parsed is not None:
-                return parsed
-        with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
-            reader = csv.reader(text)
-            if parsed is None:
-                header = next(reader, None)
-                if header is None:
-                    raise IngestError(f"events source {path} is empty (missing header)")
-                parsed = _EventColumns([h.strip() for h in header])
-            parsed.add_rows(reader, line_base)
-    return parsed
-
-
-def _blocks(fh):
-    """Blocks of about :data:`_BLOCK_BYTES` bytes of a binary file, each ending after a newline.
-
-    A last line without a newline gets one.
-    """
-    parts = []
-    while chunk := fh.read(_BLOCK_BYTES):
-        cut = chunk.rfind(b"\n") + 1
-        if cut:
-            yield b"".join([*parts, chunk[:cut]])
-            parts = []
-        parts.append(chunk[cut:])
-    if any(parts):
-        yield b"".join([*parts, b"\n"])
 
 
 class _EventColumns:
@@ -682,7 +647,7 @@ class IdPatterns(NamedTuple):
     counter: np.ndarray
 
 
-#: Characters an id may not hold: the writer writes ids unquoted, and drops NUL.
+#: Characters an id may not hold: the writers write ids unquoted, and the events writer drops NUL.
 _NOT_IN_IDS = (",", '"', "\r", "\n", "\0")
 
 
@@ -736,7 +701,7 @@ def _check_ids(name: str, ids: list[str]) -> None:
     if any(char in joined for char in _NOT_IN_IDS):
         bad = next(i for i in ids if any(char in i for char in _NOT_IN_IDS))
         raise IngestError(f"{name} id {bad!r} holds a comma, quote, line break or NUL, "
-                          "which events.csv cannot hold")
+                          "which an id written unquoted cannot hold")
 
 
 def _id_bytes(name: str, ids: np.ndarray) -> np.ndarray:
@@ -789,16 +754,23 @@ def _digits(values) -> np.ndarray:
 def write_favorites(path, user_ids: list[str], kinds: list[str], item_ids: list[str]) -> None:
     """Write the favorites CSV from the three columns :func:`parse_favorites` returns.
 
-    Identifiers are written unquoted, so they must not hold a comma, a quote or a line break.
+    Identifiers are written unquoted, so a user or item id holding a comma, a
+    quote, a line break or NUL raises :class:`IngestError`, naming it.
     """
+    _check_ids("user", user_ids)
+    _check_ids("item", item_ids)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(FAVORITES_COLUMNS) + "\n")
         fh.writelines(",".join(fields) + "\n" for fields in zip(user_ids, kinds, item_ids))
 
 
-def parse_favorites(source) -> tuple[list[str], list[str], list[str]]:
-    """Parse the favorites CSV (header ``user_id,kind,item_id``) into those three columns; strict."""
-    with storage.csv_rows(source, "favorites", IngestError) as (header, reader):
+def parse_favorites(path) -> tuple[list[str], list[str], list[str]]:
+    """Parse the favorites CSV at ``path`` (header ``user_id,kind,item_id``) into those three columns.
+
+    Strict: a malformed line or an unknown kind is an error naming its line.
+    The file is read once, through ``storage.csv_rows``.
+    """
+    with storage.csv_rows(path, "favorites", IngestError) as (header, reader):
         expected = list(FAVORITES_COLUMNS)
         if header != expected:
             raise IngestError(f"favorites header must be {expected}, got {header}")
@@ -829,11 +801,8 @@ def filter_active_users(log: EventLog, period: StudyPeriod,
     ``log`` count, so a threshold of 0 keeps exactly the users with a valid
     stream.  Returns sorted user ids.
     """
-    days = period.days
-    if days <= 0:
-        raise IngestError("study period has zero length")
     counts = np.bincount(log.user_idx, minlength=len(log.users))
-    keep = (counts > 0) & (counts / days >= min_daily_streams)
+    keep = (counts > 0) & (counts / period.days >= min_daily_streams)
     return sorted(str(u) for u in log.users[keep])
 
 

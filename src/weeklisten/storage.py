@@ -1,12 +1,13 @@
 """Shared on-disk formats: CSV sources, user-index files and ``.npy`` matrix files.
 
-The favorites, labels and user summary CSVs, and events given as lines, are
-read through :func:`csv_rows`, which streams the open file rather than
-loading it whole.  ``events.csv`` itself is read in byte blocks by
-``ingest.parse_events``, which turns to ``csv.reader`` only where a block
-needs it.  Either way a source that cannot be opened, is not UTF-8 text, is
-not valid CSV or has no header line is the calling stage's error naming the
-file, worded in one place.
+Every CSV input is a path, opened once in binary and read once in byte
+blocks of whole lines, each decoded once.  :func:`csv_rows` feeds
+``csv.reader`` from them (favorites, labels, user summary);
+``ingest.parse_events`` parses them with numpy and hands ``csv.reader`` the
+rest of the same blocks from the first one that needs it.  A source that
+cannot be opened, is not UTF-8 (named by the line and byte column of its
+first bad byte), is not valid CSV or has no header line is the calling
+stage's error naming the file, worded in one place.  A pipe reads as a file.
 
 Signals and codes hand off as a user-index file (one user id per line,
 UTF-8, in row order) plus a matrix file in numpy's ``.npy`` format (float64,
@@ -18,72 +19,94 @@ identical inputs.
 from __future__ import annotations
 
 import csv
-from contextlib import contextmanager, nullcontext
-from pathlib import Path
+import io
+from contextlib import contextmanager
+from itertools import chain
 
 import numpy as np
 
 from .errors import PipelineError
 
-
-@contextmanager
-def csv_rows(source, kind: str, error: type[PipelineError] = PipelineError):
-    """Stripped header and row reader of a CSV source: a path, or an iterable of lines.
-
-    A path is opened as UTF-8 with ``newline=""``, streamed while the block
-    runs and closed when it exits.  A source that cannot be opened, decoded
-    or split into CSV fields (also partway through the block) or that has no
-    header raises ``error`` naming ``kind``; for a path that is not UTF-8 the
-    message names the line and byte column of the first bad byte.
-    """
-    is_path = isinstance(source, (str, Path))
-    with (_read_errors(source, kind, error),
-          open(source, encoding="utf-8", newline="") if is_path else nullcontext(source) as lines):
-        reader = csv.reader(lines)
-        header = next(reader, None)
-        if header is None:
-            raise error(f"{kind} source{_named(source)} is empty (missing header)")
-        yield [h.strip() for h in header], reader
+#: Bytes read at a time from a CSV source; a block ends after its last newline.
+_BLOCK_BYTES = 1 << 20
 
 
 @contextmanager
-def _read_errors(source, kind: str, error: type[PipelineError]):
-    """Turn a failure to open, decode or split ``source`` into ``error`` naming ``kind`` and the path.
+def csv_rows(path, kind: str, error: type[PipelineError] = PipelineError):
+    """Stripped header and row reader of the CSV file at ``path``.
 
-    Shared by :func:`csv_rows` and the block parse of ``events.csv``, so both
-    word these failures alike.
+    The file is read in blocks while the ``with`` block runs and closed when
+    it exits.  A file that cannot be opened, decoded or split into CSV fields
+    (also partway through the block) or that has no header raises ``error``
+    naming ``kind``.
     """
-    try:
-        yield
-    except UnicodeDecodeError as exc:
-        where = _undecodable_line(source) if isinstance(source, (str, Path)) else None
-        raise error(f"cannot read {kind} source{_named(source)}: {where or exc}") from exc
-    except (OSError, csv.Error) as exc:
-        raise error(f"cannot read {kind} source{_named(source)}: {exc}") from exc
+    with _opened(path, kind, error) as fh:
+        reader = _csv_reader(_blocks(fh))
+        yield _header(reader, path, kind, error), reader
 
 
-def _named(source) -> str:
-    return f" {source}" if isinstance(source, (str, Path)) else ""
-
-
-def _undecodable_line(path) -> str | None:
-    """Where the first non-UTF-8 byte of ``path`` is, as ``line N, byte column C: reason``.
-
-    The text decoder reports a position inside its current chunk, so the file
-    is scanned again in binary.  No UTF-8 multibyte sequence contains a
-    newline byte, so decoding line by line finds the same byte.
-    """
+@contextmanager
+def _opened(path, kind: str, error: type[PipelineError]):
+    """The file at ``path`` opened in binary; failing to read, decode or split it raises ``error`` naming it."""
     try:
         with open(path, "rb") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    return (f"line {line_no}, byte column {exc.start + 1}: not UTF-8 "
-                            f"(byte 0x{line[exc.start]:02x}, {exc.reason})")
-    except OSError:
-        pass
-    return None
+            yield fh
+    except (OSError, UnicodeError, csv.Error) as exc:
+        raise error(f"cannot read {kind} source {path}: {exc}") from exc
+
+
+def _blocks(fh):
+    """Blocks of about :data:`_BLOCK_BYTES` bytes of a binary file, each ending after a newline.
+
+    A last line without a newline gets one.
+    """
+    parts = []
+    while chunk := fh.read(_BLOCK_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*parts, chunk[:cut]])
+            parts = []
+        parts.append(chunk[cut:])
+    if any(parts):
+        yield b"".join([*parts, b"\n"])
+
+
+def _decoded(block: bytes, line_base: int) -> str:
+    """A block of whole lines, after ``line_base`` lines, as UTF-8 text.
+
+    A byte that is not UTF-8 raises ``UnicodeError`` naming its line and
+    byte column.  No UTF-8 multibyte sequence contains a newline byte, so
+    the block's first bad byte is its first bad line's.
+    """
+    try:
+        return block.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = block.rfind(b"\n", 0, exc.start) + 1
+        line_no = line_base + block.count(b"\n", 0, line_start) + 1
+        raise UnicodeError(f"line {line_no}, byte column {exc.start - line_start + 1}: not UTF-8 "
+                           f"(byte 0x{block[exc.start]:02x}, {exc.reason})") from None
+
+
+def _csv_reader(blocks, line_base: int = 0):
+    """A ``csv.reader`` over byte blocks of whole lines that follow ``line_base`` lines.
+
+    Each block is decoded once; its lines reach the reader through a chain
+    of per-block ``StringIO`` iterators, so they pass in C.
+    """
+    def texts(line_base):
+        for block in blocks:
+            yield io.StringIO(_decoded(block, line_base), newline="")
+            line_base += block.count(b"\n")
+
+    return csv.reader(chain.from_iterable(texts(line_base)))
+
+
+def _header(reader, path, kind: str, error: type[PipelineError]) -> list[str]:
+    """The stripped header row of a :func:`_csv_reader`; none raises ``error``."""
+    header = next(reader, None)
+    if header is None:
+        raise error(f"{kind} source {path} is empty (missing header)")
+    return [h.strip() for h in header]
 
 
 def save_index(user_ids, path) -> None:

@@ -1,4 +1,6 @@
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,15 @@ def events_csv_lines(rows, header=EVENTS_HEADER):
     return [header + "\n"] + [r + "\n" for r in rows]
 
 
+def write_lines(path, lines):
+    """Write CSV ``lines`` (line ends included) to ``path`` as UTF-8 and return the path.
+
+    The parsers read paths only.
+    """
+    Path(path).write_text("".join(lines), encoding="utf-8", newline="")
+    return path
+
+
 @dataclass(frozen=True)
 class Event:
     """One events.csv record; tests build logs from these through the real parser."""
@@ -49,7 +60,9 @@ def log_of(*events):
     """The event log that ``ingest.parse_events`` makes of these records, tz column included."""
     rows = [f"{e.user_id},{e.timestamp},{e.track_id},{e.album_id},{e.origin},{e.listen_duration},"
             + ("" if e.tz_offset_min is None else str(e.tz_offset_min)) for e in events]
-    log, report = ingest.parse_events(events_csv_lines(rows, header=EVENTS_HEADER + ",tz_offset_min"))
+    lines = events_csv_lines(rows, header=EVENTS_HEADER + ",tz_offset_min")
+    with tempfile.TemporaryDirectory() as directory:
+        log, report = ingest.parse_events(write_lines(Path(directory) / "events.csv", lines))
     assert report.malformed_count == 0, report.summary()
     return log
 

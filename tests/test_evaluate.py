@@ -12,7 +12,7 @@ from weeklisten.errors import EvaluationError
 import oracles
 from oracles import pair_counting_auc
 
-from conftest import auc_of
+from conftest import auc_of, write_lines
 
 
 def make_labels(n, rng=None, answers=None):
@@ -468,14 +468,16 @@ def test_labels_round_trip(tmp_path):
     assert np.array_equal(loaded.answers, labels.answers)
     assert np.array_equal(loaded.demographics, labels.demographics)
     assert loaded.demographics.shape == (25, 2) and loaded.demographics.dtype == np.int8
-    assert evaluate.parse_labels(text.replace("\n", "\n\n").splitlines(True)).user_ids == labels.user_ids
+    path.write_text(text.replace("\n", "\n\n"))
+    assert evaluate.parse_labels(path).user_ids == labels.user_ids
 
 
-def test_labels_validation():
+def test_labels_validation(tmp_path):
     header = ",".join(evaluate.LABELS_HEADER) + "\n"
+    path = tmp_path / "labels.csv"
 
     def parse(*lines):
-        return evaluate.parse_labels([header, *lines])
+        return evaluate.parse_labels(write_lines(path, [header, *lines]))
 
     def line(user="u", answers=(0,) * 6, age_group=0, gender=0):
         return ",".join([user, *map(str, answers), str(age_group), str(gender)]) + "\n"
@@ -494,7 +496,7 @@ def test_labels_validation():
     with pytest.raises(EvaluationError, match="line 2 has 8 fields"):
         parse(line(answers=(0,) * 5))
     with pytest.raises(EvaluationError, match="header"):
-        evaluate.parse_labels(["user_id,foo\n"])
+        evaluate.parse_labels(write_lines(path, ["user_id,foo\n"]))
     with pytest.raises(EvaluationError, match="line 3 is malformed"):
         parse("u1,0,0,0,0,0,0,1,1\n", "u2,0,x,0,0,0,0,1,1\n")
     with pytest.raises(EvaluationError, match="line 4 is malformed"):  # a quoted id spans lines 2-3

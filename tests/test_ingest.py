@@ -2,6 +2,8 @@ import csv
 import io
 import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -11,43 +13,55 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from weeklisten import ingest
+from weeklisten import ingest, storage
 from weeklisten.errors import IngestError
 
-from conftest import DAY, EVENTS_HEADER, MONDAY, events_csv_lines, favorites_of, log_of, make_event, records
+from conftest import (DAY, EVENTS_HEADER, MONDAY, events_csv_lines, favorites_of, log_of, make_event, records,
+                      write_lines)
 
 
-def test_parse_two_valid_lines():
+def quoted_header_copy(path):
+    """A copy of the events file at ``path`` whose header quotes its first column name.
+
+    The quote sends the copy through ``csv.reader`` from its first block.
+    """
+    copy = path.with_name("quoted_" + path.name)
+    copy.write_bytes(b'"' + path.read_bytes().replace(b",", b'",', 1))
+    return copy
+
+
+def test_parse_two_valid_lines(tmp_path):
     lines = events_csv_lines([
         f"u1,{MONDAY},t1,a1,organic,120",
         f"u2,{MONDAY + 60},t2,a2,algorithmic,45",
     ])
-    log, report = ingest.parse_events(lines)
+    log, report = ingest.parse_events(write_lines(tmp_path / "events.csv", lines))
     assert len(log) == 2
     assert report.malformed_count == 0
     assert records(log)[0] == make_event(user="u1", timestamp=MONDAY, duration=120)
     assert records(log)[1].origin == "algorithmic"
 
 
-def test_parse_origin_enum_mapping():
-    log, _ = ingest.parse_events(events_csv_lines([f"u1,{MONDAY},t1,a1,organic,120"]))
+def test_parse_origin_enum_mapping(tmp_path):
+    lines = events_csv_lines([f"u1,{MONDAY},t1,a1,organic,120"])
+    log, _ = ingest.parse_events(write_lines(tmp_path / "events.csv", lines))
     assert records(log)[0].origin == ingest.ORGANIC
 
 
-def test_parse_negative_duration_is_record_level_error():
+def test_parse_negative_duration_is_record_level_error(tmp_path):
     good = [f"u{i},{MONDAY + i},t,a,organic,60" for i in range(100)]
     lines = events_csv_lines(good + [f"ubad,{MONDAY},t,a,organic,-5"])
-    log, report = ingest.parse_events(lines)
+    log, report = ingest.parse_events(write_lines(tmp_path / "events.csv", lines))
     assert len(log) == 100
     assert report.malformed_count == 1
     assert report.details[0][1].startswith("listen_duration -5")
     assert all(ev.listen_duration >= 0 for ev in records(log))
 
 
-def test_parse_unknown_origin_reports_line_number():
+def test_parse_unknown_origin_reports_line_number(tmp_path):
     good = [f"u{i},{MONDAY + i},t,a,organic,60" for i in range(100)]
     lines = events_csv_lines(good[:50] + [f"ux,{MONDAY},t,a,paid,60"] + good[50:])
-    _, report = ingest.parse_events(lines)
+    _, report = ingest.parse_events(write_lines(tmp_path / "events.csv", lines))
     assert report.malformed_count == 1
     line_no, reason = report.details[0]
     assert line_no == 52  # header is line 1
@@ -57,16 +71,12 @@ def test_parse_unknown_origin_reports_line_number():
 def test_malformed_lines_are_numbered_by_physical_line(tmp_path):
     # A quoted field spanning two lines must not shift the line numbers after it.
     good = [f"u{i},{MONDAY + i},t,a,organic,60" for i in range(150)]
-    text = "".join(events_csv_lines([f'u0,{MONDAY},"two\nlines",a,organic,60'] + good
-                                    + [f"ux,{MONDAY},t,a,paid,60"]))
-    _, report = ingest.parse_events(text.splitlines(keepends=True))
+    lines = events_csv_lines([f'u0,{MONDAY},"two\nlines",a,organic,60'] + good + [f"ux,{MONDAY},t,a,paid,60"])
+    _, report = ingest.parse_events(write_lines(tmp_path / "events.csv", lines))
     assert report.details == ((154, "unknown origin token 'paid'"),)  # header 1, quoted record 2-3
-    path = tmp_path / "events.csv"
-    path.write_text(text)
-    assert ingest.parse_events(path)[1].details == report.details
-    favorites = 'user_id,kind,item_id\nu1,track,"t\n9"\nu1,artist,x\n'
+    favorites = ["user_id,kind,item_id\n", 'u1,track,"t\n9"\n', "u1,artist,x\n"]
     with pytest.raises(IngestError, match="favorites line 4 has unknown kind"):
-        ingest.parse_favorites(favorites.splitlines(keepends=True))
+        ingest.parse_favorites(write_lines(tmp_path / "favorites.csv", favorites))
 
 
 def test_non_utf8_source_names_line_and_byte_column(tmp_path):
@@ -80,14 +90,14 @@ def test_non_utf8_source_names_line_and_byte_column(tmp_path):
         ingest.parse_events(path)
 
 
-def test_user_ids_that_do_not_fit_one_index_line_are_malformed():
+def test_user_ids_that_do_not_fit_one_index_line_are_malformed(tmp_path):
     # User index files hold one id per line: a blank id or one holding a line break is malformed,
     # named by the physical line on which its record ends.  Other whitespace is kept.
     good = [f"u{i},{MONDAY + i},t,a,organic,60" for i in range(300)]
     bad = [f"  ,{MONDAY},t,a,organic,60", f'"x\ny",{MONDAY},t,a,organic,60', f'"x\ry",{MONDAY},t,a,organic,60']
-    text = "".join(events_csv_lines(good[:100] + bad[:1] + good[100:200] + bad[1:2] + good[200:] + bad[2:]
-                                    + [f" u1 ,{MONDAY},t,a,organic,60"]))
-    log, report = ingest.parse_events(text.splitlines(keepends=True))
+    lines = events_csv_lines(good[:100] + bad[:1] + good[100:200] + bad[1:2] + good[200:] + bad[2:]
+                             + [f" u1 ,{MONDAY},t,a,organic,60"])
+    log, report = ingest.parse_events(write_lines(tmp_path / "events.csv", lines))
     assert report.details == ((102, "user id '  ' is blank or holds a line break"),
                               (204, "user id 'x\\ny' is blank or holds a line break"),
                               (306, "user id 'x\\ry' is blank or holds a line break"))
@@ -100,9 +110,8 @@ def test_parse_too_many_malformed_is_fatal(tmp_path):
         "garbage",
         "more,garbage",
     ])
-    path = tmp_path / "events.csv"
-    path.write_text("".join(lines))
-    for source in (lines, path):
+    path = write_lines(tmp_path / "events.csv", lines)
+    for source in (path, quoted_header_copy(path)):
         with pytest.raises(IngestError, match="too many malformed"):
             ingest.parse_events(source)
 
@@ -126,18 +135,16 @@ OUT_OF_RANGE = f"not between {ingest.TIMESTAMP_MIN} and {ingest.TIMESTAMP_MAX}"
 def test_out_of_range_integer_is_a_malformed_line(tmp_path, row, reason):
     # The int32 minimum is the no-offset sentinel of the tz column, so it is out of range too.
     # A timestamp keeps 2**31 - 1 minutes from the int64 limits, so no offset can wrap its local clock.
-    # Lines and a file (the block parse) give the same report.
+    # The block parse and csv.reader (from a quoted header on) give the same report.
     good = [f"u{i},{MONDAY + i},t,a,organic,60,{i}" for i in range(150)]
     header = EVENTS_HEADER + ",tz_offset_min"
-    lines = events_csv_lines(good[:70] + [row] + good[70:], header=header)
-    path = tmp_path / "events.csv"
-    path.write_text("".join(lines))
-    for source in (lines, path):
+    path = write_lines(tmp_path / "events.csv", events_csv_lines(good[:70] + [row] + good[70:], header=header))
+    for source in (path, quoted_header_copy(path)):
         log, report = ingest.parse_events(source)
         assert report.details == ((72, reason),)
         assert len(log) == 150 and "ux" not in log.users
-    path.write_text("".join(events_csv_lines([row], header=header)))
-    for source in (events_csv_lines([row], header=header), path):
+    write_lines(path, events_csv_lines([row], header=header))
+    for source in (path, quoted_header_copy(path)):
         with pytest.raises(IngestError, match=f"too many malformed lines: .*line 2: {reason}"):
             ingest.parse_events(source)
 
@@ -147,11 +154,9 @@ def test_in_range_integer_extremes_parse(tmp_path):
     lo, hi = ingest.TIMESTAMP_MIN, ingest.TIMESTAMP_MAX
     rows = [f"u1,{lo},t,a,organic,{2**31 - 1},{-2**31 + 1}", f"u2,{hi},t,a,organic,0,{2**31 - 1}",
             f"u3,{lo},t,a,organic,60,", f"u3,{hi},t,a,organic,60,"]
-    lines = events_csv_lines(rows, header=header)
-    path = tmp_path / "events.csv"
-    path.write_text("".join(lines))
-    log, report = ingest.parse_events(lines)
-    assert parse_outcome(ingest.parse_events, path) == parse_outcome(ingest.parse_events, lines)
+    path = write_lines(tmp_path / "events.csv", events_csv_lines(rows, header=header))
+    log, report = ingest.parse_events(path)
+    assert parse_outcome(ingest.parse_events, path) == parse_outcome(ingest.parse_events, quoted_header_copy(path))
     assert report.malformed_count == 0
     assert log.timestamps.tolist() == [lo, hi, lo, hi]
     assert log.durations.tolist() == [2**31 - 1, 0, 60, 60]
@@ -175,20 +180,19 @@ def test_parse_unreadable_source_is_fatal(tmp_path):
 
 
 def test_parse_missing_header_column_is_fatal(tmp_path):
-    lines = ["user_id,timestamp,track_id,album_id,origin\n", f"u1,{MONDAY},t,a,organic\n"]
-    path = tmp_path / "events.csv"
-    path.write_text("".join(lines))
-    for source in (lines, path):
+    path = write_lines(tmp_path / "events.csv",
+                       ["user_id,timestamp,track_id,album_id,origin\n", f"u1,{MONDAY},t,a,organic\n"])
+    for source in (path, quoted_header_copy(path)):
         with pytest.raises(IngestError, match="listen_duration"):
             ingest.parse_events(source)
 
 
-def test_parse_tz_offset_column():
+def test_parse_tz_offset_column(tmp_path):
     header = "user_id,timestamp,track_id,album_id,origin,listen_duration,tz_offset_min"
     lines = events_csv_lines(
         [f"u1,{MONDAY},t,a,organic,60,-120", f"u1,{MONDAY},t,a,organic,60,"],
         header=header)
-    log, report = ingest.parse_events(lines)
+    log, report = ingest.parse_events(write_lines(tmp_path / "events.csv", lines))
     assert report.malformed_count == 0
     assert records(log)[0].tz_offset_min == -120
     assert records(log)[1].tz_offset_min is None
@@ -286,12 +290,13 @@ def test_profiles_total_equals_sum_of_play_counts():
     assert profiles.summary[:, 0].sum() == 13
 
 
-def test_parse_favorites():
-    columns = ingest.parse_favorites(["user_id,kind,item_id\n", "u1,track,t9\n", "u1,album,a3\n"])
+def test_parse_favorites(tmp_path):
+    path = write_lines(tmp_path / "favorites.csv", ["user_id,kind,item_id\n", "u1,track,t9\n", "u1,album,a3\n"])
+    columns = ingest.parse_favorites(path)
     assert columns == (["u1", "u1"], ["track", "album"], ["t9", "a3"])
     assert columns == favorites_of(("u1", "track", "t9"), ("u1", "album", "a3"))
     with pytest.raises(IngestError, match="unknown kind"):
-        ingest.parse_favorites(["user_id,kind,item_id\n", "u1,artist,x\n"])
+        ingest.parse_favorites(write_lines(path, ["user_id,kind,item_id\n", "u1,artist,x\n"]))
 
 
 def test_study_period_validation():
@@ -425,6 +430,15 @@ def test_an_id_the_format_cannot_hold_is_an_error_naming_it(tmp_path, name, posi
         ingest.write_events(tmp_path / "events.csv", [block])
 
 
+@pytest.mark.parametrize("char", [",", '"', "\r", "\n", "\0"])
+@pytest.mark.parametrize("name", ["user", "item"])
+def test_a_favorite_id_the_format_cannot_hold_is_an_error_naming_it(tmp_path, name, char):
+    columns = {"user": ["u1", "u2"], "item": ["t1", "a1"]}
+    bad = columns[name][1] = f"x{char}y"
+    with pytest.raises(IngestError, match=f"^{name} id {re.escape(repr(bad))} holds"):
+        ingest.write_favorites(tmp_path / "favorites.csv", columns["user"], ["track", "album"], columns["item"])
+
+
 def parse_outcome(parse, source):
     """The columns (dtype and values) and report of a parse, or its error message.
 
@@ -521,8 +535,9 @@ def parse_rows(draw, names):
        final_end=st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_parse_paths_agree_with_the_row_oracle(tmp_path_factory, data, tz, block_bytes, line_ends, final_end):
-    # The block parse of a path, the csv.reader parse of lines and the per-row oracle agree on
-    # the log, the report or the error, whatever the blocks cut and however malformed the lines.
+    # The block parse of a file, the csv.reader parse of a copy whose header is quoted and the
+    # per-row oracle agree on the log, the report or the error, whatever the blocks cut and
+    # however malformed the lines.
     names = list(ingest.EVENT_COLUMNS) + [ingest.TZ_COLUMN] * tz
     names = data.draw(st.permutations(names))
     lines = [",".join(names)]
@@ -542,13 +557,13 @@ def test_parse_paths_agree_with_the_row_oracle(tmp_path_factory, data, tz, block
         text = text.rstrip("\r\n")
     path = tmp_path_factory.mktemp("blocks") / "events.csv"
     path.write_bytes(text.encode("utf-8"))
-    source_lines = list(io.StringIO(text, newline=""))
+    sources = (path, quoted_header_copy(path))
 
-    expected = parse_outcome(oracles.parse_events, source_lines)
+    expected = parse_outcome(oracles.parse_events, list(io.StringIO(text, newline="")))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ingest, "_BLOCK_BYTES", block_bytes)
-        got = [parse_outcome(ingest.parse_events, source) for source in (path, source_lines)]
-    for source, result in zip((path, source_lines), got):
+        mp.setattr(storage, "_BLOCK_BYTES", block_bytes)
+        got = [parse_outcome(ingest.parse_events, source) for source in sources]
+    for source, result in zip(sources, got):
         if isinstance(expected, str):
             # The package names the path in a csv error; the oracle raises the bare csv.Error.
             assert isinstance(result, str) and result.endswith(expected), (source, result, expected)
@@ -588,22 +603,62 @@ def test_crlf_line_ends_stay_in_the_block_parse(tmp_path, monkeypatch):
 
 
 def test_a_pipe_is_read_once(tmp_path, monkeypatch):
-    # A file that cannot seek, such as a shell's <(zcat events.csv.gz), parses as the file does,
-    # also when a quote past the first block sends a file back to the start of its block.
-    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1024)
+    # A file that cannot seek, such as a shell's <(zcat events.csv.gz), parses as the file does:
+    # the blocks before the one holding a quote go through the block parse, the rest through csv.reader.
+    monkeypatch.setattr(storage, "_BLOCK_BYTES", 1024)
     good = [f"u{i % 3},{MONDAY + i},t{i % 4},a{i % 2},organic,{i}" for i in range(300)]
     good[200] = f'"u1",{MONDAY},t1,a1,organic,7'
-    path = tmp_path / "events.csv"
-    path.write_text("".join(events_csv_lines(good)))
+    path = write_lines(tmp_path / "events.csv", events_csv_lines(good))
     fifo = tmp_path / "events.fifo"
     os.mkfifo(fifo)
+    block_lines = []
+    add_lines = ingest._EventColumns.add_lines
+
+    def counted(self, block, starts, ends, line_base):
+        block_lines.append(len(starts))
+        add_lines(self, block, starts, ends, line_base)
+
+    monkeypatch.setattr(ingest._EventColumns, "add_lines", counted)
     writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
     writer.start()
     try:
         got = parse_outcome(ingest.parse_events, fifo)
     finally:
         writer.join()
+    assert 150 < sum(block_lines) < 201  # the quote is on line 202
     assert got == parse_outcome(ingest.parse_events, path)
+
+
+FIFO_PARSE = """
+import sys, threading
+from weeklisten import ingest
+from weeklisten.errors import IngestError
+parse, fifo, data = getattr(ingest, sys.argv[1]), sys.argv[2], sys.argv[3].encode("latin-1")
+def write():
+    with open(fifo, "wb") as fh:
+        fh.write(data)
+threading.Thread(target=write, daemon=True).start()
+try:
+    parse(fifo)
+except IngestError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("parse, text", [
+    ("parse_events", events_csv_lines([f"u1,{MONDAY + i},t{i},a,organic,60" for i in range(3)])),
+    ("parse_favorites", ["user_id,kind,item_id\n", "u1,track,t1\n", "u2,track,t2\n", "u3,album,a1\n"]),
+])
+def test_a_non_utf8_pipe_fails_at_once_naming_the_byte(tmp_path, parse, text):
+    # The bad byte is located in the block already read: the pipe is not opened a second time,
+    # which would wait for a writer that never comes.  A subprocess bounds that wait.
+    fifo = tmp_path / "source.fifo"
+    os.mkfifo(fifo)
+    data = "".join(text[:2] + ["\xff" + text[2]] + text[3:])
+    done = subprocess.run([sys.executable, "-c", FIFO_PARSE, parse, str(fifo), data], capture_output=True,
+                          text=True, timeout=30, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.stdout.strip() == (f"cannot read {parse.removeprefix('parse_')} source {fifo}: line 3, "
+                                   "byte column 1: not UTF-8 (byte 0xff, invalid start byte)"), done.stderr
 
 
 @given(triples=st.lists(st.tuples(identifier, st.sampled_from([ingest.TRACK, ingest.ALBUM]), identifier),
