@@ -42,6 +42,7 @@ halving ran out, and warns when either count is not 0.
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import json
 import resource
@@ -189,9 +190,9 @@ def cmd_ingest(args) -> tuple:
         print(f"warning: {profiles.unknown_user_warnings} favorites referenced unknown users")
     summary_path = out / "user_summary.csv"
     with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("user_id,total_valid_streams,active_days,distinct_tracks,liked_tracks\n")
-        fh.writelines(f"{user},{total},{days},{distinct},{liked}\n" for user, (total, days, distinct, liked)
-                      in zip(profiles.user_ids, profiles.summary.tolist()))
+        writer = csv.writer(fh, lineterminator="\n")  # quotes a user id holding a comma or a quote
+        writer.writerow(["user_id", "total_valid_streams", "active_days", "distinct_tracks", "liked_tracks"])
+        writer.writerows([user, *counts] for user, counts in zip(profiles.user_ids, profiles.summary.tolist()))
     _write_manifest(out, "ingest", args,
                     {"events": args.events, "favorites": args.favorites or ""},
                     {"user_summary": summary_path}, started, gates)

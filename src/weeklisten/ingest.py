@@ -27,8 +27,9 @@ Track and album ids stay bytes (:class:`IdTable`); only user ids become ``str``.
 lines that ``storage`` cuts, and parses each block with numpy: comma and
 newline positions give the fields, plain integers are read by digit
 arithmetic, origins, empty ids and ranges are checked as masks, and each id
-column's distinct ids come from one ``np.unique`` per block.  A line may end
-in ``\n`` or ``\r\n``.  One row checker decides every line the block parse
+column's distinct ids come from one ``np.unique`` per block, which numbers
+them in sorted order, so the tables do not depend on line order.  A line may
+end in ``\n`` or ``\r\n``.  One row checker decides every line the block parse
 cannot accept, and every row of the ``csv.reader`` path, which takes the
 rest of the same blocks from the first one that needs it (a quote, NUL, a
 ``\r`` not followed by ``\n``, or an overlong line); both paths give the
@@ -148,10 +149,10 @@ class ParseReport:
 class EventLog:
     """Columnar event log: one array per field, one entry per event.
 
-    ``users``, ``tracks`` and ``albums`` are interning tables and the
-    per-event columns hold indexes into them.  ``users`` is a numpy object
-    array of str; ``tracks`` and ``albums`` are byte tables
-    (:class:`IdTable`) that never make a ``str`` of an id.  Filtered views
+    ``users``, ``tracks`` and ``albums`` are interning tables, each in sorted
+    order (see :class:`IdTable`), and the per-event columns hold indexes into
+    them.  ``users`` is a numpy object array of str; ``tracks`` and ``albums``
+    are byte tables (:class:`IdTable`) that never make a ``str`` of an id.  Filtered views
     created by :meth:`select` share the tables, so indexes stay comparable
     across a filter chain.
     """
@@ -199,8 +200,8 @@ def parse_events(path) -> tuple[EventLog, ParseReport]:
     record ends, never silently dropped; if they exceed
     :data:`MAX_MALFORMED_FRACTION` of the data lines the whole parse fails.
     A user id that is blank or holds a line break is malformed, since user
-    index files hold one id per line.  Identifiers are interned in order of
-    first appearance.
+    index files hold one id per line.  Identifiers are interned in sorted
+    order (:class:`IdTable`).
 
     The file is opened once and read once, in blocks of whole lines, which
     numpy splits at commas and line ends (``\\n`` or ``\\r\\n``) and whose
@@ -476,19 +477,18 @@ def _equals(padded: np.ndarray, starts: np.ndarray, ends: np.ndarray, token: str
 
 
 class _Interner:
-    """Interns one id column block by block, and numbers its ids in order of first appearance.
+    """Interns one id column block by block, and numbers its ids in sorted order.
 
-    Every distinct id of a block gets the next sequence number, in order of
-    first appearance in the block.  Ids are kept as bytes with an end marker
-    (so that an id ending in NUL stays distinct), zero-padded to a width class
-    of 8, 16, 32, ... bytes, which keeps every fixed-width array within twice
-    the bytes of its ids; one ``np.unique`` per class finds a block's
-    distinct ids.  :meth:`table` merges the blocks the same way into an
-    :class:`IdTable`, still as bytes.
+    Ids are kept as bytes with an end marker (so that an id ending in NUL
+    stays distinct), zero-padded to a width class of 8, 16, 32, ... bytes,
+    which keeps every fixed-width array within twice the bytes of its ids.
+    One ``np.unique`` per class finds a block's distinct ids, and each gets
+    the next sequence number in that sorted order.  :meth:`table` merges the
+    blocks the same way into an :class:`IdTable`, still as bytes.
     """
 
     def __init__(self):
-        self.distinct: dict[int, _Column] = {}  # width -> the blocks' distinct ids, by sequence number
+        self.distinct: dict[int, _Column] = {}  # width -> the blocks' distinct ids
         self.seqs: dict[int, _Column] = {}  # width -> their sequence numbers
         self.count = 0
 
@@ -501,32 +501,19 @@ class _Interner:
         lengths = ends - starts
         widths = _width_class(lengths)
         seq = np.empty(len(starts), dtype=np.int64)
-        parts = []
         for width in np.flatnonzero(np.bincount(widths)).tolist():
             rows = np.flatnonzero(widths == width)
             ids = sliding_window_view(padded, width)[starts[rows]]
             ids *= np.arange(width) < lengths[rows, None]
             ids[np.arange(len(rows)), lengths[rows]] = _END
-            distinct, first, inverse = np.unique(ids.view(f"S{width}").reshape(-1),
-                                                 return_index=True, return_inverse=True)
-            parts.append((width, rows, distinct, rows[first], inverse))
-        if not parts:
-            return seq
-        firsts = np.concatenate([part[3] for part in parts])
-        numbers = np.empty(len(firsts), dtype=np.int64)
-        numbers[np.argsort(firsts)] = np.arange(self.count, self.count + len(firsts))
-        self.count += len(firsts)
-        offset = 0
-        for width, rows, distinct, _, inverse in parts:
-            mine = numbers[offset:offset + len(distinct)]
-            offset += len(distinct)
-            seq[rows] = mine[inverse]
+            distinct, inverse = np.unique(ids.view(f"S{width}").reshape(-1), return_inverse=True)
+            seq[rows] = inverse + self.count
             if width not in self.distinct:  # first capacity: 512 kB of ids, so a long id reserves little
                 self.distinct[width] = _Column(f"S{width}", 8 * _CHUNK // width)
                 self.seqs[width] = _Column(np.int64, 8 * _CHUNK // width)
-            order = np.argsort(mine)
-            self.distinct[width].extend(distinct[order])
-            self.seqs[width].extend(mine[order])
+            self.distinct[width].extend(distinct)
+            self.seqs[width].extend(np.arange(self.count, self.count + len(distinct)))
+            self.count += len(distinct)
         return seq
 
     def add_strings(self, ids: list[str]) -> np.ndarray:
@@ -543,28 +530,17 @@ class _Interner:
         return self.add(padded, ends - lengths, ends)
 
     def table(self) -> tuple["IdTable", np.ndarray]:
-        """The ids as an :class:`IdTable` in order of first appearance, and the index of each sequence number."""
-        parts = []
+        """The ids as an :class:`IdTable`, and the table index of each sequence number."""
+        keys = []
+        index_of_seq = np.empty(self.count, dtype=np.int32)
         for width in sorted(self.distinct):
             ids = self.distinct.pop(width).finish()
-            seqs = self.seqs.pop(width).finish()
-            # Each class lists its ids by sequence number, so the first occurrence of an id has its least one.
-            distinct, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+            # The stable sort merges the blocks' sorted runs fastest; the index itself is not needed.
+            distinct, _, inverse = np.unique(ids, return_index=True, return_inverse=True)
             del ids
-            parts.append((distinct, seqs, seqs[first], inverse))
-        first_seqs = np.concatenate([part[2] for part in parts]) if parts else np.empty(0, dtype=np.int64)
-        index = np.empty(len(first_seqs), dtype=np.int32)
-        index[np.argsort(first_seqs)] = np.arange(len(index))
-        index_of_seq = np.empty(self.count, dtype=np.int32)
-        keys, indexes = [], []
-        offset = 0
-        for distinct, seqs, _, inverse in parts:
-            mine = index[offset:offset + len(distinct)]
-            offset += len(distinct)
-            index_of_seq[seqs] = mine[inverse]
+            index_of_seq[self.seqs.pop(width).finish()] = inverse + sum(map(len, keys))
             keys.append(distinct)
-            indexes.append(mine)
-        return IdTable(tuple(keys), tuple(indexes)), index_of_seq
+        return IdTable(tuple(keys)), index_of_seq
 
 
 def _width_class(lengths):
@@ -577,40 +553,39 @@ class IdTable:
     """The distinct ids of an id column, kept as bytes: a table of track or album ids holds no ``str``.
 
     ``keys[c]`` lists the ids of one width class (8, 16, 32, ... bytes) in
-    sorted order, each as its UTF-8 bytes, an end marker and NUL padding, and
-    ``index[c]`` holds each one's table index (int32).  Table indexes number
-    the ids in order of first appearance.
+    sorted order, each as its UTF-8 bytes, an end marker and NUL padding.
+    Table indexes number the ids in that order, narrowest class first, so the
+    table is the same whatever order its ids were read in.
     """
 
     keys: tuple[np.ndarray, ...]
-    index: tuple[np.ndarray, ...]
 
     def __len__(self) -> int:
-        return sum(map(len, self.index))
+        return sum(map(len, self.keys))
 
     def find(self, ids: list[str]) -> np.ndarray:
         """The table index of each of ``ids`` (int64), -1 for an id not in the table; one binary search each."""
         found = np.full(len(ids), -1, dtype=np.int64)
         wanted = [i.encode("utf-8", "surrogatepass") + bytes([_END]) for i in ids]
         widths = _width_class(np.fromiter(map(len, wanted), dtype=np.int64, count=len(wanted)) - 1)
-        for keys, index in zip(self.keys, self.index):
+        offset = 0
+        for keys in self.keys:
             rows = np.flatnonzero(widths == keys.dtype.itemsize)
             if len(rows):
                 sought = np.array([wanted[row] for row in rows.tolist()], dtype=keys.dtype)
                 pos = np.minimum(np.searchsorted(keys, sought), len(keys) - 1)
                 hit = keys[pos] == sought
-                found[rows[hit]] = index[pos[hit]]
+                found[rows[hit]] = pos[hit] + offset
+            offset += len(keys)
         return found
 
     def decoded(self) -> np.ndarray:
         """The ids as ``str`` in table order (an object array)."""
-        table = np.empty(len(self), dtype=object)
-        for keys, index in zip(self.keys, self.index):
-            table[index] = np.fromiter((key[:-1].decode("utf-8", "surrogatepass")  # less the end marker
-                                        for i in range(0, len(keys), _CHUNK)
-                                        for key in keys[i:i + _CHUNK].tolist()),
-                                       dtype=object, count=len(keys))
-        return table
+        return np.fromiter((key[:-1].decode("utf-8", "surrogatepass")  # less the end marker
+                            for keys in self.keys
+                            for i in range(0, len(keys), _CHUNK)
+                            for key in keys[i:i + _CHUNK].tolist()),
+                           dtype=object, count=len(self))
 
 
 class _Column:

@@ -146,6 +146,16 @@ def test_far_future_timestamps_ingest_and_signal(tmp_path, capsys):
     assert f"error: default tz offset {-2**31} minutes does not fit in 32 bits" in capsys.readouterr().err
 
 
+def test_user_ids_holding_commas_or_quotes_survive_the_user_summary(tmp_path):
+    users = ["a,b", '"q', 'x"y']
+    quoted = ['"' + user.replace('"', '""') + '"' for user in users]
+    events = tmp_path / "events.csv"
+    events.write_text("".join(events_csv_lines([f"{user},{MONDAY + 60 * i},t{i},a{i},organic,60"
+                                                for k, user in enumerate(quoted) for i in range(10 + k)])))
+    assert run(["ingest", "--events", str(events), "--min-daily-streams", "0", "--out", str(tmp_path)]) == 0
+    assert cli._read_summary_totals(tmp_path / "user_summary.csv") == {"a,b": 10, '"q': 11, 'x"y': 12}
+
+
 def test_far_apart_timestamps_signal_without_a_period(tmp_path, capsys):
     # Without --period-start/--period-end the period covers the event span, here
     # 2**40 s (about 300 million hours); the slot divisors once took memory per hour.
