@@ -5,13 +5,19 @@ Subcommands mirror the stages: ``synth``, ``ingest``, ``signals``, ``learn``,
 byte-identical to a staged run).  Stages hand off a user-index file plus a
 ``.npy`` matrix file (signals, codes; there is no other matrix format) or
 ``dictionary.csv``; in memory they pass the same ``(user_ids, matrix)``
-arrays.  ``pipeline`` uses those file handoffs too, with one exception: it
-parses ``events.csv`` and ``favorites.csv`` once, in ``ingest``, and hands the
-ingest front end (the profiles, which carry the filtered log, and the study
-period) to ``signals`` in memory; a staged ``signals`` parses the files itself.
-The front end keeps one live copy of the event columns: each filter's input
-is released once its output exists, and only the restricted log is alive
-while profiles and signals are built.
+arrays.  ``events.csv`` and ``favorites.csv`` are parsed in ``ingest``, which
+packs what ``signals`` needs of them (a :class:`~weeklisten.signals.Front`)
+and writes it next to ``user_summary.csv`` as ``ingest_front.bin``, under a
+key naming the sha256 of both inputs' bytes, the filter and period flags,
+the version and the file format.  ``pipeline`` hands the front to
+``signals`` in memory; a staged ``signals`` computes the key from its own
+flags and inputs and builds from the file of its ``--out`` directory when
+the keys match, and otherwise (no file, other bytes or flags, an unreadable
+file, a piped input) parses the inputs itself.  Every other handoff of
+``pipeline`` goes through the files a staged run uses.  The front end keeps
+one live copy of the event columns: each filter's input is released once
+its output exists, and only the restricted log is alive while profiles and
+the front are built.
 
 Stage commands signal failure only by raising :class:`PipelineError`, which
 :func:`main` turns into an ``error: ...`` line and exit status 1 (a missing,
@@ -29,9 +35,11 @@ between byte-identical runs).  ``synth`` also records the counts it prints:
 ``events``, ``valid_events`` and ``organic_fraction_valid``.  ``ingest``
 records the gate counts it prints: ``lines``, ``malformed``,
 ``valid_streams``, ``active_users`` and ``unknown_favorite_users``, plus
-``parse_s``, the seconds its parse of
-``events.csv`` took; a staged ``signals``, which parses for itself, records
-``parse_s`` too.  ``learn`` and ``embed`` also record the
+``parse_s``, the seconds its parse of ``events.csv`` took, and
+``inputs_sha256``, the input digests of its key.  ``signals`` records
+``front``: ``"memory"``, ``"handoff"`` or ``"parsed"``; a parsing
+``signals`` also records ``parse_s`` and ``handoff_miss``, why it did not
+use the file.  ``learn`` and ``embed`` also record the
 codes' worst KKT residual (``kkt_max``) and the number of users above the
 certificate tolerance (``users_uncertified``), and warn when that is not 0;
 ``eval`` records its logistic fits' worst final gradient max-norm
@@ -175,12 +183,30 @@ def cmd_synth(args) -> synth.SynthConfig:
     return config
 
 
-def cmd_ingest(args) -> tuple:
-    """Write ``user_summary.csv``; returns the front end so ``pipeline`` can hand it to signals."""
+def _front_key(args) -> tuple[str | None, dict]:
+    """The handoff key of the front ``args`` make, and the sha256 of their input files.
+
+    The key is canonical JSON naming everything the front depends on: the
+    sha256 of the ``--events`` and ``--favorites`` bytes, the filter and
+    period flags, the version and the handoff format.  It is None when an
+    input is a pipe, which cannot be read a second time to be digested.
+    """
+    inputs = {"events": storage.file_sha256(args.events, "events", IngestError)}
+    if args.favorites:
+        inputs["favorites"] = storage.file_sha256(args.favorites, "favorites", IngestError)
+    if None in inputs.values():
+        return None, inputs
+    key = {"format": signals.FRONT_FORMAT, "version": __version__, "inputs_sha256": inputs,
+           **{flag: getattr(args, flag) for flag in
+              ("min_listen_secs", "min_daily_streams", "period_start", "period_end")}}
+    return json.dumps(key, sort_keys=True), inputs
+
+
+def cmd_ingest(args) -> signals.Front:
+    """Write ``user_summary.csv`` and the handoff; returns the front so ``pipeline`` can hand it to signals."""
     started = time.monotonic()
     out = _out_dir(args)
-    front = _load_filtered(args)
-    profiles, period, report, valid_streams, parse_s = front
+    profiles, period, report, valid_streams, parse_s = _load_filtered(args)
     gates = {"parse_s": parse_s, "lines": report.total_lines, "malformed": report.malformed_count,
              "valid_streams": valid_streams, "active_users": len(profiles.user_ids),
              "unknown_favorite_users": profiles.unknown_user_warnings}
@@ -188,32 +214,65 @@ def cmd_ingest(args) -> tuple:
     print(f"{valid_streams} valid streams; {len(profiles.user_ids)} active users over {period.days:g} days")
     if profiles.unknown_user_warnings:
         print(f"warning: {profiles.unknown_user_warnings} favorites referenced unknown users")
-    summary_path = out / "user_summary.csv"
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
+    outputs = {"user_summary": out / "user_summary.csv"}
+    with open(outputs["user_summary"], "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")  # quotes a user id holding a comma or a quote
         writer.writerow(["user_id", "total_valid_streams", "active_days", "distinct_tracks", "liked_tracks"])
         writer.writerows([user, *counts] for user, counts in zip(profiles.user_ids, profiles.summary.tolist()))
+    front = signals.front_of(profiles, period)
+    # hashlib maps OpenSSL, about 3.5 MB of resident pages; digesting once the parse
+    # and the profiles are gone keeps them under the parse's peak RSS.
+    del profiles
+    key, gates["inputs_sha256"] = _front_key(args)
+    if key is not None:
+        outputs["handoff"] = out / signals.FRONT_FILE
+        signals.save_front(front, key, outputs["handoff"])
     _write_manifest(out, "ingest", args,
                     {"events": args.events, "favorites": args.favorites or ""},
-                    {"user_summary": summary_path}, started, gates)
+                    outputs, started, gates)
     return front
 
 
+def _staged_front(args, handoff: Path) -> tuple[signals.Front, dict]:
+    """A staged ``signals``' front: the ``handoff`` when its key is that of ``args``, else a parse of its own.
+
+    Also returns the manifest fields saying which, and why a parse was needed.
+    """
+    key, _ = _front_key(args)
+    if key is None:
+        miss = "input is not a regular file"
+    else:
+        try:
+            front = signals.load_front(handoff, key)
+            if front is not None:
+                return front, {"front": "handoff"}
+            miss = "inputs differ"
+        except FileNotFoundError:
+            miss = "no handoff"
+        except (OSError, ValueError):
+            miss = "unreadable"
+    profiles, period, _, _, parse_s = _load_filtered(args)
+    return signals.front_of(profiles, period), {"front": "parsed", "handoff_miss": miss, "parse_s": parse_s}
+
+
 def cmd_signals(args, front=None) -> None:
-    """Write the signal matrix, from ``front`` (see :func:`cmd_ingest`) or a parse of its own."""
+    """Write the signal matrix, from ``front`` (see :func:`cmd_ingest`), ingest's handoff or a parse of its own."""
     started = time.monotonic()
     out = _out_dir(args)
-    parses = front is None
-    profiles, period, _, _, parse_s = front or _load_filtered(args)
-    sset = signals.build_signal_set(profiles, period, args.tz_offset_min)
+    inputs = {"events": args.events, "favorites": args.favorites or ""}
+    if front is None:
+        front, diagnostics = _staged_front(args, out / signals.FRONT_FILE)
+        if diagnostics["front"] == "handoff":
+            inputs["handoff"] = out / signals.FRONT_FILE
+    else:
+        diagnostics = {"front": "memory"}
+    sset = signals.build_signal_set(front, args.tz_offset_min)
     index_path = out / "signal_users.txt"
     matrix_path = out / "signals.npy"
     storage.save_indexed_matrix(sset.user_ids, sset.matrix, index_path, matrix_path)
     print(f"built {len(sset.user_ids)} signals of {sset.matrix.shape[1]} columns")
-    _write_manifest(out, "signals", args,
-                    {"events": args.events, "favorites": args.favorites or ""},
-                    {"signal_users": index_path, "signals": matrix_path}, started,
-                    {"parse_s": parse_s} if parses else None)
+    _write_manifest(out, "signals", args, inputs,
+                    {"signal_users": index_path, "signals": matrix_path}, started, diagnostics)
 
 
 def cmd_learn(args) -> None:

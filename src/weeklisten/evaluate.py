@@ -32,6 +32,7 @@ and the parameters of each refit.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -117,9 +118,9 @@ def write_labels(path, user_ids: Sequence[str], answers, demographics) -> None:
     """Write the labels CSV from the columns :func:`parse_labels` returns."""
     columns = np.column_stack([answers, demographics]).tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(LABELS_HEADER) + "\n")
-        fh.writelines(f"{user}," + ",".join(map(str, row)) + "\n"
-                      for user, row in zip(user_ids, columns))
+        writer = csv.writer(fh, lineterminator="\n")  # quotes a user id holding a comma or a quote
+        writer.writerow(LABELS_HEADER)
+        writer.writerows([user, *row] for user, row in zip(user_ids, columns))
 
 
 # ---------------------------------------------------------------------------

@@ -186,10 +186,15 @@ class EventLog:
         ``default_tz_offset_min`` applies to events without an offset and must
         lie in the tz column's range.
         """
-        if not TZ_UNSET < default_tz_offset_min <= _INT32_MAX:
-            raise IngestError(f"default tz offset {default_tz_offset_min} minutes does not fit in 32 bits")
-        offsets = np.where(self.tz_offset_min == TZ_UNSET, default_tz_offset_min, self.tz_offset_min)
-        return self.timestamps + offsets.astype(np.int64) * 60
+        return _local_timestamps(self.timestamps, self.tz_offset_min, default_tz_offset_min)
+
+
+def _local_timestamps(timestamps: np.ndarray, tz_offset_min: np.ndarray, default_tz_offset_min: int) -> np.ndarray:
+    """:meth:`EventLog.local_timestamps` of the timestamp and tz offset columns."""
+    if not TZ_UNSET < default_tz_offset_min <= _INT32_MAX:
+        raise IngestError(f"default tz offset {default_tz_offset_min} minutes does not fit in 32 bits")
+    offsets = np.where(tz_offset_min == TZ_UNSET, default_tz_offset_min, tz_offset_min)
+    return timestamps + offsets.astype(np.int64) * 60
 
 
 def parse_events(path) -> tuple[EventLog, ParseReport]:

@@ -12,14 +12,18 @@ stage's error naming the file, worded in one place.  A pipe reads as a file.
 Signals and codes hand off as a user-index file (one user id per line,
 UTF-8, in row order) plus a matrix file in numpy's ``.npy`` format (float64,
 no pickling); :func:`save_indexed_matrix` and :func:`load_indexed_matrix`
-write and read the pair.  Every writer here is byte-deterministic for
-identical inputs.
+write and read the pair.  :func:`save_arrays` and :func:`load_arrays` write
+and read several arrays as one file of ``.npy`` records, back to back (the
+ingest front end that ``signals`` reads), and :func:`file_sha256` digests
+an input file.  Every writer here is byte-deterministic for identical
+inputs.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
 from contextlib import contextmanager
 from itertools import chain
 
@@ -107,6 +111,43 @@ def _header(reader, path, kind: str, error: type[PipelineError]) -> list[str]:
     if header is None:
         raise error(f"{kind} source {path} is empty (missing header)")
     return [h.strip() for h in header]
+
+
+def file_sha256(path, kind: str, error: type[PipelineError] = PipelineError) -> str | None:
+    """Hex sha256 of the bytes of the file at ``path``, read in blocks.
+
+    A pipe or other file that is not regular gives None and is not opened,
+    since reading it would consume it.  A file that cannot be read raises
+    ``error`` naming ``kind``, as its parse would.
+    """
+    import hashlib  # only the stages that key a handoff load it
+
+    if os.path.exists(path) and not os.path.isfile(path):
+        return None
+    digest = hashlib.sha256()
+    with _opened(path, kind, error) as fh:
+        while chunk := fh.read(_BLOCK_BYTES):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def save_arrays(arrays, path) -> None:
+    """Write ``arrays`` into one file as ``.npy`` records, one after another, without pickling."""
+    with open(path, "wb") as fh:
+        for array in arrays:
+            np.lib.format.write_array(fh, np.asarray(array), allow_pickle=False)
+
+
+def load_arrays(path) -> list[np.ndarray]:
+    """The arrays of a :func:`save_arrays` file, in order.
+
+    A missing file raises ``FileNotFoundError``; a damaged one ``ValueError``.
+    """
+    arrays = []
+    with open(path, "rb") as fh:
+        while fh.peek(1):
+            arrays.append(np.lib.format.read_array(fh, allow_pickle=False))
+    return arrays
 
 
 def save_index(user_ids, path) -> None:

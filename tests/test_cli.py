@@ -1,5 +1,9 @@
 import argparse
+import hashlib
 import json
+import os
+import shutil
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,6 +14,9 @@ from weeklisten import cli, dictionary, evaluate, ingest, signals, synth
 from conftest import DATA_ARTIFACTS, MONDAY, WEEK, events_csv_lines
 
 SMALL = ["--users", "120", "--weeks", "2", "--atoms", "8", "--outer-iters", "6"]
+#: The study period of SMALL's synthetic inputs.
+PERIOD = ["--period-start", str(synth.PERIOD_START),
+          "--period-end", str(synth.SynthConfig(n_users=120, weeks=2).period_end)]
 
 
 def run(argv):
@@ -120,7 +127,7 @@ def test_front_end_memory_is_bounded_by_the_restricted_log(tmp_path, monkeypatch
     tracemalloc.start()
     try:
         profiles, period, *_ = cli._load_filtered(args)
-        signals.build_signal_set(profiles, period)
+        signals.build_signal_set(signals.front_of(profiles, period))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -423,17 +430,102 @@ def test_synth_manifest_records_the_event_counts(pipeline_dir):
     assert manifest["organic_fraction_valid"] == sum(valid) / len(valid)
 
 
-def test_stages_that_parse_record_the_parse_time(pipeline_dir, tmp_path):
-    # pipeline parses once, in ingest; a staged signals parses for itself and says so.
-    def manifest(directory, name):
-        return json.loads((directory / f"manifest_{name}.json").read_text())
+def manifest(directory, name):
+    return json.loads((directory / f"manifest_{name}.json").read_text())
 
+
+def test_stages_that_parse_record_the_parse_time(pipeline_dir, tmp_path):
+    # pipeline parses once, in ingest; a staged signals parses for itself, and says so,
+    # unless it builds from ingest's handoff.
     assert isinstance(manifest(pipeline_dir, "ingest")["parse_s"], float)
     assert "parse_s" not in manifest(pipeline_dir, "signals")
-    config = synth.SynthConfig(n_users=120, weeks=2)
-    assert run(["signals", "--out", str(tmp_path), "--events", str(pipeline_dir / "events.csv"),
-                "--period-start", str(synth.PERIOD_START), "--period-end", str(config.period_end)]) == 0
-    assert manifest(tmp_path, "signals")["parse_s"] >= 0
+    assert manifest(pipeline_dir, "signals")["front"] == "memory"
+    src = ["--events", str(pipeline_dir / "events.csv"), *PERIOD]
+    fresh, handed = tmp_path / "fresh", tmp_path / "handed"
+    assert run(["signals", "--out", str(fresh), *src]) == 0
+    assert manifest(fresh, "signals")["parse_s"] >= 0
+    assert manifest(fresh, "signals")["front"] == "parsed"
+    assert manifest(fresh, "signals")["handoff_miss"] == "no handoff"
+    assert run(["ingest", "--out", str(handed), *src]) == 0
+    assert run(["signals", "--out", str(handed), *src]) == 0
+    assert "parse_s" not in manifest(handed, "signals")
+    assert manifest(handed, "signals")["front"] == "handoff"
+    assert (handed / "signals.npy").read_bytes() == (fresh / "signals.npy").read_bytes()
+
+
+def test_ingest_writes_the_same_handoff_bytes_each_run(pipeline_dir, tmp_path):
+    src = ["--events", str(pipeline_dir / "events.csv"), "--favorites", str(pipeline_dir / "favorites.csv")]
+    for out in ("a", "b"):
+        assert run(["ingest", "--out", str(tmp_path / out), *src, *PERIOD]) == 0
+    handoff = (tmp_path / "a" / signals.FRONT_FILE).read_bytes()
+    assert handoff == (tmp_path / "b" / signals.FRONT_FILE).read_bytes()
+    assert handoff == (pipeline_dir / signals.FRONT_FILE).read_bytes()
+    ingested = manifest(tmp_path / "a", "ingest")
+    assert ingested["outputs"]["handoff"] == str(tmp_path / "a" / signals.FRONT_FILE)
+    assert ingested["inputs_sha256"] == {
+        name: hashlib.sha256((pipeline_dir / f"{name}.csv").read_bytes()).hexdigest()
+        for name in ("events", "favorites")}
+
+
+def _changed_event_byte(staged, src):
+    """One timestamp digit of events.csv changed in place; its size and times are restored."""
+    events = staged / "events.csv"
+    before = events.stat()
+    data = bytearray(events.read_bytes())
+    at = data.index(b",", data.index(b"\n")) + 6  # the 10**4 s digit of the first event's timestamp
+    data[at] = ord("0") + (data[at] - ord("0") + 1) % 10
+    events.write_bytes(data)
+    os.utime(events, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert events.stat().st_size == before.st_size and events.stat().st_mtime_ns == before.st_mtime_ns
+    return src
+
+
+def _truncated_handoff(staged, src):
+    handoff = staged / signals.FRONT_FILE
+    handoff.write_bytes(handoff.read_bytes()[:-100])
+    return src
+
+
+@pytest.mark.parametrize("change, reason", [
+    (_changed_event_byte, "inputs differ"),
+    (lambda staged, src: [*src, "--min-listen-secs", "31"], "inputs differ"),
+    (lambda staged, src: [arg for arg in src if "favorites" not in arg], "inputs differ"),
+    (_truncated_handoff, "unreadable"),
+], ids=["event-byte", "min-listen-secs", "no-favorites", "truncated-handoff"])
+def test_signals_parses_unless_the_handoff_matches_its_inputs(pipeline_dir, tmp_path, change, reason):
+    staged = tmp_path / "staged"
+    staged.mkdir()
+    for name in ("events.csv", "favorites.csv"):
+        shutil.copy(pipeline_dir / name, staged / name)
+    src = ["--events", str(staged / "events.csv"), "--favorites", str(staged / "favorites.csv"), *PERIOD]
+    assert run(["ingest", "--out", str(staged), *src]) == 0
+    src = change(staged, src)
+    assert run(["signals", "--out", str(staged), *src]) == 0
+    signalled = manifest(staged, "signals")
+    assert (signalled["front"], signalled["handoff_miss"]) == ("parsed", reason)
+    assert signalled["parse_s"] >= 0
+    assert run(["signals", "--out", str(tmp_path / "fresh"), *src]) == 0
+    made = (staged / "signals.npy").read_bytes()
+    assert made == (tmp_path / "fresh" / "signals.npy").read_bytes()
+    # A stale handoff would have given the pipeline's signals.
+    assert (made == (pipeline_dir / "signals.npy").read_bytes()) == (reason == "unreadable")
+
+
+def test_a_piped_input_makes_no_handoff(pipeline_dir, tmp_path):
+    # A pipe cannot be read twice, once to digest it and once to parse it.
+    fifo = tmp_path / "events.fifo"
+    os.mkfifo(fifo)
+    for stage in ("ingest", "signals"):
+        writer = threading.Thread(target=lambda: fifo.write_bytes((pipeline_dir / "events.csv").read_bytes()))
+        writer.start()
+        try:
+            assert run([stage, "--out", str(tmp_path), "--events", str(fifo), *PERIOD]) == 0
+        finally:
+            writer.join()
+    assert manifest(tmp_path, "ingest")["inputs_sha256"] == {"events": None}
+    assert not (tmp_path / signals.FRONT_FILE).exists()
+    signalled = manifest(tmp_path, "signals")
+    assert (signalled["front"], signalled["handoff_miss"]) == ("parsed", "input is not a regular file")
 
 
 def test_eval_report_well_formed(pipeline_dir):
@@ -468,6 +560,7 @@ def test_staged_run_matches_pipeline_bytes(pipeline_dir, tmp_path):
 
     for name in DATA_ARTIFACTS:
         assert (staged / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
+    assert manifest(staged, "signals")["front"] == "handoff"
 
 
 @pytest.mark.parametrize("stage, flags, message", [

@@ -472,6 +472,17 @@ def test_labels_round_trip(tmp_path):
     assert evaluate.parse_labels(path).user_ids == labels.user_ids
 
 
+def test_labels_round_trip_user_ids_holding_commas_or_quotes(tmp_path):
+    labels = make_labels(12, np.random.default_rng(6))
+    user_ids = ("u0,0", '"q', 'x"y', *labels.user_ids[3:])
+    path = tmp_path / "labels.csv"
+    evaluate.write_labels(path, user_ids, labels.answers, labels.demographics)
+    loaded = evaluate.parse_labels(path)
+    assert loaded.user_ids == user_ids
+    assert np.array_equal(loaded.answers, labels.answers)
+    assert np.array_equal(loaded.demographics, labels.demographics)
+
+
 def test_labels_validation(tmp_path):
     header = ",".join(evaluate.LABELS_HEADER) + "\n"
     path = tmp_path / "labels.csv"

@@ -14,15 +14,15 @@ from weeklisten.errors import SignalError
 from conftest import DAY, HOUR, MONDAY, WEEK, favorites_of, log_of, make_event, records
 
 
-def profiles_for(log, favorites=()):
-    return ingest.build_profiles(log, favorites)
+def front_for(log, period, favorites=()):
+    return signals.front_of(ingest.build_profiles(log, favorites), period)
 
 
 def raw_of(log, period, favorites=()):
     """Oracle raw signal of the log's one user; the package's row must be its smoothed, normalized form."""
     (profile,) = oracles.profiles(records(log), favorites).values()
     raw = oracles.aggregate(records(log), profile, period)
-    sset = signals.build_signal_set(profiles_for(log, favorites), period)
+    sset = signals.build_signal_set(front_for(log, period, favorites))
     assert np.allclose(sset.matrix[0], oracles.normalize(oracles.smooth(raw)).ravel(), rtol=0, atol=1e-12)
     return raw
 
@@ -111,7 +111,7 @@ def test_aggregate_no_events_is_zero():
     # The user's only event lies before the period: a profiled user with an all-zero row.
     log = log_of(make_event(timestamp=MONDAY - HOUR))
     period = ingest.StudyPeriod(MONDAY, MONDAY + WEEK)
-    row_sig = signals.build_signal_set(profiles_for(log), period)
+    row_sig = signals.build_signal_set(front_for(log, period))
     assert row_sig.user_ids == ("u1",)
     assert np.all(row_sig.matrix == 0.0)
     assert np.all(raw_of(log, period) == 0.0)
@@ -157,7 +157,7 @@ def test_aggregate_rejects_short_period():
     log = log_of(make_event())
     short = ingest.StudyPeriod(MONDAY, MONDAY + 3 * DAY)
     with pytest.raises(SignalError, match="at least one week"):
-        signals.build_signal_set(profiles_for(log), short)
+        signals.build_signal_set(front_for(log, short))
     with pytest.raises(SignalError, match="at least one week"):
         oracles.aggregate(records(log), oracles.profiles(records(log))["u1"], short)
 
@@ -305,7 +305,7 @@ def two_user_log():
 def test_build_signal_set_shape_and_order():
     log = two_user_log()
     period = ingest.StudyPeriod(MONDAY, MONDAY + WEEK)
-    sset = signals.build_signal_set(profiles_for(log), period)
+    sset = signals.build_signal_set(front_for(log, period))
     assert sset.matrix.shape == (2, 672)
     assert sset.user_ids == ("alpha", "zeta")  # lexicographic, not input order
 
@@ -313,7 +313,7 @@ def test_build_signal_set_shape_and_order():
 def test_build_signal_set_row_layout():
     log = two_user_log()
     period = ingest.StudyPeriod(MONDAY, MONDAY + WEEK)
-    sset = signals.build_signal_set(profiles_for(log), period)
+    sset = signals.build_signal_set(front_for(log, period))
 
     zeta = records(ingest.restrict_to_users(log, ["zeta"]))
     raw = oracles.aggregate(zeta, oracles.profiles(records(log))["zeta"], period)
@@ -327,12 +327,26 @@ def test_build_signal_set_row_layout():
 def test_signal_set_round_trip(tmp_path):
     log = two_user_log()
     period = ingest.StudyPeriod(MONDAY, MONDAY + WEEK)
-    sset = signals.build_signal_set(profiles_for(log), period)
+    sset = signals.build_signal_set(front_for(log, period))
     index, matrix = tmp_path / "users.txt", tmp_path / "m.npy"
     storage.save_indexed_matrix(sset.user_ids, sset.matrix, index, matrix)
     loaded = signals.SignalSet(*storage.load_indexed_matrix(index, matrix))
     assert loaded.user_ids == sset.user_ids
     assert np.array_equal(loaded.matrix, sset.matrix)
+
+
+def test_front_round_trips_under_its_key_only(tmp_path):
+    log = log_of(*fixed_events(), make_event(user='"u,2"', origin="algorithmic", tz=-90))
+    front = front_for(log, ingest.StudyPeriod(MONDAY, MONDAY + WEEK), favorites_of(("u1", "track", "t_three")))
+    path = tmp_path / signals.FRONT_FILE
+    signals.save_front(front, "key", path)
+    loaded = signals.load_front(path, "key")
+    assert loaded.user_ids == front.user_ids == ("idle", "u,2", "u1") and loaded.period == front.period
+    for saved, read in zip(front[2:], loaded[2:]):
+        assert saved.tolist() == read.tolist()
+    assert set(front.flags.tolist()) == {0, signals.ORGANIC, signals.ORGANIC | signals.REPEATED,
+                                         signals.ORGANIC | signals.LIKED}
+    assert signals.load_front(path, "other key") is None
 
 
 TRACKS = ("t0", "t1", "t2", "t3", "t4")
@@ -371,7 +385,7 @@ def test_build_signal_set_matches_oracle(events, favorites, default_tz):
     log = log_of(*(events + fixed_events()))
     favorites = favorites_of(*favorites)
     period = ingest.StudyPeriod(MONDAY, MONDAY + 2 * WEEK)
-    sset = signals.build_signal_set(profiles_for(log, favorites), period, default_tz)
+    sset = signals.build_signal_set(front_for(log, period, favorites), default_tz)
     users, matrix = oracles.signal_rows(records(log), favorites, period, default_tz)
     assert sset.user_ids == users
     assert np.allclose(sset.matrix, matrix, rtol=0, atol=1e-12)
@@ -391,7 +405,8 @@ def test_signal_rows_and_summary_share_one_user_order(events, kept):
     # that also names the users left out.
     log = ingest.restrict_to_users(log_of(*(events + fixed_events())), kept | {"idle"})
     profiles = ingest.build_profiles(log)
-    sset = signals.build_signal_set(profiles, ingest.StudyPeriod(MONDAY, MONDAY + 2 * WEEK))
+    period = ingest.StudyPeriod(MONDAY, MONDAY + 2 * WEEK)
+    sset = signals.build_signal_set(signals.front_of(profiles, period))
     listeners = tuple(sorted({e.user_id for e in records(log)}))
     assert sset.user_ids == profiles.user_ids == listeners
     rows = oracles.summary_rows(oracles.profiles(records(log)))
