@@ -5,19 +5,18 @@ Subcommands mirror the stages: ``synth``, ``ingest``, ``signals``, ``learn``,
 byte-identical to a staged run).  Stages hand off a user-index file plus a
 ``.npy`` matrix file (signals, codes; there is no other matrix format) or
 ``dictionary.csv``; in memory they pass the same ``(user_ids, matrix)``
-arrays.  ``events.csv`` and ``favorites.csv`` are parsed in ``ingest``, which
-packs what ``signals`` needs of them (a :class:`~weeklisten.signals.Front`)
-and writes it next to ``user_summary.csv`` as ``ingest_front.bin``, under a
-key naming the sha256 of both inputs' bytes, the filter and period flags,
-the version and the file format.  ``pipeline`` hands the front to
-``signals`` in memory; a staged ``signals`` computes the key from its own
-flags and inputs and builds from the file of its ``--out`` directory when
-the keys match, and otherwise (no file, other bytes or flags, an unreadable
-file, a piped input) parses the inputs itself.  Every other handoff of
-``pipeline`` goes through the files a staged run uses.  The front end keeps
-one live copy of the event columns: each filter's input is released once
-its output exists, and only the restricted log is alive while profiles and
-the front are built.
+arrays.  ``events.csv`` and ``favorites.csv`` are parsed in ``ingest``, whose
+one front-end record (:class:`~weeklisten.ingest.Profiles`) goes next to
+``user_summary.csv`` as ``ingest_front.bin``, under a key naming the sha256
+of both inputs' bytes, the filter and period flags, the version and the
+file format.  ``pipeline`` hands the profiles to ``signals`` in memory; a
+staged ``signals`` computes the key from its own flags and inputs and builds
+from the file of its ``--out`` directory when the keys match, and otherwise
+(no file, other bytes or flags, an unreadable or damaged file, a piped
+input) parses the inputs itself.  Every other handoff of ``pipeline`` goes
+through the files a staged run uses.  The front end keeps one live copy of
+the event columns: each filter's input is released once its output exists,
+and only the restricted log is alive while the profiles are built.
 
 Stage commands signal failure only by raising :class:`PipelineError`, which
 :func:`main` turns into an ``error: ...`` line and exit status 1 (a missing,
@@ -29,9 +28,10 @@ All randomness flows from one ``--seed``: each stage derives its own seed as
 standalone with the base seed reproduces exactly what ``pipeline`` did.
 Every successful run writes a ``manifest_<command>.json`` next to its outputs
 with the resolved configuration, paths, seed, version, wall-clock duration and
-``peak_rss_mb``, its process's peak resident set size so far (the manifest is
-the only artifact carrying timing and memory, hence the only one that differs
-between byte-identical runs).  ``synth`` also records the counts it prints:
+``peak_rss_mb``, its process's peak resident set size so far (Linux's
+``VmHWM``, else ``ru_maxrss``; the manifest is the only artifact carrying
+timing and memory, hence the only one that differs between byte-identical
+runs).  ``synth`` also records the counts it prints:
 ``events``, ``valid_events`` and ``organic_fraction_valid``.  ``ingest``
 records the gate counts it prints: ``lines``, ``malformed``,
 ``valid_streams``, ``active_users`` and ``unknown_favorite_users``, plus
@@ -91,9 +91,17 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
 
 
 def _peak_rss_mb() -> float:
-    """This process's peak resident set size so far, in MB (``ru_maxrss`` is KiB on Linux, bytes on macOS)."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return round(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1)
+    """This process's peak resident set size so far, in MB.
+
+    ``VmHWM`` where ``/proc/self/status`` has it, since Linux carries the spawning
+    process's ``ru_maxrss`` across exec; elsewhere ``ru_maxrss`` (KiB, on macOS bytes).
+    """
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            return round(next(int(line.split()[1]) for line in fh if line.startswith(b"VmHWM:")) / 1024, 1)
+    except (OSError, StopIteration):
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return round(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1)
 
 
 def _out_dir(args) -> Path:
@@ -137,11 +145,11 @@ def _resolve_period(args, valid_log) -> ingest.StudyPeriod:
 def _load_filtered(args):
     """Shared ingest front end: parse, filter and profile.
 
-    Returns ``(profiles, period, report, valid_streams, parse_s)``, the last
-    the seconds ``parse_events`` took.  Each filter's input is released as
-    soon as its output exists, so at most two copies of the event columns are
-    ever alive, and only the restricted log, which the profiles carry, is
-    alive while they are built.
+    Returns ``(profiles, report, valid_streams, parse_s)``, the last the
+    seconds ``parse_events`` took.  Each filter's input is released as soon
+    as its output exists, so at most two copies of the event columns are ever
+    alive, and only the restricted log is alive while the profiles are built;
+    it is freed on return, but for the columns the profiles share.
     """
     started = time.perf_counter()
     log, report = ingest.parse_events(args.events)
@@ -155,7 +163,7 @@ def _load_filtered(args):
         raise IngestError(f"no active users: none has {args.min_daily_streams:g} valid streams "
                           f"(of at least {args.min_listen_secs} s) per day")
     log = ingest.restrict_to_users(log, active)
-    return ingest.build_profiles(log, favorites), period, report, valid_streams, parse_s
+    return ingest.build_profiles(log, period, favorites), report, valid_streams, parse_s
 
 
 def _synth_config(args) -> synth.SynthConfig:
@@ -202,16 +210,16 @@ def _front_key(args) -> tuple[str | None, dict]:
     return json.dumps(key, sort_keys=True), inputs
 
 
-def cmd_ingest(args) -> signals.Front:
-    """Write ``user_summary.csv`` and the handoff; returns the front so ``pipeline`` can hand it to signals."""
+def cmd_ingest(args) -> ingest.Profiles:
+    """Write ``user_summary.csv`` and the handoff; returns the profiles so ``pipeline`` can hand them to signals."""
     started = time.monotonic()
     out = _out_dir(args)
-    profiles, period, report, valid_streams, parse_s = _load_filtered(args)
+    profiles, report, valid_streams, parse_s = _load_filtered(args)
     gates = {"parse_s": parse_s, "lines": report.total_lines, "malformed": report.malformed_count,
              "valid_streams": valid_streams, "active_users": len(profiles.user_ids),
              "unknown_favorite_users": profiles.unknown_user_warnings}
     print(report.summary())
-    print(f"{valid_streams} valid streams; {len(profiles.user_ids)} active users over {period.days:g} days")
+    print(f"{valid_streams} valid streams; {len(profiles.user_ids)} active users over {profiles.period.days:g} days")
     if profiles.unknown_user_warnings:
         print(f"warning: {profiles.unknown_user_warnings} favorites referenced unknown users")
     outputs = {"user_summary": out / "user_summary.csv"}
@@ -219,21 +227,19 @@ def cmd_ingest(args) -> signals.Front:
         writer = csv.writer(fh, lineterminator="\n")  # quotes a user id holding a comma or a quote
         writer.writerow(["user_id", "total_valid_streams", "active_days", "distinct_tracks", "liked_tracks"])
         writer.writerows([user, *counts] for user, counts in zip(profiles.user_ids, profiles.summary.tolist()))
-    front = signals.front_of(profiles, period)
     # hashlib maps OpenSSL, about 3.5 MB of resident pages; digesting once the parse
-    # and the profiles are gone keeps them under the parse's peak RSS.
-    del profiles
+    # and the restricted log are gone keeps them under the parse's peak RSS.
     key, gates["inputs_sha256"] = _front_key(args)
     if key is not None:
         outputs["handoff"] = out / signals.FRONT_FILE
-        signals.save_front(front, key, outputs["handoff"])
+        signals.save_front(profiles, key, outputs["handoff"])
     _write_manifest(out, "ingest", args,
                     {"events": args.events, "favorites": args.favorites or ""},
                     outputs, started, gates)
-    return front
+    return profiles
 
 
-def _staged_front(args, handoff: Path) -> tuple[signals.Front, dict]:
+def _staged_front(args, handoff: Path) -> tuple[ingest.Profiles, dict]:
     """A staged ``signals``' front: the ``handoff`` when its key is that of ``args``, else a parse of its own.
 
     Also returns the manifest fields saying which, and why a parse was needed.
@@ -243,20 +249,20 @@ def _staged_front(args, handoff: Path) -> tuple[signals.Front, dict]:
         miss = "input is not a regular file"
     else:
         try:
-            front = signals.load_front(handoff, key)
-            if front is not None:
-                return front, {"front": "handoff"}
+            profiles = signals.load_front(handoff, key)
+            if profiles is not None:
+                return profiles, {"front": "handoff"}
             miss = "inputs differ"
         except FileNotFoundError:
             miss = "no handoff"
         except (OSError, ValueError):
             miss = "unreadable"
-    profiles, period, _, _, parse_s = _load_filtered(args)
-    return signals.front_of(profiles, period), {"front": "parsed", "handoff_miss": miss, "parse_s": parse_s}
+    profiles, _, _, parse_s = _load_filtered(args)
+    return profiles, {"front": "parsed", "handoff_miss": miss, "parse_s": parse_s}
 
 
 def cmd_signals(args, front=None) -> None:
-    """Write the signal matrix, from ``front`` (see :func:`cmd_ingest`), ingest's handoff or a parse of its own."""
+    """Write the signal matrix, from the profiles ``front`` (see :func:`cmd_ingest`), ingest's handoff or a parse."""
     started = time.monotonic()
     out = _out_dir(args)
     inputs = {"events": args.events, "favorites": args.favorites or ""}

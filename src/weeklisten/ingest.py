@@ -38,14 +38,16 @@ Favorites parse to columns as well (:func:`parse_favorites`).
 
 The activity filter keeps users with at least one valid stream whose daily
 average meets the threshold, so every active user gets a profile.
-:func:`build_profiles` returns :class:`Profiles`, plain columns next to the log
-they were built from; ``user_summary.csv`` and the signal rows share its one
-sorted user order, and no per-user record is ever built.  One liked-track set
-per user (favorited tracks plus tracks streamed under a favorited album)
-drives both the ``liked`` flag of an event and the ``liked_tracks`` count.
-One stable sort of the ``(user, track)`` pair keys gives the distinct pairs,
-their play counts and each event's pair, and favorites are found by binary
-search in their sorted keys.
+:func:`build_profiles` returns :class:`Profiles`, the one front-end record:
+each event's signal row, clock and organic, repeated and liked bits, the
+sorted user ids, the study period and the summary columns.
+``user_summary.csv`` and the signal rows share its one sorted user order,
+and no per-user record is ever built.  One liked-track set per user
+(favorited tracks plus tracks streamed under a favorited album) drives both
+the liked bit of an event and the ``liked_tracks`` count.  One stable sort
+of the ``(user, track)`` pair keys gives the distinct pairs, their play
+counts and each event's pair, and favorites are found by binary search in
+their sorted keys.
 """
 
 from __future__ import annotations
@@ -180,17 +182,13 @@ class EventLog:
             self.tz_offset_min[mask],
         )
 
-    def local_timestamps(self, default_tz_offset_min: int = 0) -> np.ndarray:
-        """Epoch seconds shifted into each event's local clock.
-
-        ``default_tz_offset_min`` applies to events without an offset and must
-        lie in the tz column's range.
-        """
-        return _local_timestamps(self.timestamps, self.tz_offset_min, default_tz_offset_min)
-
 
 def _local_timestamps(timestamps: np.ndarray, tz_offset_min: np.ndarray, default_tz_offset_min: int) -> np.ndarray:
-    """:meth:`EventLog.local_timestamps` of the timestamp and tz offset columns."""
+    """Epoch seconds shifted into each event's local clock.
+
+    ``default_tz_offset_min`` applies to events without an offset and must
+    lie in the tz column's range.
+    """
     if not TZ_UNSET < default_tz_offset_min <= _INT32_MAX:
         raise IngestError(f"default tz offset {default_tz_offset_min} minutes does not fit in 32 bits")
     offsets = np.where(tz_offset_min == TZ_UNSET, default_tz_offset_min, tz_offset_min)
@@ -793,31 +791,38 @@ def restrict_to_users(log: EventLog, user_ids: Iterable[str]) -> EventLog:
     return log if keep.all() else log.select(keep)
 
 
-class Profiles(NamedTuple):
-    """Per-user lookups over one filtered log, as plain columns.
+#: Bits of :attr:`Profiles.flags`: the event is organic, its track is repeat
+#: listening for its user, its track is in the user's liked-track set.
+ORGANIC_BIT, REPEATED_BIT, LIKED_BIT = 1, 2, 4
 
-    ``repeated`` and ``liked`` flag each event of ``log``: its track is repeat
-    listening for its user, or is in the user's liked-track set.  ``user_ids``
-    holds the users with an event in ``log``, sorted; row ``i`` of ``summary``
-    (the int64 ``total_valid_streams``, ``active_days``, ``distinct_tracks``
-    and ``liked_tracks`` of ``user_summary.csv``) and of the signal matrix is
-    ``user_ids[i]``, and ``row_of_user`` maps each ``log.users`` index to that
-    row (-1 for a user of the shared table without events).
+
+class Profiles(NamedTuple):
+    """The ingest front end: the restricted log packed to what ``signals`` reads, and the user summary.
+
+    ``row`` (int32), ``timestamps`` (int64), ``tz_offset_min`` (int32,
+    :data:`TZ_UNSET` for no offset) and ``flags`` (uint8 bits) hold one entry
+    per event of the log, in its order.  ``row`` indexes ``user_ids``, the
+    users with an event, sorted, which are also the rows of ``summary`` (the
+    int64 ``total_valid_streams``, ``active_days``, ``distinct_tracks`` and
+    ``liked_tracks`` of ``user_summary.csv``) and of the signal matrix.
+    ``unknown_user_warnings`` counts the favorites of users without an event.
     """
 
-    log: EventLog
-    repeated: np.ndarray
-    liked: np.ndarray
     user_ids: tuple[str, ...]
-    row_of_user: np.ndarray
+    period: StudyPeriod
+    row: np.ndarray
+    timestamps: np.ndarray
+    tz_offset_min: np.ndarray
+    flags: np.ndarray
     summary: np.ndarray
     unknown_user_warnings: int
 
 
-def build_profiles(log: EventLog, favorites=()) -> Profiles:
-    """Profiles of a duration-filtered, user-restricted log and favorites columns (``()`` for none).
+def build_profiles(log: EventLog, period: StudyPeriod, favorites=()) -> Profiles:
+    """Profiles of a duration-filtered, user-restricted log over ``period`` and favorites columns (``()`` for none).
 
-    Each step frees its per-event temporaries before the next one starts.
+    They share only the log's timestamp and tz columns.  Each step frees its
+    per-event temporaries before the next one starts.
     """
     n_users = len(log.users)
     n_tracks = len(log.tracks)
@@ -828,12 +833,12 @@ def build_profiles(log: EventLog, favorites=()) -> Profiles:
     present = np.flatnonzero(totals)
     names = log.users[present].tolist()
     order = sorted(range(len(names)), key=names.__getitem__)
-    row_of_user = np.full(n_users, -1, dtype=np.int64)
+    row_of_user = np.full(n_users, -1, dtype=np.int32)
     row_of_user[present[order]] = np.arange(len(order))
 
     # Distinct (user, local day) pairs, found by sorting on both columns so
     # that no day number has to fit in a packed key.
-    day = log.local_timestamps()
+    day = _local_timestamps(log.timestamps, log.tz_offset_min, 0)
     day //= 86400
     by_day = np.lexsort((day, log.user_idx))
     day = day[by_day]
@@ -873,10 +878,12 @@ def build_profiles(log: EventLog, favorites=()) -> Profiles:
     # (user, track) pair is in that set, whatever album it came under.
     pair_liked = _in_sorted(pair_keys, fav_keys[TRACK])
     pair_liked |= np.logical_or.reduceat(album_liked[by_pair], first)
-    repeated = np.empty(len(by_pair), dtype=bool)
-    repeated[by_pair] = np.repeat(pair_counts > REPEAT_PLAY_THRESHOLD, pair_counts)
-    liked = np.empty(len(by_pair), dtype=bool)
-    liked[by_pair] = np.repeat(pair_liked, pair_counts)
+    # Each pair's repeat and liked bits reach its events' flags in one scatter.
+    pair_flags = (pair_counts > REPEAT_PLAY_THRESHOLD) * np.uint8(REPEATED_BIT)
+    pair_flags |= pair_liked * np.uint8(LIKED_BIT)
+    flags = log.organic * np.uint8(ORGANIC_BIT)
+    flags[by_pair] |= np.repeat(pair_flags, pair_counts)
+    del by_pair, pair_flags
 
     summary = np.column_stack([
         totals,
@@ -885,11 +892,12 @@ def build_profiles(log: EventLog, favorites=()) -> Profiles:
         np.bincount(pair_keys[pair_liked] // n_tracks, minlength=n_users),
     ])
     return Profiles(
-        log=log,
-        repeated=repeated,
-        liked=liked,
         user_ids=tuple(names[i] for i in order),
-        row_of_user=row_of_user,
+        period=period,
+        row=row_of_user[log.user_idx],
+        timestamps=log.timestamps,
+        tz_offset_min=log.tz_offset_min,
+        flags=flags,
         summary=summary[present[order]],
         unknown_user_warnings=int(np.count_nonzero(fav_user < 0)),
     )

@@ -17,34 +17,34 @@ computed in local time: each event's explicit minute offset wins, otherwise a
 configurable default applies.  Only 1-hour windows fully inside the study
 period are aggregated, so ragged period edges never skew the per-slot divisor.
 
-:func:`build_signal_set` runs all three steps for every user at once from a
-:class:`Front`: the restricted log of ingest packed to what signals reads
-(each event's signal row, timestamp, tz offset and organic, repeated and
-liked flags in one byte), the sorted row user ids and the study period.
-:func:`front_of` packs it from the :class:`~weeklisten.ingest.Profiles`;
-:func:`save_front` and :func:`load_front` keep it in one file of ``.npy``
-records under a key that names what it was made from, which is how a
-staged ``signals`` builds from ``ingest``'s work instead of parsing again.
-It returns a :class:`SignalSet`, the ``(user_ids, matrix)`` pair that
-enforces the ``(n, 672)`` shape, with rows in the order of
-``user_summary.csv``; there is no per-user signal object.  One sort of the
-in-period events' ``(row, window)`` keys groups them into windows, and
-smoothing and normalization run in one buffer next to the raw aggregate
+:func:`build_signal_set` runs all three steps for every user at once from
+ingest's front end, :class:`~weeklisten.ingest.Profiles` (each event's
+signal row, timestamp, tz offset and organic, repeated and liked bits, the
+sorted row user ids and the study period), and returns a
+:class:`SignalSet`, the ``(user_ids, matrix)`` pair that enforces the
+``(n, 672)`` shape, with rows in the order of ``user_summary.csv``; there is
+no per-user signal object.  One sort of the in-period events'
+``(row, window)`` keys groups them into windows, and smoothing and
+normalization run in one buffer next to the raw aggregate
 (:func:`_smooth_values` and :func:`_normalize_values`, which ``synth``
 shares).  The pair hands off to the learning stage as a user-index file
 plus a ``.npy`` matrix (:func:`weeklisten.storage.save_indexed_matrix`).
+:func:`save_front` and :func:`load_front` keep every profiles field in one
+file of ``.npy`` records under a key that names what it was made from,
+which is how a staged ``signals`` builds from ``ingest``'s work instead of
+parsing again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import storage
 from .errors import SignalError
-from .ingest import Profiles, StudyPeriod, _local_timestamps, _starts_of_runs
+from .ingest import (LIKED_BIT, ORGANIC_BIT, REPEATED_BIT, Profiles, StudyPeriod, _local_timestamps,
+                     _starts_of_runs)
 
 CHANNELS = ("volume", "repetition", "organicity", "liked")
 N_CHANNELS = len(CHANNELS)
@@ -56,10 +56,19 @@ _EPOCH_WEEKDAY = 3
 #: The file ``ingest`` writes its front end to, next to ``user_summary.csv``.
 FRONT_FILE = "ingest_front.bin"
 #: Names the layout of :data:`FRONT_FILE`; part of every key saved in it.
-FRONT_FORMAT = "weeklisten-front-1"
-#: Bits of :attr:`Front.flags`.
-ORGANIC, REPEATED, LIKED = 1, 2, 4
-_FRONT_DTYPES = (np.int32, np.int64, np.int32, np.uint8)
+FRONT_FORMAT = "weeklisten-front-2"
+#: The dtype and shape of the record :func:`save_front` writes for each :class:`Profiles`
+#: field; the user ids are one UTF-8 text, joined by newlines (an id holds none).
+_FRONT_RECORDS = {
+    "user_ids": (np.uint8, ("bytes",)),
+    "period": (np.int64, (2,)),
+    "row": (np.int32, ("events",)),
+    "timestamps": (np.int64, ("events",)),
+    "tz_offset_min": (np.int32, ("events",)),
+    "flags": (np.uint8, ("events",)),
+    "summary": (np.int64, ("users", 4)),
+    "unknown_user_warnings": (np.int64, ()),
+}
 
 
 def slot_of_hour_index(hour_index):
@@ -151,81 +160,57 @@ def _normalize_values(values: np.ndarray, out: np.ndarray | None = None) -> np.n
     return out
 
 
-class Front(NamedTuple):
-    """What signals reads of the ingest front end: the restricted log, packed.
+def save_front(profiles: Profiles, key: str, path) -> None:
+    """Write ``profiles`` and its ``key`` (UTF-8 text) to ``path``; equal profiles and keys give equal bytes.
 
-    ``row`` (int32), ``timestamps`` (int64), ``tz_offset_min`` (int32,
-    ``ingest.TZ_UNSET`` for no offset) and ``flags`` (uint8, the bits
-    :data:`ORGANIC`, :data:`REPEATED` and :data:`LIKED`) hold one entry per
-    event: its row of ``user_ids``, the sorted users, and its clock and
-    flags.  ``period`` is the resolved study period.
+    The records, in order: the key, then one per :class:`Profiles` field as
+    :data:`_FRONT_RECORDS` gives it.
     """
-
-    user_ids: tuple[str, ...]
-    period: StudyPeriod
-    row: np.ndarray
-    timestamps: np.ndarray
-    tz_offset_min: np.ndarray
-    flags: np.ndarray
+    values = profiles._replace(user_ids=np.frombuffer("\n".join(profiles.user_ids).encode("utf-8"), np.uint8),
+                               period=(profiles.period.start, profiles.period.end))
+    storage.save_arrays([np.frombuffer(key.encode("utf-8"), dtype=np.uint8),
+                         *(np.asarray(getattr(values, name), dtype=_FRONT_RECORDS[name][0])
+                           for name in Profiles._fields)], path)
 
 
-def front_of(profiles: Profiles, period: StudyPeriod) -> Front:
-    """The :class:`Front` of ingest's profiles; it shares their timestamp and tz columns."""
-    log = profiles.log
-    flags = log.organic * np.uint8(ORGANIC)
-    flags |= profiles.repeated * np.uint8(REPEATED)
-    flags |= profiles.liked * np.uint8(LIKED)
-    return Front(profiles.user_ids, period, profiles.row_of_user.astype(np.int32)[log.user_idx],
-                 log.timestamps, log.tz_offset_min, flags)
-
-
-def save_front(front: Front, key: str, path) -> None:
-    """Write ``front`` and its ``key`` (UTF-8 text) to ``path``; equal fronts and keys give equal bytes.
-
-    The records, in order: the key, the user ids joined by newlines (an id
-    holds none), the period's start and end, and the four event columns.
-    """
-    storage.save_arrays([
-        np.frombuffer(key.encode("utf-8"), dtype=np.uint8),
-        np.frombuffer("\n".join(front.user_ids).encode("utf-8"), dtype=np.uint8),
-        np.array([front.period.start, front.period.end], dtype=np.int64),
-        *(np.asarray(column, dtype=dtype) for column, dtype in zip(front[2:], _FRONT_DTYPES)),
-    ], path)
-
-
-def load_front(path, key: str) -> Front | None:
-    """The front :func:`save_front` wrote to ``path``, or None when it was saved under another key.
+def load_front(path, key: str) -> Profiles | None:
+    """The profiles :func:`save_front` wrote to ``path``, or None when they were saved under another key.
 
     A missing file raises ``FileNotFoundError``; an unreadable or damaged
-    one ``OSError`` or ``ValueError``.
+    one, whatever record is damaged, ``OSError`` or ``ValueError``.
     """
     arrays = storage.load_arrays(path)
-    if len(arrays) != 3 + len(_FRONT_DTYPES):
+    if arrays and arrays[0].tobytes() != key.encode("utf-8"):
+        return None  # another key names its format, so a file of another layout gets here
+    if len(arrays) != 1 + len(Profiles._fields):
         raise ValueError(f"{path} holds {len(arrays)} arrays, not a front")
-    saved_key, users, period, *columns = arrays
-    if saved_key.tobytes() != key.encode("utf-8"):
-        return None
-    user_ids = tuple(users.tobytes().decode("utf-8").split("\n"))
-    row = columns[0]
-    if ([c.dtype for c in columns] != list(map(np.dtype, _FRONT_DTYPES)) or period.shape != (2,)
-            or row.ndim != 1 or any(c.shape != row.shape for c in columns)
-            or row.size and not 0 <= row.min() <= row.max() < len(user_ids)):
-        raise ValueError(f"{path} is not a front")
-    return Front(user_ids, StudyPeriod(int(period[0]), int(period[1])), *columns)
+    fields = dict(zip(Profiles._fields, arrays[1:]))
+    text = fields["user_ids"].tobytes().decode("utf-8")
+    user_ids = tuple(text.split("\n")) if text else ()
+    count = {"bytes": fields["user_ids"].size, "users": len(user_ids), "events": fields["row"].size}
+    for name, (dtype, shape) in _FRONT_RECORDS.items():
+        if fields[name].dtype != dtype or fields[name].shape != tuple(count.get(n, n) for n in shape):
+            raise ValueError(f"{path} is not a front: its {name} record has the wrong type or shape")
+    start, end = fields["period"].tolist()
+    row = fields["row"]
+    if end <= start or row.size and not 0 <= row.min() <= row.max() < len(user_ids):
+        raise ValueError(f"{path} is not a front: its period is empty, or a row names none of its users")
+    return Profiles(**{**fields, "user_ids": user_ids, "period": StudyPeriod(start, end),
+                       "unknown_user_warnings": int(fields["unknown_user_warnings"])})
 
 
-def build_signal_set(front: Front, default_tz_offset_min: int = 0) -> SignalSet:
-    """Aggregated, smoothed and normalized weekly signals of every user of ``front``, stacked channel-major.
+def build_signal_set(profiles: Profiles, default_tz_offset_min: int = 0) -> SignalSet:
+    """Aggregated, smoothed and normalized weekly signals of every user of ``profiles``, stacked channel-major.
 
-    Rows follow ``front.user_ids``; a user without in-period events gets an
+    Rows follow ``profiles.user_ids``; a user without in-period events gets an
     all-zero row.
     """
-    n_rows = len(front.user_ids)
+    n_rows = len(profiles.user_ids)
 
     # Each in-period event's window, counted from the first one, and its key
     # ``row * n_windows + window``.
-    window = _local_timestamps(front.timestamps, front.tz_offset_min, default_tz_offset_min)
-    k_first, k_excl = _window_range(front.period, default_tz_offset_min)
+    window = _local_timestamps(profiles.timestamps, profiles.tz_offset_min, default_tz_offset_min)
+    k_first, k_excl = _window_range(profiles.period, default_tz_offset_min)
     n_windows = k_excl - k_first
     if n_rows * n_windows > np.iinfo(np.int64).max:
         raise SignalError(f"{n_rows} users x {n_windows} hour windows of the study period "
@@ -234,7 +219,7 @@ def build_signal_set(front: Front, default_tz_offset_min: int = 0) -> SignalSet:
     window //= 3600
     window -= k_first
     in_scope = (window >= 0) & (window < n_windows)
-    key = front.row[in_scope].astype(np.int64)
+    key = profiles.row[in_scope].astype(np.int64)
     key *= n_windows
     key += window[in_scope]
     del window
@@ -243,7 +228,7 @@ def build_signal_set(front: Front, default_tz_offset_min: int = 0) -> SignalSet:
     # index, and each window's key, volume and flag counts.
     by_key = np.argsort(key, kind="stable")
     key = key[by_key]
-    flags = front.flags[in_scope][by_key]
+    flags = profiles.flags[in_scope][by_key]
     del by_key, in_scope
     new_window = _starts_of_runs(key)
     cell = key[new_window]  # each window's key, made its (row, slot) cell in place
@@ -264,7 +249,7 @@ def build_signal_set(front: Front, default_tz_offset_min: int = 0) -> SignalSet:
 
     raw = np.empty((n_rows, N_CHANNELS, SLOTS_PER_WEEK))
     raw[:, 0, :] = per_cell(volume)
-    for ci, bit in enumerate((REPEATED, ORGANIC, LIKED), start=1):
+    for ci, bit in enumerate((REPEATED_BIT, ORGANIC_BIT, LIKED_BIT), start=1):
         raw[:, ci, :] = per_cell(np.bincount(group, weights=(flags & bit) != 0) / volume)
     del cell, group, volume, flags
     raw /= divisor
@@ -272,4 +257,4 @@ def build_signal_set(front: Front, default_tz_offset_min: int = 0) -> SignalSet:
         raise SignalError("non-finite values in aggregated signals")
     norm = _smooth_values(raw)
     _normalize_values(norm, out=norm)
-    return SignalSet(user_ids=front.user_ids, matrix=norm.reshape(n_rows, -1))
+    return SignalSet(user_ids=profiles.user_ids, matrix=norm.reshape(n_rows, -1))

@@ -3,13 +3,15 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from weeklisten import cli, dictionary, evaluate, ingest, signals, synth
+from weeklisten import cli, dictionary, evaluate, ingest, signals, storage, synth
 
 from conftest import DATA_ARTIFACTS, MONDAY, WEEK, events_csv_lines
 
@@ -126,15 +128,15 @@ def test_front_end_memory_is_bounded_by_the_restricted_log(tmp_path, monkeypatch
     monkeypatch.setattr(ingest, "parse_events", parse_then_reset_peak)
     tracemalloc.start()
     try:
-        profiles, period, *_ = cli._load_filtered(args)
-        signals.build_signal_set(signals.front_of(profiles, period))
+        profiles, *_ = cli._load_filtered(args)
+        signals.build_signal_set(profiles)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    log = profiles.log
-    columns = sum(c.nbytes for c in (log.user_idx, log.track_idx, log.album_idx, log.timestamps,
-                                     log.durations, log.organic, log.tz_offset_min))
-    assert len(log) > 50_000
+    # The restricted log's seven columns: user, track and album indexes (int32), timestamp
+    # (int64), duration (int32), organic (bool) and tz offset (int32), 29 bytes per event.
+    columns = 29 * len(profiles.row)
+    assert len(profiles.row) > 50_000
     assert peak - parsed["traced"] < 3 * columns, (peak - parsed["traced"]) / columns
 
 
@@ -421,6 +423,18 @@ def test_manifests_record_peak_rss_and_ingest_gate_counts(pipeline_dir, tmp_path
     assert "warning: 1 favorites referenced unknown users" in out
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss crosses exec on Linux")
+def test_peak_rss_is_the_stage_process_own(pipeline_dir, tmp_path):
+    # Linux carries the spawning process's ru_maxrss across exec into the child's; a
+    # child spawned while this process holds a touched 128 MB buffer would report that.
+    held = np.ones(128 << 20, dtype=np.uint8)
+    done = subprocess.run([sys.executable, "-m", "weeklisten.cli", "export-atoms", "--out", str(tmp_path),
+                           "--dictionary", str(pipeline_dir / "dictionary.csv")], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr
+    assert manifest(tmp_path, "export_atoms")["peak_rss_mb"] < held.nbytes / (1 << 20)
+
+
 def test_synth_manifest_records_the_event_counts(pipeline_dir):
     manifest = json.loads((pipeline_dir / "manifest_synth.json").read_text())
     rows = [line.split(",") for line in (pipeline_dir / "events.csv").read_text().splitlines()[1:]]
@@ -486,12 +500,22 @@ def _truncated_handoff(staged, src):
     return src
 
 
+def _empty_period_handoff(staged, src):
+    """The handoff rewritten under its own key with the empty study period [5, 5)."""
+    handoff = staged / signals.FRONT_FILE
+    arrays = storage.load_arrays(handoff)
+    arrays[1 + ingest.Profiles._fields.index("period")] = np.array([5, 5], dtype=np.int64)
+    storage.save_arrays(arrays, handoff)
+    return src
+
+
 @pytest.mark.parametrize("change, reason", [
     (_changed_event_byte, "inputs differ"),
     (lambda staged, src: [*src, "--min-listen-secs", "31"], "inputs differ"),
     (lambda staged, src: [arg for arg in src if "favorites" not in arg], "inputs differ"),
     (_truncated_handoff, "unreadable"),
-], ids=["event-byte", "min-listen-secs", "no-favorites", "truncated-handoff"])
+    (_empty_period_handoff, "unreadable"),
+], ids=["event-byte", "min-listen-secs", "no-favorites", "truncated-handoff", "empty-period"])
 def test_signals_parses_unless_the_handoff_matches_its_inputs(pipeline_dir, tmp_path, change, reason):
     staged = tmp_path / "staged"
     staged.mkdir()
@@ -509,6 +533,21 @@ def test_signals_parses_unless_the_handoff_matches_its_inputs(pipeline_dir, tmp_
     assert made == (tmp_path / "fresh" / "signals.npy").read_bytes()
     # A stale handoff would have given the pipeline's signals.
     assert (made == (pipeline_dir / "signals.npy").read_bytes()) == (reason == "unreadable")
+
+
+def test_a_handoff_of_the_first_format_is_a_miss(pipeline_dir, tmp_path):
+    # The first format's file: a key naming that format, then no summary records.
+    src = ["--events", str(pipeline_dir / "events.csv"), "--favorites", str(pipeline_dir / "favorites.csv"), *PERIOD]
+    assert run(["ingest", "--out", str(tmp_path), *src]) == 0
+    handoff = tmp_path / signals.FRONT_FILE
+    key, *records = storage.load_arrays(handoff)
+    old_key = {**json.loads(key.tobytes()), "format": "weeklisten-front-1"}
+    storage.save_arrays([np.frombuffer(json.dumps(old_key, sort_keys=True).encode(), dtype=np.uint8),
+                         *records[:6]], handoff)
+    assert run(["signals", "--out", str(tmp_path), *src]) == 0
+    signalled = manifest(tmp_path, "signals")
+    assert (signalled["front"], signalled["handoff_miss"]) == ("parsed", "inputs differ")
+    assert (tmp_path / "signals.npy").read_bytes() == (pipeline_dir / "signals.npy").read_bytes()
 
 
 def test_a_piped_input_makes_no_handoff(pipeline_dir, tmp_path):

@@ -162,12 +162,15 @@ def test_in_range_integer_extremes_parse(tmp_path):
     assert log.durations.tolist() == [2**31 - 1, 0, 60, 60]
     assert log.tz_offset_min.tolist() == [-2**31 + 1, 2**31 - 1, ingest.TZ_UNSET, ingest.TZ_UNSET]
     # The extreme offsets take the extreme timestamps exactly to the int64 limits, never past them.
-    assert log.local_timestamps().tolist() == [-2**63, 2**63 - 1, lo, hi]
-    assert log.local_timestamps(-2**31 + 1)[2] == -2**63
-    assert log.local_timestamps(2**31 - 1)[3] == 2**63 - 1
+    def local(default=0):
+        return ingest._local_timestamps(log.timestamps, log.tz_offset_min, default)
+
+    assert local().tolist() == [-2**63, 2**63 - 1, lo, hi]
+    assert local(-2**31 + 1)[2] == -2**63
+    assert local(2**31 - 1)[3] == 2**63 - 1
     for default in (ingest.TZ_UNSET, 2**31):
         with pytest.raises(IngestError, match=f"default tz offset {default} minutes does not fit in 32 bits"):
-            log.local_timestamps(default)
+            local(default)
 
 
 def test_parse_unreadable_source_is_fatal(tmp_path):
@@ -224,14 +227,24 @@ def test_filter_active_users_empty():
     assert ingest.filter_active_users(log_of(), period) == []
 
 
+def profiles_of(log, favorites=()):
+    """The profiles of ``log`` over the hour-aligned period covering it."""
+    return ingest.build_profiles(log, ingest.StudyPeriod.covering(log), favorites)
+
+
+def flagged(profiles, bit):
+    """Which events of ``profiles`` have ``bit`` set in their flags."""
+    return (profiles.flags & bit) != 0
+
+
 def test_build_profiles_play_counts():
     events = [make_event(track="t7", album="a7", timestamp=MONDAY + i) for i in range(4)]
     log = log_of(*events)
-    profiles = ingest.build_profiles(log)
+    profiles = profiles_of(log)
     assert oracles.profiles(records(log))["u1"].play_count_per_track["t7"] == 4
     assert profiles.user_ids == ("u1",)
     assert profiles.summary.tolist() == [[4, 1, 1, 0]]  # streams, active days, distinct tracks, liked tracks
-    assert profiles.repeated.all()  # 4 plays is above the repeat threshold
+    assert flagged(profiles, ingest.REPEATED_BIT).all()  # 4 plays is above the repeat threshold
 
 
 def test_build_profiles_album_expansion():
@@ -242,8 +255,8 @@ def test_build_profiles_album_expansion():
     ]
     favorites = favorites_of(("u1", "album", "alb"))
     log = log_of(*events)
-    profiles = ingest.build_profiles(log, favorites)
-    assert profiles.liked.tolist() == [True, True, False]
+    profiles = profiles_of(log, favorites)
+    assert flagged(profiles, ingest.LIKED_BIT).tolist() == [True, True, False]
     assert profiles.summary[0, 3] == 2
     oracle = oracles.profiles(records(log), favorites)["u1"]
     assert oracle.liked_tracks >= {"t1", "t2"}
@@ -257,8 +270,8 @@ def test_liked_flags_follow_the_liked_track_set():
               make_event(track="t1", album="a2", timestamp=MONDAY + 1)]
     favorites = favorites_of(("u1", "album", "a1"))
     log = log_of(*events)
-    profiles = ingest.build_profiles(log, favorites)
-    assert profiles.liked.tolist() == [True, True]
+    profiles = profiles_of(log, favorites)
+    assert flagged(profiles, ingest.LIKED_BIT).tolist() == [True, True]
     assert profiles.summary[0, 3] == 1
     oracle = oracles.profiles(records(log), favorites)["u1"]
     assert [oracle.is_liked(e) for e in events] == [True, True]
@@ -267,15 +280,15 @@ def test_liked_flags_follow_the_liked_track_set():
 
 def test_build_profiles_no_favorites():
     log = log_of(make_event())
-    profiles = ingest.build_profiles(log)
-    assert not profiles.liked.any()
+    profiles = profiles_of(log)
+    assert not flagged(profiles, ingest.LIKED_BIT).any()
     assert profiles.summary[0, 3] == 0
     assert oracles.profiles(records(log))["u1"].liked_tracks == frozenset()
 
 
 def test_build_profiles_unknown_user_warning():
     favorites = favorites_of(("ghost", "track", "t1"))
-    profiles = ingest.build_profiles(log_of(make_event()), favorites)
+    profiles = profiles_of(log_of(make_event()), favorites)
     assert profiles.unknown_user_warnings == 1
 
 
@@ -283,7 +296,7 @@ def test_profiles_total_equals_sum_of_play_counts():
     events = [make_event(track=f"t{i % 3}", timestamp=MONDAY + i) for i in range(10)]
     events += [make_event(user="u2", track="t0", timestamp=MONDAY + i) for i in range(3)]
     log = log_of(*events)
-    profiles = ingest.build_profiles(log)
+    profiles = profiles_of(log)
     profile_of = oracles.profiles(records(log))
     for user, total in zip(profiles.user_ids, profiles.summary[:, 0]):
         assert total == sum(profile_of[user].play_count_per_track.values())
@@ -738,7 +751,7 @@ def night_events():
 def test_summary_columns_match_oracle(events, favorites):
     events = events + night_events()
     log = log_of(*events)
-    profiles = ingest.build_profiles(log, favorites_of(*favorites))
+    profiles = profiles_of(log, favorites_of(*favorites))
     rows = oracles.summary_rows(oracles.profiles(records(log), favorites_of(*favorites)))
     assert [(u, *c) for u, c in zip(profiles.user_ids, profiles.summary.tolist())] == rows
     listeners = {e.user_id for e in events}
@@ -757,10 +770,13 @@ def test_event_flags_match_oracle_when_repeated_and_liked_share_a_pair(events, f
     events = events[:start] + shared + events[start:]
     favorites = favorites_of(*favorites, ("u1", "track", "t1"), ("u1", "album", "a1"))
     log = log_of(*events)
-    profiles = ingest.build_profiles(log, favorites)
+    profiles = profiles_of(log, favorites)
     profile_of = oracles.profiles(records(log), favorites)
     expected_repeated = [profile_of[e.user_id].play_count_per_track[e.track_id] > ingest.REPEAT_PLAY_THRESHOLD
                          for e in records(log)]
-    assert profiles.repeated.tolist() == expected_repeated
-    assert profiles.liked.tolist() == [profile_of[e.user_id].is_liked(e) for e in records(log)]
-    assert profiles.repeated[start:start + plays].all() and profiles.liked[start:start + plays].all()
+    repeated, liked = flagged(profiles, ingest.REPEATED_BIT), flagged(profiles, ingest.LIKED_BIT)
+    assert repeated.tolist() == expected_repeated
+    assert liked.tolist() == [profile_of[e.user_id].is_liked(e) for e in records(log)]
+    assert flagged(profiles, ingest.ORGANIC_BIT).tolist() == [e.origin == ingest.ORGANIC for e in records(log)]
+    assert repeated[start:start + plays].all() and liked[start:start + plays].all()
+    assert [profiles.user_ids[r] for r in profiles.row.tolist()] == [e.user_id for e in records(log)]

@@ -15,7 +15,7 @@ from conftest import DAY, HOUR, MONDAY, WEEK, favorites_of, log_of, make_event, 
 
 
 def front_for(log, period, favorites=()):
-    return signals.front_of(ingest.build_profiles(log, favorites), period)
+    return ingest.build_profiles(log, period, favorites)
 
 
 def raw_of(log, period, favorites=()):
@@ -337,16 +337,47 @@ def test_signal_set_round_trip(tmp_path):
 
 def test_front_round_trips_under_its_key_only(tmp_path):
     log = log_of(*fixed_events(), make_event(user='"u,2"', origin="algorithmic", tz=-90))
-    front = front_for(log, ingest.StudyPeriod(MONDAY, MONDAY + WEEK), favorites_of(("u1", "track", "t_three")))
+    favorites = favorites_of(("u1", "track", "t_three"), ("ghost", "track", "t_four"))
+    front = front_for(log, ingest.StudyPeriod(MONDAY, MONDAY + WEEK), favorites)
     path = tmp_path / signals.FRONT_FILE
     signals.save_front(front, "key", path)
     loaded = signals.load_front(path, "key")
-    assert loaded.user_ids == front.user_ids == ("idle", "u,2", "u1") and loaded.period == front.period
-    for saved, read in zip(front[2:], loaded[2:]):
-        assert saved.tolist() == read.tolist()
-    assert set(front.flags.tolist()) == {0, signals.ORGANIC, signals.ORGANIC | signals.REPEATED,
-                                         signals.ORGANIC | signals.LIKED}
+    assert loaded.user_ids == front.user_ids == ("idle", "u,2", "u1") and loaded.unknown_user_warnings == 1
+    assert set(front.flags.tolist()) == {0, ingest.ORGANIC_BIT, ingest.ORGANIC_BIT | ingest.REPEATED_BIT,
+                                         ingest.ORGANIC_BIT | ingest.LIKED_BIT}
     assert signals.load_front(path, "other key") is None
+
+
+def test_load_front_gives_back_every_field_save_front_wrote(tmp_path):
+    log = log_of(*fixed_events(), make_event(user="ü", tz=60))
+    front = front_for(log, ingest.StudyPeriod(MONDAY, MONDAY + WEEK), favorites_of(("u1", "album", "a1")))
+    path = tmp_path / signals.FRONT_FILE
+    signals.save_front(front, "key", path)
+    loaded = signals.load_front(path, "key")
+    assert loaded._fields == front._fields
+    for name, saved, read in zip(front._fields, front, loaded):
+        if isinstance(saved, np.ndarray):
+            assert saved.dtype == read.dtype and np.array_equal(saved, read), name
+        else:
+            assert type(saved) is type(read) and saved == read, name
+
+
+@pytest.mark.parametrize("field, damage", [
+    ("period", lambda record: np.array([5, 5], dtype=np.int64)),
+    ("summary", lambda record: record[:-1]),
+    ("row", lambda record: record + 3),
+    ("flags", lambda record: record.astype(np.int32)),
+], ids=["empty-period", "summary-rows", "row-range", "flags-dtype"])
+def test_load_front_rejects_a_damaged_record(tmp_path, field, damage):
+    front = front_for(log_of(*fixed_events()), ingest.StudyPeriod(MONDAY, MONDAY + WEEK))
+    path = tmp_path / signals.FRONT_FILE
+    signals.save_front(front, "key", path)
+    arrays = storage.load_arrays(path)
+    at = 1 + ingest.Profiles._fields.index(field)
+    arrays[at] = damage(arrays[at])
+    storage.save_arrays(arrays, path)
+    with pytest.raises(ValueError, match="is not a front"):
+        signals.load_front(path, "key")
 
 
 TRACKS = ("t0", "t1", "t2", "t3", "t4")
@@ -404,13 +435,11 @@ def test_signal_rows_and_summary_share_one_user_order(events, kept):
     # "idle" streams only before the period; the restricted view shares a user table
     # that also names the users left out.
     log = ingest.restrict_to_users(log_of(*(events + fixed_events())), kept | {"idle"})
-    profiles = ingest.build_profiles(log)
-    period = ingest.StudyPeriod(MONDAY, MONDAY + 2 * WEEK)
-    sset = signals.build_signal_set(signals.front_of(profiles, period))
+    profiles = ingest.build_profiles(log, ingest.StudyPeriod(MONDAY, MONDAY + 2 * WEEK))
+    sset = signals.build_signal_set(profiles)
     listeners = tuple(sorted({e.user_id for e in records(log)}))
     assert sset.user_ids == profiles.user_ids == listeners
     rows = oracles.summary_rows(oracles.profiles(records(log)))
     assert [(u, *c) for u, c in zip(profiles.user_ids, profiles.summary.tolist())] == rows
-    assert [listeners[r] if r >= 0 else None for r in profiles.row_of_user.tolist()] == \
-        [u if u in listeners else None for u in log.users.tolist()]
+    assert [listeners[r] for r in profiles.row.tolist()] == [e.user_id for e in records(log)]
     assert "idle" in listeners and np.all(oracles.signal_row(sset, "idle") == 0.0)

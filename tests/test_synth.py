@@ -200,8 +200,8 @@ def _downstream_auc(noise, seed, tmp_path):
     valid = ingest.filter_valid_streams(log)
     period = ingest.StudyPeriod(synth.PERIOD_START, config.period_end)
     active = ingest.filter_active_users(valid, period)
-    profiles = ingest.build_profiles(ingest.restrict_to_users(valid, active), favorites)
-    sset = signals.build_signal_set(signals.front_of(profiles, period))
+    profiles = ingest.build_profiles(ingest.restrict_to_users(valid, active), period, favorites)
+    sset = signals.build_signal_set(profiles)
     test = evaluate.split_users(sset.user_ids, 0.33, seed=seed)
     learned = dictionary.learn(sset.matrix[~test],
                                dictionary.LearnConfig(n_atoms=6, lam=1.0, outer_iters=12, seed=seed))
