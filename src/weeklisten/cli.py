@@ -2,21 +2,20 @@
 
 Subcommands mirror the stages: ``synth``, ``ingest``, ``signals``, ``learn``,
 ``embed``, ``eval``, ``export-atoms`` and ``pipeline`` (all stages in order,
-byte-identical to a staged run).  Stages hand off a user-index file plus a
-``.npy`` matrix file (signals, codes; there is no other matrix format) or
-``dictionary.csv``; in memory they pass the same ``(user_ids, matrix)``
-arrays.  ``events.csv`` and ``favorites.csv`` are parsed in ``ingest``, whose
-one front-end record (:class:`~weeklisten.ingest.Profiles`) goes next to
-``user_summary.csv`` as ``ingest_front.bin``, under a key naming the sha256
-of both inputs' bytes, the filter and period flags, the version and the
-file format.  ``pipeline`` hands the profiles to ``signals`` in memory; a
-staged ``signals`` computes the key from its own flags and inputs and builds
-from the file of its ``--out`` directory when the keys match, and otherwise
-(no file, other bytes or flags, an unreadable or damaged file, a piped
-input) parses the inputs itself.  Every other handoff of ``pipeline`` goes
-through the files a staged run uses.  The front end keeps one live copy of
-the event columns: each filter's input is released once its output exists,
-and only the restricted log is alive while the profiles are built.
+byte-identical to a staged run).  Every handoff between stages, in
+``pipeline`` too, goes through the files a staged run uses: a user-index
+file plus a ``.npy`` matrix file (signals, codes; there is no other matrix
+format), ``dictionary.csv``, or ``ingest_front.bin``.  ``events.csv`` and
+``favorites.csv`` are parsed only in ``ingest``, whose one front-end record
+(:class:`~weeklisten.ingest.Profiles`) goes next to ``user_summary.csv`` as
+``ingest_front.bin``, under a key naming the sha256 of both inputs' bytes,
+the filter and period flags, the version and the file format.  ``signals``
+computes the key from its own flags and inputs and builds from the file of
+its ``--out`` directory; no file, other bytes or flags, a damaged file or a
+piped input is an error that says to run ``ingest`` first.  The front end
+keeps one live copy of the event columns: each filter's input is released
+once its output exists, and only the restricted log is alive while the
+profiles are built.
 
 Stage commands signal failure only by raising :class:`PipelineError`, which
 :func:`main` turns into an ``error: ...`` line and exit status 1 (a missing,
@@ -36,13 +35,11 @@ runs).  ``synth`` also records the counts it prints:
 records the gate counts it prints: ``lines``, ``malformed``,
 ``valid_streams``, ``active_users`` and ``unknown_favorite_users``, plus
 ``parse_s``, the seconds its parse of ``events.csv`` took, and
-``inputs_sha256``, the input digests of its key.  ``signals`` records
-``front``: ``"memory"``, ``"handoff"`` or ``"parsed"``; a parsing
-``signals`` also records ``parse_s`` and ``handoff_miss``, why it did not
-use the file.  ``learn`` and ``embed`` also record the
-codes' worst KKT residual (``kkt_max``) and the number of users above the
-certificate tolerance (``users_uncertified``), and warn when that is not 0;
-``eval`` records its logistic fits' worst final gradient max-norm
+``inputs_sha256``, the input digests of its key; ``signals`` records the
+same digests, which its handoff's key matched.  ``learn`` and ``embed`` also
+record the codes' worst KKT residual (``kkt_max``) and the number of users
+above the certificate tolerance (``users_uncertified``), and warn when that
+is not 0; ``eval`` records its logistic fits' worst final gradient max-norm
 (``newton_grad_max``) and how many of them stopped at ``max_iter`` or when step
 halving ran out, and warns when either count is not 0.
 """
@@ -143,7 +140,7 @@ def _resolve_period(args, valid_log) -> ingest.StudyPeriod:
 
 
 def _load_filtered(args):
-    """Shared ingest front end: parse, filter and profile.
+    """The ingest front end: parse, filter and profile.
 
     Returns ``(profiles, report, valid_streams, parse_s)``, the last the
     seconds ``parse_events`` took.  Each filter's input is released as soon
@@ -210,8 +207,8 @@ def _front_key(args) -> tuple[str | None, dict]:
     return json.dumps(key, sort_keys=True), inputs
 
 
-def cmd_ingest(args) -> ingest.Profiles:
-    """Write ``user_summary.csv`` and the handoff; returns the profiles so ``pipeline`` can hand them to signals."""
+def cmd_ingest(args) -> None:
+    """Write ``user_summary.csv`` and, unless an input is a pipe, the handoff ``signals`` builds from."""
     started = time.monotonic()
     out = _out_dir(args)
     profiles, report, valid_streams, parse_s = _load_filtered(args)
@@ -236,49 +233,26 @@ def cmd_ingest(args) -> ingest.Profiles:
     _write_manifest(out, "ingest", args,
                     {"events": args.events, "favorites": args.favorites or ""},
                     outputs, started, gates)
-    return profiles
 
 
-def _staged_front(args, handoff: Path) -> tuple[ingest.Profiles, dict]:
-    """A staged ``signals``' front: the ``handoff`` when its key is that of ``args``, else a parse of its own.
-
-    Also returns the manifest fields saying which, and why a parse was needed.
-    """
-    key, _ = _front_key(args)
-    if key is None:
-        miss = "input is not a regular file"
-    else:
-        try:
-            profiles = signals.load_front(handoff, key)
-            if profiles is not None:
-                return profiles, {"front": "handoff"}
-            miss = "inputs differ"
-        except FileNotFoundError:
-            miss = "no handoff"
-        except (OSError, ValueError):
-            miss = "unreadable"
-    profiles, _, _, parse_s = _load_filtered(args)
-    return profiles, {"front": "parsed", "handoff_miss": miss, "parse_s": parse_s}
-
-
-def cmd_signals(args, front=None) -> None:
-    """Write the signal matrix, from the profiles ``front`` (see :func:`cmd_ingest`), ingest's handoff or a parse."""
+def cmd_signals(args) -> None:
+    """Write the signal matrix from ingest's handoff in ``--out``, made from the same inputs and flags."""
     started = time.monotonic()
     out = _out_dir(args)
-    inputs = {"events": args.events, "favorites": args.favorites or ""}
-    if front is None:
-        front, diagnostics = _staged_front(args, out / signals.FRONT_FILE)
-        if diagnostics["front"] == "handoff":
-            inputs["handoff"] = out / signals.FRONT_FILE
-    else:
-        diagnostics = {"front": "memory"}
-    sset = signals.build_signal_set(front, args.tz_offset_min)
+    key, digests = _front_key(args)
+    if key is None:
+        name = next(name for name, digest in digests.items() if digest is None)
+        raise PipelineError(f"--{name} {getattr(args, name)} must be a regular file: signals checks "
+                            "ingest's handoff against its digest")
+    handoff = out / signals.FRONT_FILE
+    sset = signals.build_signal_set(signals.load_front(handoff, key), args.tz_offset_min)
     index_path = out / "signal_users.txt"
     matrix_path = out / "signals.npy"
     storage.save_indexed_matrix(sset.user_ids, sset.matrix, index_path, matrix_path)
     print(f"built {len(sset.user_ids)} signals of {sset.matrix.shape[1]} columns")
-    _write_manifest(out, "signals", args, inputs,
-                    {"signal_users": index_path, "signals": matrix_path}, started, diagnostics)
+    _write_manifest(out, "signals", args,
+                    {"events": args.events, "favorites": args.favorites or "", "handoff": handoff},
+                    {"signal_users": index_path, "signals": matrix_path}, started, {"inputs_sha256": digests})
 
 
 def cmd_learn(args) -> None:
@@ -398,8 +372,8 @@ def cmd_pipeline(args) -> None:
     stage_args = _ns(
         args, out=out, events=out / "events.csv", favorites=out / "favorites.csv",
         period_start=synth.PERIOD_START, period_end=config.period_end)
-    # The ingest front end lives only as this argument, so it is freed before learn.
-    cmd_signals(stage_args, cmd_ingest(stage_args))
+    cmd_ingest(stage_args)
+    cmd_signals(stage_args)
     learn_args = _ns(stage_args, signal_users=out / "signal_users.txt",
                      signals=out / "signals.npy")
     cmd_learn(learn_args)

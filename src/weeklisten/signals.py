@@ -30,9 +30,8 @@ normalization run in one buffer next to the raw aggregate
 shares).  The pair hands off to the learning stage as a user-index file
 plus a ``.npy`` matrix (:func:`weeklisten.storage.save_indexed_matrix`).
 :func:`save_front` and :func:`load_front` keep every profiles field in one
-file of ``.npy`` records under a key that names what it was made from,
-which is how a staged ``signals`` builds from ``ingest``'s work instead of
-parsing again.
+file of ``.npy`` records under a key that names what it was made from;
+that file is the only way ``signals`` gets ``ingest``'s work.
 """
 
 from __future__ import annotations
@@ -173,28 +172,47 @@ def save_front(profiles: Profiles, key: str, path) -> None:
                            for name in Profiles._fields)], path)
 
 
-def load_front(path, key: str) -> Profiles | None:
-    """The profiles :func:`save_front` wrote to ``path``, or None when they were saved under another key.
+def load_front(path, key: str) -> Profiles:
+    """The profiles :func:`save_front` wrote to ``path`` under ``key``.
 
-    A missing file raises ``FileNotFoundError``; an unreadable or damaged
-    one, whatever record is damaged, ``OSError`` or ``ValueError``.
+    The key record is read first, and the rest only when it matches.  No
+    file, a file saved under another key and an unreadable or damaged one,
+    whatever record is damaged, raise :class:`SignalError` naming ``path``,
+    the reason and how to make the file again.
     """
-    arrays = storage.load_arrays(path)
-    if arrays and arrays[0].tobytes() != key.encode("utf-8"):
-        return None  # another key names its format, so a file of another layout gets here
-    if len(arrays) != 1 + len(Profiles._fields):
-        raise ValueError(f"{path} holds {len(arrays)} arrays, not a front")
-    fields = dict(zip(Profiles._fields, arrays[1:]))
+    records = storage.load_arrays(path)
+    try:
+        saved_key = next(records, None)
+        if saved_key is None:
+            raise ValueError("it is empty")
+        if saved_key.tobytes() == key.encode("utf-8"):
+            return _front_of(list(records))
+        reason = "was made from other inputs or flags"  # another key names its format: other layouts get here
+    except FileNotFoundError:
+        reason = "does not exist"
+    except (OSError, ValueError) as exc:
+        reason = f"is damaged ({exc})"
+    finally:
+        records.close()
+    raise SignalError(f"ingest's handoff {path} {reason}; run ingest with the same --out, inputs and flags "
+                      "before signals")
+
+
+def _front_of(arrays: list[np.ndarray]) -> Profiles:
+    """The profiles of a front's records after its key; a wrong type, shape or range raises ``ValueError``."""
+    if len(arrays) != len(Profiles._fields):
+        raise ValueError(f"{len(arrays)} records follow its key, not {len(Profiles._fields)}")
+    fields = dict(zip(Profiles._fields, arrays))
     text = fields["user_ids"].tobytes().decode("utf-8")
     user_ids = tuple(text.split("\n")) if text else ()
     count = {"bytes": fields["user_ids"].size, "users": len(user_ids), "events": fields["row"].size}
     for name, (dtype, shape) in _FRONT_RECORDS.items():
         if fields[name].dtype != dtype or fields[name].shape != tuple(count.get(n, n) for n in shape):
-            raise ValueError(f"{path} is not a front: its {name} record has the wrong type or shape")
+            raise ValueError(f"its {name} record has the wrong type or shape")
     start, end = fields["period"].tolist()
     row = fields["row"]
     if end <= start or row.size and not 0 <= row.min() <= row.max() < len(user_ids):
-        raise ValueError(f"{path} is not a front: its period is empty, or a row names none of its users")
+        raise ValueError("its period is empty, or a row names none of its users")
     return Profiles(**{**fields, "user_ids": user_ids, "period": StudyPeriod(start, end),
                        "unknown_user_warnings": int(fields["unknown_user_warnings"])})
 

@@ -138,16 +138,15 @@ def save_arrays(arrays, path) -> None:
             np.lib.format.write_array(fh, np.asarray(array), allow_pickle=False)
 
 
-def load_arrays(path) -> list[np.ndarray]:
-    """The arrays of a :func:`save_arrays` file, in order.
+def load_arrays(path):
+    """The arrays of a :func:`save_arrays` file, in order, each read when the iterator reaches it.
 
-    A missing file raises ``FileNotFoundError``; a damaged one ``ValueError``.
+    A missing file raises ``FileNotFoundError``, and a damaged record
+    ``ValueError``, at the first ``next`` that needs them.
     """
-    arrays = []
     with open(path, "rb") as fh:
         while fh.peek(1):
-            arrays.append(np.lib.format.read_array(fh, allow_pickle=False))
-    return arrays
+            yield np.lib.format.read_array(fh, allow_pickle=False)
 
 
 def save_index(user_ids, path) -> None:

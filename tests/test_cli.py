@@ -25,6 +25,17 @@ def run(argv):
     return cli.main(argv)
 
 
+#: Why signals refuses a handoff made under another key.
+OTHER_KEY = "was made from other inputs or flags"
+
+
+def assert_refused(err, out, reason):
+    """``err`` is signals' one error line: the handoff in ``out`` ``reason``, so run ingest first."""
+    assert err.startswith(f"error: ingest's handoff {out / signals.FRONT_FILE} {reason}"), err
+    assert err.endswith("; run ingest with the same --out, inputs and flags before signals\n"), err
+    assert err.count("\n") == 1, err
+
+
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("pipe")
@@ -172,6 +183,7 @@ def test_far_apart_timestamps_signal_without_a_period(tmp_path, capsys):
     events.write_text("".join(events_csv_lines([f"u1,{ts},t{i},a{i},organic,60"
                                                 for i, ts in enumerate((0, 3600, 2**40))])))
     argv = ["--events", str(events), "--min-daily-streams", "0", "--out", str(tmp_path)]
+    assert run(["ingest", *argv]) == 0
     assert run(["signals", *argv]) == 0
     assert "built 1 signals of 672 columns" in capsys.readouterr().out
     signal = np.load(tmp_path / "signals.npy")
@@ -184,7 +196,10 @@ def test_window_key_overflow_is_an_error_line(tmp_path, capsys):
             for i in range(4096) for ts in (ingest.TIMESTAMP_MIN, ingest.TIMESTAMP_MAX)]
     events = tmp_path / "events.csv"
     events.write_text("".join(events_csv_lines(rows)))
-    assert run(["signals", "--events", str(events), "--min-daily-streams", "0", "--out", str(tmp_path)]) == 1
+    argv = ["--events", str(events), "--min-daily-streams", "0", "--out", str(tmp_path)]
+    assert run(["ingest", *argv]) == 0
+    capsys.readouterr()
+    assert run(["signals", *argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: 4096 users x ") and "overflow the 64-bit (user, window) key" in err
 
@@ -341,6 +356,9 @@ BAD_HANDOFFS = {
     "synth-schema-breaking-archetypes": (
         lambda p, bad: ["synth", "--archetypes", bad], _archetype_file('{"archetypes": [{"name": "x"}]}'),
         ("cannot read archetypes", "arch.json", "do not follow the schema", "KeyError 'base_rate'")),
+    "signals-no-handoff": (
+        lambda p, bad: ["signals", "--events", p / "events.csv", "--favorites", p / "favorites.csv"],
+        _missing, ("ingest's handoff", f"{signals.FRONT_FILE} does not exist", "run ingest with the same --out")),
 }
 
 
@@ -369,6 +387,10 @@ def test_pipeline_parses_each_input_once(tmp_path, monkeypatch):
             return _parse(source)
         monkeypatch.setattr(ingest, name, counted)
     assert run(["pipeline", "--seed", "7", "--out", str(tmp_path)] + SMALL) == 0
+    assert calls == {"parse_events": 1, "parse_favorites": 1}
+    # A staged signals builds from the pipeline's handoff and parses nothing.
+    src = ["--events", str(tmp_path / "events.csv"), "--favorites", str(tmp_path / "favorites.csv"), *PERIOD]
+    assert run(["signals", "--out", str(tmp_path), *src]) == 0
     assert calls == {"parse_events": 1, "parse_favorites": 1}
 
 
@@ -448,23 +470,23 @@ def manifest(directory, name):
     return json.loads((directory / f"manifest_{name}.json").read_text())
 
 
-def test_stages_that_parse_record_the_parse_time(pipeline_dir, tmp_path):
-    # pipeline parses once, in ingest; a staged signals parses for itself, and says so,
-    # unless it builds from ingest's handoff.
+def test_stages_that_parse_record_the_parse_time(pipeline_dir, tmp_path, capsys):
+    # Only ingest parses, in pipeline as in a staged run; a staged signals without
+    # ingest's handoff fails, and with it builds what a parse of its inputs gives.
     assert isinstance(manifest(pipeline_dir, "ingest")["parse_s"], float)
     assert "parse_s" not in manifest(pipeline_dir, "signals")
-    assert manifest(pipeline_dir, "signals")["front"] == "memory"
+    assert manifest(pipeline_dir, "signals")["inputs_sha256"] == manifest(pipeline_dir, "ingest")["inputs_sha256"]
     src = ["--events", str(pipeline_dir / "events.csv"), *PERIOD]
     fresh, handed = tmp_path / "fresh", tmp_path / "handed"
-    assert run(["signals", "--out", str(fresh), *src]) == 0
-    assert manifest(fresh, "signals")["parse_s"] >= 0
-    assert manifest(fresh, "signals")["front"] == "parsed"
-    assert manifest(fresh, "signals")["handoff_miss"] == "no handoff"
+    assert run(["signals", "--out", str(fresh), *src]) == 1
+    assert_refused(capsys.readouterr().err, fresh, "does not exist")
+    assert not (fresh / "manifest_signals.json").exists()
     assert run(["ingest", "--out", str(handed), *src]) == 0
     assert run(["signals", "--out", str(handed), *src]) == 0
+    assert manifest(handed, "ingest")["parse_s"] >= 0
     assert "parse_s" not in manifest(handed, "signals")
-    assert manifest(handed, "signals")["front"] == "handoff"
-    assert (handed / "signals.npy").read_bytes() == (fresh / "signals.npy").read_bytes()
+    profiles, *_ = cli._load_filtered(cli.build_parser().parse_args(["signals", *src]))
+    assert np.array_equal(np.load(handed / "signals.npy"), signals.build_signal_set(profiles).matrix)
 
 
 def test_ingest_writes_the_same_handoff_bytes_each_run(pipeline_dir, tmp_path):
@@ -503,20 +525,23 @@ def _truncated_handoff(staged, src):
 def _empty_period_handoff(staged, src):
     """The handoff rewritten under its own key with the empty study period [5, 5)."""
     handoff = staged / signals.FRONT_FILE
-    arrays = storage.load_arrays(handoff)
+    arrays = list(storage.load_arrays(handoff))
     arrays[1 + ingest.Profiles._fields.index("period")] = np.array([5, 5], dtype=np.int64)
     storage.save_arrays(arrays, handoff)
     return src
 
 
 @pytest.mark.parametrize("change, reason", [
-    (_changed_event_byte, "inputs differ"),
-    (lambda staged, src: [*src, "--min-listen-secs", "31"], "inputs differ"),
-    (lambda staged, src: [arg for arg in src if "favorites" not in arg], "inputs differ"),
-    (_truncated_handoff, "unreadable"),
-    (_empty_period_handoff, "unreadable"),
-], ids=["event-byte", "min-listen-secs", "no-favorites", "truncated-handoff", "empty-period"])
-def test_signals_parses_unless_the_handoff_matches_its_inputs(pipeline_dir, tmp_path, change, reason):
+    (_changed_event_byte, OTHER_KEY),
+    (lambda staged, src: [*src, "--min-listen-secs", "31"], OTHER_KEY),
+    (lambda staged, src: [arg for arg in src if "favorites" not in arg], OTHER_KEY),
+    (_truncated_handoff, "is damaged"),
+    (_empty_period_handoff, "is damaged"),
+    # Only the key record is read when it differs, so damage after it is not reached.
+    (lambda staged, src: _truncated_handoff(staged, [*src, "--min-listen-secs", "31"]), OTHER_KEY),
+], ids=["event-byte", "min-listen-secs", "no-favorites", "truncated-handoff", "empty-period",
+        "truncated-stale-handoff"])
+def test_signals_fails_unless_the_handoff_matches_its_inputs(pipeline_dir, tmp_path, capsys, change, reason):
     staged = tmp_path / "staged"
     staged.mkdir()
     for name in ("events.csv", "favorites.csv"):
@@ -524,18 +549,13 @@ def test_signals_parses_unless_the_handoff_matches_its_inputs(pipeline_dir, tmp_
     src = ["--events", str(staged / "events.csv"), "--favorites", str(staged / "favorites.csv"), *PERIOD]
     assert run(["ingest", "--out", str(staged), *src]) == 0
     src = change(staged, src)
-    assert run(["signals", "--out", str(staged), *src]) == 0
-    signalled = manifest(staged, "signals")
-    assert (signalled["front"], signalled["handoff_miss"]) == ("parsed", reason)
-    assert signalled["parse_s"] >= 0
-    assert run(["signals", "--out", str(tmp_path / "fresh"), *src]) == 0
-    made = (staged / "signals.npy").read_bytes()
-    assert made == (tmp_path / "fresh" / "signals.npy").read_bytes()
-    # A stale handoff would have given the pipeline's signals.
-    assert (made == (pipeline_dir / "signals.npy").read_bytes()) == (reason == "unreadable")
+    capsys.readouterr()
+    assert run(["signals", "--out", str(staged), *src]) == 1
+    assert_refused(capsys.readouterr().err, staged, reason)
+    assert not (staged / "signals.npy").exists() and not (staged / "manifest_signals.json").exists()
 
 
-def test_a_handoff_of_the_first_format_is_a_miss(pipeline_dir, tmp_path):
+def test_a_handoff_of_the_first_format_is_a_miss(pipeline_dir, tmp_path, capsys):
     # The first format's file: a key naming that format, then no summary records.
     src = ["--events", str(pipeline_dir / "events.csv"), "--favorites", str(pipeline_dir / "favorites.csv"), *PERIOD]
     assert run(["ingest", "--out", str(tmp_path), *src]) == 0
@@ -544,27 +564,30 @@ def test_a_handoff_of_the_first_format_is_a_miss(pipeline_dir, tmp_path):
     old_key = {**json.loads(key.tobytes()), "format": "weeklisten-front-1"}
     storage.save_arrays([np.frombuffer(json.dumps(old_key, sort_keys=True).encode(), dtype=np.uint8),
                          *records[:6]], handoff)
-    assert run(["signals", "--out", str(tmp_path), *src]) == 0
-    signalled = manifest(tmp_path, "signals")
-    assert (signalled["front"], signalled["handoff_miss"]) == ("parsed", "inputs differ")
-    assert (tmp_path / "signals.npy").read_bytes() == (pipeline_dir / "signals.npy").read_bytes()
+    capsys.readouterr()
+    assert run(["signals", "--out", str(tmp_path), *src]) == 1
+    assert_refused(capsys.readouterr().err, tmp_path, OTHER_KEY)
+    assert not (tmp_path / "signals.npy").exists() and not (tmp_path / "manifest_signals.json").exists()
 
 
-def test_a_piped_input_makes_no_handoff(pipeline_dir, tmp_path):
+def test_a_piped_input_makes_no_handoff(pipeline_dir, tmp_path, capsys):
     # A pipe cannot be read twice, once to digest it and once to parse it.
     fifo = tmp_path / "events.fifo"
     os.mkfifo(fifo)
-    for stage in ("ingest", "signals"):
-        writer = threading.Thread(target=lambda: fifo.write_bytes((pipeline_dir / "events.csv").read_bytes()))
-        writer.start()
-        try:
-            assert run([stage, "--out", str(tmp_path), "--events", str(fifo), *PERIOD]) == 0
-        finally:
-            writer.join()
+    writer = threading.Thread(target=lambda: fifo.write_bytes((pipeline_dir / "events.csv").read_bytes()))
+    writer.start()
+    try:
+        assert run(["ingest", "--out", str(tmp_path), "--events", str(fifo), *PERIOD]) == 0
+    finally:
+        writer.join()
     assert manifest(tmp_path, "ingest")["inputs_sha256"] == {"events": None}
     assert not (tmp_path / signals.FRONT_FILE).exists()
-    signalled = manifest(tmp_path, "signals")
-    assert (signalled["front"], signalled["handoff_miss"]) == ("parsed", "input is not a regular file")
+    capsys.readouterr()
+    # signals fails before it opens the pipe, which has no writer left.
+    assert run(["signals", "--out", str(tmp_path), "--events", str(fifo), *PERIOD]) == 1
+    assert capsys.readouterr().err == (f"error: --events {fifo} must be a regular file: signals checks "
+                                       "ingest's handoff against its digest\n")
+    assert not (tmp_path / "signals.npy").exists() and not (tmp_path / "manifest_signals.json").exists()
 
 
 def test_eval_report_well_formed(pipeline_dir):
@@ -599,7 +622,7 @@ def test_staged_run_matches_pipeline_bytes(pipeline_dir, tmp_path):
 
     for name in DATA_ARTIFACTS:
         assert (staged / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
-    assert manifest(staged, "signals")["front"] == "handoff"
+    assert manifest(staged, "signals")["inputs"]["handoff"] == str(staged / signals.FRONT_FILE)
 
 
 @pytest.mark.parametrize("stage, flags, message", [
@@ -640,13 +663,14 @@ def test_bad_coder_arguments_are_error_lines(pipeline_dir, tmp_path, capsys, sta
     ("pipeline", ["--min-listen-secs", "100000"], "none has 6 valid streams (of at least 100000 s) per day"),
 ])
 def test_no_active_user_is_an_error_line(pipeline_dir, tmp_path, capsys, stage, flags, message):
-    if stage == "pipeline":
-        argv = ["pipeline", "--seed", "7", *SMALL]
-    else:
-        argv = [stage, "--events", str(pipeline_dir / "events.csv"),
-                "--favorites", str(pipeline_dir / "favorites.csv")]
+    source = ["--events", str(pipeline_dir / "events.csv"), "--favorites", str(pipeline_dir / "favorites.csv")]
+    # A staged signals takes the same flags as ingest, whose error it is; signals then finds no handoff.
+    argv = ["pipeline", "--seed", "7", *SMALL] if stage == "pipeline" else ["ingest", *source]
     assert run([*argv, "--out", str(tmp_path), *flags]) == 1
     assert capsys.readouterr().err == f"error: no active users: {message}\n"
+    if stage == "signals":
+        assert run(["signals", *source, "--out", str(tmp_path), *flags]) == 1
+        assert_refused(capsys.readouterr().err, tmp_path, "does not exist")
     assert not (tmp_path / "user_summary.csv").exists() and not (tmp_path / "signals.npy").exists()
 
 
@@ -720,10 +744,13 @@ def test_user_ids_that_break_index_files_are_malformed(tmp_path, capsys):
     events = tmp_path / "events.csv"
     events.write_text("".join(events_csv_lines(rows)))
     capsys.readouterr()
-    assert run(["signals", "--events", str(events), "--min-daily-streams", "0", "--out", str(tmp_path)]) == 1
+    argv = ["--events", str(events), "--min-daily-streams", "0", "--out", str(tmp_path)]
+    assert run(["ingest", *argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: too many malformed lines: 400 events parsed, 800 malformed of 1200 lines")
     assert "line 2: user id ' ' is blank or holds a line break" in err
+    assert run(["signals", *argv]) == 1
+    assert_refused(capsys.readouterr().err, tmp_path, "does not exist")
     assert not (tmp_path / "signal_users.txt").exists()
 
 
@@ -747,8 +774,8 @@ def test_threads_flag_does_not_change_outputs(pipeline_dir, tmp_path):
            "--favorites", str(pipeline_dir / "favorites.csv")]
     config = synth.SynthConfig(n_users=120, weeks=2)
     period = ["--period-start", str(synth.PERIOD_START), "--period-end", str(config.period_end)]
-    rc = run(["signals", "--out", str(out), "--seed", "7", "--threads", "4", *src, *period])
-    assert rc == 0
+    for stage in ("ingest", "signals"):
+        assert run([stage, "--out", str(out), "--seed", "7", "--threads", "4", *src, *period]) == 0
     assert (out / "signals.npy").read_bytes() == (pipeline_dir / "signals.npy").read_bytes()
 
 

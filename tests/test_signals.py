@@ -345,7 +345,13 @@ def test_front_round_trips_under_its_key_only(tmp_path):
     assert loaded.user_ids == front.user_ids == ("idle", "u,2", "u1") and loaded.unknown_user_warnings == 1
     assert set(front.flags.tolist()) == {0, ingest.ORGANIC_BIT, ingest.ORGANIC_BIT | ingest.REPEATED_BIT,
                                          ingest.ORGANIC_BIT | ingest.LIKED_BIT}
-    assert signals.load_front(path, "other key") is None
+    with pytest.raises(SignalError, match="was made from other inputs or flags; run ingest"):
+        signals.load_front(path, "other key")
+    path.write_bytes(b"")
+    with pytest.raises(SignalError, match=r"is damaged \(it is empty\)"):
+        signals.load_front(path, "key")
+    with pytest.raises(SignalError, match="does not exist"):
+        signals.load_front(tmp_path / "none", "key")
 
 
 def test_load_front_gives_back_every_field_save_front_wrote(tmp_path):
@@ -372,11 +378,11 @@ def test_load_front_rejects_a_damaged_record(tmp_path, field, damage):
     front = front_for(log_of(*fixed_events()), ingest.StudyPeriod(MONDAY, MONDAY + WEEK))
     path = tmp_path / signals.FRONT_FILE
     signals.save_front(front, "key", path)
-    arrays = storage.load_arrays(path)
+    arrays = list(storage.load_arrays(path))
     at = 1 + ingest.Profiles._fields.index(field)
     arrays[at] = damage(arrays[at])
     storage.save_arrays(arrays, path)
-    with pytest.raises(ValueError, match="is not a front"):
+    with pytest.raises(SignalError, match=f"{signals.FRONT_FILE} is damaged"):
         signals.load_front(path, "key")
 
 
