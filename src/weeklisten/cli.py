@@ -39,9 +39,12 @@ records the gate counts it prints: ``lines``, ``malformed``,
 same digests, which its handoff's key matched.  ``learn`` and ``embed`` also
 record the codes' worst KKT residual (``kkt_max``) and the number of users
 above the certificate tolerance (``users_uncertified``), and warn when that
-is not 0; ``eval`` records its logistic fits' worst final gradient max-norm
-(``newton_grad_max``) and how many of them stopped at ``max_iter`` or when step
-halving ran out, and warns when either count is not 0.
+is not 0.  ``learn`` also records ``objective_rel_decrease``, the
+objective's relative decrease over its last ``objective_decrease_rounds``
+rounds (``DECREASE_ROUNDS``, or all of them if fewer).  ``eval`` records its
+logistic fits' worst final gradient max-norm (``newton_grad_max``) and how
+many of them stopped at ``max_iter`` or when step halving ran out, and warns
+when either count is not 0.
 """
 
 from __future__ import annotations
@@ -61,6 +64,9 @@ from . import __version__, dictionary, evaluate, ingest, signals, storage, synth
 from .errors import IngestError, PipelineError
 
 STAGE_IDS = {"synth": 0, "split": 1, "learn": 2, "eval": 3}
+
+#: ``manifest_learn.json`` reports the objective's relative decrease over this many last rounds.
+DECREASE_ROUNDS = 50
 
 
 def stage_seed(base_seed: int, stage: str) -> int:
@@ -278,11 +284,16 @@ def cmd_learn(args) -> None:
         fh.writelines(f"{i},{v!r}\n" for i, v in enumerate(result.objective_trace))
     print(f"learned {config.n_atoms} atoms on {len(train_matrix)} train users; "
           f"objective {result.objective_trace[0]:.4f} -> {result.objective_trace[-1]:.4f}")
+    # Two half-steps per round: how far the objective still fell over the last rounds.
+    rounds = min(DECREASE_ROUNDS, config.outer_iters)
+    before = result.objective_trace[-1 - 2 * rounds]
+    decrease = (before - result.objective_trace[-1]) / before if before > 0.0 else 0.0
     _write_manifest(out, "learn", args,
                     {"signal_users": args.signal_users, "signals": args.signals},
                     {"dictionary_csv": csv_path,
                      "train_users": out / "train_users.txt", "test_users": out / "test_users.txt",
-                     "objective_trace": trace_path}, started, certificate)
+                     "objective_trace": trace_path}, started,
+                    {**certificate, "objective_rel_decrease": decrease, "objective_decrease_rounds": rounds})
 
 
 def cmd_embed(args) -> None:
@@ -408,7 +419,8 @@ SHARED_FLAGS = {
                         help="coding tolerance; codes are certified to KKT residual "
                              f"{dictionary.KKT_TOL_FACTOR:g}x this (default %(default)s)"),
     "--lasso-max-sweeps": dict(type=int, default=dictionary.LearnConfig.lasso_max_sweeps,
-                               help="sweep cap per coding pass (default %(default)s)"),
+                               help="cap on the rounds of a coding pass, each one Gauss-Southwell "
+                                    "step and one exact support step (default %(default)s)"),
     "--test-frac": dict(type=float, default=0.33,
                         help="held-out user fraction, excluded from learning (default %(default)s)"),
 }

@@ -10,15 +10,18 @@ matrices, so everything below runs on plain ``(dim, K)`` dictionaries and
 ``(n, dim)`` signal rows (``dim`` is 672 in production, anything in tests).
 
 Sparse coding, vectorized across users, mixes exact steps on a user's
-support (the reduced least-squares system solved in stacked blocks, stopped at
-the first sign change, kept only if the objective does not rise) with cyclic
-coordinate-descent sweeps of closed-form soft-threshold updates, which find
-the support and signs.  A pass opens with an exact step on the warm start and
-then alternates sweeps and exact steps; a user retires once its KKT residual
-is within ``KKT_TOL_FACTOR * tol``, checked after every step and sweep, so a
-user whose support and signs survive a dictionary update costs one solve and
-no sweep (the feature-sign idea of Lee, Battle, Raina and Ng, "Efficient
-sparse coding algorithms", NIPS 2007).  The dictionary half-step is block
+support (the reduced least-squares system, stacked by support size, stopped at
+the first sign change, kept only if the objective does not rise) with
+Gauss–Southwell steps, the closed-form soft-threshold update of each user's
+most KKT-violating coordinate, which find the support and signs.  A pass
+opens with an exact step on the warm start, then runs rounds of one
+Gauss–Southwell step and one exact step; a user retires once its KKT residual
+is within ``KKT_TOL_FACTOR * tol``, checked after every exact step, so a user
+whose support and signs survive a dictionary update costs one solve and no
+round (the feature-sign idea of Lee, Battle, Raina and Ng, "Efficient sparse
+coding algorithms", NIPS 2007; on picking the most violated coordinate see
+Nutini et al., "Coordinate descent converges faster with the Gauss-Southwell
+rule than random selection", ICML 2015).  The dictionary half-step is block
 coordinate descent over atoms with unit-L2-ball projection.  Both half-steps
 never increase the objective, which the learner records after every half-step
 from Gram statistics.  :func:`sparse_code_batch` is the one
@@ -32,6 +35,7 @@ The dictionary persists as ``dictionary.csv``.  :func:`embed` returns the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +48,8 @@ STACKED_DIM = N_CHANNELS * SLOTS_PER_WEEK
 #: A code is certified (and its user retired) once its KKT residual is within this times ``tol``.
 KKT_TOL_FACTOR = 10.0
 
-#: Users per stacked exact-step solve, so the (block, K, K) systems stay a few MB.
-SOLVE_BLOCK = 256
+#: Users per stacked exact-step solve, so the (block, size, size) systems stay a few MB.
+SOLVE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -128,12 +132,12 @@ def _gram_objective(x_sq: float, XD: np.ndarray, DtD: np.ndarray, C: np.ndarray,
     return float(x_sq - 2.0 * np.sum(C * XD) + np.sum(C * (C @ DtD)) + lam * np.sum(np.abs(C)))
 
 
-def _kkt_from_half_gradient(g: np.ndarray, C: np.ndarray, lam: float) -> np.ndarray:
-    """Per-column KKT violation given ``g = D^T S - (D^T D) C`` (so grad = -2g)."""
+def _kkt_violations(g: np.ndarray, C: np.ndarray, lam: float) -> np.ndarray:
+    """Per-coordinate KKT violation given the half-gradient ``g = S D - C D^T D`` (so grad = -2g)."""
     grad = -2.0 * g
     viol = np.abs(grad + lam * np.sign(C))
     np.copyto(viol, np.maximum(np.abs(grad) - lam, 0.0), where=C == 0.0)
-    return viol.max(axis=0) if viol.size else np.zeros(g.shape[1])
+    return viol
 
 
 def kkt_residuals(signals: np.ndarray, dictionary: np.ndarray, codes: np.ndarray, lam: float) -> np.ndarray:
@@ -148,83 +152,111 @@ def kkt_residuals(signals: np.ndarray, dictionary: np.ndarray, codes: np.ndarray
     C = np.asarray(codes, dtype=np.float64)
     if X.ndim != 2 or C.shape != (X.shape[0], D.shape[1]):
         raise DictionaryError(f"shape mismatch: signals {X.shape}, dictionary {D.shape}, codes {C.shape}")
-    g = D.T @ X.T - (D.T @ D) @ C.T
-    return _kkt_from_half_gradient(g, C.T, lam)
+    return _kkt_violations(X @ D - C @ (D.T @ D), C, lam).max(axis=1, initial=0.0)
 
 
-def _exact_support_step(C: np.ndarray, g: np.ndarray, H: np.ndarray, D: np.ndarray,
-                        G: np.ndarray, lam: float) -> None:
-    """Move each user (column) toward the exact lasso solution on its current support.
+def _exact_support_step(C: np.ndarray, g: np.ndarray, H: np.ndarray, G: np.ndarray,
+                        D: np.ndarray, lam: float) -> None:
+    """Move each user (row) toward the exact lasso solution on its current support.
 
     With support ``S`` and signs fixed, the optimum solves
     ``G_SS c_S = H_S - (lam / 2) sign(c_S)``.  The step stops at the first
     support coordinate whose sign would flip (that coordinate becomes exactly
     0) and is kept only where the user's objective does not increase, so a
     singular or ill-conditioned ``G_SS`` cannot undo coordinate descent.
-    ``C``, ``g = H - G C`` and ``H`` are ``(K, n)`` with one column per user;
-    ``C`` and ``g`` are updated in place, ``g`` recomputed for users that moved.
+    Where ``G_SS`` is singular (duplicate atoms, or more support atoms than
+    ``D`` has rank), the fit is fixed along its null space and the step
+    follows it the way the penalty falls, until a coordinate reaches 0.
+    ``C``, ``g = H - C G`` and ``H`` are ``(n, K)`` with one row per user;
+    ``C`` and ``g`` are updated in place, ``g`` recomputed from ``H``.
     """
-    # Blocks of users with similar support sizes keep the padded systems small.
-    by_size = np.argsort(np.count_nonzero(C, axis=0), kind="stable")
-    for start in range(0, C.shape[1], SOLVE_BLOCK):
-        cols = by_size[start:start + SOLVE_BLOCK]
-        c = C[:, cols].T                                   # (b, K)
-        support = c != 0.0
-        size = support.sum(axis=1)
-        m = int(size.max())
-        if m == 0:
-            continue
-        # Each user's support atoms first; rows past its support size are padding.
-        idx = np.argsort(~support, axis=1, kind="stable")[:, :m]
-        pad = np.arange(m) >= size[:, None]
-        M = G[idx[:, :, None], idx[:, None, :]]
-        M[pad[:, :, None] | pad[:, None, :]] = 0.0
-        M[:, np.arange(m), np.arange(m)] += pad           # identity rows, rhs 0
-        h = H[:, cols].T
-        rhs = np.take_along_axis(h - (lam / 2.0) * np.sign(c), idx, axis=1)
-        rhs[pad] = 0.0
-        with np.errstate(all="ignore"):
-            try:
-                sol = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:  # exactly singular G_SS, e.g. duplicate atoms
-                sol = (np.linalg.pinv(M) @ rhs[:, :, None])[:, :, 0]
-            sol[pad] = 0.0
-            z = np.zeros_like(c)
-            np.put_along_axis(z, idx, sol, axis=1)
-            # A support coordinate of c + t (z - c) changes sign at t = c / (c - z).
-            cross = np.where(support & (c * z <= 0.0), c / (c - z), np.inf)
-            t = np.minimum(cross.min(axis=1), 1.0)[:, None]
-            new = c + t * (z - c)
-            new[cross <= t] = 0.0
-            step = new - c
-            # Objective change ||D step||^2 - 2 step.g + lam (|new|_1 - |c|_1).  The
-            # quadratic term is summed in signal space: step.G.step can round negative
-            # when G is near singular.
-            fit = step @ D.T
-            change = (np.einsum("ij,ij->i", fit, fit) - 2.0 * np.einsum("ij,ij->i", step, g[:, cols].T)
-                      + lam * (np.abs(new).sum(axis=1) - np.abs(c).sum(axis=1)))
-        moved = (change <= 0.0) & np.any(step != 0.0, axis=1)
-        if np.any(moved):
-            C[:, cols[moved]] = new[moved].T
-            g[:, cols[moved]] = h[moved].T - G @ new[moved].T
+    n, K = C.shape
+    roundoff = (D.shape[0] + K) * np.finfo(np.float64).eps  # relative rounding error of G
+    # Users sorted by support size, so the systems of each size stack without padding;
+    # (users, atoms) lists every support coordinate, one size after another.
+    nonzero = C != 0.0
+    count = np.count_nonzero(nonzero, axis=1)
+    order = np.argsort(count, kind="stable")
+    rows, atoms = np.nonzero(nonzero[order])
+    users = order[rows]
+    rhs = H[users, atoms] - (lam / 2.0) * np.sign(C[users, atoms])
+    sol = np.empty_like(rhs)
+    start = 0
+    with np.errstate(all="ignore"):
+        for size, n_size in enumerate(np.bincount(count, minlength=K + 1)):
+            for first in range(0, n_size if size else 0, SOLVE_BLOCK):
+                end = start + min(SOLVE_BLOCK, n_size - first) * size
+                idx = atoms[start:end].reshape(-1, size)
+                M = G.ravel()[idx[:, :, None] * K + idx[:, None, :]]
+                b = rhs[start:end].reshape(-1, size, 1)
+                try:
+                    sol[start:end] = np.linalg.solve(M, b).ravel()
+                except np.linalg.LinAlgError:  # exactly singular G_SS, e.g. duplicate atoms
+                    # A ridge at G's rounding error sends a singular system's solution
+                    # far along the null space, the way the penalty falls.
+                    ridge = roundoff * np.trace(M, axis1=1, axis2=2)[:, None, None] * np.eye(size)
+                    sol[start:end] = (np.linalg.pinv(M + ridge) @ b).ravel()
+                start = end
+        z = np.zeros((n, K))
+        z[users, atoms] = sol
+        new, change, flat = _line_search(C, z - C, g, G, D, lam, roundoff)
+        # Where the fit does not change along the step (G_SS singular to rounding, so
+        # the solve's sign along the null space is arbitrary), the objective is
+        # linear in the step: if it rises one way, it falls the other.
+        back = np.flatnonzero(flat & (change > 0.0))
+        if back.size:
+            new[back], change[back], _ = _line_search(C[back], C[back] - z[back], g[back],
+                                                      G, D, lam, roundoff)
+    np.copyto(C, new, where=(change <= 0.0)[:, None])
+    np.subtract(H, C @ G, out=g)
+
+
+def _line_search(C: np.ndarray, direction: np.ndarray, g: np.ndarray, G: np.ndarray, D: np.ndarray,
+                 lam: float, roundoff: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of ``C`` moved along ``direction``: at most to ``C + direction``, and only to a sign change.
+
+    Returns the moved rows, their objective changes
+    ``step.G.step - 2 step.g + lam (|new|_1 - |c|_1)`` and the rows whose
+    ``step.G.step`` is within rounding of zero (``G`` near singular along the
+    step, where it can round negative), summed in signal space instead.
+    """
+    # A support coordinate of c + t d changes sign at t = -c / d; it stops there, at 0.
+    cross = np.where((C != 0.0) & (C * direction < 0.0), -C / direction, np.inf)
+    t = cross.min(axis=1, initial=1.0)[:, None]
+    new = C + t * direction
+    new[cross <= t] = 0.0
+    step = new - C
+    quad = np.einsum("ij,ij->i", step @ G, step)
+    flat = quad <= roundoff * (np.abs(step) @ np.sqrt(np.diagonal(G))) ** 2
+    if np.any(flat):
+        fit = step[flat] @ D.T
+        quad[flat] = np.einsum("ij,ij->i", fit, fit)
+    change = (quad - 2.0 * np.einsum("ij,ij->i", step, g)
+              + lam * (np.abs(new).sum(axis=1) - np.abs(C).sum(axis=1)))
+    return new, change, flat
 
 
 def sparse_code_batch(signals: np.ndarray, dictionary: np.ndarray, lam: float,
                       tol: float = LearnConfig.lasso_tol, max_sweeps: int = LearnConfig.lasso_max_sweeps,
-                      warm_codes: np.ndarray | None = None) -> np.ndarray:
-    """Lasso codes for every signal row: exact support steps plus coordinate descent.
+                      warm_codes: np.ndarray | None = None,
+                      gram: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Lasso codes for every signal row: exact support steps plus Gauss–Southwell steps.
 
-    Runs in covariance form: with ``G = D^T D`` and ``H = D^T S`` precomputed,
-    a coordinate update touches K-vectors instead of dim-vectors.  Each user's
+    Runs in covariance form: with ``H = S D`` and ``G = D^T D`` precomputed,
+    every update touches K-vectors instead of dim-vectors.  Each user's
     problem is independent; they are solved together for speed.  A pass opens
-    with one exact step on the warm support (see :func:`_exact_support_step`);
-    then cyclic coordinate-descent sweeps find the support and signs of the
-    users still open, each sweep followed by another exact step.  A user
-    retires as soon as its KKT violation is within ``KKT_TOL_FACTOR * tol``,
-    checked after every exact step and every sweep, so a user whose warm
-    support and signs are still optimal costs one solve and no sweep.
-    ``max_sweeps`` caps the coordinate-descent sweeps.  Codes of zero-norm
-    atoms are 0.
+    with one exact step on the warm support (see :func:`_exact_support_step`).
+    Then each round gives every open user one Gauss–Southwell step, the
+    closed-form soft-threshold update of its most KKT-violating coordinate,
+    and another exact step.  A user retires as soon as its KKT violation is
+    within ``KKT_TOL_FACTOR * tol``, checked after every exact step, so a user
+    whose warm support and signs are still optimal costs one solve and no
+    round.  ``max_sweeps`` caps the rounds, so a pass makes at most
+    ``1 + max_sweeps`` exact steps.  Codes of zero-norm atoms are 0.
+
+    ``warm_codes``, if given, is an ``(n, K)`` start.  ``gram``, if given, is
+    ``(signals @ dictionary, dictionary.T @ dictionary)`` already computed by
+    the caller, as :func:`learn` has them for its objective.
     """
     if not 0 <= lam < np.inf:
         raise DictionaryError(f"lam must be finite and >= 0, got {lam}")
@@ -244,51 +276,51 @@ def sparse_code_batch(signals: np.ndarray, dictionary: np.ndarray, lam: float,
     if D.shape[0] != dim:
         raise DictionaryError(f"dictionary dim {D.shape[0]} does not match signals dim {dim}")
     K = D.shape[1]
+    if warm_codes is None:
+        codes = np.zeros((n, K))
+    else:
+        codes = np.array(warm_codes, dtype=np.float64)
+        if codes.shape != (n, K):
+            raise DictionaryError(f"warm codes shape {codes.shape} does not match {n} signals x {K} atoms")
+        if not np.isfinite(codes).all():
+            raise DictionaryError("non-finite values in warm codes")
+    if gram is None:
+        H, G = X @ D, D.T @ D
+    else:
+        H, G = (np.asarray(a, dtype=np.float64) for a in gram)
+        if H.shape != (n, K) or G.shape != (K, K):
+            raise DictionaryError(f"gram shapes {H.shape}, {G.shape} do not match {n} signals x {K} atoms")
 
-    codes = np.zeros((K, n)) if warm_codes is None else \
-        np.ascontiguousarray(warm_codes.T, dtype=np.float64).copy()
-    G = D.T @ D                               # (K, K)
-    atom_sq = np.diagonal(G).copy()           # ||d_j||^2
-    codes[atom_sq == 0.0] = 0.0               # the penalty alone decides a zero atom's code
+    atom_sq = np.diagonal(G)                  # ||d_j||^2
+    codes[:, atom_sq == 0.0] = 0.0            # the penalty alone decides a zero atom's code
     threshold = lam / 2.0
     bound = KKT_TOL_FACTOR * tol
 
-    # Open users' columns, compacted as users retire; codes[:, active] is stale until then.
-    active = np.arange(n)
-    C = codes.copy()
-    H = D.T @ X.T                             # (K, n)
-    g = H - G @ C                             # half-gradient: d_j . residual per user
-
-    def retire():
-        nonlocal active, C, g, H
-        done = _kkt_from_half_gradient(g, C, lam) <= bound
-        if np.any(done):
-            codes[:, active[done]] = C[:, done]
-            keep = ~done
-            active, C, g, H = active[keep], C[:, keep], g[:, keep], H[:, keep]
-
-    _exact_support_step(C, g, H, D, G, lam)
-    retire()
-    for _ in range(max_sweeps):
+    # Open users' rows, compacted as users retire; codes[active] is stale until then.
+    active, C = np.arange(n), codes
+    g = H - C @ G                             # half-gradient: d_j . residual per user
+    for round_ in range(max_sweeps + 1):
+        if round_:
+            # Gauss–Southwell: every open user moves its most violating coordinate (never
+            # a zero atom's, whose violation is 0) to its closed-form minimizer.
+            rows = np.arange(active.size)
+            j = viol.argmax(axis=1)
+            c_j = C[rows, j]
+            rho = g[rows, j] + atom_sq[j] * c_j
+            new = (rho - np.clip(rho, -threshold, threshold)) / atom_sq[j]  # soft threshold
+            C[rows, j] = new
+            g -= (new - c_j)[:, None] * G[j]
+        _exact_support_step(C, g, H, G, D, lam)
+        viol = _kkt_violations(g, C, lam)
+        done = viol.max(axis=1, initial=0.0) <= bound
+        codes[active[done]] = C[done]
+        keep = ~done
+        active, C, g, H, viol = active[keep], C[keep], g[keep], H[keep], viol[keep]
         if active.size == 0:
             break
-        for j in range(K):
-            if atom_sq[j] == 0.0:
-                continue  # degenerate atom: code stays 0, gradient is zero
-            c_j = C[j]
-            rho = g[j] + atom_sq[j] * c_j
-            new = (rho - np.clip(rho, -threshold, threshold)) / atom_sq[j]  # soft threshold
-            delta = new - c_j
-            changed = delta != 0.0
-            if np.any(changed):
-                g -= np.outer(G[:, j], delta)
-                c_j[changed] = new[changed]
-        retire()
-        _exact_support_step(C, g, H, D, G, lam)
-        retire()
 
-    codes[:, active] = C
-    return codes.T.copy()
+    codes[active] = C
+    return codes
 
 
 def update_dictionary(signals: np.ndarray, dictionary: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -299,22 +331,23 @@ def update_dictionary(signals: np.ndarray, dictionary: np.ndarray, codes: np.nda
     reconstruction term never increases.  Returns the new ``(dim, K)`` matrix.
     """
     X = np.asarray(signals, dtype=np.float64)
-    D = _stacked(dictionary).copy()
+    Dt = _stacked(dictionary).T.copy()   # (K, dim): one contiguous row per atom
     C = np.asarray(codes, dtype=np.float64)
-    if C.shape != (X.shape[0], D.shape[1]):
-        raise DictionaryError(f"codes shape {C.shape} does not match signals {X.shape} x atoms {D.shape[1]}")
+    if C.shape != (X.shape[0], Dt.shape[0]):
+        raise DictionaryError(f"codes shape {C.shape} does not match signals {X.shape} x atoms {Dt.shape[0]}")
 
     A = C.T @ C                  # (K, K) code Gram
-    B = X.T @ C                  # (dim, K)
-    for j in range(D.shape[1]):
-        if A[j, j] <= 0.0:
+    Bt = C.T @ X                 # (K, dim)
+    for j in range(Dt.shape[0]):
+        a = A[j, j]
+        if a <= 0.0:
             continue  # unused atom: no gradient information
-        d_j = (B[:, j] - D @ A[:, j] + D[:, j] * A[j, j]) / A[j, j]
-        norm = float(np.linalg.norm(d_j))
+        d_j = (Bt[j] - np.dot(A[j], Dt) + Dt[j] * a) / a
+        norm = math.sqrt(np.dot(d_j, d_j))
         if norm > 1.0:
             d_j /= norm
-        D[:, j] = d_j
-    return D
+        Dt[j] = d_j
+    return Dt.T.copy()
 
 
 def learn(signals: np.ndarray, config: LearnConfig) -> LearnResult:
@@ -340,14 +373,15 @@ def learn(signals: np.ndarray, config: LearnConfig) -> LearnResult:
 
     x_sq = float(np.sum(X * X))
     XD, DtD = X @ D, D.T @ D
-    codes = sparse_code_batch(X, D, config.lam, config.lasso_tol, config.lasso_max_sweeps)
+    codes = sparse_code_batch(X, D, config.lam, config.lasso_tol, config.lasso_max_sweeps,
+                              gram=(XD, DtD))
     trace = [_gram_objective(x_sq, XD, DtD, codes, config.lam)]
     for _ in range(config.outer_iters):
         D = update_dictionary(X, D, codes)
         XD, DtD = X @ D, D.T @ D
         trace.append(_gram_objective(x_sq, XD, DtD, codes, config.lam))
-        codes = sparse_code_batch(X, D, config.lam, config.lasso_tol,
-                                  config.lasso_max_sweeps, warm_codes=codes)
+        codes = sparse_code_batch(X, D, config.lam, config.lasso_tol, config.lasso_max_sweeps,
+                                  warm_codes=codes, gram=(XD, DtD))
         trace.append(_gram_objective(x_sq, XD, DtD, codes, config.lam))
 
     dictionary = Dictionary(stacked=D, lam=config.lam, seed=config.seed)

@@ -701,6 +701,23 @@ def test_sweep_cap_is_reported(pipeline_dir, tmp_path, capsys):
         assert manifest["kkt_max"] > dictionary.KKT_TOL_FACTOR * 1e-8
 
 
+def test_learn_reports_recent_objective_decrease(pipeline_dir, tmp_path):
+    # SMALL learns 6 rounds, fewer than DECREASE_ROUNDS: the decrease spans all of them.
+    long = tmp_path / "long"
+    rounds = cli.DECREASE_ROUNDS + 5
+    assert run(["learn", "--out", str(long), "--seed", "7", "--atoms", "4", "--outer-iters", str(rounds),
+                "--signal-users", str(pipeline_dir / "signal_users.txt"),
+                "--signals", str(pipeline_dir / "signals.npy")]) == 0
+    for out, spanned in ((pipeline_dir, 6), (long, cli.DECREASE_ROUNDS)):
+        manifest = json.loads((out / "manifest_learn.json").read_text())
+        lines = (out / "objective_trace.csv").read_text().splitlines()
+        trace = [float(line.split(",")[1]) for line in lines[1:]]
+        assert manifest["objective_decrease_rounds"] == spanned
+        before, after = trace[-1 - 2 * spanned], trace[-1]
+        assert manifest["objective_rel_decrease"] == (before - after) / before
+        assert manifest["objective_rel_decrease"] > 0.0
+
+
 def test_newton_certificate_is_reported(pipeline_dir, tmp_path, capsys, monkeypatch):
     manifest = json.loads((pipeline_dir / "manifest_eval.json").read_text())
     assert manifest["newton_fits"] == 30 * (5 * 5 + 1)  # per job: 25 (l2, fold) fits and the refit

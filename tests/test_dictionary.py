@@ -111,6 +111,9 @@ def test_sparse_code_rejects_non_finite():
     ({"tol": 0.0}, "tolerance must be finite and > 0"),
     ({"tol": np.nan}, "tolerance must be finite and > 0"),
     ({"max_sweeps": 0}, "sweep cap must be >= 1"),
+    ({"warm_codes": np.ones((3, 3))}, r"warm codes shape \(3, 3\) does not match 3 signals x 2 atoms"),
+    ({"warm_codes": np.ones((4, 2))}, r"warm codes shape \(4, 2\) does not match 3 signals x 2 atoms"),
+    ({"warm_codes": np.full((3, 2), np.nan)}, "non-finite values in warm codes"),
 ])
 def test_sparse_code_batch_checks_its_arguments(kwargs, message):
     with pytest.raises(DictionaryError, match=message):
@@ -164,6 +167,23 @@ def test_sparse_code_certified_warm_start_keeps_support_and_signs(rng, monkeypat
         assert kkt_violation(s, D, code, lam) <= dictionary.KKT_TOL_FACTOR * 1e-8
 
 
+@pytest.mark.parametrize("sweeps", [1, 2])
+def test_sparse_code_round_cap_bounds_exact_steps(rng, monkeypatch, sweeps):
+    # max_sweeps caps the rounds after the opening exact step, each one
+    # Gauss-Southwell step and one exact step.  A cold start whose supports need
+    # more activations than that leaves rows above the KKT bound.
+    D = rng.normal(size=(12, 8))
+    X = rng.normal(size=(30, 12)) * 3
+    lam = 0.5
+    optimum = dictionary.sparse_code_batch(X, D, lam)
+    assert np.count_nonzero(optimum, axis=1).max() > sweeps + 1
+    steps, exact_step = [], dictionary._exact_support_step
+    monkeypatch.setattr(dictionary, "_exact_support_step", lambda *a: steps.append(exact_step(*a)))
+    codes = dictionary.sparse_code_batch(X, D, lam, max_sweeps=sweeps)
+    assert len(steps) == 1 + sweeps
+    assert dictionary.kkt_residuals(X, D, codes, lam).max() > dictionary.KKT_TOL_FACTOR * 1e-8
+
+
 def correlated_atoms(rng, dim=8, K=3, spread=0.3):
     """Unit atoms with pairwise correlations near 0.9, where cyclic CD crawls."""
     base = rng.normal(size=dim)
@@ -197,8 +217,11 @@ def test_sparse_code_wrong_sign_warm_start_is_clipped(rng):
 def test_sparse_code_duplicate_atoms_singular_support(gap):
     # Both copies of an atom in the warm support make G_SS singular (or, a
     # hair apart, singular to rounding; with this seed some rows' solves then
-    # overshoot by ~1e10).  No sweep may raise the objective.  The optimum's
-    # split between the copies is not unique, its objective and reconstruction are.
+    # overshoot by ~1e10).  No round may raise the objective.  Along such steps
+    # step.G.step is within rounding of zero, so the exact step sums it in
+    # signal space; at gap 1e-10 the objective rises without that fallback.
+    # The optimum's split between the copies is not unique, its objective and
+    # reconstruction are.
     rng = np.random.default_rng(17)
     D = correlated_atoms(rng, K=2, spread=1.0)
     D = np.column_stack([D[:, 0], D[:, 0] + gap * rng.normal(size=8), D[:, 1]])
@@ -218,6 +241,21 @@ def test_sparse_code_duplicate_atoms_singular_support(gap):
         assert lasso_objective(s, D, code, lam) == pytest.approx(lasso_objective(s, D, cold, lam),
                                                                  abs=1e-7)
         assert np.allclose(D @ code, D @ cold, atol=1e-7)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_code_overcomplete_dictionary_certified(seed):
+    # More atoms than dimensions: a support can outgrow the rank of D, so G_SS is
+    # singular (exactly, or to rounding) and the exact step has to leave along its
+    # null space the way the penalty falls.  Every row is certified.
+    rng = np.random.default_rng(seed)
+    for dim, K in [(4, 5), (4, 8), (4, 16), (8, 10), (8, 16), (8, 32)]:
+        D = rng.normal(size=(dim, K))
+        D /= np.linalg.norm(D, axis=0)
+        X = rng.normal(size=(30, dim)) * 2
+        for lam in (0.1, 1.0):
+            codes = dictionary.sparse_code_batch(X, D, lam)
+            assert dictionary.kkt_residuals(X, D, codes, lam).max() <= dictionary.KKT_TOL_FACTOR * 1e-8
 
 
 def test_sparse_code_zero_atom_drops_warm_code(rng):
