@@ -61,7 +61,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dictionary, evaluate, ingest, signals, storage, synth
-from .errors import IngestError, PipelineError
+from .errors import PipelineError
 
 STAGE_IDS = {"synth": 0, "split": 1, "learn": 2, "eval": 3}
 
@@ -163,8 +163,8 @@ def _load_filtered(args):
     period = _resolve_period(args, log)
     active = ingest.filter_active_users(log, period, args.min_daily_streams)
     if not active:
-        raise IngestError(f"no active users: none has {args.min_daily_streams:g} valid streams "
-                          f"(of at least {args.min_listen_secs} s) per day")
+        raise PipelineError(f"no active users: none has {args.min_daily_streams:g} valid streams "
+                            f"(of at least {args.min_listen_secs} s) per day")
     log = ingest.restrict_to_users(log, active)
     return ingest.build_profiles(log, period, favorites), report, valid_streams, parse_s
 
@@ -202,9 +202,9 @@ def _front_key(args) -> tuple[str | None, dict]:
     period flags, the version and the handoff format.  It is None when an
     input is a pipe, which cannot be read a second time to be digested.
     """
-    inputs = {"events": storage.file_sha256(args.events, "events", IngestError)}
+    inputs = {"events": storage.file_sha256(args.events, "events")}
     if args.favorites:
-        inputs["favorites"] = storage.file_sha256(args.favorites, "favorites", IngestError)
+        inputs["favorites"] = storage.file_sha256(args.favorites, "favorites")
     if None in inputs.values():
         return None, inputs
     key = {"format": signals.FRONT_FORMAT, "version": __version__, "inputs_sha256": inputs,

@@ -24,7 +24,7 @@ Nutini et al., "Coordinate descent converges faster with the Gauss-Southwell
 rule than random selection", ICML 2015).  The dictionary half-step is block
 coordinate descent over atoms with unit-L2-ball projection.  Both half-steps
 never increase the objective, which the learner records after every half-step
-from Gram statistics.  :func:`sparse_code_batch` is the one
+from Gram statistics (:func:`objective`).  :func:`sparse_code_batch` is the one
 coder (a single signal is a batch of one row) and :func:`kkt_residuals`
 certifies its codes.
 
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DictionaryError
+from .errors import PipelineError
 from .signals import CHANNELS, N_CHANNELS, SLOTS_PER_WEEK
 
 STACKED_DIM = N_CHANNELS * SLOTS_PER_WEEK
@@ -65,9 +65,9 @@ class LearnConfig:
 
     def __post_init__(self):
         if self.n_atoms < 1:
-            raise DictionaryError(f"n_atoms must be >= 1, got {self.n_atoms}")
+            raise PipelineError(f"n_atoms must be >= 1, got {self.n_atoms}")
         if self.outer_iters < 0:
-            raise DictionaryError(f"outer_iters must be >= 0, got {self.outer_iters}")
+            raise PipelineError(f"outer_iters must be >= 0, got {self.outer_iters}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class Dictionary:
     @property
     def atoms(self) -> np.ndarray:
         if self.dim != STACKED_DIM:
-            raise DictionaryError(f"channel view needs dim {STACKED_DIM}, this dictionary has {self.dim}")
+            raise PipelineError(f"channel view needs dim {STACKED_DIM}, this dictionary has {self.dim}")
         return self.stacked.T.reshape(self.n_atoms, N_CHANNELS, SLOTS_PER_WEEK)
 
 
@@ -107,28 +107,19 @@ class LearnResult:
 def _stacked(dictionary: np.ndarray) -> np.ndarray:
     mat = np.asarray(dictionary, dtype=np.float64)
     if mat.ndim != 2:
-        raise DictionaryError(f"dictionary must be 2-D (dim, K), got shape {mat.shape}")
+        raise PipelineError(f"dictionary must be 2-D (dim, K), got shape {mat.shape}")
     return mat
 
 
-def objective(signals: np.ndarray, dictionary: np.ndarray, codes: np.ndarray, lam: float) -> float:
-    """``||S - D @ G||_F^2 + lam * ||G||_1`` on stacked matrices.
+def objective(x_sq: float, XD: np.ndarray, DtD: np.ndarray, codes: np.ndarray, lam: float) -> float:
+    """``||X - C D^T||_F^2 + lam * ||C||_1`` from ``||X||^2``, ``X D`` and ``D^T D``.
 
-    :func:`learn` records the same value through :func:`_gram_objective`; this
-    residual form stays public because the benchmark's per-layer metrics
-    (``dictionary.objective.*``) look it up by name.
+    No ``(n, dim)`` residual is formed.  :func:`learn` records the value after
+    every half-step, from the Gram statistics its coder uses.
     """
-    X = np.asarray(signals, dtype=np.float64)
-    D = _stacked(dictionary)
     C = np.asarray(codes, dtype=np.float64)
-    if X.ndim != 2 or C.shape != (X.shape[0], D.shape[1]):
-        raise DictionaryError(f"shape mismatch: signals {X.shape}, dictionary {D.shape}, codes {C.shape}")
-    residual = X - C @ D.T
-    return float(np.sum(residual * residual) + lam * np.sum(np.abs(C)))
-
-
-def _gram_objective(x_sq: float, XD: np.ndarray, DtD: np.ndarray, C: np.ndarray, lam: float) -> float:
-    """:func:`objective` from ``||X||^2``, ``X D`` and ``D^T D``, without the (n, dim) residual."""
+    if C.ndim != 2 or XD.shape != C.shape or DtD.shape != (C.shape[1], C.shape[1]):
+        raise PipelineError(f"shape mismatch: X D {XD.shape}, D^T D {DtD.shape}, codes {C.shape}")
     return float(x_sq - 2.0 * np.sum(C * XD) + np.sum(C * (C @ DtD)) + lam * np.sum(np.abs(C)))
 
 
@@ -151,7 +142,7 @@ def kkt_residuals(signals: np.ndarray, dictionary: np.ndarray, codes: np.ndarray
     D = _stacked(dictionary)
     C = np.asarray(codes, dtype=np.float64)
     if X.ndim != 2 or C.shape != (X.shape[0], D.shape[1]):
-        raise DictionaryError(f"shape mismatch: signals {X.shape}, dictionary {D.shape}, codes {C.shape}")
+        raise PipelineError(f"shape mismatch: signals {X.shape}, dictionary {D.shape}, codes {C.shape}")
     return _kkt_violations(X @ D - C @ (D.T @ D), C, lam).max(axis=1, initial=0.0)
 
 
@@ -259,37 +250,37 @@ def sparse_code_batch(signals: np.ndarray, dictionary: np.ndarray, lam: float,
     the caller, as :func:`learn` has them for its objective.
     """
     if not 0 <= lam < np.inf:
-        raise DictionaryError(f"lam must be finite and >= 0, got {lam}")
+        raise PipelineError(f"lam must be finite and >= 0, got {lam}")
     if not 0 < tol < np.inf:
-        raise DictionaryError(f"lasso tolerance must be finite and > 0, got {tol}")
+        raise PipelineError(f"lasso tolerance must be finite and > 0, got {tol}")
     if not max_sweeps >= 1:
-        raise DictionaryError(f"lasso sweep cap must be >= 1, got {max_sweeps}")
+        raise PipelineError(f"lasso sweep cap must be >= 1, got {max_sweeps}")
     X = np.asarray(signals, dtype=np.float64)
     if X.ndim != 2:
-        raise DictionaryError(f"signals must be 2-D (n, dim), got shape {X.shape}")
+        raise PipelineError(f"signals must be 2-D (n, dim), got shape {X.shape}")
     if not np.isfinite(X).all():
-        raise DictionaryError("non-finite values in signals")
+        raise PipelineError("non-finite values in signals")
     D = _stacked(dictionary)
     if not np.isfinite(D).all():
-        raise DictionaryError("non-finite values in dictionary")
+        raise PipelineError("non-finite values in dictionary")
     n, dim = X.shape
     if D.shape[0] != dim:
-        raise DictionaryError(f"dictionary dim {D.shape[0]} does not match signals dim {dim}")
+        raise PipelineError(f"dictionary dim {D.shape[0]} does not match signals dim {dim}")
     K = D.shape[1]
     if warm_codes is None:
         codes = np.zeros((n, K))
     else:
         codes = np.array(warm_codes, dtype=np.float64)
         if codes.shape != (n, K):
-            raise DictionaryError(f"warm codes shape {codes.shape} does not match {n} signals x {K} atoms")
+            raise PipelineError(f"warm codes shape {codes.shape} does not match {n} signals x {K} atoms")
         if not np.isfinite(codes).all():
-            raise DictionaryError("non-finite values in warm codes")
+            raise PipelineError("non-finite values in warm codes")
     if gram is None:
         H, G = X @ D, D.T @ D
     else:
         H, G = (np.asarray(a, dtype=np.float64) for a in gram)
         if H.shape != (n, K) or G.shape != (K, K):
-            raise DictionaryError(f"gram shapes {H.shape}, {G.shape} do not match {n} signals x {K} atoms")
+            raise PipelineError(f"gram shapes {H.shape}, {G.shape} do not match {n} signals x {K} atoms")
 
     atom_sq = np.diagonal(G)                  # ||d_j||^2
     codes[:, atom_sq == 0.0] = 0.0            # the penalty alone decides a zero atom's code
@@ -334,7 +325,7 @@ def update_dictionary(signals: np.ndarray, dictionary: np.ndarray, codes: np.nda
     Dt = _stacked(dictionary).T.copy()   # (K, dim): one contiguous row per atom
     C = np.asarray(codes, dtype=np.float64)
     if C.shape != (X.shape[0], Dt.shape[0]):
-        raise DictionaryError(f"codes shape {C.shape} does not match signals {X.shape} x atoms {Dt.shape[0]}")
+        raise PipelineError(f"codes shape {C.shape} does not match signals {X.shape} x atoms {Dt.shape[0]}")
 
     A = C.T @ C                  # (K, K) code Gram
     Bt = C.T @ X                 # (K, dim)
@@ -360,10 +351,10 @@ def learn(signals: np.ndarray, config: LearnConfig) -> LearnResult:
     """
     X = np.asarray(signals, dtype=np.float64)
     if X.ndim != 2:
-        raise DictionaryError(f"signals must be 2-D (n, dim), got shape {X.shape}")
+        raise PipelineError(f"signals must be 2-D (n, dim), got shape {X.shape}")
     n = X.shape[0]
     if n < config.n_atoms:
-        raise DictionaryError(f"need at least {config.n_atoms} training rows, got {n}")
+        raise PipelineError(f"need at least {config.n_atoms} training rows, got {n}")
 
     rng = np.random.default_rng(config.seed)
     chosen = rng.choice(n, size=config.n_atoms, replace=False)
@@ -375,14 +366,14 @@ def learn(signals: np.ndarray, config: LearnConfig) -> LearnResult:
     XD, DtD = X @ D, D.T @ D
     codes = sparse_code_batch(X, D, config.lam, config.lasso_tol, config.lasso_max_sweeps,
                               gram=(XD, DtD))
-    trace = [_gram_objective(x_sq, XD, DtD, codes, config.lam)]
+    trace = [objective(x_sq, XD, DtD, codes, config.lam)]
     for _ in range(config.outer_iters):
         D = update_dictionary(X, D, codes)
         XD, DtD = X @ D, D.T @ D
-        trace.append(_gram_objective(x_sq, XD, DtD, codes, config.lam))
+        trace.append(objective(x_sq, XD, DtD, codes, config.lam))
         codes = sparse_code_batch(X, D, config.lam, config.lasso_tol, config.lasso_max_sweeps,
                                   warm_codes=codes, gram=(XD, DtD))
-        trace.append(_gram_objective(x_sq, XD, DtD, codes, config.lam))
+        trace.append(objective(x_sq, XD, DtD, codes, config.lam))
 
     dictionary = Dictionary(stacked=D, lam=config.lam, seed=config.seed)
     return LearnResult(dictionary=dictionary, codes=codes, objective_trace=tuple(trace))
@@ -425,16 +416,16 @@ def save_dictionary_csv(dictionary: Dictionary, path) -> None:
 
 
 def load_dictionary_csv(path) -> Dictionary:
-    """Read :func:`save_dictionary_csv` output; any other content is a :class:`DictionaryError`."""
+    """Read :func:`save_dictionary_csv` output; any other content is a :class:`PipelineError`."""
     try:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
             values = fh.readline().strip().split(",")
             lines = [line for line in fh if line.strip()]
     except (OSError, UnicodeDecodeError) as exc:
-        raise DictionaryError(f"cannot read dictionary {path}: {exc}") from exc
+        raise PipelineError(f"cannot read dictionary {path}: {exc}") from exc
     if header != _CSV_FIELDS or len(values) != len(header):
-        raise DictionaryError(f"{path} is not a dictionary CSV (header {header}, values {values})")
+        raise PipelineError(f"{path} is not a dictionary CSV (header {header}, values {values})")
     meta = dict(zip(header, values))
     try:
         n_atoms = int(meta["n_atoms"])
@@ -442,12 +433,12 @@ def load_dictionary_csv(path) -> Dictionary:
         lam = float(meta["lambda"]) if meta["lambda"] else None
         seed = int(meta["seed"]) if meta["seed"] else None
         if len(lines) != n_atoms:
-            raise DictionaryError(f"dictionary file {path} has {len(lines)} atom rows, header says {n_atoms}")
+            raise PipelineError(f"dictionary file {path} has {len(lines)} atom rows, header says {n_atoms}")
         D = np.vstack([np.array(line.split(","), dtype=np.float64) for line in lines]).T
     except ValueError as exc:
-        raise DictionaryError(f"dictionary file {path} is malformed: {exc}") from exc
+        raise PipelineError(f"dictionary file {path} is malformed: {exc}") from exc
     if D.shape != (dim, n_atoms):
-        raise DictionaryError(f"dictionary file {path} has shape {D.shape}, header says ({dim}, {n_atoms})")
+        raise PipelineError(f"dictionary file {path} has shape {D.shape}, header says ({dim}, {n_atoms})")
     return Dictionary(stacked=D, lam=lam, seed=seed)
 
 

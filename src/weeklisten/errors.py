@@ -1,25 +1,5 @@
-"""Exception hierarchy shared across the pipeline stages."""
+"""The one exception type of the pipeline stages."""
 
 
 class PipelineError(Exception):
-    """Base class for all stage-level failures; the CLI maps these to exit 1."""
-
-
-class IngestError(PipelineError):
-    """Raised for unreadable inputs, bad headers, or excessive malformed lines."""
-
-
-class SignalError(PipelineError):
-    """Raised when weekly signals cannot be built (bad period, non-finite values)."""
-
-
-class DictionaryError(PipelineError):
-    """Raised for invalid dictionary-learning inputs (shape mismatch, too few rows)."""
-
-
-class EvaluationError(PipelineError):
-    """Raised when the evaluation protocol cannot run (degenerate splits, single-class labels)."""
-
-
-class SynthesisError(PipelineError):
-    """Raised for infeasible generator configurations."""
+    """A stage-level failure, with a message naming its cause; the CLI maps it to exit 1."""

@@ -39,7 +39,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import storage
-from .errors import EvaluationError
+from .errors import PipelineError
 
 ACTIVITIES = ("wake_up", "transport", "work", "sports", "friends", "asleep")
 N_ACTIVITIES = len(ACTIVITIES)
@@ -78,18 +78,18 @@ def parse_labels(path) -> Labels:
     range; an error names the first line that breaks a rule.  The file is
     read once, through ``storage.csv_rows``.
     """
-    with storage.csv_rows(path, "labels", EvaluationError) as (header, reader):
+    with storage.csv_rows(path, "labels") as (header, reader):
         if tuple(header) != LABELS_HEADER:
-            raise EvaluationError(f"labels header must be {','.join(LABELS_HEADER)}, got {','.join(header)}")
+            raise PipelineError(f"labels header must be {','.join(LABELS_HEADER)}, got {','.join(header)}")
         line_of, fields = {}, []  # user id -> line number, in file order
         for rowv in reader:
             if not rowv:
                 continue
             if len(rowv) != len(LABELS_HEADER):
-                raise EvaluationError(f"labels line {reader.line_num} has {len(rowv)} fields, "
-                                      f"expected {len(LABELS_HEADER)}")
+                raise PipelineError(f"labels line {reader.line_num} has {len(rowv)} fields, "
+                                    f"expected {len(LABELS_HEADER)}")
             if rowv[0] in line_of:
-                raise EvaluationError(f"labels line {reader.line_num}: duplicate user id {rowv[0]}")
+                raise PipelineError(f"labels line {reader.line_num}: duplicate user id {rowv[0]}")
             line_of[rowv[0]] = reader.line_num
             fields.append(rowv[1:])
     user_ids, line_nos = tuple(line_of), tuple(line_of.values())
@@ -100,7 +100,7 @@ def parse_labels(path) -> Labels:
             try:
                 np.array(row, dtype=np.int64)
             except (ValueError, OverflowError) as exc:
-                raise EvaluationError(f"labels line {line_no} is malformed: {exc}") from exc
+                raise PipelineError(f"labels line {line_no} is malformed: {exc}") from exc
         raise
     answers, demographics = values[:, :N_ACTIVITIES], values[:, N_ACTIVITIES:]
     age_group, gender = demographics.T
@@ -109,8 +109,8 @@ def parse_labels(path) -> Labels:
                       ((gender < 0) | (gender >= GENDER_CODES), f"gender must lie in [0, {GENDER_CODES})")):
         if bad.any():
             i = int(np.argmax(bad))
-            raise EvaluationError(f"labels line {line_nos[i]}, user {user_ids[i]}: {rule}, got answers "
-                                  f"{answers[i].tolist()}, age_group {age_group[i]}, gender {gender[i]}")
+            raise PipelineError(f"labels line {line_nos[i]}, user {user_ids[i]}: {rule}, got answers "
+                                f"{answers[i].tolist()}, age_group {age_group[i]}, gender {gender[i]}")
     return Labels(user_ids, answers.astype(np.int8), demographics.astype(np.int8))
 
 
@@ -136,13 +136,13 @@ def split_users(user_ids: Sequence[str], test_fraction: float, seed=0) -> np.nda
     it anew, so both must get the same ``--test-frac`` and ``--seed``.
     """
     if not 0 < test_fraction < 1:
-        raise EvaluationError(f"test fraction must lie in (0, 1), got {test_fraction}")
+        raise PipelineError(f"test fraction must lie in (0, 1), got {test_fraction}")
     n = len(user_ids)
     if n < 10:
-        raise EvaluationError(f"need at least 10 users to split, got {n}")
+        raise PipelineError(f"need at least 10 users to split, got {n}")
     n_test = int(round(test_fraction * n))
     if n_test < 1 or n_test >= n:
-        raise EvaluationError(f"degenerate split: {n_test} test users of {n}")
+        raise PipelineError(f"degenerate split: {n_test} test users of {n}")
     by_id = np.array(sorted(range(n), key=user_ids.__getitem__), dtype=np.int64)
     test = np.zeros(n, dtype=bool)
     test[by_id[np.random.default_rng(seed).permutation(n)[:n_test]]] = True
@@ -172,7 +172,7 @@ def build_features(variant: str, target_activity: str, codes: np.ndarray, answer
     ``demographics`` ``(n, 2)`` (age group, gender) and ``totals`` ``(n,)``.
     """
     if target_activity not in ACTIVITIES:
-        raise EvaluationError(f"unknown activity {target_activity!r}")
+        raise PipelineError(f"unknown activity {target_activity!r}")
     if variant == VARIANT_VOLUME:
         values = totals[:, None]
     elif variant == VARIANT_DEMOGRAPHICS:
@@ -184,7 +184,7 @@ def build_features(variant: str, target_activity: str, codes: np.ndarray, answer
     elif variant == VARIANT_CODES_DEMOGRAPHICS:
         values = np.column_stack([codes, demographics])
     else:
-        raise EvaluationError(f"unknown feature variant {variant!r}")
+        raise PipelineError(f"unknown feature variant {variant!r}")
 
     return standardize(np.asarray(values, dtype=np.float64), train_mask)
 
@@ -263,8 +263,8 @@ def newton_logreg(X: np.ndarray, y01: np.ndarray, rows: np.ndarray, l2_strength,
     for mask in rows:
         classes = np.unique(y01[mask])
         if len(classes) < 2:
-            raise EvaluationError(f"labels are single-class ({classes.tolist()}); "
-                                  "logistic regression needs both a positive and a negative example")
+            raise PipelineError(f"labels are single-class ({classes.tolist()}); "
+                                "logistic regression needs both a positive and a negative example")
     l2 = np.broadcast_to(np.asarray(l2_strength, dtype=np.float64), (n_problems,))
     weight = rows / rows.sum(axis=1, keepdims=True)
     params = np.zeros((n_problems, f + 1))
@@ -330,7 +330,7 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_pos = int(y.sum())
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise EvaluationError("ROC AUC needs both classes present")
+        raise PipelineError("ROC AUC needs both classes present")
     order = np.argsort(s, kind="stable")
     s_sorted = s[order]
     starts = np.flatnonzero(np.r_[True, np.diff(s_sorted) != 0])
@@ -347,8 +347,8 @@ def stratified_folds(y01: np.ndarray, folds: int, seed) -> np.ndarray:
     y = np.asarray(y01).astype(bool)
     n_pos, n_neg = int(y.sum()), int((~y).sum())
     if min(n_pos, n_neg) < folds:
-        raise EvaluationError(f"cannot stratify {folds} folds with class counts "
-                              f"pos={n_pos}, neg={n_neg}")
+        raise PipelineError(f"cannot stratify {folds} folds with class counts "
+                            f"pos={n_pos}, neg={n_neg}")
     rng = np.random.default_rng(seed)
     assignment = np.empty(len(y), dtype=np.int64)
     for mask in (y, ~y):
@@ -373,10 +373,10 @@ def grid_search_cv(X: np.ndarray, y01: np.ndarray, l2_grid: Sequence[float],
     break toward the strongest regularization.
     """
     if folds < 2:
-        raise EvaluationError(f"need at least 2 folds, got {folds}")
+        raise PipelineError(f"need at least 2 folds, got {folds}")
     grid = sorted(set(float(v) for v in l2_grid))
     if not grid:
-        raise EvaluationError("l2 grid is empty")
+        raise PipelineError("l2 grid is empty")
     X = np.asarray(X, dtype=np.float64)
     y01 = np.asarray(y01)
     held_out = stratified_folds(y01, folds, seed) == np.arange(folds)[:, None]  # (folds, n)
@@ -405,7 +405,7 @@ class EvalConfig:
     def __post_init__(self) -> None:
         bad = [l2 for l2 in self.l2_grid if not (np.isfinite(l2) and l2 > 0)]
         if bad:
-            raise EvaluationError(f"l2 strengths must be finite and positive, got {bad}")
+            raise PipelineError(f"l2 strengths must be finite and positive, got {bad}")
 
 
 @dataclass(frozen=True)
@@ -462,24 +462,24 @@ def evaluate_all(user_ids: Sequence[str], codes: np.ndarray, labels: Labels,
     codes = np.asarray(codes, dtype=np.float64)
     test_mask = np.asarray(test_mask, dtype=bool)
     if codes.ndim != 2 or codes.shape[0] != len(user_ids) or test_mask.shape != (len(user_ids),):
-        raise EvaluationError(f"codes shape {codes.shape} and test mask shape {test_mask.shape} "
-                              f"do not match {len(user_ids)} users")
+        raise PipelineError(f"codes shape {codes.shape} and test mask shape {test_mask.shape} "
+                            f"do not match {len(user_ids)} users")
     order = sorted(range(len(user_ids)), key=user_ids.__getitem__)
     users = [user_ids[i] for i in order]
     if len(set(users)) != len(users):
-        raise EvaluationError("duplicate user ids among the coded users")
+        raise PipelineError("duplicate user ids among the coded users")
     label_row = {u: i for i, u in enumerate(labels.user_ids)}
     for what, known in (("labels", label_row), ("stream total", totals)):
         missing = [u for u in users if u not in known]
         if missing:
-            raise EvaluationError(f"{len(missing)} coded users have no {what}, e.g. {missing[:3]}")
+            raise PipelineError(f"{len(missing)} coded users have no {what}, e.g. {missing[:3]}")
     rows = [label_row[u] for u in users]
     codes, answers, demographics = codes[order], labels.answers[rows], labels.demographics[rows]
     test_mask = test_mask[order]
     volume = np.array([float(totals[u]) for u in users])
     train_mask = ~test_mask
     if not train_mask.any() or not test_mask.any():
-        raise EvaluationError("split leaves train or test empty")
+        raise PipelineError("split leaves train or test empty")
 
     auc = np.zeros((len(VARIANTS), N_ACTIVITIES))
     chosen = np.zeros_like(auc)

@@ -63,7 +63,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import storage
-from .errors import IngestError
+from .errors import PipelineError
 
 ORGANIC = "organic"
 ALGORITHMIC = "algorithmic"
@@ -112,7 +112,7 @@ class StudyPeriod:
 
     def __post_init__(self) -> None:
         if self.end <= self.start:
-            raise IngestError(f"study period must have positive length, got [{self.start}, {self.end})")
+            raise PipelineError(f"study period must have positive length, got [{self.start}, {self.end})")
 
     @property
     def days(self) -> float:
@@ -122,7 +122,7 @@ class StudyPeriod:
     def covering(cls, log: "EventLog") -> "StudyPeriod":
         """Smallest hour-aligned period containing every event in ``log``."""
         if len(log) == 0:
-            raise IngestError("cannot derive a study period from an empty event log")
+            raise PipelineError("cannot derive a study period from an empty event log")
         lo = int(log.timestamps.min())
         hi = int(log.timestamps.max())
         start = (lo // 3600) * 3600
@@ -190,7 +190,7 @@ def _local_timestamps(timestamps: np.ndarray, tz_offset_min: np.ndarray, default
     lie in the tz column's range.
     """
     if not TZ_UNSET < default_tz_offset_min <= _INT32_MAX:
-        raise IngestError(f"default tz offset {default_tz_offset_min} minutes does not fit in 32 bits")
+        raise PipelineError(f"default tz offset {default_tz_offset_min} minutes does not fit in 32 bits")
     offsets = np.where(tz_offset_min == TZ_UNSET, default_tz_offset_min, tz_offset_min)
     return timestamps + offsets.astype(np.int64) * 60
 
@@ -219,7 +219,7 @@ def parse_events(path) -> tuple[EventLog, ParseReport]:
     """
     parsed = None
     line_base = 0
-    with storage._opened(path, "events", IngestError) as fh:
+    with storage._opened(path, "events") as fh:
         blocks = storage._blocks(fh)
         for block in blocks:
             data = np.frombuffer(block, dtype=np.uint8)
@@ -250,7 +250,7 @@ def parse_events(path) -> tuple[EventLog, ParseReport]:
                 return parsed.result()
         reader = storage._csv_reader(blocks, line_base)
         if parsed is None:  # the first block needs csv.reader, or the file is empty
-            parsed = _EventColumns(storage._header(reader, path, "events", IngestError))
+            parsed = _EventColumns(storage._header(reader, path, "events"))
         parsed.add_rows(reader, line_base)
     return parsed.result()
 
@@ -282,7 +282,7 @@ class _EventColumns:
         """``size`` is the source's byte count, when known; the columns then never grow."""
         for col in EVENT_COLUMNS:
             if col not in header:
-                raise IngestError(f"events header is missing required column {col!r}; got {header}")
+                raise PipelineError(f"events header is missing required column {col!r}; got {header}")
         self.n_cols = len(header)
         self.positions = [header.index(col) for col in EVENT_COLUMNS]
         self.tz_pos = header.index(TZ_COLUMN) if TZ_COLUMN in header else None
@@ -440,7 +440,7 @@ class _EventColumns:
         report = ParseReport(total_lines=self.total, parsed=self.total - self.malformed,
                              malformed_count=self.malformed, details=tuple(self.details))
         if self.total > 0 and self.malformed > MAX_MALFORMED_FRACTION * self.total:
-            raise IngestError(f"too many malformed lines: {report.summary()}")
+            raise PipelineError(f"too many malformed lines: {report.summary()}")
         columns = [column.finish() for column in self.columns]
         tables = []
         for seqs, interner in zip(columns, self.interners):
@@ -641,7 +641,7 @@ def write_events(path, blocks: Iterable[tuple]) -> int:
     (ids as bytes, integers as digits from ``np.divmod``, origin tokens from
     a byte table), written with its NUL bytes dropped.  No tz column is
     written.  Ids are written unquoted, so an id holding a comma, a quote, a
-    line break or NUL raises :class:`IngestError`, naming it.
+    line break or NUL raises :class:`PipelineError`, naming it.
     """
     origins = _utf8_rows([ALGORITHMIC, ORGANIC])
     lines = 0
@@ -678,8 +678,8 @@ def _check_ids(name: str, ids: list[str]) -> None:
     joined = "".join(ids)
     if any(char in joined for char in _NOT_IN_IDS):
         bad = next(i for i in ids if any(char in i for char in _NOT_IN_IDS))
-        raise IngestError(f"{name} id {bad!r} holds a comma, quote, line break or NUL, "
-                          "which an id written unquoted cannot hold")
+        raise PipelineError(f"{name} id {bad!r} holds a comma, quote, line break or NUL, "
+                            "which an id written unquoted cannot hold")
 
 
 def _id_bytes(name: str, ids: np.ndarray) -> np.ndarray:
@@ -733,7 +733,7 @@ def write_favorites(path, user_ids: list[str], kinds: list[str], item_ids: list[
     """Write the favorites CSV from the three columns :func:`parse_favorites` returns.
 
     Identifiers are written unquoted, so a user or item id holding a comma, a
-    quote, a line break or NUL raises :class:`IngestError`, naming it.
+    quote, a line break or NUL raises :class:`PipelineError`, naming it.
     """
     _check_ids("user", user_ids)
     _check_ids("item", item_ids)
@@ -748,18 +748,18 @@ def parse_favorites(path) -> tuple[list[str], list[str], list[str]]:
     Strict: a malformed line or an unknown kind is an error naming its line.
     The file is read once, through ``storage.csv_rows``.
     """
-    with storage.csv_rows(path, "favorites", IngestError) as (header, reader):
+    with storage.csv_rows(path, "favorites") as (header, reader):
         expected = list(FAVORITES_COLUMNS)
         if header != expected:
-            raise IngestError(f"favorites header must be {expected}, got {header}")
+            raise PipelineError(f"favorites header must be {expected}, got {header}")
         users, kinds, items = [], [], []
         for row in reader:
             if not row:
                 continue
             if len(row) != 3 or not row[0] or not row[2]:
-                raise IngestError(f"favorites line {reader.line_num} is malformed: {row}")
+                raise PipelineError(f"favorites line {reader.line_num} is malformed: {row}")
             if row[1] not in (TRACK, ALBUM):
-                raise IngestError(f"favorites line {reader.line_num} has unknown kind {row[1]!r}")
+                raise PipelineError(f"favorites line {reader.line_num} has unknown kind {row[1]!r}")
             users.append(row[0])
             kinds.append(row[1])
             items.append(row[2])

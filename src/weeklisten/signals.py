@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import storage
-from .errors import SignalError
+from .errors import PipelineError
 from .ingest import (LIKED_BIT, ORGANIC_BIT, REPEATED_BIT, Profiles, StudyPeriod, _local_timestamps,
                      _starts_of_runs)
 
@@ -89,8 +89,8 @@ class SignalSet:
 
     def __post_init__(self):
         if self.matrix.shape != (len(self.user_ids), N_CHANNELS * SLOTS_PER_WEEK):
-            raise SignalError(f"signal matrix shape {self.matrix.shape} does not match "
-                              f"{len(self.user_ids)} users x {N_CHANNELS * SLOTS_PER_WEEK}")
+            raise PipelineError(f"signal matrix shape {self.matrix.shape} does not match "
+                                f"{len(self.user_ids)} users x {N_CHANNELS * SLOTS_PER_WEEK}")
 
 
 def _window_range(period: StudyPeriod, default_tz_offset_min: int) -> tuple[int, int]:
@@ -101,8 +101,8 @@ def _window_range(period: StudyPeriod, default_tz_offset_min: int) -> tuple[int,
     k_first = -((-local_start) // 3600)   # ceil
     k_excl = local_end // 3600            # window k needs 3600*(k+1) <= local_end
     if k_excl - k_first < SLOTS_PER_WEEK:
-        raise SignalError(f"study period covers {max(k_excl - k_first, 0)} whole hours; "
-                          f"at least one week ({SLOTS_PER_WEEK}) is required")
+        raise PipelineError(f"study period covers {max(k_excl - k_first, 0)} whole hours; "
+                            f"at least one week ({SLOTS_PER_WEEK}) is required")
     return int(k_first), int(k_excl)
 
 
@@ -177,7 +177,7 @@ def load_front(path, key: str) -> Profiles:
 
     The key record is read first, and the rest only when it matches.  No
     file, a file saved under another key and an unreadable or damaged one,
-    whatever record is damaged, raise :class:`SignalError` naming ``path``,
+    whatever record is damaged, raise :class:`PipelineError` naming ``path``,
     the reason and how to make the file again.
     """
     records = storage.load_arrays(path)
@@ -194,8 +194,8 @@ def load_front(path, key: str) -> Profiles:
         reason = f"is damaged ({exc})"
     finally:
         records.close()
-    raise SignalError(f"ingest's handoff {path} {reason}; run ingest with the same --out, inputs and flags "
-                      "before signals")
+    raise PipelineError(f"ingest's handoff {path} {reason}; run ingest with the same --out, inputs and flags "
+                        "before signals")
 
 
 def _front_of(arrays: list[np.ndarray]) -> Profiles:
@@ -231,8 +231,8 @@ def build_signal_set(profiles: Profiles, default_tz_offset_min: int = 0) -> Sign
     k_first, k_excl = _window_range(profiles.period, default_tz_offset_min)
     n_windows = k_excl - k_first
     if n_rows * n_windows > np.iinfo(np.int64).max:
-        raise SignalError(f"{n_rows} users x {n_windows} hour windows of the study period "
-                          "overflow the 64-bit (user, window) key; shorten the period")
+        raise PipelineError(f"{n_rows} users x {n_windows} hour windows of the study period "
+                            "overflow the 64-bit (user, window) key; shorten the period")
     divisor = _slot_divisors(k_first, k_excl)
     window //= 3600
     window -= k_first
@@ -272,7 +272,7 @@ def build_signal_set(profiles: Profiles, default_tz_offset_min: int = 0) -> Sign
     del cell, group, volume, flags
     raw /= divisor
     if not np.isfinite(raw).all():
-        raise SignalError("non-finite values in aggregated signals")
+        raise PipelineError("non-finite values in aggregated signals")
     norm = _smooth_values(raw)
     _normalize_values(norm, out=norm)
     return SignalSet(user_ids=profiles.user_ids, matrix=norm.reshape(n_rows, -1))

@@ -6,8 +6,9 @@ blocks of whole lines, each decoded once.  :func:`csv_rows` feeds
 ``ingest.parse_events`` parses them with numpy and hands ``csv.reader`` the
 rest of the same blocks from the first one that needs it.  A source that
 cannot be opened, is not UTF-8 (named by the line and byte column of its
-first bad byte), is not valid CSV or has no header line is the calling
-stage's error naming the file, worded in one place.  A pipe reads as a file.
+first bad byte), is not valid CSV or has no header line raises a
+:class:`PipelineError` naming the file, worded in one place.  A pipe reads
+as a file.
 
 Signals and codes hand off as a user-index file (one user id per line,
 UTF-8, in row order) plus a matrix file in numpy's ``.npy`` format (float64,
@@ -36,27 +37,27 @@ _BLOCK_BYTES = 1 << 20
 
 
 @contextmanager
-def csv_rows(path, kind: str, error: type[PipelineError] = PipelineError):
+def csv_rows(path, kind: str):
     """Stripped header and row reader of the CSV file at ``path``.
 
     The file is read in blocks while the ``with`` block runs and closed when
     it exits.  A file that cannot be opened, decoded or split into CSV fields
-    (also partway through the block) or that has no header raises ``error``
-    naming ``kind``.
+    (also partway through the block) or that has no header raises
+    :class:`PipelineError` naming ``kind``.
     """
-    with _opened(path, kind, error) as fh:
+    with _opened(path, kind) as fh:
         reader = _csv_reader(_blocks(fh))
-        yield _header(reader, path, kind, error), reader
+        yield _header(reader, path, kind), reader
 
 
 @contextmanager
-def _opened(path, kind: str, error: type[PipelineError]):
-    """The file at ``path`` opened in binary; failing to read, decode or split it raises ``error`` naming it."""
+def _opened(path, kind: str):
+    """The file at ``path`` opened in binary; failing to read, decode or split it is a :class:`PipelineError`."""
     try:
         with open(path, "rb") as fh:
             yield fh
     except (OSError, UnicodeError, csv.Error) as exc:
-        raise error(f"cannot read {kind} source {path}: {exc}") from exc
+        raise PipelineError(f"cannot read {kind} source {path}: {exc}") from exc
 
 
 def _blocks(fh):
@@ -105,27 +106,27 @@ def _csv_reader(blocks, line_base: int = 0):
     return csv.reader(chain.from_iterable(texts(line_base)))
 
 
-def _header(reader, path, kind: str, error: type[PipelineError]) -> list[str]:
-    """The stripped header row of a :func:`_csv_reader`; none raises ``error``."""
+def _header(reader, path, kind: str) -> list[str]:
+    """The stripped header row of a :func:`_csv_reader`; none raises :class:`PipelineError`."""
     header = next(reader, None)
     if header is None:
-        raise error(f"{kind} source {path} is empty (missing header)")
+        raise PipelineError(f"{kind} source {path} is empty (missing header)")
     return [h.strip() for h in header]
 
 
-def file_sha256(path, kind: str, error: type[PipelineError] = PipelineError) -> str | None:
+def file_sha256(path, kind: str) -> str | None:
     """Hex sha256 of the bytes of the file at ``path``, read in blocks.
 
     A pipe or other file that is not regular gives None and is not opened,
     since reading it would consume it.  A file that cannot be read raises
-    ``error`` naming ``kind``, as its parse would.
+    :class:`PipelineError` naming ``kind``, as its parse would.
     """
     import hashlib  # only the stages that key a handoff load it
 
     if os.path.exists(path) and not os.path.isfile(path):
         return None
     digest = hashlib.sha256()
-    with _opened(path, kind, error) as fh:
+    with _opened(path, kind) as fh:
         while chunk := fh.read(_BLOCK_BYTES):
             digest.update(chunk)
     return digest.hexdigest()

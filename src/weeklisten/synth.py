@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ingest
-from .errors import SynthesisError
+from .errors import PipelineError
 from .evaluate import ACTIVITIES, AGE_GROUPS, GENDER_CODES, write_labels
 from .signals import SLOTS_PER_WEEK, _smooth_values
 
@@ -143,7 +143,7 @@ def hour_block(days, hours, level: float) -> np.ndarray:
     for d in days:
         for h in hours:
             if not (0 <= d < 7 and 0 <= h < 24):
-                raise SynthesisError(f"day {d} hour {h} is not a slot of the week")
+                raise PipelineError(f"day {d} hour {h} is not a slot of the week")
             out[d * 24 + h] = level
     return out
 
@@ -166,7 +166,7 @@ def build_archetypes(spec: dict, organic_target: float) -> Archetypes:
     mean is the organic target; then every ratio is clipped to [0.02, 0.98].
     A spec that breaks the schema, or has a negative rate, a NaN ratio, an
     unknown activity or a link probability outside [0, 1], is a
-    :class:`SynthesisError`.
+    :class:`PipelineError`.
     """
     def channel(block: dict, base: float) -> np.ndarray:
         return block.get("base", base) + sum(
@@ -179,10 +179,10 @@ def build_archetypes(spec: dict, organic_target: float) -> Archetypes:
             name = entry["name"]
             volume = channel({"base": entry["base_rate"], "peaks": entry["volume_peaks"]}, 0.0)
             if not 0 < volume.sum() < np.inf:
-                raise SynthesisError(f"{name} needs a finite, positive weekly volume")
+                raise PipelineError(f"{name} needs a finite, positive weekly volume")
             rate = _scaled(volume)
             if not np.all(rate >= 0):
-                raise SynthesisError(f"{name} has negative rates")
+                raise PipelineError(f"{name} has negative rates")
             organicity = channel(entry.get("organicity", {}), organic_target)
             organicity += organic_target - float((rate * organicity).sum() / rate.sum())
             ratios = {"repetition": channel(entry.get("repetition", {}), REPETITION_BASE),
@@ -190,29 +190,29 @@ def build_archetypes(spec: dict, organic_target: float) -> Archetypes:
                       "liked": channel(entry.get("liked", {}), LIKED_BASE)}
             for ratio, values in ratios.items():
                 if np.isnan(values).any():
-                    raise SynthesisError(f"{name}.{ratio} must lie in [0, 1]")
+                    raise PipelineError(f"{name}.{ratio} must lie in [0, 1]")
             links = np.zeros(len(ACTIVITIES))
             for activity, p in dict(entry.get("activity_links", {})).items():
                 if activity not in ACTIVITIES:
-                    raise SynthesisError(f"{name} links unknown activity {activity!r}")
+                    raise PipelineError(f"{name} links unknown activity {activity!r}")
                 if not 0 <= p <= 1:
-                    raise SynthesisError(f"{name} link probability {p} outside [0, 1]")
+                    raise PipelineError(f"{name} link probability {p} outside [0, 1]")
                 links[ACTIVITIES.index(activity)] = p
             names.append(name)
             rows.append((rate, *(np.clip(values, 0.02, 0.98) for values in ratios.values()), links))
     except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
-        raise SynthesisError(f"archetypes do not follow the schema: {type(exc).__name__} {exc}") from exc
+        raise PipelineError(f"archetypes do not follow the schema: {type(exc).__name__} {exc}") from exc
     if not names:
-        raise SynthesisError("no archetypes given")
+        raise PipelineError("no archetypes given")
     return Archetypes(tuple(names), *map(np.stack, zip(*rows)))
 
 
 def load_archetypes(path, organic_target: float) -> Archetypes:
-    """:func:`build_archetypes` of the JSON file at ``path``; any failure is a :class:`SynthesisError` naming it."""
+    """:func:`build_archetypes` of the JSON file at ``path``; any failure is a :class:`PipelineError` naming it."""
     try:
         return build_archetypes(json.loads(Path(path).read_text(encoding="utf-8")), organic_target)
-    except (OSError, ValueError, SynthesisError) as exc:  # ValueError: not UTF-8 or not JSON
-        raise SynthesisError(f"cannot read archetypes {path}: {exc}") from exc
+    except (OSError, ValueError, PipelineError) as exc:  # ValueError: not UTF-8 or not JSON
+        raise PipelineError(f"cannot read archetypes {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -228,13 +228,13 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.weeks < 2:
-            raise SynthesisError(f"weeks must be >= 2, got {self.weeks}")
+            raise PipelineError(f"weeks must be >= 2, got {self.weeks}")
         if self.n_users < 1:
-            raise SynthesisError(f"n_users must be >= 1, got {self.n_users}")
+            raise PipelineError(f"n_users must be >= 1, got {self.n_users}")
         if not 0 <= self.noise <= 1:
-            raise SynthesisError(f"noise must lie in [0, 1], got {self.noise}")
+            raise PipelineError(f"noise must lie in [0, 1], got {self.noise}")
         if not 0 < self.organic_rate < 1:
-            raise SynthesisError(f"organic rate must lie in (0, 1), got {self.organic_rate}")
+            raise PipelineError(f"organic rate must lie in (0, 1), got {self.organic_rate}")
 
     def resolved_archetypes(self) -> Archetypes:
         """``archetypes``, or the stock ones recentered to ``organic_rate``."""

@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from weeklisten import ingest
-from weeklisten.errors import IngestError, SignalError
+from weeklisten.errors import PipelineError
 from weeklisten.evaluate import ACTIVITIES
 from weeklisten.ingest import ORGANIC, REPEAT_PLAY_THRESHOLD
 
@@ -185,7 +185,7 @@ def train_logreg(X, y01, l2, grad_tol=1e-6, max_iter=10000):
 def parse_events(lines):
     """``(EventLog, ParseReport)`` of an iterable of events CSV lines, one row at a time.
 
-    Raises ``IngestError`` for a missing header column or too many malformed
+    Raises ``PipelineError`` for a missing header column or too many malformed
     lines, with the package's messages; ``csv.Error`` passes through.
     """
     reader = csv.reader(lines)
@@ -193,7 +193,7 @@ def parse_events(lines):
     positions = {}
     for col in ingest.EVENT_COLUMNS:
         if col not in header:
-            raise IngestError(f"events header is missing required column {col!r}; got {header}")
+            raise PipelineError(f"events header is missing required column {col!r}; got {header}")
         positions[col] = header.index(col)
     tz_pos = header.index(ingest.TZ_COLUMN) if ingest.TZ_COLUMN in header else None
     n_cols = len(header)
@@ -269,7 +269,7 @@ def parse_events(lines):
     report = ingest.ParseReport(total_lines=total, parsed=total - malformed,
                                 malformed_count=malformed, details=tuple(details))
     if total > 0 and malformed > ingest.MAX_MALFORMED_FRACTION * total:
-        raise IngestError(f"too many malformed lines: {report.summary()}")
+        raise PipelineError(f"too many malformed lines: {report.summary()}")
     log = ingest.EventLog(
         np.array(list(users), dtype=object), np.array(list(tracks), dtype=object),
         np.array(list(albums), dtype=object),
@@ -377,8 +377,8 @@ def raw_signals(events, profile_of, period, default_tz_offset_min=0):
     first = -(-(period.start + shift) // 3600)
     end = (period.end + shift) // 3600
     if end - first < SLOTS:
-        raise SignalError(f"study period covers {max(end - first, 0)} whole hours; "
-                          f"at least one week ({SLOTS}) is required")
+        raise PipelineError(f"study period covers {max(end - first, 0)} whole hours; "
+                            f"at least one week ({SLOTS}) is required")
     windows_per_slot = Counter(weekly_slot(3600 * k) for k in range(first, end))
 
     window_events = defaultdict(list)
@@ -404,7 +404,7 @@ def aggregate(user_events, profile, period, default_tz_offset_min=0):
     """Raw (4, 168) signal of the single user whose records make up ``user_events``."""
     users = {event.user_id for event in user_events}
     if len(users) != 1:
-        raise SignalError(f"aggregate expects events of exactly one user, found {len(users)}")
+        raise PipelineError(f"aggregate expects events of exactly one user, found {len(users)}")
     return raw_signals(user_events, {profile.user_id: profile}, period, default_tz_offset_min)[profile.user_id]
 
 
@@ -426,7 +426,7 @@ def normalize(values):
     out = []
     for channel in np.atleast_2d(values):
         if not all(math.isfinite(v) for v in channel):
-            raise SignalError("non-finite values in signal")
+            raise PipelineError("non-finite values in signal")
         mean = math.fsum(channel) / len(channel)
         centered = [v - mean for v in channel]
         spread = max(abs(v) for v in centered)

@@ -359,6 +359,9 @@ BAD_HANDOFFS = {
     "signals-no-handoff": (
         lambda p, bad: ["signals", "--events", p / "events.csv", "--favorites", p / "favorites.csv"],
         _missing, ("ingest's handoff", f"{signals.FRONT_FILE} does not exist", "run ingest with the same --out")),
+    "signals-missing-events": (
+        lambda p, bad: ["signals", "--events", bad, "--favorites", p / "favorites.csv"],
+        _missing, ("cannot read events source", "nope.npy")),
 }
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weeklisten import cli, dictionary, storage
-from weeklisten.errors import DictionaryError
+from weeklisten.errors import PipelineError
 
 from conftest import sparse_code
 from oracles import (best_permutation_correlations, dictionary_objective, grid_refine_lasso,
@@ -19,8 +19,8 @@ def unit_vector(dim, seed=0):
 # -- objective -----------------------------------------------------------------
 
 def gram_objective(X, D, C, lam):
-    """The objective as ``learn`` records it, from ``||X||^2``, ``X D`` and ``D^T D``."""
-    return dictionary._gram_objective(float(np.sum(X * X)), X @ D, D.T @ D, C, lam)
+    """:func:`dictionary.objective` as ``learn`` calls it, from ``||X||^2``, ``X D`` and ``D^T D``."""
+    return dictionary.objective(float(np.sum(X * X)), X @ D, D.T @ D, C, lam)
 
 
 def test_objective_zero_codes_is_signal_energy(rng):
@@ -45,21 +45,23 @@ def test_objective_linear_in_lambda(rng):
     D = rng.normal(size=(8, 2))
     C = rng.normal(size=(4, 2))
     lam = 0.7
-    for objective in (dictionary_objective, gram_objective, dictionary.objective):
+    for objective in (dictionary_objective, gram_objective):
         delta = objective(X, D, C, 2 * lam) - objective(X, D, C, lam)
         assert delta == pytest.approx(lam * np.abs(C).sum())
     assert gram_objective(X, D, C, lam) == pytest.approx(dictionary_objective(X, D, C, lam), rel=1e-12)
-    assert dictionary.objective(X, D, C, lam) == pytest.approx(dictionary_objective(X, D, C, lam), rel=1e-12)
 
 
 def test_objective_shape_mismatch_is_fatal(rng):
-    with pytest.raises(DictionaryError, match="shape"):
-        dictionary.objective(rng.normal(size=(4, 8)), rng.normal(size=(8, 2)),
-                             rng.normal(size=(4, 3)), 1.0)
+    X, D = rng.normal(size=(4, 8)), rng.normal(size=(8, 2))
+    x_sq = float(np.sum(X * X))
+    with pytest.raises(PipelineError, match="shape"):
+        dictionary.objective(x_sq, X @ D, D.T @ D, rng.normal(size=(4, 3)), 1.0)
+    with pytest.raises(PipelineError, match="shape"):
+        dictionary.objective(x_sq, X @ D, np.eye(3), rng.normal(size=(4, 2)), 1.0)
 
 
 def test_kkt_residuals_shape_mismatch_is_fatal(rng):
-    with pytest.raises(DictionaryError, match="shape"):
+    with pytest.raises(PipelineError, match="shape"):
         dictionary.kkt_residuals(rng.normal(size=(4, 8)), rng.normal(size=(8, 2)),
                                  rng.normal(size=(4, 3)), 1.0)
 
@@ -98,9 +100,9 @@ def test_sparse_code_matches_grid_oracle(rng):
 
 
 def test_sparse_code_rejects_non_finite():
-    with pytest.raises(DictionaryError, match="non-finite"):
+    with pytest.raises(PipelineError, match="non-finite"):
         sparse_code(np.array([1.0, np.nan]), np.eye(2), 0.1)
-    with pytest.raises(DictionaryError, match="non-finite values in dictionary"):
+    with pytest.raises(PipelineError, match="non-finite values in dictionary"):
         dictionary.sparse_code_batch(np.ones((3, 2)), np.array([[1.0, np.nan], [0.0, 1.0]]), 0.1)
 
 
@@ -116,7 +118,7 @@ def test_sparse_code_rejects_non_finite():
     ({"warm_codes": np.full((3, 2), np.nan)}, "non-finite values in warm codes"),
 ])
 def test_sparse_code_batch_checks_its_arguments(kwargs, message):
-    with pytest.raises(DictionaryError, match=message):
+    with pytest.raises(PipelineError, match=message):
         dictionary.sparse_code_batch(np.ones((3, 2)), np.eye(2), **{"lam": 0.1, **kwargs})
 
 
@@ -383,7 +385,7 @@ def test_learn_is_deterministic():
 
 
 def test_learn_needs_enough_rows():
-    with pytest.raises(DictionaryError, match="at least"):
+    with pytest.raises(PipelineError, match="at least"):
         dictionary.learn(np.zeros((2, 8)), dictionary.LearnConfig(n_atoms=3))
 
 
@@ -467,7 +469,7 @@ def test_load_dictionary_csv_rejects_damaged_file(tmp_path, rng, damage, message
     path = tmp_path / "dict.csv"
     dictionary.save_dictionary_csv(dictionary.Dictionary(stacked=rng.normal(size=(10, 3)), lam=1.0), path)
     path.write_text(damage(path.read_text()))
-    with pytest.raises(DictionaryError, match=message):
+    with pytest.raises(PipelineError, match=message):
         dictionary.load_dictionary_csv(path)
 
 

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weeklisten import evaluate
-from weeklisten.errors import EvaluationError
+from weeklisten.errors import PipelineError
 
 import oracles
 from oracles import pair_counting_auc
@@ -59,7 +59,7 @@ def test_split_test_set_ignores_input_order(ids, data):
 
 
 def test_split_too_few_users():
-    with pytest.raises(EvaluationError):
+    with pytest.raises(PipelineError):
         evaluate.split_users([f"u{i}" for i in range(9)], 0.33, seed=0)
 
 
@@ -99,7 +99,7 @@ def test_features_codes_demographics_is_k_plus_2(inputs_fixture):
 
 
 def test_features_unknown_variant(inputs_fixture):
-    with pytest.raises(EvaluationError, match="variant"):
+    with pytest.raises(PipelineError, match="variant"):
         evaluate.build_features("pca", "work", *inputs_fixture)
 
 
@@ -132,7 +132,7 @@ def test_logreg_separable_training_accuracy():
 
 
 def test_logreg_single_class_is_fatal():
-    with pytest.raises(EvaluationError, match="single-class"):
+    with pytest.raises(PipelineError, match="single-class"):
         evaluate.train_logreg(np.zeros((5, 2)), np.ones(5), 1.0)
 
 
@@ -269,7 +269,7 @@ def test_roc_auc_perfect_and_ties():
 
 
 def test_roc_auc_single_class_fatal():
-    with pytest.raises(EvaluationError):
+    with pytest.raises(PipelineError):
         evaluate.roc_auc([0.1, 0.9], [1, 1])
 
 
@@ -322,7 +322,7 @@ def test_stratified_folds_contract():
 
 def test_stratified_folds_impossible_is_fatal():
     y = np.r_[np.ones(3), np.zeros(40)]
-    with pytest.raises(EvaluationError, match="stratify"):
+    with pytest.raises(PipelineError, match="stratify"):
         evaluate.stratified_folds(y, 5, seed=0)
 
 
@@ -371,11 +371,11 @@ def test_evaluate_all_aligns_codes_with_sorted_users():
     # Rows are matched to users by id: reordering the ids alone changes the report.
     shuffled = evaluate.evaluate_all(users[::-1], codes, labels, totals, test, config)
     assert not np.array_equal(shuffled.auc, base.auc)
-    with pytest.raises(EvaluationError, match="duplicate"):
+    with pytest.raises(PipelineError, match="duplicate"):
         evaluate.evaluate_all(users[:1] * 60, codes, labels, totals, test, config)
-    with pytest.raises(EvaluationError, match="do not match"):
+    with pytest.raises(PipelineError, match="do not match"):
         evaluate.evaluate_all(users[:5], codes, labels, totals, test, config)
-    with pytest.raises(EvaluationError, match="do not match"):
+    with pytest.raises(PipelineError, match="do not match"):
         evaluate.evaluate_all(users, codes, labels, totals, test[:5], config)
 
 
@@ -383,12 +383,12 @@ def test_evaluate_all_needs_labels_and_a_total_for_every_coded_user():
     users, codes, labels, totals = random_eval_setup(30, seed=2)
     test = evaluate.split_users(users, 0.33, seed=0)
     unlabeled = evaluate.Labels(*(column[1:] for column in labels))
-    with pytest.raises(EvaluationError, match=r"1 coded users have no labels, e\.g\. \['u0000'\]"):
+    with pytest.raises(PipelineError, match=r"1 coded users have no labels, e\.g\. \['u0000'\]"):
         evaluate.evaluate_all(users, codes, unlabeled, totals, test)
     no_total = {u: t for u, t in totals.items() if u != "u0007"}
-    with pytest.raises(EvaluationError, match=r"1 coded users have no stream total, e\.g\. \['u0007'\]"):
+    with pytest.raises(PipelineError, match=r"1 coded users have no stream total, e\.g\. \['u0007'\]"):
         evaluate.evaluate_all(users, codes, labels, no_total, test)
-    with pytest.raises(EvaluationError, match="train or test empty"):
+    with pytest.raises(PipelineError, match="train or test empty"):
         evaluate.evaluate_all(users, codes, labels, totals, np.zeros(30, dtype=bool))
 
 
@@ -494,25 +494,25 @@ def test_labels_validation(tmp_path):
         return ",".join([user, *map(str, answers), str(age_group), str(gender)]) + "\n"
 
     assert parse(line()).user_ids == ("u",)
-    with pytest.raises(EvaluationError, match="line 2, user u: answers must be six 0/1 flags"):
+    with pytest.raises(PipelineError, match="line 2, user u: answers must be six 0/1 flags"):
         parse(line(answers=(0, 1, 2, 0, 0, 0)))
-    with pytest.raises(EvaluationError, match="line 2, user u: age_group"):
+    with pytest.raises(PipelineError, match="line 2, user u: age_group"):
         parse(line(age_group=5))
-    with pytest.raises(EvaluationError, match="line 2, user u: age_group"):
+    with pytest.raises(PipelineError, match="line 2, user u: age_group"):
         parse(line(age_group=-1))
-    with pytest.raises(EvaluationError, match="line 2, user u: gender"):
+    with pytest.raises(PipelineError, match="line 2, user u: gender"):
         parse(line(gender=3))
-    with pytest.raises(EvaluationError, match="line 5: duplicate user id w"):
+    with pytest.raises(PipelineError, match="line 5: duplicate user id w"):
         parse(line("u"), line("w"), line("v"), line("w"))
-    with pytest.raises(EvaluationError, match="line 2 has 8 fields"):
+    with pytest.raises(PipelineError, match="line 2 has 8 fields"):
         parse(line(answers=(0,) * 5))
-    with pytest.raises(EvaluationError, match="header"):
+    with pytest.raises(PipelineError, match="header"):
         evaluate.parse_labels(write_lines(path, ["user_id,foo\n"]))
-    with pytest.raises(EvaluationError, match="line 3 is malformed"):
+    with pytest.raises(PipelineError, match="line 3 is malformed"):
         parse("u1,0,0,0,0,0,0,1,1\n", "u2,0,x,0,0,0,0,1,1\n")
-    with pytest.raises(EvaluationError, match="line 4 is malformed"):  # a quoted id spans lines 2-3
+    with pytest.raises(PipelineError, match="line 4 is malformed"):  # a quoted id spans lines 2-3
         parse('"u\n', '1",0,0,0,0,0,0,1,1\n', "u2,0,x,0,0,0,0,1,1\n")
-    with pytest.raises(EvaluationError, match="line 2 has 8 fields"):
+    with pytest.raises(PipelineError, match="line 2 has 8 fields"):
         parse("u1,0,0,0,0,0,1,1\n")
-    with pytest.raises(EvaluationError, match="line 3, user u2: gender"):
+    with pytest.raises(PipelineError, match="line 3, user u2: gender"):
         parse("u1,0,0,0,0,0,0,1,1\n", "u2,0,0,0,0,0,0,1,7\n")

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from weeklisten import ingest, storage
-from weeklisten.errors import IngestError
+from weeklisten.errors import PipelineError
 
 from conftest import (DAY, EVENTS_HEADER, MONDAY, events_csv_lines, favorites_of, log_of, make_event, records,
                       write_lines)
@@ -75,7 +75,7 @@ def test_malformed_lines_are_numbered_by_physical_line(tmp_path):
     _, report = ingest.parse_events(write_lines(tmp_path / "events.csv", lines))
     assert report.details == ((154, "unknown origin token 'paid'"),)  # header 1, quoted record 2-3
     favorites = ["user_id,kind,item_id\n", 'u1,track,"t\n9"\n', "u1,artist,x\n"]
-    with pytest.raises(IngestError, match="favorites line 4 has unknown kind"):
+    with pytest.raises(PipelineError, match="favorites line 4 has unknown kind"):
         ingest.parse_favorites(write_lines(tmp_path / "favorites.csv", favorites))
 
 
@@ -85,7 +85,7 @@ def test_non_utf8_source_names_line_and_byte_column(tmp_path):
     lines[4000] = lines[4000].replace(",a,", ",a\udcff,")
     path.write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
     column = len(lines[4000].split("\udcff")[0].encode()) + 1
-    with pytest.raises(IngestError, match=f"cannot read events source .*: line 4001, byte column {column}: "
+    with pytest.raises(PipelineError, match=f"cannot read events source .*: line 4001, byte column {column}: "
                                           r"not UTF-8 \(byte 0xff, invalid start byte\)"):
         ingest.parse_events(path)
 
@@ -112,7 +112,7 @@ def test_parse_too_many_malformed_is_fatal(tmp_path):
     ])
     path = write_lines(tmp_path / "events.csv", lines)
     for source in (path, quoted_header_copy(path)):
-        with pytest.raises(IngestError, match="too many malformed"):
+        with pytest.raises(PipelineError, match="too many malformed"):
             ingest.parse_events(source)
 
 
@@ -145,7 +145,7 @@ def test_out_of_range_integer_is_a_malformed_line(tmp_path, row, reason):
         assert len(log) == 150 and "ux" not in log.users
     write_lines(path, events_csv_lines([row], header=header))
     for source in (path, quoted_header_copy(path)):
-        with pytest.raises(IngestError, match=f"too many malformed lines: .*line 2: {reason}"):
+        with pytest.raises(PipelineError, match=f"too many malformed lines: .*line 2: {reason}"):
             ingest.parse_events(source)
 
 
@@ -169,16 +169,16 @@ def test_in_range_integer_extremes_parse(tmp_path):
     assert local(-2**31 + 1)[2] == -2**63
     assert local(2**31 - 1)[3] == 2**63 - 1
     for default in (ingest.TZ_UNSET, 2**31):
-        with pytest.raises(IngestError, match=f"default tz offset {default} minutes does not fit in 32 bits"):
+        with pytest.raises(PipelineError, match=f"default tz offset {default} minutes does not fit in 32 bits"):
             local(default)
 
 
 def test_parse_unreadable_source_is_fatal(tmp_path):
-    with pytest.raises(IngestError, match="cannot read"):
+    with pytest.raises(PipelineError, match="cannot read"):
         ingest.parse_events(tmp_path / "missing.csv")
     oversized = tmp_path / "oversized.csv"  # a field past the csv module's size limit
     oversized.write_text("".join(events_csv_lines([f"u1,{MONDAY},{'t' * 200_000},a,organic,60"])))
-    with pytest.raises(IngestError, match="cannot read events source .*field larger than field limit"):
+    with pytest.raises(PipelineError, match="cannot read events source .*field larger than field limit"):
         ingest.parse_events(oversized)
 
 
@@ -186,7 +186,7 @@ def test_parse_missing_header_column_is_fatal(tmp_path):
     path = write_lines(tmp_path / "events.csv",
                        ["user_id,timestamp,track_id,album_id,origin\n", f"u1,{MONDAY},t,a,organic\n"])
     for source in (path, quoted_header_copy(path)):
-        with pytest.raises(IngestError, match="listen_duration"):
+        with pytest.raises(PipelineError, match="listen_duration"):
             ingest.parse_events(source)
 
 
@@ -308,12 +308,12 @@ def test_parse_favorites(tmp_path):
     columns = ingest.parse_favorites(path)
     assert columns == (["u1", "u1"], ["track", "album"], ["t9", "a3"])
     assert columns == favorites_of(("u1", "track", "t9"), ("u1", "album", "a3"))
-    with pytest.raises(IngestError, match="unknown kind"):
+    with pytest.raises(PipelineError, match="unknown kind"):
         ingest.parse_favorites(write_lines(path, ["user_id,kind,item_id\n", "u1,artist,x\n"]))
 
 
 def test_study_period_validation():
-    with pytest.raises(IngestError):
+    with pytest.raises(PipelineError):
         ingest.StudyPeriod(10, 10)
     period = ingest.StudyPeriod.covering(log_of(make_event(timestamp=MONDAY + 17)))
     assert period.start == MONDAY and period.end == MONDAY + 3600
@@ -432,14 +432,14 @@ def test_an_id_the_format_cannot_hold_is_an_error_naming_it(tmp_path, name, posi
              np.array(["a1", "a2"], dtype=object), np.array([True, False]), np.array([30, 40])]
     bad = f"x{char}y"
     block[position] = np.array([block[position][0], bad], dtype=object)
-    with pytest.raises(IngestError, match=f"^{name} id {re.escape(repr(bad))} holds"):
+    with pytest.raises(PipelineError, match=f"^{name} id {re.escape(repr(bad))} holds"):
         ingest.write_events(tmp_path / "events.csv", [block])
     if name == "user":  # the same id as UTF-8 bytes
         block[position] = np.array([b"u1", bad.encode("utf-8")], dtype=bytes)
     else:  # a pattern whose tail holds the byte
         block[position] = ingest.IdPatterns(("",), (f"_{char}",), np.array([0, 0]), np.array([1, 2]))
         bad = f"_{char}"
-    with pytest.raises(IngestError, match=re.escape(repr(bad))):
+    with pytest.raises(PipelineError, match=re.escape(repr(bad))):
         ingest.write_events(tmp_path / "events.csv", [block])
 
 
@@ -448,7 +448,7 @@ def test_an_id_the_format_cannot_hold_is_an_error_naming_it(tmp_path, name, posi
 def test_a_favorite_id_the_format_cannot_hold_is_an_error_naming_it(tmp_path, name, char):
     columns = {"user": ["u1", "u2"], "item": ["t1", "a1"]}
     bad = columns[name][1] = f"x{char}y"
-    with pytest.raises(IngestError, match=f"^{name} id {re.escape(repr(bad))} holds"):
+    with pytest.raises(PipelineError, match=f"^{name} id {re.escape(repr(bad))} holds"):
         ingest.write_favorites(tmp_path / "favorites.csv", columns["user"], ["track", "album"], columns["item"])
 
 
@@ -462,7 +462,7 @@ def parse_outcome(parse, source):
     """
     try:
         log, report = parse(source)
-    except (IngestError, csv.Error) as exc:
+    except (PipelineError, csv.Error) as exc:
         return str(exc)
     columns, tables = [], {}
     for name in ingest.EventLog.__slots__:
@@ -668,7 +668,7 @@ def test_a_pipe_is_read_once(tmp_path, monkeypatch):
 FIFO_PARSE = """
 import sys, threading
 from weeklisten import ingest
-from weeklisten.errors import IngestError
+from weeklisten.errors import PipelineError
 parse, fifo, data = getattr(ingest, sys.argv[1]), sys.argv[2], sys.argv[3].encode("latin-1")
 def write():
     with open(fifo, "wb") as fh:
@@ -676,7 +676,7 @@ def write():
 threading.Thread(target=write, daemon=True).start()
 try:
     parse(fifo)
-except IngestError as exc:
+except PipelineError as exc:
     print(exc)
 """
 

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from weeklisten import ingest, signals, storage
-from weeklisten.errors import SignalError
+from weeklisten.errors import PipelineError
 
 from conftest import DAY, HOUR, MONDAY, WEEK, favorites_of, log_of, make_event, records
 
@@ -156,15 +156,15 @@ def test_slot_divisors_of_a_huge_span_are_immediate():
 def test_aggregate_rejects_short_period():
     log = log_of(make_event())
     short = ingest.StudyPeriod(MONDAY, MONDAY + 3 * DAY)
-    with pytest.raises(SignalError, match="at least one week"):
+    with pytest.raises(PipelineError, match="at least one week"):
         signals.build_signal_set(front_for(log, short))
-    with pytest.raises(SignalError, match="at least one week"):
+    with pytest.raises(PipelineError, match="at least one week"):
         oracles.aggregate(records(log), oracles.profiles(records(log))["u1"], short)
 
 
 def test_aggregate_rejects_multi_user_log():
     log = log_of(make_event(user="a"), make_event(user="b"))
-    with pytest.raises(SignalError, match="exactly one user"):
+    with pytest.raises(PipelineError, match="exactly one user"):
         oracles.aggregate(records(log), oracles.profiles(records(log))["a"],
                           ingest.StudyPeriod(MONDAY, MONDAY + WEEK))
 
@@ -231,7 +231,7 @@ def test_normalize_mean_and_maxabs():
 def test_normalize_rejects_non_finite():
     values = np.zeros((4, 168))
     values[1, 5] = np.nan
-    with pytest.raises(SignalError, match="non-finite"):
+    with pytest.raises(PipelineError, match="non-finite"):
         oracles.normalize(values)
 
 
@@ -345,12 +345,12 @@ def test_front_round_trips_under_its_key_only(tmp_path):
     assert loaded.user_ids == front.user_ids == ("idle", "u,2", "u1") and loaded.unknown_user_warnings == 1
     assert set(front.flags.tolist()) == {0, ingest.ORGANIC_BIT, ingest.ORGANIC_BIT | ingest.REPEATED_BIT,
                                          ingest.ORGANIC_BIT | ingest.LIKED_BIT}
-    with pytest.raises(SignalError, match="was made from other inputs or flags; run ingest"):
+    with pytest.raises(PipelineError, match="was made from other inputs or flags; run ingest"):
         signals.load_front(path, "other key")
     path.write_bytes(b"")
-    with pytest.raises(SignalError, match=r"is damaged \(it is empty\)"):
+    with pytest.raises(PipelineError, match=r"is damaged \(it is empty\)"):
         signals.load_front(path, "key")
-    with pytest.raises(SignalError, match="does not exist"):
+    with pytest.raises(PipelineError, match="does not exist"):
         signals.load_front(tmp_path / "none", "key")
 
 
@@ -382,7 +382,7 @@ def test_load_front_rejects_a_damaged_record(tmp_path, field, damage):
     at = 1 + ingest.Profiles._fields.index(field)
     arrays[at] = damage(arrays[at])
     storage.save_arrays(arrays, path)
-    with pytest.raises(SignalError, match=f"{signals.FRONT_FILE} is damaged"):
+    with pytest.raises(PipelineError, match=f"{signals.FRONT_FILE} is damaged"):
         signals.load_front(path, "key")
 
 

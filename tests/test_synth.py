@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from weeklisten import dictionary, evaluate, ingest, signals, synth
-from weeklisten.errors import SynthesisError
+from weeklisten.errors import PipelineError
 
 from conftest import auc_of
 
@@ -126,13 +126,13 @@ def test_planted_commuter_volume_peaks():
 
 
 def test_config_validation():
-    with pytest.raises(SynthesisError, match="weeks"):
+    with pytest.raises(PipelineError, match="weeks"):
         synth.SynthConfig(weeks=1)
-    with pytest.raises(SynthesisError, match="n_users"):
+    with pytest.raises(PipelineError, match="n_users"):
         synth.SynthConfig(n_users=0)
-    with pytest.raises(SynthesisError, match="organic rate"):
+    with pytest.raises(PipelineError, match="organic rate"):
         synth.SynthConfig(organic_rate=1.0)
-    with pytest.raises(SynthesisError, match="noise"):
+    with pytest.raises(PipelineError, match="noise"):
         synth.SynthConfig(noise=1.5)
 
 
@@ -187,7 +187,7 @@ def test_stock_archetypes_survive_a_json_round_trip(tmp_path):
                       "activity_links": {"dancing": 1.0}}]}, "x links unknown activity 'dancing'"),
 ])
 def test_build_archetypes_checks_the_schema(spec, message):
-    with pytest.raises(SynthesisError, match=re.escape(message)):
+    with pytest.raises(PipelineError, match=re.escape(message)):
         synth.build_archetypes(spec, 0.8)
 
 
