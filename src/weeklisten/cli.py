@@ -207,9 +207,9 @@ def _front_key(args) -> tuple[str | None, dict]:
         inputs["favorites"] = storage.file_sha256(args.favorites, "favorites")
     if None in inputs.values():
         return None, inputs
+    dests = [flag[2:].replace("-", "_") for flag in FRONT]  # argparse's dest of each flag
     key = {"format": signals.FRONT_FORMAT, "version": __version__, "inputs_sha256": inputs,
-           **{flag: getattr(args, flag) for flag in
-              ("min_listen_secs", "min_daily_streams", "period_start", "period_end")}}
+           **{dest: getattr(args, dest) for dest in dests}}
     return json.dumps(key, sort_keys=True), inputs
 
 
@@ -403,18 +403,45 @@ def _ns(base: argparse.Namespace, **overrides) -> argparse.Namespace:
     return argparse.Namespace(**{**vars(base), **overrides})
 
 
-#: Flags that several subcommands take, each declared once; :func:`_add` adds them by name.
-SHARED_FLAGS = {
+#: Every flag, declared once with its ``add_argument`` keywords; a ``(command, flag)``
+#: entry is that command's own flag of the same name, taken instead of the plain one.
+FLAGS = {
+    "--out": dict(default=".", help="output directory (default: current)"),
+    "--seed": dict(type=int, default=0, help="base seed; stages derive their own"),
+    "--threads": dict(type=int, default=1,
+                      help="accepted so existing command lines stay valid; it has no effect yet, "
+                           "and stage outputs are identical for any value"),
+    "--users": dict(type=int, default=synth.SynthConfig.n_users,
+                    help="number of synthetic users (default %(default)s)"),
+    "--weeks": dict(type=int, default=synth.SynthConfig.weeks, help="number of weeks (default %(default)s)"),
+    "--noise": dict(type=float, default=synth.SynthConfig.noise,
+                    help="noise level in [0, 1] (default %(default)s)"),
+    "--organic-rate": dict(type=float, default=synth.SynthConfig.organic_rate,
+                           help="population organic stream fraction target (default %(default)s)"),
+    "--archetypes": dict(default=None, help="archetype JSON file (default: the stock archetypes)"),
+    "--events": dict(required=True, help="events CSV"),
+    "--favorites": dict(default=None, help="favorites CSV"),
     "--min-listen-secs": dict(type=int, default=ingest.MIN_LISTEN_SECS,
                               help=f"validity cutoff in seconds (default {ingest.MIN_LISTEN_SECS})"),
     "--min-daily-streams": dict(type=float, default=ingest.MIN_DAILY_STREAMS,
                                 help=f"activity cutoff in valid streams per day "
                                      f"(default {ingest.MIN_DAILY_STREAMS:g})"),
+    "--period-start": dict(type=int, default=None, help="study period start (epoch secs)"),
+    "--period-end": dict(type=int, default=None, help="study period end (epoch secs)"),
     "--tz-offset-min": dict(type=int, default=0,
                             help="default local-time offset for events without one"),
     "--signal-users": dict(required=True, help="signal user index file"),
     "--signals": dict(required=True, help="signal matrix file"),
     "--dictionary": dict(required=True, help="dictionary CSV"),
+    "--atoms": dict(type=int, default=dictionary.LearnConfig.n_atoms,
+                    help="number of atoms K (default %(default)s)"),
+    "--lambda": dict(dest="lam", type=float, default=dictionary.LearnConfig.lam,
+                     help="L1 sparsity weight (default %(default)s)"),
+    # None: embed codes with the lambda its dictionary records.
+    ("embed", "--lambda"): dict(dest="lam", type=float, default=None,
+                                help="override the dictionary's training lambda"),
+    "--outer-iters": dict(type=int, default=dictionary.LearnConfig.outer_iters,
+                          help="alternation rounds (default %(default)s)"),
     "--lasso-tol": dict(type=float, default=dictionary.LearnConfig.lasso_tol,
                         help="coding tolerance; codes are certified to KKT residual "
                              f"{dictionary.KKT_TOL_FACTOR:g}x this (default %(default)s)"),
@@ -423,58 +450,39 @@ SHARED_FLAGS = {
                                     "step and one exact support step (default %(default)s)"),
     "--test-frac": dict(type=float, default=0.33,
                         help="held-out user fraction, excluded from learning (default %(default)s)"),
+    "--code-users": dict(required=True, help="code user index file"),
+    "--codes": dict(required=True, help="code matrix file"),
+    "--labels": dict(required=True, help="labels CSV"),
+    "--summary": dict(required=True, help="user summary CSV from ingest"),
+    "--l2-grid": dict(type=float, nargs="+", default=list(evaluate.EvalConfig.l2_grid),
+                      help="l2 strengths searched by CV"),
+    "--cv-folds": dict(type=int, default=evaluate.EvalConfig.cv_folds,
+                       help="grid-search folds (default %(default)s)"),
 }
 
+#: The flags every subcommand takes first.
+COMMON = ("--out", "--seed", "--threads")
+SYNTH = ("--users", "--weeks", "--noise", "--organic-rate", "--archetypes")
+FILTERS = ("--min-listen-secs", "--min-daily-streams")
+#: The flags ``ingest`` and ``signals`` take besides their inputs, each one part of the handoff key.
+FRONT = (*FILTERS, "--period-start", "--period-end")
+SIGNAL_FILES = ("--signal-users", "--signals")
+CODER = ("--lasso-tol", "--lasso-max-sweeps")
+LEARN = ("--atoms", "--lambda", "--outer-iters", *CODER, "--test-frac")
+EVAL = ("--l2-grid", "--cv-folds")
 
-def _add(p: argparse.ArgumentParser, *names: str) -> None:
-    for name in names:
-        p.add_argument(name, **SHARED_FLAGS[name])
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default=".", help="output directory (default: current)")
-    p.add_argument("--seed", type=int, default=0, help="base seed; stages derive their own")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted so existing command lines stay valid; it has no effect yet, "
-                        "and stage outputs are identical for any value")
-
-
-def _add_filter_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--events", required=True, help="events CSV")
-    p.add_argument("--favorites", default=None, help="favorites CSV")
-    _add(p, "--min-listen-secs", "--min-daily-streams")
-    p.add_argument("--period-start", type=int, default=None, help="study period start (epoch secs)")
-    p.add_argument("--period-end", type=int, default=None, help="study period end (epoch secs)")
-
-
-def _add_synth_flags(p: argparse.ArgumentParser) -> None:
-    defaults = synth.SynthConfig
-    p.add_argument("--users", type=int, default=defaults.n_users,
-                   help="number of synthetic users (default %(default)s)")
-    p.add_argument("--weeks", type=int, default=defaults.weeks, help="number of weeks (default %(default)s)")
-    p.add_argument("--noise", type=float, default=defaults.noise,
-                   help="noise level in [0, 1] (default %(default)s)")
-    p.add_argument("--organic-rate", type=float, default=defaults.organic_rate,
-                   help="population organic stream fraction target (default %(default)s)")
-    p.add_argument("--archetypes", default=None, help="archetype JSON file (default: the stock archetypes)")
-
-
-def _add_learn_flags(p: argparse.ArgumentParser) -> None:
-    defaults = dictionary.LearnConfig
-    p.add_argument("--atoms", type=int, default=defaults.n_atoms,
-                   help="number of atoms K (default %(default)s)")
-    p.add_argument("--lambda", dest="lam", type=float, default=defaults.lam,
-                   help="L1 sparsity weight (default %(default)s)")
-    p.add_argument("--outer-iters", type=int, default=defaults.outer_iters,
-                   help="alternation rounds (default %(default)s)")
-    _add(p, "--lasso-tol", "--lasso-max-sweeps", "--test-frac")
-
-
-def _add_eval_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--l2-grid", type=float, nargs="+", default=list(evaluate.EvalConfig.l2_grid),
-                   help="l2 strengths searched by CV")
-    p.add_argument("--cv-folds", type=int, default=evaluate.EvalConfig.cv_folds,
-                   help="grid-search folds (default %(default)s)")
+#: Each subcommand's help line and flags after :data:`COMMON`, in the order its ``--help`` lists them.
+SUBCOMMANDS = {
+    "synth": ("generate a synthetic dataset", SYNTH),
+    "ingest": ("parse and filter logs into a user summary", ("--events", "--favorites", *FRONT)),
+    "signals": ("build the normalized weekly signal matrix", ("--events", "--favorites", *FRONT, "--tz-offset-min")),
+    "learn": ("learn the atom dictionary on the train split", (*SIGNAL_FILES, *LEARN)),
+    "embed": ("code users against a fixed dictionary", (*SIGNAL_FILES, "--dictionary", "--lambda", *CODER)),
+    "eval": ("activity-prediction evaluation report",
+             ("--code-users", "--codes", "--labels", "--summary", "--test-frac", *EVAL)),
+    "export-atoms": ("dictionary to long-format plotting CSV", ("--dictionary",)),
+    "pipeline": ("run every stage with one seed", (*SYNTH, *FILTERS, "--tz-offset-min", *LEARN, *EVAL)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -484,52 +492,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "learn atoms, embed users, evaluate activity prediction.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    _add_common(p)
-    _add_synth_flags(p)
-
-    p = sub.add_parser("ingest", help="parse and filter logs into a user summary")
-    _add_common(p)
-    _add_filter_flags(p)
-
-    p = sub.add_parser("signals", help="build the normalized weekly signal matrix")
-    _add_common(p)
-    _add_filter_flags(p)
-    _add(p, "--tz-offset-min")
-
-    p = sub.add_parser("learn", help="learn the atom dictionary on the train split")
-    _add_common(p)
-    _add(p, "--signal-users", "--signals")
-    _add_learn_flags(p)
-
-    p = sub.add_parser("embed", help="code users against a fixed dictionary")
-    _add_common(p)
-    _add(p, "--signal-users", "--signals", "--dictionary")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="override the dictionary's training lambda")
-    _add(p, "--lasso-tol", "--lasso-max-sweeps")
-
-    p = sub.add_parser("eval", help="activity-prediction evaluation report")
-    _add_common(p)
-    p.add_argument("--code-users", required=True, help="code user index file")
-    p.add_argument("--codes", required=True, help="code matrix file")
-    p.add_argument("--labels", required=True, help="labels CSV")
-    p.add_argument("--summary", required=True, help="user summary CSV from ingest")
-    _add(p, "--test-frac")
-    _add_eval_flags(p)
-
-    p = sub.add_parser("export-atoms", help="dictionary to long-format plotting CSV")
-    _add_common(p)
-    _add(p, "--dictionary")
-
-    p = sub.add_parser("pipeline", help="run every stage with one seed")
-    _add_common(p)
-    _add_synth_flags(p)
-    _add(p, "--min-listen-secs", "--min-daily-streams", "--tz-offset-min")
-    _add_learn_flags(p)
-    _add_eval_flags(p)
-
+    for command, (help_line, flags) in SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for flag in (*COMMON, *flags):
+            p.add_argument(flag, **FLAGS.get((command, flag), FLAGS[flag]))
     return parser
 
 

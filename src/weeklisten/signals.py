@@ -25,9 +25,9 @@ sorted row user ids and the study period), and returns a
 ``(n, 672)`` shape, with rows in the order of ``user_summary.csv``; there is
 no per-user signal object.  One sort of the in-period events'
 ``(row, window)`` keys groups them into windows, and smoothing and
-normalization run in one buffer next to the raw aggregate
-(:func:`_smooth_values` and :func:`_normalize_values`, which ``synth``
-shares).  The pair hands off to the learning stage as a user-index file
+normalization run in one buffer next to the raw aggregate (``synth``
+shares :func:`_smooth_values`; :func:`_normalize_values` is this module's
+own).  The pair hands off to the learning stage as a user-index file
 plus a ``.npy`` matrix (:func:`weeklisten.storage.save_indexed_matrix`).
 :func:`save_front` and :func:`load_front` keep every profiles field in one
 file of ``.npy`` records under a key that names what it was made from;

@@ -67,6 +67,20 @@ def test_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
+def test_threads_below_one_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["export-atoms", "--dictionary", "x", "--threads", "0"])
+    assert exc.value.code == 2
+    assert "--threads must be >= 1" in capsys.readouterr().err
+
+
+def test_every_declared_flag_is_taken():
+    # A (command, flag) entry is that command's own flag, taken instead of the plain one.
+    taken = {(command, flag) if (command, flag) in cli.FLAGS else flag
+             for command, (_, flags) in cli.SUBCOMMANDS.items() for flag in (*cli.COMMON, *flags)}
+    assert taken == set(cli.FLAGS)
+
+
 def test_eval_without_labels_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["eval", "--code-users", "x", "--codes", "y", "--summary", "z"])
@@ -292,6 +306,13 @@ def _nan_dictionary(tmp_path, pipe):
     return path
 
 
+def _dictionary_without_lambda(tmp_path, pipe):
+    path = tmp_path / "dictionary.csv"
+    stacked = dictionary.load_dictionary_csv(pipe / "dictionary.csv").stacked
+    dictionary.save_dictionary_csv(dictionary.Dictionary(stacked=stacked), path)
+    return path
+
+
 def _archetype_file(text):
     def damage(tmp_path, pipe):
         path = tmp_path / "arch.json"
@@ -348,6 +369,10 @@ BAD_HANDOFFS = {
     "embed-nan-dictionary": (
         lambda p, bad: ["embed", "--signal-users", p / "signal_users.txt", "--signals", p / "signals.npy",
                         "--dictionary", bad], _nan_dictionary, "non-finite values in dictionary"),
+    "embed-dictionary-without-lambda": (
+        lambda p, bad: ["embed", "--signal-users", p / "signal_users.txt", "--signals", p / "signals.npy",
+                        "--dictionary", bad], _dictionary_without_lambda,
+        ("error: no --lambda given and dictionary /", "/dictionary.csv records no lambda\n")),
     "synth-missing-archetypes": (
         lambda p, bad: ["synth", "--archetypes", bad], _missing, ("cannot read archetypes", "nope.npy")),
     "synth-non-json-archetypes": (
@@ -519,6 +544,14 @@ def _changed_event_byte(staged, src):
     return src
 
 
+def _moved(flag, secs):
+    """The change that moves ``flag``'s value in ``src`` by ``secs``."""
+    def change(staged, src):
+        at = src.index(flag) + 1
+        return [*src[:at], str(int(src[at]) + secs), *src[at + 1:]]
+    return change
+
+
 def _truncated_handoff(staged, src):
     handoff = staged / signals.FRONT_FILE
     handoff.write_bytes(handoff.read_bytes()[:-100])
@@ -537,13 +570,16 @@ def _empty_period_handoff(staged, src):
 @pytest.mark.parametrize("change, reason", [
     (_changed_event_byte, OTHER_KEY),
     (lambda staged, src: [*src, "--min-listen-secs", "31"], OTHER_KEY),
+    (lambda staged, src: [*src, "--min-daily-streams", "5"], OTHER_KEY),
+    (_moved("--period-start", 3600), OTHER_KEY),
+    (_moved("--period-end", 3600), OTHER_KEY),
     (lambda staged, src: [arg for arg in src if "favorites" not in arg], OTHER_KEY),
     (_truncated_handoff, "is damaged"),
     (_empty_period_handoff, "is damaged"),
     # Only the key record is read when it differs, so damage after it is not reached.
     (lambda staged, src: _truncated_handoff(staged, [*src, "--min-listen-secs", "31"]), OTHER_KEY),
-], ids=["event-byte", "min-listen-secs", "no-favorites", "truncated-handoff", "empty-period",
-        "truncated-stale-handoff"])
+], ids=["event-byte", "min-listen-secs", "min-daily-streams", "period-start", "period-end", "no-favorites",
+        "truncated-handoff", "empty-period", "truncated-stale-handoff"])
 def test_signals_fails_unless_the_handoff_matches_its_inputs(pipeline_dir, tmp_path, capsys, change, reason):
     staged = tmp_path / "staged"
     staged.mkdir()
@@ -642,6 +678,7 @@ def test_staged_run_matches_pipeline_bytes(pipeline_dir, tmp_path):
     ("signals", ["--seed", "-1"], "seed must be >= 0, got -1"),
     ("embed", ["--seed", "-1"], "seed must be >= 0, got -1"),
     ("export-atoms", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("ingest", ["--period-start", "0"], "--period-start and --period-end must be given together"),
 ])
 def test_bad_coder_arguments_are_error_lines(pipeline_dir, tmp_path, capsys, stage, flags, message):
     # Bad argument values of any stage, coder arguments among them.
