@@ -13,9 +13,10 @@ the filter and period flags, the version and the file format.  ``signals``
 computes the key from its own flags and inputs and builds from the file of
 its ``--out`` directory; no file, other bytes or flags, a damaged file or a
 piped input is an error that says to run ``ingest`` first.  The front end
-keeps one live copy of the event columns: each filter's input is released
-once its output exists, and only the restricted log is alive while the
-profiles are built.
+holds at most two copies of the event columns, while a filter copies: each
+filter's input is released once its output exists, and only the restricted
+log is alive while the profiles are built.  A half-given study period is an
+error before either command opens an input.
 
 Stage commands signal failure only by raising :class:`PipelineError`, which
 :func:`main` turns into an ``error: ...`` line and exit status 1 (a missing,
@@ -137,38 +138,6 @@ def _certify_fits(report: evaluate.EvalReport) -> dict:
             "newton_stopped_halving": report.stopped_halving}
 
 
-def _resolve_period(args, valid_log) -> ingest.StudyPeriod:
-    if args.period_start is not None and args.period_end is not None:
-        return ingest.StudyPeriod(args.period_start, args.period_end)
-    if (args.period_start is None) != (args.period_end is None):
-        raise PipelineError("--period-start and --period-end must be given together")
-    return ingest.StudyPeriod.covering(valid_log)
-
-
-def _load_filtered(args):
-    """The ingest front end: parse, filter and profile.
-
-    Returns ``(profiles, report, valid_streams, parse_s)``, the last the
-    seconds ``parse_events`` took.  Each filter's input is released as soon
-    as its output exists, so at most two copies of the event columns are ever
-    alive, and only the restricted log is alive while the profiles are built;
-    it is freed on return, but for the columns the profiles share.
-    """
-    started = time.perf_counter()
-    log, report = ingest.parse_events(args.events)
-    parse_s = round(time.perf_counter() - started, 3)
-    favorites = ingest.parse_favorites(args.favorites) if args.favorites else ()
-    log = ingest.filter_valid_streams(log, args.min_listen_secs)
-    valid_streams = len(log)
-    period = _resolve_period(args, log)
-    active = ingest.filter_active_users(log, period, args.min_daily_streams)
-    if not active:
-        raise PipelineError(f"no active users: none has {args.min_daily_streams:g} valid streams "
-                            f"(of at least {args.min_listen_secs} s) per day")
-    log = ingest.restrict_to_users(log, active)
-    return ingest.build_profiles(log, period, favorites), report, valid_streams, parse_s
-
-
 def _synth_config(args) -> synth.SynthConfig:
     return synth.SynthConfig(
         n_users=args.users, weeks=args.weeks, seed=stage_seed(args.seed, "synth"),
@@ -217,7 +186,21 @@ def cmd_ingest(args) -> None:
     """Write ``user_summary.csv`` and, unless an input is a pipe, the handoff ``signals`` builds from."""
     started = time.monotonic()
     out = _out_dir(args)
-    profiles, report, valid_streams, parse_s = _load_filtered(args)
+    parse_started = time.perf_counter()
+    log, report = ingest.parse_events(args.events)
+    parse_s = round(time.perf_counter() - parse_started, 3)
+    favorites = ingest.parse_favorites(args.favorites) if args.favorites else ()
+    log = ingest.filter_valid_streams(log, args.min_listen_secs)
+    valid_streams = len(log)
+    period = (ingest.StudyPeriod.covering(log) if args.period_start is None
+              else ingest.StudyPeriod(args.period_start, args.period_end))
+    active = ingest.filter_active_users(log, period, args.min_daily_streams)
+    if not len(active):
+        raise PipelineError(f"no active users: none has {args.min_daily_streams:g} valid streams "
+                            f"(of at least {args.min_listen_secs} s) per day")
+    log = ingest.restrict_to_users(log, active)
+    profiles = ingest.build_profiles(log, period, favorites)
+    del log, favorites  # all of the restricted log goes but the timestamp and tz columns the profiles share
     gates = {"parse_s": parse_s, "lines": report.total_lines, "malformed": report.malformed_count,
              "valid_streams": valid_streams, "active_users": len(profiles.user_ids),
              "unknown_favorite_users": profiles.unknown_user_warnings}
@@ -522,6 +505,8 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:  # every subcommand records its seed, and the seeded ones derive from it
             raise PipelineError(f"seed must be >= 0, got {args.seed}")
+        if (getattr(args, "period_start", None) is None) != (getattr(args, "period_end", None) is None):
+            raise PipelineError("--period-start and --period-end must be given together")
         COMMANDS[args.command](args)
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)

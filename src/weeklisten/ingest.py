@@ -22,7 +22,8 @@ its writer :func:`write_favorites`.
 Events are stored columnar (:class:`EventLog`): identifiers are interned
 into lookup tables and each event carries int32 indexes, which keeps multi-million
 row logs small and makes the downstream grouping operations plain numpy.
-Track and album ids stay bytes (:class:`IdTable`); only user ids become ``str``.
+Every id table stays bytes (:class:`IdTable`); user ids become ``str`` once,
+in :func:`build_profiles`, for the profiled users only.
 :func:`parse_events` reads a file or pipe once, in the byte blocks of whole
 lines that ``storage`` cuts, and parses each block with numpy: comma and
 newline positions give the fields, plain integers are read by digit
@@ -152,14 +153,13 @@ class EventLog:
     """Columnar event log: one array per field, one entry per event.
 
     ``users``, ``tracks`` and ``albums`` are interning tables, each in sorted
-    order (see :class:`IdTable`), and the per-event columns hold indexes into
-    them.  ``users`` is a numpy object array of str; ``tracks`` and ``albums``
-    are byte tables (:class:`IdTable`) that never make a ``str`` of an id.  Filtered views
-    created by :meth:`select` share the tables, so indexes stay comparable
-    across a filter chain.
+    order, and the per-event columns hold indexes into them.  All three are
+    byte tables (:class:`IdTable`) that never make a ``str`` of an id.
+    Filtered views created by :meth:`select` share the tables, so indexes
+    stay comparable across a filter chain.
     """
 
-    users: np.ndarray
+    users: "IdTable"
     tracks: "IdTable"
     albums: "IdTable"
     user_idx: np.ndarray
@@ -447,7 +447,6 @@ class _EventColumns:
             table, index_of_seq = interner.table()
             tables.append(table)
             np.take(index_of_seq, seqs, out=seqs)
-        tables[0] = tables[0].decoded()  # user ids reach the handoff files as str
         return EventLog(*tables, *columns), report
 
 
@@ -553,7 +552,7 @@ def _width_class(lengths):
 
 @dataclass(frozen=True, eq=False)
 class IdTable:
-    """The distinct ids of an id column, kept as bytes: a table of track or album ids holds no ``str``.
+    """The distinct ids of an id column, kept as bytes: no id table holds a ``str``.
 
     ``keys[c]`` lists the ids of one width class (8, 16, 32, ... bytes) in
     sorted order, each as its UTF-8 bytes, an end marker and NUL padding.
@@ -582,13 +581,16 @@ class IdTable:
             offset += len(keys)
         return found
 
-    def decoded(self) -> np.ndarray:
-        """The ids as ``str`` in table order (an object array)."""
+    def decoded(self, indexes: np.ndarray | None = None) -> np.ndarray:
+        """The ids as ``str`` in table order (an object array), or only those at the ascending table ``indexes``."""
+        bounds = np.cumsum([0, *map(len, self.keys)])
+        picked = [keys if indexes is None else keys[indexes[(indexes >= lo) & (indexes < hi)] - lo]
+                  for keys, lo, hi in zip(self.keys, bounds.tolist(), bounds[1:].tolist())]
         return np.fromiter((key[:-1].decode("utf-8", "surrogatepass")  # less the end marker
-                            for keys in self.keys
+                            for keys in picked
                             for i in range(0, len(keys), _CHUNK)
                             for key in keys[i:i + _CHUNK].tolist()),
-                           dtype=object, count=len(self))
+                           dtype=object, count=sum(map(len, picked)))
 
 
 class _Column:
@@ -772,22 +774,22 @@ def filter_valid_streams(log: EventLog, min_listen_secs: int = MIN_LISTEN_SECS) 
 
 
 def filter_active_users(log: EventLog, period: StudyPeriod,
-                        min_daily_streams: float = MIN_DAILY_STREAMS) -> list[str]:
+                        min_daily_streams: float = MIN_DAILY_STREAMS) -> np.ndarray:
     """Users averaging at least ``min_daily_streams`` valid streams per day.
 
     ``log`` must already be duration-filtered.  Only users with an event in
     ``log`` count, so a threshold of 0 keeps exactly the users with a valid
-    stream.  Returns sorted user ids.
+    stream.  Returns their indexes into ``log.users``, ascending.
     """
     counts = np.bincount(log.user_idx, minlength=len(log.users))
-    keep = (counts > 0) & (counts / period.days >= min_daily_streams)
-    return sorted(str(u) for u in log.users[keep])
+    return np.flatnonzero((counts > 0) & (counts / period.days >= min_daily_streams))
 
 
-def restrict_to_users(log: EventLog, user_ids: Iterable[str]) -> EventLog:
-    """View of ``log`` containing only events of the given users; ``log`` itself when that is all of them."""
-    wanted = set(user_ids)
-    keep = np.fromiter((user in wanted for user in log.users), count=len(log.users), dtype=bool)[log.user_idx]
+def restrict_to_users(log: EventLog, users: np.ndarray) -> EventLog:
+    """View of ``log`` holding the events of the users at table indexes ``users``; ``log`` itself if that is all."""
+    wanted = np.zeros(len(log.users), dtype=bool)
+    wanted[users] = True
+    keep = wanted[log.user_idx]
     return log if keep.all() else log.select(keep)
 
 
@@ -828,10 +830,10 @@ def build_profiles(log: EventLog, period: StudyPeriod, favorites=()) -> Profiles
     n_tracks = len(log.tracks)
     totals = np.bincount(log.user_idx, minlength=n_users)
 
-    # Only users with at least one event are profiled; the shared string
-    # table may hold more (filtered-out users of a select view).
+    # Only users with at least one event are profiled, and only their ids become
+    # ``str``; the shared table may hold more (filtered-out users of a select view).
     present = np.flatnonzero(totals)
-    names = log.users[present].tolist()
+    names = log.users.decoded(present).tolist()
     order = sorted(range(len(names)), key=names.__getitem__)
     row_of_user = np.full(n_users, -1, dtype=np.int32)
     row_of_user[present[order]] = np.arange(len(order))
@@ -849,11 +851,12 @@ def build_profiles(log: EventLog, period: StudyPeriod, favorites=()) -> Profiles
     active_days = np.bincount(user_sorted[new_day], minlength=n_users)
     del day, user_sorted, new_day
 
-    # Favorites are found by binary search in the byte table of their kind,
-    # and kept as sorted keys ``user_idx * len(table) + item_idx``.
-    user_pos = dict(zip(names, present.tolist()))
+    # Favorites' users and items are found by binary search in the byte tables
+    # (a user without an event here is unknown), and kept as sorted keys
+    # ``user_idx * len(table) + item_idx``.
     fav_users, fav_kinds, fav_items = favorites or ((), (), ())
-    fav_user = np.array([user_pos.get(user, -1) for user in fav_users], dtype=np.int64)
+    fav_user = log.users.find(fav_users)
+    fav_user[~_in_sorted(fav_user, present)] = -1
     fav_keys = {}
     for kind, table in ((TRACK, log.tracks), (ALBUM, log.albums)):
         rows = [i for i, k in enumerate(fav_kinds) if k == kind]

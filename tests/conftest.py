@@ -67,10 +67,16 @@ def log_of(*events):
     return log
 
 
+def user_indexes(log, names):
+    """The indexes into ``log.users`` of those of ``names`` that it holds, as ``restrict_to_users`` takes them."""
+    found = log.users.find(list(names))
+    return found[found >= 0]
+
+
 def records(log):
     """The events of ``log`` as :class:`Event` records, in order."""
-    tracks, albums = log.tracks.decoded(), log.albums.decoded()
-    return [Event(str(log.users[u]), t, tracks[tr], albums[al],
+    users, tracks, albums = log.users.decoded(), log.tracks.decoded(), log.albums.decoded()
+    return [Event(users[u], t, tracks[tr], albums[al],
                   "organic" if o else "algorithmic", d, None if z == ingest.TZ_UNSET else z)
             for u, t, tr, al, o, d, z in zip(
                 log.user_idx.tolist(), log.timestamps.tolist(), log.track_idx.tolist(),

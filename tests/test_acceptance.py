@@ -16,7 +16,7 @@ import pytest
 
 from weeklisten import cli, dictionary, evaluate, ingest, signals, storage, synth
 
-from conftest import DATA_ARTIFACTS, records, sparse_code
+from conftest import DATA_ARTIFACTS, records, sparse_code, user_indexes
 from oracles import (best_permutation_correlations, grid_refine_lasso,
                      lasso_objective, orthonormal_lasso, pair_counting_auc,
                      planted_instance, profiles, raw_signals)
@@ -214,7 +214,7 @@ def test_criterion_08_signal_invariants(run_a):
     restricted = ingest.restrict_to_users(valid, active)
     raw = []
     for block in np.array_split(np.array(sset.user_ids), 20):
-        events = records(ingest.restrict_to_users(restricted, block.tolist()))
+        events = records(ingest.restrict_to_users(restricted, user_indexes(restricted, block.tolist())))
         by_user = raw_signals(events, profiles(events, favorites), period)
         raw.extend(by_user[user] for user in block.tolist())
     raw = np.array(raw)

@@ -114,7 +114,7 @@ def test_synth_runs_with_any_archetype_count(tmp_path, count):
     labels = evaluate.parse_labels(tmp_path / "labels.csv")
     assert len(labels.user_ids) == 40
     log, _ = ingest.parse_events(tmp_path / "events.csv")
-    assert len(set(log.users[log.user_idx])) == 40
+    assert len(set(log.users.decoded()[log.user_idx])) == 40
 
 
 def test_zero_activity_threshold_counts_only_users_with_valid_streams(tmp_path, capsys):
@@ -132,16 +132,16 @@ def test_zero_activity_threshold_counts_only_users_with_valid_streams(tmp_path, 
 
 
 def test_front_end_memory_is_bounded_by_the_restricted_log(tmp_path, monkeypatch):
-    # Measured from the end of the parse, whose own peak is set by the interned id
-    # strings: the filters, profiles and signals must stay under 3 copies of the
+    # Measured from the end of the parse, whose own peak is set by the interned
+    # ids: the filters, profiles, handoff and signals must stay under 3 copies of the
     # restricted log's event columns.  Keeping the parsed, valid and restricted logs
     # alive together and sorting copies of the keys with np.unique and np.isin took 5.8.
     config = synth.SynthConfig(n_users=300, weeks=4, seed=3)
     result = synth.generate(config, tmp_path)
-    args = argparse.Namespace(
-        events=result.events_path, favorites=result.favorites_path,
-        min_listen_secs=ingest.MIN_LISTEN_SECS, min_daily_streams=ingest.MIN_DAILY_STREAMS,
-        period_start=synth.PERIOD_START, period_end=config.period_end)
+    args = cli.build_parser().parse_args([
+        "ingest", "--out", str(tmp_path), "--events", str(result.events_path),
+        "--favorites", str(result.favorites_path),
+        "--period-start", str(synth.PERIOD_START), "--period-end", str(config.period_end)])
     parse, parsed = ingest.parse_events, {}
 
     def parse_then_reset_peak(source):
@@ -153,7 +153,8 @@ def test_front_end_memory_is_bounded_by_the_restricted_log(tmp_path, monkeypatch
     monkeypatch.setattr(ingest, "parse_events", parse_then_reset_peak)
     tracemalloc.start()
     try:
-        profiles, *_ = cli._load_filtered(args)
+        cli.cmd_ingest(args)
+        profiles = signals.load_front(tmp_path / signals.FRONT_FILE, cli._front_key(args)[0])
         signals.build_signal_set(profiles)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -448,12 +449,16 @@ def test_manifests_record_peak_rss_and_ingest_gate_counts(pipeline_dir, tmp_path
     for path in manifests:
         assert json.loads(path.read_text())["peak_rss_mb"] > 0, path.name
 
-    # One malformed line and one favorite of an unknown user, so that every gate count shows.
+    # One malformed line and favorites of unknown users, so that every gate count shows: "ghost"
+    # has no event, "dropout" is under the activity bar and "skipper" has no valid stream.
     events = tmp_path / "events.csv"
     lines = (pipeline_dir / "events.csv").read_text().splitlines()
+    lines += [f"dropout,{synth.PERIOD_START + 60},t_drop,al_drop,organic,120",
+              f"skipper,{synth.PERIOD_START + 60},t_skip,al_skip,organic,5"]
     events.write_text("\n".join(lines + ["not,an,event"]) + "\n")
     favorites = tmp_path / "favorites.csv"
-    favorites.write_text((pipeline_dir / "favorites.csv").read_text() + "ghost,track,t1\n")
+    favorites.write_text((pipeline_dir / "favorites.csv").read_text()
+                         + "ghost,track,t1\ndropout,track,t_drop\nskipper,album,al_skip\n")
     config = synth.SynthConfig(n_users=120, weeks=2)
     capsys.readouterr()
     assert run(["ingest", "--out", str(tmp_path), "--events", str(events), "--favorites", str(favorites),
@@ -466,11 +471,13 @@ def test_manifests_record_peak_rss_and_ingest_gate_counts(pipeline_dir, tmp_path
         "malformed": 1,
         "valid_streams": sum(int(line.rsplit(",", 1)[1]) >= 30 for line in lines[1:]),
         "active_users": len((tmp_path / "user_summary.csv").read_text().splitlines()) - 1,
-        "unknown_favorite_users": 1,
+        "unknown_favorite_users": 3,
     }
     assert f"{gates['lines'] - 1} events parsed, 1 malformed of {gates['lines']} lines" in out
     assert f"{gates['valid_streams']} valid streams; {gates['active_users']} active users over" in out
-    assert "warning: 1 favorites referenced unknown users" in out
+    assert "warning: 3 favorites referenced unknown users" in out
+    # The filtered-out users' favorites add no liked track to any row.
+    assert (tmp_path / "user_summary.csv").read_bytes() == (pipeline_dir / "user_summary.csv").read_bytes()
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss crosses exec on Linux")
@@ -513,7 +520,9 @@ def test_stages_that_parse_record_the_parse_time(pipeline_dir, tmp_path, capsys)
     assert run(["signals", "--out", str(handed), *src]) == 0
     assert manifest(handed, "ingest")["parse_s"] >= 0
     assert "parse_s" not in manifest(handed, "signals")
-    profiles, *_ = cli._load_filtered(cli.build_parser().parse_args(["signals", *src]))
+    valid = ingest.filter_valid_streams(ingest.parse_events(pipeline_dir / "events.csv")[0])
+    period = ingest.StudyPeriod(int(PERIOD[1]), int(PERIOD[3]))
+    profiles = ingest.build_profiles(ingest.restrict_to_users(valid, ingest.filter_active_users(valid, period)), period)
     assert np.array_equal(np.load(handed / "signals.npy"), signals.build_signal_set(profiles).matrix)
 
 
@@ -679,6 +688,11 @@ def test_staged_run_matches_pipeline_bytes(pipeline_dir, tmp_path):
     ("embed", ["--seed", "-1"], "seed must be >= 0, got -1"),
     ("export-atoms", ["--seed", "-1"], "seed must be >= 0, got -1"),
     ("ingest", ["--period-start", "0"], "--period-start and --period-end must be given together"),
+    # A half period is refused before either command opens an input.
+    ("ingest", ["--period-start", "0", "--events", "no/such/events.csv"],
+     "--period-start and --period-end must be given together"),
+    ("signals", ["--period-end", "0", "--events", "no/such/events.csv"],
+     "--period-start and --period-end must be given together"),
 ])
 def test_bad_coder_arguments_are_error_lines(pipeline_dir, tmp_path, capsys, stage, flags, message):
     # Bad argument values of any stage, coder arguments among them.

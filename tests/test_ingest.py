@@ -17,7 +17,7 @@ from weeklisten import ingest, storage
 from weeklisten.errors import PipelineError
 
 from conftest import (DAY, EVENTS_HEADER, MONDAY, events_csv_lines, favorites_of, log_of, make_event, records,
-                      write_lines)
+                      user_indexes, write_lines)
 
 
 def quoted_header_copy(path):
@@ -101,7 +101,7 @@ def test_user_ids_that_do_not_fit_one_index_line_are_malformed(tmp_path):
     assert report.details == ((102, "user id '  ' is blank or holds a line break"),
                               (204, "user id 'x\\ny' is blank or holds a line break"),
                               (306, "user id 'x\\ry' is blank or holds a line break"))
-    assert len(log) == 301 and log.users[log.user_idx[-1]] == " u1 "
+    assert len(log) == 301 and log.users.decoded()[log.user_idx[-1]] == " u1 "
 
 
 def test_parse_too_many_malformed_is_fatal(tmp_path):
@@ -142,7 +142,7 @@ def test_out_of_range_integer_is_a_malformed_line(tmp_path, row, reason):
     for source in (path, quoted_header_copy(path)):
         log, report = ingest.parse_events(source)
         assert report.details == ((72, reason),)
-        assert len(log) == 150 and "ux" not in log.users
+        assert len(log) == 150 and "ux" not in log.users.decoded()
     write_lines(path, events_csv_lines([row], header=header))
     for source in (path, quoted_header_copy(path)):
         with pytest.raises(PipelineError, match=f"too many malformed lines: .*line 2: {reason}"):
@@ -218,13 +218,14 @@ def test_filter_active_users_six_per_day_boundary():
     period = ingest.StudyPeriod(MONDAY, MONDAY + 100 * DAY)
     events = [make_event(user="kept", timestamp=MONDAY + i * 14000) for i in range(600)]
     events += [make_event(user="dropped", timestamp=MONDAY + i * 14000) for i in range(599)]
-    active = ingest.filter_active_users(log_of(*events), period)
-    assert active == ["kept"]
+    log = log_of(*events)
+    active = ingest.filter_active_users(log, period)
+    assert log.users.decoded()[active].tolist() == ["kept"]
 
 
 def test_filter_active_users_empty():
     period = ingest.StudyPeriod(MONDAY, MONDAY + DAY)
-    assert ingest.filter_active_users(log_of(), period) == []
+    assert len(ingest.filter_active_users(log_of(), period)) == 0
 
 
 def profiles_of(log, favorites=()):
@@ -344,8 +345,8 @@ def test_filter_valid_streams_idempotent(events):
 def test_filter_active_users_monotone_in_events(events, extra):
     # Adding events never removes a user from the active set.
     period = ingest.StudyPeriod(MONDAY, MONDAY + 14 * DAY)
-    base = set(ingest.filter_active_users(log_of(*events), period, min_daily_streams=0.1))
-    grown = set(ingest.filter_active_users(log_of(*(events + extra)), period, min_daily_streams=0.1))
+    base, grown = (set(log.users.decoded()[ingest.filter_active_users(log, period, min_daily_streams=0.1)])
+                   for log in (log_of(*events), log_of(*(events + extra))))
     assert base <= grown
 
 
@@ -365,7 +366,7 @@ def test_events_round_trip(tmp_path_factory, blocks):
     log, report = ingest.parse_events(path)
     assert report.malformed_count == 0
     rows = [row for block in blocks for row in block]
-    assert list(zip(log.users[log.user_idx].tolist(), log.timestamps.tolist(),
+    assert list(zip(log.users.decoded()[log.user_idx].tolist(), log.timestamps.tolist(),
                     log.tracks.decoded()[log.track_idx].tolist(), log.albums.decoded()[log.album_idx].tolist(),
                     log.organic.tolist(), log.durations.tolist())) == rows
     assert np.all(log.tz_offset_min == ingest.TZ_UNSET)
@@ -617,7 +618,7 @@ def test_id_tables_do_not_depend_on_line_order(tmp_path, monkeypatch):
     logs = [ingest.parse_events(write_lines(tmp_path / f"events{k}.csv", events_csv_lines(lines)))[0]
             for k, lines in enumerate([rows, rows[::-1]])]
     forward, backward = logs
-    assert forward.users.tolist() == backward.users.tolist()
+    assert forward.users.decoded().tolist() == backward.users.decoded().tolist()
     assert forward.tracks.decoded().tolist() == backward.tracks.decoded().tolist()
     assert forward.albums.decoded().tolist() == backward.albums.decoded().tolist()
     tracks = [log.tracks.decoded()[log.track_idx].tolist() for log in logs]
@@ -715,10 +716,10 @@ def test_round_trip_preserves_tz():
 
 def test_restrict_to_users():
     log = log_of(make_event(user="a"), make_event(user="b"), make_event(user="a", timestamp=MONDAY + 9))
-    only_a = ingest.restrict_to_users(log, ["a"])
+    only_a = ingest.restrict_to_users(log, user_indexes(log, ["a"]))
     assert len(only_a) == 2
     assert {e.user_id for e in records(only_a)} == {"a"}
-    assert ingest.restrict_to_users(log, ["a", "b", "c"]) is log  # nothing to drop, nothing to copy
+    assert ingest.restrict_to_users(log, user_indexes(log, ["a", "b", "c"])) is log  # nothing to drop, nothing to copy
 
 
 summary_event = st.builds(

@@ -11,7 +11,7 @@ import oracles
 from weeklisten import ingest, signals, storage
 from weeklisten.errors import PipelineError
 
-from conftest import DAY, HOUR, MONDAY, WEEK, favorites_of, log_of, make_event, records
+from conftest import DAY, HOUR, MONDAY, WEEK, favorites_of, log_of, make_event, records, user_indexes
 
 
 def front_for(log, period, favorites=()):
@@ -315,7 +315,7 @@ def test_build_signal_set_row_layout():
     period = ingest.StudyPeriod(MONDAY, MONDAY + WEEK)
     sset = signals.build_signal_set(front_for(log, period))
 
-    zeta = records(ingest.restrict_to_users(log, ["zeta"]))
+    zeta = records(ingest.restrict_to_users(log, user_indexes(log, ["zeta"])))
     raw = oracles.aggregate(zeta, oracles.profiles(records(log))["zeta"], period)
     sig = oracles.normalize(oracles.smooth(raw))
     row = oracles.signal_row(sset, "zeta")
@@ -440,7 +440,8 @@ order_user = st.sampled_from(["zeta", "Alpha", "u10", "u2", "_x"])
 def test_signal_rows_and_summary_share_one_user_order(events, kept):
     # "idle" streams only before the period; the restricted view shares a user table
     # that also names the users left out.
-    log = ingest.restrict_to_users(log_of(*(events + fixed_events())), kept | {"idle"})
+    log = log_of(*(events + fixed_events()))
+    log = ingest.restrict_to_users(log, user_indexes(log, kept | {"idle"}))
     profiles = ingest.build_profiles(log, ingest.StudyPeriod(MONDAY, MONDAY + 2 * WEEK))
     sset = signals.build_signal_set(profiles)
     listeners = tuple(sorted({e.user_id for e in records(log)}))

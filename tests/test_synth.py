@@ -63,7 +63,7 @@ def test_synth_events_are_what_the_row_oracle_writes_of_their_parse(tmp_path):
     result = synth.generate(synth.SynthConfig(n_users=70, weeks=2, seed=3), tmp_path)
     log, report = ingest.parse_events(result.events_path)
     assert report.malformed_count == 0
-    columns = (log.users[log.user_idx], log.timestamps, log.tracks.decoded()[log.track_idx],
+    columns = (log.users.decoded()[log.user_idx], log.timestamps, log.tracks.decoded()[log.track_idx],
                log.albums.decoded()[log.album_idx], log.organic, log.durations)
     assert oracles.write_events(tmp_path / "oracle.csv", [columns]) == result.n_events
     assert (tmp_path / "oracle.csv").read_bytes() == result.events_path.read_bytes()
