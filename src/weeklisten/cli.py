@@ -26,12 +26,20 @@ with status 2 and a finished command with 0.
 All randomness flows from one ``--seed``: each stage derives its own seed as
 ``SeedSequence(entropy=seed, spawn_key=(STAGE_ID,))``, so running a stage
 standalone with the base seed reproduces exactly what ``pipeline`` did.
-Every successful run writes a ``manifest_<command>.json`` next to its outputs
-with the resolved configuration, paths, seed, version, wall-clock duration and
-``peak_rss_mb``, its process's peak resident set size so far (Linux's
-``VmHWM``, else ``ru_maxrss``; the manifest is the only artifact carrying
+
+Every stage, alone or in ``pipeline``, runs through one runner, :func:`_run`:
+it creates ``--out``, calls the stage and, once the stage returns its inputs,
+outputs and diagnostics, writes ``manifest_<command>.json`` next to the
+outputs; a stage that raises writes none.  ``pipeline`` is a loop over the
+seven stages of :data:`PIPELINE` with one namespace, so each stage's
+``config`` lists the run's flags and every file path of the run.  A manifest
+holds the resolved configuration, paths, seed, version, wall-clock duration,
+``rss_start_mb`` and ``rss_end_mb``, the process's resident set size when the
+stage started and ended (Linux's ``VmRSS``, else null), and ``peak_rss_mb``,
+its peak so far (``VmHWM``, else ``ru_maxrss``; in ``pipeline`` that is the
+peak of every stage run before).  The manifest is the only artifact carrying
 timing and memory, hence the only one that differs between byte-identical
-runs).  ``synth`` also records the counts it prints:
+runs.  ``synth`` also records the counts it prints:
 ``events``, ``valid_events`` and ``organic_fraction_valid``.  ``ingest``
 records the gate counts it prints: ``lines``, ``malformed``,
 ``valid_streams``, ``active_users`` and ``unknown_favorite_users``, plus
@@ -40,7 +48,8 @@ records the gate counts it prints: ``lines``, ``malformed``,
 same digests, which its handoff's key matched.  ``learn`` and ``embed`` also
 record the codes' worst KKT residual (``kkt_max``) and the number of users
 above the certificate tolerance (``users_uncertified``), and warn when that
-is not 0.  ``learn`` also records ``objective_rel_decrease``, the
+is not 0; ``embed`` records the ``lambda`` it coded with, its ``--lambda`` or
+else the dictionary's.  ``learn`` also records ``objective_rel_decrease``, the
 objective's relative decrease over its last ``objective_decrease_rounds``
 rounds (``DECREASE_ROUNDS``, or all of them if fewer).  ``eval`` records its
 logistic fits' worst final gradient max-norm (``newton_grad_max``) and how
@@ -76,22 +85,42 @@ def stage_seed(base_seed: int, stage: str) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
-                    inputs: dict, outputs: dict, started: float, diagnostics: dict | None = None) -> None:
+def _run(command: str, args: argparse.Namespace) -> None:
+    """Run stage ``command`` of :data:`COMMANDS` in ``--out`` and write its manifest.
+
+    The manifest takes the ``(inputs, outputs, diagnostics)`` the stage returns;
+    a stage that raises writes none.
+    """
+    started = time.monotonic()
+    rss_start = _status_mb(b"VmRSS:")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    inputs, outputs, diagnostics = COMMANDS[command](args, out)
     config = {k: v for k, v in sorted(vars(args).items()) if k != "command"}
     manifest = {
         "command": command,
         "version": __version__,
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         "config": {k: (str(v) if isinstance(v, Path) else v) for k, v in config.items()},
         "inputs": {k: str(v) for k, v in inputs.items()},
         "outputs": {k: str(v) for k, v in outputs.items()},
         "duration_secs": round(time.monotonic() - started, 3),
+        "rss_start_mb": rss_start,
+        "rss_end_mb": _status_mb(b"VmRSS:"),
         "peak_rss_mb": _peak_rss_mb(),
-        **(diagnostics or {}),
+        **diagnostics,
     }
-    path = out_dir / f"manifest_{command.replace('-', '_')}.json"
+    path = out / f"manifest_{command.replace('-', '_')}.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _status_mb(field: bytes) -> float | None:
+    """A kB field of ``/proc/self/status``, such as ``b"VmRSS:"``, in MB; None where it does not exist."""
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            return round(next(int(line.split()[1]) for line in fh if line.startswith(field)) / 1024, 1)
+    except (OSError, StopIteration):
+        return None
 
 
 def _peak_rss_mb() -> float:
@@ -100,18 +129,11 @@ def _peak_rss_mb() -> float:
     ``VmHWM`` where ``/proc/self/status`` has it, since Linux carries the spawning
     process's ``ru_maxrss`` across exec; elsewhere ``ru_maxrss`` (KiB, on macOS bytes).
     """
-    try:
-        with open("/proc/self/status", "rb") as fh:
-            return round(next(int(line.split()[1]) for line in fh if line.startswith(b"VmHWM:")) / 1024, 1)
-    except (OSError, StopIteration):
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        return round(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1)
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    peak = _status_mb(b"VmHWM:")
+    if peak is None:
+        peak = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                     / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1)
+    return peak
 
 
 def _certify_codes(matrix, dct, codes, lam, lasso_tol) -> dict:
@@ -146,21 +168,18 @@ def _synth_config(args) -> synth.SynthConfig:
     )
 
 
-def cmd_synth(args) -> synth.SynthConfig:
-    """Write the synthetic inputs; returns the config so ``pipeline`` knows the study period."""
-    started = time.monotonic()
-    out = _out_dir(args)
+def cmd_synth(args, out: Path):
+    """Write the synthetic events, favorites and labels."""
     config = _synth_config(args)
     result = synth.generate(config, out)
     print(f"generated {result.n_events} events for {result.n_users} users "
           f"({result.n_valid_events} valid, organic fraction {result.organic_fraction_valid:.4f})")
     print(f"study period: [{synth.PERIOD_START}, {config.period_end})")
-    _write_manifest(out, "synth", args, {}, {
+    return {}, {
         "events": result.events_path, "favorites": result.favorites_path,
         "labels": result.labels_path,
-    }, started, {"events": result.n_events, "valid_events": result.n_valid_events,
-                 "organic_fraction_valid": result.organic_fraction_valid})
-    return config
+    }, {"events": result.n_events, "valid_events": result.n_valid_events,
+        "organic_fraction_valid": result.organic_fraction_valid}
 
 
 def _front_key(args) -> tuple[str | None, dict]:
@@ -182,10 +201,8 @@ def _front_key(args) -> tuple[str | None, dict]:
     return json.dumps(key, sort_keys=True), inputs
 
 
-def cmd_ingest(args) -> None:
+def cmd_ingest(args, out: Path):
     """Write ``user_summary.csv`` and, unless an input is a pipe, the handoff ``signals`` builds from."""
-    started = time.monotonic()
-    out = _out_dir(args)
     parse_started = time.perf_counter()
     log, report = ingest.parse_events(args.events)
     parse_s = round(time.perf_counter() - parse_started, 3)
@@ -219,15 +236,11 @@ def cmd_ingest(args) -> None:
     if key is not None:
         outputs["handoff"] = out / signals.FRONT_FILE
         signals.save_front(profiles, key, outputs["handoff"])
-    _write_manifest(out, "ingest", args,
-                    {"events": args.events, "favorites": args.favorites or ""},
-                    outputs, started, gates)
+    return {"events": args.events, "favorites": args.favorites or ""}, outputs, gates
 
 
-def cmd_signals(args) -> None:
+def cmd_signals(args, out: Path):
     """Write the signal matrix from ingest's handoff in ``--out``, made from the same inputs and flags."""
-    started = time.monotonic()
-    out = _out_dir(args)
     key, digests = _front_key(args)
     if key is None:
         name = next(name for name, digest in digests.items() if digest is None)
@@ -239,14 +252,11 @@ def cmd_signals(args) -> None:
     matrix_path = out / "signals.npy"
     storage.save_indexed_matrix(sset.user_ids, sset.matrix, index_path, matrix_path)
     print(f"built {len(sset.user_ids)} signals of {sset.matrix.shape[1]} columns")
-    _write_manifest(out, "signals", args,
-                    {"events": args.events, "favorites": args.favorites or "", "handoff": handoff},
-                    {"signal_users": index_path, "signals": matrix_path}, started, {"inputs_sha256": digests})
+    return ({"events": args.events, "favorites": args.favorites or "", "handoff": handoff},
+            {"signal_users": index_path, "signals": matrix_path}, {"inputs_sha256": digests})
 
 
-def cmd_learn(args) -> None:
-    started = time.monotonic()
-    out = _out_dir(args)
+def cmd_learn(args, out: Path):
     sset = signals.SignalSet(*storage.load_indexed_matrix(args.signal_users, args.signals))
     test = evaluate.split_users(sset.user_ids, args.test_frac, stage_seed(args.seed, "split"))
     config = dictionary.LearnConfig(
@@ -271,17 +281,14 @@ def cmd_learn(args) -> None:
     rounds = min(DECREASE_ROUNDS, config.outer_iters)
     before = result.objective_trace[-1 - 2 * rounds]
     decrease = (before - result.objective_trace[-1]) / before if before > 0.0 else 0.0
-    _write_manifest(out, "learn", args,
-                    {"signal_users": args.signal_users, "signals": args.signals},
-                    {"dictionary_csv": csv_path,
-                     "train_users": out / "train_users.txt", "test_users": out / "test_users.txt",
-                     "objective_trace": trace_path}, started,
-                    {**certificate, "objective_rel_decrease": decrease, "objective_decrease_rounds": rounds})
+    return ({"signal_users": args.signal_users, "signals": args.signals},
+            {"dictionary_csv": csv_path,
+             "train_users": out / "train_users.txt", "test_users": out / "test_users.txt",
+             "objective_trace": trace_path},
+            {**certificate, "objective_rel_decrease": decrease, "objective_decrease_rounds": rounds})
 
 
-def cmd_embed(args) -> None:
-    started = time.monotonic()
-    out = _out_dir(args)
+def cmd_embed(args, out: Path):
     sset = signals.SignalSet(*storage.load_indexed_matrix(args.signal_users, args.signals))
     dct = dictionary.load_dictionary_csv(args.dictionary)
     lam = args.lam if args.lam is not None else dct.lam
@@ -294,10 +301,9 @@ def cmd_embed(args) -> None:
     storage.save_indexed_matrix(sset.user_ids, codes, index_path, matrix_path)
     nonzero = float(np.mean(np.sum(codes != 0, axis=1)))
     print(f"embedded {len(sset.user_ids)} users; mean active atoms per code {nonzero:.2f}")
-    _write_manifest(out, "embed", args,
-                    {"signal_users": args.signal_users, "signals": args.signals,
-                     "dictionary": args.dictionary},
-                    {"code_users": index_path, "codes": matrix_path}, started, certificate)
+    return ({"signal_users": args.signal_users, "signals": args.signals,
+             "dictionary": args.dictionary},
+            {"code_users": index_path, "codes": matrix_path}, {"lambda": lam, **certificate})
 
 
 def _read_summary_totals(path) -> dict[str, int]:
@@ -322,11 +328,9 @@ def _read_summary_totals(path) -> dict[str, int]:
     return totals
 
 
-def cmd_eval(args) -> None:
-    started = time.monotonic()
+def cmd_eval(args, out: Path):
     config = evaluate.EvalConfig(l2_grid=tuple(args.l2_grid), cv_folds=args.cv_folds,
                                  seed=stage_seed(args.seed, "eval"))
-    out = _out_dir(args)
     users, codes = storage.load_indexed_matrix(args.code_users, args.codes)
     labels = evaluate.parse_labels(args.labels)
     totals = _read_summary_totals(args.summary)
@@ -341,49 +345,35 @@ def cmd_eval(args) -> None:
     table_path.write_text(report.to_table(), encoding="utf-8")
     evaluate.write_coefficients_csv(report.coefficients, coef_path)
     print(report.to_table(), end="")
-    _write_manifest(out, "eval", args,
-                    {"code_users": args.code_users, "codes": args.codes,
-                     "labels": args.labels, "summary": args.summary},
-                    {"report": report_path, "table": table_path, "coefficients": coef_path},
-                    started, certificate)
+    return ({"code_users": args.code_users, "codes": args.codes,
+             "labels": args.labels, "summary": args.summary},
+            {"report": report_path, "table": table_path, "coefficients": coef_path}, certificate)
 
 
-def cmd_export_atoms(args) -> None:
-    started = time.monotonic()
-    out = _out_dir(args)
+def cmd_export_atoms(args, out: Path):
     dct = dictionary.load_dictionary_csv(args.dictionary)
     atoms_path = out / "atoms.csv"
     dictionary.export_atoms_csv(dct, atoms_path)
     print(f"exported {dct.n_atoms} atoms to {atoms_path}")
-    _write_manifest(out, "export-atoms", args, {"dictionary": args.dictionary},
-                    {"atoms": atoms_path}, started)
+    return {"dictionary": args.dictionary}, {"atoms": atoms_path}, {}
 
 
-def cmd_pipeline(args) -> None:
+#: The stages ``pipeline`` runs, in order.
+PIPELINE = ("synth", "ingest", "signals", "learn", "embed", "eval", "export-atoms")
+
+
+def cmd_pipeline(args, out: Path):
+    """Run every stage of :data:`PIPELINE` with the run's flags, each handoff file under ``--out``."""
     started = time.monotonic()
-    out = _out_dir(args)
-    config = cmd_synth(_ns(args, out=out))
-    stage_args = _ns(
-        args, out=out, events=out / "events.csv", favorites=out / "favorites.csv",
-        period_start=synth.PERIOD_START, period_end=config.period_end)
-    cmd_ingest(stage_args)
-    cmd_signals(stage_args)
-    learn_args = _ns(stage_args, signal_users=out / "signal_users.txt",
-                     signals=out / "signals.npy")
-    cmd_learn(learn_args)
-    embed_args = _ns(learn_args, dictionary=out / "dictionary.csv", lam=None)
-    cmd_embed(embed_args)
-    eval_args = _ns(embed_args, code_users=out / "code_users.txt",
-                    codes=out / "codes.npy",
-                    labels=out / "labels.csv", summary=out / "user_summary.csv")
-    cmd_eval(eval_args)
-    cmd_export_atoms(_ns(eval_args, dictionary=out / "dictionary.csv"))
-    _write_manifest(out, "pipeline", args, {}, {"directory": out}, started)
+    stage_args = argparse.Namespace(
+        **vars(args), events=out / "events.csv", favorites=out / "favorites.csv", labels=out / "labels.csv",
+        summary=out / "user_summary.csv", signal_users=out / "signal_users.txt", signals=out / "signals.npy",
+        dictionary=out / "dictionary.csv", code_users=out / "code_users.txt", codes=out / "codes.npy",
+        period_start=synth.PERIOD_START, period_end=synth.PERIOD_START + args.weeks * synth.SECONDS_PER_WEEK)
+    for stage in PIPELINE:
+        _run(stage, stage_args)
     print(f"pipeline finished in {time.monotonic() - started:.1f}s")
-
-
-def _ns(base: argparse.Namespace, **overrides) -> argparse.Namespace:
-    return argparse.Namespace(**{**vars(base), **overrides})
+    return {}, {"directory": out}, {}
 
 
 #: Every flag, declared once with its ``add_argument`` keywords; a ``(command, flag)``
@@ -507,7 +497,7 @@ def main(argv=None) -> int:
             raise PipelineError(f"seed must be >= 0, got {args.seed}")
         if (getattr(args, "period_start", None) is None) != (getattr(args, "period_end", None) is None):
             raise PipelineError("--period-start and --period-end must be given together")
-        COMMANDS[args.command](args)
+        _run(args.command, args)
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

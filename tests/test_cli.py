@@ -153,7 +153,7 @@ def test_front_end_memory_is_bounded_by_the_restricted_log(tmp_path, monkeypatch
     monkeypatch.setattr(ingest, "parse_events", parse_then_reset_peak)
     tracemalloc.start()
     try:
-        cli.cmd_ingest(args)
+        cli._run("ingest", args)
         profiles = signals.load_front(tmp_path / signals.FRONT_FILE, cli._front_key(args)[0])
         signals.build_signal_set(profiles)
         peak = tracemalloc.get_traced_memory()[1]
@@ -447,7 +447,14 @@ def test_manifests_record_peak_rss_and_ingest_gate_counts(pipeline_dir, tmp_path
     manifests = sorted(pipeline_dir.glob("manifest_*.json"))
     assert len(manifests) == 8
     for path in manifests:
-        assert json.loads(path.read_text())["peak_rss_mb"] > 0, path.name
+        recorded = json.loads(path.read_text())
+        assert recorded["peak_rss_mb"] > 0, path.name
+        # The stage's own resident set at its start and end, which a peak so far cannot show.
+        if sys.platform.startswith("linux"):
+            for key in ("rss_start_mb", "rss_end_mb"):
+                assert 0 < recorded[key] <= recorded["peak_rss_mb"], (path.name, key)
+        else:
+            assert recorded["rss_start_mb"] is None and recorded["rss_end_mb"] is None, path.name
 
     # One malformed line and favorites of unknown users, so that every gate count shows: "ghost"
     # has no event, "dropout" is under the activity bar and "skipper" has no valid stream.
@@ -671,6 +678,23 @@ def test_staged_run_matches_pipeline_bytes(pipeline_dir, tmp_path):
     for name in DATA_ARTIFACTS:
         assert (staged / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
     assert manifest(staged, "signals")["inputs"]["handoff"] == str(staged / signals.FRONT_FILE)
+    # Each stage's manifest says the same as the pipeline's, but for paths, flags and measurements.
+    apart = {"config", "inputs", "outputs", "duration_secs", "peak_rss_mb", "rss_start_mb", "rss_end_mb", "parse_s"}
+    for name in ("synth", "ingest", "signals", "learn", "embed", "eval", "export_atoms"):
+        alone, piped = manifest(staged, name), manifest(pipeline_dir, name)
+        assert alone.keys() == piped.keys(), name
+        assert {k: v for k, v in alone.items() if k not in apart} == {
+            k: v for k, v in piped.items() if k not in apart}, name
+
+
+@pytest.mark.parametrize("flags, lam", [([], dictionary.LearnConfig.lam), (["--lambda", "0.5"], 0.5)])
+def test_embed_records_the_lambda_it_coded_with(pipeline_dir, tmp_path, flags, lam):
+    # Without --lambda, embed codes with the lambda dictionary.csv records, learn's default here.
+    dct = pipeline_dir / "dictionary.csv"
+    assert dictionary.load_dictionary_csv(dct).lam == dictionary.LearnConfig.lam != 0.5
+    assert run(["embed", "--out", str(tmp_path), "--signal-users", str(pipeline_dir / "signal_users.txt"),
+                "--signals", str(pipeline_dir / "signals.npy"), "--dictionary", str(dct), *flags]) == 0
+    assert manifest(tmp_path, "embed")["lambda"] == lam
 
 
 @pytest.mark.parametrize("stage, flags, message", [
