@@ -4,8 +4,9 @@ Subcommands mirror the stages: ``synth``, ``ingest``, ``signals``, ``learn``,
 ``embed``, ``eval``, ``export-atoms`` and ``pipeline`` (all stages in order,
 byte-identical to a staged run).  Every handoff between stages, in
 ``pipeline`` too, goes through the files a staged run uses: a user-index
-file plus a ``.npy`` matrix file (signals, codes; there is no other matrix
-format), ``dictionary.csv``, or ``ingest_front.bin``.  ``events.csv`` and
+file plus a ``.npy`` matrix file (signals, codes) or alone (the users
+``learn`` held out, which ``eval`` reads from ``test_users.txt`` in its
+``--out``), ``dictionary.csv``, or ``ingest_front.bin``.  ``events.csv`` and
 ``favorites.csv`` are parsed only in ``ingest``, whose one front-end record
 (:class:`~weeklisten.ingest.Profiles`) goes next to ``user_summary.csv`` as
 ``ingest_front.bin``, under a key naming the sha256 of both inputs' bytes,
@@ -334,7 +335,13 @@ def cmd_eval(args, out: Path):
     users, codes = storage.load_indexed_matrix(args.code_users, args.codes)
     labels = evaluate.parse_labels(args.labels)
     totals = _read_summary_totals(args.summary)
-    test = evaluate.split_users(users, args.test_frac, stage_seed(args.seed, "split"))
+    test_path = out / "test_users.txt"
+    if not test_path.exists():
+        raise PipelineError(f"{test_path} does not exist: run learn with the same --out before eval")
+    held_out = set(storage.load_index(test_path))
+    test = np.array([user in held_out for user in users], dtype=bool)
+    if test.sum() < len(held_out):
+        raise PipelineError(f"{test_path} lists users without a code, e.g. {sorted(held_out.difference(users))[:3]}")
     report = evaluate.evaluate_all(users, codes, labels, totals, test, config)
     certificate = _certify_fits(report)
 
@@ -346,7 +353,7 @@ def cmd_eval(args, out: Path):
     evaluate.write_coefficients_csv(report.coefficients, coef_path)
     print(report.to_table(), end="")
     return ({"code_users": args.code_users, "codes": args.codes,
-             "labels": args.labels, "summary": args.summary},
+             "labels": args.labels, "summary": args.summary, "test_users": test_path},
             {"report": report_path, "table": table_path, "coefficients": coef_path}, certificate)
 
 
@@ -451,8 +458,7 @@ SUBCOMMANDS = {
     "signals": ("build the normalized weekly signal matrix", ("--events", "--favorites", *FRONT, "--tz-offset-min")),
     "learn": ("learn the atom dictionary on the train split", (*SIGNAL_FILES, *LEARN)),
     "embed": ("code users against a fixed dictionary", (*SIGNAL_FILES, "--dictionary", "--lambda", *CODER)),
-    "eval": ("activity-prediction evaluation report",
-             ("--code-users", "--codes", "--labels", "--summary", "--test-frac", *EVAL)),
+    "eval": ("activity-prediction evaluation report", ("--code-users", "--codes", "--labels", "--summary", *EVAL)),
     "export-atoms": ("dictionary to long-format plotting CSV", ("--dictionary",)),
     "pipeline": ("run every stage with one seed", (*SYNTH, *FILTERS, "--tz-offset-min", *LEARN, *EVAL)),
 }

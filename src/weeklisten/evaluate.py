@@ -131,9 +131,8 @@ def split_users(user_ids: Sequence[str], test_fraction: float, seed=0) -> np.nda
     """Seeded uniform split: a boolean test mask aligned with ``user_ids``.
 
     ``round(f * N)`` users are held out, drawn by a seeded permutation of the
-    sorted ids, so the mask does not depend on the input order.  The split
-    gates both atom learning and evaluation; ``learn`` and ``eval`` each derive
-    it anew, so both must get the same ``--test-frac`` and ``--seed``.
+    sorted ids, so the mask does not depend on the input order.  ``learn``
+    draws it once and learns on the rest; ``eval`` reads its ``test_users.txt``.
     """
     if not 0 < test_fraction < 1:
         raise PipelineError(f"test fraction must lie in (0, 1), got {test_fraction}")
@@ -241,8 +240,7 @@ def logistic_loss_and_grad(params: np.ndarray, X: np.ndarray, y01: np.ndarray,
     return loss, grad
 
 
-def newton_logreg(X: np.ndarray, y01: np.ndarray, rows: np.ndarray, l2_strength,
-                  grad_tol: float = GRAD_TOL, max_iter: int = 10000) -> NewtonFit:
+def newton_logreg(X: np.ndarray, y01: np.ndarray, rows: np.ndarray, l2_strength, max_iter: int = 10000) -> NewtonFit:
     """Fit P row-subset l2 logistic problems over one feature matrix by damped Newton.
 
     Problem ``p`` minimizes :func:`logistic_loss_and_grad` over the rows
@@ -251,7 +249,7 @@ def newton_logreg(X: np.ndarray, y01: np.ndarray, rows: np.ndarray, l2_strength,
     schedule, deterministically.  A step is halved whenever it fails to
     decrease the loss, so each loss trace is non-increasing, and a 1e-12
     ridge on the Hessian diagonal guards against saturated probabilities.  A
-    problem stops when its gradient max-norm falls below ``grad_tol``
+    problem stops when its gradient max-norm falls below :data:`GRAD_TOL`
     (``converged``), after ``max_iter`` steps (``max_iter``), or when the
     halved step reaches 1e-12 of the Newton step without a decrease
     (``halving``: no descent direction left at float precision).
@@ -280,7 +278,7 @@ def newton_logreg(X: np.ndarray, y01: np.ndarray, rows: np.ndarray, l2_strength,
 
     live = np.arange(n_problems)  # problems still stepping
     for _ in range(max_iter):
-        live = live[~(np.abs(grad[live]).max(axis=1) < grad_tol)]  # a NaN gradient keeps stepping
+        live = live[~(np.abs(grad[live]).max(axis=1) < GRAD_TOL)]  # a NaN gradient keeps stepping
         if live.size == 0:
             break
         iterations[live] += 1
@@ -308,15 +306,13 @@ def newton_logreg(X: np.ndarray, y01: np.ndarray, rows: np.ndarray, l2_strength,
         live = live[~out]
 
     grad_norm = np.abs(grad).max(axis=1)
-    stop = np.where(stalled, STOP_HALVING, np.where(grad_norm < grad_tol, STOP_CONVERGED, STOP_MAX_ITER))
+    stop = np.where(stalled, STOP_HALVING, np.where(grad_norm < GRAD_TOL, STOP_CONVERGED, STOP_MAX_ITER))
     return NewtonFit(params, iterations, halvings, grad_norm, stop)
 
 
-def train_logreg(X: np.ndarray, y01: np.ndarray, l2_strength: float,
-                 grad_tol: float = GRAD_TOL, max_iter: int = 10000) -> NewtonFit:
+def train_logreg(X: np.ndarray, y01: np.ndarray, l2_strength: float, max_iter: int = 10000) -> NewtonFit:
     """Fit one problem on every row of ``X``: :func:`newton_logreg` with P = 1."""
-    return newton_logreg(X, y01, np.ones((1, len(X)), dtype=bool), l2_strength,
-                         grad_tol=grad_tol, max_iter=max_iter)
+    return newton_logreg(X, y01, np.ones((1, len(X)), dtype=bool), l2_strength, max_iter=max_iter)
 
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:

@@ -13,11 +13,11 @@ as a file.
 Signals and codes hand off as a user-index file (one user id per line,
 UTF-8, in row order) plus a matrix file in numpy's ``.npy`` format (float64,
 no pickling); :func:`save_indexed_matrix` and :func:`load_indexed_matrix`
-write and read the pair.  :func:`save_arrays` and :func:`load_arrays` write
-and read several arrays as one file of ``.npy`` records, back to back (the
-ingest front end that ``signals`` reads), and :func:`file_sha256` digests
-an input file.  Every writer here is byte-deterministic for identical
-inputs.
+write and read the pair, and :func:`load_index` reads an index file alone.
+:func:`save_arrays` and :func:`load_arrays` write and read several arrays
+as one file of ``.npy`` records, back to back (the ingest front end that
+``signals`` reads), and :func:`file_sha256` digests an input file.  Every
+writer here is byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -161,23 +161,29 @@ def save_indexed_matrix(user_ids, matrix: np.ndarray, index_path, matrix_path) -
     np.save(matrix_path, np.ascontiguousarray(matrix, dtype=np.float64), allow_pickle=False)
 
 
-def load_indexed_matrix(index_path, matrix_path) -> tuple[tuple[str, ...], np.ndarray]:
-    """Read a :func:`save_indexed_matrix` pair; the ``.npy`` matrix has one row per distinct user id."""
+def load_index(path) -> tuple[str, ...]:
+    """The user ids of a :func:`save_index` file, in order; an id listed twice is an error."""
     try:
-        with open(index_path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             users = tuple(line.rstrip("\n") for line in fh if line.strip())
     except (OSError, UnicodeDecodeError) as exc:
-        raise PipelineError(f"cannot read user index {index_path}: {exc}") from exc
+        raise PipelineError(f"cannot read user index {path}: {exc}") from exc
+    seen = set()
+    for user in users:
+        if user in seen:
+            raise PipelineError(f"user index {path} lists user {user} more than once")
+        seen.add(user)
+    return users
+
+
+def load_indexed_matrix(index_path, matrix_path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Read a :func:`save_indexed_matrix` pair; the ``.npy`` matrix has one row per distinct user id."""
+    users = load_index(index_path)
     try:
         with open(matrix_path, "rb") as fh:
             matrix = np.lib.format.read_array(fh, allow_pickle=False)
     except (OSError, ValueError) as exc:
         raise PipelineError(f"cannot read matrix {matrix_path}: {exc}") from exc
-    seen = set()
-    for user in users:
-        if user in seen:
-            raise PipelineError(f"user index {index_path} lists user {user} more than once")
-        seen.add(user)
     if matrix.ndim != 2 or matrix.shape[0] != len(users):
         raise PipelineError(f"matrix {matrix_path} of shape {matrix.shape} does not match "
                             f"the {len(users)} users of {index_path}")

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -314,6 +315,16 @@ def _dictionary_without_lambda(tmp_path, pipe):
     return path
 
 
+def _test_users_with(extra):
+    """learn's ``test_users.txt`` plus the id ``extra``, in the ``--out`` the case runs eval in."""
+    def damage(tmp_path, pipe):
+        path = tmp_path / "out" / "test_users.txt"
+        path.parent.mkdir()
+        path.write_text((pipe / "test_users.txt").read_text() + extra + "\n")
+        return path
+    return damage
+
+
 def _archetype_file(text):
     def damage(tmp_path, pipe):
         path = tmp_path / "arch.json"
@@ -360,6 +371,14 @@ BAD_HANDOFFS = {
     "learn-duplicate-index-user": (
         lambda p, bad: ["learn", "--signal-users", bad, "--signals", p / "signals.npy"],
         _line_2_repeated("signal_users.txt"), "lists user u00001 more than once"),
+    "eval-no-test-users": (
+        lambda p, bad: ["eval", "--code-users", p / "code_users.txt", "--codes", p / "codes.npy",
+                        "--labels", p / "labels.csv", "--summary", p / "user_summary.csv"],
+        _missing, ("out/test_users.txt does not exist", "run learn with the same --out")),
+    "eval-test-user-without-code": (
+        lambda p, bad: ["eval", "--code-users", p / "code_users.txt", "--codes", p / "codes.npy",
+                        "--labels", p / "labels.csv", "--summary", p / "user_summary.csv"],
+        _test_users_with("nobody"), "out/test_users.txt lists users without a code, e.g. ['nobody']"),
     "eval-duplicate-summary-user": (
         lambda p, bad: ["eval", "--code-users", p / "code_users.txt", "--codes", p / "codes.npy",
                         "--labels", p / "labels.csv", "--summary", bad],
@@ -400,6 +419,7 @@ def test_bad_handoff_file_is_an_error_line(pipeline_dir, tmp_path, capsys, case)
     assert err.startswith("error: "), err
     for message in (messages,) if isinstance(messages, str) else messages:
         assert message in err, err
+    assert not list((tmp_path / "out").glob("manifest_*.json"))
 
 
 def test_pipeline_outputs_exist(pipeline_dir):
@@ -705,7 +725,7 @@ def test_embed_records_the_lambda_it_coded_with(pipeline_dir, tmp_path, flags, l
     ("synth", ["--seed", "-1"], "seed must be >= 0, got -1"),
     ("learn", ["--test-frac", "nan"], "test fraction must lie in (0, 1), got nan"),
     ("learn", ["--test-frac", "inf"], "test fraction must lie in (0, 1), got inf"),
-    ("eval", ["--test-frac", "nan"], "test fraction must lie in (0, 1), got nan"),
+    ("eval", ["--seed", "-1"], "seed must be >= 0, got -1"),
     ("learn", ["--outer-iters", "-4"], "outer_iters must be >= 0, got -4"),
     ("ingest", ["--seed", "-1"], "seed must be >= 0, got -1"),
     ("signals", ["--seed", "-1"], "seed must be >= 0, got -1"),
@@ -805,6 +825,8 @@ def test_newton_certificate_is_reported(pipeline_dir, tmp_path, capsys, monkeypa
     newton = evaluate.newton_logreg
     monkeypatch.setattr(evaluate, "newton_logreg", lambda *args, **kw: newton(*args, **{**kw, "max_iter": 1}))
     out = tmp_path / "capped"
+    out.mkdir()
+    shutil.copy(pipeline_dir / "test_users.txt", out)  # eval holds out the users learn held out
     capsys.readouterr()
     assert run(["eval", "--out", str(out), "--seed", "7", "--code-users", str(pipeline_dir / "code_users.txt"),
                 "--codes", str(pipeline_dir / "codes.npy"), "--labels", str(pipeline_dir / "labels.csv"),
@@ -881,6 +903,39 @@ def test_split_files_partition_users(pipeline_dir):
     assert not set(train) & set(test)
     assert set(train) | set(test) == set(users)
     assert len(test) == round(0.33 * len(users))
+
+
+def test_eval_tests_the_users_learn_held_out(pipeline_dir, tmp_path, monkeypatch):
+    # eval draws no split of its own: whatever its seed, it tests the users of learn's
+    # test_users.txt in its --out, here half of them rather than the default 33%.
+    assert run(["learn", "--out", str(tmp_path), "--seed", "7", "--test-frac", "0.5", "--atoms", "4",
+                "--outer-iters", "1", "--signal-users", str(pipeline_dir / "signal_users.txt"),
+                "--signals", str(pipeline_dir / "signals.npy")]) == 0
+    held_out = (tmp_path / "test_users.txt").read_text().split()
+    assert len(held_out) == 60
+    tested = []
+    evaluate_all = evaluate.evaluate_all
+    def spy(users, codes, labels, totals, test, config):
+        tested.append(sorted(itertools.compress(users, test)))
+        return evaluate_all(users, codes, labels, totals, test, config)
+    monkeypatch.setattr(evaluate, "evaluate_all", spy)
+    for seed in ("7", "8"):
+        assert run(["eval", "--out", str(tmp_path), "--seed", seed,
+                    "--code-users", str(pipeline_dir / "code_users.txt"), "--codes", str(pipeline_dir / "codes.npy"),
+                    "--labels", str(pipeline_dir / "labels.csv"), "--summary", str(pipeline_dir / "user_summary.csv")]) == 0
+        assert tested.pop() == held_out
+        table = (tmp_path / "eval_table.txt").read_text()
+        assert table.startswith("Test ROC AUC per activity (60 train / 60 test users)\n"), table
+        assert manifest(tmp_path, "eval")["inputs"]["test_users"] == str(tmp_path / "test_users.txt")
+
+
+def test_eval_takes_no_test_frac(capsys):
+    with pytest.raises(SystemExit):
+        run(["eval", "--help"])
+    assert "--test-frac" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        run(["eval", "--code-users", "x", "--codes", "y", "--labels", "z", "--summary", "w", "--test-frac", "0.5"])
+    assert exc.value.code == 2
 
 
 def test_codes_cover_all_signal_users(pipeline_dir):
