@@ -13,11 +13,13 @@ file plus a ``.npy`` matrix file (signals, codes) or alone (the users
 the filter and period flags, the version and the file format.  ``signals``
 computes the key from its own flags and inputs and builds from the file of
 its ``--out`` directory; no file, other bytes or flags, a damaged file or a
-piped input is an error that says to run ``ingest`` first.  The front end
+piped input is an error that says to run ``ingest`` first.  Only ``ingest``
+takes ``--tz-offset-min``; the handoff holds local seconds.  The front end
 holds at most two copies of the event columns, while a filter copies: each
 filter's input is released once its output exists, and only the restricted
-log is alive while the profiles are built.  A half-given study period is an
-error before either command opens an input.
+log is alive while the profiles are built.  A half-given study period, or one
+outside ``ingest``'s timestamp range, is an error before either command opens
+an input.
 
 Stage commands signal failure only by raising :class:`PipelineError`, which
 :func:`main` turns into an ``error: ...`` line and exit status 1 (a missing,
@@ -217,8 +219,8 @@ def cmd_ingest(args, out: Path):
         raise PipelineError(f"no active users: none has {args.min_daily_streams:g} valid streams "
                             f"(of at least {args.min_listen_secs} s) per day")
     log = ingest.restrict_to_users(log, active)
-    profiles = ingest.build_profiles(log, period, favorites)
-    del log, favorites  # all of the restricted log goes but the timestamp and tz columns the profiles share
+    profiles = ingest.build_profiles(log, period, favorites, args.tz_offset_min)
+    del log, favorites
     gates = {"parse_s": parse_s, "lines": report.total_lines, "malformed": report.malformed_count,
              "valid_streams": valid_streams, "active_users": len(profiles.user_ids),
              "unknown_favorite_users": profiles.unknown_user_warnings}
@@ -248,7 +250,7 @@ def cmd_signals(args, out: Path):
         raise PipelineError(f"--{name} {getattr(args, name)} must be a regular file: signals checks "
                             "ingest's handoff against its digest")
     handoff = out / signals.FRONT_FILE
-    sset = signals.build_signal_set(signals.load_front(handoff, key), args.tz_offset_min)
+    sset = signals.build_signal_set(signals.load_front(handoff, key))
     index_path = out / "signal_users.txt"
     matrix_path = out / "signals.npy"
     storage.save_indexed_matrix(sset.user_ids, sset.matrix, index_path, matrix_path)
@@ -409,7 +411,7 @@ FLAGS = {
     "--period-start": dict(type=int, default=None, help="study period start (epoch secs)"),
     "--period-end": dict(type=int, default=None, help="study period end (epoch secs)"),
     "--tz-offset-min": dict(type=int, default=0,
-                            help="default local-time offset for events without one"),
+                            help="local-time offset in minutes of events without one and of the study period"),
     "--signal-users": dict(required=True, help="signal user index file"),
     "--signals": dict(required=True, help="signal matrix file"),
     "--dictionary": dict(required=True, help="dictionary CSV"),
@@ -454,8 +456,8 @@ EVAL = ("--l2-grid", "--cv-folds")
 #: Each subcommand's help line and flags after :data:`COMMON`, in the order its ``--help`` lists them.
 SUBCOMMANDS = {
     "synth": ("generate a synthetic dataset", SYNTH),
-    "ingest": ("parse and filter logs into a user summary", ("--events", "--favorites", *FRONT)),
-    "signals": ("build the normalized weekly signal matrix", ("--events", "--favorites", *FRONT, "--tz-offset-min")),
+    "ingest": ("parse and filter logs into a user summary", ("--events", "--favorites", *FRONT, "--tz-offset-min")),
+    "signals": ("build the normalized weekly signal matrix", ("--events", "--favorites", *FRONT)),
     "learn": ("learn the atom dictionary on the train split", (*SIGNAL_FILES, *LEARN)),
     "embed": ("code users against a fixed dictionary", (*SIGNAL_FILES, "--dictionary", "--lambda", *CODER)),
     "eval": ("activity-prediction evaluation report", ("--code-users", "--codes", "--labels", "--summary", *EVAL)),
@@ -501,8 +503,12 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:  # every subcommand records its seed, and the seeded ones derive from it
             raise PipelineError(f"seed must be >= 0, got {args.seed}")
-        if (getattr(args, "period_start", None) is None) != (getattr(args, "period_end", None) is None):
+        period = [getattr(args, name, None) for name in ("period_start", "period_end")]
+        if period.count(None) == 1:
             raise PipelineError("--period-start and --period-end must be given together")
+        if None not in period and not ingest.TIMESTAMP_MIN <= min(period) <= max(period) <= ingest.TIMESTAMP_MAX:
+            raise PipelineError(f"--period-start and --period-end must lie between {ingest.TIMESTAMP_MIN} "
+                                f"and {ingest.TIMESTAMP_MAX}, got [{period[0]}, {period[1]})")
         _run(args.command, args)
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)

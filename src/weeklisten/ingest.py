@@ -40,8 +40,9 @@ Favorites parse to columns as well (:func:`parse_favorites`).
 The activity filter keeps users with at least one valid stream whose daily
 average meets the threshold, so every active user gets a profile.
 :func:`build_profiles` returns :class:`Profiles`, the one front-end record:
-each event's signal row, clock and organic, repeated and liked bits, the
-sorted user ids, the study period and the summary columns.
+each event's signal row, local clock (the one place it is set) and organic,
+repeated and liked bits, the sorted user ids, the study period and the
+summary columns.
 ``user_summary.csv`` and the signal rows share its one sorted user order,
 and no per-user record is ever built.  One liked-track set per user
 (favorited tracks plus tracks streamed under a favorited album) drives both
@@ -106,14 +107,14 @@ MAX_MALFORMED_FRACTION = 0.01
 
 @dataclass(frozen=True)
 class StudyPeriod:
-    """Half-open observation window ``[start, end)`` in epoch seconds."""
+    """Half-open observation window ``[start, end)`` in epoch seconds, which the handoff stores as int64."""
 
     start: int
     end: int
 
     def __post_init__(self) -> None:
-        if self.end <= self.start:
-            raise PipelineError(f"study period must have positive length, got [{self.start}, {self.end})")
+        if not -2**63 <= self.start < self.end < 2**63:
+            raise PipelineError(f"study period must be a non-empty int64 range, got [{self.start}, {self.end})")
 
     @property
     def days(self) -> float:
@@ -183,16 +184,10 @@ class EventLog:
         )
 
 
-def _local_timestamps(timestamps: np.ndarray, tz_offset_min: np.ndarray, default_tz_offset_min: int) -> np.ndarray:
-    """Epoch seconds shifted into each event's local clock.
-
-    ``default_tz_offset_min`` applies to events without an offset and must
-    lie in the tz column's range.
-    """
-    if not TZ_UNSET < default_tz_offset_min <= _INT32_MAX:
-        raise PipelineError(f"default tz offset {default_tz_offset_min} minutes does not fit in 32 bits")
-    offsets = np.where(tz_offset_min == TZ_UNSET, default_tz_offset_min, tz_offset_min)
-    return timestamps + offsets.astype(np.int64) * 60
+def _local_timestamps(log: EventLog, tz_offset_min: int) -> np.ndarray:
+    """Epoch seconds of each event of ``log`` on its local clock: its own offset, else ``tz_offset_min``."""
+    offsets = np.where(log.tz_offset_min == TZ_UNSET, tz_offset_min, log.tz_offset_min)
+    return log.timestamps + offsets.astype(np.int64) * 60
 
 
 def parse_events(path) -> tuple[EventLog, ParseReport]:
@@ -801,9 +796,10 @@ ORGANIC_BIT, REPEATED_BIT, LIKED_BIT = 1, 2, 4
 class Profiles(NamedTuple):
     """The ingest front end: the restricted log packed to what ``signals`` reads, and the user summary.
 
-    ``row`` (int32), ``timestamps`` (int64), ``tz_offset_min`` (int32,
-    :data:`TZ_UNSET` for no offset) and ``flags`` (uint8 bits) hold one entry
-    per event of the log, in its order.  ``row`` indexes ``user_ids``, the
+    ``row`` (int32), ``timestamps`` (int64 seconds on the event's local
+    clock: its own offset, else the default) and ``flags`` (uint8 bits) hold
+    one entry per event of the log, in its order; ``period`` is the study
+    period on the default's clock.  ``row`` indexes ``user_ids``, the
     users with an event, sorted, which are also the rows of ``summary`` (the
     int64 ``total_valid_streams``, ``active_days``, ``distinct_tracks`` and
     ``liked_tracks`` of ``user_summary.csv``) and of the signal matrix.
@@ -814,18 +810,21 @@ class Profiles(NamedTuple):
     period: StudyPeriod
     row: np.ndarray
     timestamps: np.ndarray
-    tz_offset_min: np.ndarray
     flags: np.ndarray
     summary: np.ndarray
     unknown_user_warnings: int
 
 
-def build_profiles(log: EventLog, period: StudyPeriod, favorites=()) -> Profiles:
+def build_profiles(log: EventLog, period: StudyPeriod, favorites=(), tz_offset_min: int = 0) -> Profiles:
     """Profiles of a duration-filtered, user-restricted log over ``period`` and favorites columns (``()`` for none).
 
-    They share only the log's timestamp and tz columns.  Each step frees its
-    per-event temporaries before the next one starts.
+    Every event goes on its local clock once: its own offset, else the
+    default ``tz_offset_min`` (in the tz column's range), which also moves
+    the period.  Each step frees its per-event temporaries before the next.
     """
+    if not TZ_UNSET < tz_offset_min <= _INT32_MAX:
+        raise PipelineError(f"default tz offset {tz_offset_min} minutes does not fit in 32 bits")
+    local_period = StudyPeriod(period.start + 60 * tz_offset_min, period.end + 60 * tz_offset_min)
     n_users = len(log.users)
     n_tracks = len(log.tracks)
     totals = np.bincount(log.user_idx, minlength=n_users)
@@ -840,7 +839,7 @@ def build_profiles(log: EventLog, period: StudyPeriod, favorites=()) -> Profiles
 
     # Distinct (user, local day) pairs, found by sorting on both columns so
     # that no day number has to fit in a packed key.
-    day = _local_timestamps(log.timestamps, log.tz_offset_min, 0)
+    day = _local_timestamps(log, tz_offset_min)
     day //= 86400
     by_day = np.lexsort((day, log.user_idx))
     day = day[by_day]
@@ -896,10 +895,9 @@ def build_profiles(log: EventLog, period: StudyPeriod, favorites=()) -> Profiles
     ])
     return Profiles(
         user_ids=tuple(names[i] for i in order),
-        period=period,
+        period=local_period,
         row=row_of_user[log.user_idx],
-        timestamps=log.timestamps,
-        tz_offset_min=log.tz_offset_min,
+        timestamps=_local_timestamps(log, tz_offset_min),  # made again, not kept through the sorts
         flags=flags,
         summary=summary[present[order]],
         unknown_user_warnings=int(np.count_nonzero(fav_user < 0)),

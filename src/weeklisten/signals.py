@@ -13,13 +13,13 @@ Each user's valid streams are folded onto the 168 hour-of-week slots
 
 Raw series are smoothed with a circular length-3 moving average and then
 normalized per channel to mean 0 and maximum absolute value 1.  Slots are
-computed in local time: each event's explicit minute offset wins, otherwise a
-configurable default applies.  Only 1-hour windows fully inside the study
-period are aggregated, so ragged period edges never skew the per-slot divisor.
+on the local clock ``ingest`` set.  Only 1-hour windows fully inside the
+study period are aggregated, so ragged period edges never skew the per-slot
+divisor.
 
 :func:`build_signal_set` runs all three steps for every user at once from
 ingest's front end, :class:`~weeklisten.ingest.Profiles` (each event's
-signal row, timestamp, tz offset and organic, repeated and liked bits, the
+signal row, local timestamp and organic, repeated and liked bits, the
 sorted row user ids and the study period), and returns a
 :class:`SignalSet`, the ``(user_ids, matrix)`` pair that enforces the
 ``(n, 672)`` shape, with rows in the order of ``user_summary.csv``; there is
@@ -42,8 +42,7 @@ import numpy as np
 
 from . import storage
 from .errors import PipelineError
-from .ingest import (LIKED_BIT, ORGANIC_BIT, REPEATED_BIT, Profiles, StudyPeriod, _local_timestamps,
-                     _starts_of_runs)
+from .ingest import LIKED_BIT, ORGANIC_BIT, REPEATED_BIT, Profiles, StudyPeriod, _starts_of_runs
 
 CHANNELS = ("volume", "repetition", "organicity", "liked")
 N_CHANNELS = len(CHANNELS)
@@ -55,7 +54,7 @@ _EPOCH_WEEKDAY = 3
 #: The file ``ingest`` writes its front end to, next to ``user_summary.csv``.
 FRONT_FILE = "ingest_front.bin"
 #: Names the layout of :data:`FRONT_FILE`; part of every key saved in it.
-FRONT_FORMAT = "weeklisten-front-2"
+FRONT_FORMAT = "weeklisten-front-3"
 #: The dtype and shape of the record :func:`save_front` writes for each :class:`Profiles`
 #: field; the user ids are one UTF-8 text, joined by newlines (an id holds none).
 _FRONT_RECORDS = {
@@ -63,7 +62,6 @@ _FRONT_RECORDS = {
     "period": (np.int64, (2,)),
     "row": (np.int32, ("events",)),
     "timestamps": (np.int64, ("events",)),
-    "tz_offset_min": (np.int32, ("events",)),
     "flags": (np.uint8, ("events",)),
     "summary": (np.int64, ("users", 4)),
     "unknown_user_warnings": (np.int64, ()),
@@ -93,13 +91,10 @@ class SignalSet:
                                 f"{len(self.user_ids)} users x {N_CHANNELS * SLOTS_PER_WEEK}")
 
 
-def _window_range(period: StudyPeriod, default_tz_offset_min: int) -> tuple[int, int]:
+def _window_range(period: StudyPeriod) -> tuple[int, int]:
     """First and one-past-last absolute hour index fully inside the period."""
-    shift = default_tz_offset_min * 60
-    local_start = period.start + shift
-    local_end = period.end + shift
-    k_first = -((-local_start) // 3600)   # ceil
-    k_excl = local_end // 3600            # window k needs 3600*(k+1) <= local_end
+    k_first = -((-period.start) // 3600)  # ceil
+    k_excl = period.end // 3600           # window k needs 3600*(k+1) <= period.end
     if k_excl - k_first < SLOTS_PER_WEEK:
         raise PipelineError(f"study period covers {max(k_excl - k_first, 0)} whole hours; "
                             f"at least one week ({SLOTS_PER_WEEK}) is required")
@@ -217,7 +212,7 @@ def _front_of(arrays: list[np.ndarray]) -> Profiles:
                        "unknown_user_warnings": int(fields["unknown_user_warnings"])})
 
 
-def build_signal_set(profiles: Profiles, default_tz_offset_min: int = 0) -> SignalSet:
+def build_signal_set(profiles: Profiles) -> SignalSet:
     """Aggregated, smoothed and normalized weekly signals of every user of ``profiles``, stacked channel-major.
 
     Rows follow ``profiles.user_ids``; a user without in-period events gets an
@@ -227,14 +222,13 @@ def build_signal_set(profiles: Profiles, default_tz_offset_min: int = 0) -> Sign
 
     # Each in-period event's window, counted from the first one, and its key
     # ``row * n_windows + window``.
-    window = _local_timestamps(profiles.timestamps, profiles.tz_offset_min, default_tz_offset_min)
-    k_first, k_excl = _window_range(profiles.period, default_tz_offset_min)
+    window = profiles.timestamps // 3600
+    k_first, k_excl = _window_range(profiles.period)
     n_windows = k_excl - k_first
     if n_rows * n_windows > np.iinfo(np.int64).max:
         raise PipelineError(f"{n_rows} users x {n_windows} hour windows of the study period "
                             "overflow the 64-bit (user, window) key; shorten the period")
     divisor = _slot_divisors(k_first, k_excl)
-    window //= 3600
     window -= k_first
     in_scope = (window >= 0) & (window < n_windows)
     key = profiles.row[in_scope].astype(np.int64)

@@ -327,7 +327,7 @@ class Profile:
         return event.track_id in self.liked_tracks
 
 
-def profiles(events, favorites=()):
+def profiles(events, favorites=(), default_tz_offset_min=0):
     """``{user_id: Profile}`` for every user with one of the ``events`` (a record list)."""
     events_of = defaultdict(list)
     for event in events:
@@ -340,8 +340,11 @@ def profiles(events, favorites=()):
         tracks = frozenset(favorite["track"][user])
         albums = frozenset(favorite["album"][user])
         liked = frozenset(e.track_id for e in events if e.track_id in tracks or e.album_id in albums)
-        # Days in each event's own clock; events without an offset count as UTC.
-        days = {(e.timestamp + 60 * (e.tz_offset_min or 0)) // 86400 for e in events}
+        # Days on each event's local clock: its own offset, else the default.
+        days = set()
+        for e in events:
+            offset = default_tz_offset_min if e.tz_offset_min is None else e.tz_offset_min
+            days.add((e.timestamp + 60 * offset) // 86400)
         out[user] = Profile(user, dict(Counter(e.track_id for e in events)), tracks, albums,
                             liked, len(events), len(days))
     return out
@@ -439,7 +442,7 @@ def normalize(values):
 
 def signal_rows(events, favorites, period, default_tz_offset_min=0):
     """What ``build_signal_set`` returns for the log of ``events``: sorted user ids and the (n, 672) matrix."""
-    profile_of = profiles(events, favorites)
+    profile_of = profiles(events, favorites, default_tz_offset_min)
     raw = raw_signals(events, profile_of, period, default_tz_offset_min)
     users = sorted(raw)
     rows = [normalize(smooth(raw[user])).ravel() for user in users]

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import hashlib
 import itertools
 import json
@@ -12,9 +13,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from weeklisten import cli, dictionary, evaluate, ingest, signals, storage, synth
 
-from conftest import DATA_ARTIFACTS, MONDAY, WEEK, events_csv_lines
+from conftest import DATA_ARTIFACTS, MONDAY, WEEK, events_csv_lines, make_event
 
 SMALL = ["--users", "120", "--weeks", "2", "--atoms", "8", "--outer-iters", "6"]
 #: The study period of SMALL's synthetic inputs.
@@ -178,8 +180,28 @@ def test_far_future_timestamps_ingest_and_signal(tmp_path, capsys):
     assert run(["signals", *argv]) == 0
     assert (tmp_path / "signal_users.txt").read_text().split() == ["u1"]
     capsys.readouterr()
-    assert run(["signals", *argv, f"--tz-offset-min={-2**31}"]) == 1
+    assert run(["ingest", *argv, f"--tz-offset-min={-2**31}"]) == 1
     assert f"error: default tz offset {-2**31} minutes does not fit in 32 bits" in capsys.readouterr().err
+
+
+def test_periods_at_the_timestamp_limits_fit_or_are_error_lines(tmp_path, capsys):
+    # The latest offset moves a period ending at TIMESTAMP_MAX exactly to the int64 limit; the
+    # period covering an event at TIMESTAMP_MAX ends up to an hour later, which cannot move.
+    hi = ingest.TIMESTAMP_MAX
+    events = tmp_path / "events.csv"
+    events.write_text("".join(events_csv_lines([f"u1,{hi - 1000 * i},t{i},a{i},organic,60" for i in range(700)])))
+    src = ["--events", str(events), "--min-daily-streams", "0", "--out", str(tmp_path)]
+    period = ["--period-start", str(hi - 2 * WEEK), "--period-end", str(hi)]
+    latest = f"--tz-offset-min={2**31 - 1}"
+    assert run(["ingest", *src, *period, latest]) == 0
+    assert run(["signals", *src, *period]) == 0
+    assert np.isfinite(np.load(tmp_path / "signals.npy")).all()
+    capsys.readouterr()
+    assert run(["ingest", *src, latest]) == 1
+    start, end = (hi - 699_000) // 3600 * 3600, hi // 3600 * 3600 + 3600  # the covering period
+    shift = 60 * (2**31 - 1)
+    err = capsys.readouterr().err
+    assert err == f"error: study period must be a non-empty int64 range, got [{start + shift}, {end + shift})\n"
 
 
 def test_user_ids_holding_commas_or_quotes_survive_the_user_summary(tmp_path):
@@ -707,6 +729,46 @@ def test_staged_run_matches_pipeline_bytes(pipeline_dir, tmp_path):
             k: v for k, v in piped.items() if k not in apart}, name
 
 
+@pytest.fixture(scope="module")
+def tz_pipeline_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("pipe_tz")
+    assert run(["pipeline", "--seed", "7", "--tz-offset-min", "600", "--out", str(out)] + SMALL) == 0
+    return out
+
+
+def test_pipeline_counts_active_days_on_its_local_clock(tz_pipeline_dir, pipeline_dir):
+    # No synthetic event has an offset of its own, so each valid stream of an active user
+    # counts on the --tz-offset-min clock.
+    with open(tz_pipeline_dir / "events.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    summary = [line.split(",") for line in (tz_pipeline_dir / "user_summary.csv").read_text().splitlines()[1:]]
+    active = {user for user, *_ in summary}
+    events = [make_event(user=r["user_id"], timestamp=int(r["timestamp"]), duration=int(r["listen_duration"]))
+              for r in rows if r["user_id"] in active and int(r["listen_duration"]) >= ingest.MIN_LISTEN_SECS]
+    expected = [(user, str(p.active_days)) for user, p in sorted(oracles.profiles(events, (), 600).items())]
+    assert [(user, days) for user, _, days, *_ in summary] == expected
+    assert (tz_pipeline_dir / "user_summary.csv").read_bytes() != (pipeline_dir / "user_summary.csv").read_bytes()
+
+
+def test_staged_ingest_sets_the_clock_signals_builds_on(tz_pipeline_dir, tmp_path):
+    src = ["--out", str(tmp_path), "--seed", "7", "--events", str(tz_pipeline_dir / "events.csv"),
+           "--favorites", str(tz_pipeline_dir / "favorites.csv"), *PERIOD]
+    assert run(["ingest", *src, "--tz-offset-min", "600"]) == 0
+    assert run(["signals", *src]) == 0
+    for name in ("user_summary.csv", "signals.npy", signals.FRONT_FILE):
+        assert (tmp_path / name).read_bytes() == (tz_pipeline_dir / name).read_bytes(), name
+
+
+def test_only_ingest_takes_the_clock_flag(capsys):
+    for command, listed in (("ingest", True), ("signals", False), ("pipeline", True)):
+        with pytest.raises(SystemExit):
+            run([command, "--help"])
+        assert ("--tz-offset-min" in capsys.readouterr().out) == listed, command
+    with pytest.raises(SystemExit) as exc:
+        run(["signals", "--events", "x", "--tz-offset-min", "0"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("flags, lam", [([], dictionary.LearnConfig.lam), (["--lambda", "0.5"], 0.5)])
 def test_embed_records_the_lambda_it_coded_with(pipeline_dir, tmp_path, flags, lam):
     # Without --lambda, embed codes with the lambda dictionary.csv records, learn's default here.
@@ -737,6 +799,15 @@ def test_embed_records_the_lambda_it_coded_with(pipeline_dir, tmp_path, flags, l
      "--period-start and --period-end must be given together"),
     ("signals", ["--period-end", "0", "--events", "no/such/events.csv"],
      "--period-start and --period-end must be given together"),
+    # So is one the handoff cannot hold.
+    ("ingest", ["--period-start", "9223372036854775000", "--period-end", "9223372036854775900",
+                "--events", "no/such/events.csv"],
+     f"--period-start and --period-end must lie between {ingest.TIMESTAMP_MIN} and {ingest.TIMESTAMP_MAX}, "
+     "got [9223372036854775000, 9223372036854775900)"),
+    ("signals", ["--period-start", str(ingest.TIMESTAMP_MIN - 1), "--period-end", "0",
+                 "--events", "no/such/events.csv"],
+     f"--period-start and --period-end must lie between {ingest.TIMESTAMP_MIN} and {ingest.TIMESTAMP_MAX}, "
+     f"got [{ingest.TIMESTAMP_MIN - 1}, 0)"),
 ])
 def test_bad_coder_arguments_are_error_lines(pipeline_dir, tmp_path, capsys, stage, flags, message):
     # Bad argument values of any stage, coder arguments among them.

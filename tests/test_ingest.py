@@ -163,7 +163,7 @@ def test_in_range_integer_extremes_parse(tmp_path):
     assert log.tz_offset_min.tolist() == [-2**31 + 1, 2**31 - 1, ingest.TZ_UNSET, ingest.TZ_UNSET]
     # The extreme offsets take the extreme timestamps exactly to the int64 limits, never past them.
     def local(default=0):
-        return ingest._local_timestamps(log.timestamps, log.tz_offset_min, default)
+        return profiles_of(log, default_tz=default).timestamps
 
     assert local().tolist() == [-2**63, 2**63 - 1, lo, hi]
     assert local(-2**31 + 1)[2] == -2**63
@@ -228,9 +228,9 @@ def test_filter_active_users_empty():
     assert len(ingest.filter_active_users(log_of(), period)) == 0
 
 
-def profiles_of(log, favorites=()):
-    """The profiles of ``log`` over the hour-aligned period covering it."""
-    return ingest.build_profiles(log, ingest.StudyPeriod.covering(log), favorites)
+def profiles_of(log, favorites=(), default_tz=0):
+    """The profiles of ``log``; no count depends on the period, so it is one hour that any offset can move."""
+    return ingest.build_profiles(log, ingest.StudyPeriod(MONDAY, MONDAY + 3600), favorites, default_tz)
 
 
 def flagged(profiles, bit):
@@ -747,13 +747,14 @@ def night_events():
             make_event(user="night", timestamp=MONDAY + DAY + 1800)]
 
 
-@given(events=st.lists(summary_event, max_size=60), favorites=st.lists(summary_favorite, max_size=8))
+@given(events=st.lists(summary_event, max_size=60), favorites=st.lists(summary_favorite, max_size=8),
+       default_tz=st.integers(min_value=-720, max_value=840) | st.sampled_from([-2**31 + 1, 2**31 - 1]))
 @settings(max_examples=60, deadline=None)
-def test_summary_columns_match_oracle(events, favorites):
+def test_summary_columns_match_oracle(events, favorites, default_tz):
     events = events + night_events()
     log = log_of(*events)
-    profiles = profiles_of(log, favorites_of(*favorites))
-    rows = oracles.summary_rows(oracles.profiles(records(log), favorites_of(*favorites)))
+    profiles = profiles_of(log, favorites_of(*favorites), default_tz)
+    rows = oracles.summary_rows(oracles.profiles(records(log), favorites_of(*favorites), default_tz))
     assert [(u, *c) for u, c in zip(profiles.user_ids, profiles.summary.tolist())] == rows
     listeners = {e.user_id for e in events}
     assert profiles.unknown_user_warnings == sum(user not in listeners for user, _, _ in favorites)

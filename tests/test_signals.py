@@ -14,8 +14,8 @@ from weeklisten.errors import PipelineError
 from conftest import DAY, HOUR, MONDAY, WEEK, favorites_of, log_of, make_event, records, user_indexes
 
 
-def front_for(log, period, favorites=()):
-    return ingest.build_profiles(log, period, favorites)
+def front_for(log, period, favorites=(), default_tz=0):
+    return ingest.build_profiles(log, period, favorites, default_tz)
 
 
 def raw_of(log, period, favorites=()):
@@ -422,7 +422,7 @@ def test_build_signal_set_matches_oracle(events, favorites, default_tz):
     log = log_of(*(events + fixed_events()))
     favorites = favorites_of(*favorites)
     period = ingest.StudyPeriod(MONDAY, MONDAY + 2 * WEEK)
-    sset = signals.build_signal_set(front_for(log, period, favorites), default_tz)
+    sset = signals.build_signal_set(front_for(log, period, favorites, default_tz))
     users, matrix = oracles.signal_rows(records(log), favorites, period, default_tz)
     assert sset.user_ids == users
     assert np.allclose(sset.matrix, matrix, rtol=0, atol=1e-12)
